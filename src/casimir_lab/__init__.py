@@ -41,6 +41,7 @@ from .oplab import (
     casimir_cross_check,
     certify,
     char_poly,
+    cluster_spectrum,
     diag_metric,
     enumerate_reps,
     is_w_hermitian,

@@ -33,9 +33,9 @@ from .oplab import (
     build_operator,
     certify,
     char_poly,
+    cluster_spectrum,
     diag_metric,
     enumerate_reps,
-    numeric_spectrum,
 )
 from .polyq import root_multiplicity_profile
 from .reps import (
@@ -315,9 +315,10 @@ def cmd_spectrum(args) -> dict:
     g = GroupSpec(args.su2, args.torus)
     k = parse_kappa(args.kappa)
     reps = enumerate_reps(g, args.rep_cap)
+    ops = [build_operator(g, v, k) for v in reps]
     entries = []
-    for v in reps:
-        p = char_poly(build_operator(g, v, k))
+    for v, op in zip(reps, ops):
+        p = char_poly(op)
         profile = root_multiplicity_profile(p)
         entries.append(
             {
@@ -336,7 +337,7 @@ def cmd_spectrum(args) -> dict:
         "reps": entries,
     }
     if args.numeric:
-        clusters = numeric_spectrum(g, reps, k, tol=args.tol, ustar_dim=args.ustar_dim)
+        clusters = cluster_spectrum(ops, k, tol=args.tol)
         payload["tol"] = args.tol
         payload["ustar_dim"] = args.ustar_dim
         payload["clusters"] = [

@@ -1,5 +1,6 @@
 """Command-line surface: payload shapes, exit codes, canonical output."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from casimir_lab import cli
 from casimir_lab.cli import main, parse_kappa, parse_ustar, qstr
 from casimir_lab.oplab import diag_metric
 from casimir_lab.reps import KMode
@@ -89,6 +91,50 @@ def test_certify_su2(capsys):
     kinds = {row["kind"] for row in data["table"]}
     assert kinds == {"a", "b", "c"}
     assert all(row["value"] != "0" for row in data["table"])
+
+
+# sha256 prefixes of `certify ... --seed 2026` stdout, recorded before the
+# Gaussian-integer kernel replaced the Gaussian-rational one; the budget-1
+# rows are inconclusive and list every violation of their single candidate.
+CERTIFY_PINS = [
+    ((2, 0, 1, None), "60f19eb5ef3b6684"),
+    ((1, 1, 2, None), "185b62420d8c175a"),
+    ((0, 2, 2, None), "46ad7df5b6e29236"),
+    ((3, 0, 1, None), "676fb5bb0fb76a19"),
+    ((2, 0, 1, 3), "342e4a1de3613b7a"),
+    ((1, 0, 6, None), "50b50b205891bb2f"),
+    ((2, 0, 1, 1), "84800523f80c97b9"),
+    ((0, 2, 2, 1), "dab36c1285cd8fd0"),
+]
+
+
+@pytest.mark.parametrize("shape,digest", CERTIFY_PINS)
+def test_certify_output_pinned(capsys, shape, digest):
+    su2, torus, cap, budget = shape
+    argv = ["certify", "--su2", str(su2), "--torus", str(torus), "--rep-cap", str(cap), "--seed", "2026"]
+    if budget is not None:
+        argv += ["--budget", str(budget)]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+    if budget == 1:
+        data = json.loads(out)
+        assert data["status"] == "inconclusive"
+        assert len(data["violations"]) == {2: 1, 0: 16}[su2]
+
+
+def test_spectrum_numeric_builds_each_operator_once(capsys, monkeypatch):
+    calls = []
+    build = cli.build_operator
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_operator", counting)
+    data = run_json(capsys, "spectrum", "--su2", "1", "--torus", "1", "--rep-cap", "1",
+                    "--kappa", "diag:1,2,3,4", "--numeric")
+    assert len(calls) == len(data["reps"]) == len(set(calls)) == 6
 
 
 def test_spectrum_exact(capsys):

@@ -4,12 +4,13 @@ from fractions import Fraction as Q
 
 import pytest
 
+from casimir_lab import oplab
 from casimir_lab.errors import (
     DimensionMismatch,
     InternalConsistencyError,
     NotPositiveDefinite,
 )
-from casimir_lab.gaussian import QQi, gadd, gconj_transpose, gmatmul, gscale, gtrace
+from casimir_lab.gaussian import QQi, gadd, gconj_transpose, gidentity, gkron, gmatmul, gscale, gtrace, gzeros
 from casimir_lab.oplab import (
     GroupSpec,
     IrrepSpec,
@@ -20,8 +21,10 @@ from casimir_lab.oplab import (
     casimir_cross_check,
     certify,
     char_poly,
+    cluster_spectrum,
     diag_metric,
     enumerate_reps,
+    irrep_matrices,
     is_w_hermitian,
     multiplicity_at_float,
     numeric_spectrum,
@@ -30,6 +33,7 @@ from casimir_lab.oplab import (
 from casimir_lab.polyq import (
     RationalPoly,
     is_perfect_square,
+    poly_from_real_coeff_check,
     root_multiplicity_profile,
 )
 
@@ -227,3 +231,114 @@ def test_certify_inconclusive_on_empty_budget():
     assert not cert.certified
     assert cert.status == "inconclusive"
     assert cert.candidates_tried == 0
+
+
+# -- the Gaussian-integer kernel against the Gaussian-rational reference ----
+
+
+def _reference_operator(g, rep, k):
+    """D = -sum_ij kappa_ij M_i M_j, term by term in Q(i)."""
+    mats = irrep_matrices(g, rep)
+    acc = gzeros(rep.dim)
+    for i in range(k.n):
+        for j in range(k.n):
+            if k.kappa[i][j] != 0:
+                acc = gadd(acc, gscale(QQi(-k.kappa[i][j]), gmatmul(mats[i], mats[j])))
+    return acc
+
+
+def _reference_char_poly(a):
+    """Faddeev-LeVerrier in Q(i)."""
+    d = len(a)
+    coeffs = [QQi(0)] * (d + 1)
+    coeffs[d] = QQi(1)
+    mk = a
+    for step in range(1, d + 1):
+        ck = gtrace(mk) / QQi(-step)
+        coeffs[d - step] = ck
+        if step < d:
+            mk = gmatmul(a, gadd(mk, gscale(ck, gidentity(d))))
+    return poly_from_real_coeff_check(coeffs)
+
+
+def _non_dyadic(n):
+    """Symmetric, with diagonal (i + 3)/3 and every mixed entry over an odd denominator > 1."""
+    odd = (3, 5, 7, 9, 11, 13, 17)
+    return MetricParam(tuple(
+        tuple(Q(i + 3, 3) if i == j else Q((-1) ** (i + j) * (i + j), odd[(i + j) % len(odd)] * odd[abs(i - j) % len(odd)])
+              for j in range(n))
+        for i in range(n)
+    ))
+
+
+@pytest.mark.parametrize("su2,torus,cap", [(1, 0, 2), (2, 0, 1), (3, 0, 1), (0, 2, 2), (1, 1, 2), (1, 2, 1)])
+def test_char_poly_matches_gaussian_reference(su2, torus, cap):
+    g = GroupSpec(su2, torus)
+    metrics = witness_sequence(g.algebra_dim, 12, seed=2026) + [_non_dyadic(g.algebra_dim)]
+    for k in metrics:
+        for v in enumerate_reps(g, cap):
+            op = build_operator(g, v, k)
+            ref = _reference_operator(g, v, k)
+            assert op.matrix == ref
+            assert char_poly(op) == _reference_char_poly(ref)
+
+
+def test_irrep_matrices_kron_layout():
+    # generator of copy c is I (x) Y (x) I in row-major order, torus acts by i*z
+    g = GroupSpec(2, 1)
+    v = IrrepSpec((2, 1), (-3,))
+    mats = irrep_matrices(g, v)
+    y2, y1 = _su2_generators(2), _su2_generators(1)
+    expect = [gkron(y, gidentity(2)) for y in y2] + [gkron(gidentity(3), y) for y in y1]
+    expect.append(gscale(QQi(0, -3), gidentity(6)))
+    assert mats == expect
+
+
+def test_trace_recursion_catches_a_wrong_product(monkeypatch):
+    good = oplab._zmatmul
+
+    def off_by_one(*args):
+        re, im = good(*args)
+        re[0][0] += 1
+        return re, im
+
+    op = build_operator(G1, IrrepSpec((3,)), K_OFF)
+    monkeypatch.setattr(oplab, "_zmatmul", off_by_one)
+    with pytest.raises(InternalConsistencyError, match="not divisible"):
+        char_poly(op)
+
+
+def test_operator_shares_pieces_only_within_one_rep():
+    pieces = oplab._QuadPieces(G1, IrrepSpec((2,)))
+    shared = build_operator(G1, IrrepSpec((2,)), K_OFF, pieces=pieces)
+    assert shared == build_operator(G1, IrrepSpec((2,)), K_OFF)
+    with pytest.raises(ValueError):
+        build_operator(G1, IrrepSpec((3,)), K_OFF, pieces=pieces)
+
+
+def test_multiplicity_at_float_large_spin():
+    # spin 6 at diag(1, 2, 3): every cluster centre is a correct float root,
+    # and its exact multiplicity is the cluster's count
+    g, v = G1, IrrepSpec((12,))
+    p = char_poly(build_operator(g, v, K123))
+    clusters = numeric_spectrum(g, [v], K123)
+    assert sum(cl.multiplicity_map()[v] for cl in clusters) == 13
+    for cl in clusters:
+        assert multiplicity_at_float(p, cl.center) == cl.multiplicity_map()[v]
+
+
+def test_multiplicity_at_float_rejects_non_finite():
+    p = RationalPoly.from_roots([1, 2])
+    for x in (float("nan"), float("inf")):
+        with pytest.raises(InternalConsistencyError):
+            multiplicity_at_float(p, x)
+
+
+def test_cluster_spectrum_matches_numeric_spectrum():
+    reps = enumerate_reps(G1, 3)
+    ops = [build_operator(G1, v, K_OFF) for v in reps]
+    assert cluster_spectrum(ops, K_OFF) == numeric_spectrum(G1, reps, K_OFF)
+    with pytest.raises(ValueError):
+        cluster_spectrum(ops, K123)
+    with pytest.raises(NotPositiveDefinite):
+        cluster_spectrum(iter(()), diag_metric([1, -1, 1]))
