@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from enum import Enum
 from fractions import Fraction as Q
+from functools import lru_cache
 
 from .errors import CapExceeded, CasimirLabError, InternalConsistencyError
 from .hidden import (
@@ -111,8 +113,32 @@ def _emit(payload: dict, output: str) -> None:
 # input parsing
 
 
+def rational(text: str) -> Q:
+    """An exact rational from "p/q", an integer or a decimal; ValueError otherwise."""
+    try:
+        return Q(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def count(text: str) -> int:
+    """A non-negative integer (caps, budgets, factor counts)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
+def tolerance(text: str) -> float:
+    """A finite, non-negative float."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite non-negative number, got {text}")
+    return value
+
+
 def _build_rs(args):
-    return build_root_system(RootSystemType(args.type, args.rank), metric_scale=Q(args.scale))
+    return build_root_system(RootSystemType(args.type, args.rank), metric_scale=args.scale)
 
 
 def _lattice(args) -> LatticeChoice:
@@ -133,7 +159,7 @@ def _inline_or_file(text: str, opener: str) -> str:
 
 def _entry_value(val) -> Q:
     if isinstance(val, str):
-        return Q(val)
+        return rational(val)
     if isinstance(val, int) and not isinstance(val, bool):
         return Q(val)
     raise ValueError(f"kappa entries must be exact rationals, got {val!r}")
@@ -147,7 +173,7 @@ def parse_kappa(text: str) -> MetricParam:
     Unspecified entries are 0.
     """
     if text.startswith("diag:"):
-        return diag_metric([Q(part) for part in text[len("diag:"):].split(",")])
+        return diag_metric([rational(part) for part in text[len("diag:"):].split(",")])
     data = json.loads(_inline_or_file(text, "{"))
     n = int(data["n"])
     if n <= 0:
@@ -225,7 +251,7 @@ def _table_rows(rows) -> list:
 
 def cmd_classes(args) -> dict:
     rs = _build_rs(args)
-    classes = classes_up_to(rs, _lattice(args), Q(args.cap))
+    classes = classes_up_to(rs, _lattice(args), args.cap)
     return {
         "schema": SCHEMA,
         "context": {**_rs_context(args), "a_sq_cap": qstr(args.cap)},
@@ -254,7 +280,7 @@ def cmd_coincidences(args) -> dict:
     rs = _build_rs(args)
     payload = cmd_classes(args)
     keep = []
-    for c, row in zip(classes_up_to(rs, _lattice(args), Q(args.cap)), payload["classes"]):
+    for c, row in zip(classes_up_to(rs, _lattice(args), args.cap), payload["classes"]):
         if _has_nondual_pair(rs, c):
             keep.append(row)
     payload["classes"] = keep
@@ -263,7 +289,7 @@ def cmd_coincidences(args) -> dict:
 
 def cmd_hidden(args) -> dict:
     rs = _build_rs(args)
-    cls = sphere_set(rs, _lattice(args), Q(args.a2))
+    cls = sphere_set(rs, _lattice(args), args.a2)
     cfg = shifted_config(rs, cls)
     group = stabilizer_group(cfg, point_cap=args.point_cap, rank_cap=args.rank_cap)
     orbs = orbits(cfg, group)
@@ -387,7 +413,7 @@ def cmd_report(args) -> dict:
         _lattice(args),
         kmode,
         ustar,
-        Q(args.cap),
+        args.cap,
         point_cap=args.point_cap,
         rank_cap=args.rank_cap,
     )
@@ -439,7 +465,7 @@ def cmd_report(args) -> dict:
 
 
 def cmd_hodge(args) -> dict:
-    table = hodge_rank1_check(Q(args.cap))
+    table = hodge_rank1_check(args.cap)
     return {
         "schema": SCHEMA,
         "cap": table.cap,
@@ -476,25 +502,25 @@ def build_parser() -> argparse.ArgumentParser:
     rsys.add_argument("--type", required=True, help="Dynkin family letter A..G")
     rsys.add_argument("--rank", required=True, type=int)
     rsys.add_argument("--lattice", choices=("weight", "root"), default="weight")
-    rsys.add_argument("--scale", default="1", help="global metric scale p/q")
+    rsys.add_argument("--scale", type=rational, default="1", help="global metric scale p/q")
 
     hidden_caps = argparse.ArgumentParser(add_help=False)
-    hidden_caps.add_argument("--point-cap", type=int, default=DEFAULT_POINT_CAP)
-    hidden_caps.add_argument("--rank-cap", type=int, default=DEFAULT_RANK_CAP)
+    hidden_caps.add_argument("--point-cap", type=count, default=DEFAULT_POINT_CAP)
+    hidden_caps.add_argument("--rank-cap", type=count, default=DEFAULT_RANK_CAP)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classes", parents=[rsys, out], help="Casimir classes up to a squared-radius cap")
-    p.add_argument("--cap", required=True, help="a_sq cap p/q")
+    p.add_argument("--cap", type=rational, required=True, help="a_sq cap p/q")
     p.set_defaults(func=cmd_classes)
 
     p = sub.add_parser("coincidences", parents=[rsys, out], help="classes with non-dual member pairs")
-    p.add_argument("--cap", required=True)
+    p.add_argument("--cap", type=rational, required=True)
     p.set_defaults(func=cmd_coincidences)
 
     p = sub.add_parser("hidden", parents=[rsys, out, hidden_caps], help="stabilizer of one sphere configuration")
-    p.add_argument("--a2", required=True, help="squared radius p/q of the class")
-    p.add_argument("--weyl-cap", type=int, default=DEFAULT_WEYL_CAP)
+    p.add_argument("--a2", type=rational, required=True, help="squared radius p/q of the class")
+    p.add_argument("--weyl-cap", type=count, default=DEFAULT_WEYL_CAP)
     p.set_defaults(func=cmd_hidden)
 
     p = sub.add_parser("reptype", parents=[rsys, out], help="real/complex/quaternionic type of one irreducible")
@@ -502,21 +528,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reptype)
 
     p = sub.add_parser("certify", parents=[out], help="search a metric witness with all resultants nonzero")
-    p.add_argument("--su2", type=int, default=0)
-    p.add_argument("--torus", type=int, default=0)
-    p.add_argument("--rep-cap", type=int, default=4)
-    p.add_argument("--budget", type=int, default=12)
+    p.add_argument("--su2", type=count, default=0)
+    p.add_argument("--torus", type=count, default=0)
+    p.add_argument("--rep-cap", type=count, default=4)
+    p.add_argument("--budget", type=count, default=12)
     p.add_argument("--seed", type=int, default=2026)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("spectrum", parents=[out], help="exact or numeric operator spectrum at one metric")
-    p.add_argument("--su2", type=int, default=0)
-    p.add_argument("--torus", type=int, default=0)
-    p.add_argument("--rep-cap", type=int, default=4)
+    p.add_argument("--su2", type=count, default=0)
+    p.add_argument("--torus", type=count, default=0)
+    p.add_argument("--rep-cap", type=count, default=4)
     p.add_argument("--kappa", required=True, help="diag:... shorthand, inline JSON, or a JSON file path")
     p.add_argument("--numeric", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--ustar-dim", type=int, default=1)
+    p.add_argument("--tol", type=tolerance, default=1e-9)
+    p.add_argument("--ustar-dim", type=count, default=1)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("estimate", parents=[rsys, out], help="eigenspace bound from the full Casimir class")
@@ -526,23 +552,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("report", parents=[rsys, out, hidden_caps], help="normal-metric spectral report")
-    p.add_argument("--cap", required=True)
+    p.add_argument("--cap", type=rational, required=True)
     p.add_argument("--ustar", default="trivial")
     p.add_argument("--kmode", choices=("trivial", "diagonal", "torus"), default="trivial")
     p.add_argument("--real", action="store_true", help="fold members into duality classes")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("hodge-rank1", parents=[out], help="form-degree membership table for the rank-1 group case")
-    p.add_argument("--cap", required=True)
+    p.add_argument("--cap", type=rational, required=True)
     p.set_defaults(func=cmd_hodge)
 
     return parser
 
 
+@lru_cache(maxsize=1)
+def _shared_parser() -> argparse.ArgumentParser:
+    # Built on first use and reused: parse_args does not mutate the parser.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -5,38 +5,100 @@ becomes a finite point set X on a sphere.  This module enumerates the
 full group of ambient-space isometries that permute X (acting as the
 identity on the orthogonal complement of span X), checks that the Weyl
 group sits inside it under the shift-conjugated action, and reports
-orbits.  Everything is exact rational arithmetic; caps keep the
-backtracking at desk scale and are refused loudly, never truncated.
+orbits.
+
+Everything is exact, and the search runs in integers: a shifted point
+mu + delta is kept as its fundamental-weight coordinates y = mu + 1, and
+inner products as y^T (den G) y, with G the fundamental-weight Gram
+matrix and den its least common denominator.  Backtracking over
+Gram-preserving images finds every permutation of X that an isometry can
+induce.  The ambient isometry of a permutation is built and checked
+exactly (orthogonal, mapping every point as permuted) only for a
+generating set, and the generators must close to exactly the permutations
+found.  That is sufficient: a product of isometries permuting X is an
+isometry permuting X by the product permutation, so every returned map
+is a product of checked ones.  For the same reason W preserves X exactly
+when its simple reflections do (Seress, Permutation Group Algorithms,
+2003), so the Weyl check reflects integer coordinates and composes the
+witnesses from the reflections' permutations.  Caps keep the backtracking
+at desk scale and are refused loudly, never truncated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from functools import cached_property
+from math import lcm
+from operator import itemgetter, mul
 
 from . import ratlinalg as rl
 from . import rootsys as rsys
 from .errors import CapExceeded, InternalConsistencyError
 from .ratlinalg import Mat, Vec
-from .rootsys import RootSystem, WeylElement
+from .rootsys import RootSystem
 from .weights import CasimirClass
 
 DEFAULT_POINT_CAP = 60
 DEFAULT_RANK_CAP = 4
 
+Perm = tuple[int, ...]
+
 
 @dataclass(frozen=True)
 class ShiftedConfig:
-    """The shifted point set of a Casimir class, with its exact Gram matrix."""
+    """The shifted point set of a Casimir class in integer coordinates.
 
+    coords[i] are the fundamental-weight coordinates mu + 1 of the shifted
+    point mu + delta, in sorted order; gram_int[i][j] is den times the inner
+    product of points i and j.  points and gram are the same data as exact
+    rationals: ambient vectors and their Gram matrix.
+    """
+
+    rs: RootSystem
     a_sq: Q
-    mu_coords: tuple[tuple[int, ...], ...]
-    points: tuple[Vec, ...]
-    gram: Mat
+    coords: tuple[tuple[int, ...], ...]
+    den: int
+    gram_int: tuple[tuple[int, ...], ...]
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        return len(self.coords)
+
+    @cached_property
+    def mu_coords(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(c - 1 for c in y) for y in self.coords)
+
+    @cached_property
+    def points(self) -> tuple[Vec, ...]:
+        return tuple(self.rs.from_fw_coords(y) for y in self.coords)
+
+    @cached_property
+    def gram(self) -> Mat:
+        return tuple(tuple(Q(g, self.den) for g in row) for row in self.gram_int)
+
+
+class _Frame:
+    """Projection data of a spanning subset B of the points: builds the
+    isometry sending B to its image under a permutation, extended by the
+    identity on the orthogonal complement of span X."""
+
+    def __init__(self, cfg: ShiftedConfig, basis: list[int]):
+        self.points = cfg.points
+        self.basis = basis
+        d = len(self.points[0]) if self.points else 0
+        self.complement = rl.identity(d)
+        if basis:
+            b_cols = rl.transpose(rl.mat([self.points[i] for i in basis]))  # d x r
+            self.proj = rl.matmul(rl.inverse(rl.matmul(rl.transpose(b_cols), b_cols)), rl.transpose(b_cols))
+            self.complement = rl.mat_sub(self.complement, rl.matmul(b_cols, self.proj))
+
+    def isometry(self, perm: Perm) -> Mat:
+        if not self.basis:
+            return self.complement
+        c_cols = rl.transpose(rl.mat([self.points[perm[i]] for i in self.basis]))
+        return rl.mat_add(rl.matmul(c_cols, self.proj), self.complement)
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,11 +106,16 @@ class OrthoMap:
     """An exact orthogonal map permuting a shifted configuration.
 
     permutation[i] is the index of the image of points[i]; the ambient
-    matrix acts as the identity on the orthogonal complement of span X.
+    matrix acts as the identity on the orthogonal complement of span X and
+    is built on first access.
     """
 
-    matrix: Mat
-    permutation: tuple[int, ...]
+    permutation: Perm
+    _frame: _Frame = field(repr=False)
+
+    @cached_property
+    def matrix(self) -> Mat:
+        return self._frame.isometry(self.permutation)
 
     def __eq__(self, other):
         return isinstance(other, OrthoMap) and self.permutation == other.permutation
@@ -59,17 +126,25 @@ class OrthoMap:
 
 def shifted_config(rs: RootSystem, cls: CasimirClass) -> ShiftedConfig:
     """Translate every sphere member by delta; canonical order, exact Gram."""
-    rows = sorted(
-        (tuple(c + 1 for c in w.fw_coords), rl.vadd(w.ambient, rs.delta), w.fw_coords)
-        for w in cls.sphere_members
-    )
-    points = tuple(p for _, p, _ in rows)
-    mu_coords = tuple(m for _, _, m in rows)
-    gram = rl.mat([[rs.inner(p, q) for q in points] for p in points])
-    for i, p in enumerate(points):
-        if gram[i][i] != cls.a_sq:
+    den, g = rs.gram_fw_int
+    coords = sorted(tuple(c + 1 for c in w.fw_coords) for w in cls.sphere_members)
+    g_coords = [tuple(sum(map(mul, row, y)) for row in g) for y in coords]
+    gram = tuple(tuple(sum(map(mul, y, gz)) for gz in g_coords) for y in coords)
+    on_sphere = cls.a_sq.numerator * den
+    for i in range(len(coords)):
+        if gram[i][i] * cls.a_sq.denominator != on_sphere:
             raise InternalConsistencyError("shifted point off its sphere")
-    return ShiftedConfig(a_sq=cls.a_sq, mu_coords=mu_coords, points=points, gram=gram)
+    return ShiftedConfig(rs=rs, a_sq=cls.a_sq, coords=tuple(coords), den=den, gram_int=gram)
+
+
+def _reduce(echelon: list[tuple[int, list[int]]], v) -> list[int]:
+    """Fraction-free elimination of v against echelon rows (pivot, row)."""
+    v = list(v)
+    for c, row in echelon:
+        if v[c]:
+            a, b = row[c], v[c]
+            v = [a * x - b * z for x, z in zip(v, row)]
+    return v
 
 
 def _select_basis(cfg: ShiftedConfig) -> list[int]:
@@ -77,27 +152,58 @@ def _select_basis(cfg: ShiftedConfig) -> list[int]:
     against the already-chosen basis is shared by as few other points as
     possible (cheapest backtracking fan-out)."""
     chosen: list[int] = []
-    rows: list[Vec] = []
+    echelon: list[tuple[int, list[int]]] = []
     while True:
-        best = None
-        best_score = None
-        for i, p in enumerate(cfg.points):
-            if i in chosen:
+        profiles = [tuple(row[j] for j in chosen) for row in cfg.gram_int]
+        shared = Counter(profiles)
+        best = best_rest = None
+        for i, y in enumerate(cfg.coords):
+            rest = _reduce(echelon, y)
+            if not any(rest):
                 continue
-            if rl.rank(rl.mat(rows + [p])) == len(rows):
-                continue
-            profile = tuple(cfg.gram[i][j] for j in chosen)
-            score = sum(
-                1
-                for k in range(cfg.size)
-                if tuple(cfg.gram[k][j] for j in chosen) == profile
-            )
-            if best_score is None or score < best_score:
-                best, best_score = i, score
+            if best is None or shared[profiles[i]] < shared[profiles[best]]:
+                best, best_rest = i, rest
         if best is None:
             return chosen
         chosen.append(best)
-        rows.append(cfg.points[best])
+        echelon.append((next(c for c, x in enumerate(best_rest) if x), best_rest))
+
+
+def _close(group: set[Perm], gens: list[Perm]) -> set[Perm]:
+    """The permutation group generated by a group and further generators."""
+    group = set(group)
+    frontier = list(group)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for s in gens:
+                y = tuple(map(x.__getitem__, s))
+                if y not in group:
+                    group.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return group
+
+
+def _check_isometry(cfg: ShiftedConfig, phi: Mat, perm: Perm) -> None:
+    """Exact check that phi is orthogonal and sends point i to point perm[i].
+
+    Done in integers: with phi = m / den and the points integer rows over a
+    common denominator, phi^T phi = 1 iff m^T m = den^2, and phi maps point i
+    to point perm[i] iff m times its row equals den times the image row.
+    """
+    _, w_rows = cfg.rs.fundamental_weights_int
+    ambient = [[sum(map(mul, y, col)) for col in zip(*w_rows)] for y in cfg.coords]
+    den = lcm(*(x.denominator for row in phi for x in row))
+    m = [[int(x * den) for x in row] for row in phi]
+    cols = list(zip(*m))
+    for i, a in enumerate(cols):
+        for j, b in enumerate(cols):
+            if sum(map(mul, a, b)) != (den * den if i == j else 0):
+                raise InternalConsistencyError("stabilizer generator is not orthogonal")
+    for i, p in enumerate(ambient):
+        if [sum(map(mul, row, p)) for row in m] != [den * x for x in ambient[perm[i]]]:
+            raise InternalConsistencyError("stabilizer permutation mismatch")
 
 
 def stabilizer_group(
@@ -108,9 +214,13 @@ def stabilizer_group(
     """All orthogonal maps of span X permuting X, extended by the identity.
 
     Gram-preserving backtracking: images of a spanning subset are chosen
-    among points with exactly matching pairwise inner products; each
-    complete assignment is accepted only if the induced isometry maps all
-    of X onto X.  The result is the full finite group, not a sample.
+    among points with exactly matching pairwise inner products; an
+    assignment is kept when the inner-product profiles against the images
+    match those against the subset point for point, a bijection of X.
+    Walking the sorted permutations, each one outside the closure of the
+    generators taken so far becomes a generator, and its isometry is checked
+    exactly; the closure must equal the set found.  The result is the full
+    finite group, not a sample, in sorted order of permutations.
     """
     if cfg.size > point_cap:
         raise CapExceeded("configuration size", cfg.size, point_cap)
@@ -119,25 +229,30 @@ def stabilizer_group(
     if r > rank_cap:
         raise CapExceeded("configuration span rank", r, rank_cap)
     n = cfg.size
+    frame = _Frame(cfg, basis)
     if r == 0:
-        d = len(cfg.points[0]) if cfg.points else 0
-        return [OrthoMap(matrix=rl.identity(d), permutation=tuple(range(n)))]
+        return [OrthoMap(tuple(range(n)), frame)]
 
-    perms: set[tuple[int, ...]] = set()
+    g = cfg.gram_int
+    perms: set[Perm] = set()
     images = [0] * r
+    basis_profiles = list(map(itemgetter(*basis), g))
+    # with_value[a][v]: the points whose inner product with point a is v
+    with_value = []
+    for row in g:
+        by_value: dict[int, list[int]] = {}
+        for c, v in enumerate(row):
+            by_value.setdefault(v, []).append(c)
+        with_value.append(by_value)
 
-    def extend() -> tuple[int, ...] | None:
+    def extend() -> Perm | None:
         # Profile of x against the basis must be reproduced against the images.
-        lookup = {tuple(cfg.gram[y][images[j]] for j in range(r)): y for y in range(n)}
-        perm = []
-        for x in range(n):
-            y = lookup.get(tuple(cfg.gram[x][basis[j]] for j in range(r)))
-            if y is None:
-                return None
-            perm.append(y)
-        if sorted(perm) != list(range(n)):
+        image_profile = itemgetter(*images)
+        lookup = {image_profile(row): y for y, row in enumerate(g)}
+        perm = tuple(map(lookup.get, basis_profiles))
+        if None in perm or len(set(perm)) != n:
             return None
-        return tuple(perm)
+        return perm
 
     def backtrack(depth: int):
         if depth == r:
@@ -145,30 +260,28 @@ def stabilizer_group(
             if p is not None:
                 perms.add(p)
             return
-        for cand in range(n):
-            if all(cfg.gram[cand][images[j]] == cfg.gram[basis[depth]][basis[j]] for j in range(depth)):
-                if cfg.gram[cand][cand] == cfg.gram[basis[depth]][basis[depth]]:
-                    images[depth] = cand
-                    backtrack(depth + 1)
+        want = g[basis[depth]]
+        cands = range(n) if depth == 0 else with_value[images[0]].get(want[basis[0]], ())
+        for cand in cands:
+            row = g[cand]
+            if all(row[images[j]] == want[basis[j]] for j in range(1, depth)):
+                images[depth] = cand
+                backtrack(depth + 1)
 
     backtrack(0)
 
-    d = len(cfg.points[0])
-    b_cols = rl.transpose(rl.mat([cfg.points[i] for i in basis]))  # d x r
-    proj = rl.matmul(rl.inverse(rl.matmul(rl.transpose(b_cols), b_cols)), rl.transpose(b_cols))  # r x d
-    complement = rl.mat_sub(rl.identity(d), rl.matmul(b_cols, proj))
-
-    out = []
-    for perm in sorted(perms):
-        c_cols = rl.transpose(rl.mat([cfg.points[perm[i]] for i in basis]))
-        phi = rl.mat_add(rl.matmul(c_cols, proj), complement)
-        if rl.matmul(rl.transpose(phi), phi) != rl.identity(d):
-            raise InternalConsistencyError("stabilizer candidate is not orthogonal")
-        for i, p in enumerate(cfg.points):
-            if rl.matvec(phi, p) != cfg.points[perm[i]]:
-                raise InternalConsistencyError("stabilizer permutation mismatch")
-        out.append(OrthoMap(matrix=phi, permutation=perm))
-    return out
+    group = [OrthoMap(p, frame) for p in sorted(perms)]
+    closure = {tuple(range(n))}
+    gens: list[Perm] = []
+    for elem in group:
+        if elem.permutation in closure:
+            continue
+        _check_isometry(cfg, elem.matrix, elem.permutation)
+        gens.append(elem.permutation)
+        closure = _close(closure, gens)
+    if closure != perms:
+        raise InternalConsistencyError("stabilizer generators do not close to the permutations found")
+    return group
 
 
 def orbits(cfg: ShiftedConfig, group: list[OrthoMap]) -> list[tuple[int, ...]]:
@@ -198,22 +311,45 @@ def check_transitivity(cfg: ShiftedConfig, group: list[OrthoMap]) -> bool:
 
 def check_weyl_inclusion(
     rs: RootSystem, cfg: ShiftedConfig, weyl_cap: int = rsys.DEFAULT_WEYL_CAP
-) -> tuple[bool, list[tuple[WeylElement, tuple[int, ...]]]]:
+) -> tuple[bool, list[tuple[tuple[int, ...], Perm]]]:
     """Does every Weyl element permute the shifted configuration?
 
     On shifted points the dislocated action mu -> w(mu+delta)-delta is the
-    plain linear action, so this checks w(X) = X for all w and returns the
-    induced permutations as witnesses.
+    plain linear action, so this checks w(X) = X for all w, which holds
+    exactly when it holds for the simple reflections.  Returns
+    (True, [(word, permutation), ...]) with one witness per element, in
+    the order and with the reduced words of rootsys.weyl_group, or
+    (False, []).  Refuses (CapExceeded) when |W| exceeds weyl_cap.
     """
-    index = {p: i for i, p in enumerate(cfg.points)}
-    witnesses = []
-    for w in rsys.weyl_group(rs, weyl_cap):
-        perm = []
-        for p in cfg.points:
-            q = w.apply(p)
-            j = index.get(q)
-            if j is None:
-                return False, []
-            perm.append(j)
-        witnesses.append((w, tuple(perm)))
+    order = rs.typ.weyl_order()
+    if order > weyl_cap:
+        raise CapExceeded(f"Weyl group order of {rs.typ.label}", order, weyl_cap)
+    index = {y: i for i, y in enumerate(cfg.coords)}
+    gens = []
+    for i in range(rs.rank):
+        perm = tuple(index.get(rsys.reflect_fw_coords(rs, y, i)) for y in cfg.coords)
+        if None in perm:
+            return False, []
+        gens.append(perm)
+
+    # Breadth-first over words w s_i, as weyl_group does.  An element w is
+    # keyed by w^-1(delta) = s_ik ... s_i1(delta): the Weyl orbit of delta
+    # is free, so equal keys mean equal elements.
+    delta = (1,) * rs.rank
+    seen = {delta}
+    frontier = [((), delta, tuple(range(cfg.size)))]
+    witnesses = [((), frontier[0][2])]
+    while frontier:
+        nxt = []
+        for word, key, perm in frontier:
+            for i, s in enumerate(gens):
+                k = rsys.reflect_fw_coords(rs, key, i)
+                if k not in seen:
+                    seen.add(k)
+                    elem = (word + (i,), k, tuple(map(perm.__getitem__, s)))
+                    nxt.append(elem)
+                    witnesses.append((elem[0], elem[2]))
+        frontier = nxt
+    if len(witnesses) != order:
+        raise InternalConsistencyError(f"enumerated {len(witnesses)} Weyl elements, expected {order}")
     return True, witnesses

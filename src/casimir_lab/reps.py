@@ -24,6 +24,9 @@ from .weights import LatticeChoice, Weight
 
 Coords = tuple[int, ...]
 
+# Weight tables kept across calls, keyed on (root system, highest weight).
+WEIGHT_TABLE_CACHE_SIZE = 1024
+
 
 class RepType(Enum):
     REAL = "real"
@@ -107,11 +110,6 @@ def weyl_dim(r: RepLabel) -> int:
     return int(d)
 
 
-def _reflect_coords(rs: RootSystem, m: Coords, i: int) -> Coords:
-    row = rs.cartan_matrix[i]
-    return tuple(mj - m[i] * row[j] for j, mj in enumerate(m))
-
-
 def weyl_orbit(rs: RootSystem, coords: Coords) -> set[Coords]:
     """The Weyl orbit of a weight, in fundamental-weight coordinates."""
     start = tuple(int(c) for c in coords)
@@ -121,7 +119,7 @@ def weyl_orbit(rs: RootSystem, coords: Coords) -> set[Coords]:
         nxt = []
         for m in frontier:
             for i in range(rs.rank):
-                r = _reflect_coords(rs, m, i)
+                r = rsys.reflect_fw_coords(rs, m, i)
                 if r not in seen:
                     seen.add(r)
                     nxt.append(r)
@@ -134,19 +132,12 @@ def _dominant_coords_of(rs: RootSystem, coords: Coords) -> Coords:
     while True:
         for i, mi in enumerate(m):
             if mi < 0:
-                m = _reflect_coords(rs, m, i)
+                m = rsys.reflect_fw_coords(rs, m, i)
                 break
         else:
             return m
 
 
-@lru_cache(maxsize=None)
-def _simple_root_coords(rs: RootSystem) -> tuple[Coords, ...]:
-    # alpha_i in fundamental-weight coordinates = i-th row of the Cartan matrix.
-    return tuple(tuple(row) for row in rs.cartan_matrix)
-
-
-@lru_cache(maxsize=None)
 def _dominant_weight_multiplicities(rs: RootSystem, coords: Coords) -> dict[Coords, int]:
     """Freudenthal recursion: multiplicities of the dominant weights of V^mu."""
     mu = wts.make_weight(rs, coords)
@@ -205,7 +196,7 @@ def weight_multiplicities(r: RepLabel) -> dict[Coords, int]:
     return dict(_full_weight_multiplicities(r.rs, r.highest.fw_coords))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=WEIGHT_TABLE_CACHE_SIZE)
 def _full_weight_multiplicities(rs: RootSystem, coords: Coords) -> tuple[tuple[Coords, int], ...]:
     table: dict[Coords, int] = {}
     for nu, m in _dominant_weight_multiplicities(rs, coords).items():

@@ -12,13 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import factorial
+from functools import cached_property, lru_cache
+from math import factorial, lcm
 
 from . import ratlinalg as rl
 from .errors import CapExceeded, InternalConsistencyError, InvalidDynkinType
 from .ratlinalg import Mat, Vec
 
 DEFAULT_WEYL_CAP = 10080
+# Distinct (type, metric scale) pairs kept by build_root_system.
+ROOT_SYSTEM_CACHE_SIZE = 16
 
 _EXCEPTIONAL_WEYL_ORDERS = {
     ("E", 6): 51840,
@@ -109,6 +112,13 @@ class RootSystem:
     def rank(self) -> int:
         return self.typ.rank
 
+    @cached_property
+    def gram_fw_int(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(den, den * gram_fw): the form on fundamental-weight coordinates in
+        integers, den the least common denominator of gram_fw."""
+        den = lcm(*(x.denominator for row in self.gram_fw for x in row))
+        return den, tuple(tuple(int(x * den) for x in row) for row in self.gram_fw)
+
     def inner(self, x: Vec, y: Vec) -> Q:
         """The invariant bilinear form (scaled dot product)."""
         if len(x) != self.ambient_dim or len(y) != self.ambient_dim:
@@ -123,11 +133,17 @@ class RootSystem:
         """Coordinates of (the root-span part of) x in the fundamental-weight basis."""
         return tuple(self.pairing(x, a) for a in self.simple_roots)
 
+    @cached_property
+    def fundamental_weights_int(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(den, den * fundamental_weights) with den their least common denominator."""
+        den = lcm(*(x.denominator for w in self.fundamental_weights for x in w))
+        return den, tuple(tuple(int(x * den) for x in w) for w in self.fundamental_weights)
+
     def from_fw_coords(self, coords) -> Vec:
-        v = tuple(Q(0) for _ in range(self.ambient_dim))
-        for c, w in zip(coords, self.fundamental_weights, strict=True):
-            v = rl.vadd(v, rl.vscale(c, w))
-        return v
+        den, rows = self.fundamental_weights_int
+        if len(coords) != len(rows):
+            raise rl.DimensionMismatch(f"expected {len(rows)} fundamental-weight coordinates")
+        return tuple(Q(sum(c * w[j] for c, w in zip(coords, rows)), den) for j in range(self.ambient_dim))
 
     def simple_reflection_matrix(self, i: int) -> Mat:
         a = self.simple_roots[i]
@@ -188,10 +204,19 @@ def _close_under_reflections(rs_simple: list[Vec]) -> list[Vec]:
 
 
 def build_root_system(typ: RootSystemType, metric_scale=1) -> RootSystem:
-    """Construct the full rational realization of an irreducible root system."""
+    """The full rational realization of an irreducible root system.
+
+    Root systems are immutable and interned: equal (type, metric scale)
+    pairs give the same object, so caches keyed on it hit across requests.
+    """
     metric_scale = rl.frac(metric_scale)
     if metric_scale <= 0:
         raise ValueError("metric_scale must be positive")
+    return _build_root_system(typ, metric_scale)
+
+
+@lru_cache(maxsize=ROOT_SYSTEM_CACHE_SIZE)
+def _build_root_system(typ: RootSystemType, metric_scale: Q) -> RootSystem:
     simple, base_scale = _family_simple_roots(typ.family, typ.rank)
     d = len(simple[0])
     n = typ.rank
@@ -283,6 +308,14 @@ def to_dominant(rs: RootSystem, x: Vec) -> tuple[Vec, WeylElement]:
     if elem.apply(rl.vec(x)) != cur:
         raise InternalConsistencyError("reflection bookkeeping failed")
     return cur, elem
+
+
+def reflect_fw_coords(rs: RootSystem, m: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """The simple reflection s_i in fundamental-weight coordinates:
+    m - m_i alpha_i, where alpha_i has coordinates row i of the Cartan matrix."""
+    row = rs.cartan_matrix[i]
+    mi = m[i]
+    return tuple(mj - mi * cj for mj, cj in zip(m, row))
 
 
 def weyl_group(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> list[WeylElement]:

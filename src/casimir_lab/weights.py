@@ -47,7 +47,7 @@ class CasimirClass:
     sphere_members: tuple[Weight, ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=rsys.ROOT_SYSTEM_CACHE_SIZE)
 def _cartan_inverse(rs: RootSystem) -> rl.Mat:
     return rl.inverse(rl.mat(rs.cartan_matrix))
 
@@ -110,14 +110,15 @@ _MINUS_ONE_CENTER = lambda r: tuple(Q(-1) for _ in range(r))
 
 
 def _shifted_lattice_points(rs: RootSystem, lat: LatticeChoice, a_sq_cap: Q):
-    """Yield (fw_coords, a_sq) for all lattice weights with |mu+delta|^2 <= cap."""
-    g = rs.gram_fw
+    """Yield (fw_coords, den * |mu+delta|^2) for all lattice weights with
+    |mu+delta|^2 <= cap, den = rs.gram_fw_int[0]; the norm is an exact int."""
+    _, g = rs.gram_fw_int
     center = _MINUS_ONE_CENTER(rs.rank)
-    for m in rl.ellipsoid_points(g, center, a_sq_cap):
+    for m in rl.ellipsoid_points(rs.gram_fw, center, a_sq_cap):
         if lat is LatticeChoice.ROOT and not in_root_lattice(rs, m):
             continue
-        y = rl.vec(tuple(mi + 1 for mi in m))
-        yield m, rl.dot(y, rl.matvec(g, y))
+        y = tuple(mi + 1 for mi in m)
+        yield m, sum(yi * sum(gij * yj for gij, yj in zip(row, y)) for yi, row in zip(y, g))
 
 
 def enumerate_dominant(rs: RootSystem, lat: LatticeChoice, a_sq_cap) -> list[Weight]:
@@ -131,44 +132,42 @@ def enumerate_dominant(rs: RootSystem, lat: LatticeChoice, a_sq_cap) -> list[Wei
     return out
 
 
-def sphere_set(rs: RootSystem, lat: LatticeChoice, a_sq) -> CasimirClass:
-    """The full Casimir class at exactly |mu+delta|^2 = a_sq (may be empty)."""
-    a_sq = rl.frac(a_sq)
-    members = []
-    for m, val in _shifted_lattice_points(rs, lat, a_sq):
-        if val == a_sq:
-            members.append(make_weight(rs, m, lat))
-    members.sort(key=lambda w: w.fw_coords)
-    dominant = tuple(w for w in members if w.is_dominant())
+def _casimir_class(rs: RootSystem, lat: LatticeChoice, a_sq: Q, coords) -> CasimirClass:
+    members = tuple(make_weight(rs, m, lat) for m in sorted(coords))
     return CasimirClass(
         a_sq=a_sq,
         lam=a_sq - delta_norm_sq(rs),
-        dominant_members=dominant,
-        sphere_members=tuple(members),
+        dominant_members=tuple(w for w in members if w.is_dominant()),
+        sphere_members=members,
     )
+
+
+def sphere_set(rs: RootSystem, lat: LatticeChoice, a_sq) -> CasimirClass:
+    """The full Casimir class at exactly |mu+delta|^2 = a_sq (may be empty)."""
+    a_sq = rl.frac(a_sq)
+    den = rs.gram_fw_int[0]
+    # norm / den == a_sq, cross-multiplied
+    target = a_sq.numerator * den
+    coords = [m for m, norm in _shifted_lattice_points(rs, lat, a_sq) if norm * a_sq.denominator == target]
+    return _casimir_class(rs, lat, a_sq, coords)
 
 
 def classes_up_to(rs: RootSystem, lat: LatticeChoice, a_sq_cap) -> list[CasimirClass]:
     """Casimir classes with at least one dominant member, ascending in a_sq.
 
     One exact ellipsoid sweep buckets every lattice point by its exact
-    shifted norm, so coincidences (equal a_sq) can never be split or merged
-    by rounding.
+    shifted norm (an integer over one common denominator), so coincidences
+    (equal a_sq) can never be split or merged by rounding.
     """
     cap = rl.frac(a_sq_cap)
-    buckets: dict[Q, list[Weight]] = {}
-    for m, val in _shifted_lattice_points(rs, lat, cap):
-        buckets.setdefault(val, []).append(make_weight(rs, m, lat))
-    d2 = delta_norm_sq(rs)
+    den = rs.gram_fw_int[0]
+    buckets: dict[int, list[tuple[int, ...]]] = {}
+    for m, norm in _shifted_lattice_points(rs, lat, cap):
+        buckets.setdefault(norm, []).append(m)
     out = []
-    for a_sq in sorted(buckets):
-        members = sorted(buckets[a_sq], key=lambda w: w.fw_coords)
-        dominant = tuple(w for w in members if w.is_dominant())
-        if not dominant:
-            continue
-        out.append(
-            CasimirClass(a_sq=a_sq, lam=a_sq - d2, dominant_members=dominant, sphere_members=tuple(members))
-        )
+    for norm in sorted(buckets):
+        if any(all(mi >= 0 for mi in m) for m in buckets[norm]):
+            out.append(_casimir_class(rs, lat, Q(norm, den), buckets[norm]))
     return out
 
 

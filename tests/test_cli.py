@@ -13,6 +13,7 @@ from casimir_lab.cli import main, parse_kappa, parse_ustar, qstr
 from casimir_lab.oplab import diag_metric
 from casimir_lab.reps import KMode
 from casimir_lab.rootsys import RootSystemType, build_root_system
+from casimir_lab.weights import LatticeChoice, classes_up_to
 
 A2 = build_root_system(RootSystemType("A", 2))
 
@@ -72,6 +73,52 @@ def test_hidden_cap_refusal_machine_readable(capsys):
     assert out == ""  # no partial JSON on stdout
     reason = json.loads(err)
     assert reason == {"error": "cap-exceeded", "what": "configuration size", "actual": 18, "limit": 10}
+
+
+def _hidden_argv(name, a_sq, *extra):
+    return ["hidden", "--type", name[0], "--rank", name[1:], "--a2", str(a_sq), *extra]
+
+
+def _pinned_hidden_requests():
+    """Every class of A2, B2 and G2 with a^2 <= 60, edge radii, other
+    scales and lattices, and each cap refusal."""
+    argvs = []
+    for name in ("A2", "B2", "G2"):
+        rs = build_root_system(RootSystemType(name[0], int(name[1:])))
+        argvs += [_hidden_argv(name, c.a_sq) for c in classes_up_to(rs, LatticeChoice.WEIGHT, 60)]
+        argvs += [
+            _hidden_argv(name, 0),
+            _hidden_argv(name, -1),
+            _hidden_argv(name, 5),
+            _hidden_argv(name, "7/5"),
+            _hidden_argv(name, 12, "--scale", "3/2"),
+            _hidden_argv(name, 15, "--scale", "3/2"),
+            _hidden_argv(name, 13, "--scale", "3/2"),
+            _hidden_argv(name, 8, "--lattice", "root"),
+            _hidden_argv(name, "26/3", "--lattice", "root"),
+            _hidden_argv(name, "25/2", "--lattice", "root"),
+            _hidden_argv(name, "98/3", "--point-cap", "10"),
+            _hidden_argv(name, "13/2", "--rank-cap", "1"),
+            _hidden_argv(name, "26/3", "--weyl-cap", "5"),
+            _hidden_argv(name, 25, "--output", "table"),
+        ]
+    return argvs
+
+
+# sha256 of the exit code, stdout and stderr of every request above, recorded
+# before the integer lattice core replaced the Fraction stabilizer and the
+# all-of-W Weyl check.
+HIDDEN_PIN = "aa672d65b603a47b5d73567d07c9898e08ed45f85ffa8ff46aba1ed93d5d4c42"
+
+
+def test_hidden_output_pinned(capsys):
+    digest = hashlib.sha256()
+    argvs = _pinned_hidden_requests()
+    assert len(argvs) > 100
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        digest.update(json.dumps([argv, code, out, err]).encode())
+    assert digest.hexdigest() == HIDDEN_PIN
 
 
 def test_reptype(capsys):
@@ -228,6 +275,33 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "classes", "--type", "A", "--rank", "2")[0] == 2  # missing --cap
     code, out, err = run(capsys, "estimate", "--type", "A", "--rank", "2", "--weight", "1,2,3")
     assert code == 2 and out == ""
+
+
+BAD_NUMERIC_INPUTS = [
+    ("hidden", "--type", "A", "--rank", "2", "--a2", "1/0"),
+    ("hidden", "--type", "A", "--rank", "2", "--a2", "8", "--scale", "1/0"),
+    ("classes", "--type", "A", "--rank", "2", "--cap", "1/0"),
+    ("coincidences", "--type", "A", "--rank", "2", "--cap", "1/0"),
+    ("report", "--type", "A", "--rank", "2", "--cap", "1/0"),
+    ("hodge-rank1", "--cap", "1/0"),
+    ("spectrum", "--su2", "1", "--kappa", "diag:1,2,1/0"),
+    ("spectrum", "--su2", "1", "--kappa", '{"n": 3, "entries": [[0, 0, "1/0"]]}'),
+    ("certify", "--su2", "1", "--rep-cap", "-1"),
+    ("certify", "--su2", "1", "--budget", "-3"),
+    ("hidden", "--type", "A", "--rank", "2", "--a2", "8", "--point-cap", "-1"),
+    ("hidden", "--type", "A", "--rank", "2", "--a2", "8", "--weyl-cap", "-1"),
+    ("spectrum", "--su2", "1", "--kappa", "diag:1,2,3", "--numeric", "--ustar-dim", "-1"),
+    ("spectrum", "--su2", "1", "--kappa", "diag:1,2,3", "--numeric", "--tol", "-1"),
+    ("spectrum", "--su2", "1", "--kappa", "diag:1,2,3", "--numeric", "--tol", "nan"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_NUMERIC_INPUTS, ids=" ".join)
+def test_bad_numeric_input_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err and "Traceback" not in err
 
 
 def test_kappa_parsing():

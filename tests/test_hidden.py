@@ -1,11 +1,14 @@
 """Stabilizers of shifted eigenvalue spheres, orbits, Weyl inclusion."""
 
+import dataclasses
 from fractions import Fraction as Q
 
 import pytest
 
-from casimir_lab.errors import CapExceeded
+from casimir_lab import ratlinalg as rl
+from casimir_lab.errors import CapExceeded, InternalConsistencyError
 from casimir_lab.hidden import (
+    _check_isometry,
     check_transitivity,
     check_weyl_inclusion,
     orbits,
@@ -20,6 +23,8 @@ A1 = build_root_system(RootSystemType("A", 1))
 A2 = build_root_system(RootSystemType("A", 2))
 B2 = build_root_system(RootSystemType("B", 2))
 G2 = build_root_system(RootSystemType("G", 2))
+A3 = build_root_system(RootSystemType("A", 3))
+B3 = build_root_system(RootSystemType("B", 3))
 WEIGHT = LatticeChoice.WEIGHT
 
 
@@ -169,3 +174,68 @@ def test_rank_cap_refused():
     cfg = _config(B2, Q(13, 2))
     with pytest.raises(CapExceeded):
         stabilizer_group(cfg, rank_cap=1)
+
+
+def test_stabilizer_matches_gram_oracle_rank3():
+    # Two 48-point classes: one transitive, one with two orbits.
+    for rs, a_sq in ((B3, Q(35, 4)), (A3, Q(17))):
+        cfg = _config(rs, a_sq)
+        assert cfg.size == 48
+        got = sorted(g.permutation for g in stabilizer_group(cfg))
+        assert got == _gram_automorphisms(cfg.gram)
+
+
+def test_weyl_witnesses_match_matrix_reference():
+    for rs, a_sq in ((A2, Q(98, 3)), (B2, Q(25, 2)), (G2, Q(26, 3)), (B3, Q(35, 4)), (A1, 0)):
+        cfg = _config(rs, a_sq)
+        index = {p: i for i, p in enumerate(cfg.points)}
+        reference = [
+            (w.word, tuple(index[w.apply(p)] for p in cfg.points)) for w in weyl_group(rs)
+        ]
+        ok, witnesses = check_weyl_inclusion(rs, cfg)
+        assert ok
+        assert witnesses == reference
+
+
+def test_weyl_inclusion_fails_without_one_point():
+    cfg = _config(B2, Q(13, 2))
+    keep = range(1, cfg.size)
+    broken = dataclasses.replace(
+        cfg,
+        coords=cfg.coords[1:],
+        gram_int=tuple(tuple(cfg.gram_int[i][j] for j in keep) for i in keep),
+    )
+    assert broken.size == cfg.size - 1
+    assert check_weyl_inclusion(B2, broken) == (False, [])
+
+
+def test_weyl_inclusion_cap_refused():
+    cfg = _config(G2, Q(26, 3))
+    with pytest.raises(CapExceeded) as ei:
+        check_weyl_inclusion(G2, cfg, weyl_cap=11)
+    assert (ei.value.actual, ei.value.limit) == (12, 11)
+
+
+def test_non_generator_matrix_is_exact():
+    cfg = _config(B3, Q(35, 4))
+    grp = stabilizer_group(cfg)
+    # Only the generators' matrices are built (and checked) by stabilizer_group.
+    built = [g for g in grp if "matrix" in vars(g)]
+    assert 0 < len(built) and 2 ** len(built) <= len(grp)
+    lazy = [g for g in grp if "matrix" not in vars(g)]
+    d = len(cfg.points[0])
+    for g in (lazy[0], lazy[len(lazy) // 2], lazy[-1]):
+        assert matmul(transpose(g.matrix), g.matrix) == identity(d)
+        for i, p in enumerate(cfg.points):
+            assert matvec(g.matrix, p) == cfg.points[g.permutation[i]]
+
+
+def test_generator_check_rejects_a_wrong_permutation():
+    cfg = _config(B2, Q(25, 2))
+    g = next(g for g in stabilizer_group(cfg) if "matrix" in vars(g))
+    _check_isometry(cfg, g.matrix, g.permutation)
+    p = g.permutation
+    with pytest.raises(InternalConsistencyError):
+        _check_isometry(cfg, g.matrix, (p[1], p[0]) + p[2:])
+    with pytest.raises(InternalConsistencyError):
+        _check_isometry(cfg, rl.mat_scale(2, g.matrix), p)

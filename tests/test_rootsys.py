@@ -103,3 +103,24 @@ def test_invalid_types_rejected():
     for fam, rank in (("Z", 2), ("A", 0), ("G", 3), ("E", 5), ("F", 5), ("D", 2)):
         with pytest.raises(InvalidDynkinType):
             RootSystemType(fam, rank)
+
+
+def test_root_systems_are_interned_by_value():
+    a2 = build_root_system(RootSystemType("A", 2), metric_scale="3/2")
+    assert build_root_system(RootSystemType("A", 2), metric_scale=Q(3, 2)) is a2
+    assert build_root_system(RootSystemType("A", 2), metric_scale=1) is not a2
+    assert rs_of("A", 2) is rs_of("A", 2, 1)
+    with pytest.raises(ValueError):
+        rs_of("A", 2, -1)
+
+
+def test_integer_forms_match_the_rational_ones():
+    for fam, rank in (("A", 3), ("B", 2), ("C", 3), ("G", 2)):
+        rs = rs_of(fam, rank, Q(3, 2))
+        den, g = rs.gram_fw_int
+        assert rl.mat(g) == rl.mat_scale(den, rs.gram_fw)
+        coords = tuple(range(1, rank + 1))
+        expected = rl.vec([0] * rs.ambient_dim)
+        for c, w in zip(coords, rs.fundamental_weights):
+            expected = rl.vadd(expected, rl.vscale(c, w))
+        assert rs.from_fw_coords(coords) == expected
