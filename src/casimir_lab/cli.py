@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from enum import Enum
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -395,10 +396,7 @@ def cmd_estimate(args) -> dict:
         "mu_lambda": list(est.mu_lambda),
         "a_sq": est.a_sq,
         "lambda": est.lam,
-        "terms": [
-            {"mu": list(t.mu), "dual_mu": list(t.dual_mu), "mult": t.mult, "dim": t.dim}
-            for t in est.terms
-        ],
+        "terms": [asdict(t) for t in est.terms],
         "total_dim": est.total_dim,
     }
 
@@ -417,43 +415,18 @@ def cmd_report(args) -> dict:
         point_cap=args.point_cap,
         rank_cap=args.rank_cap,
     )
-    classes = []
-    for c in report.classes:
-        members = []
-        for m in c.members:
-            if args.real:
-                members.append(
-                    {
-                        "mu": list(m.mu),
-                        "partner_mu": list(m.partner_mu),
-                        "rep_type": m.rep_type,
-                        "isotypic_dim": m.isotypic_dim,
-                        "real_mult": m.real_mult,
-                        "real_dim": m.real_dim,
-                        "hidden_orbit_id": m.hidden_orbit_id,
-                    }
-                )
-            else:
-                members.append(
-                    {
-                        "mu": list(m.mu),
-                        "dual_mu": list(m.dual_mu),
-                        "dim": m.dim,
-                        "rep_type": m.rep_type,
-                        "isotypic_dim": m.isotypic_dim,
-                        "hidden_orbit_id": m.hidden_orbit_id,
-                    }
-                )
-        classes.append(
-            {
-                "a_sq": c.a_sq,
-                "lambda": c.lam,
-                "flag": c.flag,
-                "orbit_count": c.orbit_count,
-                "eigenspace_dim": c.eigenspace_dim,
-                "members": members,
-            }
-        )
+    # Member field names are their JSON keys; class rows rename lam to "lambda".
+    classes = [
+        {
+            "a_sq": c.a_sq,
+            "lambda": c.lam,
+            "flag": c.flag,
+            "orbit_count": c.orbit_count,
+            "eigenspace_dim": c.eigenspace_dim,
+            "members": [asdict(m) for m in c.members],
+        }
+        for c in report.classes
+    ]
     return {
         "schema": SCHEMA,
         "real": bool(args.real),

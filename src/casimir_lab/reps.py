@@ -6,6 +6,11 @@ recursion over dominant weights (expanded along Weyl orbits); tensor
 products use the signed-reflection (Racah/Klimyk) rule; exterior powers
 use Newton's identities on characters.  Characters are dicts keyed by
 integer fundamental-weight coordinates.
+
+Every weight and root here is in those integer coordinates: pairings and
+norms use the integer form RootSystem.form_fw_int, the positive roots come
+from RootSystem.positive_roots_fw, and rootsys.dominant_fw_coords moves a
+weight into the dominant chamber.  No ambient vector is built.
 """
 
 from __future__ import annotations
@@ -67,8 +72,7 @@ def rep(rs: RootSystem, fw_coords) -> RepLabel:
 
 
 def adjoint_rep(rs: RootSystem) -> RepLabel:
-    coords = tuple(int(c) for c in rs.fw_coords(rsys.highest_root(rs)))
-    return rep(rs, coords)
+    return rep(rs, rs.positive_roots_fw[-1])
 
 
 @dataclass(frozen=True)
@@ -98,16 +102,16 @@ def trivial_decomposition(rs: RootSystem) -> VirtualDecomposition:
 def weyl_dim(r: RepLabel) -> int:
     """dim V^mu by the Weyl product formula; exact, asserts integrality."""
     rs = r.rs
-    mu_d = rl.vadd(r.highest.ambient, rs.delta)
-    num = Q(1)
-    den = Q(1)
-    for a in rs.positive_roots:
-        num *= rl.dot(mu_d, a)
-        den *= rl.dot(rs.delta, a)
-    d = num / den
-    if d.denominator != 1 or d <= 0:
-        raise InternalConsistencyError(f"Weyl dimension {d} is not a positive integer")
-    return int(d)
+    mu_d = tuple(m + 1 for m in r.highest.fw_coords)
+    delta = (1,) * rs.rank
+    num = den = 1
+    for a in rs.positive_roots_fw:
+        num *= rs.form_fw_int(mu_d, a)
+        den *= rs.form_fw_int(delta, a)
+    d, rem = divmod(num, den)
+    if rem or d <= 0:
+        raise InternalConsistencyError(f"Weyl dimension {Q(num, den)} is not a positive integer")
+    return d
 
 
 def weyl_orbit(rs: RootSystem, coords: Coords) -> set[Coords]:
@@ -127,31 +131,26 @@ def weyl_orbit(rs: RootSystem, coords: Coords) -> set[Coords]:
     return seen
 
 
-def _dominant_coords_of(rs: RootSystem, coords: Coords) -> Coords:
-    m = tuple(coords)
-    while True:
-        for i, mi in enumerate(m):
-            if mi < 0:
-                m = rsys.reflect_fw_coords(rs, m, i)
-                break
-        else:
-            return m
-
-
 def _dominant_weight_multiplicities(rs: RootSystem, coords: Coords) -> dict[Coords, int]:
-    """Freudenthal recursion: multiplicities of the dominant weights of V^mu."""
-    mu = wts.make_weight(rs, coords)
-    mu_d = rl.vadd(mu.ambient, rs.delta)
-    mu_d_sq = rs.inner(mu_d, mu_d)
-    mu_sq = rs.inner(mu.ambient, mu.ambient)
+    """Freudenthal recursion: multiplicities of the dominant weights of V^mu.
+
+    Norms and pairings are den * (x, y) on fundamental-weight coordinates
+    (RootSystem.form_fw_int); den cancels from every ratio and comparison.
+    """
+    form = rs.form_fw_int
+    mu = tuple(coords)
+    mu_d = tuple(m + 1 for m in mu)
+    mu_d_sq = form(mu_d, mu_d)
+    mu_sq = form(mu, mu)
 
     # Dominant candidates: mu - sum c_i alpha_i with c >= 0 integral, inside the
     # shifted ball |nu + delta|^2 <= |mu + delta|^2.  Enumerate c on an exact
-    # ellipsoid: |mu + delta - A^T c|^2 <= |mu + delta|^2.
-    simple = rs.simple_roots
-    n = rs.rank
-    gram_a = rl.mat([[rs.inner(a, b) for b in simple] for a in simple])
-    rhs = rl.vec([rs.inner(a, mu_d) for a in simple])
+    # ellipsoid: |mu + delta - A^T c|^2 <= |mu + delta|^2.  The simple root
+    # alpha_i has fundamental-weight coordinates row i of the Cartan matrix.
+    simple = rs.cartan_matrix
+    den = rs.gram_fw_int[0]
+    gram_a = rl.mat([[Q(form(a, b), den) for b in simple] for a in simple])
+    rhs = rl.vec([Q(form(a, mu_d), den) for a in simple])
     center = rl.solve(gram_a, rhs)
     bound = rl.dot(center, rl.matvec(gram_a, center))
 
@@ -159,35 +158,33 @@ def _dominant_weight_multiplicities(rs: RootSystem, coords: Coords) -> dict[Coor
     for c in rl.ellipsoid_points(gram_a, center, bound):
         if any(ci < 0 for ci in c):
             continue
-        nu = tuple(mi - sum(ci * row[j] for ci, row in zip(c, rs.cartan_matrix)) for j, mi in enumerate(coords))
+        nu = tuple(mi - sum(ci * row[j] for ci, row in zip(c, simple)) for j, mi in enumerate(mu))
         if all(x >= 0 for x in nu):
             candidates.append((sum(c), nu))
     candidates.sort()
 
     mults: dict[Coords, int] = {}
-    for height, nu_coords in candidates:
+    for height, nu in candidates:
         if height == 0:
-            mults[nu_coords] = 1
+            mults[nu] = 1
             continue
-        nu = rs.from_fw_coords(nu_coords)
-        nu_d = rl.vadd(nu, rs.delta)
-        denom = mu_d_sq - rs.inner(nu_d, nu_d)
-        acc = Q(0)
-        for a in rs.positive_roots:
-            k = 1
+        nu_d = tuple(x + 1 for x in nu)
+        denom = mu_d_sq - form(nu_d, nu_d)
+        acc = 0
+        for a in rs.positive_roots_fw:
+            w = nu
             while True:
-                w = rl.vadd(nu, rl.vscale(k, a))
-                if rs.inner(w, w) > mu_sq:
+                w = tuple(x + y for x, y in zip(w, a))
+                if form(w, w) > mu_sq:
                     break
-                m = mults.get(_dominant_coords_of(rs, tuple(int(x) for x in rs.fw_coords(w))), 0)
+                m = mults.get(rsys.dominant_fw_coords(rs, w)[0], 0)
                 if m:
-                    acc += 2 * m * rs.inner(w, a)
-                k += 1
-        val = acc / denom
-        if val.denominator != 1:
+                    acc += 2 * m * form(w, a)
+        val, rem = divmod(acc, denom)
+        if rem:
             raise InternalConsistencyError("non-integral Freudenthal multiplicity")
         if val:
-            mults[nu_coords] = int(val)
+            mults[nu] = val
     return mults
 
 
@@ -216,25 +213,15 @@ def tensor_decompose(a: RepLabel, b: RepLabel) -> VirtualDecomposition:
     one = (1,) * rs.rank
     for nu, m in _full_weight_multiplicities(rs, b.highest.fw_coords):
         t = tuple(x + 1 + y for x, y in zip(a.highest.fw_coords, nu))
-        dom, elem = rsys.to_dominant(rs, rs.from_fw_coords(t))
-        dc = tuple(int(x) for x in rs.fw_coords(dom))
+        dc, word = rsys.dominant_fw_coords(rs, t)
         if any(x == 0 for x in dc):
             continue
         target = tuple(x - y for x, y in zip(dc, one))
-        acc[target] = acc.get(target, 0) + m * elem.det()
+        acc[target] = acc.get(target, 0) + (-m if len(word) % 2 else m)
     out = {c: m for c, m in acc.items() if m != 0}
     if any(m < 0 for m in out.values()):
         raise InternalConsistencyError("negative multiplicity in a genuine tensor product")
     return VirtualDecomposition.from_dict(out)
-
-
-def _char_convolve(c1: dict[Coords, int], c2: dict[Coords, int]) -> dict[Coords, int]:
-    out: dict[Coords, int] = {}
-    for w1, m1 in c1.items():
-        for w2, m2 in c2.items():
-            w = tuple(x + y for x, y in zip(w1, w2))
-            out[w] = out.get(w, 0) + m1 * m2
-    return {w: m for w, m in out.items() if m != 0}
 
 
 def character_of_decomposition(rs: RootSystem, vd: VirtualDecomposition) -> dict[Coords, int]:
@@ -320,12 +307,14 @@ def classify_type(r: RepLabel) -> RepType:
     rs = r.rs
     if dual_label(r).highest.fw_coords != r.highest.fw_coords:
         return RepType.COMPLEX
-    s = Q(0)
-    for a in rs.positive_roots:
-        s += rs.pairing(r.highest.ambient, a)
-    if s.denominator != 1:
-        raise InternalConsistencyError("non-integral coroot pairing sum")
-    return RepType.QUATERNIONIC if int(s) % 2 else RepType.REAL
+    s = 0
+    for a in rs.positive_roots_fw:
+        # <mu, a^vee> = 2 (mu, a) / (a, a)
+        pairing, rem = divmod(2 * rs.form_fw_int(r.highest.fw_coords, a), rs.form_fw_int(a, a))
+        if rem:
+            raise InternalConsistencyError("non-integral coroot pairing")
+        s += pairing
+    return RepType.QUATERNIONIC if s % 2 else RepType.REAL
 
 
 def bold_g_label(reps_list) -> str:

@@ -6,6 +6,14 @@ hyperplane of R^3, E_6/7/8 inside R^8 with half-integer coordinates).
 The bilinear form is a rational multiple of the standard dot product,
 chosen so that long roots have squared norm 2 at metric_scale = 1; the
 metric_scale knob multiplies the form globally.
+
+The ambient realization is where the root system is built and where the
+hidden isometries live.  Weights and roots are otherwise handled in
+integer fundamental-weight coordinates: the form is den * gram_fw
+(gram_fw_int, form_fw_int), the simple reflection s_i is
+m -> m - m_i * (row i of the Cartan matrix) (reflect_fw_coords), and
+dominant_fw_coords walks a weight into the dominant chamber.  weyl_group
+keeps the ambient matrix action as an independent reference.
 """
 
 from __future__ import annotations
@@ -75,9 +83,6 @@ class WeylElement:
     word: tuple[int, ...]
     matrix: Mat
 
-    def det(self) -> int:
-        return -1 if len(self.word) % 2 else 1
-
     def apply(self, x: Vec) -> Vec:
         return rl.matvec(self.matrix, x)
 
@@ -118,6 +123,18 @@ class RootSystem:
         integers, den the least common denominator of gram_fw."""
         den = lcm(*(x.denominator for row in self.gram_fw for x in row))
         return den, tuple(tuple(int(x * den) for x in row) for row in self.gram_fw)
+
+    def form_fw_int(self, x, y) -> int:
+        """den * (x, y) for x, y in fundamental-weight coordinates, an exact
+        int with den = gram_fw_int[0]."""
+        g = self.gram_fw_int[1]
+        return sum(xi * sum(gij * yj for gij, yj in zip(row, y)) for xi, row in zip(x, g))
+
+    @cached_property
+    def positive_roots_fw(self) -> tuple[tuple[int, ...], ...]:
+        """The positive roots in fundamental-weight coordinates <beta, alpha_i^vee>,
+        in the order of positive_roots (the highest root last)."""
+        return tuple(tuple(int(c) for c in self.fw_coords(b)) for b in self.positive_roots)
 
     def inner(self, x: Vec, y: Vec) -> Q:
         """The invariant bilinear form (scaled dot product)."""
@@ -281,33 +298,24 @@ def _build_root_system(typ: RootSystemType, metric_scale: Q) -> RootSystem:
     )
 
 
-def inner(rs: RootSystem, x: Vec, y: Vec) -> Q:
-    return rs.inner(x, y)
+def dominant_fw_coords(rs: RootSystem, m) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Walk a weight in fundamental-weight coordinates into the closed dominant
+    chamber, reflecting in the first simple root with negative pairing.
 
-
-def to_dominant(rs: RootSystem, x: Vec) -> tuple[Vec, WeylElement]:
-    """Move x into the closed dominant chamber by simple reflections.
-
-    Returns (dominant vector, w) with w.apply(x) == dominant vector.
+    Returns (dominant coords, word): the product of the simple reflections
+    s_{word[0]} s_{word[1]} ... maps m onto the dominant coords, and the
+    word is reduced, so its parity is the sign of that Weyl element.
     """
-    cur = rl.vec(x)
-    word: list[int] = []
+    m = tuple(m)
+    steps: list[int] = []
     while True:
-        for i, a in enumerate(rs.simple_roots):
-            pa = rl.dot(cur, a)
-            if pa < 0:
-                cur = rl.vsub(cur, rl.vscale(2 * pa / rl.dot(a, a), a))
-                word.insert(0, i)
+        for i, mi in enumerate(m):
+            if mi < 0:
+                m = reflect_fw_coords(rs, m, i)
+                steps.append(i)
                 break
         else:
-            break
-    m = rl.identity(rs.ambient_dim)
-    for i in word:
-        m = rl.matmul(m, rs.simple_reflection_matrix(i))
-    elem = WeylElement(word=tuple(word), matrix=m)
-    if elem.apply(rl.vec(x)) != cur:
-        raise InternalConsistencyError("reflection bookkeeping failed")
-    return cur, elem
+            return m, tuple(reversed(steps))
 
 
 def reflect_fw_coords(rs: RootSystem, m: tuple[int, ...], i: int) -> tuple[int, ...]:

@@ -1,10 +1,12 @@
 """Weight lattices, Casimir eigenvalues and sphere/class enumeration.
 
-Dominant weights mu are labeled by nonnegative integer coordinates in the
-fundamental-weight basis.  The Casimir eigenvalue is (mu+d, mu+d) - (d, d)
-for d the half-sum of positive roots; a Casimir class collects every
-lattice weight whose shifted point mu+d lies on a common sphere.  All
-enumeration is exact: integer points of rational ellipsoids, no floats.
+A weight mu is its integer coordinates in the fundamental-weight basis;
+dominant weights have nonnegative ones.  The Casimir eigenvalue is
+(mu+d, mu+d) - (d, d) for d the half-sum of positive roots, which has
+coordinates (1, ..., 1); norms are computed as exact ints on the integer
+form den * gram_fw.  A Casimir class collects every lattice weight whose
+shifted point mu+d lies on a common sphere.  All enumeration is exact:
+integer points of rational ellipsoids, no floats.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from functools import lru_cache
 from . import ratlinalg as rl
 from . import rootsys as rsys
 from .errors import NonDominantWeight, NotInLattice
-from .ratlinalg import Vec
 from .rootsys import RootSystem
 
 
@@ -28,10 +29,9 @@ class LatticeChoice(Enum):
 
 @dataclass(frozen=True)
 class Weight:
-    """A lattice weight: integer fundamental-weight coordinates plus its ambient vector."""
+    """A lattice weight: its integer fundamental-weight coordinates."""
 
     fw_coords: tuple[int, ...]
-    ambient: Vec
 
     def is_dominant(self) -> bool:
         return all(c >= 0 for c in self.fw_coords)
@@ -68,11 +68,6 @@ def in_lattice(rs: RootSystem, lat: LatticeChoice, fw_coords) -> bool:
     return in_root_lattice(rs, fw_coords)
 
 
-def root_lattice_index(rs: RootSystem) -> int:
-    """Index of the root lattice inside the weight lattice (= |det Cartan|)."""
-    return abs(int(rl.det(rl.mat(rs.cartan_matrix))))
-
-
 def make_weight(rs: RootSystem, fw_coords, lat: LatticeChoice = LatticeChoice.WEIGHT) -> Weight:
     coords = tuple(int(c) for c in fw_coords)
     if len(coords) != rs.rank:
@@ -81,22 +76,22 @@ def make_weight(rs: RootSystem, fw_coords, lat: LatticeChoice = LatticeChoice.WE
         raise NotInLattice(f"non-integral fundamental-weight coordinates {fw_coords}")
     if lat is LatticeChoice.ROOT and not in_root_lattice(rs, coords):
         raise NotInLattice(f"{coords} is not in the root lattice of {rs.typ.label}")
-    return Weight(fw_coords=coords, ambient=rs.from_fw_coords(coords))
+    return Weight(coords)
 
 
-def weight_from_ambient(rs: RootSystem, v: Vec) -> Weight:
-    """Weight from an ambient vector lying in the weight lattice of the root span."""
-    coords = rs.fw_coords(v)
-    return make_weight(rs, coords)
+def _shifted_norm_int(rs: RootSystem, m) -> int:
+    """den * |mu + delta|^2 for mu with fundamental-weight coordinates m,
+    den = rs.gram_fw_int[0]: mu + delta has coordinates m + 1."""
+    y = tuple(mi + 1 for mi in m)
+    return rs.form_fw_int(y, y)
 
 
 def delta_norm_sq(rs: RootSystem) -> Q:
-    return rs.inner(rs.delta, rs.delta)
+    return Q(_shifted_norm_int(rs, (0,) * rs.rank), rs.gram_fw_int[0])
 
 
 def shifted_norm_sq(rs: RootSystem, mu: Weight) -> Q:
-    s = rl.vadd(mu.ambient, rs.delta)
-    return rs.inner(s, s)
+    return Q(_shifted_norm_int(rs, mu.fw_coords), rs.gram_fw_int[0])
 
 
 def casimir_eigenvalue(rs: RootSystem, mu: Weight) -> Q:
@@ -112,13 +107,11 @@ _MINUS_ONE_CENTER = lambda r: tuple(Q(-1) for _ in range(r))
 def _shifted_lattice_points(rs: RootSystem, lat: LatticeChoice, a_sq_cap: Q):
     """Yield (fw_coords, den * |mu+delta|^2) for all lattice weights with
     |mu+delta|^2 <= cap, den = rs.gram_fw_int[0]; the norm is an exact int."""
-    _, g = rs.gram_fw_int
     center = _MINUS_ONE_CENTER(rs.rank)
     for m in rl.ellipsoid_points(rs.gram_fw, center, a_sq_cap):
         if lat is LatticeChoice.ROOT and not in_root_lattice(rs, m):
             continue
-        y = tuple(mi + 1 for mi in m)
-        yield m, sum(yi * sum(gij * yj for gij, yj in zip(row, y)) for yi, row in zip(y, g))
+        yield m, _shifted_norm_int(rs, m)
 
 
 def enumerate_dominant(rs: RootSystem, lat: LatticeChoice, a_sq_cap) -> list[Weight]:
@@ -173,6 +166,5 @@ def classes_up_to(rs: RootSystem, lat: LatticeChoice, a_sq_cap) -> list[CasimirC
 
 def dual_weight(rs: RootSystem, mu: Weight) -> Weight:
     """Highest weight of the dual representation: the dominant form of -mu."""
-    neg = rl.vscale(-1, mu.ambient)
-    dom, _ = rsys.to_dominant(rs, neg)
-    return weight_from_ambient(rs, dom)
+    dom, _ = rsys.dominant_fw_coords(rs, (-c for c in mu.fw_coords))
+    return Weight(dom)

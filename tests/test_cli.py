@@ -1,6 +1,7 @@
 """Command-line surface: payload shapes, exit codes, canonical output."""
 
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -119,6 +120,77 @@ def test_hidden_output_pinned(capsys):
         code, out, err = run(capsys, *argv)
         digest.update(json.dumps([argv, code, out, err]).encode())
     assert digest.hexdigest() == HIDDEN_PIN
+
+
+def _sys_argv(name):
+    return ["--type", name[0], "--rank", name[1:]]
+
+
+REPORT_CAPS = {"A1": 60, "A2": 20, "B2": 20, "G2": 22, "A3": 8, "B3": 10, "C3": 9}
+REPTYPE_WEIGHTS = {
+    "D5": ("1,0,0,0,0", "0,0,0,1,0", "0,0,0,0,1", "1,0,0,1,0", "0,1,0,0,1", "2,1,0,1,0"),
+    "E6": ("1,0,0,0,0,0", "0,0,0,0,0,1", "1,0,0,0,0,1", "0,0,1,0,0,0", "0,1,0,0,1,0", "2,0,0,0,1,0"),
+    "F4": ("1,0,0,0", "0,0,0,1", "1,1,0,1", "0,0,1,0"),
+}
+
+
+def _pinned_spectral_requests():
+    """Reports in every K mode, complex and real, estimates, rep types,
+    classes and coincidences on A1-G2 and rank 3, another scale and the
+    root lattice, and rep types on D5, E6 and F4, whose duals need long
+    chamber walks."""
+    argvs = [["hodge-rank1", "--cap", str(cap)] for cap in (30, 50, 90)]
+    for name, cap in REPORT_CAPS.items():
+        sys_argv = _sys_argv(name)
+        for kmode in ("trivial", "diagonal", "torus"):
+            argvs += [["report", *sys_argv, "--cap", str(cap), "--kmode", kmode, *real] for real in ([], ["--real"])]
+        argvs += [["classes", *sys_argv, "--cap", str(2 * cap)], ["coincidences", *sys_argv, "--cap", str(3 * cap)]]
+        rank = int(name[1:])
+        weights = [",".join(map(str, w)) for w in itertools.product(range(3), repeat=rank)]
+        argvs += [["reptype", *sys_argv, "--weight", w] for w in weights]
+        for w, kmode in zip(weights[1 :: 3 * rank - 2], itertools.cycle(("trivial", "diagonal", "torus"))):
+            argvs.append(["estimate", *sys_argv, "--weight", w, "--kmode", kmode])
+    for name, weights in REPTYPE_WEIGHTS.items():
+        argvs += [["reptype", *_sys_argv(name), "--weight", w] for w in weights]
+    for extra in (["--scale", "3/2"], ["--lattice", "root"]):
+        for name in ("A2", "B2", "G2"):
+            sys_argv = [*_sys_argv(name), *extra]
+            argvs += [
+                ["report", *sys_argv, "--cap", "30", "--kmode", "diagonal"],
+                ["report", *sys_argv, "--cap", "30", "--kmode", "torus", "--real"],
+                ["classes", *sys_argv, "--cap", "40"],
+                ["coincidences", *sys_argv, "--cap", "90"],
+                ["estimate", *sys_argv, "--weight", "1,1", "--kmode", "diagonal"],
+                ["estimate", *sys_argv, "--weight", "3,0", "--kmode", "torus"],
+                ["reptype", *sys_argv, "--weight", "2,1"],
+            ]
+    argvs += [
+        ["report", *_sys_argv("A2"), "--cap", "20", "--kmode", "diagonal", "--ustar", "[[[1, 1], 1], [[0, 0], 2]]"],
+        ["report", *_sys_argv("B2"), "--cap", "20", "--kmode", "torus", "--ustar", "[[[1, -1], 1], [[0, 0], 1]]"],
+        ["estimate", *_sys_argv("G2"), "--weight", "1,1", "--ustar", "[[[1, 0], 1]]"],
+        ["report", *_sys_argv("G2"), "--cap", "22", "--real", "--output", "table"],
+        ["reptype", *_sys_argv("A2"), "--weight", "1,-1"],
+        ["estimate", *_sys_argv("A2"), "--weight", "1,2,3"],
+        ["estimate", *_sys_argv("A2"), "--weight", "1,0", "--lattice", "root"],
+        ["report", *_sys_argv("B3"), "--cap", "10", "--point-cap", "10"],
+    ]
+    return argvs
+
+
+# sha256 of the exit code, stdout and stderr of every request above, recorded
+# while dual weights, tensor signs and Weyl dimensions still went through
+# ambient rational vectors.
+SPECTRAL_PIN = "6fe410899cbe7af25d24436acd559102b06f9f8fb2f869dd889afcdd7afdaf66"
+
+
+def test_spectral_output_pinned(capsys):
+    digest = hashlib.sha256()
+    argvs = _pinned_spectral_requests()
+    assert len(argvs) > 200
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        digest.update(json.dumps([argv, code, out, err]).encode())
+    assert digest.hexdigest() == SPECTRAL_PIN
 
 
 def test_reptype(capsys):

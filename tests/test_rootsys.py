@@ -1,12 +1,14 @@
 """Root system realizations, Weyl groups, and the invariant form."""
 
+import itertools
 from fractions import Fraction as Q
 
 import pytest
 
 from casimir_lab import ratlinalg as rl
 from casimir_lab.errors import CapExceeded, InvalidDynkinType
-from casimir_lab.rootsys import RootSystemType, build_root_system, highest_root, to_dominant, weyl_group
+from casimir_lab.reps import weyl_orbit
+from casimir_lab.rootsys import RootSystemType, build_root_system, dominant_fw_coords, highest_root, weyl_group
 
 
 def rs_of(fam, rank, scale=1):
@@ -82,12 +84,31 @@ def test_weyl_cap_refusal():
         weyl_group(rs, cap=10)
 
 
+def _word_matrix(rs, word):
+    m = rl.identity(rs.ambient_dim)
+    for i in word:
+        m = rl.matmul(m, rs.simple_reflection_matrix(i))
+    return m
+
+
 def test_to_dominant_lands_in_chamber():
     rs = rs_of("G", 2)
-    x = rl.vsub(rs.fundamental_weights[0], rl.vscale(Q(3), rs.fundamental_weights[1]))
-    dom, elem = to_dominant(rs, x)
-    assert all(rs.pairing(dom, a) >= 0 for a in rs.simple_roots)
-    assert elem.apply(x) == dom
+    dom, word = dominant_fw_coords(rs, (1, -3))
+    x = rs.from_fw_coords((1, -3))
+    assert all(rs.pairing(rs.from_fw_coords(dom), a) >= 0 for a in rs.simple_roots)
+    assert rl.matvec(_word_matrix(rs, word), x) == rs.from_fw_coords(dom)
+
+
+@pytest.mark.parametrize("fam,rank", [("A", 2), ("B", 2), ("G", 2), ("A", 3)])
+def test_dominant_walk_box_scan(fam, rank):
+    rs = rs_of(fam, rank)
+    for m in itertools.product(range(-3, 4), repeat=rank):
+        dom, word = dominant_fw_coords(rs, m)
+        (expected,) = [w for w in weyl_orbit(rs, m) if all(c >= 0 for c in w)]
+        assert dom == expected
+        w = _word_matrix(rs, word)
+        assert rl.matvec(w, rs.from_fw_coords(m)) == rs.from_fw_coords(dom)
+        assert rl.det(w) == (-1) ** len(word)
 
 
 def test_highest_root_is_long_and_dominant():
