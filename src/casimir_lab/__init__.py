@@ -21,9 +21,7 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .hidden import (
-    OrthoMap,
     ShiftedConfig,
-    check_transitivity,
     check_weyl_inclusion,
     orbits,
     shifted_config,

@@ -1,42 +1,44 @@
 """Hidden symmetries of shifted eigenvalue spheres.
 
 A Casimir class at squared radius a_sq, translated by the half-sum delta,
-becomes a finite point set X on a sphere.  This module enumerates the
-full group of ambient-space isometries that permute X (acting as the
-identity on the orthogonal complement of span X), checks that the Weyl
-group sits inside it under the shift-conjugated action, and reports
-orbits.
+becomes a finite point set X on a sphere.  This module finds the full
+group of ambient-space isometries that permute X (acting as the identity
+on the orthogonal complement of span X), as the permutations of X they
+induce, checks that the Weyl group sits inside it under the
+shift-conjugated action, and reports orbits.
 
 Everything is exact, and the search runs in integers: a shifted point
 mu + delta is kept as its fundamental-weight coordinates y = mu + 1, and
 inner products as y^T (den G) y, with G the fundamental-weight Gram
 matrix and den its least common denominator.  Backtracking over
 Gram-preserving images finds every permutation of X that an isometry can
-induce.  The ambient isometry of a permutation is built and checked
-exactly (orthogonal, mapping every point as permuted) only for a
-generating set, and the generators must close to exactly the permutations
-found.  That is sufficient: a product of isometries permuting X is an
-isometry permuting X by the product permutation, so every returned map
-is a product of checked ones.  For the same reason W preserves X exactly
-when its simple reflections do (Seress, Permutation Group Algorithms,
-2003), so the Weyl check reflects integer coordinates and composes the
-witnesses from the reflections' permutations.  Caps keep the backtracking
-at desk scale and are refused loudly, never truncated.
+induce, and the integer Gram matrix certifies each one, because a
+permutation p of X preserving every inner product is induced by exactly
+one such isometry.  Proof: a relation sum c_i x_i = 0 gives
+|sum c_i x_p(i)|^2 = sum c_i c_j <x_i, x_j> = 0, so x_i -> x_p(i) extends
+to a well-defined linear map of span X that preserves the Gram matrix,
+hence is orthogonal; it is the only linear map of span X inducing p, and
+the identity on the orthogonal complement completes it (Plesken &
+Souvignier, Computing isometries of lattices, J. Symbolic Comput. 24,
+1997).  Only a generating set is certified, and the generators must close
+to exactly the permutations found: a product of Gram-preserving
+permutations preserves the Gram matrix.  For the same reason W preserves
+X exactly when its simple reflections do (Seress, Permutation Group
+Algorithms, 2003), so the Weyl check reflects integer coordinates and
+composes the witnesses from the reflections' permutations.  Caps keep the
+backtracking at desk scale and are refused loudly, never truncated.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
-from math import lcm
 from operator import itemgetter, mul
 
-from . import ratlinalg as rl
 from . import rootsys as rsys
 from .errors import CapExceeded, InternalConsistencyError
-from .ratlinalg import Mat, Vec
 from .rootsys import RootSystem
 from .weights import CasimirClass
 
@@ -52,14 +54,12 @@ class ShiftedConfig:
 
     coords[i] are the fundamental-weight coordinates mu + 1 of the shifted
     point mu + delta, in sorted order; gram_int[i][j] is den times the inner
-    product of points i and j.  points and gram are the same data as exact
-    rationals: ambient vectors and their Gram matrix.
+    product of points i and j, with den = rs.gram_fw_int[0].
     """
 
     rs: RootSystem
     a_sq: Q
     coords: tuple[tuple[int, ...], ...]
-    den: int
     gram_int: tuple[tuple[int, ...], ...]
 
     @property
@@ -69,59 +69,6 @@ class ShiftedConfig:
     @cached_property
     def mu_coords(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(c - 1 for c in y) for y in self.coords)
-
-    @cached_property
-    def points(self) -> tuple[Vec, ...]:
-        return tuple(self.rs.from_fw_coords(y) for y in self.coords)
-
-    @cached_property
-    def gram(self) -> Mat:
-        return tuple(tuple(Q(g, self.den) for g in row) for row in self.gram_int)
-
-
-class _Frame:
-    """Projection data of a spanning subset B of the points: builds the
-    isometry sending B to its image under a permutation, extended by the
-    identity on the orthogonal complement of span X."""
-
-    def __init__(self, cfg: ShiftedConfig, basis: list[int]):
-        self.points = cfg.points
-        self.basis = basis
-        d = len(self.points[0]) if self.points else 0
-        self.complement = rl.identity(d)
-        if basis:
-            b_cols = rl.transpose(rl.mat([self.points[i] for i in basis]))  # d x r
-            self.proj = rl.matmul(rl.inverse(rl.matmul(rl.transpose(b_cols), b_cols)), rl.transpose(b_cols))
-            self.complement = rl.mat_sub(self.complement, rl.matmul(b_cols, self.proj))
-
-    def isometry(self, perm: Perm) -> Mat:
-        if not self.basis:
-            return self.complement
-        c_cols = rl.transpose(rl.mat([self.points[perm[i]] for i in self.basis]))
-        return rl.mat_add(rl.matmul(c_cols, self.proj), self.complement)
-
-
-@dataclass(frozen=True, eq=False)
-class OrthoMap:
-    """An exact orthogonal map permuting a shifted configuration.
-
-    permutation[i] is the index of the image of points[i]; the ambient
-    matrix acts as the identity on the orthogonal complement of span X and
-    is built on first access.
-    """
-
-    permutation: Perm
-    _frame: _Frame = field(repr=False)
-
-    @cached_property
-    def matrix(self) -> Mat:
-        return self._frame.isometry(self.permutation)
-
-    def __eq__(self, other):
-        return isinstance(other, OrthoMap) and self.permutation == other.permutation
-
-    def __hash__(self):
-        return hash(self.permutation)
 
 
 def shifted_config(rs: RootSystem, cls: CasimirClass) -> ShiftedConfig:
@@ -134,7 +81,7 @@ def shifted_config(rs: RootSystem, cls: CasimirClass) -> ShiftedConfig:
     for i in range(len(coords)):
         if gram[i][i] * cls.a_sq.denominator != on_sphere:
             raise InternalConsistencyError("shifted point off its sphere")
-    return ShiftedConfig(rs=rs, a_sq=cls.a_sq, coords=tuple(coords), den=den, gram_int=gram)
+    return ShiftedConfig(rs=rs, a_sq=cls.a_sq, coords=tuple(coords), gram_int=gram)
 
 
 def _reduce(echelon: list[tuple[int, list[int]]], v) -> list[int]:
@@ -185,24 +132,11 @@ def _close(group: set[Perm], gens: list[Perm]) -> set[Perm]:
     return group
 
 
-def _check_isometry(cfg: ShiftedConfig, phi: Mat, perm: Perm) -> None:
-    """Exact check that phi is orthogonal and sends point i to point perm[i].
-
-    Done in integers: with phi = m / den and the points integer rows over a
-    common denominator, phi^T phi = 1 iff m^T m = den^2, and phi maps point i
-    to point perm[i] iff m times its row equals den times the image row.
-    """
-    _, w_rows = cfg.rs.fundamental_weights_int
-    ambient = [[sum(map(mul, y, col)) for col in zip(*w_rows)] for y in cfg.coords]
-    den = lcm(*(x.denominator for row in phi for x in row))
-    m = [[int(x * den) for x in row] for row in phi]
-    cols = list(zip(*m))
-    for i, a in enumerate(cols):
-        for j, b in enumerate(cols):
-            if sum(map(mul, a, b)) != (den * den if i == j else 0):
-                raise InternalConsistencyError("stabilizer generator is not orthogonal")
-    for i, p in enumerate(ambient):
-        if [sum(map(mul, row, p)) for row in m] != [den * x for x in ambient[perm[i]]]:
+def _check_gram(cfg: ShiftedConfig, perm: Perm) -> None:
+    """Certify that perm preserves every inner product: n^2 integer comparisons."""
+    g = cfg.gram_int
+    for row, image in zip(g, perm):
+        if tuple(map(g[image].__getitem__, perm)) != row:
             raise InternalConsistencyError("stabilizer permutation mismatch")
 
 
@@ -210,17 +144,24 @@ def stabilizer_group(
     cfg: ShiftedConfig,
     point_cap: int = DEFAULT_POINT_CAP,
     rank_cap: int = DEFAULT_RANK_CAP,
-) -> list[OrthoMap]:
-    """All orthogonal maps of span X permuting X, extended by the identity.
+) -> list[Perm]:
+    """The permutations of X induced by orthogonal maps of span X.
 
     Gram-preserving backtracking: images of a spanning subset are chosen
     among points with exactly matching pairwise inner products; an
     assignment is kept when the inner-product profiles against the images
     match those against the subset point for point, a bijection of X.
     Walking the sorted permutations, each one outside the closure of the
-    generators taken so far becomes a generator, and its isometry is checked
-    exactly; the closure must equal the set found.  The result is the full
-    finite group, not a sample, in sorted order of permutations.
+    generators taken so far becomes a generator and is certified on the
+    integer Gram matrix; the closure must equal the set found.  The
+    certificate is complete: if p preserves every inner product, a relation
+    sum c_i x_i = 0 gives |sum c_i x_p(i)|^2 = 0, so x_i -> x_p(i) is a
+    well-defined linear map of span X preserving the Gram matrix, hence
+    orthogonal.  It is the only one inducing p, and extended by the identity
+    on the orthogonal complement it is the ambient isometry (Plesken &
+    Souvignier, J. Symbolic Comput. 24, 1997).  The result is the full
+    finite group, not a sample, as sorted permutation tuples: p[i] is the
+    index of the image of point i.
     """
     if cfg.size > point_cap:
         raise CapExceeded("configuration size", cfg.size, point_cap)
@@ -229,9 +170,8 @@ def stabilizer_group(
     if r > rank_cap:
         raise CapExceeded("configuration span rank", r, rank_cap)
     n = cfg.size
-    frame = _Frame(cfg, basis)
     if r == 0:
-        return [OrthoMap(tuple(range(n)), frame)]
+        return [tuple(range(n))]
 
     g = cfg.gram_int
     perms: set[Perm] = set()
@@ -270,21 +210,21 @@ def stabilizer_group(
 
     backtrack(0)
 
-    group = [OrthoMap(p, frame) for p in sorted(perms)]
+    group = sorted(perms)
     closure = {tuple(range(n))}
     gens: list[Perm] = []
-    for elem in group:
-        if elem.permutation in closure:
+    for perm in group:
+        if perm in closure:
             continue
-        _check_isometry(cfg, elem.matrix, elem.permutation)
-        gens.append(elem.permutation)
+        _check_gram(cfg, perm)
+        gens.append(perm)
         closure = _close(closure, gens)
     if closure != perms:
         raise InternalConsistencyError("stabilizer generators do not close to the permutations found")
     return group
 
 
-def orbits(cfg: ShiftedConfig, group: list[OrthoMap]) -> list[tuple[int, ...]]:
+def orbits(cfg: ShiftedConfig, group: list[Perm]) -> list[tuple[int, ...]]:
     """Orbits of the point indices under the group, sorted by smallest member."""
     parent = list(range(cfg.size))
 
@@ -294,8 +234,8 @@ def orbits(cfg: ShiftedConfig, group: list[OrthoMap]) -> list[tuple[int, ...]]:
             x = parent[x]
         return x
 
-    for g in group:
-        for i, j in enumerate(g.permutation):
+    for perm in group:
+        for i, j in enumerate(perm):
             ri, rj = find(i), find(j)
             if ri != rj:
                 parent[ri] = rj
@@ -303,10 +243,6 @@ def orbits(cfg: ShiftedConfig, group: list[OrthoMap]) -> list[tuple[int, ...]]:
     for i in range(cfg.size):
         buckets.setdefault(find(i), []).append(i)
     return sorted(tuple(sorted(v)) for v in buckets.values())
-
-
-def check_transitivity(cfg: ShiftedConfig, group: list[OrthoMap]) -> bool:
-    return len(orbits(cfg, group)) == 1
 
 
 def check_weyl_inclusion(

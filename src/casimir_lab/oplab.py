@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InternalConsistencyError, NotPositiveDefinite
 from .gaussian import GZERO, QQi, gconj_transpose
-from .polyq import RationalPoly, poly_from_real_coeff_check, resultant, squarefree_decomposition
+from .polyq import RationalPoly, resultant, squarefree_decomposition
 from .ratlinalg import frac, is_positive_definite
 
 Q = Fraction
@@ -340,9 +340,12 @@ def char_poly(op: ExactOperator) -> RationalPoly:
     of D = A / den has coefficient c_k / den^k at t^(d-k); coefficients are
     asserted to be real, anything else signals a bug in the construction.
     """
-    coeffs = [QQi(Q(cre, op.den ** k), Q(cim, op.den ** k))
-              for k, (cre, cim) in enumerate(_trace_recursion(op.re, op.im))]
-    p = poly_from_real_coeff_check(coeffs[::-1])
+    coeffs = []
+    for k, (cre, cim) in enumerate(_trace_recursion(op.re, op.im)):
+        if cim:
+            raise InternalConsistencyError(f"characteristic coefficient has imaginary part {Q(cim, op.den ** k)}")
+        coeffs.append(Q(cre, op.den ** k))
+    p = RationalPoly.of(*reversed(coeffs))
     if p.leading() != 1:
         raise InternalConsistencyError("characteristic polynomial is not monic")
     return p

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 
 from . import ratlinalg as rl
-from .errors import InternalConsistencyError
 
 
 def _trim(cs) -> tuple[Q, ...]:
@@ -181,13 +180,3 @@ def resultant(p: RationalPoly, q: RationalPoly) -> Q:
     if p.degree == 0 and q.degree == 0:
         return Q(1)
     return rl.det(sylvester_matrix(p, q))
-
-
-def poly_from_real_coeff_check(coeffs_qqi) -> RationalPoly:
-    """Build a polynomial from Q(i) coefficients that must be exactly real."""
-    real = []
-    for c in coeffs_qqi:
-        if c.im != 0:
-            raise InternalConsistencyError(f"characteristic coefficient has imaginary part {c.im}")
-        real.append(c.re)
-    return RationalPoly(_trim(real))

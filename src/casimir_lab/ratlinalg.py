@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from math import isqrt
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 
@@ -82,10 +82,6 @@ def matvec(a: Mat, x: Vec) -> Vec:
 
 def outer(x: Vec, y: Vec) -> Mat:
     return tuple(tuple(a * b for b in y) for a in x)
-
-
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return tuple(vadd(ra, rb) for ra, rb in zip(a, b, strict=True))
 
 
 def mat_sub(a: Mat, b: Mat) -> Mat:
@@ -213,13 +209,6 @@ def is_positive_definite(g: Mat) -> bool:
         return False
 
 
-def floor_sqrt(x: Q) -> int:
-    """floor(sqrt(x)) for a nonnegative rational, exactly."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    return isqrt(x.numerator * x.denominator) // x.denominator
-
-
 def int_interval_shifted_square(c: Q, bound: Q) -> range:
     """All integers y with (y + c)^2 <= bound, as a range, exactly.
 
@@ -261,8 +250,3 @@ def ellipsoid_points(g: Mat, center: Vec, bound: Q) -> Iterator[tuple[int, ...]]
         y[i] = 0
 
     yield from descend(n - 1, bound)
-
-
-def quad_form(g: Mat, y: Sequence) -> Q:
-    v = vec(y)
-    return dot(v, matvec(g, v))

@@ -7,9 +7,8 @@ The bilinear form is a rational multiple of the standard dot product,
 chosen so that long roots have squared norm 2 at metric_scale = 1; the
 metric_scale knob multiplies the form globally.
 
-The ambient realization is where the root system is built and where the
-hidden isometries live.  Weights and roots are otherwise handled in
-integer fundamental-weight coordinates: the form is den * gram_fw
+The ambient realization is where the root system is built.  Weights and
+roots are otherwise handled in integer fundamental-weight coordinates: the form is den * gram_fw
 (gram_fw_int, form_fw_int), the simple reflection s_i is
 m -> m - m_i * (row i of the Cartan matrix) (reflect_fw_coords), and
 dominant_fw_coords walks a weight into the dominant chamber.  weyl_group
@@ -149,18 +148,6 @@ class RootSystem:
     def fw_coords(self, x: Vec) -> Vec:
         """Coordinates of (the root-span part of) x in the fundamental-weight basis."""
         return tuple(self.pairing(x, a) for a in self.simple_roots)
-
-    @cached_property
-    def fundamental_weights_int(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(den, den * fundamental_weights) with den their least common denominator."""
-        den = lcm(*(x.denominator for w in self.fundamental_weights for x in w))
-        return den, tuple(tuple(int(x * den) for x in w) for w in self.fundamental_weights)
-
-    def from_fw_coords(self, coords) -> Vec:
-        den, rows = self.fundamental_weights_int
-        if len(coords) != len(rows):
-            raise rl.DimensionMismatch(f"expected {len(rows)} fundamental-weight coordinates")
-        return tuple(Q(sum(c * w[j] for c, w in zip(coords, rows)), den) for j in range(self.ambient_dim))
 
     def simple_reflection_matrix(self, i: int) -> Mat:
         a = self.simple_roots[i]

@@ -15,7 +15,6 @@ from fractions import Fraction as Q
 import pytest
 
 from casimir_lab.hidden import (
-    check_transitivity,
     check_weyl_inclusion,
     orbits,
     shifted_config,
@@ -33,7 +32,7 @@ from casimir_lab.oplab import (
     witness_sequence,
 )
 from casimir_lab.polyq import RationalPoly, resultant, root_multiplicity_profile
-from casimir_lab.ratlinalg import vadd
+from casimir_lab.ratlinalg import vadd, vscale
 from casimir_lab.reps import (
     KMode,
     VirtualDecomposition,
@@ -284,7 +283,9 @@ def _box_scan_classes(rs, lat, cap, span):
     for coords in itertools.product(range(-span, span + 1), repeat=rs.rank):
         if not in_lattice(rs, lat, coords):
             continue
-        shifted = vadd(rs.from_fw_coords(coords), rs.delta)
+        shifted = rs.delta
+        for c, w in zip(coords, rs.fundamental_weights):
+            shifted = vadd(shifted, vscale(c, w))
         a_sq = rs.inner(shifted, shifted)
         if a_sq <= cap:
             buckets.setdefault(a_sq, set()).add(coords)

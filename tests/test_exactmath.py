@@ -13,7 +13,6 @@ from casimir_lab.gaussian import GONE, GZERO, I_UNIT, QQi, gconj_transpose, gkro
 from casimir_lab.polyq import (
     RationalPoly,
     is_perfect_square,
-    poly_from_real_coeff_check,
     poly_gcd,
     resultant,
     root_multiplicity_profile,
@@ -79,12 +78,9 @@ def test_ldl_reconstructs_and_pd_matches_leading_minors():
         assert rl.mat(rebuilt) == g
 
 
-def test_floor_sqrt_exact_edges():
-    assert rl.floor_sqrt(Q(0)) == 0
-    assert rl.floor_sqrt(Q(35)) == 5
-    assert rl.floor_sqrt(Q(36)) == 6
-    assert rl.floor_sqrt(Q(1, 2)) == 0
-    assert rl.floor_sqrt(Q(50, 2)) == 5
+def _quad_form(g, y):
+    v = rl.vec(y)
+    return rl.dot(v, rl.matvec(g, v))
 
 
 def test_ellipsoid_points_matches_box_scan():
@@ -96,7 +92,7 @@ def test_ellipsoid_points_matches_box_scan():
     for x in range(-12, 13):
         for y in range(-12, 13):
             v = (Q(x) - center[0], Q(y) - center[1])
-            if rl.quad_form(g, v) <= bound:
+            if _quad_form(g, v) <= bound:
                 box.add((x, y))
     assert got == box
 
@@ -225,10 +221,3 @@ def test_substitute_scaled():
     s = Q(2)
     q = p.substitute_scaled(s)  # p(t/2): roots double
     assert q.eval(Q(2)) == 0 and q.eval(Q(4)) == 0 and q.eval(Q(6)) == 0
-
-
-def test_real_coeff_check_rejects_imaginary():
-    with pytest.raises(Exception):
-        poly_from_real_coeff_check([QQi(1), QQi(0, 1)])
-    p = poly_from_real_coeff_check([QQi(Q(1, 2)), QQi(2), QQi(1)])
-    assert p.coefficients == (Q(1, 2), Q(2), Q(1))

@@ -1,6 +1,7 @@
 """Stabilizers of shifted eigenvalue spheres, orbits, Weyl inclusion."""
 
 import dataclasses
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -8,8 +9,7 @@ import pytest
 from casimir_lab import ratlinalg as rl
 from casimir_lab.errors import CapExceeded, InternalConsistencyError
 from casimir_lab.hidden import (
-    _check_isometry,
-    check_transitivity,
+    _check_gram,
     check_weyl_inclusion,
     orbits,
     shifted_config,
@@ -61,18 +61,62 @@ def _config(rs, a_sq):
     return shifted_config(rs, sphere_set(rs, WEIGHT, Q(a_sq)))
 
 
+def _points(cfg):
+    """The shifted points as ambient rational vectors, sum_i y_i omega_i."""
+    out = []
+    for y in cfg.coords:
+        v = rl.vec([0] * cfg.rs.ambient_dim)
+        for c, w in zip(y, cfg.rs.fundamental_weights):
+            v = rl.vadd(v, rl.vscale(c, w))
+        out.append(v)
+    return out
+
+
+def _gram(cfg):
+    """Reference Gram matrix of the ambient points under the invariant form."""
+    pts = _points(cfg)
+    return [[cfg.rs.inner(p, q) for q in pts] for p in pts]
+
+
+def _reference_matrix(cfg, perm):
+    """The ambient matrix sending a spanning subset B of the points to its
+    image under perm, extended by the identity on the orthogonal complement
+    of span X: C (B^T B)^-1 B^T + (I - B (B^T B)^-1 B^T), B and C as columns."""
+    pts = _points(cfg)
+    basis = []
+    for i, p in enumerate(pts):
+        if rl.rank(rl.mat([pts[j] for j in basis] + [p])) > len(basis):
+            basis.append(i)
+    d = cfg.rs.ambient_dim
+    if not basis:
+        return identity(d)
+    b_cols = transpose(rl.mat([pts[i] for i in basis]))
+    c_cols = transpose(rl.mat([pts[perm[i]] for i in basis]))
+    proj = matmul(rl.inverse(matmul(transpose(b_cols), b_cols)), transpose(b_cols))
+    complement = rl.mat_sub(identity(d), matmul(b_cols, proj))
+    moved = matmul(c_cols, proj)
+    return tuple(rl.vadd(r, c) for r, c in zip(moved, complement))
+
+
+def _is_isometry(cfg, phi, perm):
+    """phi is orthogonal and sends point i to point perm[i], exactly."""
+    pts = _points(cfg)
+    return matmul(transpose(phi), phi) == identity(len(phi)) and all(
+        matvec(phi, p) == pts[perm[i]] for i, p in enumerate(pts)
+    )
+
+
 def test_hexagon_full_dihedral():
     cfg = _config(A2, 8)
     assert cfg.size == 6
     grp = stabilizer_group(cfg)
     assert len(grp) == 12
-    assert check_transitivity(cfg, grp)
+    assert len(orbits(cfg, grp)) == 1
     ok, witnesses = check_weyl_inclusion(A2, cfg)
     assert ok and len(witnesses) == 6
     # the Weyl group is a proper subgroup here: only 6 of the 12 permutations
     weyl_perms = {p for _, p in witnesses}
-    stab_perms = {g.permutation for g in grp}
-    assert weyl_perms < stab_perms
+    assert weyl_perms < set(grp)
 
 
 def test_stabilizer_matches_gram_oracle():
@@ -87,23 +131,19 @@ def test_stabilizer_matches_gram_oracle():
     for rs, a_sq in cases:
         cfg = _config(rs, a_sq)
         assert cfg.size > 0
-        got = sorted(g.permutation for g in stabilizer_group(cfg))
-        assert got == _gram_automorphisms(cfg.gram)
+        assert stabilizer_group(cfg) == _gram_automorphisms(_gram(cfg))
 
 
 def test_group_axioms_and_exactness():
     cfg = _config(B2, Q(13, 2))
     grp = stabilizer_group(cfg)
-    perms = {g.permutation for g in grp}
+    perms = set(grp)
     assert tuple(range(cfg.size)) in perms
     for g in grp:
-        d = len(g.matrix)
-        assert matmul(transpose(g.matrix), g.matrix) == identity(d)
-        for i, p in enumerate(cfg.points):
-            assert matvec(g.matrix, p) == cfg.points[g.permutation[i]]
+        assert _is_isometry(cfg, _reference_matrix(cfg, g), g)
         # closure under composition (on permutations)
         for h in grp:
-            comp = tuple(g.permutation[h.permutation[i]] for i in range(cfg.size))
+            comp = tuple(g[h[i]] for i in range(cfg.size))
             assert comp in perms
 
 
@@ -121,7 +161,6 @@ def test_known_nontransitive_classes():
         grp = stabilizer_group(cfg)
         orbs = orbits(cfg, grp)
         assert len(orbs) == 2, (rs.typ, a_sq)
-        assert not check_transitivity(cfg, grp)
         ok, _ = check_weyl_inclusion(rs, cfg)
         assert ok
         # orbits partition the points
@@ -132,23 +171,24 @@ def test_transitive_everywhere_small_a1():
     for cls in classes_up_to(A1, WEIGHT, Q(40)):
         cfg = shifted_config(A1, cls)
         grp = stabilizer_group(cfg)
-        assert check_transitivity(cfg, grp)
+        assert len(orbits(cfg, grp)) == 1
         assert len(grp) == 2  # {1, -1} on a rank-1 span
 
 
 def test_two_point_class():
     cfg = _config(A1, Q(1, 2))  # exactly {delta, -delta}
     assert cfg.size == 2
-    assert cfg.points[0] == tuple(-c for c in cfg.points[1])
+    pts = _points(cfg)
+    assert pts[0] == tuple(-c for c in pts[1])
     grp = stabilizer_group(cfg)
-    assert sorted(g.permutation for g in grp) == [(0, 1), (1, 0)]
-    assert check_transitivity(cfg, grp)
+    assert grp == [(0, 1), (1, 0)]
+    assert len(orbits(cfg, grp)) == 1
 
 
 def test_radius_zero_single_point():
     cfg = _config(A1, 0)
     assert cfg.size == 1
-    assert set(cfg.points[0]) == {Q(0)}
+    assert set(_points(cfg)[0]) == {Q(0)}
     grp = stabilizer_group(cfg)
     assert len(grp) == 1
     assert orbits(cfg, grp) == [(0,)]
@@ -181,17 +221,15 @@ def test_stabilizer_matches_gram_oracle_rank3():
     for rs, a_sq in ((B3, Q(35, 4)), (A3, Q(17))):
         cfg = _config(rs, a_sq)
         assert cfg.size == 48
-        got = sorted(g.permutation for g in stabilizer_group(cfg))
-        assert got == _gram_automorphisms(cfg.gram)
+        assert stabilizer_group(cfg) == _gram_automorphisms(_gram(cfg))
 
 
 def test_weyl_witnesses_match_matrix_reference():
     for rs, a_sq in ((A2, Q(98, 3)), (B2, Q(25, 2)), (G2, Q(26, 3)), (B3, Q(35, 4)), (A1, 0)):
         cfg = _config(rs, a_sq)
-        index = {p: i for i, p in enumerate(cfg.points)}
-        reference = [
-            (w.word, tuple(index[w.apply(p)] for p in cfg.points)) for w in weyl_group(rs)
-        ]
+        pts = _points(cfg)
+        index = {p: i for i, p in enumerate(pts)}
+        reference = [(w.word, tuple(index[w.apply(p)] for p in pts)) for w in weyl_group(rs)]
         ok, witnesses = check_weyl_inclusion(rs, cfg)
         assert ok
         assert witnesses == reference
@@ -219,23 +257,55 @@ def test_weyl_inclusion_cap_refused():
 def test_non_generator_matrix_is_exact():
     cfg = _config(B3, Q(35, 4))
     grp = stabilizer_group(cfg)
-    # Only the generators' matrices are built (and checked) by stabilizer_group.
-    built = [g for g in grp if "matrix" in vars(g)]
-    assert 0 < len(built) and 2 ** len(built) <= len(grp)
-    lazy = [g for g in grp if "matrix" not in vars(g)]
-    d = len(cfg.points[0])
-    for g in (lazy[0], lazy[len(lazy) // 2], lazy[-1]):
-        assert matmul(transpose(g.matrix), g.matrix) == identity(d)
-        for i, p in enumerate(cfg.points):
-            assert matvec(g.matrix, p) == cfg.points[g.permutation[i]]
+    assert len(grp) == 48
+    assert all(type(g) is tuple and all(type(i) is int for i in g) for g in grp)
+    for g in grp:
+        assert _is_isometry(cfg, _reference_matrix(cfg, g), g)
 
 
 def test_generator_check_rejects_a_wrong_permutation():
     cfg = _config(B2, Q(25, 2))
-    g = next(g for g in stabilizer_group(cfg) if "matrix" in vars(g))
-    _check_isometry(cfg, g.matrix, g.permutation)
-    p = g.permutation
-    with pytest.raises(InternalConsistencyError):
-        _check_isometry(cfg, g.matrix, (p[1], p[0]) + p[2:])
-    with pytest.raises(InternalConsistencyError):
-        _check_isometry(cfg, rl.mat_scale(2, g.matrix), p)
+    p = stabilizer_group(cfg)[1]  # the first generator taken
+    _check_gram(cfg, p)
+    phi = _reference_matrix(cfg, p)
+    assert _is_isometry(cfg, phi, p)
+    swapped = (p[1], p[0]) + p[2:]
+    with pytest.raises(InternalConsistencyError, match="stabilizer permutation mismatch"):
+        _check_gram(cfg, swapped)
+    assert not _is_isometry(cfg, phi, swapped)
+    assert not _is_isometry(cfg, _reference_matrix(cfg, swapped), swapped)
+    assert not _is_isometry(cfg, rl.mat_scale(2, phi), p)
+
+
+def test_gram_certificate_rejects_every_swapped_element():
+    cfg = _config(B2, Q(25, 2))
+    grp = stabilizer_group(cfg)
+    assert len(grp) == 8
+    for p in grp:
+        _check_gram(cfg, p)
+        with pytest.raises(InternalConsistencyError, match="stabilizer permutation mismatch"):
+            _check_gram(cfg, (p[1], p[0]) + p[2:])
+
+
+def test_hidden_runs_without_rational_linear_algebra(monkeypatch):
+    cases = [(B3, Q(35, 4), 48, 1), (A3, Q(17), 48, 2), (G2, Q(26, 3), 12, 1)]
+    classes = [(rs, sphere_set(rs, WEIGHT, a_sq), order, n_orbits) for rs, a_sq, order, n_orbits in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ratlinalg called")
+
+    # Every public ratlinalg function, patched in each module that holds it.
+    public = {v for k, v in vars(rl).items() if not k.startswith("_") and getattr(v, "__module__", None) == rl.__name__}
+    for name, mod in list(sys.modules.items()):
+        if name == "casimir_lab" or name.startswith("casimir_lab."):
+            for attr, value in list(vars(mod).items()):
+                if callable(value) and value in public:
+                    monkeypatch.setattr(mod, attr, forbidden)
+    with pytest.raises(AssertionError, match="ratlinalg called"):
+        rl.inverse(identity(2))
+    for rs, cls, order, n_orbits in classes:
+        cfg = shifted_config(rs, cls)
+        grp = stabilizer_group(cfg)
+        ok, witnesses = check_weyl_inclusion(rs, cfg)
+        assert (cfg.size, len(grp), len(orbits(cfg, grp))) == (order, order, n_orbits)
+        assert ok and len(witnesses) == rs.typ.weyl_order()

@@ -33,7 +33,6 @@ from casimir_lab.oplab import (
 from casimir_lab.polyq import (
     RationalPoly,
     is_perfect_square,
-    poly_from_real_coeff_check,
     root_multiplicity_profile,
 )
 
@@ -258,7 +257,8 @@ def _reference_char_poly(a):
         coeffs[d - step] = ck
         if step < d:
             mk = gmatmul(a, gadd(mk, gscale(ck, gidentity(d))))
-    return poly_from_real_coeff_check(coeffs)
+    assert all(c.im == 0 for c in coeffs)
+    return RationalPoly.of(*(c.re for c in coeffs))
 
 
 def _non_dyadic(n):
@@ -305,6 +305,13 @@ def test_trace_recursion_catches_a_wrong_product(monkeypatch):
     op = build_operator(G1, IrrepSpec((3,)), K_OFF)
     monkeypatch.setattr(oplab, "_zmatmul", off_by_one)
     with pytest.raises(InternalConsistencyError, match="not divisible"):
+        char_poly(op)
+
+
+def test_char_poly_rejects_an_imaginary_coefficient():
+    # D = (i): det(t - D) = t - i
+    op = oplab.ExactOperator(((0,),), ((1,),), 1, IrrepSpec((0,)), diag_metric([1, 1, 1]))
+    with pytest.raises(InternalConsistencyError, match="characteristic coefficient has imaginary part -1"):
         char_poly(op)
 
 

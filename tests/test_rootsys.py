@@ -84,6 +84,14 @@ def test_weyl_cap_refusal():
         weyl_group(rs, cap=10)
 
 
+def _ambient(rs, coords):
+    """sum_i coords[i] * omega_i as an ambient rational vector."""
+    v = rl.vec([0] * rs.ambient_dim)
+    for c, w in zip(coords, rs.fundamental_weights):
+        v = rl.vadd(v, rl.vscale(c, w))
+    return v
+
+
 def _word_matrix(rs, word):
     m = rl.identity(rs.ambient_dim)
     for i in word:
@@ -94,9 +102,9 @@ def _word_matrix(rs, word):
 def test_to_dominant_lands_in_chamber():
     rs = rs_of("G", 2)
     dom, word = dominant_fw_coords(rs, (1, -3))
-    x = rs.from_fw_coords((1, -3))
-    assert all(rs.pairing(rs.from_fw_coords(dom), a) >= 0 for a in rs.simple_roots)
-    assert rl.matvec(_word_matrix(rs, word), x) == rs.from_fw_coords(dom)
+    x = _ambient(rs, (1, -3))
+    assert all(rs.pairing(_ambient(rs, dom), a) >= 0 for a in rs.simple_roots)
+    assert rl.matvec(_word_matrix(rs, word), x) == _ambient(rs, dom)
 
 
 @pytest.mark.parametrize("fam,rank", [("A", 2), ("B", 2), ("G", 2), ("A", 3)])
@@ -107,7 +115,7 @@ def test_dominant_walk_box_scan(fam, rank):
         (expected,) = [w for w in weyl_orbit(rs, m) if all(c >= 0 for c in w)]
         assert dom == expected
         w = _word_matrix(rs, word)
-        assert rl.matvec(w, rs.from_fw_coords(m)) == rs.from_fw_coords(dom)
+        assert rl.matvec(w, _ambient(rs, m)) == _ambient(rs, dom)
         assert rl.det(w) == (-1) ** len(word)
 
 
@@ -140,8 +148,5 @@ def test_integer_forms_match_the_rational_ones():
         rs = rs_of(fam, rank, Q(3, 2))
         den, g = rs.gram_fw_int
         assert rl.mat(g) == rl.mat_scale(den, rs.gram_fw)
-        coords = tuple(range(1, rank + 1))
-        expected = rl.vec([0] * rs.ambient_dim)
-        for c, w in zip(coords, rs.fundamental_weights):
-            expected = rl.vadd(expected, rl.vscale(c, w))
-        assert rs.from_fw_coords(coords) == expected
+        x, y = tuple(range(1, rank + 1)), tuple(range(rank, -rank, -2))
+        assert rs.form_fw_int(x, y) == den * rs.inner(_ambient(rs, x), _ambient(rs, y))
