@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InternalConsistencyError, NotPositiveDefinite
 from .gaussian import GZERO, QQi, gconj_transpose
-from .polyq import RationalPoly, resultant, squarefree_decomposition
+from .polyq import RationalPoly, integer_parts, resultant, squarefree_decomposition
 from .ratlinalg import frac, is_positive_definite
 
 Q = Fraction
@@ -611,32 +611,50 @@ def cluster_spectrum(ops, k: MetricParam, tol: float = 1e-9):
 def multiplicity_at_float(p: RationalPoly, x: float, tol: float = 1e-6) -> int:
     """Exact multiplicity of the root of p nearest the float estimate x.
 
-    p splits into squarefree layers (layer i collects the multiplicity-i
-    roots); within a layer roots are simple, so the Newton residual
-    |q(x)/q'(x)| is a sound distance proxy.  It is evaluated exactly at the
-    rational value of x: float Horner on large coefficients loses more than
-    the tolerance to cancellation near a root.  Exactly one layer must land
-    within tol * max(1, |x|); zero or several matches mean the estimate
-    cannot be trusted at this tolerance and is an error, not a guess.
+    p splits into squarefree layers by Yun's algorithm (Yun 1976; layer i
+    collects the multiplicity-i roots); within a layer roots are simple, so
+    the Newton residual |q(x)/q'(x)| is a sound distance proxy.  It is
+    decided exactly at the dyadic value x = n / 2^e of the float: with q
+    cleared to integer coefficients, homogeneous integer Horner gives
+    2^(e deg q) q(x) and 2^(e (deg q - 1)) q'(x), and the test
+    |q(x)| <= b |q'(x)| for the float b = tol * max(1, |x|), taken exactly,
+    is one integer comparison (float Horner on large coefficients loses
+    more than the tolerance to cancellation near a root).  Exactly one layer
+    must match; zero or several matches mean the estimate cannot be trusted
+    at this tolerance and is an error, not a guess.
     """
     if not math.isfinite(x):
         raise InternalConsistencyError(f"cluster center {x!r} is not finite")
     _, parts = squarefree_decomposition(p)
-    scale = max(1.0, abs(x))
-    exact_x = Q(x)
+    n, den = x.as_integer_ratio()
+    bound = tol * max(1.0, abs(x))
+    # b = bn / bd; b = +inf admits every layer, -inf and nan none, as the
+    # comparison with the float does.
+    bn, bd = bound.as_integer_ratio() if math.isfinite(bound) else ((1, 0) if bound > 0 else (-1, 1))
     hits = []
     for i, part in enumerate(parts):
         if part.degree <= 0:
             continue
-        dval = part.derivative().eval(exact_x)
+        q = integer_parts(part)[1]
+        dval = _homogeneous_horner([k * c for k, c in enumerate(q)][1:], n, den)
         if dval == 0:
             continue
-        if abs(part.eval(exact_x) / dval) <= tol * scale:
+        if abs(_homogeneous_horner(q, n, den)) * bd <= bn * den * abs(dval):
             hits.append(i + 1)
     if len(hits) != 1:
         raise InternalConsistencyError(
             f"cluster center {x!r} matches {len(hits)} squarefree layers at tol {tol}")
     return hits[0]
+
+
+def _homogeneous_horner(cs: list[int], n: int, den: int) -> int:
+    """den^deg * q(n / den) for the integer coefficients cs of q (degree-indexed)."""
+    acc = cs[-1]
+    power = 1
+    for c in reversed(cs[:-1]):
+        power *= den
+        acc = acc * n + c * power
+    return acc
 
 
 def casimir_cross_check(m: int) -> tuple:

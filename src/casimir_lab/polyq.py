@@ -6,10 +6,12 @@ trailing zeros; the zero polynomial has an empty coefficient tuple.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
 from . import ratlinalg as rl
+from .errors import InternalConsistencyError
 
 
 def _trim(cs) -> tuple[Q, ...]:
@@ -109,37 +111,111 @@ class RationalPoly:
         return RationalPoly(_trim([c / s**k for k, c in enumerate(self.coefficients)]))
 
 
-def poly_gcd(a: RationalPoly, b: RationalPoly) -> RationalPoly:
-    """Monic gcd over the rationals (Euclid)."""
-    while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-    if a.is_zero():
-        return a
-    return a.monic()
+def integer_parts(p: RationalPoly) -> tuple[Q, list[int]]:
+    """(c, P) with p = c * P for a nonzero p: P holds integer coefficients
+    (degree-indexed) with content 1 and a positive leading coefficient."""
+    den = math.lcm(*(c.denominator for c in p.coefficients))
+    cs = [c.numerator * (den // c.denominator) for c in p.coefficients]
+    prim = _primitive(cs)
+    return Q(cs[-1], den * prim[-1]), prim
+
+
+def _primitive(cs: list[int]) -> list[int]:
+    """cs over its content with a positive leading coefficient; [] stays []."""
+    if not cs:
+        return cs
+    g = math.gcd(*cs)
+    if cs[-1] < 0:
+        g = -g
+    return cs if g == 1 else [c // g for c in cs]
+
+
+def _derivative(cs: list[int]) -> list[int]:
+    return [k * c for k, c in enumerate(cs)][1:]
+
+
+def _sub(a: list[int], b: list[int]) -> list[int]:
+    out = [x - y for x, y in zip(a, b)] + a[len(b):] + [-y for y in b[len(a):]]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """Pseudo-remainder of lc(b)^(deg a - deg b + 1) * a by b, for deg a >= deg b >= 0."""
+    r = list(a)
+    lb, nb = b[-1], len(b)
+    for k in range(len(a) - nb, -1, -1):
+        t = r.pop()
+        r = [lb * c for c in r]
+        if t:
+            for j in range(nb - 1):
+                r[k + j] -= t * b[j]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def _exact_div(x: int, d: int) -> int:
+    q, rem = divmod(x, d)
+    if rem:
+        raise InternalConsistencyError("integer division is not exact")
+    return q
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b over the integers; a remainder signals a bug."""
+    r = list(a)
+    lb, nb = b[-1], len(b)
+    q = [0] * max(0, len(a) - nb + 1)
+    for k in range(len(q) - 1, -1, -1):
+        t = q[k] = _exact_div(r.pop(), lb)
+        if t:
+            for j in range(nb - 1):
+                r[k + j] -= t * b[j]
+    if any(r):
+        raise InternalConsistencyError("polynomial quotient is not exact")
+    return q
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd with a positive leading coefficient, by the primitive
+    pseudo-remainder sequence; a and b are not both zero."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    return a
 
 
 def squarefree_decomposition(p: RationalPoly) -> tuple[Q, list[RationalPoly]]:
     """Yun's algorithm: p = c * prod_i parts[i-1]**i with each part monic squarefree.
 
     Returns (c, [a1, a2, ...]); parts may be the constant 1 polynomial.
+    Yun (1976) runs on the primitive integer part P of p: every gcd is
+    primitive (primitive pseudo-remainders), so by Gauss's lemma every
+    quotient is exact over the integers, and an inexact one is a bug.  The
+    layers differ from Yun over Q only by constant factors, so they are
+    made monic at the end.
     """
     if p.is_zero():
         raise ValueError("squarefree decomposition of zero")
     c = p.leading()
-    p = p.monic()
     if p.degree == 0:
         return c, []
-    dp = p.derivative()
-    a = poly_gcd(p, dp)
-    b = p.divmod(a)[0]
-    d = dp.divmod(a)[0] - b.derivative()
-    parts: list[RationalPoly] = []
-    while b.degree > 0:
-        ai = poly_gcd(b, d)
-        parts.append(ai)
-        b = b.divmod(ai)[0]
-        d = d.divmod(ai)[0] - b.derivative()
-    return c, parts
+    a = integer_parts(p)[1]
+    da = _derivative(a)
+    g = _gcd(a, da)
+    b = _exact_quotient(a, g)
+    d = _sub(_exact_quotient(da, g), _derivative(b))
+    layers = []
+    while len(b) > 1:
+        ai = _gcd(b, d)
+        layers.append(ai)
+        b = _exact_quotient(b, ai)
+        d = _sub(_exact_quotient(d, ai), _derivative(b))
+    return c, [RationalPoly(tuple(Q(x, ai[-1]) for x in ai)) for ai in layers]
 
 
 def root_multiplicity_profile(p: RationalPoly) -> dict[int, int]:
@@ -154,29 +230,45 @@ def is_perfect_square(p: RationalPoly) -> bool:
     return all(part.degree == 0 for i, part in enumerate(parts) if (i + 1) % 2 == 1)
 
 
-def sylvester_matrix(p: RationalPoly, q: RationalPoly) -> rl.Mat:
-    n, m = p.degree, q.degree
-    if n < 0 or m < 0:
-        raise ValueError("Sylvester matrix needs nonzero polynomials")
-    size = n + m
-    rows = []
-    pc = list(reversed(p.coefficients))
-    qc = list(reversed(q.coefficients))
-    for i in range(m):
-        rows.append([Q(0)] * i + pc + [Q(0)] * (size - i - len(pc)))
-    for i in range(n):
-        rows.append([Q(0)] * i + qc + [Q(0)] * (size - i - len(qc)))
-    return rl.mat(rows)
-
-
 def resultant(p: RationalPoly, q: RationalPoly) -> Q:
-    """res(p, q) as the Sylvester determinant, exact.
+    """res(p, q), the Sylvester determinant, exact.
 
+    With p = cp * P and q = cq * Q for primitive integer P, Q,
+    res(p, q) = cp**deg(q) * cq**deg(p) * res(P, Q), and res(P, Q) comes
+    from the subresultant PRS over the integers (Brown & Traub 1971).
     Degenerate shapes follow the determinant of the (possibly empty)
     Sylvester matrix: res(const, const) = 1, res(p, const c) = c**deg(p).
     """
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant of the zero polynomial")
-    if p.degree == 0 and q.degree == 0:
-        return Q(1)
-    return rl.det(sylvester_matrix(p, q))
+    cp, a = integer_parts(p)
+    cq, b = integer_parts(q)
+    return cp ** q.degree * cq ** p.degree * _subresultant(a, b)
+
+
+def _subresultant(a: list[int], b: list[int]) -> int:
+    """res(a, b) of nonzero primitive integer polynomials by the subresultant
+    PRS (Cohen, A Course in Computational Algebraic Number Theory, Alg. 3.3.7)."""
+    s = 1
+    if len(a) < len(b):
+        a, b = b, a
+        if len(a) % 2 == 0 and len(b) % 2 == 0:
+            s = -1
+    if len(b) == 1:
+        return s * b[0] ** (len(a) - 1)
+    g = h = 1
+    while True:
+        delta = len(a) - len(b)
+        if len(a) % 2 == 0 and len(b) % 2 == 0:
+            s = -s
+        r = _prem(a, b)
+        if not r:
+            return 0
+        div = g * h**delta
+        a, b = b, [_exact_div(c, div) for c in r]
+        g = a[-1]
+        if delta:
+            h = _exact_div(g**delta, h ** (delta - 1))
+        if len(b) == 1:
+            n = len(a) - 1
+            return s * _exact_div(b[0] ** n, h ** (n - 1))

@@ -25,7 +25,7 @@ from . import rootsys as rsys
 from . import weights as wts
 from .errors import InternalConsistencyError, NonDominantWeight
 from .rootsys import RootSystem
-from .weights import LatticeChoice, Weight
+from .weights import Weight
 
 Coords = tuple[int, ...]
 

@@ -28,7 +28,6 @@ from .hidden import DEFAULT_POINT_CAP, DEFAULT_RANK_CAP, orbits, shifted_config,
 from .reps import (
     KMode,
     RepType,
-    VirtualDecomposition,
     classify_type,
     dual_label,
     exterior_powers,

@@ -11,7 +11,9 @@ import pytest
 
 from casimir_lab import cli
 from casimir_lab.cli import main, parse_kappa, parse_ustar, qstr
-from casimir_lab.oplab import diag_metric
+from casimir_lab.errors import InternalConsistencyError
+from casimir_lab.oplab import diag_metric, multiplicity_at_float
+from casimir_lab.polyq import RationalPoly
 from casimir_lab.reps import KMode
 from casimir_lab.rootsys import RootSystemType, build_root_system
 from casimir_lab.weights import LatticeChoice, classes_up_to
@@ -240,6 +242,129 @@ def test_certify_output_pinned(capsys, shape, digest):
         data = json.loads(out)
         assert data["status"] == "inconclusive"
         assert len(data["violations"]) == {2: 1, 0: 16}[su2]
+
+
+# Every `spectrum --numeric` request of the operator-spectrum rounds for
+# seeds 1 and 2, in round order (the four fixed requests occur in both).
+# A kappa is `diag:...` or `upper:...`, the upper triangle row by row.
+OPERATOR_SPECTRUM_REQUESTS = [
+    # seed 1
+    (2, 0, 1, "diag:3/2,13/4,15/4,3,5/2,7/4"),
+    (1, 1, 3, "upper:9/4,-1/15,-1/30,-1/30;11/4,1/30,-1/15;3,-1/15;1"),
+    (1, 0, 3, "diag:15/4,5/4,2"),
+    (1, 1, 3, "diag:7/2,7/4,2,15/4"),
+    (1, 0, 12, "diag:1,2,3"),
+    (1, 0, 3, "upper:15/4,1/30,1/15;7/4,1/30;5/4"),
+    (2, 0, 2, "diag:1,2,3,4,5,6"),
+    (1, 0, 8, "upper:1,1/5,0;2,-1/7;3"),
+    (1, 1, 4, "diag:1,2,3,4"),
+    (1, 0, 3, "upper:5/2,1/15,1/30;5/4,-1/30;9/4"),
+    (1, 1, 3, "upper:11/4,1/15,-1/30,1/30;9/4,-1/15,-1/15;15/4,-1/15;2"),
+    (1, 1, 3, "upper:11/4,-1/30,-1/30,1/30;5/2,1/30,-1/30;15/4,-1/15;9/4"),
+    (1, 0, 3, "diag:4,7/4,13/4"),
+    (1, 1, 3, "diag:1,4,5/2,11/4"),
+    (1, 1, 3, "diag:5/4,13/4,4,2"),
+    (2, 0, 1, "diag:1,5/2,3/2,2,3,11/4"),
+    (2, 0, 1, "upper:13/4,1/30,1/30,1/15,1/15,1/30;5/4,-1/30,-1/30,-1/15,-1/30;11/4,1/15,1/15,1/30;9/4,1/15,1/30;4,-1/30;3/2"),
+    # seed 2
+    (2, 0, 1, "upper:13/4,1/30,1/15,-1/15,-1/15,1/30;15/4,1/15,1/15,1/30,-1/15;11/4,-1/15,1/30,-1/15;5/4,1/30,1/30;2,1/15;9/4"),
+    (1, 1, 3, "upper:2,1/30,1/15,1/15;1,-1/30,1/15;7/4,1/15;4"),
+    (1, 1, 3, "diag:5/2,3/2,9/4,7/4"),
+    (2, 0, 2, "diag:1,2,3,4,5,6"),
+    (1, 0, 12, "diag:1,2,3"),
+    (1, 0, 3, "diag:15/4,7/4,5/4"),
+    (1, 0, 8, "upper:1,1/5,0;2,-1/7;3"),
+    (1, 1, 3, "upper:15/4,-1/30,1/15,-1/15;7/4,1/30,-1/15;2,1/15;7/2"),
+    (1, 0, 3, "upper:15/4,1/15,1/30;13/4,1/15;3"),
+    (1, 1, 3, "upper:5/2,-1/30,-1/15,1/30;3,1/15,1/15;13/4,1/30;11/4"),
+    (1, 1, 3, "diag:3/2,3,13/4,9/4"),
+    (2, 0, 1, "diag:3/2,4,7/2,1,3,9/4"),
+    (1, 0, 3, "upper:5/4,1/30,1/15;7/2,1/15;7/4"),
+    (1, 1, 4, "diag:1,2,3,4"),
+    (2, 0, 1, "diag:3,3/2,2,7/2,7/4,1"),
+    (1, 0, 3, "diag:7/4,3/2,2"),
+    (1, 1, 3, "diag:7/4,5/4,7/2,9/4"),
+]
+
+
+# Every `certify` request of the operator-certify round for seed 1, as
+# (su2, torus, rep cap, seed).
+OPERATOR_CERTIFY_REQUESTS = [
+    (0, 2, 3, 67580),
+    (1, 0, 3, 727524),
+    (2, 0, 1, 581051),
+    (1, 1, 2, 734782),
+    (0, 2, 1, 902883),
+    (1, 0, 4, 230902),
+    (1, 0, 2, 689603),
+    (2, 0, 1, 2544),
+    (0, 2, 1, 551563),
+    (2, 0, 1, 764751),
+    (1, 2, 1, 159200),
+    (1, 0, 6, 776140),
+    (1, 1, 1, 368812),
+    (1, 1, 1, 885073),
+    (3, 0, 1, 630240),
+    (3, 0, 1, 494046),
+    (1, 0, 5, 970183),
+    (2, 0, 2, 732658),
+    (1, 0, 7, 818978),
+    (2, 0, 1, 725064),
+    (1, 0, 8, 927737),
+    (3, 0, 1, 342844),
+    (1, 1, 1, 187075),
+    (2, 0, 1, 824268),
+    (0, 2, 2, 229186),
+]
+
+
+def _spectrum_argv(su2, torus, cap, kappa):
+    if kappa.startswith("upper:"):
+        rows = [row.split(",") for row in kappa[len("upper:"):].split(";")]
+        entries = [[i, i + j, x] for i, row in enumerate(rows) for j, x in enumerate(row) if x != "0"]
+        kappa = json.dumps({"n": len(rows), "entries": entries})
+    return ["spectrum", "--su2", str(su2), "--torus", str(torus), "--rep-cap", str(cap), "--kappa", kappa, "--numeric"]
+
+
+def _membership_verdicts(payload):
+    """multiplicity_at_float on every (cluster, rep) membership: the result or the error text."""
+    polys = {json.dumps(e["rep"]): RationalPoly.of(*(Q(c) for c in e["char_poly"])) for e in payload["reps"]}
+    verdicts = []
+    for cluster in payload["clusters"]:
+        for member in cluster["members"]:
+            try:
+                verdicts.append(multiplicity_at_float(polys[json.dumps(member["rep"])], cluster["center"]))
+            except InternalConsistencyError as exc:
+                verdicts.append(str(exc))
+    return verdicts
+
+
+# sha256 of the exit code, stdout, stderr and membership verdicts of every
+# request above, recorded while squarefree layers and resultants still ran
+# in Fraction arithmetic.
+OPERATOR_SPECTRUM_PIN = "1beb579a6c1abdca1ebb38a7090d0083683a2c0cd10dd4771d94778f65f57c89"
+OPERATOR_CERTIFY_PIN = "86c755b061ef9c066bf17d2e1227c7d14dcc4a0b44358ac9df4790cf5a74f7b3"
+
+
+def test_operator_spectrum_output_pinned(capsys):
+    digest = hashlib.sha256()
+    assert len(OPERATOR_SPECTRUM_REQUESTS) == 34
+    for spec in OPERATOR_SPECTRUM_REQUESTS:
+        argv = _spectrum_argv(*spec)
+        code, out, err = run(capsys, *argv)
+        verdicts = _membership_verdicts(json.loads(out)) if code == 0 else []
+        digest.update(json.dumps([argv, code, out, err, verdicts]).encode())
+    assert digest.hexdigest() == OPERATOR_SPECTRUM_PIN
+
+
+def test_operator_certify_output_pinned(capsys):
+    digest = hashlib.sha256()
+    assert len(OPERATOR_CERTIFY_REQUESTS) == 25
+    for su2, torus, cap, seed in OPERATOR_CERTIFY_REQUESTS:
+        argv = ["certify", "--su2", str(su2), "--torus", str(torus), "--rep-cap", str(cap), "--seed", str(seed)]
+        code, out, err = run(capsys, *argv)
+        digest.update(json.dumps([argv, code, out, err]).encode())
+    assert digest.hexdigest() == OPERATOR_CERTIFY_PIN
 
 
 def test_spectrum_numeric_builds_each_operator_once(capsys, monkeypatch):

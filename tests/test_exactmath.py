@@ -4,20 +4,21 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from casimir_lab import polyq
 from casimir_lab import ratlinalg as rl
-from casimir_lab.errors import DimensionMismatch, NotPositiveDefinite
+from casimir_lab.errors import DimensionMismatch, InternalConsistencyError, NotPositiveDefinite
 from casimir_lab.gaussian import GONE, GZERO, I_UNIT, QQi, gconj_transpose, gkron, gmat, gmatmul, gtrace
 from casimir_lab.polyq import (
     RationalPoly,
+    _gcd,
+    integer_parts,
     is_perfect_square,
-    poly_gcd,
     resultant,
     root_multiplicity_profile,
     squarefree_decomposition,
-    sylvester_matrix,
 )
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -152,16 +153,94 @@ def test_from_roots_and_derivative():
     assert p.derivative().eval(Q(1)) == 0  # double root kills the derivative
 
 
+def _fraction_gcd(a: RationalPoly, b: RationalPoly) -> RationalPoly:
+    """Reference: monic gcd over the rationals by Euclid."""
+    while not b.is_zero():
+        a, b = b, a.divmod(b)[1]
+    if a.is_zero():
+        return a
+    return a.monic()
+
+
+def _fraction_yun(p: RationalPoly):
+    """Reference: Yun's algorithm over the rationals with monic Euclidean gcds."""
+    c = p.leading()
+    p = p.monic()
+    if p.degree == 0:
+        return c, []
+    dp = p.derivative()
+    a = _fraction_gcd(p, dp)
+    b = p.divmod(a)[0]
+    d = dp.divmod(a)[0] - b.derivative()
+    parts = []
+    while b.degree > 0:
+        ai = _fraction_gcd(b, d)
+        parts.append(ai)
+        b = b.divmod(ai)[0]
+        d = d.divmod(ai)[0] - b.derivative()
+    return c, parts
+
+
 def test_poly_gcd_and_squarefree():
     p = RationalPoly.from_roots([Q(1), Q(1), Q(2)])
     q = RationalPoly.from_roots([Q(1), Q(3)])
-    g = poly_gcd(p, q)
-    assert g.coefficients == (Q(-1), Q(1))
+    assert _gcd(integer_parts(p)[1], integer_parts(q)[1]) == [-1, 1]
+    # contents and signs of the inputs do not reach the primitive gcd
+    assert _gcd(integer_parts(p.scale(Q(-10, 3)))[1], integer_parts(q.scale(Q(6)))[1]) == [-1, 1]
+    assert _fraction_gcd(p, q).coefficients == (Q(-1), Q(1))
     c, parts = squarefree_decomposition(p.scale(Q(5)))
     assert c == 5
     # multiplicity 1 layer = (t-2), multiplicity 2 layer = (t-1)
     assert parts[0].coefficients == (Q(-2), Q(1))
     assert parts[1].coefficients == (Q(-1), Q(1))
+
+
+def test_integer_parts():
+    c, cs = integer_parts(RationalPoly.of(Q(-3, 4), 0, Q(-9, 2)))
+    assert (c, cs) == (Q(-3, 4), [1, 0, 6])
+    assert integer_parts(RationalPoly.of(7)) == (Q(7), [1])
+
+
+def _factor(draw, degree):
+    cs = [draw(rationals) for _ in range(degree)]
+    lead = draw(rationals.filter(lambda x: x != 0))
+    return RationalPoly.of(*cs, lead)
+
+
+@st.composite
+def repeated_factor_products(draw):
+    """c * prod f_i**m_i for rational linear and quadratic f_i and m_i <= 3."""
+    p = RationalPoly.of(draw(st.fractions(min_value=-40, max_value=40, max_denominator=30).filter(lambda x: x != 0)))
+    for _ in range(draw(st.integers(0, 4))):
+        f = _factor(draw, draw(st.integers(1, 2)))
+        for _ in range(draw(st.integers(1, 3))):
+            p = p * f
+    return p
+
+
+@given(repeated_factor_products())
+def test_squarefree_decomposition_matches_the_fraction_yun(p):
+    assert squarefree_decomposition(p) == _fraction_yun(p)
+
+
+def test_squarefree_decomposition_layers():
+    # (2t+1)^3 (t^2+1)^2 (3t-2) / 7: layers 1, 2, 3 hold one factor each
+    cube, square = RationalPoly.of(1, 2), RationalPoly.of(1, 0, 1)
+    p = cube * cube * cube * square * square * RationalPoly.of(-2, 3)
+    c, parts = squarefree_decomposition(p.scale(Q(1, 7)))
+    assert c == Q(24, 7)
+    assert [part.coefficients for part in parts] == [(Q(-2, 3), 1), (1, 0, 1), (Q(1, 2), 1)]
+
+
+def test_inexact_quotient_is_a_bug(monkeypatch):
+    with pytest.raises(InternalConsistencyError, match="polynomial quotient is not exact"):
+        polyq._exact_quotient([1, 0, 1], [1, 1])  # (t^2 + 1) / (t + 1)
+    with pytest.raises(InternalConsistencyError, match="integer division is not exact"):
+        polyq._exact_quotient([1, 0, 3], [0, 2])  # 3t^2 + 1 over 2t
+    # a wrong gcd makes Yun's quotients inexact
+    monkeypatch.setattr(polyq, "_gcd", lambda a, b: [1, 1])
+    with pytest.raises(InternalConsistencyError):
+        squarefree_decomposition(RationalPoly.from_roots([1, 1, 2]))
 
 
 def test_multiplicity_profile_and_perfect_square():
@@ -189,6 +268,22 @@ def _prs_resultant(p: RationalPoly, q: RationalPoly) -> Q:
     return sign * q.leading() ** (p.degree - r.degree) * _prs_resultant(q, r)
 
 
+def _sylvester(p: RationalPoly, q: RationalPoly) -> rl.Mat:
+    """Reference: the Sylvester matrix, deg q rows of p then deg p rows of q."""
+    n, m = p.degree, q.degree
+    size = n + m
+    pc = list(reversed(p.coefficients))
+    qc = list(reversed(q.coefficients))
+    rows = [[Q(0)] * i + pc + [Q(0)] * (size - i - len(pc)) for i in range(m)]
+    rows += [[Q(0)] * i + qc + [Q(0)] * (size - i - len(qc)) for i in range(n)]
+    return rl.mat(rows)
+
+
+def _sylvester_resultant(p: RationalPoly, q: RationalPoly) -> Q:
+    """Reference: the Sylvester determinant; the empty matrix has determinant 1."""
+    return rl.det(_sylvester(p, q)) if p.degree + q.degree > 0 else Q(1)
+
+
 def test_resultant_matches_prs_oracle():
     rng = random.Random(2026)
     for _ in range(20):
@@ -212,8 +307,64 @@ def test_resultant_detects_common_roots():
 def test_sylvester_matrix_shape():
     p = RationalPoly.of(1, 2, 3)
     q = RationalPoly.of(4, 5)
-    m = sylvester_matrix(p, q)
+    m = _sylvester(p, q)
     assert len(m) == 3 and all(len(row) == 3 for row in m)
+    assert rl.det(m) == resultant(p, q)
+
+
+def test_resultant_abnormal_remainder_sequence():
+    # Knuth's pair: the remainder degrees 8, 6, 4, 2, 1, 0 skip after the first step
+    p = RationalPoly.of(-5, 2, 8, -3, -3, 0, 1, 0, 1)
+    q = RationalPoly.of(21, -9, -4, 0, 5, 0, 3)
+    assert resultant(p, q) == _sylvester_resultant(p, q) == _prs_resultant(p, q) != 0
+
+
+def test_resultant_degenerate_shapes():
+    c, d = RationalPoly.of(Q(-2, 3)), RationalPoly.of(5)
+    p = RationalPoly.of(1, Q(1, 2), 0, 3)
+    assert resultant(c, d) == 1
+    assert resultant(p, c) == Q(-8, 27) and resultant(c, p) == Q(-8, 27)
+    with pytest.raises(ValueError):
+        resultant(p, RationalPoly.of())
+
+
+RESULTANT_SHAPES = ("deg 0/0", "p/const", "const/p", "p/p'", "p/p''", "common root", "even", "random")
+
+
+def _of_t_squared(cs):
+    """p(t^2) for p with coefficients cs: its remainder sequences drop degrees by 2."""
+    return RationalPoly.of(*[c for x in cs for c in (x, 0)])
+
+
+@settings(max_examples=400)
+@given(
+    st.sampled_from(RESULTANT_SHAPES),
+    st.lists(rationals, min_size=1, max_size=7),
+    st.lists(rationals, min_size=1, max_size=5),
+    rationals,
+)
+def test_resultant_matches_sylvester_and_prs(shape, pcs, qcs, root):
+    p, q = RationalPoly.of(*pcs), RationalPoly.of(*qcs)
+    if shape == "deg 0/0":
+        p, q = RationalPoly.of(pcs[0] or 1), RationalPoly.of(qcs[0] or 1)
+    elif shape in ("p/const", "const/p"):
+        q = RationalPoly.of(qcs[0] or 1)
+        if shape == "const/p":
+            p, q = q, p
+    elif shape == "p/p'":
+        q = p.derivative()
+    elif shape == "p/p''":
+        q = p.derivative().derivative()
+    elif shape == "common root":
+        linear = RationalPoly.of(-root, 1)
+        p, q = p * linear, q * linear
+    elif shape == "even":
+        p, q = _of_t_squared(pcs), _of_t_squared(qcs) * RationalPoly.of(root, 0, 1)
+    assume(not p.is_zero() and not q.is_zero())
+    value = resultant(p, q)
+    assert value == _sylvester_resultant(p, q) == _prs_resultant(p, q)
+    if shape == "common root":
+        assert value == 0
 
 
 def test_substitute_scaled():

@@ -34,6 +34,7 @@ from casimir_lab.polyq import (
     RationalPoly,
     is_perfect_square,
     root_multiplicity_profile,
+    squarefree_decomposition,
 )
 
 G1 = GroupSpec(1)
@@ -339,6 +340,60 @@ def test_multiplicity_at_float_rejects_non_finite():
     for x in (float("nan"), float("inf")):
         with pytest.raises(InternalConsistencyError):
             multiplicity_at_float(p, x)
+
+
+def _fraction_multiplicity_at_float(p, x, tol=1e-6):
+    """Reference: the Newton residual |q(x)/q'(x)| of each squarefree layer in
+    Fraction arithmetic, compared with the float tol * max(1, |x|)."""
+    _, parts = squarefree_decomposition(p)
+    hits = []
+    for i, part in enumerate(parts):
+        if part.degree <= 0:
+            continue
+        dval = part.derivative().eval(Q(x))
+        if dval != 0 and abs(part.eval(Q(x)) / dval) <= tol * max(1.0, abs(x)):
+            hits.append(i + 1)
+    if len(hits) != 1:
+        return f"cluster center {x!r} matches {len(hits)} squarefree layers at tol {tol}"
+    return hits[0]
+
+
+def _verdict(p, x, tol=1e-6):
+    try:
+        return multiplicity_at_float(p, x, tol)
+    except InternalConsistencyError as exc:
+        return str(exc)
+
+
+HALF_BELOW, HALF_ABOVE = Q(1, 2) - Q(1, 2**60), Q(1, 2) + Q(1, 2**60)
+BIG = 2**61 + 3
+
+
+@pytest.mark.parametrize("roots,x,tol,expected", [
+    # the residual of the layer t - r at x = 1 is |1 - r|, against the bound 1/2
+    ([Q(1, 2), 10, 10], 1.0, 0.5, 1),
+    ([Q(1, 2), Q(1, 2), 10], 1.0, 0.5, 2),
+    ([HALF_ABOVE, 10, 10], 1.0, 0.5, 1),
+    ([HALF_BELOW, 10, 10], 1.0, 0.5, "cluster center 1.0 matches 0 squarefree layers at tol 0.5"),
+    # at 0 the layer t^2 - 1/4 has a zero derivative and is skipped
+    ([0, 3, 3], 0.0, 1e-6, 1),
+    ([Q(1, 2), Q(-1, 2), Q(1, 2), Q(-1, 2), 7], 0.0, 1e-6,
+     "cluster center 0.0 matches 0 squarefree layers at tol 1e-06"),
+    ([Q(-3, 2)] * 3 + [1], -1.5, 1e-6, 3),
+    ([Q(-3, 2)] * 3 + [1], -1.4999999999, 1e-6, 3),
+    ([Q(-3, 2)] * 3 + [1], -1.49, 1e-6, "cluster center -1.49 matches 0 squarefree layers at tol 1e-06"),
+    ([BIG, 1, 1], float(BIG), 1e-6, 1),
+    ([BIG, BIG, 1], -float(BIG), 1e-6, "cluster center -2.305843009213694e+18 matches 0 squarefree layers at tol 1e-06"),
+    ([0, 1, 1], 5e-324, 1e-6, 1),
+    ([Q(5e-324), Q(5e-324), 1], 5e-324, 0.0, 2),
+    ([Q(5e-324), 1, 1], 1e-323, 0.0, "cluster center 1e-323 matches 0 squarefree layers at tol 0.0"),
+    # an infinite bound admits every layer, nan none
+    ([1, 2, 2], 1.0, float("inf"), "cluster center 1.0 matches 2 squarefree layers at tol inf"),
+    ([1, 2, 2], 1.0, float("nan"), "cluster center 1.0 matches 0 squarefree layers at tol nan"),
+])
+def test_multiplicity_at_float_matches_the_fraction_residual(roots, x, tol, expected):
+    p = RationalPoly.from_roots(roots).scale(Q(-7, 3))
+    assert _verdict(p, x, tol) == _fraction_multiplicity_at_float(p, x, tol) == expected
 
 
 def test_cluster_spectrum_matches_numeric_spectrum():
