@@ -250,7 +250,7 @@ def _table_rows(rows) -> list:
 # subcommands
 
 
-def cmd_classes(args) -> dict:
+def cmd_classes(args, keep=lambda rs, cls: True) -> dict:
     rs = _build_rs(args)
     classes = classes_up_to(rs, _lattice(args), args.cap)
     return {
@@ -264,6 +264,7 @@ def cmd_classes(args) -> dict:
                 "sphere_size": len(c.sphere_members),
             }
             for c in classes
+            if keep(rs, c)
         ],
     }
 
@@ -278,14 +279,8 @@ def _has_nondual_pair(rs, cls) -> bool:
 
 
 def cmd_coincidences(args) -> dict:
-    rs = _build_rs(args)
-    payload = cmd_classes(args)
-    keep = []
-    for c, row in zip(classes_up_to(rs, _lattice(args), args.cap), payload["classes"]):
-        if _has_nondual_pair(rs, c):
-            keep.append(row)
-    payload["classes"] = keep
-    return payload
+    """The classes holding a dominant pair that duality does not exchange."""
+    return cmd_classes(args, keep=_has_nondual_pair)
 
 
 def cmd_hidden(args) -> dict:

@@ -90,26 +90,6 @@ class RationalPoly:
             acc = acc * x + c
         return acc
 
-    def divmod(self, other: "RationalPoly") -> tuple["RationalPoly", "RationalPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        r = list(self.coefficients)
-        d = other.coefficients
-        qc = [Q(0)] * max(0, len(r) - len(d) + 1)
-        inv = 1 / d[-1]
-        for k in range(len(r) - len(d), -1, -1):
-            f = r[k + len(d) - 1] * inv
-            qc[k] = f
-            if f != 0:
-                for j, c in enumerate(d):
-                    r[k + j] -= f * c
-        return RationalPoly(_trim(qc)), RationalPoly(_trim(r))
-
-    def substitute_scaled(self, s) -> "RationalPoly":
-        """p(t/s) for rational s != 0."""
-        s = rl.frac(s)
-        return RationalPoly(_trim([c / s**k for k, c in enumerate(self.coefficients)]))
-
 
 def integer_parts(p: RationalPoly) -> tuple[Q, list[int]]:
     """(c, P) with p = c * P for a nonzero p: P holds integer coefficients

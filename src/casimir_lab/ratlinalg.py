@@ -8,7 +8,7 @@ at the very end.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterable, Iterator
 
 from .errors import DimensionMismatch, NotPositiveDefinite
@@ -133,11 +133,6 @@ def inverse(a: Mat) -> Mat:
     return tuple(tuple(row[n:]) for row in rows)
 
 
-def solve(a: Mat, b: Vec) -> Vec:
-    """Solve a @ x = b for square invertible a."""
-    return matvec(inverse(a), b)
-
-
 def det(a: Mat) -> Q:
     """Exact determinant via Bareiss on the denominator-cleared integer matrix."""
     n = len(a)
@@ -148,11 +143,9 @@ def det(a: Mat) -> Q:
     scale = ONE
     m: list[list[int]] = []
     for row in a:
-        lcm = 1
-        for x in row:
-            lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
-        scale *= lcm
-        m.append([int(x * lcm) for x in row])
+        den = lcm(*(x.denominator for x in row))
+        scale *= den
+        m.append([int(x * den) for x in row])
     # Bareiss: exact integer one-step fraction-free elimination.
     sign = 1
     prev = 1
@@ -169,12 +162,6 @@ def det(a: Mat) -> Q:
             m[i][k] = 0
         prev = m[k][k]
     return Q(sign * m[n - 1][n - 1], 1) / scale
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def ldl(g: Mat) -> tuple[list[Q], list[list[Q]]]:
@@ -201,28 +188,31 @@ def ldl(g: Mat) -> tuple[list[Q], list[list[Q]]]:
     return d, u
 
 
+def fraction_free_ldl(g) -> tuple[tuple[int, ...], ...]:
+    """Rows (A_kk, ..., A_k,n-1) of the integer stages A of Bareiss elimination
+    (Bareiss 1968) of a symmetric integer g: with Q_k the form of A on y_k..
+    (Q_0 = y^T g y), A_kk Q_k = (sum_j A_kj y_j)^2 + A_{k-1,k-1} Q_{k+1}.
+    A nonpositive A_kk, a leading principal minor, raises NotPositiveDefinite."""
+    a, rows, prev = [list(r) for r in g], [], 1
+    for k in range(len(a)):
+        p = a[k][k]
+        if p <= 0:
+            raise NotPositiveDefinite(f"pivot {k} is {p}")
+        rows.append(tuple(a[k][k:]))
+        for i in range(k + 1, len(a)):
+            for j in range(k + 1, len(a)):
+                a[i][j] = (p * a[i][j] - a[i][k] * a[k][j]) // prev
+        prev = p
+    return tuple(rows)
+
+
 def is_positive_definite(g: Mat) -> bool:
+    den = lcm(*(x.denominator for row in g for x in row))
     try:
-        ldl(g)
+        fraction_free_ldl([[int(x * den) for x in row] for row in g])
         return True
     except NotPositiveDefinite:
         return False
-
-
-def int_interval_shifted_square(c: Q, bound: Q) -> range:
-    """All integers y with (y + c)^2 <= bound, as a range, exactly.
-
-    Empty range when bound < 0.  Pure integer arithmetic throughout.
-    """
-    if bound < 0:
-        return range(0)
-    cn, cd = c.numerator, c.denominator
-    # (y*cd + cn)^2 <= bound*cd^2 ; integer t = y*cd + cn, so t^2 <= floor(X).
-    x = bound * cd * cd
-    t_max = isqrt(x.numerator // x.denominator)
-    lo = -((t_max + cn) // cd)  # ceil((-t_max - cn)/cd) = -floor((t_max + cn)/cd)
-    hi = (t_max - cn) // cd
-    return range(lo, hi + 1)
 
 
 def ellipsoid_points(g: Mat, center: Vec, bound: Q) -> Iterator[tuple[int, ...]]:
@@ -240,7 +230,10 @@ def ellipsoid_points(g: Mat, center: Vec, bound: Q) -> Iterator[tuple[int, ...]]
     def descend(i: int, remaining: Q) -> Iterator[tuple[int, ...]]:
         # Level i contributes d[i]*(z_i + sum_{j>i} u[i][j] z_j)^2 with z = y - center.
         shift = -center[i] + sum((u[i][j] * (y[j] - center[j]) for j in range(i + 1, n)), ZERO)
-        for yi in int_interval_shifted_square(shift, remaining / d[i]):
+        # (yi + shift)^2 <= remaining / d[i]: t = yi*den + num, t^2 <= floor(x)
+        num, den, x = shift.numerator, shift.denominator, remaining / d[i] * shift.denominator**2
+        t_max = isqrt(x.numerator // x.denominator)
+        for yi in range(-((t_max + num) // den), (t_max - num) // den + 1):
             y[i] = yi
             used = d[i] * (yi + shift) ** 2
             if i == 0:

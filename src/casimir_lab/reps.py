@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction as Q
 from functools import lru_cache
+from operator import mul
 
-from . import ratlinalg as rl
 from . import rootsys as rsys
 from . import weights as wts
 from .errors import InternalConsistencyError, NonDominantWeight
@@ -143,24 +143,16 @@ def _dominant_weight_multiplicities(rs: RootSystem, coords: Coords) -> dict[Coor
     mu_d_sq = form(mu_d, mu_d)
     mu_sq = form(mu, mu)
 
-    # Dominant candidates: mu - sum c_i alpha_i with c >= 0 integral, inside the
-    # shifted ball |nu + delta|^2 <= |mu + delta|^2.  Enumerate c on an exact
-    # ellipsoid: |mu + delta - A^T c|^2 <= |mu + delta|^2.  The simple root
-    # alpha_i has fundamental-weight coordinates row i of the Cartan matrix.
-    simple = rs.cartan_matrix
-    den = rs.gram_fw_int[0]
-    gram_a = rl.mat([[Q(form(a, b), den) for b in simple] for a in simple])
-    rhs = rl.vec([Q(form(a, mu_d), den) for a in simple])
-    center = rl.solve(gram_a, rhs)
-    bound = rl.dot(center, rl.matvec(gram_a, center))
-
+    # Dominant candidates: the dominant nu with |nu + delta|^2 <= |mu + delta|^2
+    # and mu - nu = C^T c for an integral c >= 0, alpha_i being row i of the
+    # Cartan matrix C; q c = (q C^-T)(mu - nu), and the height of nu is sum(c).
+    q, adj = wts.cartan_inverse_int(rs)
     candidates: list[tuple[int, Coords]] = []
-    for c in rl.ellipsoid_points(gram_a, center, bound):
-        if any(ci < 0 for ci in c):
-            continue
-        nu = tuple(mi - sum(ci * row[j] for ci, row in zip(c, simple)) for j, mi in enumerate(mu))
-        if all(x >= 0 for x in nu):
-            candidates.append((sum(c), nu))
+    for nu, _ in wts.lattice_points(rs, mu_d_sq, dominant=True):
+        diff = tuple(a - b for a, b in zip(mu, nu))
+        qc = [sum(map(mul, col, diff)) for col in zip(*adj)]
+        if min(qc) >= 0 and all(v % q == 0 for v in qc):
+            candidates.append((sum(qc) // q, nu))
     candidates.sort()
 
     mults: dict[Coords, int] = {}
@@ -240,7 +232,7 @@ def decompose_character(rs: RootSystem, char: dict[Coords, int]) -> VirtualDecom
         dominants = [w for w in work if all(x >= 0 for x in w)]
         if not dominants:
             raise InternalConsistencyError("character with no dominant support is not genuine")
-        nu = max(dominants, key=lambda w: (wts.shifted_norm_sq(rs, wts.make_weight(rs, w)), w))
+        nu = max(dominants, key=lambda w: (wts.shifted_norm_sq(rs, Weight(w)), w))
         mult = work[nu]
         if mult < 0:
             raise InternalConsistencyError("negative leading multiplicity in character")

@@ -42,7 +42,7 @@ from .weights import (
     Weight,
     casimir_eigenvalue,
     classes_up_to,
-    make_weight,
+    enumerate_dominant,
     shifted_norm_sq,
     sphere_set,
 )
@@ -466,19 +466,13 @@ def hodge_rank1_check(cap) -> HodgeTable:
     ext = exterior_powers(adjoint_rep(rs), 3)
     rows = []
     discrepancies = []
-    m = 0
-    while True:
-        rs_weight = make_weight(rs, (m,))
-        a_sq = shifted_norm_sq(rs, rs_weight)
-        if a_sq > cap:
-            break
-        lam = casimir_eigenvalue(rs, rs_weight)
-        v = rep(rs, (m,))
+    for mu in enumerate_dominant(rs, LatticeChoice.WEIGHT, cap):
+        lam = casimir_eigenvalue(rs, mu)
+        v = rep(rs, mu.fw_coords)
         dims = tuple(invariant_dim((v, v), ext[p], KMode.DIAGONAL) for p in range(4))
-        rows.append(HodgeRow((m,), a_sq, lam, dims, all(d > 0 for d in dims)))
+        rows.append(HodgeRow(mu.fw_coords, shifted_norm_sq(rs, mu), lam, dims, all(d > 0 for d in dims)))
         for p in range(4):
             if dims[p] == 0:
                 note = HARMONIC_NOTE if lam == 0 else "membership fails at positive lambda"
-                discrepancies.append(HodgeDiscrepancy((m,), p, lam, note))
-        m += 1
+                discrepancies.append(HodgeDiscrepancy(mu.fw_coords, p, lam, note))
     return HodgeTable(cap, tuple(rows), tuple(discrepancies))

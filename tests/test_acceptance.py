@@ -50,7 +50,7 @@ from casimir_lab.weights import (
     casimir_eigenvalue,
     classes_up_to,
     dual_weight,
-    in_lattice,
+    in_root_lattice,
     make_weight,
 )
 
@@ -281,7 +281,7 @@ def _box_scan_classes(rs, lat, cap, span):
     """Naive oracle: scan a coordinate box, bucket by shifted norm."""
     buckets = {}
     for coords in itertools.product(range(-span, span + 1), repeat=rs.rank):
-        if not in_lattice(rs, lat, coords):
+        if lat is LatticeChoice.ROOT and not in_root_lattice(rs, coords):
             continue
         shifted = rs.delta
         for c, w in zip(coords, rs.fundamental_weights):
@@ -307,6 +307,16 @@ def _convolve(rs, v, w):
     return decompose_character(rs, prod)
 
 
+def _poly_rem(p, d):
+    """The remainder of p by d over the rationals."""
+    r = list(p.coefficients)
+    for k in range(len(r) - d.degree - 1, -1, -1):
+        f = r[k + d.degree] / d.leading()
+        for j, c in enumerate(d.coefficients):
+            r[k + j] -= f * c
+    return RationalPoly.of(*r)
+
+
 def _prs_resultant(p, q):
     """Euclidean remainder recursion; independent of the Sylvester route."""
     if p.is_zero() or q.is_zero():
@@ -316,7 +326,7 @@ def _prs_resultant(p, q):
         return sign * _prs_resultant(q, p)
     if q.degree == 0:
         return q.leading() ** p.degree
-    r = p.divmod(q)[1]
+    r = _poly_rem(p, q)
     if r.is_zero():
         return Q(0)
     sign = -1 if (p.degree * q.degree) % 2 else 1

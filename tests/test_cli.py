@@ -5,6 +5,7 @@ import itertools
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -16,7 +17,7 @@ from casimir_lab.oplab import diag_metric, multiplicity_at_float
 from casimir_lab.polyq import RationalPoly
 from casimir_lab.reps import KMode
 from casimir_lab.rootsys import RootSystemType, build_root_system
-from casimir_lab.weights import LatticeChoice, classes_up_to
+from casimir_lab.weights import DEFAULT_NODE_CAP, LatticeChoice, classes_up_to
 
 A2 = build_root_system(RootSystemType("A", 2))
 
@@ -78,6 +79,23 @@ def test_hidden_cap_refusal_machine_readable(capsys):
     assert reason == {"error": "cap-exceeded", "what": "configuration size", "actual": 18, "limit": 10}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hidden", "--type", "E", "--rank", "6", "--a2", "80"),
+        ("classes", "--type", "A", "--rank", "3", "--cap", "100000"),
+        ("report", "--type", "A", "--rank", "3", "--cap", "2000"),
+    ],
+)
+def test_enumeration_refused_while_it_runs(capsys, argv):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (3, "")
+    reason = json.loads(err)
+    assert reason["what"] == "enumeration nodes" and reason["limit"] == DEFAULT_NODE_CAP < reason["actual"]
+
+
 def _hidden_argv(name, a_sq, *extra):
     return ["hidden", "--type", name[0], "--rank", name[1:], "--a2", str(a_sq), *extra]
 
@@ -122,6 +140,31 @@ def test_hidden_output_pinned(capsys):
         code, out, err = run(capsys, *argv)
         digest.update(json.dumps([argv, code, out, err]).encode())
     assert digest.hexdigest() == HIDDEN_PIN
+
+
+def _pinned_rank3_hidden_requests():
+    """Every 48-point class of A3, B3 and C3 with a^2 <= 21."""
+    argvs = []
+    for name in ("A3", "B3", "C3"):
+        rs = build_root_system(RootSystemType(name[0], int(name[1:])))
+        classes = classes_up_to(rs, LatticeChoice.WEIGHT, 21)
+        argvs += [_hidden_argv(name, c.a_sq) for c in classes if len(c.sphere_members) == 48]
+    return argvs
+
+
+# sha256 of the exit code, stdout and stderr of every request above, recorded
+# while sphere sets still came from the Fraction ellipsoid scan.
+RANK3_HIDDEN_PIN = "f5ac9f3d8a5d3e4b9dfc4ae58199a863dd6485c195c193f66d7a82831988b712"
+
+
+def test_rank3_hidden_output_pinned(capsys):
+    digest = hashlib.sha256()
+    argvs = _pinned_rank3_hidden_requests()
+    assert len(argvs) == 12
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        digest.update(json.dumps([argv, code, out, err]).encode())
+    assert digest.hexdigest() == RANK3_HIDDEN_PIN
 
 
 def _sys_argv(name):

@@ -3,9 +3,12 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casimir_lab import ratlinalg as rl
-from casimir_lab.errors import NotInLattice
+from casimir_lab import weights
+from casimir_lab.errors import CapExceeded, NotInLattice
 from casimir_lab.rootsys import RootSystemType, build_root_system
 from casimir_lab.weights import (
     LatticeChoice,
@@ -15,6 +18,7 @@ from casimir_lab.weights import (
     dual_weight,
     enumerate_dominant,
     in_root_lattice,
+    lattice_points,
     make_weight,
     shifted_norm_sq,
     sphere_set,
@@ -160,3 +164,74 @@ def test_degenerate_radius_classes():
     zero = sphere_set(rs, W, 0)
     assert zero.dominant_members == ()
     assert [w.fw_coords for w in zero.sphere_members] == [(-1,)]
+
+
+# --- the integer Fincke-Pohst enumerator against the Fraction one ---
+
+# (family, rank, largest a^2 drawn): the Fraction reference stays fast.
+SYSTEMS = [("A", 1, 60), ("A", 2, 40), ("B", 2, 40), ("G", 2, 40), ("A", 3, 20), ("B", 3, 20), ("C", 3, 20), ("D", 4, 10)]
+scales = st.fractions(min_value=Q(1, 3), max_value=3, max_denominator=7)
+
+
+@st.composite
+def bounds(draw):
+    """A system at a scale and a bound up to the system's a^2 in units of its
+    form den * gram_fw."""
+    fam, rank, cap = draw(st.sampled_from(SYSTEMS))
+    rs = rs_of(fam, rank, draw(scales))
+    return rs, draw(st.integers(-3, int(cap * rs.metric_scale * rs.gram_fw_int[0])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bounds(), st.booleans())
+def test_lattice_points_match_fraction_fincke_pohst(case, dominant):
+    """Ball mode is the Fraction scan of |m + 1|^2 <= bound / den; shell mode
+    is the ball filtered to norm == bound; dominant keeps m >= 0."""
+    rs, bound = case
+    den = rs.gram_fw_int[0]
+    ref = rl.ellipsoid_points(rs.gram_fw, (Q(-1),) * rs.rank, Q(bound, den))
+    norm = {m: int(den * shifted_norm_sq(rs, make_weight(rs, m))) for m in ref if not dominant or min(m) >= 0}
+    assert sorted(lattice_points(rs, bound, dominant=dominant)) == sorted(norm.items())
+    shell = lattice_points(rs, bound, shell=True, dominant=dominant)
+    assert sorted(shell) == sorted((m, n) for m, n in norm.items() if n == bound)
+
+
+@st.composite
+def radii(draw):
+    """A system, a scale and a^2: on a weight's sphere, or any rational."""
+    fam, rank, cap = draw(st.sampled_from(SYSTEMS))
+    rs = rs_of(fam, rank, draw(scales))
+    weight = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)
+    sphere = weight.map(lambda m: shifted_norm_sq(rs, make_weight(rs, m)))
+    a_sq = draw(st.one_of(sphere, st.fractions(min_value=-1, max_value=cap, max_denominator=12), st.just(Q(0))))
+    return rs, min(a_sq, cap * rs.metric_scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(radii(), st.sampled_from([W, R]))
+def test_sphere_sets_and_classes_match_fraction_scan(case, lat):
+    rs, a_sq = case
+    center = (Q(-1),) * rs.rank
+    ref = {}
+    for m in rl.ellipsoid_points(rs.gram_fw, center, a_sq):
+        if lat is W or in_root_lattice(rs, m):
+            ref.setdefault(shifted_norm_sq(rs, make_weight(rs, m)), []).append(m)
+    assert [w.fw_coords for w in sphere_set(rs, lat, a_sq).sphere_members] == sorted(ref.get(a_sq, []))
+    anchored = sorted(n for n, ms in ref.items() if any(min(m) >= 0 for m in ms))
+    got = classes_up_to(rs, lat, a_sq)
+    assert [c.a_sq for c in got] == anchored
+    assert all([w.fw_coords for w in c.sphere_members] == sorted(ref[c.a_sq]) for c in got)
+    doms = sorted(m for ms in ref.values() for m in ms if min(m) >= 0)
+    assert [w.fw_coords for w in enumerate_dominant(rs, lat, a_sq)] == doms
+
+
+def test_enumeration_refused_past_node_cap(monkeypatch):
+    rs = rs_of("A", 2)
+    assert len(lattice_points(rs, 600)) > 100
+    monkeypatch.setattr(weights, "DEFAULT_NODE_CAP", 100)
+    with pytest.raises(CapExceeded) as exc:
+        lattice_points(rs, 600)
+    assert (exc.value.what, exc.value.limit) == ("enumeration nodes", 100) and exc.value.actual > 100
+    monkeypatch.setattr(weights, "DEFAULT_NODE_CAP", 10)
+    with pytest.raises(CapExceeded):
+        lattice_points(rs, 600, shell=True)
