@@ -69,7 +69,6 @@ from .rootsys import RootSystem, RootSystemType, WeylElement, build_root_system,
 from .spectra import (
     EstimateBound,
     HodgeTable,
-    RealSpectralReport,
     SpectralReport,
     generic_estimate,
     hodge_rank1_check,

@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
 from enum import Enum
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -67,8 +66,19 @@ def qstr(x) -> str:
     return str(Q(x))
 
 
+# Dataclass fields are their JSON keys, except these.
+_FIELD_KEYS = {"lam": "lambda"}
+# Leaves returned as they are, tested first: most of a payload is leaves.
+_PLAIN = frozenset((str, int, bool, float, type(None)))
+
+
 def _jsonable(obj):
-    """Recursively rewrite payloads into plain JSON values (exactly)."""
+    """Recursively rewrite payloads into plain JSON values (exactly).
+
+    A dataclass becomes a dict of its fields (properties are not emitted).
+    """
+    if type(obj) in _PLAIN:
+        return obj
     if isinstance(obj, Q):
         return qstr(obj)
     if isinstance(obj, dict):
@@ -77,6 +87,9 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, Enum):
         return obj.value
+    fields = getattr(obj, "__dataclass_fields__", None)
+    if fields is not None:
+        return {_FIELD_KEYS.get(name, name): _jsonable(getattr(obj, name)) for name in fields}
     return obj
 
 
@@ -384,16 +397,7 @@ def cmd_estimate(args) -> dict:
     kmode = _kmode(args)
     ustar = parse_ustar(args.ustar, kmode, rs)
     mu = make_weight(rs, _parse_coords(args.weight), _lattice(args))
-    est = generic_estimate(rs, _lattice(args), kmode, ustar, mu)
-    return {
-        "schema": SCHEMA,
-        "context": est.context,
-        "mu_lambda": list(est.mu_lambda),
-        "a_sq": est.a_sq,
-        "lambda": est.lam,
-        "terms": [asdict(t) for t in est.terms],
-        "total_dim": est.total_dim,
-    }
+    return {"schema": SCHEMA, **_jsonable(generic_estimate(rs, _lattice(args), kmode, ustar, mu))}
 
 
 def cmd_report(args) -> dict:
@@ -410,48 +414,11 @@ def cmd_report(args) -> dict:
         point_cap=args.point_cap,
         rank_cap=args.rank_cap,
     )
-    # Member field names are their JSON keys; class rows rename lam to "lambda".
-    classes = [
-        {
-            "a_sq": c.a_sq,
-            "lambda": c.lam,
-            "flag": c.flag,
-            "orbit_count": c.orbit_count,
-            "eigenspace_dim": c.eigenspace_dim,
-            "members": [asdict(m) for m in c.members],
-        }
-        for c in report.classes
-    ]
-    return {
-        "schema": SCHEMA,
-        "real": bool(args.real),
-        "context": report.context,
-        "labels": report.labels,
-        "classes": classes,
-        "total_dim": report.total_dim,
-    }
+    return {"schema": SCHEMA, "real": bool(args.real), "total_dim": report.total_dim, **_jsonable(report)}
 
 
 def cmd_hodge(args) -> dict:
-    table = hodge_rank1_check(args.cap)
-    return {
-        "schema": SCHEMA,
-        "cap": table.cap,
-        "rows": [
-            {
-                "mu": list(r.mu),
-                "a_sq": r.a_sq,
-                "lambda": r.lam,
-                "invariant_dims": list(r.invariant_dims),
-                "member_all_p": r.member_all_p,
-            }
-            for r in table.rows
-        ],
-        "discrepancies": [
-            {"mu": list(d.mu), "p": d.p, "lambda": d.lam, "annotation": d.annotation}
-            for d in table.discrepancies
-        ],
-    }
+    return {"schema": SCHEMA, **_jsonable(hodge_rank1_check(args.cap))}
 
 
 # ---------------------------------------------------------------------------

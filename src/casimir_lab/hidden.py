@@ -54,34 +54,43 @@ class ShiftedConfig:
 
     coords[i] are the fundamental-weight coordinates mu + 1 of the shifted
     point mu + delta, in sorted order; gram_int[i][j] is den times the inner
-    product of points i and j, with den = rs.gram_fw_int[0].
+    product of points i and j, with den = rs.gram_fw_int[0].  The Gram
+    matrix has size^2 entries, so it is built on first use, after the
+    point cap has been checked.
     """
 
     rs: RootSystem
     a_sq: Q
     coords: tuple[tuple[int, ...], ...]
-    gram_int: tuple[tuple[int, ...], ...]
 
     @property
     def size(self) -> int:
         return len(self.coords)
 
     @cached_property
+    def gram_int(self) -> tuple[tuple[int, ...], ...]:
+        g_coords = _fw_images(self.rs, self.coords)
+        return tuple(tuple(sum(map(mul, y, gz)) for gz in g_coords) for y in self.coords)
+
+    @cached_property
     def mu_coords(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(c - 1 for c in y) for y in self.coords)
 
 
+def _fw_images(rs: RootSystem, coords) -> list[tuple[int, ...]]:
+    """G y for each y in coords, G the integer fundamental-weight Gram matrix."""
+    g = rs.gram_fw_int[1]
+    return [tuple(sum(map(mul, row, y)) for row in g) for y in coords]
+
+
 def shifted_config(rs: RootSystem, cls: CasimirClass) -> ShiftedConfig:
-    """Translate every sphere member by delta; canonical order, exact Gram."""
-    den, g = rs.gram_fw_int
+    """Translate every sphere member by delta; canonical order, exact norms."""
     coords = sorted(tuple(c + 1 for c in w.fw_coords) for w in cls.sphere_members)
-    g_coords = [tuple(sum(map(mul, row, y)) for row in g) for y in coords]
-    gram = tuple(tuple(sum(map(mul, y, gz)) for gz in g_coords) for y in coords)
-    on_sphere = cls.a_sq.numerator * den
-    for i in range(len(coords)):
-        if gram[i][i] * cls.a_sq.denominator != on_sphere:
+    on_sphere = cls.a_sq.numerator * rs.gram_fw_int[0]
+    for y, gy in zip(coords, _fw_images(rs, coords)):
+        if sum(map(mul, y, gy)) * cls.a_sq.denominator != on_sphere:
             raise InternalConsistencyError("shifted point off its sphere")
-    return ShiftedConfig(rs=rs, a_sq=cls.a_sq, coords=tuple(coords), gram_int=gram)
+    return ShiftedConfig(rs=rs, a_sq=cls.a_sq, coords=tuple(coords))
 
 
 def _reduce(echelon: list[tuple[int, list[int]]], v) -> list[int]:

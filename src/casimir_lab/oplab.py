@@ -565,12 +565,12 @@ def _float_hermitian(op: ExactOperator):
     return [[complex(op.re[i][j] / op.den, op.im[i][j] / op.den) * s[i] / s[j] for j in range(d)] for i in range(d)]
 
 
-def numeric_spectrum(g: GroupSpec, rep_list, k: MetricParam, tol: float = 1e-9, ustar_dim: int = 1):
+def numeric_spectrum(g: GroupSpec, rep_list, k: MetricParam, tol: float = 1e-9):
     """Float eigenvalues per rep, clustered with relative tolerance tol.
 
     Requires kappa positive definite (checked exactly); returns clusters
-    sorted by center, each carrying its per-rep multiplicity map and the
-    assembled eigenspace dimensions at the given dim U*.
+    sorted by center, each carrying its per-rep multiplicities
+    (SpectrumCluster.assembled_dims scales them by a given dim U*).
     """
     return cluster_spectrum((build_operator(g, v, k) for v in rep_list), k, tol)
 

@@ -232,7 +232,7 @@ def decompose_character(rs: RootSystem, char: dict[Coords, int]) -> VirtualDecom
         dominants = [w for w in work if all(x >= 0 for x in w)]
         if not dominants:
             raise InternalConsistencyError("character with no dominant support is not genuine")
-        nu = max(dominants, key=lambda w: (wts.shifted_norm_sq(rs, Weight(w)), w))
+        nu = max(dominants, key=lambda w: (wts.shifted_norm_int(rs, w), w))
         mult = work[nu]
         if mult < 0:
             raise InternalConsistencyError("negative leading multiplicity in character")
@@ -252,38 +252,35 @@ def exterior_powers(r: RepLabel, pmax: int) -> list[VirtualDecomposition]:
     base = dict(_full_weight_multiplicities(rs, r.highest.fw_coords))
     zero = (0,) * rs.rank
 
-    def adams(k: int) -> dict[Coords, Q]:
-        return {tuple(k * x for x in w): Q(m) for w, m in base.items()}
+    def adams(k: int) -> dict[Coords, int]:
+        return {tuple(k * x for x in w): m for w, m in base.items()}
 
-    def convolve_q(c1, c2):
-        out: dict[Coords, Q] = {}
+    def convolve(c1, c2):
+        out: dict[Coords, int] = {}
         for w1, m1 in c1.items():
             for w2, m2 in c2.items():
                 w = tuple(x + y for x, y in zip(w1, w2))
-                out[w] = out.get(w, Q(0)) + m1 * m2
+                out[w] = out.get(w, 0) + m1 * m2
         return {w: m for w, m in out.items() if m != 0}
 
-    chars: list[dict[Coords, Q]] = [{zero: Q(1)}]
+    chars: list[dict[Coords, int]] = [{zero: 1}]
     for p in range(1, pmax + 1):
-        acc: dict[Coords, Q] = {}
+        acc: dict[Coords, int] = {}
         for k in range(1, p + 1):
-            term = convolve_q(adams(k), chars[p - k])
+            term = convolve(adams(k), chars[p - k])
             sign = 1 if k % 2 == 1 else -1
             for w, m in term.items():
-                acc[w] = acc.get(w, Q(0)) + sign * m
+                acc[w] = acc.get(w, 0) + sign * m
         ep = {}
         for w, m in acc.items():
-            v = m / p
-            if v.denominator != 1:
+            v, rem = divmod(m, p)
+            if rem:
                 raise InternalConsistencyError("non-integral exterior-power character")
             if v:
                 ep[w] = v
         chars.append(ep)
 
-    out = []
-    for ch in chars:
-        out.append(decompose_character(rs, {w: int(m) for w, m in ch.items()}))
-    return out
+    return [decompose_character(rs, ch) for ch in chars]
 
 
 def dual_label(r: RepLabel) -> RepLabel:

@@ -185,7 +185,7 @@ def _family_simple_roots(fam: str, n: int) -> tuple[list[Vec], Q]:
         half = Q(1, 2)
         alpha1 = rl.vec([half, -half, -half, -half, -half, -half, -half, half])
         alpha2 = rl.vec([1, 1, 0, 0, 0, 0, 0, 0])
-        rest = [rl.vsub(e(i - 1, 8), e(i - 2, 8)) for i in range(3, 9)]  # e_{i-1} - e_{i-2}
+        rest = [rl.vsub(e(i - 2, 8), e(i - 3, 8)) for i in range(3, 9)]  # e_{i-1} - e_{i-2}, 1-based
         all8 = [alpha1, alpha2] + rest
         return all8[:n], Q(1)
     raise InvalidDynkinType(fam)

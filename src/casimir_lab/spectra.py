@@ -20,7 +20,7 @@ K-modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction as Q
 
 from .errors import CapExceeded, InternalConsistencyError, NonDominantWeight
@@ -69,7 +69,7 @@ class SpectralMember:
 class ClassEntry:
     a_sq: Q
     lam: Q
-    members: tuple
+    members: tuple  # SpectralMember, or RealMember in the real report
     flag: str
     orbit_count: object  # int, or None when uncomputed
     eigenspace_dim: int
@@ -102,27 +102,6 @@ class RealMember:
     real_mult: int
     real_dim: int
     hidden_orbit_id: object
-
-
-@dataclass(frozen=True)
-class RealClassEntry:
-    a_sq: Q
-    lam: Q
-    members: tuple
-    flag: str
-    orbit_count: object
-    eigenspace_dim: int
-
-
-@dataclass(frozen=True)
-class RealSpectralReport:
-    context: dict
-    classes: tuple
-    labels: dict
-
-    @property
-    def total_dim(self) -> int:
-        return sum(c.eigenspace_dim for c in self.classes)
 
 
 def _isotypic(rs: RootSystem, v, ustar, kmode: KMode) -> int:
@@ -332,43 +311,26 @@ def real_spectrum_report(
     a_sq_cap,
     point_cap: int = DEFAULT_POINT_CAP,
     rank_cap: int = DEFAULT_RANK_CAP,
-) -> RealSpectralReport:
-    """The real-form report: duality classes [mu] with folded dimensions.
+) -> SpectralReport:
+    """The real-form report: the complex report with members folded into
+    duality classes [mu] (see _fold_members).
 
     Total real dimension per class equals the complex report's total for
     the same inputs (the real module complexifies to the complex one);
     that identity is enforced, not assumed.
     """
+    report = normal_spectrum_report(rs, lat, kmode, ustar, a_sq_cap, point_cap, rank_cap)
     entries = []
-    member_types = []
-    for cls in classes_up_to(rs, lat, a_sq_cap):
-        orbit_by_mu, orbit_count = _hidden_data(rs, cls, point_cap, rank_cap)
-        members = _complex_members(rs, cls, ustar, kmode, orbit_by_mu)
-        if not members:
-            continue
-        folded = _fold_members(members)
+    for c in report.classes:
+        folded = _fold_members(c.members)
         real_total = sum(m.real_mult * m.real_dim for m in folded)
-        complex_total = sum(m.isotypic_dim * m.dim for m in members)
-        if real_total != complex_total:
+        if real_total != c.eigenspace_dim:
             raise InternalConsistencyError(
-                f"real fold changed the class dimension: {real_total} != {complex_total}"
+                f"real fold changed the class dimension: {real_total} != {c.eigenspace_dim}"
             )
-        member_types.extend(m.rep_type for m in members)
-        entries.append(
-            RealClassEntry(
-                a_sq=cls.a_sq,
-                lam=cls.lam,
-                members=folded,
-                flag=_class_flag(len(folded), orbit_count, IRREDUCIBLE_FLAG_REAL),
-                orbit_count=orbit_count,
-                eigenspace_dim=real_total,
-            )
-        )
-    return RealSpectralReport(
-        context=_context(rs, lat, kmode, ustar),
-        classes=tuple(entries),
-        labels=_labels(member_types),
-    )
+        flag = _class_flag(len(folded), c.orbit_count, IRREDUCIBLE_FLAG_REAL)
+        entries.append(replace(c, members=folded, flag=flag))
+    return replace(report, classes=tuple(entries))
 
 
 @dataclass(frozen=True)

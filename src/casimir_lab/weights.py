@@ -81,7 +81,7 @@ def make_weight(rs: RootSystem, fw_coords, lat: LatticeChoice = LatticeChoice.WE
     return Weight(coords)
 
 
-def _shifted_norm_int(rs: RootSystem, m) -> int:
+def shifted_norm_int(rs: RootSystem, m) -> int:
     """den * |mu + delta|^2 for mu with fundamental-weight coordinates m,
     den = rs.gram_fw_int[0]: mu + delta has coordinates m + 1."""
     y = tuple(mi + 1 for mi in m)
@@ -89,11 +89,11 @@ def _shifted_norm_int(rs: RootSystem, m) -> int:
 
 
 def delta_norm_sq(rs: RootSystem) -> Q:
-    return Q(_shifted_norm_int(rs, (0,) * rs.rank), rs.gram_fw_int[0])
+    return Q(shifted_norm_int(rs, (0,) * rs.rank), rs.gram_fw_int[0])
 
 
 def shifted_norm_sq(rs: RootSystem, mu: Weight) -> Q:
-    return Q(_shifted_norm_int(rs, mu.fw_coords), rs.gram_fw_int[0])
+    return Q(shifted_norm_int(rs, mu.fw_coords), rs.gram_fw_int[0])
 
 
 def casimir_eigenvalue(rs: RootSystem, mu: Weight) -> Q:

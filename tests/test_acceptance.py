@@ -209,7 +209,7 @@ def test_criterion_07_assembly_identity(announce):
     k = diag_metric([1, 2, 3])
     reps = [IrrepSpec((m,)) for m in range(5)]
     polys = {v: char_poly(build_operator(g, v, k)) for v in reps}
-    clusters = numeric_spectrum(g, reps, k, tol=1e-9, ustar_dim=ustar_dim)
+    clusters = numeric_spectrum(g, reps, k, tol=1e-9)
     bad = []
     total = 0
     for cl in clusters:

@@ -1,21 +1,26 @@
 """Command-line surface: payload shapes, exit codes, canonical output."""
 
 import hashlib
+import io
 import itertools
 import json
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from casimir_lab import cli
 from casimir_lab.cli import main, parse_kappa, parse_ustar, qstr
 from casimir_lab.errors import InternalConsistencyError
 from casimir_lab.oplab import diag_metric, multiplicity_at_float
 from casimir_lab.polyq import RationalPoly
-from casimir_lab.reps import KMode
+from casimir_lab.reps import KMode, RepType
 from casimir_lab.rootsys import RootSystemType, build_root_system
 from casimir_lab.weights import DEFAULT_NODE_CAP, LatticeChoice, classes_up_to
 
@@ -94,6 +99,55 @@ def test_enumeration_refused_while_it_runs(capsys, argv):
     assert (code, out) == (3, "")
     reason = json.loads(err)
     assert reason["what"] == "enumeration nodes" and reason["limit"] == DEFAULT_NODE_CAP < reason["actual"]
+
+
+def test_point_cap_refuses_before_the_gram_matrix(capsys):
+    # 4800 points: the point cap must refuse before the 4800 x 4800 Gram matrix is built.
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "hidden", "--type", "D", "--rank", "5", "--a2", "60")
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "cap-exceeded", "what": "configuration size", "actual": 4800, "limit": 60}
+
+
+SUPPORTED_TYPES = (
+    [("A", n) for n in range(1, 5)] + [(f, n) for f in "BC" for n in range(2, 5)]
+    + [("D", n) for n in range(3, 6)] + [("E", n) for n in range(6, 9)] + [("F", 4), ("G", 2)]
+)
+
+
+@st.composite
+def capped_requests(draw):
+    """A classes, coincidences, hidden or reptype request with small caps, radii and weights."""
+    family, rank = draw(st.sampled_from(SUPPORTED_TYPES))
+    argv = ["--type", family, "--rank", str(rank), "--lattice", draw(st.sampled_from(["weight", "root"]))]
+    radius = str(Q(draw(st.integers(-2, 240)), draw(st.sampled_from([1, 2, 3, 4, 12]))))
+    command = draw(st.sampled_from(["classes", "coincidences", "hidden", "reptype"]))
+    if command == "reptype":
+        weight = draw(st.lists(st.integers(-1, 3), min_size=rank, max_size=rank))
+        return ["reptype", *argv, "--weight", ",".join(map(str, weight))]
+    if command != "hidden":
+        return [command, *argv, "--cap", radius]
+    caps = [
+        "--point-cap", str(draw(st.integers(0, 60))),
+        "--rank-cap", str(draw(st.integers(0, 4))),
+        "--weyl-cap", str(draw(st.sampled_from([0, 12, 1152, 10080]))),
+    ]
+    return ["hidden", *argv, "--a2", radius, *caps]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(capped_requests())
+@example(["reptype", "--type", "E", "--rank", "8", "--weight", "0,0,0,0,0,0,0,1"])
+@example(["hidden", "--type", "E", "--rank", "8", "--a2", "640"])
+def test_capped_commands_keep_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - t0 < 10.0, argv
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def _hidden_argv(name, a_sq, *extra):
@@ -224,8 +278,10 @@ def _pinned_spectral_requests():
 
 # sha256 of the exit code, stdout and stderr of every request above, recorded
 # while dual weights, tensor signs and Weyl dimensions still went through
-# ambient rational vectors.
-SPECTRAL_PIN = "6fe410899cbe7af25d24436acd559102b06f9f8fb2f869dd889afcdd7afdaf66"
+# ambient rational vectors, and re-recorded when the E-series simple roots
+# were corrected: that changed exactly the six E6 `reptype` requests, whose
+# answers test_e6_rep_types pins.
+SPECTRAL_PIN = "4c33296377815cf3cf2e580ed9f07bdd70929655e8f835350d690bf8fe441344"
 
 
 def test_spectral_output_pinned(capsys):
@@ -236,6 +292,57 @@ def test_spectral_output_pinned(capsys):
         code, out, err = run(capsys, *argv)
         digest.update(json.dumps([argv, code, out, err]).encode())
     assert digest.hexdigest() == SPECTRAL_PIN
+
+
+E6_REPTYPES = {
+    "1,0,0,0,0,0": (27, "complex", [0, 0, 0, 0, 0, 1]),
+    "0,0,0,0,0,1": (27, "complex", [1, 0, 0, 0, 0, 0]),
+    "1,0,0,0,0,1": (650, "real", [1, 0, 0, 0, 0, 1]),
+    "0,0,1,0,0,0": (351, "complex", [0, 0, 0, 0, 1, 0]),
+    "0,1,0,0,1,0": (17550, "complex", [0, 1, 1, 0, 0, 0]),
+    "2,0,0,0,1,0": (78975, "complex", [0, 0, 1, 0, 0, 2]),
+}
+
+
+@pytest.mark.parametrize("weight", sorted(E6_REPTYPES))
+def test_e6_rep_types(capsys, weight):
+    # Bourbaki numbering: duality swaps 1<->6 and 3<->5 and fixes 2 and 4.
+    data = run_json(capsys, "reptype", "--type", "E", "--rank", "6", "--weight", weight)
+    assert (data["dim"], data["type"], data["dual"]) == E6_REPTYPES[weight]
+
+
+def test_e8_adjoint_is_real(capsys):
+    data = run_json(capsys, "reptype", "--type", "E", "--rank", "8", "--weight", "0,0,0,0,0,0,0,1")
+    assert (data["dim"], data["type"], data["dual"]) == (248, "real", [0, 0, 0, 0, 0, 0, 0, 1])
+
+
+@dataclass(frozen=True)
+class _Leaf:
+    lam: Q
+    kind: RepType
+
+
+@dataclass(frozen=True)
+class _Node:
+    rows: tuple
+    note: str
+
+    @property
+    def total(self) -> int:
+        return len(self.rows)
+
+
+def test_jsonable_dataclass_rule():
+    rows = ((_Leaf(Q(1, 3), RepType.REAL),), (_Leaf(Q(-2), RepType.COMPLEX), _Leaf(Q(0), RepType.QUATERNIONIC)))
+    node = _Node(rows, "x")
+    # each field is its JSON key except lam; properties are not fields
+    assert cli._jsonable(node) == {
+        "rows": [
+            [{"lambda": "1/3", "kind": "real"}],
+            [{"lambda": "-2", "kind": "complex"}, {"lambda": "0", "kind": "quaternionic"}],
+        ],
+        "note": "x",
+    }
 
 
 def test_reptype(capsys):

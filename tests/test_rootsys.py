@@ -22,6 +22,18 @@ def test_positive_root_counts():
         assert len(rs_of(fam, rank).positive_roots) == count
 
 
+def test_e_series_is_bourbaki():
+    for rank, count, det in ((6, 36, 3), (7, 63, 2), (8, 120, 1)):
+        rs = rs_of("E", rank)
+        assert len(rs.positive_roots) == count
+        assert rl.det(rl.mat(rs.cartan_matrix)) == det
+    # Dynkin diagram 1-3-4-5-6-7-8 with 2 attached to 4 (0-based below).
+    e8 = rs_of("E", 8).cartan_matrix
+    edges = {(i, j) for i in range(8) for j in range(i + 1, 8) if e8[i][j]}
+    assert edges == {(0, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (6, 7)}
+    assert all(e8[i][j] == e8[j][i] == -1 for i, j in edges)
+
+
 def test_cartan_matrices():
     assert rs_of("A", 2).cartan_matrix == ((2, -1), (-1, 2))
     b2 = rs_of("B", 2).cartan_matrix
