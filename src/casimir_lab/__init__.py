@@ -63,9 +63,8 @@ from .reps import (
     trivial_decomposition,
     weight_multiplicities,
     weyl_dim,
-    weyl_orbit,
 )
-from .rootsys import RootSystem, RootSystemType, WeylElement, build_root_system, weyl_group
+from .rootsys import RootSystem, RootSystemType, WeylElement, build_root_system, weyl_group, weyl_orbit
 from .spectra import (
     EstimateBound,
     HodgeTable,

@@ -72,10 +72,16 @@ _FIELD_KEYS = {"lam": "lambda"}
 _PLAIN = frozenset((str, int, bool, float, type(None)))
 
 
+def _fields(obj) -> dict:
+    """A dataclass's fields under their JSON keys, values unconverted.
+    Properties are not fields, so they are not included."""
+    return {_FIELD_KEYS.get(name, name): getattr(obj, name) for name in obj.__dataclass_fields__}
+
+
 def _jsonable(obj):
     """Recursively rewrite payloads into plain JSON values (exactly).
 
-    A dataclass becomes a dict of its fields (properties are not emitted).
+    A dataclass becomes the dict of its _fields.
     """
     if type(obj) in _PLAIN:
         return obj
@@ -87,9 +93,8 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, Enum):
         return obj.value
-    fields = getattr(obj, "__dataclass_fields__", None)
-    if fields is not None:
-        return {_FIELD_KEYS.get(name, name): _jsonable(getattr(obj, name)) for name in fields}
+    if hasattr(obj, "__dataclass_fields__"):
+        return {key: _jsonable(v) for key, v in _fields(obj).items()}
     return obj
 
 
@@ -163,12 +168,23 @@ def _parse_coords(text: str) -> tuple:
     return tuple(int(part) for part in text.split(","))
 
 
-def _inline_or_file(text: str, opener: str) -> str:
+def _json_input(text: str, opener: str):
+    """Inline JSON that starts with opener, or the JSON in the file named text."""
     raw = text.strip()
-    if raw.startswith(opener):
-        return raw
-    with open(text, "r", encoding="utf-8") as fh:
-        return fh.read()
+    if not raw.startswith(opener):
+        with open(text, "r", encoding="utf-8") as fh:
+            raw = fh.read()
+    try:
+        return json.loads(raw)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
+
+
+def _json_int(val, what: str) -> int:
+    """An integer JSON value; floats, booleans and null are rejected."""
+    if isinstance(val, int) and not isinstance(val, bool):
+        return val
+    raise ValueError(f"{what} must be an integer, got {val!r}")
 
 
 def _entry_value(val) -> Q:
@@ -188,13 +204,21 @@ def parse_kappa(text: str) -> MetricParam:
     """
     if text.startswith("diag:"):
         return diag_metric([rational(part) for part in text[len("diag:"):].split(",")])
-    data = json.loads(_inline_or_file(text, "{"))
-    n = int(data["n"])
+    data = _json_input(text, "{")
+    if not isinstance(data, dict):
+        raise ValueError("kappa JSON must be an object")
+    n = _json_int(data.get("n"), "kappa size n")
     if n <= 0:
         raise ValueError("kappa size must be positive")
+    entries = data.get("entries", [])
+    if not isinstance(entries, list):
+        raise ValueError("kappa entries must be a list")
     cells = [[None] * n for _ in range(n)]
-    for item in data.get("entries", []):
-        i, j, q = int(item[0]), int(item[1]), _entry_value(item[2])
+    for item in entries:
+        if not (isinstance(item, list) and len(item) == 3):
+            raise ValueError(f"kappa entry {item!r} is not [i, j, value]")
+        i, j = (_json_int(x, "kappa index") for x in item[:2])
+        q = _entry_value(item[2])
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"kappa index ({i},{j}) outside 0..{n - 1}")
         for a, b in {(i, j), (j, i)}:
@@ -210,11 +234,23 @@ def parse_ustar(text: str, kmode: KMode, rs):
         if kmode is KMode.TORUS:
             return {(0,) * rs.rank: 1}
         return trivial_decomposition(rs)
-    data = json.loads(_inline_or_file(text, "["))
-    pairs = [(tuple(int(c) for c in coords), int(mult)) for coords, mult in data]
+    data = _json_input(text, "[")
+    if not isinstance(data, list):
+        raise ValueError("ustar JSON must be a list")
+    pairs = []
+    for item in data:
+        if not (isinstance(item, list) and len(item) == 2 and isinstance(item[0], list)):
+            raise ValueError(f"ustar item {item!r} is not [coords, multiplicity]")
+        coords = tuple(_json_int(c, "ustar coordinate") for c in item[0])
+        if len(coords) != rs.rank:
+            raise ValueError(f"ustar weight {list(coords)} has {len(coords)} coordinates, expected {rs.rank}")
+        pairs.append((coords, _json_int(item[1], "ustar multiplicity")))
+    mults = dict(pairs)
+    if len(mults) != len(pairs):
+        raise ValueError("ustar lists a weight more than once")
     if kmode is KMode.TORUS:
-        return dict(pairs)
-    return VirtualDecomposition.from_dict(dict(pairs))
+        return mults
+    return VirtualDecomposition.from_dict(mults)
 
 
 def _kmode(args) -> KMode:
@@ -397,7 +433,7 @@ def cmd_estimate(args) -> dict:
     kmode = _kmode(args)
     ustar = parse_ustar(args.ustar, kmode, rs)
     mu = make_weight(rs, _parse_coords(args.weight), _lattice(args))
-    return {"schema": SCHEMA, **_jsonable(generic_estimate(rs, _lattice(args), kmode, ustar, mu))}
+    return {"schema": SCHEMA, **_fields(generic_estimate(rs, _lattice(args), kmode, ustar, mu))}
 
 
 def cmd_report(args) -> dict:
@@ -414,11 +450,11 @@ def cmd_report(args) -> dict:
         point_cap=args.point_cap,
         rank_cap=args.rank_cap,
     )
-    return {"schema": SCHEMA, "real": bool(args.real), "total_dim": report.total_dim, **_jsonable(report)}
+    return {"schema": SCHEMA, "real": bool(args.real), "total_dim": report.total_dim, **_fields(report)}
 
 
 def cmd_hodge(args) -> dict:
-    return {"schema": SCHEMA, **_jsonable(hodge_rank1_check(args.cap))}
+    return {"schema": SCHEMA, **_fields(hodge_rank1_check(args.cap))}
 
 
 # ---------------------------------------------------------------------------

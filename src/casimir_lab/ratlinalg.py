@@ -42,54 +42,8 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     return m
 
 
-def vadd(x: Vec, y: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(x, y, strict=True))
-
-
-def vsub(x: Vec, y: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(x, y, strict=True))
-
-
-def vscale(c, x: Vec) -> Vec:
-    c = frac(c)
-    return tuple(c * a for a in x)
-
-
-def dot(x: Vec, y: Vec) -> Q:
-    if len(x) != len(y):
-        raise DimensionMismatch(f"dot of lengths {len(x)} and {len(y)}")
-    return sum((a * b for a, b in zip(x, y)), ZERO)
-
-
 def identity(n: int) -> Mat:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
-def transpose(m: Mat) -> Mat:
-    return tuple(zip(*m)) if m else ()
-
-
-def matmul(a: Mat, b: Mat) -> Mat:
-    if a and b and len(a[0]) != len(b):
-        raise DimensionMismatch("matmul shapes")
-    bt = transpose(b)
-    return tuple(tuple(dot(ra, cb) for cb in bt) for ra in a)
-
-
-def matvec(a: Mat, x: Vec) -> Vec:
-    return tuple(dot(r, x) for r in a)
-
-
-def outer(x: Vec, y: Vec) -> Mat:
-    return tuple(tuple(a * b for b in y) for a in x)
-
-
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    return tuple(vsub(ra, rb) for ra, rb in zip(a, b, strict=True))
-
-
-def mat_scale(c, a: Mat) -> Mat:
-    return tuple(vscale(c, r) for r in a)
 
 
 def _elim(rows: list[list[Q]], ncols: int) -> tuple[list[list[Q]], list[int]]:

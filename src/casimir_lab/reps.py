@@ -24,7 +24,7 @@ from operator import mul
 from . import rootsys as rsys
 from . import weights as wts
 from .errors import InternalConsistencyError, NonDominantWeight
-from .rootsys import RootSystem
+from .rootsys import RootSystem, weyl_orbit
 from .weights import Weight
 
 Coords = tuple[int, ...]
@@ -114,23 +114,6 @@ def weyl_dim(r: RepLabel) -> int:
     return d
 
 
-def weyl_orbit(rs: RootSystem, coords: Coords) -> set[Coords]:
-    """The Weyl orbit of a weight, in fundamental-weight coordinates."""
-    start = tuple(int(c) for c in coords)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for i in range(rs.rank):
-                r = rsys.reflect_fw_coords(rs, m, i)
-                if r not in seen:
-                    seen.add(r)
-                    nxt.append(r)
-        frontier = nxt
-    return seen
-
-
 def _dominant_weight_multiplicities(rs: RootSystem, coords: Coords) -> dict[Coords, int]:
     """Freudenthal recursion: multiplicities of the dominant weights of V^mu.
 
@@ -146,7 +129,7 @@ def _dominant_weight_multiplicities(rs: RootSystem, coords: Coords) -> dict[Coor
     # Dominant candidates: the dominant nu with |nu + delta|^2 <= |mu + delta|^2
     # and mu - nu = C^T c for an integral c >= 0, alpha_i being row i of the
     # Cartan matrix C; q c = (q C^-T)(mu - nu), and the height of nu is sum(c).
-    q, adj = wts.cartan_inverse_int(rs)
+    q, adj = rs.cartan_inverse_int
     candidates: list[tuple[int, Coords]] = []
     for nu, _ in wts.lattice_points(rs, mu_d_sq, dominant=True):
         diff = tuple(a - b for a, b in zip(mu, nu))

@@ -1,18 +1,20 @@
-"""Root systems over exact rationals.
+"""Root systems from their Cartan matrices.
 
-Each irreducible type gets its textbook ambient realization (A_n in the
-sum-zero hyperplane of R^{n+1}, B/C/D/F in R^n, G_2 in the sum-zero
-hyperplane of R^3, E_6/7/8 inside R^8 with half-integer coordinates).
-The bilinear form is a rational multiple of the standard dot product,
-chosen so that long roots have squared norm 2 at metric_scale = 1; the
-metric_scale knob multiplies the form globally.
+A root system is its Cartan matrix C[i][j] = <alpha_i, alpha_j^vee>, read
+off Bourbaki's Dynkin diagrams (Lie Groups and Lie Algebras, Ch. IV-VI,
+Plates I-IX), and a global metric scale.  Weights and roots live in
+integer fundamental-weight coordinates: the simple root alpha_i is row i
+of C, the simple reflection s_i is m -> m - m_i C[i] (reflect_fw_coords),
+the roots are the Weyl orbit of the simple roots (weyl_orbit), and a root
+m is positive when its simple-root coordinates m C^-1 are nonnegative.
 
-The ambient realization is where the root system is built.  Weights and
-roots are otherwise handled in integer fundamental-weight coordinates: the form is den * gram_fw
-(gram_fw_int, form_fw_int), the simple reflection s_i is
-m -> m - m_i * (row i of the Cartan matrix) (reflect_fw_coords), and
-dominant_fw_coords walks a weight into the dominant chamber.  weyl_group
-keeps the ambient matrix action as an independent reference.
+The invariant form takes long roots to squared norm 2 at metric_scale = 1.
+The half root norms d_i = (alpha_i, alpha_i)/2 solve
+C[i][j] d_j = C[j][i] d_i, and (omega_i, omega_j) = (C^-1)_ij d_j on the
+fundamental weights, times metric_scale (gram_fw; den * gram_fw in
+integers is gram_fw_int and form_fw_int).  dominant_fw_coords walks a
+weight into the dominant chamber, and weyl_group lists the Weyl group as
+integer matrices on fundamental-weight coordinates.
 """
 
 from __future__ import annotations
@@ -21,14 +23,17 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from math import factorial, lcm
+from operator import mul
 
 from . import ratlinalg as rl
 from .errors import CapExceeded, InternalConsistencyError, InvalidDynkinType
-from .ratlinalg import Mat, Vec
+from .ratlinalg import Mat
 
 DEFAULT_WEYL_CAP = 10080
 # Distinct (type, metric scale) pairs kept by build_root_system.
 ROOT_SYSTEM_CACHE_SIZE = 16
+
+IntMat = tuple[tuple[int, ...], ...]
 
 _EXCEPTIONAL_WEYL_ORDERS = {
     ("E", 6): 51840,
@@ -77,13 +82,14 @@ class RootSystemType:
 
 @dataclass(frozen=True, eq=False)
 class WeylElement:
-    """A Weyl group element: a word in simple reflections and its ambient matrix."""
+    """A Weyl group element: a word in simple reflections and its integer
+    matrix on fundamental-weight coordinates (column vectors)."""
 
     word: tuple[int, ...]
-    matrix: Mat
+    matrix: IntMat
 
-    def apply(self, x: Vec) -> Vec:
-        return rl.matvec(self.matrix, x)
+    def apply(self, m) -> tuple[int, ...]:
+        return tuple(sum(map(mul, row, m)) for row in self.matrix)
 
     def __eq__(self, other):
         return isinstance(other, WeylElement) and self.matrix == other.matrix
@@ -94,30 +100,34 @@ class WeylElement:
 
 @dataclass(frozen=True, eq=False)
 class RootSystem:
-    """An irreducible root system realized in rational ambient coordinates.
-
-    base_form_scale is the fixed rational constant making long roots have
-    squared norm 2 under inner() at metric_scale = 1; metric_scale rescales
-    the form globally on top of that.
-    """
+    """An irreducible root system: its type, its Cartan matrix and the
+    metric scale that multiplies the invariant form globally."""
 
     typ: RootSystemType
-    ambient_dim: int
-    simple_roots: tuple[Vec, ...]
-    positive_roots: tuple[Vec, ...]
-    cartan_matrix: tuple[tuple[int, ...], ...]
-    fundamental_weights: tuple[Vec, ...]
-    delta: Vec
-    gram_fw: Mat
+    cartan_matrix: IntMat
     metric_scale: Q
-    base_form_scale: Q
 
     @property
     def rank(self) -> int:
         return self.typ.rank
 
     @cached_property
-    def gram_fw_int(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    def cartan_inverse_int(self) -> tuple[int, IntMat]:
+        """(q, q C^-1) for the Cartan matrix C, q the least common denominator."""
+        cinv = rl.inverse(rl.mat(self.cartan_matrix))
+        q = lcm(*(x.denominator for row in cinv for x in row))
+        return q, tuple(tuple(int(x * q) for x in row) for row in cinv)
+
+    @cached_property
+    def gram_fw(self) -> Mat:
+        """The invariant form on the fundamental weights:
+        metric_scale * (C^-1)_ij * d_j with d the half root norms."""
+        d = _half_root_norms(self.cartan_matrix)
+        q, adj = self.cartan_inverse_int
+        return tuple(tuple(self.metric_scale * Q(a, q) * dj for a, dj in zip(row, d)) for row in adj)
+
+    @cached_property
+    def gram_fw_int(self) -> tuple[int, IntMat]:
         """(den, den * gram_fw): the form on fundamental-weight coordinates in
         integers, den the least common denominator of gram_fw."""
         den = lcm(*(x.denominator for row in self.gram_fw for x in row))
@@ -130,85 +140,76 @@ class RootSystem:
         return sum(xi * sum(gij * yj for gij, yj in zip(row, y)) for xi, row in zip(x, g))
 
     @cached_property
-    def positive_roots_fw(self) -> tuple[tuple[int, ...], ...]:
-        """The positive roots in fundamental-weight coordinates <beta, alpha_i^vee>,
-        in the order of positive_roots (the highest root last)."""
-        return tuple(tuple(int(c) for c in self.fw_coords(b)) for b in self.positive_roots)
-
-    def inner(self, x: Vec, y: Vec) -> Q:
-        """The invariant bilinear form (scaled dot product)."""
-        if len(x) != self.ambient_dim or len(y) != self.ambient_dim:
-            raise rl.DimensionMismatch("vector does not live in the ambient space")
-        return self.metric_scale * self.base_form_scale * rl.dot(x, y)
-
-    def pairing(self, x: Vec, alpha: Vec) -> Q:
-        """<x, alpha^vee> = 2(x, alpha)/(alpha, alpha); scale independent."""
-        return 2 * rl.dot(x, alpha) / rl.dot(alpha, alpha)
-
-    def fw_coords(self, x: Vec) -> Vec:
-        """Coordinates of (the root-span part of) x in the fundamental-weight basis."""
-        return tuple(self.pairing(x, a) for a in self.simple_roots)
-
-    def simple_reflection_matrix(self, i: int) -> Mat:
-        a = self.simple_roots[i]
-        return rl.mat_sub(rl.identity(self.ambient_dim), rl.mat_scale(Q(2) / rl.dot(a, a), rl.outer(a, a)))
+    def positive_roots_fw(self) -> IntMat:
+        """The positive roots in fundamental-weight coordinates, ascending in
+        height (the highest root last).  Checks that they are half of all
+        roots and that their half sum is delta = (1, ..., 1)."""
+        roots = weyl_orbit(self, *self.cartan_matrix)
+        q, adj = self.cartan_inverse_int
+        positive = []
+        for m in roots:
+            qc = [sum(map(mul, m, col)) for col in zip(*adj)]  # q m C^-1
+            if min(qc) >= 0:
+                positive.append((sum(qc), m))
+        if 2 * len(positive) != len(roots):
+            raise InternalConsistencyError("positive roots are not half of all roots")
+        if any(sum(col) != 2 for col in zip(*(m for _, m in positive))):
+            raise InternalConsistencyError("delta != half sum of positive roots")
+        return tuple(m for _, m in sorted(positive))
 
 
-def _family_simple_roots(fam: str, n: int) -> tuple[list[Vec], Q]:
-    """Simple roots in the textbook realization and the long-root normalizer."""
-    e = lambda i, d: tuple(Q(1) if j == i else Q(0) for j in range(d))
-
-    if fam == "A":
-        d = n + 1
-        roots = [rl.vsub(e(i, d), e(i + 1, d)) for i in range(n)]
-        return roots, Q(1)
-    if fam == "B":
-        roots = [rl.vsub(e(i, n), e(i + 1, n)) for i in range(n - 1)] + [e(n - 1, n)]
-        return roots, Q(1)
-    if fam == "C":
-        roots = [rl.vsub(e(i, n), e(i + 1, n)) for i in range(n - 1)] + [rl.vscale(2, e(n - 1, n))]
-        return roots, Q(1, 2)
+def _cartan_matrix(fam: str, n: int) -> IntMat:
+    """Bourbaki's Cartan matrix, node i being Bourbaki's node i + 1: a chain,
+    the D fork, the E branch of node 1 at node 3, and one multiple bond
+    (i, j, k) with C[i][j] = -k and alpha_i long."""
     if fam == "D":
-        roots = [rl.vsub(e(i, n), e(i + 1, n)) for i in range(n - 1)] + [rl.vadd(e(n - 2, n), e(n - 1, n))]
-        return roots, Q(1)
-    if fam == "G":
-        return [rl.vec([1, -1, 0]), rl.vec([-2, 1, 1])], Q(1, 3)
-    if fam == "F":
-        return [
-            rl.vec([0, 1, -1, 0]),
-            rl.vec([0, 0, 1, -1]),
-            rl.vec([0, 0, 0, 1]),
-            rl.vec([Q(1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2)]),
-        ], Q(1)
-    if fam == "E":
-        # Bourbaki numbering inside R^8; E6/E7 take the leading subsets.
-        half = Q(1, 2)
-        alpha1 = rl.vec([half, -half, -half, -half, -half, -half, -half, half])
-        alpha2 = rl.vec([1, 1, 0, 0, 0, 0, 0, 0])
-        rest = [rl.vsub(e(i - 2, 8), e(i - 3, 8)) for i in range(3, 9)]  # e_{i-1} - e_{i-2}, 1-based
-        all8 = [alpha1, alpha2] + rest
-        return all8[:n], Q(1)
-    raise InvalidDynkinType(fam)
+        edges = [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]
+    elif fam == "E":
+        edges = [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, n - 1)]
+    else:
+        edges = [(i, i + 1) for i in range(n - 1)]
+    c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        c[i][j] = c[j][i] = -1
+    bond = {"B": (n - 2, n - 1, 2), "C": (n - 1, n - 2, 2), "F": (1, 2, 2), "G": (1, 0, 3)}.get(fam)
+    if bond:
+        i, j, k = bond
+        c[i][j] = -k
+    return tuple(map(tuple, c))
 
 
-def _close_under_reflections(rs_simple: list[Vec]) -> list[Vec]:
-    """All roots: the closure of the simple roots under simple reflections."""
-    seen = set(rs_simple)
-    frontier = list(rs_simple)
+def _half_root_norms(c: IntMat) -> tuple[Q, ...]:
+    """d_i = (alpha_i, alpha_i)/2 from C[i][j] d_j = C[j][i] d_i along the
+    connected Dynkin diagram, scaled so that long roots have d = 1."""
+    d = {0: Q(1)}
+    while len(d) < len(c):
+        for i, j in [(i, j) for i in d for j in range(len(c)) if j not in d and c[i][j]]:
+            d[j] = c[j][i] * d[i] / c[i][j]
+    top = max(d.values())
+    return tuple(d[i] / top for i in range(len(c)))
+
+
+def weyl_orbit(rs: RootSystem, *weights) -> set[tuple[int, ...]]:
+    """The union of the Weyl orbits of the given weights, in
+    fundamental-weight coordinates: breadth-first over the simple
+    reflections (s_i fixes m when m_i = 0)."""
+    seen = set(map(tuple, weights))
+    frontier = list(seen)
     while frontier:
         nxt = []
-        for beta in frontier:
-            for a in rs_simple:
-                r = rl.vsub(beta, rl.vscale(2 * rl.dot(beta, a) / rl.dot(a, a), a))
-                if r not in seen:
-                    seen.add(r)
-                    nxt.append(r)
+        for m in frontier:
+            for i, mi in enumerate(m):
+                if mi:
+                    r = reflect_fw_coords(rs, m, i)
+                    if r not in seen:
+                        seen.add(r)
+                        nxt.append(r)
         frontier = nxt
-    return sorted(seen)
+    return seen
 
 
 def build_root_system(typ: RootSystemType, metric_scale=1) -> RootSystem:
-    """The full rational realization of an irreducible root system.
+    """The root system of an irreducible type at a positive metric scale.
 
     Root systems are immutable and interned: equal (type, metric scale)
     pairs give the same object, so caches keyed on it hit across requests.
@@ -221,68 +222,9 @@ def build_root_system(typ: RootSystemType, metric_scale=1) -> RootSystem:
 
 @lru_cache(maxsize=ROOT_SYSTEM_CACHE_SIZE)
 def _build_root_system(typ: RootSystemType, metric_scale: Q) -> RootSystem:
-    simple, base_scale = _family_simple_roots(typ.family, typ.rank)
-    d = len(simple[0])
-    n = typ.rank
-
-    all_roots = _close_under_reflections(simple)
-    # Expansion in the simple-root basis decides positivity.
-    a_mat = rl.mat(simple)
-    gram_simple = rl.matmul(a_mat, rl.transpose(a_mat))
-    gram_inv = rl.inverse(gram_simple)
-    positive = []
-    for beta in all_roots:
-        coeffs = rl.matvec(gram_inv, rl.matvec(a_mat, beta))
-        if all(c >= 0 for c in coeffs):
-            positive.append(beta)
-    positive.sort(key=lambda b: (sum(rl.matvec(gram_inv, rl.matvec(a_mat, b))), b))
-    if 2 * len(positive) != len(all_roots):
-        raise InternalConsistencyError("positive roots are not half of all roots")
-
-    cartan = []
-    for ai in simple:
-        row = []
-        for aj in simple:
-            c = 2 * rl.dot(ai, aj) / rl.dot(aj, aj)
-            if c.denominator != 1:
-                raise InternalConsistencyError("non-integral Cartan entry")
-            row.append(int(c))
-        cartan.append(tuple(row))
-    cartan_q = rl.mat(cartan)
-    cartan_inv = rl.inverse(cartan_q)
-    fws = []
-    for i in range(n):
-        w = tuple(Q(0) for _ in range(d))
-        for k in range(n):
-            w = rl.vadd(w, rl.vscale(cartan_inv[i][k], simple[k]))
-        fws.append(w)
-
-    delta = tuple(Q(0) for _ in range(d))
-    for w in fws:
-        delta = rl.vadd(delta, w)
-    half_sum = rl.vscale(Q(1, 2), tuple(sum(col) for col in zip(*positive)))
-    if delta != half_sum:
-        raise InternalConsistencyError("delta != half sum of positive roots")
-
-    long_sq = max(rl.dot(b, b) for b in all_roots)
-    if base_scale * long_sq != 2:
-        raise InternalConsistencyError("long-root normalization broken")
-
-    form = metric_scale * base_scale
-    gram_fw = rl.mat([[form * rl.dot(wi, wj) for wj in fws] for wi in fws])
-
-    return RootSystem(
-        typ=typ,
-        ambient_dim=d,
-        simple_roots=tuple(simple),
-        positive_roots=tuple(positive),
-        cartan_matrix=tuple(cartan),
-        fundamental_weights=tuple(fws),
-        delta=delta,
-        gram_fw=gram_fw,
-        metric_scale=metric_scale,
-        base_form_scale=base_scale,
-    )
+    rs = RootSystem(typ=typ, cartan_matrix=_cartan_matrix(typ.family, typ.rank), metric_scale=metric_scale)
+    rs.positive_roots_fw  # derived now, so that a failed identity check refuses the build
+    return rs
 
 
 def dominant_fw_coords(rs: RootSystem, m) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -314,7 +256,8 @@ def reflect_fw_coords(rs: RootSystem, m: tuple[int, ...], i: int) -> tuple[int, 
 
 
 def weyl_group(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> list[WeylElement]:
-    """The full Weyl group as explicit ambient matrices, BFS over reduced words.
+    """The full Weyl group as integer matrices on fundamental-weight
+    coordinates, breadth-first over reduced words.
 
     Refuses (CapExceeded) when the group order from the classical order
     formula exceeds cap.
@@ -322,27 +265,24 @@ def weyl_group(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> list[WeylElement]
     order = rs.typ.weyl_order()
     if order > cap:
         raise CapExceeded(f"Weyl group order of {rs.typ.label}", order, cap)
-    gens = [rs.simple_reflection_matrix(i) for i in range(rs.rank)]
-    ident = WeylElement(word=(), matrix=rl.identity(rs.ambient_dim))
-    seen = {ident.matrix: ident}
-    frontier = [ident]
-    out = [ident]
+    n = rs.rank
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    # Column k of s_i is s_i applied to the k-th coordinate vector.
+    gen_cols = [[reflect_fw_coords(rs, e, i) for e in ident] for i in range(n)]
+    seen = {ident}
+    frontier = [WeylElement(word=(), matrix=ident)]
+    out = list(frontier)
     while frontier:
         nxt = []
         for w in frontier:
-            for i, g in enumerate(gens):
-                m = rl.matmul(w.matrix, g)
+            for i, cols in enumerate(gen_cols):
+                m = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in w.matrix)
                 if m not in seen:
+                    seen.add(m)
                     elem = WeylElement(word=w.word + (i,), matrix=m)
-                    seen[m] = elem
                     nxt.append(elem)
                     out.append(elem)
         frontier = nxt
     if len(out) != order:
         raise InternalConsistencyError(f"enumerated {len(out)} Weyl elements, expected {order}")
     return out
-
-
-def highest_root(rs: RootSystem) -> Vec:
-    """The highest root (a long root; the last positive root in height order)."""
-    return rs.positive_roots[-1]

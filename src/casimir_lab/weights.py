@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction as Q
-from functools import lru_cache
-from math import isqrt, lcm
+from math import isqrt
 from operator import mul
 
 from . import ratlinalg as rl
@@ -56,17 +55,9 @@ class CasimirClass:
     sphere_members: tuple[Weight, ...]
 
 
-@lru_cache(maxsize=rsys.ROOT_SYSTEM_CACHE_SIZE)
-def cartan_inverse_int(rs: RootSystem) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(q, q C^-1) for the Cartan matrix C, q the least common denominator."""
-    cinv = rl.inverse(rl.mat(rs.cartan_matrix))
-    q = lcm(*(x.denominator for row in cinv for x in row))
-    return q, tuple(tuple(int(x * q) for x in row) for row in cinv)
-
-
 def in_root_lattice(rs: RootSystem, fw_coords) -> bool:
     """mu = sum c_i alpha_i with integer c?  q c = q C^-T m must vanish mod q."""
-    q, adj = cartan_inverse_int(rs)
+    q, adj = rs.cartan_inverse_int
     return all(sum(map(mul, col, fw_coords)) % q == 0 for col in zip(*adj))
 
 

@@ -14,6 +14,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from ambient import reference, vadd
 from casimir_lab.hidden import (
     check_weyl_inclusion,
     orbits,
@@ -32,7 +33,6 @@ from casimir_lab.oplab import (
     witness_sequence,
 )
 from casimir_lab.polyq import RationalPoly, resultant, root_multiplicity_profile
-from casimir_lab.ratlinalg import vadd, vscale
 from casimir_lab.reps import (
     KMode,
     VirtualDecomposition,
@@ -280,13 +280,12 @@ def test_criterion_09_hodge_rank1(announce):
 def _box_scan_classes(rs, lat, cap, span):
     """Naive oracle: scan a coordinate box, bucket by shifted norm."""
     buckets = {}
+    ref = reference(rs)
     for coords in itertools.product(range(-span, span + 1), repeat=rs.rank):
         if lat is LatticeChoice.ROOT and not in_root_lattice(rs, coords):
             continue
-        shifted = rs.delta
-        for c, w in zip(coords, rs.fundamental_weights):
-            shifted = vadd(shifted, vscale(c, w))
-        a_sq = rs.inner(shifted, shifted)
+        shifted = vadd(ref.delta, ref.point(coords))
+        a_sq = rs.metric_scale * ref.inner(shifted, shifted)
         if a_sq <= cap:
             buckets.setdefault(a_sq, set()).add(coords)
     return {

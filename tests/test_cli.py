@@ -343,6 +343,9 @@ def test_jsonable_dataclass_rule():
         ],
         "note": "x",
     }
+    # _fields applies the same key rule one level deep and converts nothing
+    assert cli._fields(node) == {"rows": rows, "note": "x"}
+    assert cli._fields(rows[0][0]) == {"lambda": Q(1, 3), "kind": RepType.REAL}
 
 
 def test_reptype(capsys):
@@ -640,6 +643,19 @@ BAD_NUMERIC_INPUTS = [
     ("spectrum", "--su2", "1", "--kappa", "diag:1,2,3", "--numeric", "--ustar-dim", "-1"),
     ("spectrum", "--su2", "1", "--kappa", "diag:1,2,3", "--numeric", "--tol", "-1"),
     ("spectrum", "--su2", "1", "--kappa", "diag:1,2,3", "--numeric", "--tol", "nan"),
+    # malformed or non-integer JSON for --kappa and --ustar
+    ("spectrum", "--su2", "1", "--kappa", '{"n": 3, "entries": 5}'),
+    ("spectrum", "--su2", "1", "--kappa", '{"n": null}'),
+    ("spectrum", "--su2", "1", "--kappa", '{"n": 3, "entries": [[0]]}'),
+    ("spectrum", "--su2", "1", "--kappa", '{"n": 1e400}'),
+    ("spectrum", "--su2", "1", "--kappa", '{"n": 3.5, "entries": [[0, 0, "1"], [1, 1, "2"], [2, 2, "3"]]}'),
+    ("estimate", "--type", "G", "--rank", "2", "--weight", "1,1", "--ustar", "[[1, 2]]"),
+    ("estimate", "--type", "G", "--rank", "2", "--weight", "1,1", "--ustar", "[1]"),
+    ("estimate", "--type", "G", "--rank", "2", "--weight", "1,1", "--ustar", "[[[1, 0], null]]"),
+    ("estimate", "--type", "G", "--rank", "2", "--weight", "1,1", "--ustar", "[[[1.5, 0], 1]]"),
+    ("estimate", "--type", "G", "--rank", "2", "--weight", "1,1", "--ustar", "[[[1, 0], 1.5]]"),
+    ("estimate", "--type", "G", "--rank", "2", "--weight", "1,1", "--kmode", "torus", "--ustar", "[[[1, 0, 0], 1]]"),
+    ("estimate", "--type", "G", "--rank", "2", "--weight", "1,1", "--ustar", "[[[1, 0], 1], [[1, 0], 2]]"),
 ]
 
 
@@ -649,6 +665,17 @@ def test_bad_numeric_input_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err and "Traceback" not in err
+
+
+def test_deeply_nested_json_exits_2(capsys):
+    deep = "[" * 100_000 + "]" * 100_000
+    for argv in (
+        ("spectrum", "--su2", "1", "--kappa", '{"n": 3, "entries": ' + deep + "}"),
+        ("estimate", "--type", "A", "--rank", "2", "--weight", "1,1", "--ustar", deep),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err and "Traceback" not in err
 
 
 def test_kappa_parsing():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ambient import dot, matmul, matvec, transpose
 from casimir_lab import polyq
 from casimir_lab import ratlinalg as rl
 from casimir_lab.errors import DimensionMismatch, InternalConsistencyError, NotPositiveDefinite
@@ -49,16 +50,16 @@ def test_det_matches_permanent_style_expansion():
 
 def solve(a: rl.Mat, b: rl.Vec) -> rl.Vec:
     """Reference: a^-1 b for square invertible a."""
-    return rl.matvec(rl.inverse(a), b)
+    return matvec(rl.inverse(a), b)
 
 
 def test_inverse_and_solve():
     a = rl.mat([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
     inv = rl.inverse(a)
-    assert rl.matmul(a, inv) == rl.identity(3)
+    assert matmul(a, inv) == rl.identity(3)
     b = (Q(1), Q(2), Q(3))
     x = solve(a, b)
-    assert rl.matvec(a, x) == b
+    assert matvec(a, x) == b
 
 
 def test_rank_counts_pivots():
@@ -72,7 +73,7 @@ def test_ldl_reconstructs_and_pd_matches_leading_minors():
     n = 3
     for _ in range(25):
         b = rand_matrix(rng, n, den=3)
-        g = rl.matmul(rl.transpose(b), b)  # symmetric, PD iff b invertible
+        g = matmul(transpose(b), b)  # symmetric, PD iff b invertible
         minors = [rl.det(rl.mat([row[: k + 1] for row in g[: k + 1]])) for k in range(n)]
         # independent PD criterion: all leading principal minors positive
         assert rl.is_positive_definite(g) == all(m > 0 for m in minors)
@@ -86,7 +87,7 @@ def test_ldl_reconstructs_and_pd_matches_leading_minors():
 
 def _quad_form(g, y):
     v = rl.vec(y)
-    return rl.dot(v, rl.matvec(g, v))
+    return dot(v, matvec(g, v))
 
 
 def test_ellipsoid_points_matches_box_scan():
@@ -103,9 +104,12 @@ def test_ellipsoid_points_matches_box_scan():
     assert got == box
 
 
-def test_dot_rejects_mismatched_lengths():
+def test_shape_mismatches_are_rejected():
     with pytest.raises(DimensionMismatch):
-        rl.dot((Q(1),), (Q(1), Q(2)))
+        rl.mat([[1, 2], [3]])
+    for f in (rl.inverse, rl.det):
+        with pytest.raises(DimensionMismatch):
+            f(rl.mat([[1, 2, 3], [4, 5, 6]]))
 
 
 # --- gaussian rationals ---

@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from ambient import mat_scale, mat_sub, matmul, matvec, reference, transpose, vadd
 from casimir_lab import ratlinalg as rl
 from casimir_lab.errors import CapExceeded, InternalConsistencyError
 from casimir_lab.hidden import (
@@ -15,7 +16,7 @@ from casimir_lab.hidden import (
     shifted_config,
     stabilizer_group,
 )
-from casimir_lab.ratlinalg import identity, matmul, matvec, transpose
+from casimir_lab.ratlinalg import identity
 from casimir_lab.rootsys import RootSystemType, build_root_system, weyl_group
 from casimir_lab.weights import LatticeChoice, classes_up_to, sphere_set
 
@@ -62,20 +63,14 @@ def _config(rs, a_sq):
 
 
 def _points(cfg):
-    """The shifted points as ambient rational vectors, sum_i y_i omega_i."""
-    out = []
-    for y in cfg.coords:
-        v = rl.vec([0] * cfg.rs.ambient_dim)
-        for c, w in zip(y, cfg.rs.fundamental_weights):
-            v = rl.vadd(v, rl.vscale(c, w))
-        out.append(v)
-    return out
+    """The shifted points as textbook ambient vectors, sum_i y_i omega_i."""
+    return [reference(cfg.rs).point(y) for y in cfg.coords]
 
 
 def _gram(cfg):
     """Reference Gram matrix of the ambient points under the invariant form."""
-    pts = _points(cfg)
-    return [[cfg.rs.inner(p, q) for q in pts] for p in pts]
+    pts, ref = _points(cfg), reference(cfg.rs)
+    return [[cfg.rs.metric_scale * ref.inner(p, q) for q in pts] for p in pts]
 
 
 def _reference_matrix(cfg, perm):
@@ -87,15 +82,15 @@ def _reference_matrix(cfg, perm):
     for i, p in enumerate(pts):
         if rl.rank(rl.mat([pts[j] for j in basis] + [p])) > len(basis):
             basis.append(i)
-    d = cfg.rs.ambient_dim
+    d = reference(cfg.rs).dim
     if not basis:
         return identity(d)
     b_cols = transpose(rl.mat([pts[i] for i in basis]))
     c_cols = transpose(rl.mat([pts[perm[i]] for i in basis]))
     proj = matmul(rl.inverse(matmul(transpose(b_cols), b_cols)), transpose(b_cols))
-    complement = rl.mat_sub(identity(d), matmul(b_cols, proj))
+    complement = mat_sub(identity(d), matmul(b_cols, proj))
     moved = matmul(c_cols, proj)
-    return tuple(rl.vadd(r, c) for r, c in zip(moved, complement))
+    return tuple(vadd(r, c) for r, c in zip(moved, complement))
 
 
 def _is_isometry(cfg, phi, perm):
@@ -229,10 +224,13 @@ def test_weyl_witnesses_match_matrix_reference():
         cfg = _config(rs, a_sq)
         pts = _points(cfg)
         index = {p: i for i, p in enumerate(pts)}
-        reference = [(w.word, tuple(index[w.apply(p)] for p in pts)) for w in weyl_group(rs)]
+        textbook = [(word, tuple(index[matvec(m, p)] for p in pts)) for word, m in reference(rs).weyl_group()]
         ok, witnesses = check_weyl_inclusion(rs, cfg)
         assert ok
-        assert witnesses == reference
+        assert witnesses == textbook
+        # the integer matrices of rootsys.weyl_group act the same way on coordinates
+        index = {y: i for i, y in enumerate(cfg.coords)}
+        assert [(w.word, tuple(index[w.apply(y)] for y in cfg.coords)) for w in weyl_group(rs)] == textbook
 
 
 def test_weyl_inclusion_fails_without_one_point():
@@ -269,7 +267,7 @@ def test_generator_check_rejects_a_wrong_permutation():
         _check_gram(cfg, swapped)
     assert not _is_isometry(cfg, phi, swapped)
     assert not _is_isometry(cfg, _reference_matrix(cfg, swapped), swapped)
-    assert not _is_isometry(cfg, rl.mat_scale(2, phi), p)
+    assert not _is_isometry(cfg, mat_scale(2, phi), p)
 
 
 def test_gram_certificate_rejects_every_swapped_element():

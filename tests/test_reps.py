@@ -23,9 +23,8 @@ from casimir_lab.reps import (
     trivial_decomposition,
     weight_multiplicities,
     weyl_dim,
-    weyl_orbit,
 )
-from casimir_lab.rootsys import RootSystemType, build_root_system
+from casimir_lab.rootsys import RootSystemType, build_root_system, weyl_orbit
 
 A1 = build_root_system(RootSystemType("A", 1))
 A2 = build_root_system(RootSystemType("A", 2))

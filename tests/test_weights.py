@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ambient import reference
 from casimir_lab import ratlinalg as rl
 from casimir_lab import weights
 from casimir_lab.errors import CapExceeded, NotInLattice
@@ -42,10 +43,8 @@ def test_adjoint_casimir_is_twice_dual_coxeter():
     # with long roots of norm 2 the adjoint eigenvalue is 2 h-vee
     for fam, rank, hvee in (("A", 1, 2), ("A", 2, 3), ("B", 2, 3), ("G", 2, 4), ("A", 3, 4), ("B", 3, 5)):
         rs = rs_of(fam, rank)
-        from casimir_lab.rootsys import highest_root
-
-        theta = rs.fw_coords(highest_root(rs))
-        mu = make_weight(rs, tuple(int(c) for c in theta))
+        ref = reference(rs)
+        mu = make_weight(rs, ref.fw_coords(ref.highest_root))
         assert casimir_eigenvalue(rs, mu) == 2 * hvee
 
 
