@@ -21,6 +21,7 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .hidden import (
+    PermGroup,
     ShiftedConfig,
     check_weyl_inclusion,
     orbits,

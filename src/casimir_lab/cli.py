@@ -195,15 +195,18 @@ def _entry_value(val) -> Q:
     raise ValueError(f"kappa entries must be exact rationals, got {val!r}")
 
 
-def parse_kappa(text: str) -> MetricParam:
+def parse_kappa(text: str, g: GroupSpec) -> MetricParam:
     """`diag:1,2,3` shorthand, or JSON {"n": N, "entries": [[i, j, "p/q"], ...]}.
 
     Entries use 0-based indices; the symmetric mirror of each entry is
     filled in automatically and any explicit conflict is rejected.
-    Unspecified entries are 0.
+    Unspecified entries are 0.  The size must be g's algebra dimension; it
+    is checked after the entries are read and before the matrix is built.
     """
     if text.startswith("diag:"):
-        return diag_metric([rational(part) for part in text[len("diag:"):].split(",")])
+        diagonal = [rational(part) for part in text[len("diag:"):].split(",")]
+        g.check_kappa_size(len(diagonal))
+        return diag_metric(diagonal)
     data = _json_input(text, "{")
     if not isinstance(data, dict):
         raise ValueError("kappa JSON must be an object")
@@ -213,7 +216,7 @@ def parse_kappa(text: str) -> MetricParam:
     entries = data.get("entries", [])
     if not isinstance(entries, list):
         raise ValueError("kappa entries must be a list")
-    cells = [[None] * n for _ in range(n)]
+    cells: dict[tuple[int, int], Q] = {}
     for item in entries:
         if not (isinstance(item, list) and len(item) == 3):
             raise ValueError(f"kappa entry {item!r} is not [i, j, value]")
@@ -222,10 +225,10 @@ def parse_kappa(text: str) -> MetricParam:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"kappa index ({i},{j}) outside 0..{n - 1}")
         for a, b in {(i, j), (j, i)}:
-            if cells[a][b] is not None and cells[a][b] != q:
+            if cells.setdefault((a, b), q) != q:
                 raise ValueError(f"kappa entries at ({a},{b}) and its mirror disagree")
-            cells[a][b] = q
-    return MetricParam(tuple(tuple(c if c is not None else Q(0) for c in row) for row in cells))
+    g.check_kappa_size(n)
+    return MetricParam(tuple(tuple(cells.get((i, j), Q(0)) for j in range(n)) for i in range(n)))
 
 
 def parse_ustar(text: str, kmode: KMode, rs):
@@ -384,7 +387,7 @@ def cmd_certify(args) -> dict:
 
 def cmd_spectrum(args) -> dict:
     g = GroupSpec(args.su2, args.torus)
-    k = parse_kappa(args.kappa)
+    k = parse_kappa(args.kappa, g)
     reps = enumerate_reps(g, args.rep_cap)
     ops = [build_operator(g, v, k) for v in reps]
     entries = []

@@ -52,6 +52,10 @@ class GroupSpec:
     def algebra_dim(self) -> int:
         return 3 * self.su2_copies + self.torus_rank
 
+    def check_kappa_size(self, n: int) -> None:
+        if n != self.algebra_dim:
+            raise DimensionMismatch(f"kappa is {n}x{n}, algebra dimension is {self.algebra_dim}")
+
 
 @dataclass(frozen=True)
 class IrrepSpec:
@@ -284,8 +288,7 @@ def build_operator(
     Passing the rep's pieces shares their products across metrics (certify
     does); without them the pieces are built for this call.
     """
-    if k.n != g.algebra_dim:
-        raise DimensionMismatch(f"kappa is {k.n}x{k.n}, algebra dimension is {g.algebra_dim}")
+    g.check_kappa_size(k.n)
     if pieces is None:
         pieces = _QuadPieces(g, rep)
     elif pieces.group != g or pieces.rep != rep:

@@ -1,0 +1,136 @@
+"""Reference permutation-group code for the hidden-symmetry tests.
+
+`hidden.stabilizer_group` keeps the stabilizer of a shifted configuration as
+a base and strong generating set.  The references here list the group
+element by element instead: `full_stabilizer` is the exhaustive
+Gram-preserving backtracking over every image of a spanning subset,
+checked by closing its generators back to every permutation found, and
+`select_basis` is the basis selection that rebuilds every profile and
+re-reduces every point on each pass.  `elements` enumerates a `PermGroup`
+from the transversals of its strong generators.
+"""
+
+from collections import Counter
+from operator import itemgetter
+
+
+def _reduce(echelon, v):
+    """Fraction-free elimination of v against echelon rows (pivot, row)."""
+    v = list(v)
+    for c, row in echelon:
+        if v[c]:
+            a, b = row[c], v[c]
+            v = [a * x - b * z for x, z in zip(v, row)]
+    return v
+
+
+def select_basis(cfg):
+    """Greedy spanning subset, preferring points whose inner-product profile
+    against the already-chosen basis is shared by as few other points as
+    possible; the first such point on ties."""
+    chosen = []
+    echelon = []
+    while True:
+        profiles = [tuple(row[j] for j in chosen) for row in cfg.gram_int]
+        shared = Counter(profiles)
+        best = best_rest = None
+        for i, y in enumerate(cfg.coords):
+            rest = _reduce(echelon, y)
+            if not any(rest):
+                continue
+            if best is None or shared[profiles[i]] < shared[profiles[best]]:
+                best, best_rest = i, rest
+        if best is None:
+            return chosen
+        chosen.append(best)
+        echelon.append((next(c for c, x in enumerate(best_rest) if x), best_rest))
+
+
+def close(group, gens):
+    """The permutation group generated by a group and further generators."""
+    group = set(group)
+    frontier = list(group)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for s in gens:
+                y = tuple(map(x.__getitem__, s))
+                if y not in group:
+                    group.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return group
+
+
+def full_stabilizer(cfg):
+    """Every permutation of X induced by an isometry of span X, sorted.
+
+    Backtracks over all Gram-compatible images of a spanning subset and
+    keeps each assignment whose inner-product profiles give a bijection of
+    X; the permutations outside the closure of those taken so far are the
+    generators, and their closure must be exactly the set found.
+    """
+    basis = select_basis(cfg)
+    n, r = cfg.size, len(basis)
+    if r == 0:
+        return [tuple(range(n))]
+    g = cfg.gram_int
+    perms = set()
+    images = [0] * r
+    basis_profiles = list(map(itemgetter(*basis), g))
+    # with_value[a][v]: the points whose inner product with point a is v
+    with_value = []
+    for row in g:
+        by_value = {}
+        for c, v in enumerate(row):
+            by_value.setdefault(v, []).append(c)
+        with_value.append(by_value)
+
+    def backtrack(depth):
+        if depth == r:
+            image_profile = itemgetter(*images)
+            lookup = {image_profile(row): y for y, row in enumerate(g)}
+            perm = tuple(map(lookup.get, basis_profiles))
+            if None not in perm and len(set(perm)) == n:
+                perms.add(perm)
+            return
+        want = g[basis[depth]]
+        cands = range(n) if depth == 0 else with_value[images[0]].get(want[basis[0]], ())
+        for cand in cands:
+            if all(g[cand][images[j]] == want[basis[j]] for j in range(1, depth)):
+                images[depth] = cand
+                backtrack(depth + 1)
+
+    backtrack(0)
+    group = sorted(perms)
+    closure = {tuple(range(n))}
+    gens = []
+    for perm in group:
+        if perm not in closure:
+            gens.append(perm)
+            closure = close(closure, gens)
+    assert closure == perms, "generators do not close to the permutations found"
+    return group
+
+
+def elements(group, n):
+    """Every element of a PermGroup on n points, from its transversals.
+
+    G_k is the union of the cosets G_(k+1) u_x, u_x running over a
+    transversal of the orbit of base[k] under the generators fixing
+    base[0..k-1]; the count must be the group's order.
+    """
+    base = group.base
+    elems = [tuple(range(n))]
+    for k in reversed(range(len(base))):
+        gens = [s for s in group.gens if all(s[c] == c for c in base[:k])]
+        transversal = {base[k]: tuple(range(n))}
+        queue = [base[k]]
+        for x in queue:
+            for s in gens:
+                if s[x] not in transversal:
+                    transversal[s[x]] = tuple(map(s.__getitem__, transversal[x]))
+                    queue.append(s[x])
+        elems = [tuple(map(u.__getitem__, e)) for u in transversal.values() for e in elems]
+    assert len(set(elems)) == len(elems) == group.order
+    return elems

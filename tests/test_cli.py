@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from fractions import Fraction as Q
@@ -18,7 +19,8 @@ from hypothesis import strategies as st
 from casimir_lab import cli
 from casimir_lab.cli import main, parse_kappa, parse_ustar, qstr
 from casimir_lab.errors import InternalConsistencyError
-from casimir_lab.oplab import diag_metric, multiplicity_at_float
+from casimir_lab import hidden
+from casimir_lab.oplab import GroupSpec, diag_metric, multiplicity_at_float
 from casimir_lab.polyq import RationalPoly
 from casimir_lab.reps import KMode, RepType
 from casimir_lab.rootsys import RootSystemType, build_root_system
@@ -99,6 +101,28 @@ def test_enumeration_refused_while_it_runs(capsys, argv):
     assert (code, out) == (3, "")
     reason = json.loads(err)
     assert reason["what"] == "enumeration nodes" and reason["limit"] == DEFAULT_NODE_CAP < reason["actual"]
+
+
+@pytest.mark.parametrize(
+    "family,a_sq,points", [("D", "14", 192), ("B", "30", 576), ("C", "15", 576)]
+)
+def test_rank4_hidden_at_raised_point_cap(capsys, family, a_sq, points):
+    data = run_json(capsys, "hidden", "--type", family, "--rank", "4", "--a2", a_sq, "--point-cap", "600")
+    assert (data["points"], data["order"], data["orbits"]) == (points, 1152, 1)
+    assert data["transitive"] is True and data["weyl_included"] is True
+
+
+def test_hidden_exits_4_when_the_sift_identity_fails(capsys, monkeypatch):
+    search = hidden._search
+
+    def drop_first_generator(cfg, basis):
+        group = search(cfg, basis)
+        return hidden.PermGroup(group.base, group.gens[1:], group.orbit_lengths)
+
+    monkeypatch.setattr(hidden, "_search", drop_first_generator)
+    code, out, err = run(capsys, "hidden", "--type", "B", "--rank", "3", "--a2", "35/4")
+    assert (code, out) == (4, "")
+    assert err.startswith("internal consistency failure: ") and "Traceback" not in err
 
 
 def test_point_cap_refuses_before_the_gram_matrix(capsys):
@@ -679,17 +703,34 @@ def test_deeply_nested_json_exits_2(capsys):
 
 
 def test_kappa_parsing():
-    assert parse_kappa("diag:1,2,3").kappa == ((1, 0, 0), (0, 2, 0), (0, 0, 3))
-    k = parse_kappa('{"n": 2, "entries": [[0, 0, "2"], [0, 1, "1/3"], [1, 1, 4]]}')
+    su2, t1, t2 = GroupSpec(1), GroupSpec(0, 1), GroupSpec(0, 2)
+    assert parse_kappa("diag:1,2,3", su2).kappa == ((1, 0, 0), (0, 2, 0), (0, 0, 3))
+    k = parse_kappa('{"n": 2, "entries": [[0, 0, "2"], [0, 1, "1/3"], [1, 1, 4]]}', t2)
     assert k.kappa == ((Q(2), Q(1, 3)), (Q(1, 3), Q(4)))
     # mirror conflict
     with pytest.raises(ValueError):
-        parse_kappa('{"n": 2, "entries": [[0, 1, "1"], [1, 0, "2"]]}')
+        parse_kappa('{"n": 2, "entries": [[0, 1, "1"], [1, 0, "2"]]}', t2)
     # float entries are not exact and must be rejected
     with pytest.raises(ValueError):
-        parse_kappa('{"n": 1, "entries": [[0, 0, 1.5]]}')
+        parse_kappa('{"n": 1, "entries": [[0, 0, 1.5]]}', t1)
     with pytest.raises(ValueError):
-        parse_kappa('{"n": 2, "entries": [[0, 5, "1"]]}')
+        parse_kappa('{"n": 2, "entries": [[0, 5, "1"]]}', t2)
+    # the size must be the algebra dimension, in both forms
+    for text in ("diag:1,2", '{"n": 2, "entries": [[0, 0, "1"]]}'):
+        with pytest.raises(ValueError, match="kappa is 2x2, algebra dimension is 3"):
+            parse_kappa(text, su2)
+
+
+@pytest.mark.parametrize("kappa", ['{"n": 1500}', "diag:" + ",".join(["1"] * 1500)])
+def test_kappa_size_refused_before_the_matrix_is_built(capsys, kappa):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "spectrum", "--su2", "1", "--kappa", kappa)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (2, "", "error: kappa is 1500x1500, algebra dimension is 3\n")
+    assert peak < 1_000_000
 
 
 def test_kappa_file_input(tmp_path, capsys):

@@ -7,10 +7,14 @@ from fractions import Fraction as Q
 import pytest
 
 from ambient import mat_scale, mat_sub, matmul, matvec, reference, transpose, vadd
+from permref import elements, full_stabilizer, select_basis
 from casimir_lab import ratlinalg as rl
 from casimir_lab.errors import CapExceeded, InternalConsistencyError
 from casimir_lab.hidden import (
+    PermGroup,
     _check_gram,
+    _check_strong_generators,
+    _select_basis,
     check_weyl_inclusion,
     orbits,
     shifted_config,
@@ -26,6 +30,7 @@ B2 = build_root_system(RootSystemType("B", 2))
 G2 = build_root_system(RootSystemType("G", 2))
 A3 = build_root_system(RootSystemType("A", 3))
 B3 = build_root_system(RootSystemType("B", 3))
+C3 = build_root_system(RootSystemType("C", 3))
 WEIGHT = LatticeChoice.WEIGHT
 
 
@@ -56,6 +61,15 @@ def _gram_automorphisms(gram):
 
     rec(0)
     return sorted(out)
+
+
+def _elements(cfg, grp):
+    return sorted(elements(grp, cfg.size))
+
+
+def _orbits_of(cfg, perms):
+    """The point orbits of a listed group, sorted by smallest member."""
+    return sorted({tuple(sorted({p[i] for p in perms})) for i in range(cfg.size)})
 
 
 def _config(rs, a_sq):
@@ -111,7 +125,7 @@ def test_hexagon_full_dihedral():
     assert ok and len(witnesses) == 6
     # the Weyl group is a proper subgroup here: only 6 of the 12 permutations
     weyl_perms = {p for _, p in witnesses}
-    assert weyl_perms < set(grp)
+    assert weyl_perms < set(_elements(cfg, grp))
 
 
 def test_stabilizer_matches_gram_oracle():
@@ -126,12 +140,12 @@ def test_stabilizer_matches_gram_oracle():
     for rs, a_sq in cases:
         cfg = _config(rs, a_sq)
         assert cfg.size > 0
-        assert stabilizer_group(cfg) == _gram_automorphisms(_gram(cfg))
+        assert _elements(cfg, stabilizer_group(cfg)) == _gram_automorphisms(_gram(cfg))
 
 
 def test_group_axioms_and_exactness():
     cfg = _config(B2, Q(13, 2))
-    grp = stabilizer_group(cfg)
+    grp = _elements(cfg, stabilizer_group(cfg))
     perms = set(grp)
     assert tuple(range(cfg.size)) in perms
     for g in grp:
@@ -153,8 +167,10 @@ def test_known_nontransitive_classes():
     for rs, a_sq, npts in expected:
         cfg = _config(rs, a_sq)
         assert cfg.size == npts
-        grp = stabilizer_group(cfg)
+        grp, full = stabilizer_group(cfg), full_stabilizer(cfg)
+        assert _elements(cfg, grp) == full
         orbs = orbits(cfg, grp)
+        assert orbs == _orbits_of(cfg, full)
         assert len(orbs) == 2, (rs.typ, a_sq)
         ok, _ = check_weyl_inclusion(rs, cfg)
         assert ok
@@ -176,7 +192,7 @@ def test_two_point_class():
     pts = _points(cfg)
     assert pts[0] == tuple(-c for c in pts[1])
     grp = stabilizer_group(cfg)
-    assert grp == [(0, 1), (1, 0)]
+    assert _elements(cfg, grp) == [(0, 1), (1, 0)]
     assert len(orbits(cfg, grp)) == 1
 
 
@@ -216,7 +232,7 @@ def test_stabilizer_matches_gram_oracle_rank3():
     for rs, a_sq in ((B3, Q(35, 4)), (A3, Q(17))):
         cfg = _config(rs, a_sq)
         assert cfg.size == 48
-        assert stabilizer_group(cfg) == _gram_automorphisms(_gram(cfg))
+        assert _elements(cfg, stabilizer_group(cfg)) == _gram_automorphisms(_gram(cfg))
 
 
 def test_weyl_witnesses_match_matrix_reference():
@@ -251,6 +267,7 @@ def test_non_generator_matrix_is_exact():
     cfg = _config(B3, Q(35, 4))
     grp = stabilizer_group(cfg)
     assert len(grp) == 48
+    grp = _elements(cfg, grp)
     assert all(type(g) is tuple and all(type(i) is int for i in g) for g in grp)
     for g in grp:
         assert _is_isometry(cfg, _reference_matrix(cfg, g), g)
@@ -258,7 +275,7 @@ def test_non_generator_matrix_is_exact():
 
 def test_generator_check_rejects_a_wrong_permutation():
     cfg = _config(B2, Q(25, 2))
-    p = stabilizer_group(cfg)[1]  # the first generator taken
+    p = stabilizer_group(cfg).gens[0]
     _check_gram(cfg, p)
     phi = _reference_matrix(cfg, p)
     assert _is_isometry(cfg, phi, p)
@@ -274,7 +291,7 @@ def test_gram_certificate_rejects_every_swapped_element():
     cfg = _config(B2, Q(25, 2))
     grp = stabilizer_group(cfg)
     assert len(grp) == 8
-    for p in grp:
+    for p in _elements(cfg, grp):
         _check_gram(cfg, p)
         with pytest.raises(InternalConsistencyError, match="stabilizer permutation mismatch"):
             _check_gram(cfg, (p[1], p[0]) + p[2:])
@@ -302,3 +319,89 @@ def test_hidden_runs_without_rational_linear_algebra(monkeypatch):
         ok, witnesses = check_weyl_inclusion(rs, cfg)
         assert (cfg.size, len(grp), len(orbits(cfg, grp))) == (order, order, n_orbits)
         assert ok and len(witnesses) == rs.typ.weyl_order()
+
+
+def _reference_classes():
+    """Every weight-lattice class of A2/B2/G2 with a^2 <= 60 and of A3/B3/C3
+    with a^2 <= 21, past the point cap too (at most 96 points)."""
+    for rs, cap in ((A2, 60), (B2, 60), (G2, 60), (A3, 21), (B3, 21), (C3, 21)):
+        for cls in classes_up_to(rs, WEIGHT, Q(cap)):
+            yield shifted_config(rs, cls)
+
+
+def test_matches_full_reference_on_every_class():
+    checked = 0
+    for cfg in _reference_classes():
+        grp = stabilizer_group(cfg, point_cap=cfg.size)
+        full = full_stabilizer(cfg)
+        assert len(grp) == len(full), (cfg.rs.typ, cfg.a_sq)
+        assert orbits(cfg, grp) == _orbits_of(cfg, full)
+        assert _elements(cfg, grp) == full
+        checked += 1
+    assert checked == 105
+
+
+RANK4 = [("D", 14, 192), ("B", 30, 576), ("C", 15, 576)]
+
+
+@pytest.mark.parametrize("family,a_sq,points", RANK4)
+def test_rank4_orders_match_full_reference(family, a_sq, points):
+    rs = build_root_system(RootSystemType(family, 4))
+    cfg = _config(rs, a_sq)
+    assert cfg.size == points
+    grp = stabilizer_group(cfg, point_cap=600)
+    assert len(grp) == len(full_stabilizer(cfg)) == 1152
+    assert len(orbits(cfg, grp)) == 1
+
+
+def test_select_basis_matches_reference():
+    systems = [(A2, 60), (B2, 60), (G2, 60), (A3, 40), (B3, 40), (C3, 40)]
+    systems += [(build_root_system(RootSystemType(f, 4)), cap) for f, cap in (("D", 14), ("B", 21), ("C", 20))]
+    configs = [shifted_config(rs, cls) for rs, cap in systems for cls in classes_up_to(rs, WEIGHT, Q(cap))]
+    assert len(configs) == 155
+    for cfg in configs:
+        assert _select_basis(cfg) == select_basis(cfg), (cfg.rs.typ, cfg.a_sq)
+
+
+def test_dropping_any_strong_generator_fails_the_sift():
+    cases = 0
+    for cfg in _reference_classes():
+        grp = stabilizer_group(cfg, point_cap=cfg.size)
+        _check_strong_generators(grp, cfg.size)
+        for i in range(len(grp.gens)):
+            dropped = PermGroup(grp.base, grp.gens[:i] + grp.gens[i + 1 :], grp.orbit_lengths)
+            with pytest.raises(InternalConsistencyError):
+                _check_strong_generators(dropped, cfg.size)
+            cases += 1
+    assert cases == 236
+
+
+def test_sift_rejects_wrong_orbit_lengths_and_a_foreign_generator():
+    cfg = _config(B3, Q(35, 4))
+    grp = stabilizer_group(cfg)
+    doubled = PermGroup(grp.base, grp.gens, grp.orbit_lengths[:-1] + (2 * grp.orbit_lengths[-1],))
+    with pytest.raises(InternalConsistencyError, match="transversals do not match"):
+        _check_strong_generators(doubled, cfg.size)
+    # A generator of the base-point stabilizer that is not the identity:
+    # the base images of the identity, yet a point moves.
+    n = cfg.size
+    moved = next(i for i in range(n) if i not in grp.base)
+    other = next(i for i in range(n) if i not in grp.base and i != moved)
+    swap = list(range(n))
+    swap[moved], swap[other] = other, moved
+    foreign = PermGroup(grp.base, grp.gens + (tuple(swap),), grp.orbit_lengths)
+    with pytest.raises(InternalConsistencyError, match="sift"):
+        _check_strong_generators(foreign, cfg.size)
+
+
+def test_every_generator_with_two_images_swapped_is_rejected():
+    for rs, a_sq in ((B2, Q(25, 2)), (B3, Q(35, 4)), (A3, Q(17)), (G2, Q(98, 3))):
+        cfg = _config(rs, a_sq)
+        for p in stabilizer_group(cfg).gens:
+            _check_gram(cfg, p)
+            i = next(i for i in range(cfg.size) if p[i] != i)
+            j = next(j for j in range(cfg.size) if j != i and p[j] != p[i])
+            swapped = list(p)
+            swapped[i], swapped[j] = p[j], p[i]
+            with pytest.raises(InternalConsistencyError, match="stabilizer permutation mismatch"):
+                _check_gram(cfg, tuple(swapped))
