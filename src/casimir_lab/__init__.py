@@ -35,7 +35,6 @@ from .oplab import (
     IrrepSpec,
     MetricParam,
     SpectrumCluster,
-    abc_values,
     build_operator,
     casimir_cross_check,
     certify,

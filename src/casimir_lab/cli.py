@@ -392,13 +392,16 @@ def cmd_spectrum(args) -> dict:
     ops = [build_operator(g, v, k) for v in reps]
     entries = []
     for v, op in zip(reps, ops):
-        p = char_poly(op)
+        # P(s) = det(sI - den D); scaling by den keeps root multiplicities,
+        # and D's polynomial has coefficient P[i] / den^(d - i) at t^i.
+        p, den = char_poly(op)
+        d = len(p) - 1
         profile = root_multiplicity_profile(p)
         entries.append(
             {
                 "rep": _rep_payload(v),
                 "dim": v.dim,
-                "char_poly": [qstr(c) for c in p.coefficients],
+                "char_poly": [str(Q(c, den ** (d - i))) for i, c in enumerate(p)],
                 "multiplicity_profile": {str(m): c for m, c in sorted(profile.items())},
             }
         )

@@ -27,9 +27,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, InternalConsistencyError, NotPositiveDefinite
+from .errors import CapExceeded, DimensionMismatch, InternalConsistencyError, NotPositiveDefinite
 from .gaussian import GZERO, QQi, gconj_transpose
-from .polyq import RationalPoly, integer_parts, resultant, squarefree_decomposition
+from .polyq import RationalPoly, derivative, integer_parts, resultant, squarefree_decomposition
 from .ratlinalg import frac, is_positive_definite
 
 Q = Fraction
@@ -334,24 +334,24 @@ def is_w_hermitian(op: ExactOperator) -> bool:
     return True
 
 
-def char_poly(op: ExactOperator) -> RationalPoly:
-    """Exact monic characteristic polynomial via the trace recursion.
+def char_poly(op: ExactOperator) -> tuple[list[int], int]:
+    """(P, den): the monic integer polynomial P(s) = det(sI - A) of A = den * D.
 
-    Faddeev-LeVerrier runs on the Gaussian-integer matrix A = den * D:
-    M_1 = A, c_k = -tr(M_k) / k, M_(k+1) = A (M_k + c_k I), where every
-    division is exact in Z[i] (a remainder signals a bug).  The polynomial
-    of D = A / den has coefficient c_k / den^k at t^(d-k); coefficients are
-    asserted to be real, anything else signals a bug in the construction.
+    Faddeev-LeVerrier runs on the Gaussian-integer matrix A: M_1 = A,
+    c_k = -tr(M_k) / k, M_(k+1) = A (M_k + c_k I), where every division is
+    exact in Z[i] (a remainder signals a bug).  P is degree-indexed, with
+    c_k at s^(d-k); its coefficients are asserted to be real, anything else
+    signals a bug in the construction.  The characteristic polynomial of D
+    is p(t) = den^(-d) P(den t), with coefficient c_k / den^k at t^(d-k);
+    scaling t by den keeps every root multiplicity.
     """
     coeffs = []
     for k, (cre, cim) in enumerate(_trace_recursion(op.re, op.im)):
         if cim:
             raise InternalConsistencyError(f"characteristic coefficient has imaginary part {Q(cim, op.den ** k)}")
-        coeffs.append(Q(cre, op.den ** k))
-    p = RationalPoly.of(*reversed(coeffs))
-    if p.leading() != 1:
-        raise InternalConsistencyError("characteristic polynomial is not monic")
-    return p
+        coeffs.append(cre)
+    coeffs.reverse()
+    return coeffs, op.den
 
 
 def _trace_recursion(are, aim):
@@ -375,37 +375,43 @@ def _trace_recursion(are, aim):
     return out
 
 
-@dataclass(frozen=True)
-class ABCValues:
-    """Separation (a), simplicity (b) and pairing (c) resultants at one metric."""
-
-    a: Q
-    b1: Optional[Q]
-    b2: Optional[Q]
-    c1: Optional[Q]
-    c2: Optional[Q]
+# Admission caps of enumerate_reps, and so of certify and cli spectrum: the
+# number of irreducibles and the sum of their dimensions.  Operators,
+# characteristic polynomials and resultants grow with both.
+REP_COUNT_CAP = 64
+TOTAL_DIM_CAP = 160
 
 
-def abc_values(g: GroupSpec, reps, k: MetricParam) -> ABCValues:
-    """a = res(p1, p2); per rep, b = res(p, p') for real/complex type and
-    c = res(p, p'') for quaternionic type; the unused slot is absent."""
-    v1, v2 = reps
-    p1 = char_poly(build_operator(g, v1, k))
-    p2 = char_poly(build_operator(g, v2, k))
-    a = resultant(p1, p2)
-    out = {}
-    for tag, v, p in (("1", v1, p1), ("2", v2, p2)):
-        if v.rep_type() == "quaternionic":
-            out["b" + tag] = None
-            out["c" + tag] = resultant(p, p.derivative().derivative())
-        else:
-            out["b" + tag] = resultant(p, p.derivative())
-            out["c" + tag] = None
-    return ABCValues(a, out["b1"], out["b2"], out["c1"], out["c2"])
+def _admit(what: str, factors, cap: int) -> None:
+    """Refuse (CapExceeded) a product of value**copies over (value, copies)
+    factors that passes cap.  The product is formed one copy at a time and
+    the refusal reports the first partial product past the cap, so a count
+    of astronomically many reps is refused without being computed."""
+    if any(value == 0 and copies for value, copies in factors):
+        return
+    product = 1
+    for value, copies in factors:
+        for _ in range(copies if value > 1 else 0):
+            if product > cap:
+                break
+            product *= value
+    if product > cap:
+        raise CapExceeded(what, product, cap)
 
 
 def enumerate_reps(g: GroupSpec, rep_cap: int):
-    """All irreducible labels with every m_i <= rep_cap and |z_t| <= rep_cap."""
+    """All irreducible labels with every m_i <= rep_cap and |z_t| <= rep_cap.
+
+    The count and the total dimension are products over the factors: each
+    SU(2) copy offers rep_cap + 1 spins of total dimension
+    (rep_cap + 1)(rep_cap + 2)/2, each torus factor 2 rep_cap + 1
+    characters of dimension 1.  A list past REP_COUNT_CAP or TOTAL_DIM_CAP
+    is refused (CapExceeded) from these products, before any label is made.
+    """
+    spins, chars = max(0, rep_cap + 1), max(0, 2 * rep_cap + 1)
+    _admit("rep count", [(spins, g.su2_copies), (chars, g.torus_rank)], REP_COUNT_CAP)
+    _admit("total rep dimension", [(spins * (rep_cap + 2) // 2, g.su2_copies), (chars, g.torus_rank)], TOTAL_DIM_CAP)
+
     def spins_iter(c):
         if c == 0:
             yield ()
@@ -507,11 +513,17 @@ def certify(g: GroupSpec, rep_cap: int, budget: int = 12, seed: int = 2026) -> C
         # Only the last candidate's violations are ever reported, so every
         # earlier one stops at its first zero value.
         exhaustive = tried == len(candidates)
+        # build_operator's denominator for every rep at this metric; the
+        # table values rely on it being shared.
+        den = 4 * math.lcm(*(x.denominator for row in cand.kappa for x in row))
         polys = {}
 
         def poly(v):
             if v not in polys:
                 polys[v] = char_poly(build_operator(g, v, cand, pieces=pieces[v]))
+                if polys[v][1] != den:
+                    raise InternalConsistencyError(
+                        f"operator of {v} has denominator {polys[v][1]}, its metric {den}")
             return polys[v]
 
         table = []
@@ -530,18 +542,27 @@ def certify(g: GroupSpec, rep_cap: int, budget: int = 12, seed: int = 2026) -> C
 
 def _required_values(reps, poly):
     """Table rows (kind, V, W, value) in certificate order, computed one at a time:
-    b or c per rep, then a for every pair that is not a dual pair."""
+    b or c per rep, then a for every pair that is not a dual pair.
+
+    poly(v) is char_poly's (P, den) for the operator D of v, with one den
+    for every rep.  The characteristic polynomial of D is
+    p(t) = den^(-d) P(den t), so over the roots of P, for degrees d, d2:
+    a = res(P, P2) / den^(d d2), b = res(P, P') / den^(d (d - 1)) and
+    c = res(P, P'') / den^(d (d - 2)); each value is one Fraction.
+    """
     for v in reps:
-        p = poly(v)
+        p, den = poly(v)
+        d = len(p) - 1
         if v.rep_type() == "quaternionic":
-            yield ("c", v, None, resultant(p, p.derivative().derivative()))
+            yield ("c", v, None, Q(resultant(p, derivative(derivative(p))), den ** (d * (d - 2))))
         else:
-            yield ("b", v, None, resultant(p, p.derivative()))
+            yield ("b", v, None, Q(resultant(p, derivative(p)), den ** (d * (d - 1))))
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
             v, w = reps[i], reps[j]
             if w != v.dual():
-                yield ("a", v, w, resultant(poly(v), poly(w)))
+                (p, den), (q, _) = poly(v), poly(w)
+                yield ("a", v, w, Q(resultant(p, q), den ** ((len(p) - 1) * (len(q) - 1))))
 
 
 @dataclass(frozen=True)
@@ -614,11 +635,12 @@ def cluster_spectrum(ops, k: MetricParam, tol: float = 1e-9):
 def multiplicity_at_float(p: RationalPoly, x: float, tol: float = 1e-6) -> int:
     """Exact multiplicity of the root of p nearest the float estimate x.
 
-    p splits into squarefree layers by Yun's algorithm (Yun 1976; layer i
-    collects the multiplicity-i roots); within a layer roots are simple, so
-    the Newton residual |q(x)/q'(x)| is a sound distance proxy.  It is
-    decided exactly at the dyadic value x = n / 2^e of the float: with q
-    cleared to integer coefficients, homogeneous integer Horner gives
+    p is cleared to integer coefficients once and split into primitive
+    integer squarefree layers by Yun's algorithm (Yun 1976; layer i collects
+    the multiplicity-i roots); within a layer roots are simple, so the
+    Newton residual |q(x)/q'(x)| is a sound distance proxy.  It is decided
+    exactly at the dyadic value x = n / 2^e of the float: for a layer q,
+    homogeneous integer Horner gives
     2^(e deg q) q(x) and 2^(e (deg q - 1)) q'(x), and the test
     |q(x)| <= b |q'(x)| for the float b = tol * max(1, |x|), taken exactly,
     is one integer comparison (float Horner on large coefficients loses
@@ -628,18 +650,17 @@ def multiplicity_at_float(p: RationalPoly, x: float, tol: float = 1e-6) -> int:
     """
     if not math.isfinite(x):
         raise InternalConsistencyError(f"cluster center {x!r} is not finite")
-    _, parts = squarefree_decomposition(p)
+    _, parts = squarefree_decomposition(integer_parts(p)[1])
     n, den = x.as_integer_ratio()
     bound = tol * max(1.0, abs(x))
     # b = bn / bd; b = +inf admits every layer, -inf and nan none, as the
     # comparison with the float does.
     bn, bd = bound.as_integer_ratio() if math.isfinite(bound) else ((1, 0) if bound > 0 else (-1, 1))
     hits = []
-    for i, part in enumerate(parts):
-        if part.degree <= 0:
+    for i, q in enumerate(parts):
+        if len(q) <= 1:
             continue
-        q = integer_parts(part)[1]
-        dval = _homogeneous_horner([k * c for k, c in enumerate(q)][1:], n, den)
+        dval = _homogeneous_horner(derivative(q), n, den)
         if dval == 0:
             continue
         if abs(_homogeneous_horner(q, n, den)) * bd <= bn * den * abs(dval):

@@ -1,7 +1,10 @@
-"""Univariate polynomials with exact rational coefficients.
+"""Univariate polynomials over the integers, with a rational boundary type.
 
 Coefficients are degree-indexed (coefficients[k] multiplies t**k) with no
-trailing zeros; the zero polynomial has an empty coefficient tuple.
+trailing zeros; the zero polynomial has no coefficients.  The algorithms
+(Yun's squarefree decomposition, subresultant resultants) take integer
+coefficient lists.  `RationalPoly` holds `Fraction` coefficients for input
+that arrives in rational form; `integer_parts` clears it to an integer list.
 """
 
 from __future__ import annotations
@@ -14,29 +17,18 @@ from . import ratlinalg as rl
 from .errors import InternalConsistencyError
 
 
-def _trim(cs) -> tuple[Q, ...]:
-    cs = [rl.frac(c) for c in cs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
 @dataclass(frozen=True)
 class RationalPoly:
-    """Exact rational polynomial in one variable."""
+    """Exact rational polynomial in one variable (parsing and output boundary)."""
 
     coefficients: tuple[Q, ...]
 
     @classmethod
     def of(cls, *coeffs) -> "RationalPoly":
-        return cls(_trim(coeffs))
-
-    @classmethod
-    def from_roots(cls, roots) -> "RationalPoly":
-        p = cls.of(1)
-        for r in roots:
-            p = p * cls.of(-rl.frac(r), 1)
-        return p
+        cs = [rl.frac(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        return cls(tuple(cs))
 
     @property
     def degree(self) -> int:
@@ -51,49 +43,12 @@ class RationalPoly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coefficients[-1]
 
-    def __add__(self, other: "RationalPoly") -> "RationalPoly":
-        a, b = self.coefficients, other.coefficients
-        n = max(len(a), len(b))
-        return RationalPoly(_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]))
-
-    def __sub__(self, other: "RationalPoly") -> "RationalPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "RationalPoly":
-        return RationalPoly(tuple(-c for c in self.coefficients))
-
-    def __mul__(self, other: "RationalPoly") -> "RationalPoly":
-        if self.is_zero() or other.is_zero():
-            return RationalPoly(())
-        out = [Q(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return RationalPoly(_trim(out))
-
-    def scale(self, c) -> "RationalPoly":
-        c = rl.frac(c)
-        return RationalPoly(_trim([c * a for a in self.coefficients]))
-
-    def monic(self) -> "RationalPoly":
-        return self.scale(1 / self.leading())
-
-    def derivative(self) -> "RationalPoly":
-        return RationalPoly(_trim([k * c for k, c in enumerate(self.coefficients)][1:]))
-
-    def eval(self, x):
-        """Horner evaluation; exact for Fraction input, float/complex passthrough."""
-        acc = 0 * x if self.is_zero() else self.coefficients[-1]
-        for c in reversed(self.coefficients[:-1]):
-            acc = acc * x + c
-        return acc
-
 
 def integer_parts(p: RationalPoly) -> tuple[Q, list[int]]:
     """(c, P) with p = c * P for a nonzero p: P holds integer coefficients
     (degree-indexed) with content 1 and a positive leading coefficient."""
+    if p.is_zero():
+        raise ValueError("integer parts of the zero polynomial")
     den = math.lcm(*(c.denominator for c in p.coefficients))
     cs = [c.numerator * (den // c.denominator) for c in p.coefficients]
     prim = _primitive(cs)
@@ -110,7 +65,8 @@ def _primitive(cs: list[int]) -> list[int]:
     return cs if g == 1 else [c // g for c in cs]
 
 
-def _derivative(cs: list[int]) -> list[int]:
+def derivative(cs: list[int]) -> list[int]:
+    """The derivative of the integer polynomial cs; [] for a constant."""
     return [k * c for k, c in enumerate(cs)][1:]
 
 
@@ -169,65 +125,63 @@ def _gcd(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def squarefree_decomposition(p: RationalPoly) -> tuple[Q, list[RationalPoly]]:
-    """Yun's algorithm: p = c * prod_i parts[i-1]**i with each part monic squarefree.
+def squarefree_decomposition(a: list[int]) -> tuple[int, list[list[int]]]:
+    """Yun's algorithm: a = c * prod_i parts[i-1]**i with each part squarefree.
 
-    Returns (c, [a1, a2, ...]); parts may be the constant 1 polynomial.
-    Yun (1976) runs on the primitive integer part P of p: every gcd is
-    primitive (primitive pseudo-remainders), so by Gauss's lemma every
-    quotient is exact over the integers, and an inexact one is a bug.  The
-    layers differ from Yun over Q only by constant factors, so they are
-    made monic at the end.
+    a is a nonzero integer polynomial.  Returns (c, [a1, a2, ...]): every
+    part is primitive with a positive leading coefficient, and may be the
+    constant [1]; c is the content of a with the sign of its leading
+    coefficient, because a product of primitive polynomials is primitive
+    (Gauss's lemma).  Yun (1976) runs on a / c: every gcd is primitive
+    (primitive pseudo-remainders), so every quotient is exact over the
+    integers, and an inexact one is a bug.
     """
-    if p.is_zero():
+    if not a:
         raise ValueError("squarefree decomposition of zero")
-    c = p.leading()
-    if p.degree == 0:
+    c = math.gcd(*a) if a[-1] > 0 else -math.gcd(*a)
+    if len(a) == 1:
         return c, []
-    a = integer_parts(p)[1]
-    da = _derivative(a)
+    a = [x // c for x in a]
+    da = derivative(a)
     g = _gcd(a, da)
     b = _exact_quotient(a, g)
-    d = _sub(_exact_quotient(da, g), _derivative(b))
+    d = _sub(_exact_quotient(da, g), derivative(b))
     layers = []
     while len(b) > 1:
         ai = _gcd(b, d)
         layers.append(ai)
         b = _exact_quotient(b, ai)
-        d = _sub(_exact_quotient(d, ai), _derivative(b))
-    return c, [RationalPoly(tuple(Q(x, ai[-1]) for x in ai)) for ai in layers]
+        d = _sub(_exact_quotient(d, ai), derivative(b))
+    return c, layers
 
 
-def root_multiplicity_profile(p: RationalPoly) -> dict[int, int]:
-    """Map multiplicity m -> number of distinct roots with that multiplicity."""
-    _, parts = squarefree_decomposition(p)
-    return {i + 1: part.degree for i, part in enumerate(parts) if part.degree > 0}
+def root_multiplicity_profile(a: list[int]) -> dict[int, int]:
+    """Map multiplicity m -> number of distinct roots of a with that multiplicity."""
+    _, parts = squarefree_decomposition(a)
+    return {i + 1: len(part) - 1 for i, part in enumerate(parts) if len(part) > 1}
 
 
-def is_perfect_square(p: RationalPoly) -> bool:
-    """True when every root of p has even multiplicity."""
-    _, parts = squarefree_decomposition(p)
-    return all(part.degree == 0 for i, part in enumerate(parts) if (i + 1) % 2 == 1)
+def resultant(a: list[int], b: list[int]) -> int:
+    """res(a, b), the Sylvester determinant, of nonzero integer polynomials.
 
+    It comes from the subresultant PRS over the integers (Brown & Traub
+    1971), every division checked exact.  Degenerate shapes follow the
+    determinant of the (possibly empty) Sylvester matrix:
+    res(const, const) = 1 and res(a, const c) = c**deg(a).
 
-def resultant(p: RationalPoly, q: RationalPoly) -> Q:
-    """res(p, q), the Sylvester determinant, exact.
-
-    With p = cp * P and q = cq * Q for primitive integer P, Q,
-    res(p, q) = cp**deg(q) * cq**deg(p) * res(P, Q), and res(P, Q) comes
-    from the subresultant PRS over the integers (Brown & Traub 1971).
-    Degenerate shapes follow the determinant of the (possibly empty)
-    Sylvester matrix: res(const, const) = 1, res(p, const c) = c**deg(p).
+    oplab.certify applies it to the integer polynomials P of den * D
+    (oplab.char_poly), whose roots are den times those of D's polynomial,
+    so at degrees d and d2: res(p, q) = res(P, Q) / den^(d d2),
+    res(p, p') = res(P, P') / den^(d (d-1)) and
+    res(p, p'') = res(P, P'') / den^(d (d-2)).
     """
-    if p.is_zero() or q.is_zero():
+    if not a or not b:
         raise ValueError("resultant of the zero polynomial")
-    cp, a = integer_parts(p)
-    cq, b = integer_parts(q)
-    return cp ** q.degree * cq ** p.degree * _subresultant(a, b)
+    return _subresultant(a, b)
 
 
 def _subresultant(a: list[int], b: list[int]) -> int:
-    """res(a, b) of nonzero primitive integer polynomials by the subresultant
+    """res(a, b) of nonzero integer polynomials by the subresultant
     PRS (Cohen, A Course in Computational Algebraic Number Theory, Alg. 3.3.7)."""
     s = 1
     if len(a) < len(b):

@@ -19,12 +19,13 @@ from hypothesis import strategies as st
 from casimir_lab import cli
 from casimir_lab.cli import main, parse_kappa, parse_ustar, qstr
 from casimir_lab.errors import InternalConsistencyError
-from casimir_lab import hidden
-from casimir_lab.oplab import GroupSpec, diag_metric, multiplicity_at_float
+from casimir_lab import hidden, oplab, polyq
+from casimir_lab.oplab import GroupSpec, IrrepSpec, diag_metric, multiplicity_at_float
 from casimir_lab.polyq import RationalPoly
 from casimir_lab.reps import KMode, RepType
 from casimir_lab.rootsys import RootSystemType, build_root_system
 from casimir_lab.weights import DEFAULT_NODE_CAP, LatticeChoice, classes_up_to
+from polyref import doubled_den
 
 A2 = build_root_system(RootSystemType("A", 2))
 
@@ -556,6 +557,63 @@ def test_spectrum_numeric_builds_each_operator_once(capsys, monkeypatch):
     data = run_json(capsys, "spectrum", "--su2", "1", "--torus", "1", "--rep-cap", "1",
                     "--kappa", "diag:1,2,3,4", "--numeric")
     assert len(calls) == len(data["reps"]) == len(set(calls)) == 6
+
+
+@pytest.mark.parametrize("argv,what", [
+    (("certify", "--su2", "1", "--rep-cap", "40"), "total rep dimension"),
+    (("spectrum", "--su2", "1", "--rep-cap", "40", "--kappa", "diag:1,2,3", "--numeric"), "total rep dimension"),
+    (("certify", "--torus", "3", "--rep-cap", "2"), "rep count"),
+    (("spectrum", "--torus", "6", "--rep-cap", "1000", "--kappa", "diag:1,2,3,4,5,6"), "rep count"),
+])
+def test_rep_caps_refuse_before_any_operator(capsys, monkeypatch, argv, what):
+    built = []
+    for mod in (cli, oplab):
+        monkeypatch.setattr(mod, "build_operator", lambda *args, **kwargs: built.append(args))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out, built) == (3, "", [])
+    reason = json.loads(err)
+    assert reason["error"] == "cap-exceeded" and reason["what"] == what
+    assert reason["actual"] > reason["limit"]
+
+
+def test_certify_exits_4_on_a_denominator_mismatch(capsys, monkeypatch):
+    monkeypatch.setattr(oplab, "char_poly", doubled_den(oplab.char_poly, IrrepSpec((2,))))
+    code, out, err = run(capsys, "certify", "--su2", "1", "--rep-cap", "2")
+    assert (code, out) == (4, "")
+    assert err.startswith("internal consistency failure: operator of") and "denominator" in err
+
+
+def test_certify_and_spectrum_stay_in_integer_polynomials(capsys, monkeypatch):
+    counts = {"integer_parts": 0, "RationalPoly": 0}
+    clear, init = polyq.integer_parts, RationalPoly.__init__
+
+    def counting_parts(p):
+        counts["integer_parts"] += 1
+        return clear(p)
+
+    def counting_init(self, *args, **kwargs):
+        counts["RationalPoly"] += 1
+        init(self, *args, **kwargs)
+
+    # every module that holds integer_parts by name
+    for mod in [m for name, m in sys.modules.items() if name.startswith("casimir_lab")]:
+        for attr, value in list(vars(mod).items()):
+            if value is clear:
+                monkeypatch.setattr(mod, attr, counting_parts)
+    monkeypatch.setattr(RationalPoly, "__init__", counting_init)
+    run_json(capsys, "certify", "--su2", "1", "--torus", "1", "--rep-cap", "2")
+    data = run_json(capsys, "spectrum", "--su2", "1", "--torus", "1", "--rep-cap", "2",
+                    "--kappa", "diag:1,2,3,4", "--numeric")
+    assert counts == {"integer_parts": 0, "RationalPoly": 0}
+    # multiplicity_at_float clears its RationalPoly argument exactly once
+    entry = data["reps"][-1]
+    p = RationalPoly.of(*(Q(c) for c in entry["char_poly"]))
+    counts.update(integer_parts=0, RationalPoly=0)
+    center = next(c["center"] for c in data["clusters"] if any(m["rep"] == entry["rep"] for m in c["members"]))
+    assert multiplicity_at_float(p, center) == 1
+    assert counts == {"integer_parts": 1, "RationalPoly": 0}
 
 
 def test_spectrum_exact(capsys):

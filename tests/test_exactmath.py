@@ -1,5 +1,6 @@
 """Exact rational linear algebra, Gaussian rationals, and polynomials."""
 
+import math
 import random
 from fractions import Fraction as Q
 
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ambient import dot, matmul, matvec, transpose
+import polyref
 from casimir_lab import polyq
 from casimir_lab import ratlinalg as rl
 from casimir_lab.errors import DimensionMismatch, InternalConsistencyError, NotPositiveDefinite
@@ -15,11 +17,24 @@ from casimir_lab.gaussian import GONE, GZERO, I_UNIT, QQi, gconj_transpose, gkro
 from casimir_lab.polyq import (
     RationalPoly,
     _gcd,
+    derivative,
     integer_parts,
-    is_perfect_square,
     resultant,
     root_multiplicity_profile,
     squarefree_decomposition,
+)
+from polyref import (
+    evaluate,
+    from_roots,
+    ints,
+    is_perfect_square,
+    monic,
+    mul,
+    rational_resultant,
+    scale,
+    sub,
+    sylvester,
+    sylvester_resultant,
 )
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -169,16 +184,18 @@ def _substitute_scaled(p: RationalPoly, s: Q) -> RationalPoly:
 def test_poly_basic_algebra():
     p = RationalPoly.of(-6, 11, -6, 1)  # (t-1)(t-2)(t-3)
     assert p.degree == 3
-    assert p.eval(Q(2)) == 0
+    assert evaluate(p, Q(2)) == 0
     q, r = _poly_divmod(p, RationalPoly.of(-1, 1))
     assert r.is_zero()
-    assert q.eval(Q(5)) == Q(6)  # quotient (t-2)(t-3) at t=5
+    assert evaluate(q, Q(5)) == Q(6)  # quotient (t-2)(t-3) at t=5
 
 
 def test_from_roots_and_derivative():
-    p = RationalPoly.from_roots([Q(1), Q(1), Q(4)])
+    p = from_roots([Q(1), Q(1), Q(4)])
     assert p.coefficients == (Q(-4), Q(9), Q(-6), Q(1))
-    assert p.derivative().eval(Q(1)) == 0  # double root kills the derivative
+    assert evaluate(polyref.derivative(p), Q(1)) == 0  # double root kills the derivative
+    assert derivative(ints(p)) == ints(polyref.derivative(p)) == [9, -12, 3]
+    assert derivative([7]) == []
 
 
 def _fraction_gcd(a: RationalPoly, b: RationalPoly) -> RationalPoly:
@@ -187,46 +204,48 @@ def _fraction_gcd(a: RationalPoly, b: RationalPoly) -> RationalPoly:
         a, b = b, _poly_divmod(a, b)[1]
     if a.is_zero():
         return a
-    return a.monic()
+    return monic(a)
 
 
 def _fraction_yun(p: RationalPoly):
     """Reference: Yun's algorithm over the rationals with monic Euclidean gcds."""
     c = p.leading()
-    p = p.monic()
+    p = monic(p)
     if p.degree == 0:
         return c, []
-    dp = p.derivative()
+    dp = polyref.derivative(p)
     a = _fraction_gcd(p, dp)
     b = _poly_divmod(p, a)[0]
-    d = _poly_divmod(dp, a)[0] - b.derivative()
+    d = sub(_poly_divmod(dp, a)[0], polyref.derivative(b))
     parts = []
     while b.degree > 0:
         ai = _fraction_gcd(b, d)
         parts.append(ai)
         b = _poly_divmod(b, ai)[0]
-        d = _poly_divmod(d, ai)[0] - b.derivative()
+        d = sub(_poly_divmod(d, ai)[0], polyref.derivative(b))
     return c, parts
 
 
 def test_poly_gcd_and_squarefree():
-    p = RationalPoly.from_roots([Q(1), Q(1), Q(2)])
-    q = RationalPoly.from_roots([Q(1), Q(3)])
+    p = from_roots([Q(1), Q(1), Q(2)])
+    q = from_roots([Q(1), Q(3)])
     assert _gcd(integer_parts(p)[1], integer_parts(q)[1]) == [-1, 1]
     # contents and signs of the inputs do not reach the primitive gcd
-    assert _gcd(integer_parts(p.scale(Q(-10, 3)))[1], integer_parts(q.scale(Q(6)))[1]) == [-1, 1]
+    assert _gcd(integer_parts(scale(p, Q(-10, 3)))[1], integer_parts(scale(q, Q(6)))[1]) == [-1, 1]
     assert _fraction_gcd(p, q).coefficients == (Q(-1), Q(1))
-    c, parts = squarefree_decomposition(p.scale(Q(5)))
+    c, parts = squarefree_decomposition([5 * x for x in ints(p)])
     assert c == 5
     # multiplicity 1 layer = (t-2), multiplicity 2 layer = (t-1)
-    assert parts[0].coefficients == (Q(-2), Q(1))
-    assert parts[1].coefficients == (Q(-1), Q(1))
+    assert parts == [[-2, 1], [-1, 1]]
+    assert squarefree_decomposition([-5 * x for x in ints(p)]) == (-5, parts)
 
 
 def test_integer_parts():
     c, cs = integer_parts(RationalPoly.of(Q(-3, 4), 0, Q(-9, 2)))
     assert (c, cs) == (Q(-3, 4), [1, 0, 6])
     assert integer_parts(RationalPoly.of(7)) == (Q(7), [1])
+    with pytest.raises(ValueError):
+        integer_parts(RationalPoly.of(0))
 
 
 def _factor(draw, degree):
@@ -242,22 +261,33 @@ def repeated_factor_products(draw):
     for _ in range(draw(st.integers(0, 4))):
         f = _factor(draw, draw(st.integers(1, 2)))
         for _ in range(draw(st.integers(1, 3))):
-            p = p * f
+            p = mul(p, f)
     return p
 
 
-@given(repeated_factor_products())
-def test_squarefree_decomposition_matches_the_fraction_yun(p):
-    assert squarefree_decomposition(p) == _fraction_yun(p)
+@given(repeated_factor_products(), st.integers(-12, 12).filter(lambda k: k != 0))
+def test_squarefree_decomposition_matches_the_fraction_yun(p, k):
+    # the integer layers of k P, P the primitive integer part of p, are the
+    # Fraction Yun's monic layers up to their leading coefficients
+    cp, prim = integer_parts(p)
+    c, parts = squarefree_decomposition([k * x for x in prim])
+    assert c == k
+    assert all(math.gcd(*part) == 1 and part[-1] > 0 for part in parts)
+    lead, fraction_parts = _fraction_yun(p)
+    assert lead == cp * prim[-1]
+    assert [monic(RationalPoly.of(*part)) for part in parts] == fraction_parts
 
 
 def test_squarefree_decomposition_layers():
-    # (2t+1)^3 (t^2+1)^2 (3t-2) / 7: layers 1, 2, 3 hold one factor each
+    # 5 (2t+1)^3 (t^2+1)^2 (3t-2): layers 1, 2, 3 hold one factor each
     cube, square = RationalPoly.of(1, 2), RationalPoly.of(1, 0, 1)
-    p = cube * cube * cube * square * square * RationalPoly.of(-2, 3)
-    c, parts = squarefree_decomposition(p.scale(Q(1, 7)))
-    assert c == Q(24, 7)
-    assert [part.coefficients for part in parts] == [(Q(-2, 3), 1), (1, 0, 1), (Q(1, 2), 1)]
+    p = mul(cube, cube, cube, square, square, RationalPoly.of(-2, 3))
+    c, parts = squarefree_decomposition([5 * x for x in ints(p)])
+    assert c == 5
+    assert parts == [[-2, 3], [1, 0, 1], [1, 2]]
+    assert squarefree_decomposition([-3]) == (-3, [])
+    with pytest.raises(ValueError):
+        squarefree_decomposition([])
 
 
 def test_inexact_quotient_is_a_bug(monkeypatch):
@@ -268,16 +298,17 @@ def test_inexact_quotient_is_a_bug(monkeypatch):
     # a wrong gcd makes Yun's quotients inexact
     monkeypatch.setattr(polyq, "_gcd", lambda a, b: [1, 1])
     with pytest.raises(InternalConsistencyError):
-        squarefree_decomposition(RationalPoly.from_roots([1, 1, 2]))
+        squarefree_decomposition(ints(from_roots([1, 1, 2])))
 
 
 def test_multiplicity_profile_and_perfect_square():
-    p = RationalPoly.from_roots([Q(2), Q(2), Q(5), Q(5), Q(7)])
+    p = ints(from_roots([Q(2), Q(2), Q(5), Q(5), Q(7)]))
     assert root_multiplicity_profile(p) == {1: 1, 2: 2}
+    assert root_multiplicity_profile([-6 * x for x in p]) == {1: 1, 2: 2}
     assert not is_perfect_square(p)
-    sq = RationalPoly.from_roots([Q(2), Q(2), Q(5), Q(5)])
+    sq = ints(from_roots([Q(2), Q(2), Q(5), Q(5)]))
     assert is_perfect_square(sq)
-    assert is_perfect_square(RationalPoly.of(3))  # nonzero constant
+    assert is_perfect_square([3])  # nonzero constant
 
 
 def _prs_resultant(p: RationalPoly, q: RationalPoly) -> Q:
@@ -296,22 +327,6 @@ def _prs_resultant(p: RationalPoly, q: RationalPoly) -> Q:
     return sign * q.leading() ** (p.degree - r.degree) * _prs_resultant(q, r)
 
 
-def _sylvester(p: RationalPoly, q: RationalPoly) -> rl.Mat:
-    """Reference: the Sylvester matrix, deg q rows of p then deg p rows of q."""
-    n, m = p.degree, q.degree
-    size = n + m
-    pc = list(reversed(p.coefficients))
-    qc = list(reversed(q.coefficients))
-    rows = [[Q(0)] * i + pc + [Q(0)] * (size - i - len(pc)) for i in range(m)]
-    rows += [[Q(0)] * i + qc + [Q(0)] * (size - i - len(qc)) for i in range(n)]
-    return rl.mat(rows)
-
-
-def _sylvester_resultant(p: RationalPoly, q: RationalPoly) -> Q:
-    """Reference: the Sylvester determinant; the empty matrix has determinant 1."""
-    return rl.det(_sylvester(p, q)) if p.degree + q.degree > 0 else Q(1)
-
-
 def test_resultant_matches_prs_oracle():
     rng = random.Random(2026)
     for _ in range(20):
@@ -319,41 +334,47 @@ def test_resultant_matches_prs_oracle():
         q = RationalPoly.of(*[Q(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(2, 7))])
         if p.is_zero() or q.is_zero():
             continue
-        assert resultant(p, q) == _prs_resultant(p, q)
+        assert rational_resultant(p, q) == _prs_resultant(p, q)
 
 
 def test_resultant_detects_common_roots():
-    p = RationalPoly.from_roots([Q(1), Q(2)])
-    q = RationalPoly.from_roots([Q(2), Q(9)])
+    p = ints(from_roots([Q(1), Q(2)]))
+    q = ints(from_roots([Q(2), Q(9)]))
     assert resultant(p, q) == 0
-    r = RationalPoly.from_roots([Q(3), Q(9)])
+    r = ints(from_roots([Q(3), Q(9)]))
     assert resultant(p, r) != 0
     # frozen small case: res(t^2-1, t^2-4) = 9
-    assert resultant(RationalPoly.of(-1, 0, 1), RationalPoly.of(-4, 0, 1)) == 9
+    assert resultant([-1, 0, 1], [-4, 0, 1]) == 9
+    # a common rational root of non-monic polynomials
+    assert resultant([-2, 3], ints(mul(RationalPoly.of(-2, 3), RationalPoly.of(1, 0, 5)))) == 0
 
 
 def test_sylvester_matrix_shape():
     p = RationalPoly.of(1, 2, 3)
     q = RationalPoly.of(4, 5)
-    m = _sylvester(p, q)
+    m = sylvester(p, q)
     assert len(m) == 3 and all(len(row) == 3 for row in m)
-    assert rl.det(m) == resultant(p, q)
+    assert rl.det(m) == resultant([1, 2, 3], [4, 5])
 
 
 def test_resultant_abnormal_remainder_sequence():
     # Knuth's pair: the remainder degrees 8, 6, 4, 2, 1, 0 skip after the first step
-    p = RationalPoly.of(-5, 2, 8, -3, -3, 0, 1, 0, 1)
-    q = RationalPoly.of(21, -9, -4, 0, 5, 0, 3)
-    assert resultant(p, q) == _sylvester_resultant(p, q) == _prs_resultant(p, q) != 0
+    p = [-5, 2, 8, -3, -3, 0, 1, 0, 1]
+    q = [21, -9, -4, 0, 5, 0, 3]
+    fp, fq = RationalPoly.of(*p), RationalPoly.of(*q)
+    assert resultant(p, q) == sylvester_resultant(fp, fq) == _prs_resultant(fp, fq) != 0
 
 
 def test_resultant_degenerate_shapes():
-    c, d = RationalPoly.of(Q(-2, 3)), RationalPoly.of(5)
-    p = RationalPoly.of(1, Q(1, 2), 0, 3)
+    c, d = [-2], [5]
+    p = [2, 1, 0, 6]
     assert resultant(c, d) == 1
-    assert resultant(p, c) == Q(-8, 27) and resultant(c, p) == Q(-8, 27)
+    assert resultant(p, c) == -8 and resultant(c, p) == -8
     with pytest.raises(ValueError):
-        resultant(p, RationalPoly.of())
+        resultant(p, [])
+    # rational inputs through their integer parts
+    c, p = RationalPoly.of(Q(-2, 3)), RationalPoly.of(1, Q(1, 2), 0, 3)
+    assert rational_resultant(p, c) == Q(-8, 27) and rational_resultant(c, p) == Q(-8, 27)
 
 
 RESULTANT_SHAPES = ("deg 0/0", "p/const", "const/p", "p/p'", "p/p''", "common root", "even", "random")
@@ -361,36 +382,46 @@ RESULTANT_SHAPES = ("deg 0/0", "p/const", "const/p", "p/p'", "p/p''", "common ro
 
 def _of_t_squared(cs):
     """p(t^2) for p with coefficients cs: its remainder sequences drop degrees by 2."""
-    return RationalPoly.of(*[c for x in cs for c in (x, 0)])
+    return [c for x in cs for c in (x, 0)]
+
+
+def _times(a, b):
+    return ints(mul(RationalPoly.of(*a), RationalPoly.of(*b)))
+
+
+integers = st.integers(-30, 30)
 
 
 @settings(max_examples=400)
 @given(
     st.sampled_from(RESULTANT_SHAPES),
-    st.lists(rationals, min_size=1, max_size=7),
-    st.lists(rationals, min_size=1, max_size=5),
+    st.lists(integers, min_size=1, max_size=7),
+    st.lists(integers, min_size=1, max_size=5),
     rationals,
 )
 def test_resultant_matches_sylvester_and_prs(shape, pcs, qcs, root):
-    p, q = RationalPoly.of(*pcs), RationalPoly.of(*qcs)
+    # integer inputs of any content; p' and p'' are rarely primitive
+    p, q = pcs, qcs
     if shape == "deg 0/0":
-        p, q = RationalPoly.of(pcs[0] or 1), RationalPoly.of(qcs[0] or 1)
+        p, q = [pcs[0] or 1], [qcs[0] or 1]
     elif shape in ("p/const", "const/p"):
-        q = RationalPoly.of(qcs[0] or 1)
+        q = [qcs[0] or 1]
         if shape == "const/p":
             p, q = q, p
     elif shape == "p/p'":
-        q = p.derivative()
+        q = derivative(p)
     elif shape == "p/p''":
-        q = p.derivative().derivative()
+        q = derivative(derivative(p))
     elif shape == "common root":
-        linear = RationalPoly.of(-root, 1)
-        p, q = p * linear, q * linear
+        linear = [-root.numerator, root.denominator]
+        p, q = _times(p, linear), _times(q, linear)
     elif shape == "even":
-        p, q = _of_t_squared(pcs), _of_t_squared(qcs) * RationalPoly.of(root, 0, 1)
-    assume(not p.is_zero() and not q.is_zero())
-    value = resultant(p, q)
-    assert value == _sylvester_resultant(p, q) == _prs_resultant(p, q)
+        p, q = _of_t_squared(pcs), _times(_of_t_squared(qcs), [root.numerator, 0, root.denominator])
+    fp, fq = RationalPoly.of(*p), RationalPoly.of(*q)
+    assume(not fp.is_zero() and not fq.is_zero())
+    p, q = list(fp.coefficients), list(fq.coefficients)  # trailing zeros dropped
+    value = resultant([int(c) for c in p], [int(c) for c in q])
+    assert value == sylvester_resultant(fp, fq) == _prs_resultant(fp, fq)
     if shape == "common root":
         assert value == 0
 
@@ -399,4 +430,4 @@ def test_substitute_scaled():
     p = RationalPoly.of(-6, 11, -6, 1)
     s = Q(2)
     q = _substitute_scaled(p, s)  # p(t/2): roots double
-    assert q.eval(Q(2)) == 0 and q.eval(Q(4)) == 0 and q.eval(Q(6)) == 0
+    assert evaluate(q, Q(2)) == 0 and evaluate(q, Q(4)) == 0 and evaluate(q, Q(6)) == 0

@@ -3,20 +3,22 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casimir_lab import oplab
 from casimir_lab.errors import (
+    CapExceeded,
     DimensionMismatch,
     InternalConsistencyError,
     NotPositiveDefinite,
 )
-from casimir_lab.gaussian import QQi, gadd, gconj_transpose, gidentity, gkron, gmatmul, gscale, gtrace, gzeros
+from casimir_lab.gaussian import QQi, gadd, gconj_transpose, gidentity, gkron, gmatmul, gscale, gtrace
 from casimir_lab.oplab import (
     GroupSpec,
     IrrepSpec,
     MetricParam,
     _su2_generators,
-    abc_values,
     build_operator,
     casimir_cross_check,
     certify,
@@ -30,11 +32,18 @@ from casimir_lab.oplab import (
     numeric_spectrum,
     witness_sequence,
 )
-from casimir_lab.polyq import (
-    RationalPoly,
+from casimir_lab.polyq import RationalPoly, integer_parts, root_multiplicity_profile, squarefree_decomposition
+from polyref import (
+    abc_values,
+    derivative,
+    doubled_den,
+    evaluate,
+    from_roots,
     is_perfect_square,
-    root_multiplicity_profile,
-    squarefree_decomposition,
+    rational_char_poly,
+    reference_char_poly,
+    reference_operator,
+    scale,
 )
 
 G1 = GroupSpec(1)
@@ -63,17 +72,21 @@ def test_generator_normalization():
 
 
 def test_frozen_char_polys():
+    # den = 4 at an integer metric: P(s) = det(sI - 4D)
     p1 = char_poly(build_operator(G1, IrrepSpec((1,)), K123))
-    assert p1 == RationalPoly.of(Q(9, 4), -3, 1)  # (t - 3/2)^2
-    assert root_multiplicity_profile(p1) == {2: 1}
+    assert p1 == ([36, -12, 1], 4)  # (s - 6)^2
+    assert rational_char_poly(p1) == RationalPoly.of(Q(9, 4), -3, 1)  # (t - 3/2)^2
+    assert root_multiplicity_profile(p1[0]) == {2: 1}
 
     p2 = char_poly(build_operator(G1, IrrepSpec((2,)), K123))
-    assert p2 == RationalPoly.of(-60, 47, -12, 1)  # (t-3)(t-4)(t-5)
-    assert root_multiplicity_profile(p2) == {1: 3}
+    assert p2 == ([-3840, 752, -48, 1], 4)  # (s-12)(s-16)(s-20)
+    assert rational_char_poly(p2) == RationalPoly.of(-60, 47, -12, 1)  # (t-3)(t-4)(t-5)
+    assert root_multiplicity_profile(p2[0]) == {1: 3}
 
     torus = GroupSpec(0, 1)
     pt = char_poly(build_operator(torus, IrrepSpec((), (3,)), diag_metric([5])))
-    assert pt == RationalPoly.of(-45, 1)  # 5 * 3^2
+    assert pt == ([-180, 1], 4)
+    assert rational_char_poly(pt) == RationalPoly.of(-45, 1)  # 5 * 3^2
 
 
 def test_w_hermitian_vs_literal():
@@ -97,11 +110,11 @@ def test_metric_scaling_covariance():
     # kappa -> s*kappa rescales the spectrum by s: coefficients pick up s^(d-k)
     for s in (2, 3):
         for m in (1, 2, 3):
-            p = char_poly(build_operator(G1, IrrepSpec((m,)), K_OFF))
+            p = rational_char_poly(char_poly(build_operator(G1, IrrepSpec((m,)), K_OFF)))
             scaled_kappa = MetricParam(
                 tuple(tuple(s * x for x in row) for row in K_OFF.kappa)
             )
-            ps = char_poly(build_operator(G1, IrrepSpec((m,)), scaled_kappa))
+            ps = rational_char_poly(char_poly(build_operator(G1, IrrepSpec((m,)), scaled_kappa)))
             d = p.degree
             expect = tuple(c * Q(s) ** (d - k) for k, c in enumerate(p.coefficients))
             assert ps.coefficients == expect
@@ -131,9 +144,9 @@ def test_quaternionic_even_multiplicity():
     # odd m is quaternionic: characteristic polynomial is a perfect square
     for k in witness_sequence(3, 5, seed=11):
         for m in (1, 3):
-            assert is_perfect_square(char_poly(build_operator(G1, IrrepSpec((m,)), k)))
+            assert is_perfect_square(char_poly(build_operator(G1, IrrepSpec((m,)), k))[0])
     # even m at a generic metric has simple spectrum instead
-    assert not is_perfect_square(char_poly(build_operator(G1, IrrepSpec((2,)), K123)))
+    assert not is_perfect_square(char_poly(build_operator(G1, IrrepSpec((2,)), K123))[0])
 
 
 def test_abc_values_frozen():
@@ -144,7 +157,7 @@ def test_abc_values_frozen():
 
 
 def test_multiplicity_at_float():
-    p = RationalPoly.from_roots([1, 1, 2])
+    p = from_roots([1, 1, 2])
     assert multiplicity_at_float(p, 1.0000000003) == 2
     assert multiplicity_at_float(p, 2.0) == 1
     with pytest.raises(InternalConsistencyError):
@@ -176,6 +189,32 @@ def test_enumerate_reps_counts_and_order():
     r11 = enumerate_reps(GroupSpec(1, 1), 2)
     assert len(r11) == 15
     assert r11 == sorted(r11, key=lambda v: (v.spins, v.torus_char))
+
+
+# For each (SU(2) copies, torus rank) that the benchmark's operator workloads
+# request, the largest rep cap they use; a smaller cap lists fewer reps.
+BENCHMARK_SHAPES = [(1, 0, 8), (1, 0, 12), (0, 2, 3), (1, 1, 4), (1, 2, 1), (2, 0, 2), (3, 0, 1)]
+
+
+@pytest.mark.parametrize("su2,torus,cap", BENCHMARK_SHAPES + [(1, 0, 0), (0, 1, 0), (1, 0, 16), (2, 1, 1)])
+def test_rep_caps_count_the_enumerated_reps(monkeypatch, su2, torus, cap):
+    g = GroupSpec(su2, torus)
+    if (su2, torus, cap) in BENCHMARK_SHAPES:
+        enumerate_reps(g, cap)  # the default caps admit it
+    monkeypatch.setattr(oplab, "REP_COUNT_CAP", 10**6)
+    monkeypatch.setattr(oplab, "TOTAL_DIM_CAP", 10**6)
+    reps = enumerate_reps(g, cap)
+    count, total = len(reps), sum(v.dim for v in reps)
+    # admitted exactly at both caps, refused one below either
+    monkeypatch.setattr(oplab, "REP_COUNT_CAP", count)
+    monkeypatch.setattr(oplab, "TOTAL_DIM_CAP", total)
+    assert enumerate_reps(g, cap) == reps
+    for name, what, actual in (("REP_COUNT_CAP", "rep count", count), ("TOTAL_DIM_CAP", "total rep dimension", total)):
+        with monkeypatch.context() as m:
+            m.setattr(oplab, name, actual - 1)
+            with pytest.raises(CapExceeded) as exc:
+                enumerate_reps(g, cap)
+        assert (exc.value.what, exc.value.actual, exc.value.limit) == (what, actual, actual - 1)
 
 
 def test_irrep_spec_basics():
@@ -236,32 +275,6 @@ def test_certify_inconclusive_on_empty_budget():
 # -- the Gaussian-integer kernel against the Gaussian-rational reference ----
 
 
-def _reference_operator(g, rep, k):
-    """D = -sum_ij kappa_ij M_i M_j, term by term in Q(i)."""
-    mats = irrep_matrices(g, rep)
-    acc = gzeros(rep.dim)
-    for i in range(k.n):
-        for j in range(k.n):
-            if k.kappa[i][j] != 0:
-                acc = gadd(acc, gscale(QQi(-k.kappa[i][j]), gmatmul(mats[i], mats[j])))
-    return acc
-
-
-def _reference_char_poly(a):
-    """Faddeev-LeVerrier in Q(i)."""
-    d = len(a)
-    coeffs = [QQi(0)] * (d + 1)
-    coeffs[d] = QQi(1)
-    mk = a
-    for step in range(1, d + 1):
-        ck = gtrace(mk) / QQi(-step)
-        coeffs[d - step] = ck
-        if step < d:
-            mk = gmatmul(a, gadd(mk, gscale(ck, gidentity(d))))
-    assert all(c.im == 0 for c in coeffs)
-    return RationalPoly.of(*(c.re for c in coeffs))
-
-
 def _non_dyadic(n):
     """Symmetric, with diagonal (i + 3)/3 and every mixed entry over an odd denominator > 1."""
     odd = (3, 5, 7, 9, 11, 13, 17)
@@ -279,9 +292,11 @@ def test_char_poly_matches_gaussian_reference(su2, torus, cap):
     for k in metrics:
         for v in enumerate_reps(g, cap):
             op = build_operator(g, v, k)
-            ref = _reference_operator(g, v, k)
+            ref = reference_operator(g, v, k)
             assert op.matrix == ref
-            assert char_poly(op) == _reference_char_poly(ref)
+            p, den = char_poly(op)
+            assert den == op.den and len(p) == v.dim + 1 and p[-1] == 1
+            assert rational_char_poly((p, den)) == reference_char_poly(ref)
 
 
 def test_irrep_matrices_kron_layout():
@@ -328,7 +343,7 @@ def test_multiplicity_at_float_large_spin():
     # spin 6 at diag(1, 2, 3): every cluster centre is a correct float root,
     # and its exact multiplicity is the cluster's count
     g, v = G1, IrrepSpec((12,))
-    p = char_poly(build_operator(g, v, K123))
+    p = rational_char_poly(char_poly(build_operator(g, v, K123)))
     clusters = numeric_spectrum(g, [v], K123)
     assert sum(cl.multiplicity_map()[v] for cl in clusters) == 13
     for cl in clusters:
@@ -336,7 +351,7 @@ def test_multiplicity_at_float_large_spin():
 
 
 def test_multiplicity_at_float_rejects_non_finite():
-    p = RationalPoly.from_roots([1, 2])
+    p = from_roots([1, 2])
     for x in (float("nan"), float("inf")):
         with pytest.raises(InternalConsistencyError):
             multiplicity_at_float(p, x)
@@ -345,13 +360,13 @@ def test_multiplicity_at_float_rejects_non_finite():
 def _fraction_multiplicity_at_float(p, x, tol=1e-6):
     """Reference: the Newton residual |q(x)/q'(x)| of each squarefree layer in
     Fraction arithmetic, compared with the float tol * max(1, |x|)."""
-    _, parts = squarefree_decomposition(p)
+    _, layers = squarefree_decomposition(integer_parts(p)[1])
     hits = []
-    for i, part in enumerate(parts):
+    for i, part in enumerate(RationalPoly.of(*q) for q in layers):
         if part.degree <= 0:
             continue
-        dval = part.derivative().eval(Q(x))
-        if dval != 0 and abs(part.eval(Q(x)) / dval) <= tol * max(1.0, abs(x)):
+        dval = evaluate(derivative(part), Q(x))
+        if dval != 0 and abs(evaluate(part, Q(x)) / dval) <= tol * max(1.0, abs(x)):
             hits.append(i + 1)
     if len(hits) != 1:
         return f"cluster center {x!r} matches {len(hits)} squarefree layers at tol {tol}"
@@ -392,7 +407,7 @@ BIG = 2**61 + 3
     ([1, 2, 2], 1.0, float("nan"), "cluster center 1.0 matches 0 squarefree layers at tol nan"),
 ])
 def test_multiplicity_at_float_matches_the_fraction_residual(roots, x, tol, expected):
-    p = RationalPoly.from_roots(roots).scale(Q(-7, 3))
+    p = scale(from_roots(roots), Q(-7, 3))
     assert _verdict(p, x, tol) == _fraction_multiplicity_at_float(p, x, tol) == expected
 
 
@@ -404,3 +419,71 @@ def test_cluster_spectrum_matches_numeric_spectrum():
         cluster_spectrum(ops, K123)
     with pytest.raises(NotPositiveDefinite):
         cluster_spectrum(iter(()), diag_metric([1, -1, 1]))
+
+
+# -- certify's integer table values against the Fraction reference ----------
+
+# (SU(2) copies, torus rank, rep cap): torus characters of dimension 1
+# (b = 1), the quaternionic spin 1/2 of dimension 2 (c = 4), and real and
+# complex products of both.
+CERTIFY_SHAPES = [(0, 1, 2), (0, 2, 1), (1, 0, 1), (1, 0, 3), (1, 1, 1), (2, 0, 1)]
+DENOMINATORS = (1, 2, 3, 5, 6, 7, 9, 11)
+
+
+@st.composite
+def shapes_and_metrics(draw):
+    """A small group and rep cap with a symmetric metric whose entries have
+    denominators up to 11; half of the metrics are diagonal."""
+    su2, torus, cap = draw(st.sampled_from(CERTIFY_SHAPES))
+    n = 3 * su2 + torus
+    entry = st.builds(Q, st.integers(-9, 9), st.sampled_from(DENOMINATORS))
+    mixed = draw(st.booleans())
+    rows = [[Q(0)] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = draw(st.builds(Q, st.integers(1, 40), st.sampled_from(DENOMINATORS)))
+        for j in range(i + 1, n):
+            if mixed:
+                rows[i][j] = rows[j][i] = draw(entry)
+    return GroupSpec(su2, torus), cap, MetricParam(tuple(tuple(r) for r in rows))
+
+
+def _reference_table(g, cap, k):
+    """Every required row (kind, V, W, value) in certificate order, from abc_values."""
+    reps = enumerate_reps(g, cap)
+    rows = []
+    for v in reps:
+        abc = abc_values(g, (v, v), k)
+        rows.append(("c", v, None, abc.c1) if v.rep_type() == "quaternionic" else ("b", v, None, abc.b1))
+    for i, v in enumerate(reps):
+        for w in reps[i + 1:]:
+            if w != v.dual():
+                rows.append(("a", v, w, abc_values(g, (v, w), k).a))
+    return tuple(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shapes_and_metrics())
+def test_certify_values_match_the_fraction_reference(case):
+    g, cap, k = case
+    expected = _reference_table(g, cap, k)
+    for kind, v, _, value in expected:
+        if kind == "b" and v.dim == 1:
+            assert value == 1
+        if kind == "c" and v.dim == 2:
+            assert value == 4
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(oplab, "witness_sequence", lambda n, budget, seed: [k])
+        cert = certify(g, cap, budget=1)
+        # the single candidate is exhaustive: a full table, or every zero value
+        if cert.certified:
+            assert cert.table == expected
+        else:
+            assert cert.violations == tuple(row for row in expected if row[3] == 0) != ()
+        # the same operator over another denominator is refused, not mixed in
+        last = enumerate_reps(g, cap)[-1]
+        patched = doubled_den(oplab.char_poly, last)
+        op = build_operator(g, last, k)
+        assert rational_char_poly(patched(op)) == rational_char_poly(char_poly(op))
+        m.setattr(oplab, "char_poly", patched)
+        with pytest.raises(InternalConsistencyError, match="denominator"):
+            certify(g, cap, budget=1)

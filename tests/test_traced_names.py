@@ -52,7 +52,7 @@ def test_low_layers_have_no_test_only_functions():
         for name, owner in _references(path)
     }
     unused = []
-    for mod in ("ratlinalg", "rootsys", "hidden"):
+    for mod in ("ratlinalg", "polyq", "rootsys", "hidden"):
         module = importlib.import_module(f"casimir_lab.{mod}")
         for name, fn in vars(module).items():
             if name.startswith("_") or not inspect.isfunction(fn) or fn.__module__ != module.__name__:
