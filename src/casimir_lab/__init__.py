@@ -36,13 +36,11 @@ from .oplab import (
     MetricParam,
     SpectrumCluster,
     build_operator,
-    casimir_cross_check,
     certify,
     char_poly,
     cluster_spectrum,
     diag_metric,
     enumerate_reps,
-    is_w_hermitian,
     multiplicity_at_float,
     numeric_spectrum,
     witness_sequence,

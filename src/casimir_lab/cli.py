@@ -424,9 +424,9 @@ def cmd_spectrum(args) -> dict:
                     {
                         "rep": _rep_payload(v),
                         "multiplicity": m,
-                        "assembled_dim": args.ustar_dim * m * v.dim,
+                        "assembled_dim": dim,
                     }
-                    for v, m in c.per_rep
+                    for (v, m), dim in zip(c.per_rep, c.assembled_dims(args.ustar_dim).values())
                 ],
             }
             for c in clusters

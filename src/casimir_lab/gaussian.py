@@ -1,4 +1,10 @@
-"""Gaussian rationals p + q*i with p, q exact Fractions, plus matrix helpers."""
+"""Gaussian rationals p + q*i with p, q exact Fractions, and their matrix product.
+
+No module of the package imports this one: `oplab` runs on Gaussian
+integers over one denominator.  It is kept for the traced `gmatmul` only,
+which the benchmark's tracer names; the other Gaussian-rational matrix
+helpers are the tests' reference (`tests/polyref.py`).
+"""
 
 from __future__ import annotations
 
@@ -87,35 +93,11 @@ def _coerce(x) -> QQi:
     raise TypeError(f"cannot coerce {x!r} to Q(i)")
 
 
-I_UNIT = QQi(0, 1)
 GZERO = QQi(0)
-GONE = QQi(1)
-
-GMat = tuple[tuple[QQi, ...], ...]
 
 
-def gmat(rows) -> GMat:
-    return tuple(tuple(_coerce(x) for x in r) for r in rows)
-
-
-def gidentity(n: int) -> GMat:
-    return tuple(tuple(GONE if i == j else GZERO for j in range(n)) for i in range(n))
-
-
-def gzeros(n: int) -> GMat:
-    return tuple(tuple(GZERO for _ in range(n)) for _ in range(n))
-
-
-def gadd(a: GMat, b: GMat) -> GMat:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def gscale(c, a: GMat) -> GMat:
-    c = _coerce(c)
-    return tuple(tuple(c * x for x in r) for r in a)
-
-
-def gmatmul(a: GMat, b: GMat) -> GMat:
+def gmatmul(a, b):
+    """The product of two QQi matrices given as tuples of rows."""
     if a and b and len(a[0]) != len(b):
         raise DimensionMismatch("gmatmul shapes")
     bt = tuple(zip(*b))
@@ -129,29 +111,4 @@ def gmatmul(a: GMat, b: GMat) -> GMat:
                     s = s + x * y
             row.append(s)
         out.append(tuple(row))
-    return tuple(out)
-
-
-def gtrace(a: GMat) -> QQi:
-    s = GZERO
-    for i in range(len(a)):
-        s = s + a[i][i]
-    return s
-
-
-def gconj_transpose(a: GMat) -> GMat:
-    return tuple(tuple(a[j][i].conj() for j in range(len(a))) for i in range(len(a[0]) if a else 0))
-
-
-def gkron(a: GMat, b: GMat) -> GMat:
-    """Kronecker product, row-major (index = i_a * dim_b + i_b)."""
-    na, nb = len(a), len(b)
-    out = []
-    for ia in range(na):
-        for ib in range(nb):
-            row = []
-            for ja in range(na):
-                for jb in range(nb):
-                    row.append(a[ia][ja] * b[ib][jb])
-            out.append(tuple(row))
     return tuple(out)

@@ -4,8 +4,7 @@ Builds the operator -sum_ij kappa_ij M_i M_j from explicit representation
 matrices, extracts characteristic polynomials and resultants, and searches
 for rational witness metrics certifying generic spectral simplicity of a
 cap-bounded representation list.  Operators and the characteristic-polynomial
-recursion run on Gaussian integers over a common denominator; the
-Gaussian-rational matrices are derived views of the same data.
+recursion run on Gaussian integers over a common denominator.
 
 Normalization: each su(2) copy uses the basis Y_1, Y_2, Y_3 given by the
 symmetric-power images of -(i/2)*sigma_k, which is orthonormal for the
@@ -13,12 +12,12 @@ bi-invariant form <X, Y> = -2 trace(XY) on the defining representation.  With
 this choice every matrix entry is a Gaussian rational, and the operator at
 kappa = identity acts on the spin-(m/2) factor by m(m+2)/4 — exactly half of
 the weight-lattice Casimir value m(m+2)/2 computed by the weights module at
-the |alpha|^2 = 2 normalization.  The factor 2 is fixed and documented here;
-casimir_cross_check() asserts it.
+the |alpha|^2 = 2 normalization.  The factor 2 is fixed and documented here.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -28,16 +27,24 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch, InternalConsistencyError, NotPositiveDefinite
-from .gaussian import GZERO, QQi, gconj_transpose
 from .polyq import RationalPoly, derivative, integer_parts, resultant, squarefree_decomposition
 from .ratlinalg import frac, is_positive_definite
 
 Q = Fraction
 
+# Admission cap on the Lie algebra dimension 3c + n: metrics are n x n and
+# every operator sums up to n(n+1)/2 quadratic pieces.  Any rep cap >= 1
+# refuses every group past dimension 12 by its rep count anyway.
+ALGEBRA_DIM_CAP = 24
+
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """The group SU(2)^c x T^n with its 3c + n dimensional Lie algebra."""
+    """The group SU(2)^c x T^n with its 3c + n dimensional Lie algebra.
+
+    A group past ALGEBRA_DIM_CAP is refused (CapExceeded) here, before any
+    rep label or metric of it is built.
+    """
 
     su2_copies: int
     torus_rank: int = 0
@@ -47,6 +54,8 @@ class GroupSpec:
             raise ValueError("factor counts must be nonnegative")
         if self.su2_copies + self.torus_rank < 1:
             raise ValueError("need at least one group factor")
+        if self.algebra_dim > ALGEBRA_DIM_CAP:
+            raise CapExceeded("algebra dimension", self.algebra_dim, ALGEBRA_DIM_CAP)
 
     @property
     def algebra_dim(self) -> int:
@@ -153,19 +162,6 @@ def _su2_doubled(m: int):
     ]
 
 
-def _gaussian_view(re, im, den: int):
-    """(re + i im) / den as a Gaussian-rational matrix."""
-    return tuple(
-        tuple(QQi(Q(x, den), Q(y, den)) for x, y in zip(rr, ri))
-        for rr, ri in zip(re, im)
-    )
-
-
-def _su2_generators(m: int):
-    """The three spin-(m/2) matrices Y_1, Y_2, Y_3 in the monomial basis."""
-    return [_gaussian_view(re, im, 2) for re, im in _su2_doubled(m)]
-
-
 def _kron_identity(left: int, x, right: int):
     """I_left (x) X (x) I_right for an integer matrix X, row-major."""
     n = len(x)
@@ -197,11 +193,6 @@ def _doubled_generators(g: GroupSpec, rep: IrrepSpec):
     for z in rep.torus_char:
         out.append((_kron_identity(total, [[0]], 1), _kron_identity(total, [[2 * z]], 1)))
     return out
-
-
-def irrep_matrices(g: GroupSpec, rep: IrrepSpec):
-    """Gaussian-rational matrices for the orthonormal algebra basis on V."""
-    return [_gaussian_view(re, im, 2) for re, im in _doubled_generators(g, rep)]
 
 
 class _QuadPieces:
@@ -271,11 +262,6 @@ class ExactOperator:
     def dim(self) -> int:
         return len(self.re)
 
-    @property
-    def matrix(self) -> tuple:
-        """The same operator as a Gaussian-rational matrix."""
-        return _gaussian_view(self.re, self.im, self.den)
-
 
 def build_operator(
     g: GroupSpec, rep: IrrepSpec, k: MetricParam, *, pieces: Optional[_QuadPieces] = None
@@ -314,24 +300,6 @@ def _monomial_weights(rep: IrrepSpec):
     for m in rep.spins:
         weights = [w / math.comb(m, k) for w in weights for k in range(m + 1)]
     return weights
-
-
-def is_w_hermitian(op: ExactOperator) -> bool:
-    """Exact self-adjointness for the invariant inner product.
-
-    The monomial basis is not unitary, so the matrix need not equal its own
-    conjugate transpose; self-adjointness reads W D = D^dagger W with W the
-    diagonal Gram matrix of the basis.  This is what forces a real spectrum.
-    """
-    w = _monomial_weights(op.rep)
-    d = op.dim
-    m = op.matrix
-    dag = gconj_transpose(m)
-    for i in range(d):
-        for j in range(d):
-            if m[i][j] * QQi(w[i]) != dag[i][j] * QQi(w[j]):
-                return False
-    return True
 
 
 def char_poly(op: ExactOperator) -> tuple[list[int], int]:
@@ -380,6 +348,8 @@ def _trace_recursion(are, aim):
 # characteristic polynomials and resultants grow with both.
 REP_COUNT_CAP = 64
 TOTAL_DIM_CAP = 160
+# Admission cap of certify on the number of candidate metrics it may try.
+BUDGET_CAP = 100_000
 
 
 def _admit(what: str, factors, cap: int) -> None:
@@ -411,31 +381,17 @@ def enumerate_reps(g: GroupSpec, rep_cap: int):
     spins, chars = max(0, rep_cap + 1), max(0, 2 * rep_cap + 1)
     _admit("rep count", [(spins, g.su2_copies), (chars, g.torus_rank)], REP_COUNT_CAP)
     _admit("total rep dimension", [(spins * (rep_cap + 2) // 2, g.su2_copies), (chars, g.torus_rank)], TOTAL_DIM_CAP)
-
-    def spins_iter(c):
-        if c == 0:
-            yield ()
-            return
-        for rest in spins_iter(c - 1):
-            for m in range(rep_cap + 1):
-                yield rest + (m,)
-
-    def torus_iter(n):
-        if n == 0:
-            yield ()
-            return
-        for rest in torus_iter(n - 1):
-            for z in range(-rep_cap, rep_cap + 1):
-                yield rest + (z,)
-
-    reps = [IrrepSpec(s, z) for s in spins_iter(g.su2_copies) for z in torus_iter(g.torus_rank)]
-    reps.sort(key=lambda r: (r.spins, r.torus_char))
-    return reps
+    c = g.su2_copies
+    ranges = [range(rep_cap + 1)] * c + [range(-rep_cap, rep_cap + 1)] * g.torus_rank
+    # product walks its ranges lexicographically, so the list is sorted by
+    # (spins, torus_char)
+    return [IrrepSpec(t[:c], t[c:]) for t in itertools.product(*ranges)]
 
 
 def witness_sequence(n: int, budget: int, seed: int):
     """Deterministic candidate metrics: graded diagonals over increasing primes,
-    then seeded symmetric off-diagonal perturbations of those diagonals.
+    then seeded symmetric off-diagonal perturbations of those diagonals.  A
+    generator: each candidate is made only when the caller asks for it.
 
     Off-diagonal entries are essential for torus ranks >= 2: a diagonal metric
     evaluates characters (z1, z2) and (z1, -z2) to the same quadratic form, so
@@ -456,26 +412,18 @@ def witness_sequence(n: int, budget: int, seed: int):
                 found += 1
             cand += 1
 
-    out = []
-    prime_list = []
-    gen = primes()
-    while len(prime_list) < max(budget, 1):
-        prime_list.append(next(gen))
+    budget = max(budget, 0)
     half = (budget + 1) // 2
-    for p in prime_list[:half]:
-        out.append(diag_metric([Q(p + i, p) for i in range(n)]))
+    for p in itertools.islice(primes(), half):
+        yield diag_metric([Q(p + i, p) for i in range(n)])
     rng = random.Random(seed)
-    idx = 0
-    while len(out) < budget:
-        p = prime_list[idx % len(prime_list)]
-        idx += 1
+    for p in itertools.islice(primes(), budget - half):
         base = [[Q(p + i, p) if i == j else Q(0) for j in range(n)] for i in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
                 eps = Q(rng.randint(1, 9), p * rng.choice([11, 13, 17, 19]))
                 base[i][j] = base[j][i] = eps
-        out.append(MetricParam(tuple(tuple(row) for row in base)))
-    return out
+        yield MetricParam(tuple(tuple(row) for row in base))
 
 
 @dataclass(frozen=True)
@@ -501,18 +449,20 @@ def certify(g: GroupSpec, rep_cap: int, budget: int = 12, seed: int = 2026) -> C
     with V' neither V nor its dual; b(V) for real/complex type; c(V) for
     quaternionic type.  Success certifies none of those finitely many
     polynomials vanishes identically; exhausting the budget is reported as
-    inconclusive, never as a failure certificate.
+    inconclusive, never as a failure certificate.  A budget past BUDGET_CAP
+    is refused (CapExceeded) before any candidate is built.
     """
+    if budget > BUDGET_CAP:
+        raise CapExceeded("budget", budget, BUDGET_CAP)
     reps = enumerate_reps(g, rep_cap)
     pieces = {v: _QuadPieces(g, v) for v in reps}
-    candidates = witness_sequence(g.algebra_dim, budget, seed)
     last_violations = ()
     tried = 0
-    for cand in candidates:
+    for cand in witness_sequence(g.algebra_dim, budget, seed):
         tried += 1
         # Only the last candidate's violations are ever reported, so every
         # earlier one stops at its first zero value.
-        exhaustive = tried == len(candidates)
+        exhaustive = tried == budget
         # build_operator's denominator for every rep at this metric; the
         # table values rely on it being shared.
         den = 4 * math.lcm(*(x.denominator for row in cand.kappa for x in row))
@@ -679,21 +629,3 @@ def _homogeneous_horner(cs: list[int], n: int, den: int) -> int:
         power *= den
         acc = acc * n + c * power
     return acc
-
-
-def casimir_cross_check(m: int) -> tuple:
-    """Return (abstract weight-lattice value, 2 x operator value) for spin m/2.
-
-    The identity-metric operator must be the scalar m(m+2)/4; doubling it
-    reproduces the weight-lattice value m(m+2)/2 at |alpha|^2 = 2.  Any
-    mismatch is a construction bug, not a data condition.
-    """
-    g = GroupSpec(1)
-    op = build_operator(g, IrrepSpec((m,)), diag_metric([1, 1, 1]))
-    expected = QQi(Q(m * (m + 2), 4))
-    mat = op.matrix
-    for i in range(op.dim):
-        for j in range(op.dim):
-            if mat[i][j] != (expected if i == j else GZERO):
-                raise InternalConsistencyError("identity-metric operator is not the Casimir scalar")
-    return (Q(m * (m + 2), 2), 2 * expected.re)

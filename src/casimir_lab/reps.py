@@ -199,14 +199,6 @@ def tensor_decompose(a: RepLabel, b: RepLabel) -> VirtualDecomposition:
     return VirtualDecomposition.from_dict(out)
 
 
-def character_of_decomposition(rs: RootSystem, vd: VirtualDecomposition) -> dict[Coords, int]:
-    out: dict[Coords, int] = {}
-    for coords, mult in vd.terms:
-        for w, m in _full_weight_multiplicities(rs, coords):
-            out[w] = out.get(w, 0) + mult * m
-    return {w: m for w, m in out.items() if m != 0}
-
-
 def decompose_character(rs: RootSystem, char: dict[Coords, int]) -> VirtualDecomposition:
     """Peel off highest constituents; valid for genuine (nonnegative) characters."""
     work = dict(char)

@@ -104,14 +104,8 @@ class RealMember:
     hidden_orbit_id: object
 
 
-def _isotypic(rs: RootSystem, v, ustar, kmode: KMode) -> int:
-    if kmode is KMode.TRIVIAL:
-        return invariant_dim(v, ustar, KMode.TRIVIAL)
-    if kmode is KMode.DIAGONAL:
-        return invariant_dim((v, dual_label(v)), ustar, KMode.DIAGONAL)
-    if kmode is KMode.TORUS:
-        return invariant_dim(v, ustar, KMode.TORUS)
-    raise ValueError(f"unsupported K mode {kmode!r}")
+def _isotypic(v, ustar, kmode: KMode) -> int:
+    return invariant_dim((v, dual_label(v)) if kmode is KMode.DIAGONAL else v, ustar, kmode)
 
 
 def _ustar_payload(ustar, kmode: KMode):
@@ -194,7 +188,7 @@ def _complex_members(rs, cls, ustar, kmode, orbit_by_mu):
     members = []
     for w in cls.dominant_members:
         v = rep(rs, w.fw_coords)
-        iso = _isotypic(rs, v, ustar, kmode)
+        iso = _isotypic(v, ustar, kmode)
         if iso <= 0:
             continue
         oid = UNCOMPUTED if orbit_by_mu is None else orbit_by_mu[w.fw_coords]
@@ -371,7 +365,7 @@ def generic_estimate(
     total = 0
     for w in cls.dominant_members:
         v = rep(rs, w.fw_coords)
-        mult = _isotypic(rs, v, ustar, kmode)
+        mult = _isotypic(v, ustar, kmode)
         if mult <= 0:
             continue
         d = weyl_dim(v)

@@ -1,21 +1,26 @@
 """Fraction references for the integer polynomial core and the certificate values.
 
 The package keeps `polyq.RationalPoly` only as a parsing and output type and
-runs its algorithms on integer coefficient lists.  These are the Fraction
-counterparts the tests compare against: polynomial arithmetic on
-`RationalPoly`, the Sylvester resultant, the Gaussian-rational
-Faddeev-LeVerrier reference, and `abc_values`, the separation, simplicity
-and pairing resultants of two irreducibles at one metric.
+runs its algorithms on integer coefficient lists, and `oplab` keeps its
+operators as Gaussian-integer rows over one denominator.  These are the
+Fraction counterparts the tests compare against: polynomial arithmetic on
+`RationalPoly`, the Sylvester resultant, Gaussian-rational matrices and the
+operators as such matrices, the self-adjointness and Casimir checks on the
+integer rows, the Gaussian-rational Faddeev-LeVerrier reference, and
+`abc_values`, the separation, simplicity and pairing resultants of two
+irreducibles at one metric.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Optional
 
 from casimir_lab import ratlinalg as rl
-from casimir_lab.gaussian import QQi, gadd, gidentity, gmatmul, gscale, gtrace, gzeros
-from casimir_lab.oplab import irrep_matrices
+from casimir_lab.errors import InternalConsistencyError
+from casimir_lab.gaussian import GZERO, QQi, gmatmul
+from casimir_lab.oplab import GroupSpec, IrrepSpec, _doubled_generators, build_operator, diag_metric
 from casimir_lab.polyq import RationalPoly, integer_parts, resultant, squarefree_decomposition
 
 # -- arithmetic on RationalPoly ---------------------------------------------
@@ -106,6 +111,126 @@ def is_perfect_square(a: list[int]) -> bool:
     """True when every root of the integer polynomial a has even multiplicity."""
     _, parts = squarefree_decomposition(a)
     return all(len(part) == 1 for i, part in enumerate(parts) if i % 2 == 0)
+
+
+# -- Gaussian-rational matrices ---------------------------------------------
+
+I_UNIT = QQi(0, 1)
+GONE = QQi(1)
+
+
+def _g(x) -> QQi:
+    return x if isinstance(x, QQi) else QQi(x)
+
+
+def gmat(rows):
+    return tuple(tuple(_g(x) for x in r) for r in rows)
+
+
+def gidentity(n: int):
+    return tuple(tuple(GONE if i == j else GZERO for j in range(n)) for i in range(n))
+
+
+def gzeros(n: int):
+    return tuple(tuple(GZERO for _ in range(n)) for _ in range(n))
+
+
+def gadd(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def gscale(c, a):
+    c = _g(c)
+    return tuple(tuple(c * x for x in r) for r in a)
+
+
+def gtrace(a) -> QQi:
+    s = GZERO
+    for i in range(len(a)):
+        s = s + a[i][i]
+    return s
+
+
+def gconj_transpose(a):
+    return tuple(tuple(a[j][i].conj() for j in range(len(a))) for i in range(len(a[0]) if a else 0))
+
+
+def gkron(a, b):
+    """Kronecker product, row-major (index = i_a * dim_b + i_b)."""
+    na, nb = len(a), len(b)
+    out = []
+    for ia in range(na):
+        for ib in range(nb):
+            row = []
+            for ja in range(na):
+                for jb in range(nb):
+                    row.append(a[ia][ja] * b[ib][jb])
+            out.append(tuple(row))
+    return tuple(out)
+
+
+# -- operators as Gaussian-rational matrices --------------------------------
+
+
+def gaussian_view(re, im, den: int):
+    """(re + i im) / den as a Gaussian-rational matrix."""
+    return tuple(
+        tuple(QQi(Q(x, den), Q(y, den)) for x, y in zip(rr, ri))
+        for rr, ri in zip(re, im)
+    )
+
+
+def operator_matrix(op):
+    """An ExactOperator as a Gaussian-rational matrix."""
+    return gaussian_view(op.re, op.im, op.den)
+
+
+def irrep_matrices(g, rep):
+    """Gaussian-rational matrices for the orthonormal algebra basis on V."""
+    return [gaussian_view(re, im, 2) for re, im in _doubled_generators(g, rep)]
+
+
+def su2_generators(m: int):
+    """The three spin-(m/2) matrices Y_1, Y_2, Y_3 in the monomial basis."""
+    return irrep_matrices(GroupSpec(1), IrrepSpec((m,)))
+
+
+def is_w_hermitian(op) -> bool:
+    """Exact self-adjointness for the invariant inner product, on the integer rows.
+
+    The monomial basis is not unitary, so the matrix need not equal its own
+    conjugate transpose; self-adjointness reads W D = D^dagger W with W the
+    diagonal Gram matrix of the basis, W_ii = 1 / b_i for b_i the product of
+    the binomials of basis vector i.  Entrywise, with den cancelled:
+    b_j re_ij = b_i re_ji and b_j im_ij = -b_i im_ji.
+    """
+    b = [1]
+    for m in op.rep.spins:
+        b = [x * math.comb(m, k) for x in b for k in range(m + 1)]
+    d = op.dim
+    return all(
+        b[j] * op.re[i][j] == b[i] * op.re[j][i] and b[j] * op.im[i][j] == -b[i] * op.im[j][i]
+        for i in range(d)
+        for j in range(d)
+    )
+
+
+def casimir_cross_check(m: int) -> tuple:
+    """Return (abstract weight-lattice value, 2 x operator value) for spin m/2.
+
+    The identity-metric operator must be the scalar m(m+2)/4; doubling it
+    reproduces the weight-lattice value m(m+2)/2 at |alpha|^2 = 2.  Any
+    mismatch is a construction bug, not a data condition.
+    """
+    op = build_operator(GroupSpec(1), IrrepSpec((m,)), diag_metric([1, 1, 1]))
+    scalar = Q(op.re[0][0], op.den)
+    for i in range(op.dim):
+        for j in range(op.dim):
+            if op.re[i][j] != (op.re[0][0] if i == j else 0) or op.im[i][j]:
+                raise InternalConsistencyError("identity-metric operator is not a scalar")
+    if scalar != Q(m * (m + 2), 4):
+        raise InternalConsistencyError("identity-metric operator is not the Casimir scalar")
+    return (Q(m * (m + 2), 2), 2 * scalar)
 
 
 # -- characteristic polynomials and certificate values ----------------------

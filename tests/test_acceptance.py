@@ -33,11 +33,10 @@ from casimir_lab.oplab import (
     witness_sequence,
 )
 from casimir_lab.polyq import RationalPoly, root_multiplicity_profile
-from polyref import rational_char_poly, rational_resultant
+from polyref import operator_matrix, rational_char_poly, rational_resultant
 from casimir_lab.reps import (
     KMode,
     VirtualDecomposition,
-    character_of_decomposition,
     decompose_character,
     rep,
     tensor_decompose,
@@ -46,6 +45,7 @@ from casimir_lab.reps import (
 )
 from casimir_lab.rootsys import RootSystemType, build_root_system
 from casimir_lab.spectra import generic_estimate, hodge_rank1_check
+from repref import character_of_decomposition
 from casimir_lab.weights import (
     LatticeChoice,
     casimir_eigenvalue,
@@ -87,11 +87,12 @@ def test_criterion_01_casimir_formula(announce):
         if lam != Q(m * (m + 2), 2):
             bad.append((m, "formula", lam))
         op = build_operator(g, IrrepSpec((m,)), ident)
+        matrix = operator_matrix(op)
         scalar = lam / 2
         for i in range(op.dim):
             for j in range(op.dim):
                 expect = scalar if i == j else 0
-                if op.matrix[i][j] != expect:
+                if matrix[i][j] != expect:
                     bad.append((m, "operator", (i, j)))
     elapsed = time.monotonic() - t0
     announce(1, not bad and elapsed < budget, elapsed, budget, "m = 0..12, eigenvalue and 2x operator")

@@ -564,6 +564,7 @@ def test_spectrum_numeric_builds_each_operator_once(capsys, monkeypatch):
     (("spectrum", "--su2", "1", "--rep-cap", "40", "--kappa", "diag:1,2,3", "--numeric"), "total rep dimension"),
     (("certify", "--torus", "3", "--rep-cap", "2"), "rep count"),
     (("spectrum", "--torus", "6", "--rep-cap", "1000", "--kappa", "diag:1,2,3,4,5,6"), "rep count"),
+    (("certify", "--su2", "1", "--rep-cap", "1", "--budget", str(oplab.BUDGET_CAP + 1)), "budget"),
 ])
 def test_rep_caps_refuse_before_any_operator(capsys, monkeypatch, argv, what):
     built = []
@@ -576,6 +577,45 @@ def test_rep_caps_refuse_before_any_operator(capsys, monkeypatch, argv, what):
     reason = json.loads(err)
     assert reason["error"] == "cap-exceeded" and reason["what"] == what
     assert reason["actual"] > reason["limit"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("certify", "--su2", "2000", "--rep-cap", "0"),
+    ("spectrum", "--su2", "2000", "--rep-cap", "0", "--kappa", "diag:" + ",".join(["1"] * 6000)),
+])
+def test_algebra_dimension_refused_before_any_label(capsys, monkeypatch, argv):
+    # refused before parse_kappa builds a 6000 x 6000 metric or enumerate_reps walks 2000 copies
+    touched = []
+    monkeypatch.setattr(cli, "parse_kappa", lambda *args: touched.append("parse_kappa"))
+    for mod in (cli, oplab):
+        monkeypatch.setattr(mod, "enumerate_reps", lambda *args: touched.append("enumerate_reps"))
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        code, out, err = run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 1.0
+    assert peak < 1_000_000
+    assert (code, out, touched) == (3, "", [])
+    assert json.loads(err) == {"error": "cap-exceeded", "what": "algebra dimension", "actual": 6000,
+                               "limit": oplab.ALGEBRA_DIM_CAP}
+
+
+def test_large_budget_certifies_at_its_first_candidate(capsys):
+    # candidates are made as certify asks for them, not all up front
+    t0 = time.perf_counter()
+    data = run_json(capsys, "certify", "--su2", "1", "--rep-cap", "0", "--budget", str(oplab.BUDGET_CAP))
+    assert time.perf_counter() - t0 < 1.0
+    assert (data["status"], data["candidates_tried"]) == ("certified", 1)
+
+
+def test_cli_does_not_load_gaussian():
+    # a fresh interpreter: this one has loaded gaussian for the tests
+    code = "import sys, casimir_lab.cli; assert 'casimir_lab.gaussian' not in sys.modules, sorted(sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_certify_exits_4_on_a_denominator_mismatch(capsys, monkeypatch):

@@ -13,7 +13,7 @@ import polyref
 from casimir_lab import polyq
 from casimir_lab import ratlinalg as rl
 from casimir_lab.errors import DimensionMismatch, InternalConsistencyError, NotPositiveDefinite
-from casimir_lab.gaussian import GONE, GZERO, I_UNIT, QQi, gconj_transpose, gkron, gmat, gmatmul, gtrace
+from casimir_lab.gaussian import GZERO, QQi, gmatmul
 from casimir_lab.polyq import (
     RationalPoly,
     _gcd,
@@ -24,8 +24,14 @@ from casimir_lab.polyq import (
     squarefree_decomposition,
 )
 from polyref import (
+    GONE,
+    I_UNIT,
     evaluate,
     from_roots,
+    gconj_transpose,
+    gkron,
+    gmat,
+    gtrace,
     ints,
     is_perfect_square,
     monic,

@@ -32,4 +32,6 @@ def test_no_unused_imports(path):
 
 
 def test_scan_sees_every_module():
-    assert {p.stem for p in MODULES} >= {"cli", "hidden", "oplab", "polyq", "ratlinalg", "reps", "spectra"}
+    assert {p.stem for p in MODULES} >= {
+        "cli", "gaussian", "hidden", "oplab", "polyq", "ratlinalg", "reps", "rootsys", "spectra", "weights",
+    }

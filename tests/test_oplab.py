@@ -1,5 +1,6 @@
 """Exact metric-dependent operators on product-group irreducibles."""
 
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -13,21 +14,17 @@ from casimir_lab.errors import (
     InternalConsistencyError,
     NotPositiveDefinite,
 )
-from casimir_lab.gaussian import QQi, gadd, gconj_transpose, gidentity, gkron, gmatmul, gscale, gtrace
+from casimir_lab.gaussian import QQi, gmatmul
 from casimir_lab.oplab import (
     GroupSpec,
     IrrepSpec,
     MetricParam,
-    _su2_generators,
     build_operator,
-    casimir_cross_check,
     certify,
     char_poly,
     cluster_spectrum,
     diag_metric,
     enumerate_reps,
-    irrep_matrices,
-    is_w_hermitian,
     multiplicity_at_float,
     numeric_spectrum,
     witness_sequence,
@@ -35,15 +32,26 @@ from casimir_lab.oplab import (
 from casimir_lab.polyq import RationalPoly, integer_parts, root_multiplicity_profile, squarefree_decomposition
 from polyref import (
     abc_values,
+    casimir_cross_check,
     derivative,
     doubled_den,
     evaluate,
     from_roots,
+    gadd,
+    gconj_transpose,
+    gidentity,
+    gkron,
+    gscale,
+    gtrace,
+    irrep_matrices,
     is_perfect_square,
+    is_w_hermitian,
+    operator_matrix,
     rational_char_poly,
     reference_char_poly,
     reference_operator,
     scale,
+    su2_generators,
 )
 
 G1 = GroupSpec(1)
@@ -56,7 +64,7 @@ K_OFF = MetricParam(
 def test_generator_brackets():
     # [Y1, Y2] = Y3 and cyclic, on every symmetric power up to spin 3/2
     for m in (1, 2, 3):
-        y = _su2_generators(m)
+        y = su2_generators(m)
         for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
             comm = gadd(gmatmul(y[i], y[j]), gscale(QQi(-1), gmatmul(y[j], y[i])))
             assert comm == y[k]
@@ -64,7 +72,7 @@ def test_generator_brackets():
 
 def test_generator_normalization():
     # -2 tr(Yi Yj) = delta_ij on the defining rep
-    y = _su2_generators(1)
+    y = su2_generators(1)
     for i in range(3):
         for j in range(3):
             tr = gtrace(gmatmul(y[i], y[j]))
@@ -92,11 +100,11 @@ def test_frozen_char_polys():
 def test_w_hermitian_vs_literal():
     # spin 1/2: the monomial basis is already orthonormal, so literal symmetry
     op1 = build_operator(G1, IrrepSpec((1,)), K_OFF)
-    assert op1.matrix == gconj_transpose(op1.matrix)
+    assert operator_matrix(op1) == gconj_transpose(operator_matrix(op1))
     assert is_w_hermitian(op1)
     # spin 1 with a mixed term: only W-self-adjoint, not literally Hermitian
     op2 = build_operator(G1, IrrepSpec((2,)), K_OFF)
-    assert op2.matrix != gconj_transpose(op2.matrix)
+    assert operator_matrix(op2) != gconj_transpose(operator_matrix(op2))
     assert is_w_hermitian(op2)
 
 
@@ -104,6 +112,18 @@ def test_every_operator_w_hermitian():
     for k in witness_sequence(3, 6, seed=7):
         for m in range(4):
             assert is_w_hermitian(build_operator(G1, IrrepSpec((m,)), k))
+
+
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_w_hermitian_rejects_a_corrupted_entry(part):
+    # spin 3/2 x spin 1/2 x torus at a mixed metric; one off-diagonal entry nudged
+    g = GroupSpec(2, 1)
+    op = build_operator(g, IrrepSpec((3, 1), (2,)), list(witness_sequence(7, 2, seed=5))[1])
+    assert is_w_hermitian(op)
+    rows = [list(r) for r in getattr(op, part)]
+    rows[1][4] += 1
+    bad = oplab.ExactOperator(**{**vars(op), part: tuple(map(tuple, rows))})
+    assert not is_w_hermitian(bad)
 
 
 def test_metric_scaling_covariance():
@@ -165,8 +185,8 @@ def test_multiplicity_at_float():
 
 
 def test_witness_sequence_properties():
-    seq = witness_sequence(3, 8, seed=2026)
-    again = witness_sequence(3, 8, seed=2026)
+    seq = list(witness_sequence(3, 8, seed=2026))
+    again = list(witness_sequence(3, 8, seed=2026))
     assert seq == again  # deterministic
     assert len(seq) == 8
     for k in seq:
@@ -182,6 +202,25 @@ def test_witness_sequence_properties():
         assert any(k.kappa[i][j] != 0 for i in range(3) for j in range(i + 1, 3))
 
 
+def test_witness_sequence_is_lazy():
+    t0 = time.perf_counter()
+    first = next(iter(witness_sequence(3, 10**9, seed=2026)))
+    assert time.perf_counter() - t0 < 0.1
+    assert first == list(witness_sequence(3, 8, seed=2026))[0]
+    assert list(witness_sequence(3, 0, seed=1)) == list(witness_sequence(3, -3, seed=1)) == []
+
+
+def test_certify_refuses_a_budget_past_the_cap(monkeypatch):
+    built = []
+    monkeypatch.setattr(oplab, "witness_sequence", lambda *args: built.append(args) or iter(()))
+    with pytest.raises(CapExceeded) as exc:
+        certify(G1, rep_cap=1, budget=oplab.BUDGET_CAP + 1)
+    assert (exc.value.what, exc.value.actual, exc.value.limit, built) == (
+        "budget", oplab.BUDGET_CAP + 1, oplab.BUDGET_CAP, [])
+    assert certify(G1, rep_cap=1, budget=oplab.BUDGET_CAP).status == "inconclusive"
+    assert built == [(3, oplab.BUDGET_CAP, 2026)]
+
+
 def test_enumerate_reps_counts_and_order():
     r1 = enumerate_reps(GroupSpec(1), 4)
     assert [v.spins for v in r1] == [(0,), (1,), (2,), (3,), (4,)]
@@ -189,6 +228,28 @@ def test_enumerate_reps_counts_and_order():
     r11 = enumerate_reps(GroupSpec(1, 1), 2)
     assert len(r11) == 15
     assert r11 == sorted(r11, key=lambda v: (v.spins, v.torus_char))
+
+
+@pytest.mark.parametrize("su2,torus", [(c, t) for c in range(4) for t in range(3) if c + t])
+def test_enumerate_reps_lists_every_label_once_in_order(monkeypatch, su2, torus):
+    monkeypatch.setattr(oplab, "REP_COUNT_CAP", 10**6)
+    monkeypatch.setattr(oplab, "TOTAL_DIM_CAP", 10**6)
+    for cap in range(3):
+        reps = enumerate_reps(GroupSpec(su2, torus), cap)
+        assert reps == sorted(set(reps), key=lambda v: (v.spins, v.torus_char))
+        assert len(reps) == (cap + 1) ** su2 * (2 * cap + 1) ** torus
+
+
+def test_algebra_dimension_cap(monkeypatch):
+    cap = oplab.ALGEBRA_DIM_CAP
+    assert GroupSpec(cap // 3).algebra_dim == cap and GroupSpec(0, cap).algebra_dim == cap
+    for su2, torus in ((cap // 3, 1), (0, cap + 1), (2000, 0)):
+        with pytest.raises(CapExceeded) as exc:
+            GroupSpec(su2, torus)
+        assert (exc.value.what, exc.value.actual, exc.value.limit) == ("algebra dimension", 3 * su2 + torus, cap)
+    # past the cap the walk over the copies is flat, not one call deep per copy
+    monkeypatch.setattr(oplab, "ALGEBRA_DIM_CAP", 10**6)
+    assert enumerate_reps(GroupSpec(2000), 0) == [IrrepSpec((0,) * 2000)]
 
 
 # For each (SU(2) copies, torus rank) that the benchmark's operator workloads
@@ -288,12 +349,12 @@ def _non_dyadic(n):
 @pytest.mark.parametrize("su2,torus,cap", [(1, 0, 2), (2, 0, 1), (3, 0, 1), (0, 2, 2), (1, 1, 2), (1, 2, 1)])
 def test_char_poly_matches_gaussian_reference(su2, torus, cap):
     g = GroupSpec(su2, torus)
-    metrics = witness_sequence(g.algebra_dim, 12, seed=2026) + [_non_dyadic(g.algebra_dim)]
+    metrics = list(witness_sequence(g.algebra_dim, 12, seed=2026)) + [_non_dyadic(g.algebra_dim)]
     for k in metrics:
         for v in enumerate_reps(g, cap):
             op = build_operator(g, v, k)
             ref = reference_operator(g, v, k)
-            assert op.matrix == ref
+            assert operator_matrix(op) == ref
             p, den = char_poly(op)
             assert den == op.den and len(p) == v.dim + 1 and p[-1] == 1
             assert rational_char_poly((p, den)) == reference_char_poly(ref)
@@ -304,7 +365,7 @@ def test_irrep_matrices_kron_layout():
     g = GroupSpec(2, 1)
     v = IrrepSpec((2, 1), (-3,))
     mats = irrep_matrices(g, v)
-    y2, y1 = _su2_generators(2), _su2_generators(1)
+    y2, y1 = su2_generators(2), su2_generators(1)
     expect = [gkron(y, gidentity(2)) for y in y2] + [gkron(gidentity(3), y) for y in y1]
     expect.append(gscale(QQi(0, -3), gidentity(6)))
     assert mats == expect

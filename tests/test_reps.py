@@ -12,7 +12,6 @@ from casimir_lab.reps import (
     VirtualDecomposition,
     adjoint_rep,
     bold_g_label,
-    character_of_decomposition,
     classify_type,
     decompose_character,
     dual_label,
@@ -25,6 +24,7 @@ from casimir_lab.reps import (
     weyl_dim,
 )
 from casimir_lab.rootsys import RootSystemType, build_root_system, weyl_orbit
+from repref import character_of_decomposition
 
 A1 = build_root_system(RootSystemType("A", 1))
 A2 = build_root_system(RootSystemType("A", 2))
