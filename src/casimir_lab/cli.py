@@ -62,14 +62,8 @@ from .weights import LatticeChoice, classes_up_to, dual_weight, make_weight, sph
 SCHEMA = "casimir-lab/1"
 
 
-def qstr(x) -> str:
-    return str(Q(x))
-
-
 # Dataclass fields are their JSON keys, except these.
-_FIELD_KEYS = {"lam": "lambda"}
-# Leaves returned as they are, tested first: most of a payload is leaves.
-_PLAIN = frozenset((str, int, bool, float, type(None)))
+_FIELD_KEYS = {"lam": "lambda", "torus_char": "torus"}
 
 
 def _fields(obj) -> dict:
@@ -78,24 +72,16 @@ def _fields(obj) -> dict:
     return {_FIELD_KEYS.get(name, name): getattr(obj, name) for name in obj.__dataclass_fields__}
 
 
-def _jsonable(obj):
-    """Recursively rewrite payloads into plain JSON values (exactly).
-
-    A dataclass becomes the dict of its _fields.
-    """
-    if type(obj) in _PLAIN:
-        return obj
+def _json_default(obj):
+    """The json.dumps hook for what JSON has no type for: a Fraction becomes
+    "p/q", an Enum its value and a dataclass the dict of its _fields."""
     if isinstance(obj, Q):
-        return qstr(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return str(obj)
     if isinstance(obj, Enum):
         return obj.value
     if hasattr(obj, "__dataclass_fields__"):
-        return {key: _jsonable(v) for key, v in _fields(obj).items()}
-    return obj
+        return _fields(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _render_table(payload, indent: int = 0) -> list:
@@ -121,11 +107,8 @@ def _render_table(payload, indent: int = 0) -> list:
 
 
 def _emit(payload: dict, output: str) -> None:
-    payload = _jsonable(payload)
-    if output == "table":
-        print("\n".join(_render_table(payload)))
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+    print("\n".join(_render_table(json.loads(text))) if output == "table" else text)
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +247,12 @@ def _kmode(args) -> KMode:
 # serialization helpers
 
 
-def _rep_payload(v) -> dict:
-    return {"spins": list(v.spins), "torus": list(v.torus_char)}
-
-
 def _kappa_payload(k: MetricParam) -> dict:
     entries = []
     for i in range(k.n):
         for j in range(i, k.n):
             if k.kappa[i][j] != 0:
-                entries.append([i, j, qstr(k.kappa[i][j])])
+                entries.append([i, j, k.kappa[i][j]])
     return {"n": k.n, "entries": entries}
 
 
@@ -282,20 +261,12 @@ def _rs_context(args) -> dict:
         "family": args.type,
         "rank": args.rank,
         "lattice": args.lattice,
-        "metric_scale": qstr(args.scale),
+        "metric_scale": args.scale,
     }
 
 
 def _table_rows(rows) -> list:
-    return [
-        {
-            "kind": kind,
-            "rep": _rep_payload(v),
-            "rep2": _rep_payload(w) if w is not None else None,
-            "value": qstr(val),
-        }
-        for kind, v, w, val in rows
-    ]
+    return [{"kind": kind, "rep": v, "rep2": w, "value": val} for kind, v, w, val in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +278,7 @@ def cmd_classes(args, keep=lambda rs, cls: True) -> dict:
     classes = classes_up_to(rs, _lattice(args), args.cap)
     return {
         "schema": SCHEMA,
-        "context": {**_rs_context(args), "a_sq_cap": qstr(args.cap)},
+        "context": {**_rs_context(args), "a_sq_cap": args.cap},
         "classes": [
             {
                 "a_sq": c.a_sq,
@@ -376,7 +347,7 @@ def cmd_certify(args) -> dict:
         "schema": SCHEMA,
         "status": cert.status,
         "certified": cert.certified,
-        "group": {"su2_copies": g.su2_copies, "torus_rank": g.torus_rank},
+        "group": g,
         "rep_cap": args.rep_cap,
         "candidates_tried": cert.candidates_tried,
         "witness_kappa": _kappa_payload(cert.witness_kappa) if cert.witness_kappa else None,
@@ -399,15 +370,15 @@ def cmd_spectrum(args) -> dict:
         profile = root_multiplicity_profile(p)
         entries.append(
             {
-                "rep": _rep_payload(v),
+                "rep": v,
                 "dim": v.dim,
-                "char_poly": [str(Q(c, den ** (d - i))) for i, c in enumerate(p)],
+                "char_poly": [Q(c, den ** (d - i)) for i, c in enumerate(p)],
                 "multiplicity_profile": {str(m): c for m, c in sorted(profile.items())},
             }
         )
     payload = {
         "schema": SCHEMA,
-        "group": {"su2_copies": g.su2_copies, "torus_rank": g.torus_rank},
+        "group": g,
         "kappa": _kappa_payload(k),
         "rep_cap": args.rep_cap,
         "numeric": bool(args.numeric),
@@ -421,11 +392,7 @@ def cmd_spectrum(args) -> dict:
             {
                 "center": c.center,
                 "members": [
-                    {
-                        "rep": _rep_payload(v),
-                        "multiplicity": m,
-                        "assembled_dim": dim,
-                    }
+                    {"rep": v, "multiplicity": m, "assembled_dim": dim}
                     for (v, m), dim in zip(c.per_rep, c.assembled_dims(args.ustar_dim).values())
                 ],
             }
@@ -557,7 +524,7 @@ def main(argv=None) -> int:
         payload = args.func(args)
     except CapExceeded as exc:
         reason = {"error": "cap-exceeded", "what": exc.what, "actual": exc.actual, "limit": exc.limit}
-        print(json.dumps(_jsonable(reason), sort_keys=True), file=sys.stderr)
+        print(json.dumps(reason, sort_keys=True, default=_json_default), file=sys.stderr)
         return 3
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)

@@ -57,9 +57,6 @@ class QQi:
     def __neg__(self):
         return QQi(-self.re, -self.im)
 
-    def conj(self) -> "QQi":
-        return QQi(self.re, -self.im)
-
     def __eq__(self, other):
         try:
             other = _coerce(other)
@@ -72,9 +69,6 @@ class QQi:
 
     def __bool__(self):
         return self.re != 0 or self.im != 0
-
-    def is_real(self) -> bool:
-        return self.im == 0
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))

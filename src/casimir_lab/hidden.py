@@ -299,23 +299,14 @@ def stabilizer_group(
 
 def orbits(cfg: ShiftedConfig, group: PermGroup) -> list[tuple[int, ...]]:
     """Orbits of the point indices under the group, sorted by smallest member."""
-    parent = list(range(cfg.size))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for perm in group.gens:
-        for i, j in enumerate(perm):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    buckets: dict[int, list[int]] = {}
+    seen: set[int] = set()
+    out = []
     for i in range(cfg.size):
-        buckets.setdefault(find(i), []).append(i)
-    return sorted(tuple(sorted(v)) for v in buckets.values())
+        if i not in seen:
+            orbit = _orbit(i, group.gens)
+            seen.update(orbit)
+            out.append(tuple(sorted(orbit)))
+    return out
 
 
 def check_weyl_inclusion(

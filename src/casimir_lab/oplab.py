@@ -520,9 +520,6 @@ class SpectrumCluster:
     center: float
     per_rep: tuple  # ((IrrepSpec, multiplicity), ...)
 
-    def multiplicity_map(self) -> dict:
-        return dict(self.per_rep)
-
     def assembled_dims(self, ustar_dim: int = 1) -> dict:
         """L^2-eigenspace dimension per rep: dim U* x multiplicity x dim V*."""
         return {v: ustar_dim * mult * v.dim for v, mult in self.per_rep}

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
-from . import ratlinalg as rl
 from .errors import InternalConsistencyError
 
 
@@ -23,25 +22,8 @@ class RationalPoly:
 
     coefficients: tuple[Q, ...]
 
-    @classmethod
-    def of(cls, *coeffs) -> "RationalPoly":
-        cs = [rl.frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return cls(tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coefficients) - 1
-
     def is_zero(self) -> bool:
         return not self.coefficients
-
-    def leading(self) -> Q:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coefficients[-1]
 
 
 def integer_parts(p: RationalPoly) -> tuple[Q, list[int]]:

@@ -2,10 +2,11 @@
 tensor and exterior decompositions, real/complex/quaternionic type.
 
 Everything is exact.  Weight multiplicities come from the Freudenthal
-recursion over dominant weights (expanded along Weyl orbits); tensor
-products use the signed-reflection (Racah/Klimyk) rule; exterior powers
-use Newton's identities on characters.  Characters are dicts keyed by
-integer fundamental-weight coordinates.
+recursion over dominant weights (expanded along Weyl orbits).  Tensor
+products and exterior powers both use the signed-reflection
+(Brauer-Klimyk) rule: a tensor product on the weights of one factor, an
+exterior power on its character from Newton's identities.  Characters are
+dicts keyed by integer fundamental-weight coordinates.
 
 Every weight and root here is in those integer coordinates: pairings and
 norms use the integer form RootSystem.form_fw_int, the positive roots come
@@ -177,52 +178,39 @@ def _full_weight_multiplicities(rs: RootSystem, coords: Coords) -> tuple[tuple[C
     return tuple(sorted(table.items()))
 
 
+def _signed_reflections(rs: RootSystem, shift: Coords, pairs) -> VirtualDecomposition:
+    """Sum of m V^(shift + nu) over the (nu, m) pairs by the signed-reflection
+    rule: w walks shift + nu + delta into the dominant chamber; on a wall it
+    adds nothing, otherwise sign(w) m to V^(w(shift + nu + delta) - delta).
+    A tensor product is a highest weight shifted by the weights of the other
+    factor; a Weyl-invariant character is shift 0 with its own pairs.  Both
+    are genuine, so a negative multiplicity is an internal inconsistency."""
+    acc: dict[Coords, int] = {}
+    for nu, m in pairs:
+        t = tuple(x + 1 + y for x, y in zip(shift, nu))
+        dc, word = rsys.dominant_fw_coords(rs, t)
+        if 0 in dc:
+            continue
+        target = tuple(x - 1 for x in dc)
+        acc[target] = acc.get(target, 0) + (-m if len(word) % 2 else m)
+    if any(m < 0 for m in acc.values()):
+        raise InternalConsistencyError("negative multiplicity in a genuine representation")
+    return VirtualDecomposition.from_dict(acc)
+
+
 def tensor_decompose(a: RepLabel, b: RepLabel) -> VirtualDecomposition:
     """Decompose V^a (x) V^b by the signed-reflection rule on the weights of b."""
     if a.rs is not b.rs:
         raise ValueError("tensor factors must share one root system")
-    rs = a.rs
     if weyl_dim(b) > weyl_dim(a):
         a, b = b, a
-    acc: dict[Coords, int] = {}
-    one = (1,) * rs.rank
-    for nu, m in _full_weight_multiplicities(rs, b.highest.fw_coords):
-        t = tuple(x + 1 + y for x, y in zip(a.highest.fw_coords, nu))
-        dc, word = rsys.dominant_fw_coords(rs, t)
-        if any(x == 0 for x in dc):
-            continue
-        target = tuple(x - y for x, y in zip(dc, one))
-        acc[target] = acc.get(target, 0) + (-m if len(word) % 2 else m)
-    out = {c: m for c, m in acc.items() if m != 0}
-    if any(m < 0 for m in out.values()):
-        raise InternalConsistencyError("negative multiplicity in a genuine tensor product")
-    return VirtualDecomposition.from_dict(out)
-
-
-def decompose_character(rs: RootSystem, char: dict[Coords, int]) -> VirtualDecomposition:
-    """Peel off highest constituents; valid for genuine (nonnegative) characters."""
-    work = dict(char)
-    found: dict[Coords, int] = {}
-    while work:
-        dominants = [w for w in work if all(x >= 0 for x in w)]
-        if not dominants:
-            raise InternalConsistencyError("character with no dominant support is not genuine")
-        nu = max(dominants, key=lambda w: (wts.shifted_norm_int(rs, w), w))
-        mult = work[nu]
-        if mult < 0:
-            raise InternalConsistencyError("negative leading multiplicity in character")
-        found[nu] = found.get(nu, 0) + mult
-        for w, m in _full_weight_multiplicities(rs, nu):
-            nm = work.get(w, 0) - mult * m
-            if nm:
-                work[w] = nm
-            else:
-                work.pop(w, None)
-    return VirtualDecomposition.from_dict(found)
+    weights_b = _full_weight_multiplicities(a.rs, b.highest.fw_coords)
+    return _signed_reflections(a.rs, a.highest.fw_coords, weights_b)
 
 
 def exterior_powers(r: RepLabel, pmax: int) -> list[VirtualDecomposition]:
-    """Exterior powers Lambda^p V for p = 0..pmax via Newton's identities on characters."""
+    """Exterior powers Lambda^p V for p = 0..pmax: Newton's identities on
+    characters, each decomposed by the signed-reflection rule."""
     rs = r.rs
     base = dict(_full_weight_multiplicities(rs, r.highest.fw_coords))
     zero = (0,) * rs.rank
@@ -255,7 +243,7 @@ def exterior_powers(r: RepLabel, pmax: int) -> list[VirtualDecomposition]:
                 ep[w] = v
         chars.append(ep)
 
-    return [decompose_character(rs, ch) for ch in chars]
+    return [_signed_reflections(rs, zero, ch.items()) for ch in chars]
 
 
 def dual_label(r: RepLabel) -> RepLabel:

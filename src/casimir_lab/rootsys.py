@@ -30,6 +30,8 @@ from .errors import CapExceeded, InternalConsistencyError, InvalidDynkinType
 from .ratlinalg import Mat
 
 DEFAULT_WEYL_CAP = 10080
+# Largest admitted Lie rank: the Cartan inverse and the roots grow like rank^4.
+RANK_CAP = 32
 # Distinct (type, metric scale) pairs kept by build_root_system.
 ROOT_SYSTEM_CACHE_SIZE = 16
 
@@ -46,7 +48,11 @@ _EXCEPTIONAL_WEYL_ORDERS = {
 
 @dataclass(frozen=True)
 class RootSystemType:
-    """A Dynkin family letter plus rank, validated at construction."""
+    """A Dynkin family letter plus rank, validated at construction.
+
+    A rank past RANK_CAP is refused (CapExceeded) here, before any Cartan
+    matrix is built.
+    """
 
     family: str
     rank: int
@@ -64,6 +70,8 @@ class RootSystemType:
         )
         if not ok:
             raise InvalidDynkinType(f"{fam}{n} is not a supported Dynkin type")
+        if n > RANK_CAP:
+            raise CapExceeded("Lie rank", n, RANK_CAP)
 
     @property
     def label(self) -> str:
@@ -87,9 +95,6 @@ class WeylElement:
 
     word: tuple[int, ...]
     matrix: IntMat
-
-    def apply(self, m) -> tuple[int, ...]:
-        return tuple(sum(map(mul, row, m)) for row in self.matrix)
 
     def __eq__(self, other):
         return isinstance(other, WeylElement) and self.matrix == other.matrix

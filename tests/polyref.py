@@ -26,15 +26,34 @@ from casimir_lab.polyq import RationalPoly, integer_parts, resultant, squarefree
 # -- arithmetic on RationalPoly ---------------------------------------------
 
 
+def rpoly(*coeffs) -> RationalPoly:
+    """The RationalPoly with these degree-indexed coefficients, trailing zeros dropped."""
+    cs = [rl.frac(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return RationalPoly(tuple(cs))
+
+
+def degree(p: RationalPoly) -> int:
+    """Degree; -1 for the zero polynomial."""
+    return len(p.coefficients) - 1
+
+
+def leading(p: RationalPoly) -> Q:
+    if p.is_zero():
+        raise ValueError("zero polynomial has no leading coefficient")
+    return p.coefficients[-1]
+
+
 def add(p: RationalPoly, q: RationalPoly) -> RationalPoly:
     a, b = p.coefficients, q.coefficients
     n = max(len(a), len(b))
-    return RationalPoly.of(*((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)))
+    return rpoly(*((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)))
 
 
 def scale(p: RationalPoly, c) -> RationalPoly:
     c = rl.frac(c)
-    return RationalPoly.of(*(c * a for a in p.coefficients))
+    return rpoly(*(c * a for a in p.coefficients))
 
 
 def sub(p: RationalPoly, q: RationalPoly) -> RationalPoly:
@@ -42,28 +61,28 @@ def sub(p: RationalPoly, q: RationalPoly) -> RationalPoly:
 
 
 def mul(*ps: RationalPoly) -> RationalPoly:
-    out = RationalPoly.of(1)
+    out = rpoly(1)
     for p in ps:
         if out.is_zero() or p.is_zero():
-            return RationalPoly.of()
+            return rpoly()
         cs = [Q(0)] * (len(out.coefficients) + len(p.coefficients) - 1)
         for i, a in enumerate(out.coefficients):
             for j, b in enumerate(p.coefficients):
                 cs[i + j] += a * b
-        out = RationalPoly.of(*cs)
+        out = rpoly(*cs)
     return out
 
 
 def from_roots(roots) -> RationalPoly:
-    return mul(*(RationalPoly.of(-rl.frac(r), 1) for r in roots))
+    return mul(*(rpoly(-rl.frac(r), 1) for r in roots))
 
 
 def monic(p: RationalPoly) -> RationalPoly:
-    return scale(p, 1 / p.leading())
+    return scale(p, 1 / leading(p))
 
 
 def derivative(p: RationalPoly) -> RationalPoly:
-    return RationalPoly.of(*(k * c for k, c in enumerate(p.coefficients) if k))
+    return rpoly(*(k * c for k, c in enumerate(p.coefficients) if k))
 
 
 def evaluate(p: RationalPoly, x):
@@ -88,12 +107,12 @@ def rational_resultant(p: RationalPoly, q: RationalPoly) -> Q:
     res(cp P, cq Q) = cp**deg(Q) * cq**deg(P) * res(P, Q)."""
     cp, a = integer_parts(p)
     cq, b = integer_parts(q)
-    return cp ** q.degree * cq ** p.degree * resultant(a, b)
+    return cp ** degree(q) * cq ** degree(p) * resultant(a, b)
 
 
 def sylvester(p: RationalPoly, q: RationalPoly) -> rl.Mat:
     """The Sylvester matrix, deg q rows of p then deg p rows of q."""
-    n, m = p.degree, q.degree
+    n, m = degree(p), degree(q)
     size = n + m
     pc = list(reversed(p.coefficients))
     qc = list(reversed(q.coefficients))
@@ -104,7 +123,7 @@ def sylvester(p: RationalPoly, q: RationalPoly) -> rl.Mat:
 
 def sylvester_resultant(p: RationalPoly, q: RationalPoly) -> Q:
     """The Sylvester determinant; the empty matrix has determinant 1."""
-    return rl.det(sylvester(p, q)) if p.degree + q.degree > 0 else Q(1)
+    return rl.det(sylvester(p, q)) if degree(p) + degree(q) > 0 else Q(1)
 
 
 def is_perfect_square(a: list[int]) -> bool:
@@ -151,8 +170,12 @@ def gtrace(a) -> QQi:
     return s
 
 
+def conj(z: QQi) -> QQi:
+    return QQi(z.re, -z.im)
+
+
 def gconj_transpose(a):
-    return tuple(tuple(a[j][i].conj() for j in range(len(a))) for i in range(len(a[0]) if a else 0))
+    return tuple(tuple(conj(a[j][i]) for j in range(len(a))) for i in range(len(a[0]) if a else 0))
 
 
 def gkron(a, b):
@@ -241,7 +264,7 @@ def rational_char_poly(cp) -> RationalPoly:
     P[i] / den^(d - i) at t^i."""
     p, den = cp
     d = len(p) - 1
-    return RationalPoly.of(*(Q(c, den ** (d - i)) for i, c in enumerate(p)))
+    return rpoly(*(Q(c, den ** (d - i)) for i, c in enumerate(p)))
 
 
 def reference_operator(g, rep, k):
@@ -267,7 +290,7 @@ def reference_char_poly(a) -> RationalPoly:
         if step < d:
             mk = gmatmul(a, gadd(mk, gscale(ck, gidentity(d))))
     assert all(c.im == 0 for c in coeffs)
-    return RationalPoly.of(*(c.re for c in coeffs))
+    return rpoly(*(c.re for c in coeffs))
 
 
 def doubled_den(char_poly_of, rep):

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casimir_lab import cli
-from casimir_lab.cli import main, parse_kappa, parse_ustar, qstr
+from casimir_lab.cli import main, parse_kappa, parse_ustar
 from casimir_lab.errors import InternalConsistencyError
 from casimir_lab import hidden, oplab, polyq
 from casimir_lab.oplab import GroupSpec, IrrepSpec, diag_metric, multiplicity_at_float
@@ -25,7 +25,8 @@ from casimir_lab.polyq import RationalPoly
 from casimir_lab.reps import KMode, RepType
 from casimir_lab.rootsys import RootSystemType, build_root_system
 from casimir_lab.weights import DEFAULT_NODE_CAP, LatticeChoice, classes_up_to
-from polyref import doubled_den
+from jsonref import jsonable
+from polyref import doubled_den, rpoly
 
 A2 = build_root_system(RootSystemType("A", 2))
 
@@ -133,6 +134,17 @@ def test_point_cap_refuses_before_the_gram_matrix(capsys):
     assert time.perf_counter() - t0 < 1.0
     assert (code, out) == (3, "")
     assert json.loads(err) == {"error": "cap-exceeded", "what": "configuration size", "actual": 4800, "limit": 60}
+
+
+def test_lie_rank_cap_refuses_before_the_cartan_matrix(capsys):
+    for family in "ABCD":
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "classes", "--type", family, "--rank", "33", "--cap", "1")
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {"error": "cap-exceeded", "what": "Lie rank", "actual": 33, "limit": 32}
+    data = run_json(capsys, "classes", "--type", "A", "--rank", "32", "--cap", "1")
+    assert data["context"]["rank"] == 32
 
 
 SUPPORTED_TYPES = (
@@ -357,11 +369,19 @@ class _Node:
         return len(self.rows)
 
 
+def _written(obj, output="json") -> str:
+    """What the command line prints for obj as its payload."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli._emit(obj, output)
+    return out.getvalue()
+
+
 def test_jsonable_dataclass_rule():
     rows = ((_Leaf(Q(1, 3), RepType.REAL),), (_Leaf(Q(-2), RepType.COMPLEX), _Leaf(Q(0), RepType.QUATERNIONIC)))
     node = _Node(rows, "x")
     # each field is its JSON key except lam; properties are not fields
-    assert cli._jsonable(node) == {
+    assert json.loads(_written(node)) == {
         "rows": [
             [{"lambda": "1/3", "kind": "real"}],
             [{"lambda": "-2", "kind": "complex"}, {"lambda": "0", "kind": "quaternionic"}],
@@ -371,6 +391,52 @@ def test_jsonable_dataclass_rule():
     # _fields applies the same key rule one level deep and converts nothing
     assert cli._fields(node) == {"rows": rows, "note": "x"}
     assert cli._fields(rows[0][0]) == {"lambda": Q(1, 3), "kind": RepType.REAL}
+    # the operator labels go into a payload as they are
+    assert json.loads(_written([IrrepSpec((2, 1), (-1,)), GroupSpec(2, 1)])) == [
+        {"spins": [2, 1], "torus": [-1]},
+        {"su2_copies": 2, "torus_rank": 1},
+    ]
+    with pytest.raises(TypeError):
+        json.dumps(object(), default=cli._json_default)
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(),
+    st.fractions(),
+    st.sampled_from([*RepType, *KMode, *LatticeChoice]),
+    st.builds(
+        IrrepSpec,
+        st.lists(st.integers(0, 9), max_size=3).map(tuple),
+        st.lists(st.integers(-3, 3), max_size=2).map(tuple),
+    ),
+    st.builds(GroupSpec, st.integers(0, 4), st.integers(1, 6)),
+    st.builds(_Leaf, st.fractions(), st.sampled_from(RepType)),
+)
+
+_JSON_PAYLOADS = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=4),
+        st.builds(_Node, st.lists(inner, max_size=3).map(tuple), st.text()),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_JSON_PAYLOADS)
+@example({})
+@example({"": [], "é": {}, "雪": ()})
+def test_json_hook_writes_what_the_reference_walk_writes(payload):
+    ref = jsonable(payload)
+    assert _written(payload) == json.dumps(ref, indent=2, sort_keys=True) + "\n"
+    assert _written(payload, "table") == "\n".join(cli._render_table(ref)) + "\n"
 
 
 def test_reptype(capsys):
@@ -506,7 +572,7 @@ def _spectrum_argv(su2, torus, cap, kappa):
 
 def _membership_verdicts(payload):
     """multiplicity_at_float on every (cluster, rep) membership: the result or the error text."""
-    polys = {json.dumps(e["rep"]): RationalPoly.of(*(Q(c) for c in e["char_poly"])) for e in payload["reps"]}
+    polys = {json.dumps(e["rep"]): rpoly(*(Q(c) for c in e["char_poly"])) for e in payload["reps"]}
     verdicts = []
     for cluster in payload["clusters"]:
         for member in cluster["members"]:
@@ -649,7 +715,7 @@ def test_certify_and_spectrum_stay_in_integer_polynomials(capsys, monkeypatch):
     assert counts == {"integer_parts": 0, "RationalPoly": 0}
     # multiplicity_at_float clears its RationalPoly argument exactly once
     entry = data["reps"][-1]
-    p = RationalPoly.of(*(Q(c) for c in entry["char_poly"]))
+    p = rpoly(*(Q(c) for c in entry["char_poly"]))
     counts.update(integer_parts=0, RationalPoly=0)
     center = next(c["center"] for c in data["clusters"] if any(m["rep"] == entry["rep"] for m in c["members"]))
     assert multiplicity_at_float(p, center) == 1

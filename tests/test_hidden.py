@@ -246,7 +246,7 @@ def test_weyl_witnesses_match_matrix_reference():
         assert witnesses == textbook
         # the integer matrices of rootsys.weyl_group act the same way on coordinates
         index = {y: i for i, y in enumerate(cfg.coords)}
-        assert [(w.word, tuple(index[w.apply(y)] for y in cfg.coords)) for w in weyl_group(rs)] == textbook
+        assert [(w.word, tuple(index[matvec(w.matrix, y)] for y in cfg.coords)) for w in weyl_group(rs)] == textbook
 
 
 def test_weyl_inclusion_fails_without_one_point():

@@ -1,5 +1,6 @@
 """Representation arithmetic: dimensions, characters, tensor products, types."""
 
+import itertools
 import math
 from fractions import Fraction as Q
 
@@ -13,7 +14,6 @@ from casimir_lab.reps import (
     adjoint_rep,
     bold_g_label,
     classify_type,
-    decompose_character,
     dual_label,
     exterior_powers,
     invariant_dim,
@@ -24,12 +24,13 @@ from casimir_lab.reps import (
     weyl_dim,
 )
 from casimir_lab.rootsys import RootSystemType, build_root_system, weyl_orbit
-from repref import character_of_decomposition
+from repref import character_of_decomposition, decompose_character
 
 A1 = build_root_system(RootSystemType("A", 1))
 A2 = build_root_system(RootSystemType("A", 2))
 B2 = build_root_system(RootSystemType("B", 2))
 G2 = build_root_system(RootSystemType("G", 2))
+B3 = build_root_system(RootSystemType("B", 3))
 
 
 def test_weyl_dims_small_table():
@@ -166,6 +167,29 @@ def test_exterior_powers_of_adjoint():
         assert e.total_dim(A2) == math.comb(8, p)
     # frozen: Lambda^2 of the A2 adjoint = adjoint + (3,0) + (0,3)
     assert exterior_powers(adj2, 2)[2].as_dict() == {(1, 1): 1, (3, 0): 1, (0, 3): 1}
+
+
+def _wedge_character(r, p):
+    """Independent route: the character of Lambda^p V as the sums of the
+    p-element subsets of the weights of V, listed with multiplicity."""
+    weights = [w for w, m in weight_multiplicities(r).items() for _ in range(m)]
+    char = {}
+    for subset in itertools.combinations(weights, p):
+        w = tuple(map(sum, zip(*subset))) if subset else (0,) * r.rs.rank
+        char[w] = char.get(w, 0) + 1
+    return char
+
+
+def test_exterior_powers_match_the_peeled_characters():
+    samples = [rep(A2, c) for c in ((1, 0), (1, 1), (2, 0), (2, 1))]
+    samples += [rep(B2, c) for c in ((1, 0), (0, 1), (0, 2), (1, 1))]
+    samples += [rep(G2, c) for c in ((1, 0), (0, 1))]
+    samples += [rep(B3, c) for c in ((1, 0, 0), (0, 0, 1), (0, 1, 0))]
+    for r in samples:
+        got = exterior_powers(r, 3)
+        for p in range(4):
+            assert got[p].as_dict() == decompose_character(r.rs, _wedge_character(r, p)).as_dict(), (r, p)
+            assert got[p].total_dim(r.rs) == math.comb(weyl_dim(r), p)
 
 
 def test_invariant_dim_trivial_mode():

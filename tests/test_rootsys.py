@@ -124,7 +124,7 @@ def test_weyl_elements_preserve_the_form():
     rs = rs_of("B", 2)
     v, w = (1, 0), (1, 1)
     for e in weyl_group(rs):
-        assert rs.form_fw_int(e.apply(v), e.apply(w)) == rs.form_fw_int(v, w)
+        assert rs.form_fw_int(matvec(e.matrix, v), matvec(e.matrix, w)) == rs.form_fw_int(v, w)
 
 
 def test_weyl_cap_refusal():
@@ -189,7 +189,8 @@ def test_cartan_build_matches_the_textbook_reference(fam, rank, scale):
 
 
 def test_invalid_types_rejected():
-    for fam, rank in (("Z", 2), ("A", 0), ("G", 3), ("E", 5), ("F", 5), ("D", 2)):
+    # an unsupported type is bad input even past the rank cap
+    for fam, rank in (("Z", 2), ("A", 0), ("G", 3), ("E", 5), ("F", 5), ("D", 2), ("E", 40)):
         with pytest.raises(InvalidDynkinType):
             RootSystemType(fam, rank)
 

@@ -1,7 +1,9 @@
 """The functions the benchmark's traced run wraps must exist in the package,
-and no package module keeps a public function that only the tests call."""
+and no package module keeps a public function, method or property that only
+the tests call."""
 
 import ast
+import functools
 import importlib
 import importlib.util
 import inspect
@@ -31,15 +33,40 @@ def test_traced_names_resolve():
 
 
 def _references(path):
-    """(name, top-level definition it appears in) for every name and
-    attribute read in a module; a function's calls of itself do not count."""
+    """(name, definition it appears in) for every name and attribute read in
+    a module.  The definition is the top-level one, or "Class.member" inside
+    a class body's function, so that a function's or a member's uses of
+    itself do not count as calls."""
     for top in ast.parse(path.read_text(), filename=str(path)).body:
         owner = getattr(top, "name", None)
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                yield node.id, owner
-            elif isinstance(node, ast.Attribute):
-                yield node.attr, owner
+        parts = [(owner, top)]
+        if isinstance(top, ast.ClassDef):
+            members = [node for node in top.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            rest = top.decorator_list + top.bases + top.keywords + [node for node in top.body if node not in members]
+            parts = [(owner, node) for node in rest] + [(f"{owner}.{node.name}", node) for node in members]
+        for where, part in parts:
+            for node in ast.walk(part):
+                if isinstance(node, ast.Name):
+                    yield node.id, where
+                elif isinstance(node, ast.Attribute):
+                    yield node.attr, where
+
+
+_MEMBER_KINDS = (property, functools.cached_property, classmethod, staticmethod)
+
+
+def _public_definitions(module):
+    """(qualified name, name) for each public function a module defines and
+    each public method or property of the classes it defines."""
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj) and not name.startswith("_"):
+            yield name, name
+        elif inspect.isclass(obj):
+            for member, attr in vars(obj).items():
+                if not member.startswith("_") and (inspect.isfunction(attr) or isinstance(attr, _MEMBER_KINDS)):
+                    yield f"{name}.{member}", member
 
 
 def test_low_layers_have_no_test_only_functions():
@@ -54,10 +81,8 @@ def test_low_layers_have_no_test_only_functions():
     unused = []
     for mod in modules:
         module = importlib.import_module(f"casimir_lab.{mod}")
-        for name, fn in vars(module).items():
-            if name.startswith("_") or not inspect.isfunction(fn) or fn.__module__ != module.__name__:
-                continue
-            called = any(n == name and (stem, owner) != (mod, name) for n, stem, owner in used)
-            if not called and name not in named.get(mod, ()):
-                unused.append(f"{mod}.{name}")
-    assert unused == [], f"public functions with no caller in src: {unused}"
+        for qualname, name in _public_definitions(module):
+            called = any(n == name and (stem, owner) != (mod, qualname) for n, stem, owner in used)
+            if not called and qualname not in named.get(mod, ()):
+                unused.append(f"{mod}.{qualname}")
+    assert unused == [], f"public functions, methods and properties with no caller in src: {unused}"
