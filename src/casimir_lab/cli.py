@@ -2,12 +2,18 @@
 
 JSON output is canonical — keys sorted, exact rationals as "p/q" strings
 (q > 0, lowest terms), floats only in reports explicitly marked
-"numeric".  Reports are built completely before printing, so an error
-never leaves partial JSON on stdout; refusals and failures go to stderr.
+"numeric".  One walk over the payload (_write) writes that text: the same
+bytes as json.dumps(..., indent=2, sort_keys=True) of the payload in
+plain JSON values, strings escaped to ASCII by json's own escaper, with a
+Fraction written as "p/q", an Enum as its value and a dataclass as its
+fields.  Reports are built and written completely before printing, so an
+error never leaves partial JSON on stdout; refusals and failures go to
+stderr.
 
-Exit codes: 0 success; 2 usage error or invalid input; 3 a configured
-cap refused the computation (machine-readable reason on stderr);
-4 an internal exact identity failed.
+Exit codes: 0 success, also when the reader closes stdout before the
+report is read; 2 usage error or invalid input; 3 a configured cap
+refused the computation (machine-readable reason on stderr); 4 an
+internal exact identity failed.
 """
 
 from __future__ import annotations
@@ -15,10 +21,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from enum import Enum
 from fractions import Fraction as Q
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _escape
 
 from .errors import CapExceeded, CasimirLabError, InternalConsistencyError
 from .hidden import (
@@ -72,16 +80,66 @@ def _fields(obj) -> dict:
     return {_FIELD_KEYS.get(name, name): getattr(obj, name) for name in obj.__dataclass_fields__}
 
 
-def _json_default(obj):
-    """The json.dumps hook for what JSON has no type for: a Fraction becomes
-    "p/q", an Enum its value and a dataclass the dict of its _fields."""
-    if isinstance(obj, Q):
-        return str(obj)
-    if isinstance(obj, Enum):
-        return obj.value
-    if hasattr(obj, "__dataclass_fields__"):
-        return _fields(obj)
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+def _write(obj, out, nl: str) -> None:
+    """Append obj's canonical JSON text to out, in the order json.dumps tests
+    types: a str, None, a bool, an int, a float, a list or tuple, a dict;
+    then a Fraction as "p/q", an Enum as its value and a dataclass as its
+    _fields.  nl is the newline and indentation of obj's own line."""
+    if isinstance(obj, str):
+        out(_escape(obj))
+    elif obj is None:
+        out("null")
+    elif obj is True:
+        out("true")
+    elif obj is False:
+        out("false")
+    elif isinstance(obj, int):
+        out(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out(_float_text(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in obj:
+            out(sep)
+            sep = "," + inner
+            _write(item, out, inner)
+        out(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out(sep + _escape(key) + ": ")
+            sep = "," + inner
+            _write(obj[key], out, inner)
+        out(nl + "}")
+    elif isinstance(obj, Q):
+        out(_escape(str(obj)))
+    elif isinstance(obj, Enum):
+        _write(obj.value, out, nl)
+    elif hasattr(obj, "__dataclass_fields__"):
+        _write(_fields(obj), out, nl)
+    else:
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _float_text(x: float) -> str:
+    """A float as json writes it by default, non-finite values included."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
 
 
 def _render_table(payload, indent: int = 0) -> list:
@@ -107,7 +165,9 @@ def _render_table(payload, indent: int = 0) -> list:
 
 
 def _emit(payload: dict, output: str) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+    chunks: list[str] = []
+    _write(payload, chunks.append, "\n")
+    text = "".join(chunks)
     print("\n".join(_render_table(json.loads(text))) if output == "table" else text)
 
 
@@ -524,7 +584,7 @@ def main(argv=None) -> int:
         payload = args.func(args)
     except CapExceeded as exc:
         reason = {"error": "cap-exceeded", "what": exc.what, "actual": exc.actual, "limit": exc.limit}
-        print(json.dumps(reason, sort_keys=True, default=_json_default), file=sys.stderr)
+        print(json.dumps(reason, sort_keys=True), file=sys.stderr)
         return 3
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
@@ -532,7 +592,15 @@ def main(argv=None) -> int:
     except (CasimirLabError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(payload, args.output)
+    try:
+        _emit(payload, args.output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point the descriptor at devnull so
+        # the flush at interpreter exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 

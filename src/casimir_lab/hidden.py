@@ -37,8 +37,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
+from itertools import repeat
 from math import prod
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 
 from . import rootsys as rsys
 from .errors import CapExceeded, InternalConsistencyError
@@ -72,8 +73,16 @@ class ShiftedConfig:
 
     @cached_property
     def gram_int(self) -> tuple[tuple[int, ...], ...]:
-        g_coords = _fw_images(self.rs, self.coords)
-        return tuple(tuple(sum(map(mul, y, gz)) for gz in g_coords) for y in self.coords)
+        # Row i is sum_k y_i[k] * (column k of the images G y_j), so every
+        # entry is summed by map in C rather than by one call per entry.
+        cols = list(zip(*_fw_images(self.rs, self.coords)))
+        rows = []
+        for y in self.coords:
+            row = map(mul, repeat(y[0]), cols[0])
+            for c, col in zip(y[1:], cols[1:]):
+                row = map(add, row, map(mul, repeat(c), col))
+            rows.append(tuple(row))
+        return tuple(rows)
 
     @cached_property
     def mu_coords(self) -> tuple[tuple[int, ...], ...]:

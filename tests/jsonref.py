@@ -1,7 +1,7 @@
 """The reference for the command line's JSON rule: one walk that rewrites a
-payload into plain JSON values, which `json.dumps` then writes.  `cli` instead
-hands `json.dumps` a `default=` hook; the tests check that both give the same
-text.
+payload into plain JSON values, which `json.dumps(..., indent=2,
+sort_keys=True)` then writes.  `cli` instead writes the text itself in one
+walk over the payload; the tests check that both give the same text.
 
 A Fraction becomes "p/q", an Enum its value, a dict gets string keys, a
 tuple becomes a list and a dataclass the dict of its fields, each field

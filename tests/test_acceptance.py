@@ -7,7 +7,6 @@ honestly when the library's exact computation disagrees.
 """
 
 import itertools
-import math
 import random
 import time
 from fractions import Fraction as Q

@@ -20,7 +20,7 @@ from casimir_lab import cli
 from casimir_lab.cli import main, parse_kappa, parse_ustar
 from casimir_lab.errors import InternalConsistencyError
 from casimir_lab import hidden, oplab, polyq
-from casimir_lab.oplab import GroupSpec, IrrepSpec, diag_metric, multiplicity_at_float
+from casimir_lab.oplab import GroupSpec, IrrepSpec, multiplicity_at_float
 from casimir_lab.polyq import RationalPoly
 from casimir_lab.reps import KMode, RepType
 from casimir_lab.rootsys import RootSystemType, build_root_system
@@ -397,7 +397,13 @@ def test_jsonable_dataclass_rule():
         {"su2_copies": 2, "torus_rank": 1},
     ]
     with pytest.raises(TypeError):
-        json.dumps(object(), default=cli._json_default)
+        _written({"rows": [object()]})
+
+
+@pytest.mark.parametrize("payload", [{1: "a"}, {"a": {None: 1}}, [{Q(1, 2): 0}]], ids=repr)
+def test_non_string_keys_are_refused(payload):
+    with pytest.raises(TypeError):
+        _written(payload)
 
 
 _JSON_LEAVES = st.one_of(
@@ -433,6 +439,10 @@ _JSON_PAYLOADS = st.recursive(
 @given(_JSON_PAYLOADS)
 @example({})
 @example({"": [], "é": {}, "雪": ()})
+@example([float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e300, 5e-324])
+@example({"big": Q(10**199 + 7, 3), "neg": Q(-(10**199 + 7), 10**50)})
+@example(((), ((),), ((), ((),))))
+@example({"\x00\x1f\t\n\"\\\x7f": "\u2028\x08\x0c\r", "\U0001f600𝔤": ["\U0010ffff", "\ud800"]})
 def test_json_hook_writes_what_the_reference_walk_writes(payload):
     ref = jsonable(payload)
     assert _written(payload) == json.dumps(ref, indent=2, sort_keys=True) + "\n"
@@ -913,6 +923,28 @@ def test_ustar_parsing():
     assert u.as_dict() == {(1, 1): 2, (0, 0): 1}
     t = parse_ustar("trivial", KMode.TORUS, A2)
     assert t == {(0, 0): 1}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # about 16 KB, past the text buffer: print itself meets the closed pipe
+        ["certify", "--su2", "3", "--rep-cap", "1"],
+        # about 250 bytes: the flush meets it
+        ["reptype", "--type", "A", "--rank", "2", "--weight", "1,0"],
+    ],
+    ids=["long", "short"],
+)
+def test_closed_pipe_exits_without_a_traceback(argv):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "casimir_lab.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    proc.stdout.close()  # the reader quits before the report is written
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    code = proc.wait(timeout=120)
+    assert err == ""  # no traceback and no "Exception ignored" line
+    assert code == 0  # the report was complete; the reader chose to stop
 
 
 def test_console_script_installed():

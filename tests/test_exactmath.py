@@ -12,7 +12,7 @@ from ambient import dot, matmul, matvec, transpose
 import polyref
 from casimir_lab import polyq
 from casimir_lab import ratlinalg as rl
-from casimir_lab.errors import DimensionMismatch, InternalConsistencyError, NotPositiveDefinite
+from casimir_lab.errors import DimensionMismatch, InternalConsistencyError
 from casimir_lab.gaussian import GZERO, QQi, gmatmul
 from casimir_lab.polyq import (
     RationalPoly,

@@ -3,6 +3,7 @@
 import dataclasses
 import sys
 from fractions import Fraction as Q
+from operator import mul
 
 import pytest
 
@@ -339,6 +340,19 @@ def test_matches_full_reference_on_every_class():
         assert _elements(cfg, grp) == full
         checked += 1
     assert checked == 105
+
+
+def test_gram_matches_the_entrywise_dot_products():
+    """gram_int, summed column by column, equals y_i . (G y_j) taken one
+    entry at a time, on every A2/B2/G2 class with a^2 <= 60 and every
+    48-point B3 class with a^2 <= 21."""
+    configs = [shifted_config(rs, cls) for rs in (A2, B2, G2) for cls in classes_up_to(rs, WEIGHT, Q(60))]
+    b3 = [cfg for cfg in (shifted_config(B3, cls) for cls in classes_up_to(B3, WEIGHT, Q(21))) if cfg.size == 48]
+    assert [cfg.a_sq for cfg in b3] == [Q(35, 4), 14, 21]
+    for cfg in configs + b3:
+        g = cfg.rs.gram_fw_int[1]
+        images = [tuple(sum(map(mul, row, y)) for row in g) for y in cfg.coords]
+        assert cfg.gram_int == tuple(tuple(sum(map(mul, y, gz)) for gz in images) for y in cfg.coords)
 
 
 RANK4 = [("D", 14, 192), ("B", 30, 576), ("C", 15, 576)]

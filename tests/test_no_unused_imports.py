@@ -1,6 +1,6 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package or test module imports is used in that module.
 
-`__init__.py` is skipped: it imports names to re-export them.
+The package's `__init__.py` is skipped: it imports names to re-export them.
 """
 
 import ast
@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "casimir_lab"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "casimir_lab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def _imported_names(tree):
@@ -23,7 +25,9 @@ def _imported_names(tree):
                 yield alias.asname or alias.name, node.lineno
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + TEST_MODULES, ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}"
+)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -34,4 +38,7 @@ def test_no_unused_imports(path):
 def test_scan_sees_every_module():
     assert {p.stem for p in MODULES} >= {
         "cli", "gaussian", "hidden", "oplab", "polyq", "ratlinalg", "reps", "rootsys", "spectra", "weights",
+    }
+    assert {p.stem for p in TEST_MODULES} >= {
+        "ambient", "jsonref", "permref", "polyref", "repref", "test_cli", "test_no_unused_imports",
     }

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-from fractions import Fraction as Q
 
 import pytest
 

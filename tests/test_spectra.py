@@ -5,15 +5,7 @@ from fractions import Fraction as Q
 import pytest
 
 from casimir_lab.errors import InternalConsistencyError, NonDominantWeight
-from casimir_lab.reps import (
-    KMode,
-    RepType,
-    VirtualDecomposition,
-    dual_label,
-    rep,
-    trivial_decomposition,
-    weyl_dim,
-)
+from casimir_lab.reps import KMode, RepType, VirtualDecomposition, trivial_decomposition
 from casimir_lab.rootsys import RootSystemType, build_root_system
 from casimir_lab.spectra import (
     HARMONIC_NOTE,
