@@ -13,7 +13,8 @@ stderr.
 Exit codes: 0 success, also when the reader closes stdout before the
 report is read; 2 usage error or invalid input; 3 a configured cap
 refused the computation (machine-readable reason on stderr); 4 an
-internal exact identity failed.
+internal exact identity failed.  A reader that closes stderr keeps the
+code of a refusal or failure.
 """
 
 from __future__ import annotations
@@ -575,6 +576,24 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _drop_closed(stream) -> None:
+    """The reader closed stream early.  Point its descriptor at devnull so
+    the flush at interpreter exit does not raise again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _refuse(text: str, code: int) -> int:
+    """Write a refusal or failure line to stderr and return its exit code,
+    which stands also when the reader closed stderr."""
+    try:
+        print(text, file=sys.stderr, flush=True)
+    except BrokenPipeError:
+        _drop_closed(sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
@@ -584,23 +603,16 @@ def main(argv=None) -> int:
         payload = args.func(args)
     except CapExceeded as exc:
         reason = {"error": "cap-exceeded", "what": exc.what, "actual": exc.actual, "limit": exc.limit}
-        print(json.dumps(reason, sort_keys=True), file=sys.stderr)
-        return 3
+        return _refuse(json.dumps(reason, sort_keys=True), 3)
     except InternalConsistencyError as exc:
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
-        return 4
+        return _refuse(f"internal consistency failure: {exc}", 4)
     except (CasimirLabError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _refuse(f"error: {exc}", 2)
     try:
         _emit(payload, args.output)
         sys.stdout.flush()
     except BrokenPipeError:
-        # The reader closed stdout early.  Point the descriptor at devnull so
-        # the flush at interpreter exit does not raise again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _drop_closed(sys.stdout)
     return 0
 
 

@@ -3,8 +3,10 @@
 Builds the operator -sum_ij kappa_ij M_i M_j from explicit representation
 matrices, extracts characteristic polynomials and resultants, and searches
 for rational witness metrics certifying generic spectral simplicity of a
-cap-bounded representation list.  Operators and the characteristic-polynomial
-recursion run on Gaussian integers over a common denominator.
+cap-bounded representation list.  Operators are Gaussian-integer rows over a
+common denominator.  Their characteristic polynomials come from Berkowitz's
+division-free algorithm (Berkowitz 1984; Abdeljaoued 1997), on integers for
+a real operator and on Gaussian integers otherwise.
 
 Normalization: each su(2) copy uses the basis Y_1, Y_2, Y_3 given by the
 symmetric-power images of -(i/2)*sigma_k, which is orthonormal for the
@@ -22,13 +24,14 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 from typing import Optional
 
 import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch, InternalConsistencyError, NotPositiveDefinite
 from .polyq import RationalPoly, derivative, integer_parts, resultant, squarefree_decomposition
-from .ratlinalg import frac, is_positive_definite
+from .ratlinalg import frac, integer_det, is_positive_definite
 
 Q = Fraction
 
@@ -218,7 +221,8 @@ class _QuadPieces:
         self._pieces = {}
 
     def piece(self, i: int, j: int):
-        """Flat row-major (re, im) integer lists of 4 (M_i M_j + M_j M_i), or of 4 M_i^2 when i == j."""
+        """Flat row-major (re, im) integer lists of 4 (M_i M_j + M_j M_i), or of
+        4 M_i^2 when i == j; a part that is all zero is None."""
         key = (i, j) if i <= j else (j, i)
         if key not in self._pieces:
             d = self._dim
@@ -230,33 +234,21 @@ class _QuadPieces:
                         for c, u, v in rows_b[k]:
                             re[r * d + c] += x * u - y * v
                             im[r * d + c] += x * v + y * u
-            self._pieces[key] = (re, im)
+            self._pieces[key] = (re if any(re) else None, im if any(im) else None)
         return self._pieces[key]
-
-
-def _matmul(a, b):
-    """Integer matrix product of row lists."""
-    cols = list(zip(*b))
-    return [[sum(map(int.__mul__, r, c)) for c in cols] for r in a]
-
-
-def _zmatmul(are, aim, bre, bim):
-    """(are + i aim)(bre + i bim) over Z[i], as (re, im) row lists."""
-    rr, ii, ri, ir = _matmul(are, bre), _matmul(aim, bim), _matmul(are, bim), _matmul(aim, bre)
-    re = [list(map(int.__sub__, x, y)) for x, y in zip(rr, ii)]
-    im = [list(map(int.__add__, x, y)) for x, y in zip(ri, ir)]
-    return re, im
 
 
 @dataclass(frozen=True)
 class ExactOperator:
-    """D = (re + i im) / den with integer row tuples re, im and den > 0."""
+    """D = (re + i im) / den with integer row tuples re, im and den > 0;
+    real promises that im is all zero."""
 
     re: tuple
     im: tuple
     den: int
     rep: IrrepSpec
     kappa_ref: MetricParam
+    real: bool = False
 
     @property
     def dim(self) -> int:
@@ -272,7 +264,9 @@ def build_operator(
     quadratic pieces P_ij.  With L = 4 lcm(denominators of the nonzero
     kappa_ij), A = L D is the integer combination -sum (L/4) kappa_ij P_ij.
     Passing the rep's pieces shares their products across metrics (certify
-    does); without them the pieces are built for this call.
+    does); without them the pieces are built for this call.  A part no
+    piece has stays zero, so an operator of real pieces alone (as at every
+    diagonal metric) is real.
     """
     g.check_kappa_size(k.n)
     if pieces is None:
@@ -282,16 +276,18 @@ def build_operator(
     terms = [(i, j, k.kappa[i][j]) for i in range(k.n) for j in range(i, k.n) if k.kappa[i][j] != 0]
     lcm = math.lcm(*(x.denominator for _, _, x in terms))
     d = rep.dim
-    re = [0] * (d * d)
-    im = [0] * (d * d)
+    parts = [None, None]
     for i, j, x in terms:
         w = -x.numerator * (lcm // x.denominator)
-        pre, pim = pieces.piece(i, j)
-        re = list(map(int.__add__, re, map(w.__mul__, pre)))
-        im = list(map(int.__add__, im, map(w.__mul__, pim)))
-    rows_re = tuple(tuple(re[r * d:(r + 1) * d]) for r in range(d))
-    rows_im = tuple(tuple(im[r * d:(r + 1) * d]) for r in range(d))
-    return ExactOperator(rows_re, rows_im, 4 * lcm, rep, k)
+        for part, piece in enumerate(pieces.piece(i, j)):
+            if piece is not None:
+                scaled = map(w.__mul__, piece)
+                parts[part] = list(scaled) if parts[part] is None else list(map(add, parts[part], scaled))
+    re, im = (
+        ((0,) * d,) * d if flat is None else tuple(tuple(flat[r * d:(r + 1) * d]) for r in range(d))
+        for flat in parts
+    )
+    return ExactOperator(re, im, 4 * lcm, rep, k, real=parts[1] is None)
 
 
 def _monomial_weights(rep: IrrepSpec):
@@ -305,42 +301,80 @@ def _monomial_weights(rep: IrrepSpec):
 def char_poly(op: ExactOperator) -> tuple[list[int], int]:
     """(P, den): the monic integer polynomial P(s) = det(sI - A) of A = den * D.
 
-    Faddeev-LeVerrier runs on the Gaussian-integer matrix A: M_1 = A,
-    c_k = -tr(M_k) / k, M_(k+1) = A (M_k + c_k I), where every division is
-    exact in Z[i] (a remainder signals a bug).  P is degree-indexed, with
-    c_k at s^(d-k); its coefficients are asserted to be real, anything else
-    signals a bug in the construction.  The characteristic polynomial of D
-    is p(t) = den^(-d) P(den t), with coefficient c_k / den^k at t^(d-k);
-    scaling t by den keeps every root multiplicity.
+    Berkowitz's division-free algorithm (Berkowitz, Inform. Process. Lett.
+    18, 1984; Abdeljaoued, MapleTech 4, 1997) runs on the integer rows of A:
+    on re alone when the operator is real, else on (re, im) pairs over Z[i],
+    where an imaginary part left in a coefficient signals a bug in the
+    construction.  P is degree-indexed, with c_k at s^(d-k).  The
+    independent exact identity det(I + A) = (-1)^d P(-1) is checked with a
+    Bareiss determinant; for a complex A, on the real 2d x 2d form of I + A,
+    whose determinant is |det(I + A)|^2 = P(-1)^2.  A mismatch signals a
+    bug.  The characteristic polynomial of D is p(t) = den^(-d) P(den t),
+    with coefficient c_k / den^k at t^(d-k); scaling t by den keeps every
+    root multiplicity.
     """
-    coeffs = []
-    for k, (cre, cim) in enumerate(_trace_recursion(op.re, op.im)):
-        if cim:
-            raise InternalConsistencyError(f"characteristic coefficient has imaginary part {Q(cim, op.den ** k)}")
-        coeffs.append(cre)
+    shifted = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(op.re)]
+    if op.real:
+        coeffs = _berkowitz(op.re)
+    else:
+        coeffs, imag = _gaussian_berkowitz(op.re, op.im)
+        for k, cim in enumerate(imag):
+            if cim:
+                raise InternalConsistencyError(
+                    f"characteristic coefficient has imaginary part {Q(cim, op.den ** k)}")
+        shifted = [x + [-y for y in ys] for x, ys in zip(shifted, op.im)] + [
+            [*ys, *x] for x, ys in zip(shifted, op.im)]
+    value = sum(coeffs[::2]) - sum(coeffs[1::2])  # (-1)^d P(-1)
+    det = integer_det(shifted)
+    if det != (value if op.real else value ** 2):
+        raise InternalConsistencyError(
+            f"Bareiss determinant {det} of I + A disagrees with the characteristic polynomial")
     coeffs.reverse()
     return coeffs, op.den
 
 
-def _trace_recursion(are, aim):
-    """[(1, 0), c_1, ..., c_d] with det(tI - A) = sum_k c_k t^(d-k), over Z[i]."""
-    d = len(are)
-    mre, mim = are, aim
-    out = [(1, 0)]
-    for k in range(1, d + 1):
-        cre, rre = divmod(-sum(mre[i][i] for i in range(d)), k)
-        cim, rim = divmod(-sum(mim[i][i] for i in range(d)), k)
-        if rre or rim:
-            raise InternalConsistencyError(f"trace of M_{k} is not divisible by {k}")
-        out.append((cre, cim))
-        if k < d:
-            bre = [list(r) for r in mre]
-            bim = [list(r) for r in mim]
-            for i in range(d):
-                bre[i][i] += cre
-                bim[i][i] += cim
-            mre, mim = _zmatmul(are, aim, bre, bim)
-    return out
+def _berkowitz(a):
+    """[1, c_1, ..., c_d] with det(sI - A) = sum_k c_k s^(d-k) for the integer rows a of A.
+
+    With A_k the leading k x k block and A_(k+1) = [[A_k, u], [r, x]], the
+    coefficients of A_(k+1) are the lower-triangular Toeplitz matrix with
+    first column (1, -x, -r u, -r A_k u, ..., -r A_k^(k-1) u) times those
+    of A_k.
+    """
+    p = [1]
+    for k, row in enumerate(a):
+        block = a[:k]
+        u = [x[k] for x in block]
+        t = [1, -row[k]]
+        for j in range(k):
+            if j:
+                u = [sum(map(mul, x, u)) for x in block]
+            t.append(-sum(map(mul, row, u)))
+        p = [sum(map(mul, t[i::-1], p)) for i in range(k + 2)]
+    return p
+
+
+def _gaussian_berkowitz(are, aim):
+    """_berkowitz over Z[i] for A = are + i aim: the real and the imaginary
+    parts of [1, c_1, ..., c_d]."""
+    pr, pi = [1], [0]
+    for k, (rr, ri) in enumerate(zip(are, aim)):
+        block = list(zip(are[:k], aim[:k]))
+        ur, ui = [x[k] for x in are[:k]], [y[k] for y in aim[:k]]
+        tr, ti = [1, -rr[k]], [0, -ri[k]]
+        for j in range(k):
+            if j:
+                ur, ui = (
+                    [sum(map(mul, x, ur)) - sum(map(mul, y, ui)) for x, y in block],
+                    [sum(map(mul, x, ui)) + sum(map(mul, y, ur)) for x, y in block],
+                )
+            tr.append(sum(map(mul, ri, ui)) - sum(map(mul, rr, ur)))
+            ti.append(-sum(map(mul, rr, ui)) - sum(map(mul, ri, ur)))
+        pr, pi = (
+            [sum(map(mul, tr[i::-1], pr)) - sum(map(mul, ti[i::-1], pi)) for i in range(k + 2)],
+            [sum(map(mul, tr[i::-1], pi)) + sum(map(mul, ti[i::-1], pr)) for i in range(k + 2)],
+        )
+    return pr, pi
 
 
 # Admission caps of enumerate_reps, and so of certify and cli spectrum: the

@@ -90,8 +90,6 @@ def inverse(a: Mat) -> Mat:
 def det(a: Mat) -> Q:
     """Exact determinant via Bareiss on the denominator-cleared integer matrix."""
     n = len(a)
-    if n == 0:
-        return ONE
     if any(len(r) != n for r in a):
         raise DimensionMismatch("det of non-square matrix")
     scale = ONE
@@ -100,22 +98,29 @@ def det(a: Mat) -> Q:
         den = lcm(*(x.denominator for x in row))
         scale *= den
         m.append([int(x * den) for x in row])
-    # Bareiss: exact integer one-step fraction-free elimination.
+    return Q(integer_det(m), 1) / scale
+
+
+def integer_det(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, by Bareiss's one-step
+    fraction-free elimination in place on the rows of m: every division
+    is exact, so every entry stays an integer."""
+    n = len(m)
     sign = 1
     prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             piv = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
             if piv is None:
-                return ZERO
+                return 0
             m[k], m[piv] = m[piv], m[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return Q(sign * m[n - 1][n - 1], 1) / scale
+        pivot, top = m[k][k], m[k][k + 1:]
+        for row in m[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(x * pivot - f * y) // prev for x, y in zip(row[k + 1:], top)]
+        prev = pivot
+    return sign * m[-1][-1] if m else 1
 
 
 def ldl(g: Mat) -> tuple[list[Q], list[list[Q]]]:

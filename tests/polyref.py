@@ -6,7 +6,8 @@ operators as Gaussian-integer rows over one denominator.  These are the
 Fraction counterparts the tests compare against: polynomial arithmetic on
 `RationalPoly`, the Sylvester resultant, Gaussian-rational matrices and the
 operators as such matrices, the self-adjointness and Casimir checks on the
-integer rows, the Gaussian-rational Faddeev-LeVerrier reference, and
+integer rows, the Gaussian-rational Faddeev-LeVerrier reference for
+`oplab`'s Berkowitz characteristic polynomials, and
 `abc_values`, the separation, simplicity and pairing resultants of two
 irreducibles at one metric.
 """
@@ -278,19 +279,25 @@ def reference_operator(g, rep, k):
     return acc
 
 
-def reference_char_poly(a) -> RationalPoly:
-    """Faddeev-LeVerrier in Q(i)."""
+def reference_gaussian_char_poly(a) -> list:
+    """Faddeev-LeVerrier in Q(i): [1, c_1, ..., c_d] with
+    det(tI - A) = sum_k c_k t^(d-k), as QQi values."""
     d = len(a)
-    coeffs = [QQi(0)] * (d + 1)
-    coeffs[d] = QQi(1)
+    coeffs = [QQi(1)]
     mk = a
     for step in range(1, d + 1):
         ck = gtrace(mk) / QQi(-step)
-        coeffs[d - step] = ck
+        coeffs.append(ck)
         if step < d:
             mk = gmatmul(a, gadd(mk, gscale(ck, gidentity(d))))
+    return coeffs
+
+
+def reference_char_poly(a) -> RationalPoly:
+    """Faddeev-LeVerrier in Q(i), for a matrix whose characteristic polynomial is real."""
+    coeffs = reference_gaussian_char_poly(a)
     assert all(c.im == 0 for c in coeffs)
-    return rpoly(*(c.re for c in coeffs))
+    return rpoly(*(c.re for c in reversed(coeffs)))
 
 
 def doubled_den(char_poly_of, rep):

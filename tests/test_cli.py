@@ -173,18 +173,52 @@ def capped_requests(draw):
     return ["hidden", *argv, "--a2", radius, *caps]
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(capped_requests())
-@example(["reptype", "--type", "E", "--rank", "8", "--weight", "0,0,0,0,0,0,0,1"])
-@example(["hidden", "--type", "E", "--rank", "8", "--a2", "640"])
-def test_capped_commands_keep_the_exit_code_contract(argv):
+def _exit_code_within_contract(argv) -> int:
+    """main's exit code on argv, after checking that it is one of the
+    contract's codes, came within 10 s and left no traceback."""
     out, err = io.StringIO(), io.StringIO()
     t0 = time.perf_counter()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     assert time.perf_counter() - t0 < 10.0, argv
-    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    return code
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(capped_requests())
+@example(["reptype", "--type", "E", "--rank", "8", "--weight", "0,0,0,0,0,0,0,1"])
+@example(["hidden", "--type", "E", "--rank", "8", "--a2", "640"])
+def test_capped_commands_keep_the_exit_code_contract(argv):
+    assert _exit_code_within_contract(argv) in (0, 2, 3)
+
+
+@st.composite
+def operator_requests(draw):
+    """A spectrum or certify request on a small SU(2)^c x T^n with a small
+    rep cap; spectra at a random symmetric rational kappa, definite or not,
+    with or without --numeric."""
+    su2, torus = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    group = ["--su2", str(su2), "--torus", str(torus), "--rep-cap", str(draw(st.integers(0, 3)))]
+    if draw(st.booleans()):
+        return ["certify", *group, "--budget", str(draw(st.integers(0, 20))), "--seed", str(draw(st.integers(0, 99)))]
+    n = max(1, 3 * su2 + torus + draw(st.sampled_from([0] * 8 + [1, -1])))
+    value = st.builds(lambda p, q: str(Q(p, q)), st.integers(-12, 12), st.integers(1, 12))
+    # a diagonal past 12 (n - 1) dominates every row, so half of the kappas are definite
+    diagonal = st.integers(12 * n, 24 * n).map(str) if draw(st.booleans()) else value
+    entries = [[i, j, draw(diagonal if i == j else value)] for i in range(n) for j in range(i, n)
+               if i == j or draw(st.booleans())]
+    kappa = json.dumps({"n": n, "entries": entries})
+    return ["spectrum", *group, "--kappa", kappa, *(["--numeric"] if draw(st.booleans()) else [])]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(operator_requests())
+@example(["certify", "--su2", "1", "--torus", "1", "--rep-cap", "4", "--budget", "20"])
+@example(["spectrum", "--su2", "1", "--rep-cap", "4", "--kappa", "diag:1,-2,3", "--numeric"])
+def test_operator_commands_keep_the_exit_code_contract(argv):
+    _exit_code_within_contract(argv)
 
 
 def _hidden_argv(name, a_sq, *extra):
@@ -945,6 +979,33 @@ def test_closed_pipe_exits_without_a_traceback(argv):
     code = proc.wait(timeout=120)
     assert err == ""  # no traceback and no "Exception ignored" line
     assert code == 0  # the report was complete; the reader chose to stop
+
+
+# The exit-4 request runs the module with the Bareiss determinant of the
+# characteristic-polynomial identity knocked off by one.
+_BROKEN_DET = (
+    "import runpy; from casimir_lab import oplab, ratlinalg; "
+    "oplab.integer_det = lambda m: ratlinalg.integer_det(m) + 1; "
+    "runpy.run_module('casimir_lab.cli', run_name='__main__')"
+)
+
+
+@pytest.mark.parametrize(
+    "prefix,argv,code",
+    [
+        (["-m", "casimir_lab.cli"], ["classes", "--type", "Z", "--rank", "2", "--cap", "1"], 2),
+        (["-m", "casimir_lab.cli"], ["certify", "--su2", "1", "--rep-cap", "40"], 3),
+        (["-c", _BROKEN_DET], ["spectrum", "--su2", "1", "--rep-cap", "1", "--kappa", "diag:1,2,3"], 4),
+    ],
+    ids=["bad-input", "cap", "identity"],
+)
+def test_closed_stderr_keeps_the_exit_code(prefix, argv, code):
+    proc = subprocess.Popen([sys.executable, *prefix, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stderr.close()  # the reader never reads the reason
+    out = proc.stdout.read()
+    proc.stdout.close()
+    # exit 1 would be an uncaught exception, 120 a failed flush at exit
+    assert (proc.wait(timeout=120), out) == (code, b"")
 
 
 def test_console_script_installed():

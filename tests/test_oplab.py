@@ -1,13 +1,19 @@
 """Exact metric-dependent operators on product-group irreducibles."""
 
+import importlib
+import io
+import itertools
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as Q
+from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casimir_lab import oplab
+from casimir_lab import cli, oplab
 from casimir_lab.errors import (
     CapExceeded,
     DimensionMismatch,
@@ -39,6 +45,7 @@ from polyref import (
     evaluate,
     from_roots,
     gadd,
+    gaussian_view,
     gconj_transpose,
     gidentity,
     gkron,
@@ -50,6 +57,7 @@ from polyref import (
     operator_matrix,
     rational_char_poly,
     reference_char_poly,
+    reference_gaussian_char_poly,
     reference_operator,
     rpoly,
     scale,
@@ -362,6 +370,75 @@ def test_char_poly_matches_gaussian_reference(su2, torus, cap):
             assert rational_char_poly((p, den)) == reference_char_poly(ref)
 
 
+def integer_rows(d):
+    """A d x d integer matrix as row tuples."""
+    flat = st.lists(st.integers(-20, 20), min_size=d * d, max_size=d * d)
+    return flat.map(lambda xs: tuple(tuple(xs[i * d:(i + 1) * d]) for i in range(d)))
+
+
+SQUARE_PAIRS = st.integers(1, 13).flatmap(lambda d: st.tuples(integer_rows(d), integer_rows(d)))
+
+
+@st.composite
+def char_poly_operators(draw):
+    """An operator of dimension 1 to 13 with den in 1..10^6: a real integer
+    matrix, marked real or not, or a Hermitian Gaussian-integer matrix."""
+    re, im = draw(SQUARE_PAIRS)
+    d = len(re)
+    if draw(st.booleans()):
+        return oplab.ExactOperator(re, ((0,) * d,) * d, draw(st.integers(1, 10**6)), IrrepSpec((d - 1,)), K123,
+                                   real=draw(st.booleans()))
+    re = tuple(tuple(re[min(i, j)][max(i, j)] for j in range(d)) for i in range(d))
+    im = tuple(tuple((i < j) * im[i][j] - (i > j) * im[j][i] for j in range(d)) for i in range(d))
+    return oplab.ExactOperator(re, im, draw(st.integers(1, 10**6)), IrrepSpec((d - 1,)), K123)
+
+
+@settings(max_examples=30, deadline=None)
+@given(char_poly_operators())
+def test_char_poly_matches_the_reference_on_random_matrices(op):
+    # P is the polynomial of A = re + i im whatever den is
+    reference = reference_char_poly(gaussian_view(op.re, op.im, 1))
+    assert char_poly(op) == (list(reference.coefficients), op.den)
+
+
+@settings(max_examples=30, deadline=None)
+@given(SQUARE_PAIRS)
+def test_gaussian_recursion_matches_the_reference_on_any_matrix(parts):
+    # A general Gaussian-integer matrix has a complex polynomial, which
+    # char_poly refuses; the recursion itself still matches the reference.
+    re, im = parts
+    pr, pi = oplab._gaussian_berkowitz(re, im)
+    assert list(map(QQi, pr, pi)) == reference_gaussian_char_poly(gaussian_view(re, im, 1))
+    if any(pi):
+        with pytest.raises(InternalConsistencyError, match="imaginary part"):
+            char_poly(oplab.ExactOperator(re, im, 1, IrrepSpec((len(re) - 1,)), K123))
+
+
+CASBENCH = Path(__file__).resolve().parents[1] / "casbench"
+
+
+@pytest.mark.parametrize("workload", ["operator-certify", "operator-spectrum"])
+def test_char_poly_matches_the_reference_on_every_benchmark_operator(monkeypatch, workload):
+    # Every operator whose polynomial one round of the benchmark workload
+    # asks for, at seed 1, through cli.main.
+    monkeypatch.syspath_prepend(str(CASBENCH))
+    requests = importlib.import_module("workloads").build_round(workload, 1)
+    good, kinds = char_poly, set()
+
+    def checked(op):
+        kinds.add(op.real)
+        p = good(op)
+        assert rational_char_poly(p) == reference_char_poly(operator_matrix(op))
+        return p
+
+    monkeypatch.setattr(oplab, "char_poly", checked)
+    monkeypatch.setattr(cli, "char_poly", checked)
+    for req in requests:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert cli.main(req.argv) == 0, req.argv
+    assert kinds == {True, False}
+
+
 def test_irrep_matrices_kron_layout():
     # generator of copy c is I (x) Y (x) I in row-major order, torus acts by i*z
     g = GroupSpec(2, 1)
@@ -373,17 +450,30 @@ def test_irrep_matrices_kron_layout():
     assert mats == expect
 
 
-def test_trace_recursion_catches_a_wrong_product(monkeypatch):
-    good = oplab._zmatmul
-
-    def off_by_one(*args):
-        re, im = good(*args)
-        re[0][0] += 1
-        return re, im
-
-    op = build_operator(G1, IrrepSpec((3,)), K_OFF)
-    monkeypatch.setattr(oplab, "_zmatmul", off_by_one)
-    with pytest.raises(InternalConsistencyError, match="not divisible"):
+@pytest.mark.parametrize("kappa", [K123, K_OFF], ids=["real", "complex"])
+def test_char_poly_catches_a_wrong_product(monkeypatch, kappa):
+    # Each product of the Berkowitz recursion in turn, off by one: every one
+    # that changes the polynomial is refused.
+    op = build_operator(G1, IrrepSpec((3,)), kappa)
+    assert op.real == (kappa is K123)
+    good = char_poly(op)
+    refused = 0
+    for n in itertools.count():
+        calls = itertools.count()
+        monkeypatch.setattr(oplab, "mul", lambda x, y: x * y + (next(calls) == n))
+        try:
+            assert char_poly(op) == good
+        except InternalConsistencyError:
+            refused += 1
+        products = next(calls)
+        if n + 1 == products:
+            break
+    assert refused > products // 2
+    # a wrong pivot inside the determinant of the identity is refused too
+    det = oplab.integer_det
+    monkeypatch.setattr(oplab, "mul", mul)
+    monkeypatch.setattr(oplab, "integer_det", lambda m: det([[m[0][0] + 1, *m[0][1:]], *m[1:]]))
+    with pytest.raises(InternalConsistencyError, match="Bareiss determinant"):
         char_poly(op)
 
 
