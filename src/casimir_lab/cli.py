@@ -6,9 +6,10 @@ JSON output is canonical — keys sorted, exact rationals as "p/q" strings
 bytes as json.dumps(..., indent=2, sort_keys=True) of the payload in
 plain JSON values, strings escaped to ASCII by json's own escaper, with a
 Fraction written as "p/q", an Enum as its value and a dataclass as its
-fields.  Reports are built and written completely before printing, so an
-error never leaves partial JSON on stdout; refusals and failures go to
-stderr.
+fields.  The text of each dataclass is built once per object and depth
+within one payload and reused where the same object recurs.  Reports are
+built and written completely before printing, so an error never leaves
+partial JSON on stdout; refusals and failures go to stderr.
 
 Exit codes: 0 success, also when the reader closes stdout before the
 report is read; 2 usage error or invalid input; 3 a configured cap
@@ -81,11 +82,18 @@ def _fields(obj) -> dict:
     return {_FIELD_KEYS.get(name, name): getattr(obj, name) for name in obj.__dataclass_fields__}
 
 
-def _write(obj, out, nl: str) -> None:
+def _write(obj, out, nl: str, memo: dict) -> None:
     """Append obj's canonical JSON text to out, in the order json.dumps tests
     types: a str, None, a bool, an int, a float, a list or tuple, a dict;
     then a Fraction as "p/q", an Enum as its value and a dataclass as its
-    _fields.  nl is the newline and indentation of obj's own line."""
+    _fields.  nl is the newline and indentation of obj's own line.
+
+    memo maps (id, nl) of each dataclass written so far to its text and the
+    object itself, so a label repeated in every row of a table is walked
+    once per depth; holding the object keeps its id from being reused while
+    memo lives.  The key is identity, not equality: equal dataclasses may
+    be written differently (a field holding True against one holding 1).
+    """
     if isinstance(obj, str):
         out(_escape(obj))
     elif obj is None:
@@ -107,7 +115,7 @@ def _write(obj, out, nl: str) -> None:
         for item in obj:
             out(sep)
             sep = "," + inner
-            _write(item, out, inner)
+            _write(item, out, inner, memo)
         out(nl + "]")
     elif isinstance(obj, dict):
         if not obj:
@@ -120,14 +128,19 @@ def _write(obj, out, nl: str) -> None:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             out(sep + _escape(key) + ": ")
             sep = "," + inner
-            _write(obj[key], out, inner)
+            _write(obj[key], out, inner, memo)
         out(nl + "}")
     elif isinstance(obj, Q):
         out(_escape(str(obj)))
     elif isinstance(obj, Enum):
-        _write(obj.value, out, nl)
+        _write(obj.value, out, nl, memo)
     elif hasattr(obj, "__dataclass_fields__"):
-        _write(_fields(obj), out, nl)
+        key = (id(obj), nl)
+        if key not in memo:
+            chunks: list[str] = []
+            _write(_fields(obj), chunks.append, nl, memo)
+            memo[key] = ("".join(chunks), obj)
+        out(memo[key][0])
     else:
         raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
@@ -167,7 +180,7 @@ def _render_table(payload, indent: int = 0) -> list:
 
 def _emit(payload: dict, output: str) -> None:
     chunks: list[str] = []
-    _write(payload, chunks.append, "\n")
+    _write(payload, chunks.append, "\n", {})
     text = "".join(chunks)
     print("\n".join(_render_table(json.loads(text))) if output == "table" else text)
 

@@ -24,6 +24,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import add, mul
 from typing import Optional
 
@@ -126,6 +127,19 @@ class MetricParam:
 
     def is_positive_definite(self) -> bool:
         return is_positive_definite([list(r) for r in self.kappa])
+
+    @cached_property
+    def _weights(self) -> tuple:
+        """(terms, lcm) over the nonzero upper entries kappa_ij = num/den
+        (i <= j): lcm of their denominators, and (i, j, -num * (lcm / den))
+        per entry, in row order.
+
+        Computed once per instance and kept outside the dataclass fields, so
+        equality, hashing and the serialized form do not see it.
+        """
+        terms = [(i, j, x) for i, row in enumerate(self.kappa) for j, x in enumerate(row[i:], i) if x]
+        lcm = math.lcm(*(x.denominator for _, _, x in terms))
+        return tuple((i, j, -x.numerator * (lcm // x.denominator)) for i, j, x in terms), lcm
 
 
 def diag_metric(entries) -> MetricParam:
@@ -263,22 +277,22 @@ def build_operator(
     Grouping the symmetric terms, 4 D = -sum_(i<=j) kappa_ij P_ij over the
     quadratic pieces P_ij.  With L = 4 lcm(denominators of the nonzero
     kappa_ij), A = L D is the integer combination -sum (L/4) kappa_ij P_ij.
-    Passing the rep's pieces shares their products across metrics (certify
-    does); without them the pieces are built for this call.  A part no
-    piece has stays zero, so an operator of real pieces alone (as at every
-    diagonal metric) is real.
+    The integer weights -(L/4) kappa_ij and the lcm are the metric's own,
+    computed once per MetricParam instance, so every rep built at one
+    metric reads the same list.  Passing the rep's pieces shares their
+    products across metrics (certify does); without them the pieces are
+    built for this call.  A part no piece has stays zero, so an operator of
+    real pieces alone (as at every diagonal metric) is real.
     """
     g.check_kappa_size(k.n)
     if pieces is None:
         pieces = _QuadPieces(g, rep)
     elif pieces.group != g or pieces.rep != rep:
         raise ValueError("quadratic pieces belong to another group or rep")
-    terms = [(i, j, k.kappa[i][j]) for i in range(k.n) for j in range(i, k.n) if k.kappa[i][j] != 0]
-    lcm = math.lcm(*(x.denominator for _, _, x in terms))
+    terms, lcm = k._weights
     d = rep.dim
     parts = [None, None]
-    for i, j, x in terms:
-        w = -x.numerator * (lcm // x.denominator)
+    for i, j, w in terms:
         for part, piece in enumerate(pieces.piece(i, j)):
             if piece is not None:
                 scaled = map(w.__mul__, piece)
@@ -489,7 +503,10 @@ def certify(g: GroupSpec, rep_cap: int, budget: int = 12, seed: int = 2026) -> C
     if budget > BUDGET_CAP:
         raise CapExceeded("budget", budget, BUDGET_CAP)
     reps = enumerate_reps(g, rep_cap)
-    pieces = {v: _QuadPieces(g, v) for v in reps}
+    pieces = [_QuadPieces(g, v) for v in reps]
+    # enumerate_reps lists every character with its negative, so every dual is listed
+    position = {v: i for i, v in enumerate(reps)}
+    duals = [position[v.dual()] for v in reps]
     last_violations = ()
     tried = 0
     for cand in witness_sequence(g.algebra_dim, budget, seed):
@@ -500,19 +517,20 @@ def certify(g: GroupSpec, rep_cap: int, budget: int = 12, seed: int = 2026) -> C
         # build_operator's denominator for every rep at this metric; the
         # table values rely on it being shared.
         den = 4 * math.lcm(*(x.denominator for row in cand.kappa for x in row))
-        polys = {}
+        polys = [None] * len(reps)
 
-        def poly(v):
-            if v not in polys:
-                polys[v] = char_poly(build_operator(g, v, cand, pieces=pieces[v]))
-                if polys[v][1] != den:
+        def poly(i):
+            if polys[i] is None:
+                p = char_poly(build_operator(g, reps[i], cand, pieces=pieces[i]))
+                if p[1] != den:
                     raise InternalConsistencyError(
-                        f"operator of {v} has denominator {polys[v][1]}, its metric {den}")
-            return polys[v]
+                        f"operator of {reps[i]} has denominator {p[1]}, its metric {den}")
+                polys[i] = p
+            return polys[i]
 
         table = []
         violations = []
-        for row in _required_values(reps, poly):
+        for row in _required_values(reps, duals, poly):
             table.append(row)
             if row[3] == 0:
                 violations.append(row)
@@ -524,29 +542,29 @@ def certify(g: GroupSpec, rep_cap: int, budget: int = 12, seed: int = 2026) -> C
     return Certificate("inconclusive", g, rep_cap, None, (), last_violations, tried)
 
 
-def _required_values(reps, poly):
+def _required_values(reps, duals, poly):
     """Table rows (kind, V, W, value) in certificate order, computed one at a time:
     b or c per rep, then a for every pair that is not a dual pair.
 
-    poly(v) is char_poly's (P, den) for the operator D of v, with one den
-    for every rep.  The characteristic polynomial of D is
-    p(t) = den^(-d) P(den t), so over the roots of P, for degrees d, d2:
-    a = res(P, P2) / den^(d d2), b = res(P, P') / den^(d (d - 1)) and
-    c = res(P, P'') / den^(d (d - 2)); each value is one Fraction.
+    reps are addressed by position: duals[i] is the position of the dual of
+    reps[i], and poly(i) is char_poly's (P, den) for the operator D of
+    reps[i], with one den for every rep.  The characteristic polynomial of
+    D is p(t) = den^(-d) P(den t), so over the roots of P, for degrees
+    d, d2: a = res(P, P2) / den^(d d2), b = res(P, P') / den^(d (d - 1))
+    and c = res(P, P'') / den^(d (d - 2)); each value is one Fraction.
     """
-    for v in reps:
-        p, den = poly(v)
+    for i, v in enumerate(reps):
+        p, den = poly(i)
         d = len(p) - 1
         if v.rep_type() == "quaternionic":
             yield ("c", v, None, Q(resultant(p, derivative(derivative(p))), den ** (d * (d - 2))))
         else:
             yield ("b", v, None, Q(resultant(p, derivative(p)), den ** (d * (d - 1))))
-    for i in range(len(reps)):
+    for i, v in enumerate(reps):
         for j in range(i + 1, len(reps)):
-            v, w = reps[i], reps[j]
-            if w != v.dual():
-                (p, den), (q, _) = poly(v), poly(w)
-                yield ("a", v, w, Q(resultant(p, q), den ** ((len(p) - 1) * (len(q) - 1))))
+            if j != duals[i]:
+                (p, den), (q, _) = poly(i), poly(j)
+                yield ("a", v, reps[j], Q(resultant(p, q), den ** ((len(p) - 1) * (len(q) - 1))))
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,9 @@ payload into plain JSON values, which `json.dumps(..., indent=2,
 sort_keys=True)` then writes.  `cli` instead writes the text itself in one
 walk over the payload; the tests check that both give the same text.
 
-A Fraction becomes "p/q", an Enum its value, a dict gets string keys, a
-tuple becomes a list and a dataclass the dict of its fields, each field
-under its own name except those renamed below.
+A Fraction becomes "p/q", an Enum its value (rewritten in turn), a dict
+gets string keys, a tuple becomes a list and a dataclass the dict of its
+fields, each field under its own name except those renamed below.
 """
 
 from enum import Enum
@@ -27,7 +27,7 @@ def jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, Enum):
-        return obj.value
+        return jsonable(obj.value)
     if hasattr(obj, "__dataclass_fields__"):
         return {FIELD_KEYS.get(name, name): jsonable(getattr(obj, name)) for name in obj.__dataclass_fields__}
     return obj

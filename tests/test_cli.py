@@ -10,6 +10,7 @@ import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction as Q
 
 import pytest
@@ -478,6 +479,28 @@ _JSON_PAYLOADS = st.recursive(
 @example(((), ((),), ((), ((),))))
 @example({"\x00\x1f\t\n\"\\\x7f": "\u2028\x08\x0c\r", "\U0001f600𝔤": ["\U0010ffff", "\ud800"]})
 def test_json_hook_writes_what_the_reference_walk_writes(payload):
+    ref = jsonable(payload)
+    assert _written(payload) == json.dumps(ref, indent=2, sort_keys=True) + "\n"
+    assert _written(payload, "table") == "\n".join(cli._render_table(ref)) + "\n"
+
+
+class _Boxed(Enum):
+    LEAF = _Leaf(Q(1, 3), RepType.REAL)
+
+
+_SHARED = _Leaf(Q(-2, 5), RepType.COMPLEX)
+
+
+@pytest.mark.parametrize("payload", [
+    # one instance at several depths, and twice at one depth
+    {"a": _SHARED, "b": [_SHARED, _SHARED], "c": _Node((_SHARED, (_SHARED,)), "x")},
+    # equal and equally hashed, written differently: True == 1
+    [_Node((True,), "x"), _Node((1,), "x"), {"d": [_Node((1,), "x"), _Node((True,), "x")]}],
+    # a dataclass as an Enum's value, and the same object bare
+    {"e": _Boxed.LEAF, "f": [_Boxed.LEAF, _Boxed.LEAF.value]},
+], ids=["depths", "equal-not-identical", "enum-value"])
+def test_writer_reuses_text_by_identity_and_depth(payload):
+    assert _Node((True,), "x") == _Node((1,), "x") and hash(_Node((True,), "x")) == hash(_Node((1,), "x"))
     ref = jsonable(payload)
     assert _written(payload) == json.dumps(ref, indent=2, sort_keys=True) + "\n"
     assert _written(payload, "table") == "\n".join(cli._render_table(ref)) + "\n"

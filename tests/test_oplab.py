@@ -1,8 +1,10 @@
 """Exact metric-dependent operators on product-group irreducibles."""
 
+import dataclasses
 import importlib
 import io
 import itertools
+import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as Q
@@ -492,6 +494,50 @@ def test_operator_shares_pieces_only_within_one_rep():
         build_operator(G1, IrrepSpec((3,)), K_OFF, pieces=pieces)
 
 
+# mixed signs and denominators, with zeros on and off the diagonal
+K_MIXED = MetricParam((
+    (Q(3, 2), Q(-1, 3), Q(0), Q(2, 7)),
+    (Q(-1, 3), Q(-5, 6), Q(0), Q(0)),
+    (Q(0), Q(0), Q(0), Q(-4, 9)),
+    (Q(2, 7), Q(0), Q(-4, 9), Q(2)),
+))
+
+
+def test_metric_weights_are_the_metrics_own():
+    g, k = GroupSpec(1, 1), K_MIXED
+    payload, key = cli._kappa_payload(k), hash(k)
+    assert "_weights" not in vars(k)
+    # lcm(2, 3, 7, 6, 9) = 126; each weight is -num * (126 / den), upper entries only
+    assert k._weights == (((0, 0, -189), (0, 1, 42), (0, 3, -36), (1, 1, 105), (2, 3, 56), (3, 3, -252)), 126)
+    filled = vars(k)["_weights"]
+    for v in enumerate_reps(g, 2):
+        op = build_operator(g, v, k, pieces=oplab._QuadPieces(g, v))
+        fresh = MetricParam(k.kappa)
+        assert op == build_operator(g, v, fresh)
+        assert fresh == k and fresh._weights == k._weights
+        assert op.den == 4 * 126 and operator_matrix(op) == reference_operator(g, v, k)
+    # one list per instance, invisible to equality, hashing and the payload
+    assert vars(k)["_weights"] is filled
+    assert k == MetricParam(k.kappa) and hash(k) == key == hash(MetricParam(k.kappa))
+    assert cli._kappa_payload(k) == payload
+    assert [f.name for f in dataclasses.fields(k)] == ["kappa"]
+
+
+def test_zero_metric_gives_the_zero_operator(capsys):
+    k = diag_metric([0, 0, 0])
+    assert k._weights == ((), 1)
+    for v in enumerate_reps(G1, 3):
+        op = build_operator(G1, v, k)
+        assert (op.den, op.real) == (4, True)
+        assert op.re == op.im == ((0,) * v.dim,) * v.dim
+    assert cli.main(["spectrum", "--su2", "1", "--kappa", "diag:0,0,0"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    for entry in out["reps"]:
+        d = entry["dim"]
+        assert entry["char_poly"] == ["0"] * d + ["1"]
+        assert entry["multiplicity_profile"] == {str(d): 1}
+
+
 def test_multiplicity_at_float_large_spin():
     # spin 6 at diag(1, 2, 3): every cluster centre is a correct float root,
     # and its exact multiplicity is the cluster's count
@@ -612,6 +658,23 @@ def _reference_table(g, cap, k):
             if w != v.dual():
                 rows.append(("a", v, w, abc_values(g, (v, w), k).a))
     return tuple(rows)
+
+
+@pytest.mark.parametrize("su2,torus,dual_pairs", [(0, 2, 4), (1, 1, 2)])
+def test_certify_skips_exactly_the_dual_pairs(monkeypatch, su2, torus, dual_pairs):
+    # T^2 cap 1: 9 characters, 4 pairs z, -z; SU(2) x T cap 1: 6 reps, 2 pairs
+    g = GroupSpec(su2, torus)
+    k = _non_dyadic(g.algebra_dim)
+    reps = enumerate_reps(g, 1)
+    r = len(reps)
+    assert sum(w == v.dual() for v, w in itertools.combinations(reps, 2)) == dual_pairs
+    monkeypatch.setattr(oplab, "witness_sequence", lambda n, budget, seed: [k])
+    cert = certify(g, 1, budget=1)
+    assert cert.certified and cert.witness_kappa == k
+    assert len(cert.table) == r + r * (r - 1) // 2 - dual_pairs
+    pairs = [(v, w) for kind, v, w, _ in cert.table if kind == "a"]
+    assert pairs == [(v, w) for v, w in itertools.combinations(reps, 2) if w != v.dual()]
+    assert cert.table == _reference_table(g, 1, k)
 
 
 @settings(max_examples=40, deadline=None)
