@@ -403,14 +403,15 @@ def cmd_hidden(args) -> dict:
 def cmd_reptype(args) -> dict:
     rs = _build_rs(args)
     v = rep(rs, _parse_coords(args.weight))
+    t = classify_type(v)
     return {
         "schema": SCHEMA,
         "context": _rs_context(args),
         "weight": list(v.highest.fw_coords),
-        "type": classify_type(v),
+        "type": t,
         "dim": weyl_dim(v),
         "dual": list(dual_label(v).highest.fw_coords),
-        "bold_g": bold_g_label([v]),
+        "bold_g": bold_g_label([t]),
     }
 
 

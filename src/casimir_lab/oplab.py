@@ -3,10 +3,13 @@
 Builds the operator -sum_ij kappa_ij M_i M_j from explicit representation
 matrices, extracts characteristic polynomials and resultants, and searches
 for rational witness metrics certifying generic spectral simplicity of a
-cap-bounded representation list.  Operators are Gaussian-integer rows over a
-common denominator.  Their characteristic polynomials come from Berkowitz's
-division-free algorithm (Berkowitz 1984; Abdeljaoued 1997), on integers for
-a real operator and on Gaussian integers otherwise.
+cap-bounded representation list.  Each doubled generator 2 M_i is sparse
+integer rows tagged real or imaginary (i times those rows), so each
+quadratic piece is one integer matrix, real or imaginary, and an operator
+is Gaussian-integer rows over a common denominator.  Its characteristic
+polynomial comes from Berkowitz's division-free algorithm (Berkowitz 1984;
+Abdeljaoued 1997), on integers for a real operator and on Gaussian
+integers otherwise.
 
 Normalization: each su(2) copy uses the basis Y_1, Y_2, Y_3 given by the
 symmetric-power images of -(i/2)*sigma_k, which is orthonormal for the
@@ -148,107 +151,82 @@ def diag_metric(entries) -> MetricParam:
     return MetricParam(tuple(tuple(vals[i] if i == j else Q(0) for j in range(n)) for i in range(n)))
 
 
-def _derivation(m: int, a: int, b: int, c: int, d: int):
-    """Integer matrix of [[a, b], [c, d]] acting as a derivation on spin m/2.
-
-    In the monomial basis x^(m-k) y^k the basis vector e_k goes to
-    (m-k)a+kd on the diagonal, k*b one step up and (m-k)*c one step down.
-    """
-    rows = [[0] * (m + 1) for _ in range(m + 1)]
-    for k in range(m + 1):
-        rows[k][k] = a * (m - k) + d * k
-        if k > 0:
-            rows[k - 1][k] = b * k
-        if k < m:
-            rows[k + 1][k] = c * (m - k)
-    return rows
-
-
-def _su2_doubled(m: int):
-    """2 Y_1, 2 Y_2, 2 Y_3 on spin m/2 as (re, im) integer rows.
-
-    Y_k is the image of -(i/2)*sigma_k, so 2 Y_k is the image of the
-    Gaussian-integer matrix -i*sigma_k; real and imaginary parts act
-    separately because the derivation is linear.
-    """
-    zero = _derivation(m, 0, 0, 0, 0)
-    return [
-        (zero, _derivation(m, 0, -1, -1, 0)),
-        (_derivation(m, 0, -1, 1, 0), zero),
-        (zero, _derivation(m, -1, 0, 0, 1)),
-    ]
-
-
-def _kron_identity(left: int, x, right: int):
-    """I_left (x) X (x) I_right for an integer matrix X, row-major."""
-    n = len(x)
-    size = left * n * right
-    out = [[0] * size for _ in range(size)]
-    for a in range(left):
-        for i in range(n):
-            for j in range(n):
-                if x[i][j]:
-                    for b in range(right):
-                        out[(a * n + i) * right + b][(a * n + j) * right + b] = x[i][j]
-    return out
-
-
 def _doubled_generators(g: GroupSpec, rep: IrrepSpec):
-    """2 M_i for the orthonormal algebra basis on V, as Gaussian-integer (re, im) rows."""
+    """2 M_i for the orthonormal algebra basis on V, each as (imaginary, rows):
+    an integer matrix, times i when imaginary, whose row r lists its nonzero
+    (column, value) entries in rows[r].
+
+    V's basis is the row-major product of the monomial bases x^(m-k) y^k.
+    An SU(2) copy of spin m/2 and stride s (the product of the dimensions
+    after it) acts on the digit k = (r // s) % (m + 1) of row r: 2 Y_1 and
+    2 Y_3 are i times the images X_1, X_3 of -sigma_1, -sigma_3, and 2 Y_2,
+    the image of -i sigma_2, is real.  So row r holds -(k+1) a stride up
+    (k < m) in X_1 and 2 Y_2, -(m-k+1) in X_1 and m-k+1 in 2 Y_2 a stride
+    down (k > 0), and 2k - m on the diagonal of X_3.  A torus character z
+    acts as 2z i.
+    """
     if len(rep.spins) != g.su2_copies or len(rep.torus_char) != g.torus_rank:
         raise DimensionMismatch(
             f"rep shape ({len(rep.spins)} spins, {len(rep.torus_char)} torus) does not "
             f"match group ({g.su2_copies}, {g.torus_rank})"
         )
-    dims = [m + 1 for m in rep.spins]
+    d = rep.dim
+    stride = d
     out = []
-    for copy, m in enumerate(rep.spins):
-        left, right = math.prod(dims[:copy]), math.prod(dims[copy + 1:])
-        for re, im in _su2_doubled(m):
-            out.append((_kron_identity(left, re, right), _kron_identity(left, im, right)))
-    total = rep.dim
+    for m in rep.spins:
+        stride //= m + 1
+        x1, y2, x3 = [], [], []
+        for r in range(d):
+            k = r // stride % (m + 1)
+            up = [(r + stride, -(k + 1))] if k < m else []
+            down = [(r - stride, m - k + 1)] if k else []
+            x1.append([(c, -v) for c, v in down] + up)
+            y2.append(down + up)
+            x3.append([(r, 2 * k - m)] if 2 * k != m else [])
+        out += [(True, x1), (False, y2), (True, x3)]
     for z in rep.torus_char:
-        out.append((_kron_identity(total, [[0]], 1), _kron_identity(total, [[2 * z]], 1)))
+        out.append((True, [[(r, 2 * z)] if z else [] for r in range(d)]))
     return out
 
 
 class _QuadPieces:
     """Metric-independent quadratic pieces of one irreducible, in integers.
 
-    The generators M_i have entries in (1/2) Z[i], so G_i = 2 M_i is a
-    Gaussian-integer matrix and the piece for i <= j is G_i G_j + G_j G_i
-    (G_i^2 on the diagonal), that is 4 (M_i M_j + M_j M_i) (4 M_i^2).  A
-    piece is multiplied out the first time a metric with kappa_ij != 0 asks
-    for it and kept for the life of the object, so operators of one rep at
-    many metrics share their products.
+    The generators M_i have entries in (1/2) Z[i], and each G_i = 2 M_i is
+    an integer matrix A_i or i A_i.  The piece for i <= j is G_i G_j + G_j G_i
+    (G_i^2 on the diagonal), that is 4 (M_i M_j + M_j M_i) (4 M_i^2), and it
+    has one part: the integer matrix A_i A_j + A_j A_i (A_i^2), imaginary when
+    exactly one of G_i, G_j is, and negated when both are.  A piece is
+    multiplied out the first time a metric with kappa_ij != 0 asks for it
+    and kept for the life of the object, so operators of one rep at many
+    metrics share their products.
     """
 
     def __init__(self, g: GroupSpec, rep: IrrepSpec):
         self.group = g
         self.rep = rep
         self._dim = rep.dim
-        # per generator, per row: the nonzero entries (column, re, im)
-        self._gens = [
-            [[(c, x, y) for c, (x, y) in enumerate(zip(rr, ri)) if x or y] for rr, ri in zip(re, im)]
-            for re, im in _doubled_generators(g, rep)
-        ]
+        self._gens = _doubled_generators(g, rep)
         self._pieces = {}
 
     def piece(self, i: int, j: int):
-        """Flat row-major (re, im) integer lists of 4 (M_i M_j + M_j M_i), or of
-        4 M_i^2 when i == j; a part that is all zero is None."""
-        key = (i, j) if i <= j else (j, i)
+        """(imaginary, flat) for i <= j: the piece 4 (M_i M_j + M_j M_i)
+        (4 M_i^2 when i == j) is the row-major integer list flat, times i
+        when imaginary; flat is None when the piece is zero."""
+        key = (i, j)
         if key not in self._pieces:
             d = self._dim
-            re, im = [0] * (d * d), [0] * (d * d)
-            for a, b in [(i, j)] if i == j else [(i, j), (j, i)]:
-                rows_b = self._gens[b]
-                for r, row in enumerate(self._gens[a]):
-                    for k, x, y in row:
-                        for c, u, v in rows_b[k]:
-                            re[r * d + c] += x * u - y * v
-                            im[r * d + c] += x * v + y * u
-            self._pieces[key] = (re if any(re) else None, im if any(im) else None)
+            (ia, a), (ib, b) = self._gens[i], self._gens[j]
+            sign = -1 if ia and ib else 1
+            flat = [0] * (d * d)
+            for left, right in [(a, a)] if i == j else [(a, b), (b, a)]:
+                for r, row in enumerate(left):
+                    base = r * d
+                    for k, x in row:
+                        x *= sign
+                        for c, y in right[k]:
+                            flat[base + c] += x * y
+            self._pieces[key] = (ia != ib, flat if any(flat) else None)
         return self._pieces[key]
 
 
@@ -281,8 +259,9 @@ def build_operator(
     computed once per MetricParam instance, so every rep built at one
     metric reads the same list.  Passing the rep's pieces shares their
     products across metrics (certify does); without them the pieces are
-    built for this call.  A part no piece has stays zero, so an operator of
-    real pieces alone (as at every diagonal metric) is real.
+    built for this call.  Each piece is real or imaginary and is added,
+    weighted, into that one part of A; a part no piece has stays zero, so
+    an operator of real pieces alone (as at every diagonal metric) is real.
     """
     g.check_kappa_size(k.n)
     if pieces is None:
@@ -293,10 +272,10 @@ def build_operator(
     d = rep.dim
     parts = [None, None]
     for i, j, w in terms:
-        for part, piece in enumerate(pieces.piece(i, j)):
-            if piece is not None:
-                scaled = map(w.__mul__, piece)
-                parts[part] = list(scaled) if parts[part] is None else list(map(add, parts[part], scaled))
+        imaginary, piece = pieces.piece(i, j)
+        if piece is not None:
+            scaled = map(w.__mul__, piece)
+            parts[imaginary] = list(scaled) if parts[imaginary] is None else list(map(add, parts[imaginary], scaled))
     re, im = (
         ((0,) * d,) * d if flat is None else tuple(tuple(flat[r * d:(r + 1) * d]) for r in range(d))
         for flat in parts
@@ -516,7 +495,7 @@ def certify(g: GroupSpec, rep_cap: int, budget: int = 12, seed: int = 2026) -> C
         exhaustive = tried == budget
         # build_operator's denominator for every rep at this metric; the
         # table values rely on it being shared.
-        den = 4 * math.lcm(*(x.denominator for row in cand.kappa for x in row))
+        den = 4 * cand._weights[1]
         polys = [None] * len(reps)
 
         def poly(i):

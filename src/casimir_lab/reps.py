@@ -269,12 +269,9 @@ def classify_type(r: RepLabel) -> RepType:
     return RepType.QUATERNIONIC if s % 2 else RepType.REAL
 
 
-def bold_g_label(reps_list) -> str:
-    """Symmetry-group label: plain "G" when every listed type is real, else "Q8xG"."""
-    for r in reps_list:
-        if classify_type(r) is not RepType.REAL:
-            return "Q8xG"
-    return "G"
+def bold_g_label(types) -> str:
+    """Symmetry-group label: plain "G" when every listed RepType is real, else "Q8xG"."""
+    return "G" if all(t is RepType.REAL for t in types) else "Q8xG"
 
 
 def invariant_dim(V, U, kmode: KMode) -> int:

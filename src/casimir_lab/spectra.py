@@ -28,6 +28,7 @@ from .hidden import DEFAULT_POINT_CAP, DEFAULT_RANK_CAP, orbits, shifted_config,
 from .reps import (
     KMode,
     RepType,
+    bold_g_label,
     classify_type,
     dual_label,
     exterior_powers,
@@ -159,7 +160,7 @@ def _class_flag(n_members: int, orbit_count, single_flag: str) -> str:
 
 
 def _labels(member_types) -> dict:
-    bold = "G" if all(t is RepType.REAL for t in member_types) else "Q8xG"
+    bold = bold_g_label(member_types)
     return {
         "bold_g": bold,
         "symmetry_group_description": (

@@ -4,7 +4,8 @@ The package keeps `polyq.RationalPoly` only as a parsing and output type and
 runs its algorithms on integer coefficient lists, and `oplab` keeps its
 operators as Gaussian-integer rows over one denominator.  These are the
 Fraction counterparts the tests compare against: polynomial arithmetic on
-`RationalPoly`, the Sylvester resultant, Gaussian-rational matrices and the
+`RationalPoly`, the Sylvester resultant, Gaussian-rational matrices, the
+dense generators built from derivations and Kronecker products, the
 operators as such matrices, the self-adjointness and Casimir checks on the
 integer rows, the Gaussian-rational Faddeev-LeVerrier reference for
 `oplab`'s Berkowitz characteristic polynomials, and
@@ -21,7 +22,7 @@ from typing import Optional
 from casimir_lab import ratlinalg as rl
 from casimir_lab.errors import InternalConsistencyError
 from casimir_lab.gaussian import GZERO, QQi, gmatmul
-from casimir_lab.oplab import GroupSpec, IrrepSpec, _doubled_generators, build_operator, diag_metric
+from casimir_lab.oplab import GroupSpec, IrrepSpec, build_operator, diag_metric
 from casimir_lab.polyq import RationalPoly, integer_parts, resultant, squarefree_decomposition
 
 # -- arithmetic on RationalPoly ---------------------------------------------
@@ -209,9 +210,64 @@ def operator_matrix(op):
     return gaussian_view(op.re, op.im, op.den)
 
 
+def derivation(m: int, a: int, b: int, c: int, d: int):
+    """Integer matrix of [[a, b], [c, d]] acting as a derivation on spin m/2.
+
+    In the monomial basis x^(m-k) y^k the basis vector e_k goes to
+    (m-k)a+kd on the diagonal, k*b one step up and (m-k)*c one step down.
+    """
+    rows = [[0] * (m + 1) for _ in range(m + 1)]
+    for k in range(m + 1):
+        rows[k][k] = a * (m - k) + d * k
+        if k > 0:
+            rows[k - 1][k] = b * k
+        if k < m:
+            rows[k + 1][k] = c * (m - k)
+    return rows
+
+
+def kron_identity(left: int, x, right: int):
+    """I_left (x) X (x) I_right for an integer matrix X, row-major."""
+    n = len(x)
+    size = left * n * right
+    out = [[0] * size for _ in range(size)]
+    for a in range(left):
+        for i in range(n):
+            for j in range(n):
+                if x[i][j]:
+                    for b in range(right):
+                        out[(a * n + i) * right + b][(a * n + j) * right + b] = x[i][j]
+    return out
+
+
+def doubled_generators(g, rep):
+    """2 M_i for the orthonormal algebra basis on V as dense Gaussian-integer
+    (re, im) rows: on each SU(2) copy the derivations of the Gaussian-integer
+    matrices -i sigma_1, -i sigma_2, -i sigma_3 (real and imaginary parts act
+    separately, as the derivation is linear), Kronecker-embedded between
+    identities; a torus character z as 2z i times the identity."""
+    assert len(rep.spins) == g.su2_copies and len(rep.torus_char) == g.torus_rank
+    dims = [m + 1 for m in rep.spins]
+    total = rep.dim
+    zero = kron_identity(total, [[0]], 1)
+    out = []
+    for copy, m in enumerate(rep.spins):
+        left, right = math.prod(dims[:copy]), math.prod(dims[copy + 1:])
+        zm = derivation(m, 0, 0, 0, 0)
+        for re, im in [
+            (zm, derivation(m, 0, -1, -1, 0)),
+            (derivation(m, 0, -1, 1, 0), zm),
+            (zm, derivation(m, -1, 0, 0, 1)),
+        ]:
+            out.append((kron_identity(left, re, right), kron_identity(left, im, right)))
+    for z in rep.torus_char:
+        out.append((zero, kron_identity(total, [[2 * z]], 1)))
+    return out
+
+
 def irrep_matrices(g, rep):
     """Gaussian-rational matrices for the orthonormal algebra basis on V."""
-    return [gaussian_view(re, im, 2) for re, im in _doubled_generators(g, rep)]
+    return [gaussian_view(re, im, 2) for re, im in doubled_generators(g, rep)]
 
 
 def su2_generators(m: int):

@@ -8,7 +8,7 @@ import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as Q
-from operator import mul
+from operator import add, mul
 from pathlib import Path
 
 import pytest
@@ -44,6 +44,7 @@ from polyref import (
     degree,
     derivative,
     doubled_den,
+    doubled_generators,
     evaluate,
     from_roots,
     gadd,
@@ -450,6 +451,52 @@ def test_irrep_matrices_kron_layout():
     expect = [gkron(y, gidentity(2)) for y in y2] + [gkron(gidentity(3), y) for y in y1]
     expect.append(gscale(QQi(0, -3), gidentity(6)))
     assert mats == expect
+
+
+def _densified(d, imaginary, rows):
+    """(re, im) dense integer rows of a generator given as (imaginary, rows)."""
+    m = [[0] * d for _ in range(d)]
+    for r, row in enumerate(rows):
+        for c, x in row:
+            assert x and not m[r][c], (r, c, x)
+            m[r][c] = x
+    zero = [[0] * d for _ in range(d)]
+    return (zero, m) if imaginary else (m, zero)
+
+
+def _gaussian_product(x, y):
+    """(re, im) of the product of two dense Gaussian-integer (re, im) matrices."""
+    (xr, xi), (yr, yi) = x, y
+    cols = list(zip(zip(*yr), zip(*yi)))
+    rows = list(zip(xr, xi))
+    re = [[sum(map(mul, a, c)) - sum(map(mul, b, e)) for c, e in cols] for a, b in rows]
+    im = [[sum(map(mul, a, e)) + sum(map(mul, b, c)) for c, e in cols] for a, b in rows]
+    return re, im
+
+
+SMALL_GROUPS = [GroupSpec(c, n) for c in range(4) for n in range(4) if 1 <= c + n <= 3]
+
+
+@pytest.mark.parametrize("g", SMALL_GROUPS, ids=lambda g: f"su2x{g.su2_copies}-t{g.torus_rank}")
+def test_sparse_generators_and_pieces_match_the_dense_reference(g):
+    # every rep with spins and characters up to 2 in size
+    ranges = [range(3)] * g.su2_copies + [range(-2, 3)] * g.torus_rank
+    for t in itertools.product(*ranges):
+        v = IrrepSpec(t[:g.su2_copies], t[g.su2_copies:])
+        ref = doubled_generators(g, v)
+        assert [_densified(v.dim, *gen) for gen in oplab._doubled_generators(g, v)] == ref
+        pieces = oplab._QuadPieces(g, v)
+        for i, j in itertools.combinations_with_replacement(range(g.algebra_dim), 2):
+            re, im = _gaussian_product(ref[i], ref[j])
+            if i != j:
+                re2, im2 = _gaussian_product(ref[j], ref[i])
+                re = [list(map(add, a, b)) for a, b in zip(re, re2)]
+                im = [list(map(add, a, b)) for a, b in zip(im, im2)]
+            imaginary, flat = pieces.piece(i, j)
+            part, other = (im, re) if imaginary else (re, im)
+            assert not any(map(any, other)), (v, i, j)
+            assert [x for row in part for x in row] == (flat or [0] * v.dim ** 2), (v, i, j)
+            assert flat is None or any(flat)
 
 
 @pytest.mark.parametrize("kappa", [K123, K_OFF], ids=["real", "complex"])

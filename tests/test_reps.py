@@ -151,9 +151,12 @@ def test_known_types():
 
 
 def test_bold_g_label():
-    assert bold_g_label([rep(A1, (2,)), rep(G2, (1, 0))]) == "G"
-    assert bold_g_label([rep(A1, (2,)), rep(A1, (1,))]) == "Q8xG"
-    assert bold_g_label([rep(A2, (1, 0))]) == "Q8xG"
+    assert bold_g_label([classify_type(rep(A1, (2,))), classify_type(rep(G2, (1, 0)))]) == "G"
+    assert bold_g_label([classify_type(rep(A1, (2,))), classify_type(rep(A1, (1,)))]) == "Q8xG"
+    assert bold_g_label([classify_type(rep(A2, (1, 0)))]) == "Q8xG"
+    assert bold_g_label([RepType.REAL, RepType.COMPLEX]) == "Q8xG"
+    assert bold_g_label([RepType.QUATERNIONIC]) == "Q8xG"
+    assert bold_g_label([]) == "G"
 
 
 def test_exterior_powers_of_adjoint():
