@@ -49,7 +49,6 @@ from .reps import (
     KMode,
     RepLabel,
     RepType,
-    VirtualDecomposition,
     adjoint_rep,
     bold_g_label,
     classify_type,
@@ -58,7 +57,6 @@ from .reps import (
     invariant_dim,
     rep,
     tensor_decompose,
-    trivial_decomposition,
     weight_multiplicities,
     weyl_dim,
 )
@@ -75,7 +73,6 @@ from .spectra import (
 from .weights import (
     CasimirClass,
     LatticeChoice,
-    Weight,
     casimir_eigenvalue,
     classes_up_to,
     dual_weight,

@@ -50,16 +50,7 @@ from .oplab import (
     enumerate_reps,
 )
 from .polyq import root_multiplicity_profile
-from .reps import (
-    KMode,
-    VirtualDecomposition,
-    bold_g_label,
-    classify_type,
-    dual_label,
-    rep,
-    trivial_decomposition,
-    weyl_dim,
-)
+from .reps import KMode, bold_g_label, classify_type, dual_label, rep, weyl_dim
 from .rootsys import DEFAULT_WEYL_CAP, RootSystemType, build_root_system
 from .spectra import (
     generic_estimate,
@@ -288,12 +279,13 @@ def parse_kappa(text: str, g: GroupSpec) -> MetricParam:
     return MetricParam(tuple(tuple(cells.get((i, j), Q(0)) for j in range(n)) for i in range(n)))
 
 
-def parse_ustar(text: str, kmode: KMode, rs):
-    """"trivial", or JSON list [[coords, mult], ...] (inline or a file)."""
+def parse_ustar(text: str, kmode: KMode, rs) -> dict:
+    """"trivial", or JSON list [[coords, mult], ...] (inline or a file), as
+    a {coords: multiplicity} dict in coordinate order.  A torus multiset
+    keeps the zero multiplicities it lists; a sum of irreducibles (the
+    other K modes) drops them."""
     if text == "trivial":
-        if kmode is KMode.TORUS:
-            return {(0,) * rs.rank: 1}
-        return trivial_decomposition(rs)
+        return {(0,) * rs.rank: 1}
     data = _json_input(text, "[")
     if not isinstance(data, list):
         raise ValueError("ustar JSON must be a list")
@@ -305,12 +297,12 @@ def parse_ustar(text: str, kmode: KMode, rs):
         if len(coords) != rs.rank:
             raise ValueError(f"ustar weight {list(coords)} has {len(coords)} coordinates, expected {rs.rank}")
         pairs.append((coords, _json_int(item[1], "ustar multiplicity")))
-    mults = dict(pairs)
+    mults = dict(sorted(pairs))
     if len(mults) != len(pairs):
         raise ValueError("ustar lists a weight more than once")
     if kmode is KMode.TORUS:
         return mults
-    return VirtualDecomposition.from_dict(mults)
+    return {c: m for c, m in mults.items() if m}
 
 
 def _kmode(args) -> KMode:
@@ -357,7 +349,7 @@ def cmd_classes(args, keep=lambda rs, cls: True) -> dict:
             {
                 "a_sq": c.a_sq,
                 "lambda": c.lam,
-                "dominant_members": [list(w.fw_coords) for w in c.dominant_members],
+                "dominant_members": [list(m) for m in c.dominant_members],
                 "sphere_size": len(c.sphere_members),
             }
             for c in classes
@@ -370,7 +362,7 @@ def _has_nondual_pair(rs, cls) -> bool:
     ms = cls.dominant_members
     for i in range(len(ms)):
         for j in range(i + 1, len(ms)):
-            if dual_weight(rs, ms[i]).fw_coords != ms[j].fw_coords:
+            if dual_weight(rs, ms[i]) != ms[j]:
                 return True
     return False
 
@@ -386,13 +378,13 @@ def cmd_hidden(args) -> dict:
     cfg = shifted_config(rs, cls)
     group = stabilizer_group(cfg, point_cap=args.point_cap, rank_cap=args.rank_cap)
     orbs = orbits(cfg, group)
-    included, _ = check_weyl_inclusion(rs, cfg, weyl_cap=args.weyl_cap)
+    included = check_weyl_inclusion(rs, cfg, weyl_cap=args.weyl_cap)
     return {
         "schema": SCHEMA,
         "context": _rs_context(args),
         "a_sq": cls.a_sq,
         "points": cfg.size,
-        "dominant_members": [list(w.fw_coords) for w in cls.dominant_members],
+        "dominant_members": [list(m) for m in cls.dominant_members],
         "order": len(group),
         "orbits": len(orbs),
         "transitive": len(orbs) == 1,
@@ -407,10 +399,10 @@ def cmd_reptype(args) -> dict:
     return {
         "schema": SCHEMA,
         "context": _rs_context(args),
-        "weight": list(v.highest.fw_coords),
+        "weight": list(v.highest),
         "type": t,
         "dim": weyl_dim(v),
-        "dual": list(dual_label(v).highest.fw_coords),
+        "dual": list(dual_label(v).highest),
         "bold_g": bold_g_label([t]),
     }
 

@@ -26,9 +26,9 @@ permutation groups, 1970), whose order is the product of its basic orbit
 lengths and which a deterministic Schreier-Sims sift checks (Seress,
 Permutation Group Algorithms, 2003, ch. 4).  For the same reason W
 preserves X exactly when its simple reflections do, so the Weyl check
-reflects integer coordinates and composes the witnesses from the
-reflections' permutations.  Caps keep the search at desk scale and are
-refused loudly, never truncated.
+reflects integer coordinates by the simple reflections only and returns a
+verdict, listing no Weyl element.  Caps keep the search at desk scale and
+are refused loudly, never truncated.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def _fw_images(rs: RootSystem, coords) -> list[tuple[int, ...]]:
 
 def shifted_config(rs: RootSystem, cls: CasimirClass) -> ShiftedConfig:
     """Translate every sphere member by delta; canonical order, exact norms."""
-    coords = sorted(tuple(c + 1 for c in w.fw_coords) for w in cls.sphere_members)
+    coords = sorted(tuple(c + 1 for c in m) for m in cls.sphere_members)
     on_sphere = cls.a_sq.numerator * rs.gram_fw_int[0]
     for y, gy in zip(coords, _fw_images(rs, coords)):
         if sum(map(mul, y, gy)) * cls.a_sq.denominator != on_sphere:
@@ -318,47 +318,24 @@ def orbits(cfg: ShiftedConfig, group: PermGroup) -> list[tuple[int, ...]]:
     return out
 
 
-def check_weyl_inclusion(
-    rs: RootSystem, cfg: ShiftedConfig, weyl_cap: int = rsys.DEFAULT_WEYL_CAP
-) -> tuple[bool, list[tuple[tuple[int, ...], Perm]]]:
+def check_weyl_inclusion(rs: RootSystem, cfg: ShiftedConfig, weyl_cap: int = rsys.DEFAULT_WEYL_CAP) -> bool:
     """Does every Weyl element permute the shifted configuration?
 
     On shifted points the dislocated action mu -> w(mu+delta)-delta is the
     plain linear action, so this checks w(X) = X for all w, which holds
-    exactly when it holds for the simple reflections.  Returns
-    (True, [(word, permutation), ...]) with one witness per element, in
-    the order and with the reduced words of rootsys.weyl_group, or
-    (False, []).  Refuses (CapExceeded) when |W| exceeds weyl_cap.
+    exactly when every simple reflection maps X into X (a reflection is
+    injective and X finite).  Refuses (CapExceeded) when |W| exceeds
+    weyl_cap.  The Weyl orbit of delta is free, so its size must be |W|;
+    InternalConsistencyError is raised otherwise.
     """
     order = rs.typ.weyl_order()
     if order > weyl_cap:
         raise CapExceeded(f"Weyl group order of {rs.typ.label}", order, weyl_cap)
-    index = {y: i for i, y in enumerate(cfg.coords)}
-    gens = []
+    points = set(cfg.coords)
     for i in range(rs.rank):
-        perm = tuple(index.get(rsys.reflect_fw_coords(rs, y, i)) for y in cfg.coords)
-        if None in perm:
-            return False, []
-        gens.append(perm)
-
-    # Breadth-first over words w s_i, as weyl_group does.  An element w is
-    # keyed by w^-1(delta) = s_ik ... s_i1(delta): the Weyl orbit of delta
-    # is free, so equal keys mean equal elements.
-    delta = (1,) * rs.rank
-    seen = {delta}
-    frontier = [((), delta, tuple(range(cfg.size)))]
-    witnesses = [((), frontier[0][2])]
-    while frontier:
-        nxt = []
-        for word, key, perm in frontier:
-            for i, s in enumerate(gens):
-                k = rsys.reflect_fw_coords(rs, key, i)
-                if k not in seen:
-                    seen.add(k)
-                    elem = (word + (i,), k, tuple(map(perm.__getitem__, s)))
-                    nxt.append(elem)
-                    witnesses.append((elem[0], elem[2]))
-        frontier = nxt
-    if len(witnesses) != order:
-        raise InternalConsistencyError(f"enumerated {len(witnesses)} Weyl elements, expected {order}")
-    return True, witnesses
+        if any(rsys.reflect_fw_coords(rs, y, i) not in points for y in cfg.coords):
+            return False
+    found = len(rsys.weyl_orbit(rs, (1,) * rs.rank))
+    if found != order:
+        raise InternalConsistencyError(f"enumerated {found} Weyl elements, expected {order}")
+    return True

@@ -5,8 +5,10 @@ Everything is exact.  Weight multiplicities come from the Freudenthal
 recursion over dominant weights (expanded along Weyl orbits).  Tensor
 products and exterior powers both use the signed-reflection
 (Brauer-Klimyk) rule: a tensor product on the weights of one factor, an
-exterior power on its character from Newton's identities.  Characters are
-dicts keyed by integer fundamental-weight coordinates.
+exterior power on its character from Newton's identities.  Characters and
+decompositions are {coords: multiplicity} dicts keyed by integer
+fundamental-weight coordinates; a decomposition holds no zero entries.  A
+weight table past WEIGHT_TABLE_CAP distinct weights is refused.
 
 Every weight and root here is in those integer coordinates: pairings and
 norms use the integer form RootSystem.form_fw_int, the positive roots come
@@ -24,14 +26,14 @@ from operator import mul
 
 from . import rootsys as rsys
 from . import weights as wts
-from .errors import InternalConsistencyError, NonDominantWeight
+from .errors import CapExceeded, InternalConsistencyError, NonDominantWeight
 from .rootsys import RootSystem, weyl_orbit
-from .weights import Weight
-
-Coords = tuple[int, ...]
+from .weights import Coords
 
 # Weight tables kept across calls, keyed on (root system, highest weight).
 WEIGHT_TABLE_CACHE_SIZE = 1024
+# Distinct weights one weight table may hold.
+WEIGHT_TABLE_CAP = 4096
 
 
 class RepType(Enum):
@@ -51,21 +53,17 @@ class RepLabel:
     """An irreducible representation: a root system and a dominant highest weight."""
 
     rs: RootSystem
-    highest: Weight
+    highest: Coords
 
     def __post_init__(self):
-        if not self.highest.is_dominant():
-            raise NonDominantWeight(f"highest weight {self.highest.fw_coords} must be dominant")
+        if min(self.highest) < 0:
+            raise NonDominantWeight(f"highest weight {self.highest} must be dominant")
 
     def __eq__(self, other):
-        return (
-            isinstance(other, RepLabel)
-            and self.rs is other.rs
-            and self.highest.fw_coords == other.highest.fw_coords
-        )
+        return isinstance(other, RepLabel) and self.rs is other.rs and self.highest == other.highest
 
     def __hash__(self):
-        return hash((id(self.rs), self.highest.fw_coords))
+        return hash((id(self.rs), self.highest))
 
 
 def rep(rs: RootSystem, fw_coords) -> RepLabel:
@@ -76,34 +74,10 @@ def adjoint_rep(rs: RootSystem) -> RepLabel:
     return rep(rs, rs.positive_roots_fw[-1])
 
 
-@dataclass(frozen=True)
-class VirtualDecomposition:
-    """A finite sum of irreducibles: sorted (highest-weight coords, multiplicity) pairs."""
-
-    terms: tuple[tuple[Coords, int], ...]
-
-    @classmethod
-    def from_dict(cls, d: dict[Coords, int]) -> "VirtualDecomposition":
-        return cls(tuple(sorted((c, m) for c, m in d.items() if m != 0)))
-
-    def as_dict(self) -> dict[Coords, int]:
-        return dict(self.terms)
-
-    def get(self, coords: Coords) -> int:
-        return self.as_dict().get(tuple(coords), 0)
-
-    def total_dim(self, rs: RootSystem) -> int:
-        return sum(m * weyl_dim(rep(rs, c)) for c, m in self.terms)
-
-
-def trivial_decomposition(rs: RootSystem) -> VirtualDecomposition:
-    return VirtualDecomposition.from_dict({(0,) * rs.rank: 1})
-
-
 def weyl_dim(r: RepLabel) -> int:
     """dim V^mu by the Weyl product formula; exact, asserts integrality."""
     rs = r.rs
-    mu_d = tuple(m + 1 for m in r.highest.fw_coords)
+    mu_d = tuple(m + 1 for m in r.highest)
     delta = (1,) * rs.rank
     num = den = 1
     for a in rs.positive_roots_fw:
@@ -166,19 +140,23 @@ def _dominant_weight_multiplicities(rs: RootSystem, coords: Coords) -> dict[Coor
 
 def weight_multiplicities(r: RepLabel) -> dict[Coords, int]:
     """The full weight multiset of V^mu as {fw-coords: multiplicity}."""
-    return dict(_full_weight_multiplicities(r.rs, r.highest.fw_coords))
+    return dict(_full_weight_multiplicities(r.rs, r.highest))
 
 
 @lru_cache(maxsize=WEIGHT_TABLE_CACHE_SIZE)
 def _full_weight_multiplicities(rs: RootSystem, coords: Coords) -> tuple[tuple[Coords, int], ...]:
+    """The weight table of V^coords, refused (CapExceeded) as soon as it
+    holds more than WEIGHT_TABLE_CAP distinct weights."""
     table: dict[Coords, int] = {}
     for nu, m in _dominant_weight_multiplicities(rs, coords).items():
         for w in weyl_orbit(rs, nu):
             table[w] = m
+        if len(table) > WEIGHT_TABLE_CAP:
+            raise CapExceeded("weight table size", len(table), WEIGHT_TABLE_CAP)
     return tuple(sorted(table.items()))
 
 
-def _signed_reflections(rs: RootSystem, shift: Coords, pairs) -> VirtualDecomposition:
+def _signed_reflections(rs: RootSystem, shift: Coords, pairs) -> dict[Coords, int]:
     """Sum of m V^(shift + nu) over the (nu, m) pairs by the signed-reflection
     rule: w walks shift + nu + delta into the dominant chamber; on a wall it
     adds nothing, otherwise sign(w) m to V^(w(shift + nu + delta) - delta).
@@ -195,24 +173,24 @@ def _signed_reflections(rs: RootSystem, shift: Coords, pairs) -> VirtualDecompos
         acc[target] = acc.get(target, 0) + (-m if len(word) % 2 else m)
     if any(m < 0 for m in acc.values()):
         raise InternalConsistencyError("negative multiplicity in a genuine representation")
-    return VirtualDecomposition.from_dict(acc)
+    return {c: m for c, m in acc.items() if m}
 
 
-def tensor_decompose(a: RepLabel, b: RepLabel) -> VirtualDecomposition:
+def tensor_decompose(a: RepLabel, b: RepLabel) -> dict[Coords, int]:
     """Decompose V^a (x) V^b by the signed-reflection rule on the weights of b."""
     if a.rs is not b.rs:
         raise ValueError("tensor factors must share one root system")
     if weyl_dim(b) > weyl_dim(a):
         a, b = b, a
-    weights_b = _full_weight_multiplicities(a.rs, b.highest.fw_coords)
-    return _signed_reflections(a.rs, a.highest.fw_coords, weights_b)
+    weights_b = _full_weight_multiplicities(a.rs, b.highest)
+    return _signed_reflections(a.rs, a.highest, weights_b)
 
 
-def exterior_powers(r: RepLabel, pmax: int) -> list[VirtualDecomposition]:
+def exterior_powers(r: RepLabel, pmax: int) -> list[dict[Coords, int]]:
     """Exterior powers Lambda^p V for p = 0..pmax: Newton's identities on
     characters, each decomposed by the signed-reflection rule."""
     rs = r.rs
-    base = dict(_full_weight_multiplicities(rs, r.highest.fw_coords))
+    base = dict(_full_weight_multiplicities(rs, r.highest))
     zero = (0,) * rs.rank
 
     def adams(k: int) -> dict[Coords, int]:
@@ -257,12 +235,12 @@ def classify_type(r: RepLabel) -> RepType:
     sum_{alpha>0} <mu, alpha^vee> separates real (even) from quaternionic (odd).
     """
     rs = r.rs
-    if dual_label(r).highest.fw_coords != r.highest.fw_coords:
+    if dual_label(r).highest != r.highest:
         return RepType.COMPLEX
     s = 0
     for a in rs.positive_roots_fw:
         # <mu, a^vee> = 2 (mu, a) / (a, a)
-        pairing, rem = divmod(2 * rs.form_fw_int(r.highest.fw_coords, a), rs.form_fw_int(a, a))
+        pairing, rem = divmod(2 * rs.form_fw_int(r.highest, a), rs.form_fw_int(a, a))
         if rem:
             raise InternalConsistencyError("non-integral coroot pairing")
         s += pairing
@@ -277,24 +255,23 @@ def bold_g_label(types) -> str:
 def invariant_dim(V, U, kmode: KMode) -> int:
     """Dimension of the K-invariant subspace of V (x) U for the supported K modes.
 
-    - TRIVIAL: V a RepLabel, U a VirtualDecomposition over the same group;
+    U is a {coords: multiplicity} dict in every mode: highest weights of
+    irreducibles in the first two, torus weights in the third.
+
+    - TRIVIAL: V a RepLabel, U a sum of irreducibles over the same group;
       everything is invariant, so dim V * dim U.
     - DIAGONAL: V a pair (V1, V2) of RepLabels over the factor group G',
-      U a VirtualDecomposition over G'; counts the trivial constituents of
+      U a sum of irreducibles over G'; counts the trivial constituents of
       V1 (x) V2 (x) U.
-    - TORUS: V a RepLabel, U a {torus-weight coords: multiplicity} multiset;
-      counts zero-weight vectors of V (x) U.
+    - TORUS: V a RepLabel, U a multiset of torus weights; counts
+      zero-weight vectors of V (x) U.
     """
     if kmode is KMode.TRIVIAL:
-        return weyl_dim(V) * U.total_dim(V.rs)
+        return weyl_dim(V) * sum(m * weyl_dim(rep(V.rs, c)) for c, m in U.items())
     if kmode is KMode.DIAGONAL:
         v1, v2 = V
         t = tensor_decompose(v1, v2)
-        total = 0
-        for tau, mu_mult in U.terms:
-            tau_dual = dual_label(rep(v1.rs, tau)).highest.fw_coords
-            total += mu_mult * t.get(tau_dual)
-        return total
+        return sum(m * t.get(dual_label(rep(v1.rs, tau)).highest, 0) for tau, m in U.items())
     if kmode is KMode.TORUS:
         wm = weight_multiplicities(V)
         return sum(m * wm.get(tuple(-x for x in u), 0) for u, m in U.items())

@@ -9,7 +9,7 @@ configuration) of each class, and never replace a computed orbit count by
 the expected one.
 
 K-modes:
-  trivial   K = {e}; U* any virtual sum of G-irreducibles.
+  trivial   K = {e}; U* any sum of G-irreducibles.
   diagonal  G = G' x G', K = diag G', inputs expressed on the single root
             system of G'.  A member μ stands for the block V^μ (x) V^{μ*};
             reported dims and duals are G'-side.  The convention is stored
@@ -27,6 +27,7 @@ from .errors import CapExceeded, InternalConsistencyError, NonDominantWeight
 from .hidden import DEFAULT_POINT_CAP, DEFAULT_RANK_CAP, orbits, shifted_config, stabilizer_group
 from .reps import (
     KMode,
+    RepLabel,
     RepType,
     bold_g_label,
     classify_type,
@@ -34,13 +35,12 @@ from .reps import (
     exterior_powers,
     invariant_dim,
     adjoint_rep,
-    rep,
     weyl_dim,
 )
 from .rootsys import RootSystem, RootSystemType, build_root_system
 from .weights import (
+    Coords,
     LatticeChoice,
-    Weight,
     casimir_eigenvalue,
     classes_up_to,
     enumerate_dominant,
@@ -109,12 +109,6 @@ def _isotypic(v, ustar, kmode: KMode) -> int:
     return invariant_dim((v, dual_label(v)) if kmode is KMode.DIAGONAL else v, ustar, kmode)
 
 
-def _ustar_payload(ustar, kmode: KMode):
-    if kmode is KMode.TORUS:
-        return tuple(sorted((tuple(c), int(m)) for c, m in ustar.items()))
-    return tuple(ustar.terms)
-
-
 def _context(rs: RootSystem, lat: LatticeChoice, kmode: KMode, ustar) -> dict:
     ctx = {
         "family": rs.typ.family,
@@ -122,7 +116,7 @@ def _context(rs: RootSystem, lat: LatticeChoice, kmode: KMode, ustar) -> dict:
         "lattice": lat.value,
         "k_mode": kmode.value,
         "metric_scale": rs.metric_scale,
-        "ustar": _ustar_payload(ustar, kmode),
+        "ustar": tuple(sorted(ustar.items())),
     }
     if kmode is KMode.DIAGONAL:
         ctx["diagonal_convention"] = (
@@ -179,7 +173,7 @@ def _member_type(v, kmode: KMode) -> RepType:
     modes carry V^mu itself.
     """
     if kmode is KMode.DIAGONAL:
-        if dual_label(v).highest.fw_coords == v.highest.fw_coords:
+        if dual_label(v).highest == v.highest:
             return RepType.REAL
         return RepType.COMPLEX
     return classify_type(v)
@@ -187,16 +181,16 @@ def _member_type(v, kmode: KMode) -> RepType:
 
 def _complex_members(rs, cls, ustar, kmode, orbit_by_mu):
     members = []
-    for w in cls.dominant_members:
-        v = rep(rs, w.fw_coords)
+    for mu in cls.dominant_members:
+        v = RepLabel(rs, mu)
         iso = _isotypic(v, ustar, kmode)
         if iso <= 0:
             continue
-        oid = UNCOMPUTED if orbit_by_mu is None else orbit_by_mu[w.fw_coords]
+        oid = UNCOMPUTED if orbit_by_mu is None else orbit_by_mu[mu]
         members.append(
             SpectralMember(
-                mu=w.fw_coords,
-                dual_mu=dual_label(v).highest.fw_coords,
+                mu=mu,
+                dual_mu=dual_label(v).highest,
                 dim=weyl_dim(v),
                 rep_type=_member_type(v, kmode),
                 isotypic_dim=iso,
@@ -349,7 +343,7 @@ class EstimateBound:
 
 
 def generic_estimate(
-    rs: RootSystem, lat: LatticeChoice, kmode: KMode, ustar, mu_lambda: Weight
+    rs: RootSystem, lat: LatticeChoice, kmode: KMode, ustar, mu_lambda: Coords
 ) -> EstimateBound:
     """Bound the eigenspace of lambda(mu_lambda) by its full Casimir class.
 
@@ -358,23 +352,23 @@ def generic_estimate(
     zero-multiplicity members are absent from the U*-spectrum and are
     omitted from the bound.
     """
-    if not mu_lambda.is_dominant():
-        raise NonDominantWeight(f"{mu_lambda.fw_coords} is not dominant")
+    if min(mu_lambda) < 0:
+        raise NonDominantWeight(f"{mu_lambda} is not dominant")
     a_sq = shifted_norm_sq(rs, mu_lambda)
     cls = sphere_set(rs, lat, a_sq)
     terms = []
     total = 0
-    for w in cls.dominant_members:
-        v = rep(rs, w.fw_coords)
+    for mu in cls.dominant_members:
+        v = RepLabel(rs, mu)
         mult = _isotypic(v, ustar, kmode)
         if mult <= 0:
             continue
         d = weyl_dim(v)
-        terms.append(EstimateTerm(w.fw_coords, dual_label(v).highest.fw_coords, mult, d))
+        terms.append(EstimateTerm(mu, dual_label(v).highest, mult, d))
         total += mult * d
     return EstimateBound(
         context=_context(rs, lat, kmode, ustar),
-        mu_lambda=mu_lambda.fw_coords,
+        mu_lambda=mu_lambda,
         a_sq=a_sq,
         lam=casimir_eigenvalue(rs, mu_lambda),
         terms=tuple(terms),
@@ -425,11 +419,11 @@ def hodge_rank1_check(cap) -> HodgeTable:
     discrepancies = []
     for mu in enumerate_dominant(rs, LatticeChoice.WEIGHT, cap):
         lam = casimir_eigenvalue(rs, mu)
-        v = rep(rs, mu.fw_coords)
+        v = RepLabel(rs, mu)
         dims = tuple(invariant_dim((v, v), ext[p], KMode.DIAGONAL) for p in range(4))
-        rows.append(HodgeRow(mu.fw_coords, shifted_norm_sq(rs, mu), lam, dims, all(d > 0 for d in dims)))
+        rows.append(HodgeRow(mu, shifted_norm_sq(rs, mu), lam, dims, all(d > 0 for d in dims)))
         for p in range(4):
             if dims[p] == 0:
                 note = HARMONIC_NOTE if lam == 0 else "membership fails at positive lambda"
-                discrepancies.append(HodgeDiscrepancy(mu.fw_coords, p, lam, note))
+                discrepancies.append(HodgeDiscrepancy(mu, p, lam, note))
     return HodgeTable(cap, tuple(rows), tuple(discrepancies))

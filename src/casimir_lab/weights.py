@@ -1,7 +1,9 @@
 """Weight lattices, Casimir eigenvalues and sphere/class enumeration.
 
-A weight mu is its integer coordinates in the fundamental-weight basis;
-dominant weights have nonnegative ones.  The Casimir eigenvalue is
+A weight mu is the tuple of its integer coordinates in the
+fundamental-weight basis, in this module and every layer above it;
+dominant weights have nonnegative ones.  make_weight checks a weight
+read from input.  The Casimir eigenvalue is
 (mu+d, mu+d) - (d, d) for d the half-sum of positive roots, which has
 coordinates (1, ..., 1); norms are computed as exact ints on the integer
 form den * gram_fw.  A Casimir class collects every lattice weight whose
@@ -35,14 +37,7 @@ class LatticeChoice(Enum):
     ROOT = "root_lattice"
 
 
-@dataclass(frozen=True)
-class Weight:
-    """A lattice weight: its integer fundamental-weight coordinates."""
-
-    fw_coords: tuple[int, ...]
-
-    def is_dominant(self) -> bool:
-        return all(c >= 0 for c in self.fw_coords)
+Coords = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -51,8 +46,8 @@ class CasimirClass:
 
     a_sq: Q
     lam: Q
-    dominant_members: tuple[Weight, ...]
-    sphere_members: tuple[Weight, ...]
+    dominant_members: tuple[Coords, ...]
+    sphere_members: tuple[Coords, ...]
 
 
 def in_root_lattice(rs: RootSystem, fw_coords) -> bool:
@@ -61,7 +56,8 @@ def in_root_lattice(rs: RootSystem, fw_coords) -> bool:
     return all(sum(map(mul, col, fw_coords)) % q == 0 for col in zip(*adj))
 
 
-def make_weight(rs: RootSystem, fw_coords, lat: LatticeChoice = LatticeChoice.WEIGHT) -> Weight:
+def make_weight(rs: RootSystem, fw_coords, lat: LatticeChoice = LatticeChoice.WEIGHT) -> Coords:
+    """fw_coords as a checked weight: rank many integers, in the lattice lat."""
     coords = tuple(int(c) for c in fw_coords)
     if len(coords) != rs.rank:
         raise NotInLattice(f"expected {rs.rank} coordinates, got {len(coords)}")
@@ -69,7 +65,7 @@ def make_weight(rs: RootSystem, fw_coords, lat: LatticeChoice = LatticeChoice.WE
         raise NotInLattice(f"non-integral fundamental-weight coordinates {fw_coords}")
     if lat is LatticeChoice.ROOT and not in_root_lattice(rs, coords):
         raise NotInLattice(f"{coords} is not in the root lattice of {rs.typ.label}")
-    return Weight(coords)
+    return coords
 
 
 def shifted_norm_int(rs: RootSystem, m) -> int:
@@ -83,14 +79,14 @@ def delta_norm_sq(rs: RootSystem) -> Q:
     return Q(shifted_norm_int(rs, (0,) * rs.rank), rs.gram_fw_int[0])
 
 
-def shifted_norm_sq(rs: RootSystem, mu: Weight) -> Q:
-    return Q(shifted_norm_int(rs, mu.fw_coords), rs.gram_fw_int[0])
+def shifted_norm_sq(rs: RootSystem, mu: Coords) -> Q:
+    return Q(shifted_norm_int(rs, mu), rs.gram_fw_int[0])
 
 
-def casimir_eigenvalue(rs: RootSystem, mu: Weight) -> Q:
+def casimir_eigenvalue(rs: RootSystem, mu: Coords) -> Q:
     """Casimir eigenvalue on the irreducible with highest weight mu (dominant)."""
-    if not mu.is_dominant():
-        raise NonDominantWeight(f"{mu.fw_coords} is not dominant")
+    if min(mu) < 0:
+        raise NonDominantWeight(f"{mu} is not dominant")
     return shifted_norm_sq(rs, mu) - delta_norm_sq(rs)
 
 
@@ -154,17 +150,17 @@ def _lattice_weights(rs: RootSystem, lat: LatticeChoice, a_sq: Q, shell: bool = 
     return pts
 
 
-def enumerate_dominant(rs: RootSystem, lat: LatticeChoice, a_sq_cap) -> list[Weight]:
+def enumerate_dominant(rs: RootSystem, lat: LatticeChoice, a_sq_cap) -> list[Coords]:
     """All dominant lattice weights with |mu+delta|^2 <= a_sq_cap, sorted."""
-    return [Weight(m) for m, _ in sorted(_lattice_weights(rs, lat, rl.frac(a_sq_cap), dominant=True))]
+    return [m for m, _ in sorted(_lattice_weights(rs, lat, rl.frac(a_sq_cap), dominant=True))]
 
 
 def _casimir_class(rs: RootSystem, a_sq: Q, coords) -> CasimirClass:
-    members = tuple(Weight(m) for m in sorted(coords))
+    members = tuple(sorted(coords))
     return CasimirClass(
         a_sq=a_sq,
         lam=a_sq - delta_norm_sq(rs),
-        dominant_members=tuple(w for w in members if w.is_dominant()),
+        dominant_members=tuple(m for m in members if min(m) >= 0),
         sphere_members=members,
     )
 
@@ -193,7 +189,6 @@ def classes_up_to(rs: RootSystem, lat: LatticeChoice, a_sq_cap) -> list[CasimirC
     ]
 
 
-def dual_weight(rs: RootSystem, mu: Weight) -> Weight:
+def dual_weight(rs: RootSystem, mu: Coords) -> Coords:
     """Highest weight of the dual representation: the dominant form of -mu."""
-    dom, _ = rsys.dominant_fw_coords(rs, (-c for c in mu.fw_coords))
-    return Weight(dom)
+    return rsys.dominant_fw_coords(rs, (-c for c in mu))[0]

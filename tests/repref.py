@@ -1,5 +1,5 @@
 """Character references for the tests' oracles of `reps`: the full character
-of a virtual representation, and the peel that decomposes a genuine
+of a sum of irreducibles, and the peel that decomposes a genuine
 character by removing highest constituents one at a time.  Tensor products
 are products of characters, and exterior powers are Newton's identities on
 them; the peel is independent of the signed-reflection rule that `reps`
@@ -7,21 +7,22 @@ uses for both.
 """
 
 from casimir_lab.errors import InternalConsistencyError
-from casimir_lab.reps import VirtualDecomposition, rep, weight_multiplicities
+from casimir_lab.reps import rep, weight_multiplicities
 from casimir_lab.weights import shifted_norm_int
 
 
-def character_of_decomposition(rs, vd):
+def character_of_decomposition(rs, decomposition):
     """{fw-coords: multiplicity} of sum_mu m_mu V^mu, zero entries dropped."""
     out = {}
-    for coords, mult in vd.terms:
+    for coords, mult in decomposition.items():
         for w, m in weight_multiplicities(rep(rs, coords)).items():
             out[w] = out.get(w, 0) + mult * m
     return {w: m for w, m in out.items() if m != 0}
 
 
 def decompose_character(rs, char):
-    """Peel off highest constituents; valid for genuine (nonnegative) characters."""
+    """Peel off highest constituents as {highest weight: multiplicity}, no
+    zero entries; valid for genuine (nonnegative) characters."""
     work = dict(char)
     found = {}
     while work:
@@ -39,4 +40,4 @@ def decompose_character(rs, char):
                 work[w] = nm
             else:
                 work.pop(w, None)
-    return VirtualDecomposition.from_dict(found)
+    return {c: m for c, m in found.items() if m}

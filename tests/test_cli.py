@@ -222,6 +222,52 @@ def test_operator_commands_keep_the_exit_code_contract(argv):
     _exit_code_within_contract(argv)
 
 
+# Types of the spectral fuzz, each with its largest radius: the rank-1
+# Hodge table and rank-3 reports stay well inside the 10 s bound.
+SPECTRAL_TYPES = {
+    ("A", 1): 200, ("A", 2): 40, ("B", 2): 40, ("G", 2): 40, ("A", 3): 14, ("B", 3): 14, ("C", 3): 14, ("B", 4): 8,
+}
+
+
+@st.composite
+def spectral_requests(draw):
+    """An estimate, report or hodge-rank1 request on a small type: weights
+    and U* weights in -1..3, every K mode, complex or real, small caps."""
+    command = draw(st.sampled_from(["estimate", "report", "hodge-rank1"]))
+    (family, rank), top = draw(st.sampled_from(sorted(SPECTRAL_TYPES.items())))
+    radius = str(Q(draw(st.integers(-2, top * 4)), draw(st.sampled_from([1, 2, 3, 4]))))
+    if command == "hodge-rank1":
+        return ["hodge-rank1", "--cap", radius]
+    argv = ["--type", family, "--rank", str(rank), "--lattice", draw(st.sampled_from(["weight", "root"]))]
+    argv += ["--kmode", draw(st.sampled_from([k.value for k in KMode]))]
+    coords = st.lists(st.integers(-1, 3), min_size=rank, max_size=rank)
+    if draw(st.booleans()):
+        items = draw(st.lists(st.tuples(coords, st.integers(0, 2)), max_size=3, unique_by=lambda t: tuple(t[0])))
+        argv += ["--ustar", json.dumps([list(t) for t in items])]
+    if command == "estimate":
+        return ["estimate", *argv, "--weight", ",".join(map(str, draw(coords)))]
+    caps = ["--point-cap", str(draw(st.integers(0, 60))), "--rank-cap", str(draw(st.integers(0, 4)))]
+    return ["report", *argv, "--cap", radius, *caps, *(["--real"] if draw(st.booleans()) else [])]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(spectral_requests())
+@example(["estimate", "--type", "B", "--rank", "4", "--weight", "2,2,2,2", "--kmode", "torus"])
+@example(["report", "--type", "A", "--rank", "2", "--cap", "20", "--kmode", "torus", "--ustar", "[[[-1, 0], 1]]", "--real"])
+@example(["hodge-rank1", "--cap", "-1"])
+def test_spectral_commands_keep_the_exit_code_contract(argv):
+    _exit_code_within_contract(argv)
+
+
+def test_weight_table_cap_refuses_a_large_estimate(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "estimate", "--type", "B", "--rank", "4", "--weight", "2,2,2,2", "--kmode", "torus")
+    assert time.perf_counter() - t0 < 2.0
+    assert (code, out) == (3, "")
+    reason = json.loads(err)
+    assert (reason["what"], reason["limit"]) == ("weight table size", 4096) and reason["actual"] > 4096
+
+
 def _hidden_argv(name, a_sq, *extra):
     return ["hidden", "--type", name[0], "--rank", name[1:], "--a2", str(a_sq), *extra]
 
@@ -976,10 +1022,22 @@ def test_kappa_file_input(tmp_path, capsys):
 
 
 def test_ustar_parsing():
-    u = parse_ustar("[[[1, 1], 2], [[0, 0], 1]]", KMode.DIAGONAL, A2)
-    assert u.as_dict() == {(1, 1): 2, (0, 0): 1}
-    t = parse_ustar("trivial", KMode.TORUS, A2)
-    assert t == {(0, 0): 1}
+    for kmode in KMode:
+        assert parse_ustar("trivial", kmode, A2) == {(0, 0): 1}
+        u = parse_ustar("[[[1, 1], 2], [[0, 0], 1]]", kmode, A2)
+        assert u == {(0, 0): 1, (1, 1): 2} and list(u) == [(0, 0), (1, 1)]  # coordinate order
+    # a torus multiset keeps a listed zero multiplicity; a sum of irreducibles drops it
+    zero = "[[[1, -1], 0], [[1, 1], 2]]"
+    assert parse_ustar(zero, KMode.TORUS, A2) == {(1, -1): 0, (1, 1): 2}
+    assert parse_ustar(zero, KMode.DIAGONAL, A2) == parse_ustar(zero, KMode.TRIVIAL, A2) == {(1, 1): 2}
+
+
+@pytest.mark.parametrize("kmode,kept", [("torus", True), ("diagonal", False), ("trivial", False)])
+def test_ustar_zero_multiplicity_kept_only_for_a_torus_multiset(capsys, kmode, kept):
+    ustar = "[[[1, 1], 2], [[2, 0], 0], [[0, 0], 1]]"
+    data = run_json(capsys, "report", *_sys_argv("A2"), "--cap", "20", "--kmode", kmode, "--ustar", ustar)
+    listed = [[[0, 0], 1], [[1, 1], 2]]
+    assert data["context"]["ustar"] == ([[[0, 0], 1], [[1, 1], 2], [[2, 0], 0]] if kept else listed)
 
 
 @pytest.mark.parametrize(

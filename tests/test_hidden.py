@@ -10,6 +10,7 @@ import pytest
 from ambient import mat_scale, mat_sub, matmul, matvec, reference, transpose, vadd
 from permref import elements, full_stabilizer, select_basis
 from casimir_lab import ratlinalg as rl
+from casimir_lab import rootsys
 from casimir_lab.errors import CapExceeded, InternalConsistencyError
 from casimir_lab.hidden import (
     PermGroup,
@@ -82,6 +83,20 @@ def _points(cfg):
     return [reference(cfg.rs).point(y) for y in cfg.coords]
 
 
+def _textbook_weyl_perms(cfg):
+    """The textbook Weyl matrices acting on the ambient points, one
+    permutation per element in reference(rs).weyl_group() order; an image
+    off the configuration is None."""
+    pts = _points(cfg)
+    index = {p: i for i, p in enumerate(pts)}
+    return [tuple(index.get(matvec(m, p)) for p in pts) for _, m in reference(cfg.rs).weyl_group()]
+
+
+def _textbook_weyl_verdict(cfg):
+    """Reference verdict: every textbook Weyl matrix permutes the points."""
+    return all(None not in p for p in _textbook_weyl_perms(cfg))
+
+
 def _gram(cfg):
     """Reference Gram matrix of the ambient points under the invariant form."""
     pts, ref = _points(cfg), reference(cfg.rs)
@@ -122,10 +137,10 @@ def test_hexagon_full_dihedral():
     grp = stabilizer_group(cfg)
     assert len(grp) == 12
     assert len(orbits(cfg, grp)) == 1
-    ok, witnesses = check_weyl_inclusion(A2, cfg)
-    assert ok and len(witnesses) == 6
+    assert check_weyl_inclusion(A2, cfg) is True
     # the Weyl group is a proper subgroup here: only 6 of the 12 permutations
-    weyl_perms = {p for _, p in witnesses}
+    weyl_perms = set(_textbook_weyl_perms(cfg))
+    assert len(weyl_perms) == 6
     assert weyl_perms < set(_elements(cfg, grp))
 
 
@@ -173,8 +188,7 @@ def test_known_nontransitive_classes():
         orbs = orbits(cfg, grp)
         assert orbs == _orbits_of(cfg, full)
         assert len(orbs) == 2, (rs.typ, a_sq)
-        ok, _ = check_weyl_inclusion(rs, cfg)
-        assert ok
+        assert check_weyl_inclusion(rs, cfg) is True
         # orbits partition the points
         assert sorted(i for o in orbs for i in o) == list(range(cfg.size))
 
@@ -210,9 +224,9 @@ def test_weyl_inclusion_across_systems():
     for rs, cap in ((A2, Q(20)), (B2, Q(15)), (G2, Q(15))):
         for cls in classes_up_to(rs, WEIGHT, cap):
             cfg = shifted_config(rs, cls)
-            ok, witnesses = check_weyl_inclusion(rs, cfg)
-            assert ok
-            assert len(witnesses) == len(weyl_group(rs))
+            assert check_weyl_inclusion(rs, cfg) is True
+            perms = _textbook_weyl_perms(cfg)
+            assert None not in set().union(*perms) and len(perms) == len(weyl_group(rs))
 
 
 def test_point_cap_refused():
@@ -239,22 +253,28 @@ def test_stabilizer_matches_gram_oracle_rank3():
 def test_weyl_witnesses_match_matrix_reference():
     for rs, a_sq in ((A2, Q(98, 3)), (B2, Q(25, 2)), (G2, Q(26, 3)), (B3, Q(35, 4)), (A1, 0)):
         cfg = _config(rs, a_sq)
-        pts = _points(cfg)
-        index = {p: i for i, p in enumerate(pts)}
-        textbook = [(word, tuple(index[matvec(m, p)] for p in pts)) for word, m in reference(rs).weyl_group()]
-        ok, witnesses = check_weyl_inclusion(rs, cfg)
-        assert ok
-        assert witnesses == textbook
+        textbook = _textbook_weyl_perms(cfg)
+        assert check_weyl_inclusion(rs, cfg) is _textbook_weyl_verdict(cfg) is True
         # the integer matrices of rootsys.weyl_group act the same way on coordinates
         index = {y: i for i, y in enumerate(cfg.coords)}
-        assert [(w.word, tuple(index[matvec(w.matrix, y)] for y in cfg.coords)) for w in weyl_group(rs)] == textbook
+        assert [tuple(index[matvec(w.matrix, y)] for y in cfg.coords) for w in weyl_group(rs)] == textbook
+        # without its first or last point X is no longer kept, for the reference too
+        # (an empty X, left of the one-point class, is kept by every element)
+        for k in (0, cfg.size - 1):
+            broken = dataclasses.replace(cfg, coords=cfg.coords[:k] + cfg.coords[k + 1 :])
+            assert check_weyl_inclusion(rs, broken) is _textbook_weyl_verdict(broken) is (cfg.size == 1)
 
 
-def test_weyl_inclusion_fails_without_one_point():
+def test_weyl_inclusion_fails_without_one_point(monkeypatch):
     cfg = _config(B2, Q(13, 2))
     broken = dataclasses.replace(cfg, coords=cfg.coords[1:])
     assert broken.size == cfg.size - 1
-    assert check_weyl_inclusion(B2, broken) == (False, [])
+    assert check_weyl_inclusion(B2, broken) is _textbook_weyl_verdict(broken) is False
+    # the verdict comes before the orbit identity
+    monkeypatch.setattr(rootsys, "weyl_orbit", lambda rs, *weights: set())
+    assert check_weyl_inclusion(B2, broken) is False
+    with pytest.raises(InternalConsistencyError, match="enumerated 0 Weyl elements, expected 8"):
+        check_weyl_inclusion(B2, cfg)
 
 
 def test_weyl_inclusion_cap_refused():
@@ -262,6 +282,11 @@ def test_weyl_inclusion_cap_refused():
     with pytest.raises(CapExceeded) as ei:
         check_weyl_inclusion(G2, cfg, weyl_cap=11)
     assert (ei.value.actual, ei.value.limit) == (12, 11)
+    # the cap refuses before any point is reflected
+    broken = dataclasses.replace(cfg, coords=cfg.coords[1:])
+    with pytest.raises(CapExceeded):
+        check_weyl_inclusion(G2, broken, weyl_cap=11)
+    assert check_weyl_inclusion(G2, cfg, weyl_cap=12) is True
 
 
 def test_non_generator_matrix_is_exact():
@@ -301,6 +326,7 @@ def test_gram_certificate_rejects_every_swapped_element():
 def test_hidden_runs_without_rational_linear_algebra(monkeypatch):
     cases = [(B3, Q(35, 4), 48, 1), (A3, Q(17), 48, 2), (G2, Q(26, 3), 12, 1)]
     classes = [(rs, sphere_set(rs, WEIGHT, a_sq), order, n_orbits) for rs, a_sq, order, n_orbits in cases]
+    verdicts = [_textbook_weyl_verdict(shifted_config(rs, cls)) for rs, cls, _, _ in classes]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("ratlinalg called")
@@ -314,12 +340,11 @@ def test_hidden_runs_without_rational_linear_algebra(monkeypatch):
                     monkeypatch.setattr(mod, attr, forbidden)
     with pytest.raises(AssertionError, match="ratlinalg called"):
         rl.inverse(identity(2))
-    for rs, cls, order, n_orbits in classes:
+    for (rs, cls, order, n_orbits), verdict in zip(classes, verdicts):
         cfg = shifted_config(rs, cls)
         grp = stabilizer_group(cfg)
-        ok, witnesses = check_weyl_inclusion(rs, cfg)
         assert (cfg.size, len(grp), len(orbits(cfg, grp))) == (order, order, n_orbits)
-        assert ok and len(witnesses) == rs.typ.weyl_order()
+        assert check_weyl_inclusion(rs, cfg) is verdict is True
 
 
 def _reference_classes():

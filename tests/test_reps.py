@@ -5,11 +5,11 @@ import math
 
 import pytest
 
-from casimir_lab.errors import NonDominantWeight
+from casimir_lab import reps
+from casimir_lab.errors import CapExceeded, NonDominantWeight
 from casimir_lab.reps import (
     KMode,
     RepType,
-    VirtualDecomposition,
     adjoint_rep,
     bold_g_label,
     classify_type,
@@ -18,7 +18,6 @@ from casimir_lab.reps import (
     invariant_dim,
     rep,
     tensor_decompose,
-    trivial_decomposition,
     weight_multiplicities,
     weyl_dim,
 )
@@ -30,6 +29,10 @@ A2 = build_root_system(RootSystemType("A", 2))
 B2 = build_root_system(RootSystemType("B", 2))
 G2 = build_root_system(RootSystemType("G", 2))
 B3 = build_root_system(RootSystemType("B", 3))
+
+
+def _total_dim(rs, decomposition):
+    return sum(m * weyl_dim(rep(rs, c)) for c, m in decomposition.items())
 
 
 def test_weyl_dims_small_table():
@@ -69,10 +72,10 @@ def test_g2_seven_dim_zero_weight():
 def test_tensor_small_cases():
     # Clebsch-Gordan on A1
     got = tensor_decompose(rep(A1, (2,)), rep(A1, (3,)))
-    assert got.as_dict() == {(1,): 1, (3,): 1, (5,): 1}
+    assert got == {(1,): 1, (3,): 1, (5,): 1}
     # 3 (x) 3bar = 8 + 1, and 3 (x) 3 = 6 + 3bar
-    assert tensor_decompose(rep(A2, (1, 0)), rep(A2, (0, 1))).as_dict() == {(1, 1): 1, (0, 0): 1}
-    assert tensor_decompose(rep(A2, (1, 0)), rep(A2, (1, 0))).as_dict() == {(2, 0): 1, (0, 1): 1}
+    assert tensor_decompose(rep(A2, (1, 0)), rep(A2, (0, 1))) == {(1, 1): 1, (0, 0): 1}
+    assert tensor_decompose(rep(A2, (1, 0)), rep(A2, (1, 0))) == {(2, 0): 1, (0, 1): 1}
     # adjoint (x) adjoint on A2 contains the adjoint twice
     sq = tensor_decompose(adjoint_rep(A2), adjoint_rep(A2))
     assert sq.get((1, 1)) == 2
@@ -82,8 +85,8 @@ def test_tensor_small_cases():
 def _convolution_tensor(a, b):
     """Independent route: multiply full characters, peel highest weights."""
     rs = a.rs
-    ca = character_of_decomposition(rs, VirtualDecomposition.from_dict({a.highest.fw_coords: 1}))
-    cb = character_of_decomposition(rs, VirtualDecomposition.from_dict({b.highest.fw_coords: 1}))
+    ca = character_of_decomposition(rs, {a.highest: 1})
+    cb = character_of_decomposition(rs, {b.highest: 1})
     prod = {}
     for w1, m1 in ca.items():
         for w2, m2 in cb.items():
@@ -106,15 +109,15 @@ def test_tensor_matches_convolution_oracle():
                 pairs.append((v, w))
     for v, w in pairs:
         got = tensor_decompose(v, w)
-        assert got.as_dict() == _convolution_tensor(v, w).as_dict()
+        assert got == _convolution_tensor(v, w)
         # dimension bookkeeping
-        assert got.total_dim(v.rs) == weyl_dim(v) * weyl_dim(w)
+        assert _total_dim(v.rs, got) == weyl_dim(v) * weyl_dim(w)
 
 
 def test_dual_labels():
-    assert dual_label(rep(A2, (3, 1))).highest.fw_coords == (1, 3)
-    assert dual_label(rep(B2, (2, 1))).highest.fw_coords == (2, 1)
-    assert dual_label(rep(A1, (4,))).highest.fw_coords == (4,)
+    assert dual_label(rep(A2, (3, 1))).highest == (1, 3)
+    assert dual_label(rep(B2, (2, 1))).highest == (2, 1)
+    assert dual_label(rep(A1, (4,))).highest == (4,)
 
 
 def _type_by_invariant_form(r):
@@ -122,11 +125,11 @@ def _type_by_invariant_form(r):
     according to whether its invariant bilinear form is symmetric (trivial
     rep inside Sym^2 V) or antisymmetric (inside Lambda^2 V)."""
     rs = r.rs
-    if dual_label(r).highest.fw_coords != r.highest.fw_coords:
+    if dual_label(r).highest != r.highest:
         return RepType.COMPLEX
     zero = (0,) * rs.rank
-    wedge = exterior_powers(r, 2)[2].get(zero)
-    square = tensor_decompose(r, r).get(zero)
+    wedge = exterior_powers(r, 2)[2].get(zero, 0)
+    square = tensor_decompose(r, r).get(zero, 0)
     sym = square - wedge  # trivial multiplicity in Sym^2 = total - alternating
     assert sym + wedge == 1 and {sym, wedge} <= {0, 1}
     return RepType.REAL if sym == 1 else RepType.QUATERNIONIC
@@ -162,13 +165,13 @@ def test_bold_g_label():
 def test_exterior_powers_of_adjoint():
     # su(2): [triv, adj, adj, triv]
     ext = exterior_powers(adjoint_rep(A1), 3)
-    assert [e.as_dict() for e in ext] == [{(0,): 1}, {(2,): 1}, {(2,): 1}, {(0,): 1}]
+    assert ext == [{(0,): 1}, {(2,): 1}, {(2,): 1}, {(0,): 1}]
     # dimensions always match binomials of dim V
     adj2 = adjoint_rep(A2)
     for p, e in enumerate(exterior_powers(adj2, 4)):
-        assert e.total_dim(A2) == math.comb(8, p)
+        assert _total_dim(A2, e) == math.comb(8, p)
     # frozen: Lambda^2 of the A2 adjoint = adjoint + (3,0) + (0,3)
-    assert exterior_powers(adj2, 2)[2].as_dict() == {(1, 1): 1, (3, 0): 1, (0, 3): 1}
+    assert exterior_powers(adj2, 2)[2] == {(1, 1): 1, (3, 0): 1, (0, 3): 1}
 
 
 def _wedge_character(r, p):
@@ -190,25 +193,25 @@ def test_exterior_powers_match_the_peeled_characters():
     for r in samples:
         got = exterior_powers(r, 3)
         for p in range(4):
-            assert got[p].as_dict() == decompose_character(r.rs, _wedge_character(r, p)).as_dict(), (r, p)
-            assert got[p].total_dim(r.rs) == math.comb(weyl_dim(r), p)
+            assert got[p] == decompose_character(r.rs, _wedge_character(r, p)), (r, p)
+            assert _total_dim(r.rs, got[p]) == math.comb(weyl_dim(r), p)
 
 
 def test_invariant_dim_trivial_mode():
-    u = trivial_decomposition(A2)
+    u = {(0, 0): 1}
     assert invariant_dim(rep(A2, (1, 1)), u, KMode.TRIVIAL) == 8
-    two = VirtualDecomposition.from_dict({(0, 0): 1, (1, 1): 1})
+    two = {(0, 0): 1, (1, 1): 1}
     assert invariant_dim(rep(A2, (1, 0)), two, KMode.TRIVIAL) == 3 * 9
 
 
 def test_invariant_dim_diagonal_mode():
     v = rep(A2, (1, 0))
     # (V (x) V*)^diag = Hom_G(V, V) = C
-    assert invariant_dim((v, dual_label(v)), trivial_decomposition(A2), KMode.DIAGONAL) == 1
+    assert invariant_dim((v, dual_label(v)), {(0, 0): 1}, KMode.DIAGONAL) == 1
     # (V (x) V)^diag = 0 because V (x) V has no trivial constituent
-    assert invariant_dim((v, v), trivial_decomposition(A2), KMode.DIAGONAL) == 0
+    assert invariant_dim((v, v), {(0, 0): 1}, KMode.DIAGONAL) == 0
     # against the adjoint: multiplicity of adj* in V (x) V*
-    adj_u = VirtualDecomposition.from_dict({(1, 1): 1})
+    adj_u = {(1, 1): 1}
     assert invariant_dim((v, dual_label(v)), adj_u, KMode.DIAGONAL) == 1
 
 
@@ -222,12 +225,29 @@ def test_invariant_dim_torus_mode():
 
 
 def test_nondominant_rejected():
-    with pytest.raises(NonDominantWeight):
+    with pytest.raises(NonDominantWeight, match=r"^highest weight \(1, -1\) must be dominant$"):
         rep(A2, (1, -1))
 
 
-def test_virtual_decomposition_roundtrip():
-    vd = VirtualDecomposition.from_dict({(2, 0): 2, (0, 1): 1, (5, 5): 0})
-    assert vd.as_dict() == {(2, 0): 2, (0, 1): 1}
-    assert vd.get((9, 9)) == 0
-    assert vd.total_dim(A2) == 2 * 6 + 3
+def test_decompositions_hold_no_zero_entries():
+    # The signed-reflection sums of the exterior powers of G2's 7, A2's
+    # adjoint and B3's spin rep cancel to 0 on some highest weights; those
+    # must be absent, not listed with 0.
+    samples = [rep(B2, (0, 1)), rep(G2, (1, 0)), rep(A2, (1, 1)), rep(B3, (0, 0, 1))]
+    for r in samples:
+        for d in [tensor_decompose(r, r), *exterior_powers(r, 3)]:
+            assert d and all(m > 0 for m in d.values()), (r, d)
+            assert all(min(c) >= 0 for c in d)
+    assert invariant_dim(rep(A2, (1, 0)), {}, KMode.TRIVIAL) == 0
+
+
+def test_weight_tables_are_capped(monkeypatch):
+    r = rep(B2, (2, 2))
+    n = len(weight_multiplicities(r))
+    reps._full_weight_multiplicities.cache_clear()
+    monkeypatch.setattr(reps, "WEIGHT_TABLE_CAP", n - 1)
+    with pytest.raises(CapExceeded) as exc:
+        weight_multiplicities(r)
+    assert exc.value.what == "weight table size" and exc.value.limit == n - 1 < exc.value.actual
+    monkeypatch.setattr(reps, "WEIGHT_TABLE_CAP", n)
+    assert len(weight_multiplicities(r)) == n

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 import pytest
 
 from casimir_lab.errors import InternalConsistencyError, NonDominantWeight
-from casimir_lab.reps import KMode, RepType, VirtualDecomposition, trivial_decomposition
+from casimir_lab.reps import KMode, RepType
 from casimir_lab.rootsys import RootSystemType, build_root_system
 from casimir_lab.spectra import (
     HARMONIC_NOTE,
@@ -25,7 +25,7 @@ WEIGHT = LatticeChoice.WEIGHT
 
 
 def test_a1_trivial_mode_small_cap():
-    rep_out = normal_spectrum_report(A1, WEIGHT, KMode.TRIVIAL, trivial_decomposition(A1), Q(9, 2))
+    rep_out = normal_spectrum_report(A1, WEIGHT, KMode.TRIVIAL, {(0,): 1}, Q(9, 2))
     # classes at a^2 = 1/2, 9/2 <-> m = 0, 2 ... wait for m: (m+1)^2/2 <= 9/2
     assert [c.a_sq for c in rep_out.classes] == [Q(1, 2), Q(2), Q(9, 2)]
     for c, m in zip(rep_out.classes, (0, 1, 2)):
@@ -42,7 +42,7 @@ def test_a1_trivial_mode_small_cap():
 
 
 def test_empty_ustar_empty_report():
-    empty = VirtualDecomposition.from_dict({})
+    empty = {}
     rep_out = normal_spectrum_report(A1, WEIGHT, KMode.TRIVIAL, empty, Q(20))
     assert rep_out.classes == ()
     assert rep_out.total_dim == 0
@@ -51,7 +51,7 @@ def test_empty_ustar_empty_report():
 def test_a2_big_class_diagonal_mode():
     # the class of a^2 = 182/3 carries two dual pairs and two stabilizer orbits
     rep_out = normal_spectrum_report(
-        A2, WEIGHT, KMode.DIAGONAL, trivial_decomposition(A2), Q(182, 3)
+        A2, WEIGHT, KMode.DIAGONAL, {(0, 0): 1}, Q(182, 3)
     )
     last = rep_out.classes[-1]
     assert last.a_sq == Q(182, 3)
@@ -74,7 +74,7 @@ def test_a2_big_class_diagonal_mode():
 def test_diagonal_dim_identity_against_big_sum():
     # diagonal-mode trivial-U* report: every class contributes sum of dim V^mu
     rep_out = normal_spectrum_report(
-        A2, WEIGHT, KMode.DIAGONAL, trivial_decomposition(A2), Q(182, 3)
+        A2, WEIGHT, KMode.DIAGONAL, {(0, 0): 1}, Q(182, 3)
     )
     for c in rep_out.classes:
         assert c.eigenspace_dim == sum(m.dim for m in c.members)
@@ -83,7 +83,7 @@ def test_diagonal_dim_identity_against_big_sum():
 
 def test_real_fold_of_dual_pairs():
     rep_out = real_spectrum_report(
-        A2, WEIGHT, KMode.DIAGONAL, trivial_decomposition(A2), Q(182, 3)
+        A2, WEIGHT, KMode.DIAGONAL, {(0, 0): 1}, Q(182, 3)
     )
     last = rep_out.classes[-1]
     assert [(m.mu, m.partner_mu) for m in last.members] == [((0, 8), (8, 0)), ((4, 5), (5, 4))]
@@ -99,7 +99,7 @@ def test_real_fold_of_dual_pairs():
 def test_real_fold_self_dual_real():
     # diagonal blocks of self-dual mu are real: fold keeps mult and dim
     rep_out = real_spectrum_report(
-        A1, WEIGHT, KMode.DIAGONAL, trivial_decomposition(A1), Q(9, 2)
+        A1, WEIGHT, KMode.DIAGONAL, {(0,): 1}, Q(9, 2)
     )
     for c, m in zip(rep_out.classes, (0, 1, 2)):
         mem = c.members[0]
@@ -110,7 +110,7 @@ def test_real_fold_self_dual_real():
 
 
 def test_real_fold_totals_match_complex():
-    u = VirtualDecomposition.from_dict({(1, 1): 1, (2, 0): 2})
+    u = {(1, 1): 1, (2, 0): 2}
     for kmode in (KMode.TRIVIAL, KMode.DIAGONAL):
         cx = normal_spectrum_report(A2, WEIGHT, kmode, u, Q(20))
         re = real_spectrum_report(A2, WEIGHT, kmode, u, Q(20))
@@ -149,7 +149,7 @@ def test_torus_mode_non_real_ustar_rejected():
 
 def test_hidden_orbit_uncomputed_under_tiny_cap():
     rep_out = normal_spectrum_report(
-        A2, WEIGHT, KMode.DIAGONAL, trivial_decomposition(A2), Q(182, 3), point_cap=7
+        A2, WEIGHT, KMode.DIAGONAL, {(0, 0): 1}, Q(182, 3), point_cap=7
     )
     last = rep_out.classes[-1]
     assert last.orbit_count is None
@@ -163,7 +163,7 @@ def test_hidden_orbit_uncomputed_under_tiny_cap():
 
 def test_rank1_singleton_law():
     # every rank-1 class has exactly one dominant member up to a^2 = 200
-    for u in (trivial_decomposition(A1), VirtualDecomposition.from_dict({(2,): 1, (0,): 3})):
+    for u in ({(0,): 1}, {(2,): 1, (0,): 3}):
         rep_out = normal_spectrum_report(A1, WEIGHT, KMode.TRIVIAL, u, Q(200))
         assert rep_out.classes
         for c in rep_out.classes:
@@ -174,7 +174,7 @@ def test_rank1_singleton_law():
 def test_member_filter_consistency():
     # members with zero isotypic dimension are dropped; survivors keep the
     # original class eigenvalue and assemble the stated dimension
-    u = VirtualDecomposition.from_dict({(1, 0): 1})
+    u = {(1, 0): 1}
     rep_out = normal_spectrum_report(A2, WEIGHT, KMode.DIAGONAL, u, Q(20))
     for c in rep_out.classes:
         assert c.lam == c.a_sq - Q(2)  # |delta|^2 = 2 for A2 at scale 1
@@ -187,7 +187,7 @@ def test_member_filter_consistency():
 
 
 def test_estimate_a1_adjoint():
-    bound = generic_estimate(A1, WEIGHT, KMode.DIAGONAL, trivial_decomposition(A1), make_weight(A1, (2,)))
+    bound = generic_estimate(A1, WEIGHT, KMode.DIAGONAL, {(0,): 1}, make_weight(A1, (2,)))
     assert bound.a_sq == Q(9, 2)
     assert bound.lam == Q(4)
     assert len(bound.terms) == 1
@@ -196,7 +196,7 @@ def test_estimate_a1_adjoint():
 
 
 def test_estimate_a2_multi_member():
-    bound = generic_estimate(A2, WEIGHT, KMode.DIAGONAL, trivial_decomposition(A2), make_weight(A2, (8, 0)))
+    bound = generic_estimate(A2, WEIGHT, KMode.DIAGONAL, {(0, 0): 1}, make_weight(A2, (8, 0)))
     assert bound.a_sq == Q(182, 3)
     assert {(t.mu, t.mult, t.dim) for t in bound.terms} == {
         ((8, 0), 1, 45),
@@ -208,19 +208,19 @@ def test_estimate_a2_multi_member():
 
 
 def test_estimate_zero_weight():
-    bound = generic_estimate(A1, WEIGHT, KMode.DIAGONAL, trivial_decomposition(A1), make_weight(A1, (0,)))
+    bound = generic_estimate(A1, WEIGHT, KMode.DIAGONAL, {(0,): 1}, make_weight(A1, (0,)))
     assert bound.lam == 0
     assert bound.total_dim == 1
 
 
 def test_estimate_rejects_nondominant():
-    with pytest.raises(NonDominantWeight):
-        generic_estimate(A1, WEIGHT, KMode.TRIVIAL, trivial_decomposition(A1), make_weight(A1, (-2,)))
+    with pytest.raises(NonDominantWeight, match=r"^\(-2,\) is not dominant$"):
+        generic_estimate(A1, WEIGHT, KMode.TRIVIAL, {(0,): 1}, make_weight(A1, (-2,)))
 
 
 def test_estimate_dominates_trivial_mode_report():
     # in trivial mode the report's class dimension is exactly the estimate
-    u = VirtualDecomposition.from_dict({(1, 1): 1})
+    u = {(1, 1): 1}
     rep_out = normal_spectrum_report(A2, WEIGHT, KMode.TRIVIAL, u, Q(20))
     for c in rep_out.classes:
         anchor = make_weight(A2, c.members[0].mu)

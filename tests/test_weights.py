@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ambient import reference
 from casimir_lab import ratlinalg as rl
 from casimir_lab import weights
-from casimir_lab.errors import CapExceeded, NotInLattice
+from casimir_lab.errors import CapExceeded, NonDominantWeight, NotInLattice
 from casimir_lab.rootsys import RootSystemType, build_root_system
 from casimir_lab.weights import (
     LatticeChoice,
@@ -61,11 +61,20 @@ def test_lattice_membership():
     rs = rs_of("A", 2)
     assert in_root_lattice(rs, (1, 1))  # adjoint weight
     assert not in_root_lattice(rs, (1, 0))
-    make_weight(rs, (1, 1), R)
+    assert make_weight(rs, [1, 1], R) == (1, 1)  # a weight is its coordinate tuple
+    assert make_weight(rs, (Q(2), -1), W) == (2, -1)
     with pytest.raises(NotInLattice):
         make_weight(rs, (1, 0), R)
     with pytest.raises(NotInLattice):
         make_weight(rs, (Q(1, 2), 0), W)
+    with pytest.raises(NotInLattice):
+        make_weight(rs, (1, 0, 0), W)
+
+
+def test_casimir_eigenvalue_refuses_a_nondominant_weight():
+    rs = rs_of("A", 2)
+    with pytest.raises(NonDominantWeight, match=r"^\(1, -1\) is not dominant$"):
+        casimir_eigenvalue(rs, make_weight(rs, (1, -1)))
 
 
 def _box_scan_classes(rs, lat, cap):
@@ -100,8 +109,8 @@ def test_classes_match_box_scan(fam, rank):
         got = classes_up_to(rs, lat, cap)
         assert [c.a_sq for c in got] == sorted(oracle)
         for c in got:
-            assert {w.fw_coords for w in c.sphere_members} == oracle[c.a_sq]
-            assert {w.fw_coords for w in c.dominant_members} == {
+            assert set(c.sphere_members) == oracle[c.a_sq]
+            assert set(c.dominant_members) == {
                 m for m in oracle[c.a_sq] if all(x >= 0 for x in m)
             }
 
@@ -114,8 +123,8 @@ def test_class_invariants():
             assert shifted_norm_sq(rs, w) == c.a_sq
         assert set(c.dominant_members) <= set(c.sphere_members)
         # dominant members are closed under duality
-        duals = {dual_weight(rs, w).fw_coords for w in c.dominant_members}
-        assert duals == {w.fw_coords for w in c.dominant_members}
+        duals = {dual_weight(rs, w) for w in c.dominant_members}
+        assert duals == set(c.dominant_members)
 
 
 def test_sphere_set_roundtrip():
@@ -123,25 +132,24 @@ def test_sphere_set_roundtrip():
     mu = make_weight(rs, (8, 0))
     cls = sphere_set(rs, W, shifted_norm_sq(rs, mu))
     assert cls.a_sq == Q(182, 3)
-    members = {w.fw_coords for w in cls.dominant_members}
+    members = set(cls.dominant_members)
     assert members == {(8, 0), (0, 8), (5, 4), (4, 5)}
 
 
 def test_dual_weight_involution_and_types():
     a2 = rs_of("A", 2)
-    assert dual_weight(a2, make_weight(a2, (3, 1))).fw_coords == (1, 3)
-    assert dual_weight(a2, dual_weight(a2, make_weight(a2, (3, 1)))).fw_coords == (3, 1)
+    assert dual_weight(a2, make_weight(a2, (3, 1))) == (1, 3)
+    assert dual_weight(a2, dual_weight(a2, make_weight(a2, (3, 1)))) == (3, 1)
     for fam in ("B", "G"):
         rs = rs_of(fam, 2)
-        assert dual_weight(rs, make_weight(rs, (2, 1))).fw_coords == (2, 1)  # self-dual types
+        assert dual_weight(rs, make_weight(rs, (2, 1))) == (2, 1)  # self-dual types
 
 
 def test_enumerate_dominant_sorted_and_complete():
     rs = rs_of("G", 2)
     doms = enumerate_dominant(rs, W, 50)
-    assert all(w.is_dominant() for w in doms)
-    coords = [w.fw_coords for w in doms]
-    assert coords == sorted(coords)  # documented order: by coordinates
+    assert all(min(w) >= 0 for w in doms)
+    assert doms == sorted(doms)  # documented order: by coordinates
     assert all(shifted_norm_sq(rs, w) <= 50 for w in doms)
     # completeness against a plain double loop
     brute = sorted(
@@ -150,19 +158,19 @@ def test_enumerate_dominant_sorted_and_complete():
         for c2 in range(8)
         if shifted_norm_sq(rs, make_weight(rs, (c1, c2))) <= 50
     )
-    assert coords == brute
+    assert doms == brute
 
 
 def test_degenerate_radius_classes():
     rs = rs_of("A", 1)
     # a^2 = |delta|^2 contains exactly the zero weight among dominants
     cls = sphere_set(rs, W, delta_norm_sq(rs))
-    assert [w.fw_coords for w in cls.dominant_members] == [(0,)]
-    assert {w.fw_coords for w in cls.sphere_members} == {(0,), (-2,)}
+    assert list(cls.dominant_members) == [(0,)]
+    assert set(cls.sphere_members) == {(0,), (-2,)}
     # radius 0: the single point -delta, not dominant
     zero = sphere_set(rs, W, 0)
     assert zero.dominant_members == ()
-    assert [w.fw_coords for w in zero.sphere_members] == [(-1,)]
+    assert list(zero.sphere_members) == [(-1,)]
 
 
 # --- the integer Fincke-Pohst enumerator against the Fraction one ---
@@ -215,13 +223,13 @@ def test_sphere_sets_and_classes_match_fraction_scan(case, lat):
     for m in rl.ellipsoid_points(rs.gram_fw, center, a_sq):
         if lat is W or in_root_lattice(rs, m):
             ref.setdefault(shifted_norm_sq(rs, make_weight(rs, m)), []).append(m)
-    assert [w.fw_coords for w in sphere_set(rs, lat, a_sq).sphere_members] == sorted(ref.get(a_sq, []))
+    assert list(sphere_set(rs, lat, a_sq).sphere_members) == sorted(ref.get(a_sq, []))
     anchored = sorted(n for n, ms in ref.items() if any(min(m) >= 0 for m in ms))
     got = classes_up_to(rs, lat, a_sq)
     assert [c.a_sq for c in got] == anchored
-    assert all([w.fw_coords for w in c.sphere_members] == sorted(ref[c.a_sq]) for c in got)
+    assert all(list(c.sphere_members) == sorted(ref[c.a_sq]) for c in got)
     doms = sorted(m for ms in ref.values() for m in ms if min(m) >= 0)
-    assert [w.fw_coords for w in enumerate_dominant(rs, lat, a_sq)] == doms
+    assert enumerate_dominant(rs, lat, a_sq) == doms
 
 
 def test_enumeration_refused_past_node_cap(monkeypatch):
