@@ -8,11 +8,17 @@ set of the permutations of X they induce, checks that the Weyl group sits
 inside it under the shift-conjugated action, and reports orbits.
 
 Everything is exact, and the search runs in integers: a shifted point
-mu + delta is kept as its fundamental-weight coordinates y = mu + 1, and
-inner products as y^T (den G) y, with G the fundamental-weight Gram
-matrix and den its least common denominator.  The integer Gram matrix
-certifies each generator, because a permutation p of X preserving every
-inner product is induced by exactly one such isometry.  Proof: a relation
+mu + delta is kept as its fundamental-weight coordinates y = mu + 1, all
+of them as one n x r integer array Y, and inner products as
+y^T (den G) y, with G the fundamental-weight Gram matrix and den its
+least common denominator: the images FY = Y (den G) give the sphere
+check as one row sum of FY * Y and the integer Gram matrix as FY Y^T.
+The array is int64 when r^2 max|y|^2 max|den G| < 2^63 bounds every
+partial sum of those products, and holds Python ints (dtype object)
+otherwise, so no entry can overflow.  The integer Gram matrix certifies
+each generator, by one comparison of all n^2 permuted entries, because a
+permutation p of X preserving every inner product is induced by exactly
+one such isometry.  Proof: a relation
 sum c_i x_i = 0 gives |sum c_i x_p(i)|^2 = sum c_i c_j <x_i, x_j> = 0, so
 x_i -> x_p(i) extends to a well-defined linear map of span X that
 preserves the Gram matrix, hence is orthogonal; it is the only linear map
@@ -37,9 +43,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
-from itertools import repeat
+from itertools import chain
 from math import prod
-from operator import add, itemgetter, mul
+from operator import itemgetter
+
+import numpy as np
 
 from . import rootsys as rsys
 from .errors import CapExceeded, InternalConsistencyError
@@ -54,13 +62,17 @@ Perm = tuple[int, ...]
 
 @dataclass(frozen=True)
 class ShiftedConfig:
-    """The shifted point set of a Casimir class in integer coordinates.
+    """The shifted point set of a Casimir class as one exact integer array.
 
     coords[i] are the fundamental-weight coordinates mu + 1 of the shifted
-    point mu + delta, in sorted order; gram_int[i][j] is den times the inner
-    product of points i and j, with den = rs.gram_fw_int[0].  The Gram
-    matrix has size^2 entries, so it is built on first use, after the
-    point cap has been checked.
+    point mu + delta, in sorted order.  y is coords as an n x r array and
+    fy = y (den G) their images, so the inner products are y^T (den G) y:
+    gram_int = fy y^T is den times the Gram matrix, den =
+    rs.gram_fw_int[0].  The dtype is int64 when r^2 max|y|^2 max|den G| <
+    2^63 bounds every partial sum, and object (Python ints) otherwise.  The
+    Gram matrix has size^2 entries, so it is built on first use, after the
+    point cap has been checked; gram_rows is its one list view, which the
+    backtracking reads.
     """
 
     rs: RootSystem
@@ -72,37 +84,46 @@ class ShiftedConfig:
         return len(self.coords)
 
     @cached_property
-    def gram_int(self) -> tuple[tuple[int, ...], ...]:
-        # Row i is sum_k y_i[k] * (column k of the images G y_j), so every
-        # entry is summed by map in C rather than by one call per entry.
-        cols = list(zip(*_fw_images(self.rs, self.coords)))
-        rows = []
-        for y in self.coords:
-            row = map(mul, repeat(y[0]), cols[0])
-            for c, col in zip(y[1:], cols[1:]):
-                row = map(add, row, map(mul, repeat(c), col))
-            rows.append(tuple(row))
-        return tuple(rows)
+    def _form(self) -> np.ndarray:
+        # Every partial sum of FY and of FY Y^T is at most r^2 max|y|^2 max|den G|.
+        g = self.rs.gram_fw_int[1]
+        top = max(map(abs, chain.from_iterable(self.coords)), default=0)
+        bound = self.rs.rank**2 * top**2 * max(map(abs, chain.from_iterable(g)))
+        return np.array(g, dtype=np.int64 if bound < 2**63 else object)
+
+    @cached_property
+    def y(self) -> np.ndarray:
+        return np.array(self.coords, dtype=self._form.dtype).reshape(self.size, self.rs.rank)
+
+    @cached_property
+    def fy(self) -> np.ndarray:
+        return self.y @ self._form
+
+    @cached_property
+    def gram_int(self) -> np.ndarray:
+        return self.fy @ self.y.T
+
+    @cached_property
+    def gram_rows(self) -> list[list[int]]:
+        return self.gram_int.tolist()
 
     @cached_property
     def mu_coords(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(c - 1 for c in y) for y in self.coords)
 
 
-def _fw_images(rs: RootSystem, coords) -> list[tuple[int, ...]]:
-    """G y for each y in coords, G the integer fundamental-weight Gram matrix."""
-    g = rs.gram_fw_int[1]
-    return [tuple(sum(map(mul, row, y)) for row in g) for y in coords]
-
-
 def shifted_config(rs: RootSystem, cls: CasimirClass) -> ShiftedConfig:
     """Translate every sphere member by delta; canonical order, exact norms."""
-    coords = sorted(tuple(c + 1 for c in m) for m in cls.sphere_members)
-    on_sphere = cls.a_sq.numerator * rs.gram_fw_int[0]
-    for y, gy in zip(coords, _fw_images(rs, coords)):
-        if sum(map(mul, y, gy)) * cls.a_sq.denominator != on_sphere:
-            raise InternalConsistencyError("shifted point off its sphere")
-    return ShiftedConfig(rs=rs, a_sq=cls.a_sq, coords=tuple(coords))
+    coords = tuple(sorted(tuple(c + 1 for c in m) for m in cls.sphere_members))
+    cfg = ShiftedConfig(rs=rs, a_sq=cls.a_sq, coords=coords)
+    norm, rem = divmod(cls.a_sq.numerator * rs.gram_fw_int[0], cls.a_sq.denominator)
+    # The row sums of FY * Y, as n products of 1 x r by r x 1: the matmul kernel
+    # that built FY, where a product and a sum would add two kernels to every
+    # small class.
+    norms = (cfg.fy[:, None, :] @ cfg.y[:, :, None]).ravel().tolist()
+    if cfg.size and (rem or norms != [norm] * cfg.size):
+        raise InternalConsistencyError("shifted point off its sphere")
+    return cfg
 
 
 def _select_basis(cfg: ShiftedConfig) -> list[int]:
@@ -112,7 +133,7 @@ def _select_basis(cfg: ShiftedConfig) -> list[int]:
     pass extends the profiles by the newest point's column and reduces the
     points outside the span so far against the newest echelon row only.
     """
-    g = cfg.gram_int
+    g = cfg.gram_rows
     chosen: list[int] = []
     profiles: list[tuple[int, ...]] = [()] * cfg.size
     live = {i: list(y) for i, y in enumerate(cfg.coords) if any(y)}
@@ -130,7 +151,8 @@ def _select_basis(cfg: ShiftedConfig) -> list[int]:
                     live[i] = v
                 else:
                     del live[i]
-        profiles = [p + (r[best],) for p, r in zip(profiles, g)]
+        # The Gram matrix is symmetric: the newest column is its row.
+        profiles = [p + (x,) for p, x in zip(profiles, g[best])]
     return chosen
 
 
@@ -169,16 +191,17 @@ def _orbit(point: int, gens) -> list[int]:
 
 
 def _check_gram(cfg: ShiftedConfig, perm: Perm) -> None:
-    """Certify that perm preserves every inner product: n^2 integer comparisons."""
+    """Certify that perm preserves every inner product: all n^2 entries of
+    the permuted Gram matrix compared with the Gram matrix at once."""
     g = cfg.gram_int
-    for row, image in zip(g, perm):
-        if tuple(map(g[image].__getitem__, perm)) != row:
-            raise InternalConsistencyError("stabilizer permutation mismatch")
+    # g[p][:, p]; take reads perm as one list of indices, g[perm] as one index per axis.
+    if not (g.take(perm, 0).take(perm, 1) == g).all():
+        raise InternalConsistencyError("stabilizer permutation mismatch")
 
 
 def _search(cfg: ShiftedConfig, basis: list[int]) -> PermGroup:
     """Certified strong generators relative to the base basis (see stabilizer_group)."""
-    g = cfg.gram_int
+    g = cfg.gram_rows
     n, r = cfg.size, len(basis)
     images = list(basis)
     basis_profiles = list(map(itemgetter(*basis), g))
@@ -224,6 +247,14 @@ def _search(cfg: ShiftedConfig, basis: list[int]) -> PermGroup:
     return PermGroup(tuple(basis), tuple(gens), tuple(lengths))
 
 
+def _inverse(perm: Perm) -> Perm:
+    """The inverse permutation, in one assignment pass."""
+    inv = [0] * len(perm)
+    for i, x in enumerate(perm):
+        inv[x] = i
+    return tuple(inv)
+
+
 def _check_strong_generators(group: PermGroup, n: int) -> None:
     """Deterministic Schreier-Sims test of a base and strong generating set.
 
@@ -235,7 +266,7 @@ def _check_strong_generators(group: PermGroup, n: int) -> None:
     through the transversals of levels k+1.. to the identity.
     """
     base, r = group.base, len(group.base)
-    inverses = {s: tuple(sorted(range(n), key=s.__getitem__)) for s in group.gens}
+    inverses = {s: _inverse(s) for s in group.gens}
     levels = []
     for k, b in enumerate(base):
         gens = [s for s in group.gens if all(s[c] == c for c in base[:k])]

@@ -179,25 +179,30 @@ def _member_type(v, kmode: KMode) -> RepType:
     return classify_type(v)
 
 
-def _complex_members(rs, cls, ustar, kmode, orbit_by_mu):
-    members = []
+def _complex_members(rs, cls, ustar, kmode, point_cap, rank_cap):
+    """(members with a nonzero isotypic dimension, orbit count); the hidden
+    data is computed only when some member is kept."""
+    kept = []
     for mu in cls.dominant_members:
         v = RepLabel(rs, mu)
         iso = _isotypic(v, ustar, kmode)
-        if iso <= 0:
-            continue
-        oid = UNCOMPUTED if orbit_by_mu is None else orbit_by_mu[mu]
-        members.append(
-            SpectralMember(
-                mu=mu,
-                dual_mu=dual_label(v).highest,
-                dim=weyl_dim(v),
-                rep_type=_member_type(v, kmode),
-                isotypic_dim=iso,
-                hidden_orbit_id=oid,
-            )
+        if iso > 0:
+            kept.append((v, iso))
+    if not kept:
+        return [], None
+    orbit_by_mu, orbit_count = _hidden_data(rs, cls, point_cap, rank_cap)
+    members = [
+        SpectralMember(
+            mu=v.highest,
+            dual_mu=dual_label(v).highest,
+            dim=weyl_dim(v),
+            rep_type=_member_type(v, kmode),
+            isotypic_dim=iso,
+            hidden_orbit_id=UNCOMPUTED if orbit_by_mu is None else orbit_by_mu[v.highest],
         )
-    return members
+        for v, iso in kept
+    ]
+    return members, orbit_count
 
 
 def normal_spectrum_report(
@@ -212,15 +217,14 @@ def normal_spectrum_report(
     """Every Casimir class up to the cap, filtered to members with invariants.
 
     Classes whose members all have zero isotypic dimension do not occur in
-    the U*-spectrum and are dropped.  Hidden-orbit ids come from the exact
-    stabilizer computation when the configuration fits the caps and are
-    marked uncomputed otherwise.
+    the U*-spectrum and are dropped before their hidden data is computed.
+    Hidden-orbit ids come from the exact stabilizer computation when the
+    configuration fits the caps and are marked uncomputed otherwise.
     """
     entries = []
     member_types = []
     for cls in classes_up_to(rs, lat, a_sq_cap):
-        orbit_by_mu, orbit_count = _hidden_data(rs, cls, point_cap, rank_cap)
-        members = _complex_members(rs, cls, ustar, kmode, orbit_by_mu)
+        members, orbit_count = _complex_members(rs, cls, ustar, kmode, point_cap, rank_cap)
         if not members:
             continue
         member_types.extend(m.rep_type for m in members)

@@ -31,7 +31,7 @@ def select_basis(cfg):
     chosen = []
     echelon = []
     while True:
-        profiles = [tuple(row[j] for j in chosen) for row in cfg.gram_int]
+        profiles = [tuple(row[j] for j in chosen) for row in cfg.gram_int.tolist()]
         shared = Counter(profiles)
         best = best_rest = None
         for i, y in enumerate(cfg.coords):
@@ -74,7 +74,7 @@ def full_stabilizer(cfg):
     n, r = cfg.size, len(basis)
     if r == 0:
         return [tuple(range(n))]
-    g = cfg.gram_int
+    g = cfg.gram_int.tolist()
     perms = set()
     images = [0] * r
     basis_profiles = list(map(itemgetter(*basis), g))

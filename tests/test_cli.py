@@ -339,6 +339,23 @@ def test_rank3_hidden_output_pinned(capsys):
     assert digest.hexdigest() == RANK3_HIDDEN_PIN
 
 
+# A1 at a^2 = 5 * 10^39: the points are y = +-10^20, past the int64 bound of
+# hidden.ShiftedConfig, so the Gram matrix holds Python ints.  sha256 of
+# argv, exit code, stdout and stderr, recorded while the Gram matrix was a
+# tuple of Python-int rows.
+HUGE_A1_HIDDEN = ["hidden", "--type", "A", "--rank", "1", "--a2", "5" + "0" * 39]
+HUGE_A1_HIDDEN_PIN = "d6b33a3d72f4af65f0afac07f8d62e67f487d95f71228af32a7b13acd03a3f4c"
+
+
+def test_hidden_past_the_int64_bound_pinned(capsys):
+    code, out, err = run(capsys, *HUGE_A1_HIDDEN)
+    data = json.loads(out)
+    assert (code, data["points"], data["order"], data["orbits"]) == (0, 2, 2, 1)
+    assert data["dominant_members"] == [[10**20 - 1]]
+    digest = hashlib.sha256(json.dumps([HUGE_A1_HIDDEN, code, out, err]).encode())
+    assert digest.hexdigest() == HUGE_A1_HIDDEN_PIN
+
+
 def _sys_argv(name):
     return ["--type", name[0], "--rank", name[1:]]
 

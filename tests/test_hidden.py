@@ -1,6 +1,7 @@
 """Stabilizers of shifted eigenvalue spheres, orbits, Weyl inclusion."""
 
 import dataclasses
+import itertools
 import sys
 from fractions import Fraction as Q
 from operator import mul
@@ -76,6 +77,26 @@ def _orbits_of(cfg, perms):
 
 def _config(rs, a_sq):
     return shifted_config(rs, sphere_set(rs, WEIGHT, Q(a_sq)))
+
+
+# 10^10 times a point of a small class has coordinates past the int64 bound
+# of ShiftedConfig, so its array holds Python ints.
+OBJECT_SCALE = 10**10
+# Each certificate test runs on the class itself and on its object-path copy.
+SCALES = ((1, "int64"), (OBJECT_SCALE, "object"))
+
+
+def _scaled(cfg, k):
+    """cfg with every point multiplied by k: the Gram matrix times k^2, so
+    the same stabilizer."""
+    return dataclasses.replace(cfg, a_sq=cfg.a_sq * k * k, coords=tuple(tuple(k * c for c in y) for y in cfg.coords))
+
+
+def _gram_by_entries(cfg):
+    """y_i . (G y_j) in Python ints, one entry at a time."""
+    g = cfg.rs.gram_fw_int[1]
+    images = [tuple(sum(map(mul, row, y)) for row in g) for y in cfg.coords]
+    return [[sum(map(mul, y, gz)) for gz in images] for y in cfg.coords]
 
 
 def _points(cfg):
@@ -300,17 +321,19 @@ def test_non_generator_matrix_is_exact():
 
 
 def test_generator_check_rejects_a_wrong_permutation():
-    cfg = _config(B2, Q(25, 2))
-    p = stabilizer_group(cfg).gens[0]
-    _check_gram(cfg, p)
-    phi = _reference_matrix(cfg, p)
-    assert _is_isometry(cfg, phi, p)
-    swapped = (p[1], p[0]) + p[2:]
-    with pytest.raises(InternalConsistencyError, match="stabilizer permutation mismatch"):
-        _check_gram(cfg, swapped)
-    assert not _is_isometry(cfg, phi, swapped)
-    assert not _is_isometry(cfg, _reference_matrix(cfg, swapped), swapped)
-    assert not _is_isometry(cfg, mat_scale(2, phi), p)
+    for scale, dtype in SCALES:
+        cfg = _scaled(_config(B2, Q(25, 2)), scale)
+        assert cfg.gram_int.dtype == dtype
+        p = stabilizer_group(cfg).gens[0]
+        _check_gram(cfg, p)
+        phi = _reference_matrix(cfg, p)
+        assert _is_isometry(cfg, phi, p)
+        swapped = (p[1], p[0]) + p[2:]
+        with pytest.raises(InternalConsistencyError, match="stabilizer permutation mismatch"):
+            _check_gram(cfg, swapped)
+        assert not _is_isometry(cfg, phi, swapped)
+        assert not _is_isometry(cfg, _reference_matrix(cfg, swapped), swapped)
+        assert not _is_isometry(cfg, mat_scale(2, phi), p)
 
 
 def test_gram_certificate_rejects_every_swapped_element():
@@ -368,16 +391,44 @@ def test_matches_full_reference_on_every_class():
 
 
 def test_gram_matches_the_entrywise_dot_products():
-    """gram_int, summed column by column, equals y_i . (G y_j) taken one
-    entry at a time, on every A2/B2/G2 class with a^2 <= 60 and every
+    """gram_int, an array product, equals y_i . (G y_j) taken one entry at
+    a time in Python ints, on every A2/B2/G2 class with a^2 <= 60 and every
     48-point B3 class with a^2 <= 21."""
     configs = [shifted_config(rs, cls) for rs in (A2, B2, G2) for cls in classes_up_to(rs, WEIGHT, Q(60))]
     b3 = [cfg for cfg in (shifted_config(B3, cls) for cls in classes_up_to(B3, WEIGHT, Q(21))) if cfg.size == 48]
     assert [cfg.a_sq for cfg in b3] == [Q(35, 4), 14, 21]
     for cfg in configs + b3:
-        g = cfg.rs.gram_fw_int[1]
-        images = [tuple(sum(map(mul, row, y)) for row in g) for y in cfg.coords]
-        assert cfg.gram_int == tuple(tuple(sum(map(mul, y, gz)) for gz in images) for y in cfg.coords)
+        assert cfg.gram_int.shape == (cfg.size, cfg.size)
+        assert cfg.gram_int.tolist() == cfg.gram_rows == _gram_by_entries(cfg)
+
+
+def test_desk_scale_classes_take_the_int64_path():
+    rank4 = [_config(build_root_system(RootSystemType(f, 4)), a_sq) for f, a_sq, _ in RANK4]
+    configs = list(_reference_classes()) + rank4
+    assert len(configs) == 105 + 3
+    for cfg in configs:
+        assert cfg.y.dtype == cfg.fy.dtype == cfg.gram_int.dtype == "int64", (cfg.rs.typ, cfg.a_sq)
+
+
+def test_int64_bound_is_exact_at_its_edge():
+    """On A1, den G = (1) and the bound is y^2 < 2^63: y = 3037000499 is the
+    last int64 class, and y = 3037000500, whose Gram entries y^2 do not fit
+    in int64, takes the object path.  Both Gram matrices are the Python
+    products, and both classes keep their order-2 group."""
+    for y, a_sq, dtype in ((3037000499, Q(3037000499**2, 2), "int64"), (3037000500, Q(3037000500**2, 2), "object")):
+        cfg = _config(A1, a_sq)
+        assert cfg.coords == ((-y,), (y,))
+        assert cfg.gram_int.dtype == dtype
+        assert cfg.gram_rows == _gram_by_entries(cfg) == [[y * y, -y * y], [-y * y, y * y]]
+        assert all(type(v) is int for row in cfg.gram_rows for v in row)
+        assert len(stabilizer_group(cfg)) == 2
+    # Past the bound in rank 3 too: the stabilizer and Gram matrix are unchanged by scaling.
+    cfg = _config(B3, Q(35, 4))
+    big = _scaled(cfg, OBJECT_SCALE)
+    assert big.gram_int.dtype == object
+    assert big.gram_rows == _gram_by_entries(big)
+    assert big.gram_rows == [[OBJECT_SCALE**2 * v for v in row] for row in cfg.gram_rows]
+    assert _elements(big, stabilizer_group(big)) == _elements(cfg, stabilizer_group(cfg))
 
 
 RANK4 = [("D", 14, 192), ("B", 30, 576), ("C", 15, 576)]
@@ -434,8 +485,9 @@ def test_sift_rejects_wrong_orbit_lengths_and_a_foreign_generator():
 
 
 def test_every_generator_with_two_images_swapped_is_rejected():
-    for rs, a_sq in ((B2, Q(25, 2)), (B3, Q(35, 4)), (A3, Q(17)), (G2, Q(98, 3))):
-        cfg = _config(rs, a_sq)
+    for (rs, a_sq), (scale, dtype) in itertools.product(((B2, Q(25, 2)), (B3, Q(35, 4)), (A3, Q(17)), (G2, Q(98, 3))), SCALES):
+        cfg = _scaled(_config(rs, a_sq), scale)
+        assert cfg.gram_int.dtype == dtype
         for p in stabilizer_group(cfg).gens:
             _check_gram(cfg, p)
             i = next(i for i in range(cfg.size) if p[i] != i)

@@ -4,7 +4,9 @@ from fractions import Fraction as Q
 
 import pytest
 
+from casimir_lab import spectra
 from casimir_lab.errors import InternalConsistencyError, NonDominantWeight
+from casimir_lab.hidden import stabilizer_group
 from casimir_lab.reps import KMode, RepType
 from casimir_lab.rootsys import RootSystemType, build_root_system
 from casimir_lab.spectra import (
@@ -17,7 +19,7 @@ from casimir_lab.spectra import (
     normal_spectrum_report,
     real_spectrum_report,
 )
-from casimir_lab.weights import LatticeChoice, make_weight
+from casimir_lab.weights import LatticeChoice, classes_up_to, make_weight
 
 A1 = build_root_system(RootSystemType("A", 1))
 A2 = build_root_system(RootSystemType("A", 2))
@@ -46,6 +48,23 @@ def test_empty_ustar_empty_report():
     rep_out = normal_spectrum_report(A1, WEIGHT, KMode.TRIVIAL, empty, Q(20))
     assert rep_out.classes == ()
     assert rep_out.total_dim == 0
+
+
+def test_dropped_classes_get_no_stabilizer(monkeypatch):
+    # U* the zero character of the torus: only the classes of the root
+    # lattice have members with a zero weight, so two thirds are dropped.
+    calls = []
+
+    def counted(cfg, **caps):
+        calls.append(cfg.a_sq)
+        return stabilizer_group(cfg, **caps)
+
+    monkeypatch.setattr(spectra, "stabilizer_group", counted)
+    rep_out = normal_spectrum_report(A2, WEIGHT, KMode.TORUS, {(0, 0): 1}, Q(20))
+    every = [cls.a_sq for cls in classes_up_to(A2, WEIGHT, Q(20))]
+    kept = [c.a_sq for c in rep_out.classes]
+    assert len(kept) < len(every)
+    assert calls == kept
 
 
 def test_a2_big_class_diagonal_mode():
