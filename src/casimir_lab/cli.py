@@ -42,6 +42,7 @@ from .hidden import (
 from .oplab import (
     GroupSpec,
     MetricParam,
+    admit_metric,
     build_operator,
     certify,
     char_poly,
@@ -75,9 +76,10 @@ def _fields(obj) -> dict:
 
 def _write(obj, out, nl: str, memo: dict) -> None:
     """Append obj's canonical JSON text to out, in the order json.dumps tests
-    types: a str, None, a bool, an int, a float, a list or tuple, a dict;
-    then a Fraction as "p/q", an Enum as its value and a dataclass as its
-    _fields.  nl is the newline and indentation of obj's own line.
+    types: a str, None, a bool, an int, a float, a list or tuple (a _Rows
+    table as its list of row objects), a dict; then a Fraction as "p/q", an
+    Enum as its value and a dataclass as its _fields.  nl is the newline and
+    indentation of obj's own line.
 
     memo maps (id, nl) of each dataclass written so far to its text and the
     object itself, so a label repeated in every row of a table is walked
@@ -100,6 +102,9 @@ def _write(obj, out, nl: str, memo: dict) -> None:
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out("[]")
+            return
+        if type(obj) is _Rows:
+            _write_rows(obj, out, nl, memo)
             return
         inner = nl + "  "
         sep = "[" + inner
@@ -134,6 +139,29 @@ def _write(obj, out, nl: str, memo: dict) -> None:
         out(memo[key][0])
     else:
         raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+class _Rows(tuple):
+    """Certificate table rows (kind, rep, rep2, value), each written as the
+    JSON object with those keys; the names are already in sorted order."""
+
+
+def _write_rows(rows: _Rows, out, nl: str, memo: dict) -> None:
+    """_write of a nonempty _Rows: the key text and separators are made once
+    for the table, and each row's values are written by _write."""
+    inner = nl + "  "
+    field = inner + "  "
+    heads = [("," if i else "{") + field + _escape(key) + ": " for i, key in enumerate(("kind", "rep", "rep2", "value"))]
+    close = inner + "}"
+    sep = "[" + inner
+    for row in rows:
+        out(sep)
+        sep = "," + inner
+        for head, value in zip(heads, row):
+            out(head)
+            _write(value, out, field, memo)
+        out(close)
+    out(nl + "]")
 
 
 def _float_text(x: float) -> str:
@@ -331,10 +359,6 @@ def _rs_context(args) -> dict:
     }
 
 
-def _table_rows(rows) -> list:
-    return [{"kind": kind, "rep": v, "rep2": w, "value": val} for kind, v, w, val in rows]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -418,8 +442,8 @@ def cmd_certify(args) -> dict:
         "rep_cap": args.rep_cap,
         "candidates_tried": cert.candidates_tried,
         "witness_kappa": _kappa_payload(cert.witness_kappa) if cert.witness_kappa else None,
-        "table": _table_rows(cert.table),
-        "violations": _table_rows(cert.violations),
+        "table": _Rows(cert.table),
+        "violations": _Rows(cert.violations),
     }
 
 
@@ -427,6 +451,7 @@ def cmd_spectrum(args) -> dict:
     g = GroupSpec(args.su2, args.torus)
     k = parse_kappa(args.kappa, g)
     reps = enumerate_reps(g, args.rep_cap)
+    admit_metric(k, reps)
     ops = [build_operator(g, v, k) for v in reps]
     entries = []
     for v, op in zip(reps, ops):

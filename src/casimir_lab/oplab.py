@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch, InternalConsistencyError, NotPositiveDefinite
-from .polyq import RationalPoly, derivative, integer_parts, resultant, squarefree_decomposition
+from .polyq import RationalPoly, derivative, resultant
 from .ratlinalg import frac, integer_det, is_positive_definite
 
 Q = Fraction
@@ -377,6 +377,17 @@ REP_COUNT_CAP = 64
 TOTAL_DIM_CAP = 160
 # Admission cap of certify on the number of candidate metrics it may try.
 BUDGET_CAP = 100_000
+# Admission cap of cli spectrum on b d, for b the bit length of the largest
+# number in the metric's integer form (MetricParam._weights: the weights and
+# their common denominator) and d the largest rep dimension.  The written
+# coefficient at t^(d-k) is c_k / den^k with den = 4 lcm and |c_k| at most
+# C(d, k) times the k-th power of the largest absolute row sum of A = den D,
+# so both its numerator and its denominator have at most d (b + 23) bits
+# within the rep caps above (at most 300 weights, rows of each piece summing
+# to at most 8,192).  Python refuses to write an int of more than 4,300
+# decimal digits (14,284 bits), and with b d <= 12,288 every coefficient
+# stays below it.
+METRIC_BITS_CAP = 12_288
 
 
 def _admit(what: str, factors, cap: int) -> None:
@@ -413,6 +424,16 @@ def enumerate_reps(g: GroupSpec, rep_cap: int):
     # product walks its ranges lexicographically, so the list is sorted by
     # (spins, torus_char)
     return [IrrepSpec(t[:c], t[c:]) for t in itertools.product(*ranges)]
+
+
+def admit_metric(k: MetricParam, reps) -> None:
+    """Refuse (CapExceeded) the metric k on the labels reps when the bit
+    length of its integer form times the largest rep dimension passes
+    METRIC_BITS_CAP, before any operator is built."""
+    terms, lcm = k._weights
+    size = max(x.bit_length() for x in [lcm, *(abs(w) for _, _, w in terms)]) * max(v.dim for v in reps)
+    if size > METRIC_BITS_CAP:
+        raise CapExceeded("metric bits x rep dimension", size, METRIC_BITS_CAP)
 
 
 def witness_sequence(n: int, budget: int, seed: int):
@@ -560,11 +581,15 @@ def _float_hermitian(op: ExactOperator):
     """Conjugate by W^(1/2) to land in an honestly Hermitian float matrix.
 
     Integer true division rounds correctly, so each entry is the float of
-    the exact rational entry."""
+    the exact rational entry; an entry past the float range is refused
+    (ValueError), as input the float eigensolver cannot take."""
     w = _monomial_weights(op.rep)
     d = op.dim
     s = [math.sqrt(float(x)) for x in w]
-    return [[complex(op.re[i][j] / op.den, op.im[i][j] / op.den) * s[i] / s[j] for j in range(d)] for i in range(d)]
+    try:
+        return [[complex(op.re[i][j] / op.den, op.im[i][j] / op.den) * s[i] / s[j] for j in range(d)] for i in range(d)]
+    except OverflowError:
+        raise ValueError(f"an operator entry of {op.rep} is past the float range of the numeric spectrum") from None
 
 
 def numeric_spectrum(g: GroupSpec, rep_list, k: MetricParam, tol: float = 1e-9):
@@ -581,17 +606,26 @@ def cluster_spectrum(ops, k: MetricParam, tol: float = 1e-9):
     """numeric_spectrum for operators already built at the metric k.
 
     kappa is checked positive definite, exactly, before the first operator
-    is taken from ops, so ops may be a lazy iterable.
+    is taken from ops, so ops may be a lazy iterable; then every operator is
+    checked to be built at k before any is solved.  The operators of one
+    dimension are solved by one stacked eigvalsh call, which runs the same
+    LAPACK routine on each matrix as a call per operator would.  Eigenvalues
+    are taken in operator order and stably sorted, so ties keep that order.
     """
     if not k.is_positive_definite():
         raise NotPositiveDefinite("kappa is not positive definite")
-    pairs = []
-    for op in ops:
-        if op.kappa_ref != k:
-            raise ValueError("operator was built at another metric")
-        h = _float_hermitian(op)
-        for lam in np.linalg.eigvalsh(np.array(h, dtype=complex)):
-            pairs.append((float(lam), op.rep))
+    ops = list(ops)
+    if any(op.kappa_ref != k for op in ops):
+        raise ValueError("operator was built at another metric")
+    by_dim = {}
+    for i, op in enumerate(ops):
+        by_dim.setdefault(op.dim, []).append(i)
+    eigs = [None] * len(ops)
+    for idx in by_dim.values():
+        stack = np.linalg.eigvalsh(np.array([_float_hermitian(ops[i]) for i in idx], dtype=complex))
+        for i, lams in zip(idx, stack.tolist()):
+            eigs[i] = lams
+    pairs = [(lam, op.rep) for op, lams in zip(ops, eigs) for lam in lams]
     pairs.sort(key=lambda t: t[0])
     clusters = []
     for lam, v in pairs:
@@ -613,12 +647,13 @@ def cluster_spectrum(ops, k: MetricParam, tol: float = 1e-9):
 def multiplicity_at_float(p: RationalPoly, x: float, tol: float = 1e-6) -> int:
     """Exact multiplicity of the root of p nearest the float estimate x.
 
-    p is cleared to integer coefficients once and split into primitive
-    integer squarefree layers by Yun's algorithm (Yun 1976; layer i collects
-    the multiplicity-i roots); within a layer roots are simple, so the
-    Newton residual |q(x)/q'(x)| is a sound distance proxy.  It is decided
-    exactly at the dyadic value x = n / 2^e of the float: for a layer q,
-    homogeneous integer Horner gives
+    p's primitive integer squarefree layers by Yun's algorithm (Yun 1976;
+    layer i collects the multiplicity-i roots) are p._layers, computed on
+    the first call for this instance and reused by every later one, so the
+    memberships of one polynomial share one decomposition.  Within a layer
+    roots are simple, so the Newton residual |q(x)/q'(x)| is a sound
+    distance proxy.  It is decided exactly at the dyadic value x = n / 2^e
+    of the float: for every layer q, homogeneous integer Horner gives
     2^(e deg q) q(x) and 2^(e (deg q - 1)) q'(x), and the test
     |q(x)| <= b |q'(x)| for the float b = tol * max(1, |x|), taken exactly,
     is one integer comparison (float Horner on large coefficients loses
@@ -628,17 +663,16 @@ def multiplicity_at_float(p: RationalPoly, x: float, tol: float = 1e-6) -> int:
     """
     if not math.isfinite(x):
         raise InternalConsistencyError(f"cluster center {x!r} is not finite")
-    _, parts = squarefree_decomposition(integer_parts(p)[1])
     n, den = x.as_integer_ratio()
     bound = tol * max(1.0, abs(x))
     # b = bn / bd; b = +inf admits every layer, -inf and nan none, as the
     # comparison with the float does.
     bn, bd = bound.as_integer_ratio() if math.isfinite(bound) else ((1, 0) if bound > 0 else (-1, 1))
     hits = []
-    for i, q in enumerate(parts):
+    for i, (q, dq) in enumerate(p._layers):
         if len(q) <= 1:
             continue
-        dval = _homogeneous_horner(derivative(q), n, den)
+        dval = _homogeneous_horner(dq, n, den)
         if dval == 0:
             continue
         if abs(_homogeneous_horner(q, n, den)) * bd <= bn * den * abs(dval):

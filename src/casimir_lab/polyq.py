@@ -12,18 +12,34 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import cached_property
 
 from .errors import InternalConsistencyError
 
 
 @dataclass(frozen=True)
 class RationalPoly:
-    """Exact rational polynomial in one variable (parsing and output boundary)."""
+    """Exact rational polynomial in one variable (parsing and output boundary).
+
+    Its squarefree layers (_layers) are derived on first use and kept for
+    the life of the instance, outside the dataclass fields, so equality,
+    hashing and repr do not see them.  Equal instances do not share them.
+    """
 
     coefficients: tuple[Q, ...]
 
     def is_zero(self) -> bool:
         return not self.coefficients
+
+    @cached_property
+    def _layers(self) -> tuple:
+        """((q, q'), ...): Yun's primitive integer squarefree layers q of
+        integer_parts(self)[1], each with its derivative; the layer at
+        position i holds the roots of multiplicity i + 1 and may be the
+        constant [1].  The zero polynomial raises ValueError on every use,
+        since a raising getter stores nothing."""
+        _, parts = squarefree_decomposition(integer_parts(self)[1])
+        return tuple((q, derivative(q)) for q in parts)
 
 
 def integer_parts(p: RationalPoly) -> tuple[Q, list[int]]:

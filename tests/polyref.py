@@ -8,9 +8,10 @@ Fraction counterparts the tests compare against: polynomial arithmetic on
 dense generators built from derivations and Kronecker products, the
 operators as such matrices, the self-adjointness and Casimir checks on the
 integer rows, the Gaussian-rational Faddeev-LeVerrier reference for
-`oplab`'s Berkowitz characteristic polynomials, and
+`oplab`'s Berkowitz characteristic polynomials,
 `abc_values`, the separation, simplicity and pairing resultants of two
-irreducibles at one metric.
+irreducibles at one metric, and `reference_cluster_spectrum`, the float
+clusters from one eigensolver call per operator.
 """
 
 import math
@@ -19,10 +20,12 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Optional
 
+import numpy as np
+
 from casimir_lab import ratlinalg as rl
 from casimir_lab.errors import InternalConsistencyError
 from casimir_lab.gaussian import GZERO, QQi, gmatmul
-from casimir_lab.oplab import GroupSpec, IrrepSpec, build_operator, diag_metric
+from casimir_lab.oplab import GroupSpec, IrrepSpec, SpectrumCluster, build_operator, diag_metric
 from casimir_lab.polyq import RationalPoly, integer_parts, resultant, squarefree_decomposition
 
 # -- arithmetic on RationalPoly ---------------------------------------------
@@ -399,3 +402,39 @@ def abc_values(g, reps, k) -> ABCValues:
             out["b" + tag] = sylvester_resultant(p, derivative(p))
             out["c" + tag] = None
     return ABCValues(**out)
+
+
+# -- float spectra -----------------------------------------------------------
+
+
+def reference_cluster_spectrum(ops, tol: float = 1e-9) -> list:
+    """The SpectrumCluster list of ops, all built at one definite metric, from
+    one eigvalsh call per operator on the Hermitian W^(1/2) D W^(-1/2), with
+    W_ii = 1 / b_i as in is_w_hermitian.  The eigenvalues of all operators,
+    in operator order, are sorted stably; each one within
+    tol * max(1, |lam|) of the one before joins its cluster, and a cluster's
+    centre is the mean of its eigenvalues."""
+    pairs = []
+    for op in ops:
+        b = [1]
+        for m in op.rep.spins:
+            b = [x * math.comb(m, k) for x in b for k in range(m + 1)]
+        s = [math.sqrt(float(Q(1, x))) for x in b]
+        d = op.dim
+        h = [[complex(op.re[i][j] / op.den, op.im[i][j] / op.den) * s[i] / s[j] for j in range(d)] for i in range(d)]
+        pairs += [(float(lam), op.rep) for lam in np.linalg.eigvalsh(np.array(h, dtype=complex))]
+    pairs.sort(key=lambda t: t[0])
+    groups = []
+    for lam, v in pairs:
+        if groups and lam - groups[-1][-1][0] <= tol * max(1.0, abs(lam)):
+            groups[-1].append((lam, v))
+        else:
+            groups.append([(lam, v)])
+    out = []
+    for group in groups:
+        counts = {}
+        for _, v in group:
+            counts[v] = counts.get(v, 0) + 1
+        per_rep = tuple(sorted(counts.items(), key=lambda t: (t[0].spins, t[0].torus_char)))
+        out.append(SpectrumCluster(sum(x for x, _ in group) / len(group), per_rep))
+    return out

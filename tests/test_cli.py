@@ -208,6 +208,12 @@ def operator_requests(draw):
     value = st.builds(lambda p, q: str(Q(p, q)), st.integers(-12, 12), st.integers(1, 12))
     # a diagonal past 12 (n - 1) dominates every row, so half of the kappas are definite
     diagonal = st.integers(12 * n, 24 * n).map(str) if draw(st.booleans()) else value
+    if draw(st.booleans()):
+        # half of the kappas may hold numerators or denominators of 100 to
+        # 1,300 digits, around the metric bits cap and the float range
+        long = st.integers(100, 1_300).map(lambda e: 10**e + 7)
+        value = st.one_of(value, st.builds(lambda x, sign: str(sign * x), long, st.sampled_from([1, -1])))
+        diagonal = st.one_of(diagonal, long.map(str), long.map(lambda x: f"1/{x}"))
     entries = [[i, j, draw(diagonal if i == j else value)] for i in range(n) for j in range(i, n)
                if i == j or draw(st.booleans())]
     kappa = json.dumps({"n": n, "entries": entries})
@@ -218,6 +224,8 @@ def operator_requests(draw):
 @given(operator_requests())
 @example(["certify", "--su2", "1", "--torus", "1", "--rep-cap", "4", "--budget", "20"])
 @example(["spectrum", "--su2", "1", "--rep-cap", "4", "--kappa", "diag:1,-2,3", "--numeric"])
+@example(["spectrum", "--su2", "1", "--rep-cap", "12", "--kappa", f"diag:{10**999 + 7},1,1"])
+@example(["spectrum", "--su2", "1", "--rep-cap", "2", "--kappa", f"diag:{10**999 + 7},1,1", "--numeric"])
 def test_operator_commands_keep_the_exit_code_contract(argv):
     _exit_code_within_contract(argv)
 
@@ -569,6 +577,21 @@ def test_writer_reuses_text_by_identity_and_depth(payload):
     assert _written(payload, "table") == "\n".join(cli._render_table(ref)) + "\n"
 
 
+@pytest.mark.parametrize("rows", [
+    (),
+    (("b", IrrepSpec((1,)), None, Q(9, 4)),),
+    (("c", IrrepSpec((1,)), None, Q(-3)), ("a", IrrepSpec((0,), (1,)), IrrepSpec((2,), (-1,)), Q(10**80, 7)),
+     ("a", _SHARED, [_SHARED, True], "é")),
+], ids=["empty", "one", "mixed"])
+def test_table_rows_write_as_objects_with_the_four_keys(rows):
+    # the dict form _Rows stands for, checked by the reference walk
+    payload = {"rows": cli._Rows(rows), "nested": [cli._Rows(rows)]}
+    plain = [dict(zip(("kind", "rep", "rep2", "value"), row)) for row in rows]
+    ref = jsonable({"rows": plain, "nested": [plain]})
+    assert _written(payload) == json.dumps(ref, indent=2, sort_keys=True) + "\n"
+    assert _written(payload, "table") == "\n".join(cli._render_table(ref)) + "\n"
+
+
 def test_reptype(capsys):
     data = run_json(capsys, "reptype", "--type", "B", "--rank", "2", "--weight", "0,1")
     assert data["type"] == "quaternionic"
@@ -843,11 +866,14 @@ def test_certify_and_spectrum_stay_in_integer_polynomials(capsys, monkeypatch):
     data = run_json(capsys, "spectrum", "--su2", "1", "--torus", "1", "--rep-cap", "2",
                     "--kappa", "diag:1,2,3,4", "--numeric")
     assert counts == {"integer_parts": 0, "RationalPoly": 0}
-    # multiplicity_at_float clears its RationalPoly argument exactly once
+    # multiplicity_at_float clears its RationalPoly argument exactly once,
+    # and a second call on the same polynomial not again
     entry = data["reps"][-1]
     p = rpoly(*(Q(c) for c in entry["char_poly"]))
     counts.update(integer_parts=0, RationalPoly=0)
     center = next(c["center"] for c in data["clusters"] if any(m["rep"] == entry["rep"] for m in c["members"]))
+    assert multiplicity_at_float(p, center) == 1
+    assert counts == {"integer_parts": 1, "RationalPoly": 0}
     assert multiplicity_at_float(p, center) == 1
     assert counts == {"integer_parts": 1, "RationalPoly": 0}
 
@@ -1025,6 +1051,43 @@ def test_kappa_size_refused_before_the_matrix_is_built(capsys, kappa):
         tracemalloc.stop()
     assert (code, out, err) == (2, "", "error: kappa is 1500x1500, algebra dimension is 3\n")
     assert peak < 1_000_000
+
+
+LONG = 10**999 + 7  # 1,000 digits
+
+
+def test_long_kappa_entry_is_refused_before_any_operator(capsys, monkeypatch):
+    # A 1,000-digit entry at rep cap 12 (dimension 13) would give coefficients
+    # past Python's 4,300-digit limit for writing an int.
+    built = []
+    monkeypatch.setattr(cli, "build_operator", lambda *args, **kwargs: built.append(args))
+    for cap, dim in ((12, 13), (3, 4)):
+        code, out, err = run(capsys, "spectrum", "--su2", "1", "--rep-cap", str(cap), "--kappa", f"diag:{LONG},1,1")
+        assert (code, out, built) == (3, "", [])
+        assert json.loads(err) == {"error": "cap-exceeded", "what": "metric bits x rep dimension",
+                                   "actual": LONG.bit_length() * dim, "limit": oplab.METRIC_BITS_CAP}
+
+
+def test_metric_bits_cap_edge(capsys):
+    # rep cap 11: the largest dimension is 12, so 1,024 bits are admitted and
+    # 1,025 refused; at the edge every coefficient is written in full.
+    data = run_json(capsys, "spectrum", "--su2", "1", "--rep-cap", "11", "--kappa", f"diag:{2**1023},3,1")
+    written = [c for e in data["reps"] for c in e["char_poly"]]
+    # minus the trace on spin 11/2: (sum of kappa_ii) m (m + 2) / 4 (m + 1) / 3
+    assert Q(written[-2]) == -(2**1023 + 4) * 143
+    assert 3_000 < max(len(c) for c in written) < 4_300
+    # a denominator counts through the integer weights: 3 * 2^1024 at 1/2^1024
+    for kappa, bits in ((f"diag:{2**1024},3,1", 1025), (f"diag:1/{2**1024},3,1", 1026)):
+        code, out, err = run(capsys, "spectrum", "--su2", "1", "--rep-cap", "11", "--kappa", kappa)
+        assert (code, out, json.loads(err)["actual"]) == (3, "", bits * 12)
+
+
+def test_numeric_spectrum_refuses_entries_past_the_float_range(capsys):
+    code, out, err = run(capsys, "spectrum", "--torus", "1", "--rep-cap", "1", "--kappa", f"diag:{LONG}", "--numeric")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: an operator entry of ") and "past the float range" in err
+    data = run_json(capsys, "spectrum", "--torus", "1", "--rep-cap", "1", "--kappa", f"diag:{LONG}")
+    assert [e["char_poly"] for e in data["reps"]] == [[str(-LONG), "1"], ["0", "1"], [str(-LONG), "1"]]
 
 
 def test_kappa_file_input(tmp_path, capsys):

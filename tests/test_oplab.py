@@ -11,11 +11,12 @@ from fractions import Fraction as Q
 from operator import add, mul
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casimir_lab import cli, oplab
+from casimir_lab import cli, oplab, polyq
 from casimir_lab.errors import (
     CapExceeded,
     DimensionMismatch,
@@ -37,7 +38,7 @@ from casimir_lab.oplab import (
     numeric_spectrum,
     witness_sequence,
 )
-from casimir_lab.polyq import integer_parts, root_multiplicity_profile, squarefree_decomposition
+from casimir_lab.polyq import RationalPoly, integer_parts, root_multiplicity_profile, squarefree_decomposition
 from polyref import (
     abc_values,
     casimir_cross_check,
@@ -60,6 +61,7 @@ from polyref import (
     operator_matrix,
     rational_char_poly,
     reference_char_poly,
+    reference_cluster_spectrum,
     reference_gaussian_char_poly,
     reference_operator,
     rpoly,
@@ -665,6 +667,76 @@ def test_cluster_spectrum_matches_numeric_spectrum():
         cluster_spectrum(ops, K123)
     with pytest.raises(NotPositiveDefinite):
         cluster_spectrum(iter(()), diag_metric([1, -1, 1]))
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's first argument."""
+    calls, inner = [], getattr(module, name)
+
+    def wrapper(first, *rest):
+        calls.append(first)
+        return inner(first, *rest)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_multiplicity_at_float_decomposes_each_polynomial_once(monkeypatch):
+    calls = _counting(monkeypatch, polyq, "squarefree_decomposition")
+    p = scale(from_roots([1, 1, 2, 3, 3, 3]), Q(-7, 3))
+    memberships = [(1.0, 2), (2.0, 1), (3.0, 3), (1.0000000001, 2), (3.0, 3)]
+    assert [multiplicity_at_float(p, x) for x, _ in memberships] == [m for _, m in memberships]
+    assert len(calls) == 1
+    # an equal but distinct instance keeps its own layers
+    twin = RationalPoly(p.coefficients)
+    assert twin == p and twin is not p
+    assert multiplicity_at_float(twin, 2.0) == 1 and multiplicity_at_float(twin, 3.0) == 3
+    assert len(calls) == 2
+    # the filled memo is not part of the value
+    fresh = RationalPoly(p.coefficients)
+    assert (p == fresh, hash(p), repr(p)) == (True, hash(fresh), repr(fresh))
+    assert dataclasses.fields(p) == dataclasses.fields(fresh) == dataclasses.fields(RationalPoly)
+    assert [f.name for f in dataclasses.fields(p)] == ["coefficients"]
+
+
+def test_multiplicity_at_float_refuses_the_zero_polynomial_every_time():
+    zero = RationalPoly(())
+    for _ in range(2):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            multiplicity_at_float(zero, 1.0)
+
+
+K_SU2_T = MetricParam((
+    (Q(3), Q(1, 5), Q(0), Q(1, 7)),
+    (Q(1, 5), Q(2), Q(-1, 3), Q(0)),
+    (Q(0), Q(-1, 3), Q(4), Q(1, 11)),
+    (Q(1, 7), Q(0), Q(1, 11), Q(5)),
+))
+
+
+def test_cluster_spectrum_matches_one_eigensolver_call_per_operator(monkeypatch):
+    # SU(2) x T at rep cap 2: dimensions 1, 2 and 3, real and complex operators
+    g = GroupSpec(1, 1)
+    ops = [build_operator(g, v, K_SU2_T) for v in enumerate_reps(g, 2)]
+    assert {op.dim for op in ops} == {1, 2, 3} and {op.real for op in ops} == {True, False}
+    solves = _counting(monkeypatch, np.linalg, "eigvalsh")
+    for tol in (1e-9, 1e-2, 0.5):
+        assert cluster_spectrum(ops, K_SU2_T, tol) == reference_cluster_spectrum(ops, tol)
+    # one stacked call per dimension
+    assert [a.shape for a in solves[:3]] == [(5, 1, 1), (5, 2, 2), (5, 3, 3)]
+    assert cluster_spectrum(ops[::-1], K_SU2_T) == reference_cluster_spectrum(ops[::-1])
+
+
+def test_cluster_spectrum_refuses_before_any_solve(monkeypatch):
+    g = GroupSpec(1, 1)
+    ops = [build_operator(g, v, K_SU2_T) for v in enumerate_reps(g, 1)]
+    foreign = build_operator(g, IrrepSpec((1,), (1,)), diag_metric([3, 2, 4, 5]))
+    solves = _counting(monkeypatch, np.linalg, "eigvalsh")
+    with pytest.raises(ValueError, match="another metric"):
+        cluster_spectrum(ops + [foreign], K_SU2_T)
+    with pytest.raises(NotPositiveDefinite):
+        cluster_spectrum(ops, diag_metric([3, 2, -4, 5]))
+    assert solves == []
 
 
 # -- certify's integer table values against the Fraction reference ----------
