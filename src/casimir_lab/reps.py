@@ -10,10 +10,15 @@ decompositions are {coords: multiplicity} dicts keyed by integer
 fundamental-weight coordinates; a decomposition holds no zero entries.  A
 weight table past WEIGHT_TABLE_CAP distinct weights is refused.
 
-Every weight and root here is in those integer coordinates: pairings and
-norms use the integer form RootSystem.form_fw_int, the positive roots come
-from RootSystem.positive_roots_fw, and rootsys.dominant_fw_coords moves a
-weight into the dominant chamber.  No ambient vector is built.
+Every weight and root here is in those integer coordinates: norms use the
+integer form RootSystem.form_fw_int, the positive roots come from
+RootSystem.positive_roots_fw, and rootsys.dominant_fw_coords moves a
+weight into the dominant chamber.  No ambient vector is built.  The
+constants of the root system are read from it, not recomputed per call:
+weyl_dim is one integer dot product per positive root with the coroot
+pairings RootSystem.coroot_pairings over RootSystem.weyl_denominator;
+dual_label permutes a highest weight by RootSystem.minus_w0; classify_type
+takes the parity of mu . 2 rho^vee (RootSystem.two_rho_vee).
 """
 
 from __future__ import annotations
@@ -75,14 +80,13 @@ def adjoint_rep(rs: RootSystem) -> RepLabel:
 
 
 def weyl_dim(r: RepLabel) -> int:
-    """dim V^mu by the Weyl product formula; exact, asserts integrality."""
-    rs = r.rs
+    """dim V^mu by the Weyl product formula prod <mu + delta, alpha^vee> over
+    RootSystem.weyl_denominator; exact, asserts integrality."""
     mu_d = tuple(m + 1 for m in r.highest)
-    delta = (1,) * rs.rank
-    num = den = 1
-    for a in rs.positive_roots_fw:
-        num *= rs.form_fw_int(mu_d, a)
-        den *= rs.form_fw_int(delta, a)
+    num = 1
+    for row in r.rs.coroot_pairings:
+        num *= sum(map(mul, row, mu_d))
+    den = r.rs.weyl_denominator
     d, rem = divmod(num, den)
     if rem or d <= 0:
         raise InternalConsistencyError(f"Weyl dimension {Q(num, den)} is not a positive integer")
@@ -225,25 +229,20 @@ def exterior_powers(r: RepLabel, pmax: int) -> list[dict[Coords, int]]:
 
 
 def dual_label(r: RepLabel) -> RepLabel:
-    return RepLabel(r.rs, wts.dual_weight(r.rs, r.highest))
+    """The dual V^(-w0 mu): mu's coordinates permuted by RootSystem.minus_w0."""
+    return RepLabel(r.rs, tuple(r.highest[j] for j in r.rs.minus_w0))
 
 
 def classify_type(r: RepLabel) -> RepType:
     """Real/complex/quaternionic type of V^mu.
 
     Complex iff mu is not self-dual; otherwise the parity of
-    sum_{alpha>0} <mu, alpha^vee> separates real (even) from quaternionic (odd).
+    <mu, 2 rho^vee> = sum_{alpha>0} <mu, alpha^vee> separates real (even)
+    from quaternionic (odd).
     """
-    rs = r.rs
     if dual_label(r).highest != r.highest:
         return RepType.COMPLEX
-    s = 0
-    for a in rs.positive_roots_fw:
-        # <mu, a^vee> = 2 (mu, a) / (a, a)
-        pairing, rem = divmod(2 * rs.form_fw_int(r.highest, a), rs.form_fw_int(a, a))
-        if rem:
-            raise InternalConsistencyError("non-integral coroot pairing")
-        s += pairing
+    s = sum(map(mul, r.highest, r.rs.two_rho_vee))
     return RepType.QUATERNIONIC if s % 2 else RepType.REAL
 
 

@@ -15,6 +15,15 @@ fundamental weights, times metric_scale (gram_fw; den * gram_fw in
 integers is gram_fw_int and form_fw_int).  dominant_fw_coords walks a
 weight into the dominant chamber, and weyl_group lists the Weyl group as
 integer matrices on fundamental-weight coordinates.
+
+A RootSystem is immutable and build_root_system interns it, so it keeps
+its invariants, each computed on first use and checked then: the positive
+roots; the integer coroot pairings <omega_i, alpha^vee> with the Weyl
+denominator prod <delta, alpha^vee> and 2 rho^vee (a non-integral pairing
+raises InternalConsistencyError); the permutation -w0 of the fundamental
+weights, from the chamber walk of each -omega_i (it must be an involution);
+|W delta|, whose identity |W delta| = |W| is checked once per root system;
+and the fraction-free LDL levels of the integer form.
 """
 
 from __future__ import annotations
@@ -161,6 +170,66 @@ class RootSystem:
         if any(sum(col) != 2 for col in zip(*(m for _, m in positive))):
             raise InternalConsistencyError("delta != half sum of positive roots")
         return tuple(m for _, m in sorted(positive))
+
+    @cached_property
+    def coroot_pairings(self) -> IntMat:
+        """Row k holds <omega_i, alpha_k^vee> = 2 (omega_i, alpha_k) / (alpha_k, alpha_k)
+        for the k-th positive root, so <mu, alpha_k^vee> is row k dotted with
+        mu's coordinates.  A non-integral pairing is an internal inconsistency."""
+        g = self.gram_fw_int[1]
+        rows = []
+        for a in self.positive_roots_fw:
+            ga = [sum(map(mul, row, a)) for row in g]  # den (omega_i, a)
+            aa = sum(map(mul, a, ga))
+            row = [divmod(2 * x, aa) for x in ga]
+            if any(rem for _, rem in row):
+                raise InternalConsistencyError("non-integral coroot pairing")
+            rows.append(tuple(p for p, _ in row))
+        return tuple(rows)
+
+    @cached_property
+    def weyl_denominator(self) -> int:
+        """prod_{alpha > 0} <delta, alpha^vee>, the denominator of the Weyl dimension formula."""
+        den = 1
+        for row in self.coroot_pairings:
+            den *= sum(row)
+        return den
+
+    @cached_property
+    def two_rho_vee(self) -> tuple[int, ...]:
+        """<omega_i, 2 rho^vee> for each i: mu dotted with it is sum_{alpha > 0} <mu, alpha^vee>."""
+        return tuple(map(sum, zip(*self.coroot_pairings)))
+
+    @cached_property
+    def minus_w0(self) -> tuple[int, ...]:
+        """The permutation of the fundamental weights by -w_0: -w_0 omega_i is
+        omega_j for j = minus_w0[i], read off the chamber walk of -omega_i.
+        The result must be an involutive permutation."""
+        n = self.rank
+        perm = []
+        for i in range(n):
+            dom = dominant_fw_coords(self, tuple(-int(i == j) for j in range(n)))[0]
+            if sorted(dom) != [0] * (n - 1) + [1]:
+                raise InternalConsistencyError(f"-w0 omega_{i} = {dom} is not a fundamental weight")
+            perm.append(dom.index(1))
+        if any(perm[p] != i for i, p in enumerate(perm)):
+            raise InternalConsistencyError(f"-w0 = {perm} is not an involutive permutation")
+        return tuple(perm)
+
+    @cached_property
+    def delta_orbit_size(self) -> int:
+        """|W delta|, enumerated once.  The orbit of delta is free, so it has
+        |W| points: InternalConsistencyError is raised otherwise."""
+        found = len(weyl_orbit(self, (1,) * self.rank))
+        order = self.typ.weyl_order()
+        if found != order:
+            raise InternalConsistencyError(f"enumerated {found} Weyl elements, expected {order}")
+        return found
+
+    @cached_property
+    def gram_fw_ldl(self) -> IntMat:
+        """rl.fraction_free_ldl(gram_fw_int[1]), the levels of lattice enumeration."""
+        return rl.fraction_free_ldl(self.gram_fw_int[1])
 
 
 def _cartan_matrix(fam: str, n: int) -> IntMat:

@@ -10,9 +10,12 @@ form den * gram_fw.  A Casimir class collects every lattice weight whose
 shifted point mu+d lies on a common sphere.
 
 Enumeration is integer Fincke-Pohst (Fincke & Pohst 1985) on fraction-free
-(Bareiss 1968) levels: lattice_points lists a ball with exact norms
-(classes_up_to, enumerate_dominant) or one sphere, solving its last
-coordinate (sphere_set), and refuses past DEFAULT_NODE_CAP nodes.
+(Bareiss 1968) levels, kept on the root system (RootSystem.gram_fw_ldl):
+lattice_points lists a ball with exact norms (classes_up_to,
+enumerate_dominant) or one sphere, solving its last coordinate
+(sphere_set), and refuses past DEFAULT_NODE_CAP nodes.  dual_weight walks
+-mu into the dominant chamber, because mu need not be dominant;
+reps.dual_label, whose highest weights are dominant, reads -w0 instead.
 """
 
 from __future__ import annotations
@@ -96,10 +99,11 @@ def lattice_points(rs: RootSystem, bound: int, shell: bool = False, dominant: bo
     for (den, G) = rs.gram_fw_int and y = m + 1 the shifted coordinates.
 
     Level k (last coordinate first) is p Q_k = s^2 + prev Q_{k+1} of
-    rl.fraction_free_ldl(G), s = p y_k + (outer terms), so Q_k <= prev bound
-    is s^2 <= prev (p bound - Q_{k+1}); shell mode solves it as an equality
+    rs.gram_fw_ldl = rl.fraction_free_ldl(G), kept on the root system;
+    s = p y_k + (outer terms), so Q_k <= prev bound is
+    s^2 <= prev (p bound - Q_{k+1}); shell mode solves it as an equality
     at k = 0.  More than DEFAULT_NODE_CAP values tried raise CapExceeded."""
-    rows = rl.fraction_free_ldl(rs.gram_fw_int[1])
+    rows = rs.gram_fw_ldl
     prevs = (1,) + tuple(row[0] for row in rows)
     m, y = [0] * rs.rank, [0] * rs.rank
     out = []

@@ -1,14 +1,28 @@
-"""Character references for the tests' oracles of `reps`: the full character
-of a sum of irreducibles, and the peel that decomposes a genuine
-character by removing highest constituents one at a time.  Tensor products
-are products of characters, and exterior powers are Newton's identities on
-them; the peel is independent of the signed-reflection rule that `reps`
-uses for both.
+"""References for the tests' oracles of `reps`: the Weyl dimension on the
+invariant form, the full character of a sum of irreducibles, and the peel
+that decomposes a genuine character by removing highest constituents one
+at a time.  Tensor products are products of characters, and exterior
+powers are Newton's identities on them; the peel is independent of the
+signed-reflection rule that `reps` uses for both.
 """
+
+from fractions import Fraction as Q
 
 from casimir_lab.errors import InternalConsistencyError
 from casimir_lab.reps import rep, weight_multiplicities
 from casimir_lab.weights import shifted_norm_int
+
+
+def weyl_dim_by_form(rs, highest):
+    """prod (mu + delta, alpha) / (delta, alpha) over the positive roots, on
+    the integer form den * gram_fw, as a Fraction."""
+    mu_d = tuple(m + 1 for m in highest)
+    delta = (1,) * rs.rank
+    num = den = 1
+    for a in rs.positive_roots_fw:
+        num *= rs.form_fw_int(mu_d, a)
+        den *= rs.form_fw_int(delta, a)
+    return Q(num, den)
 
 
 def character_of_decomposition(rs, decomposition):

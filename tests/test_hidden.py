@@ -286,16 +286,52 @@ def test_weyl_witnesses_match_matrix_reference():
             assert check_weyl_inclusion(rs, broken) is _textbook_weyl_verdict(broken) is (cfg.size == 1)
 
 
+def _fresh(rs):
+    """A root system equal to rs but not interned, with none of its invariants computed yet."""
+    return rootsys.RootSystem(rs.typ, rs.cartan_matrix, rs.metric_scale)
+
+
+def _count_weyl_orbit_calls(monkeypatch, result=None):
+    """Count rootsys.weyl_orbit calls; return `result` from them when given."""
+    calls = []
+    real = rootsys.weyl_orbit
+
+    def counted(rs, *weights):
+        calls.append(weights)
+        return real(rs, *weights) if result is None else result
+
+    monkeypatch.setattr(rootsys, "weyl_orbit", counted)
+    return calls
+
+
 def test_weyl_inclusion_fails_without_one_point(monkeypatch):
     cfg = _config(B2, Q(13, 2))
     broken = dataclasses.replace(cfg, coords=cfg.coords[1:])
     assert broken.size == cfg.size - 1
     assert check_weyl_inclusion(B2, broken) is _textbook_weyl_verdict(broken) is False
     # the verdict comes before the orbit identity
-    monkeypatch.setattr(rootsys, "weyl_orbit", lambda rs, *weights: set())
-    assert check_weyl_inclusion(B2, broken) is False
+    rs = _fresh(B2)
+    calls = _count_weyl_orbit_calls(monkeypatch, result=set())
+    assert check_weyl_inclusion(rs, broken) is False
+    assert calls == []
     with pytest.raises(InternalConsistencyError, match="enumerated 0 Weyl elements, expected 8"):
-        check_weyl_inclusion(B2, cfg)
+        check_weyl_inclusion(rs, cfg)
+
+
+def test_weyl_orbit_identity_is_enumerated_once_per_root_system(monkeypatch):
+    cfg = _config(B2, Q(13, 2))
+    rs = _fresh(B2)
+    calls = _count_weyl_orbit_calls(monkeypatch)
+    assert [check_weyl_inclusion(rs, cfg) for _ in range(3)] == [True] * 3
+    assert calls == [((1, 1),)]
+    assert rs.delta_orbit_size == 8
+    # a failing identity is not kept: it raises on every call, and enumerates every time
+    rs = _fresh(B2)
+    calls = _count_weyl_orbit_calls(monkeypatch, result={(1, 1)})
+    for k in range(1, 4):
+        with pytest.raises(InternalConsistencyError, match="enumerated 1 Weyl elements, expected 8"):
+            check_weyl_inclusion(rs, cfg)
+        assert len(calls) == k
 
 
 def test_weyl_inclusion_cap_refused():

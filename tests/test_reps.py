@@ -21,8 +21,8 @@ from casimir_lab.reps import (
     weight_multiplicities,
     weyl_dim,
 )
-from casimir_lab.rootsys import RootSystemType, build_root_system, weyl_orbit
-from repref import character_of_decomposition, decompose_character
+from casimir_lab.rootsys import RootSystemType, build_root_system, dominant_fw_coords, weyl_orbit
+from repref import character_of_decomposition, decompose_character, weyl_dim_by_form
 
 A1 = build_root_system(RootSystemType("A", 1))
 A2 = build_root_system(RootSystemType("A", 2))
@@ -114,6 +114,34 @@ def test_tensor_matches_convolution_oracle():
         assert _total_dim(v.rs, got) == weyl_dim(v) * weyl_dim(w)
 
 
+# Every supported type up to rank 8.
+UP_TO_RANK_8 = (
+    [("A", n) for n in range(1, 9)]
+    + [(fam, n) for fam in "BC" for n in range(2, 9)]
+    + [("D", n) for n in range(3, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+def _small_dominant_weights(rank):
+    """Every dominant weight with coordinates at most 2, at most 1 past rank 4."""
+    return itertools.product(range(3 if rank <= 4 else 2), repeat=rank)
+
+
+@pytest.mark.parametrize("fam,rank", UP_TO_RANK_8, ids=[f"{f}{n}" for f, n in UP_TO_RANK_8])
+def test_weyl_dim_matches_the_form_product(fam, rank):
+    rs = build_root_system(RootSystemType(fam, rank))
+    for mu in _small_dominant_weights(rank):
+        assert weyl_dim(rep(rs, mu)) == weyl_dim_by_form(rs, mu), mu
+
+
+@pytest.mark.parametrize("fam,rank", UP_TO_RANK_8, ids=[f"{f}{n}" for f, n in UP_TO_RANK_8])
+def test_dual_label_matches_the_chamber_walk(fam, rank):
+    rs = build_root_system(RootSystemType(fam, rank))
+    for mu in _small_dominant_weights(rank):
+        assert dual_label(rep(rs, mu)).highest == dominant_fw_coords(rs, tuple(-x for x in mu))[0], mu
+
+
 def test_dual_labels():
     assert dual_label(rep(A2, (3, 1))).highest == (1, 3)
     assert dual_label(rep(B2, (2, 1))).highest == (2, 1)
@@ -121,15 +149,15 @@ def test_dual_labels():
 
 
 def _type_by_invariant_form(r):
-    """Independent oracle: a self-dual irreducible is real or quaternionic
+    """Independent oracle: V is self-dual exactly when V (x) V holds the
+    trivial rep, and a self-dual irreducible is real or quaternionic
     according to whether its invariant bilinear form is symmetric (trivial
     rep inside Sym^2 V) or antisymmetric (inside Lambda^2 V)."""
-    rs = r.rs
-    if dual_label(r).highest != r.highest:
-        return RepType.COMPLEX
-    zero = (0,) * rs.rank
-    wedge = exterior_powers(r, 2)[2].get(zero, 0)
+    zero = (0,) * r.rs.rank
     square = tensor_decompose(r, r).get(zero, 0)
+    if not square:
+        return RepType.COMPLEX
+    wedge = exterior_powers(r, 2)[2].get(zero, 0)
     sym = square - wedge  # trivial multiplicity in Sym^2 = total - alternating
     assert sym + wedge == 1 and {sym, wedge} <= {0, 1}
     return RepType.REAL if sym == 1 else RepType.QUATERNIONIC
@@ -142,6 +170,24 @@ def test_classify_type_matches_invariant_form_oracle():
     samples += [rep(G2, c) for c in ((1, 0), (0, 1), (1, 1))]
     for r in samples:
         assert classify_type(r) is _type_by_invariant_form(r)
+
+
+@pytest.mark.parametrize("fam,rank", UP_TO_RANK_8, ids=[f"{f}{n}" for f, n in UP_TO_RANK_8])
+def test_classify_type_matches_invariant_form_oracle_up_to_rank_8(fam, rank):
+    """Every small dominant weight of dimension at most 300.  The oracle's
+    weight tables of E8's trivial and adjoint reps pass the enumeration node
+    cap; both reps are real."""
+    rs = build_root_system(RootSystemType(fam, rank))
+    for mu in _small_dominant_weights(rank):
+        r = rep(rs, mu)
+        if weyl_dim(r) > 300:
+            continue
+        try:
+            expected = _type_by_invariant_form(r)
+        except CapExceeded:
+            assert (fam, rank) == ("E", 8) and mu in ((0,) * 8, adjoint_rep(rs).highest)
+            expected = RepType.REAL
+        assert classify_type(r) is expected, mu
 
 
 def test_known_types():

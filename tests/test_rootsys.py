@@ -2,13 +2,15 @@
 against the textbook ambient realization in ambient.py."""
 
 import itertools
+import math
 from fractions import Fraction as Q
 
 import pytest
 
 from ambient import matmul, matvec, reference, textbook, transpose, vadd
 from casimir_lab import ratlinalg as rl
-from casimir_lab.errors import CapExceeded, InvalidDynkinType
+from casimir_lab import rootsys
+from casimir_lab.errors import CapExceeded, InternalConsistencyError, InvalidDynkinType
 from casimir_lab.rootsys import (
     DEFAULT_WEYL_CAP,
     RootSystemType,
@@ -23,6 +25,14 @@ SUPPORTED = (
     [("A", n) for n in range(1, 5)]
     + [(fam, n) for fam in "BC" for n in range(2, 5)]
     + [("D", n) for n in range(3, 6)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+# Every supported type up to rank 8.
+UP_TO_RANK_8 = (
+    [("A", n) for n in range(1, 9)]
+    + [(fam, n) for fam in "BC" for n in range(2, 9)]
+    + [("D", n) for n in range(3, 9)]
     + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
 )
 
@@ -212,3 +222,63 @@ def test_integer_forms_match_the_rational_ones():
         assert tuple(tuple(Q(x, den) for x in row) for row in g) == rs.gram_fw
         x, y = tuple(range(1, rank + 1)), tuple(range(rank, -rank, -2))
         assert rs.form_fw_int(x, y) == den * rs.metric_scale * ref.inner(ref.point(x), ref.point(y))
+
+
+@pytest.mark.parametrize("fam,rank", UP_TO_RANK_8, ids=[f"{f}{n}" for f, n in UP_TO_RANK_8])
+def test_coroot_pairings_match_the_form(fam, rank):
+    """Row k of the table is <omega_i, alpha_k^vee> = 2 (omega_i, alpha_k) / (alpha_k, alpha_k)
+    on the rational form, at any metric scale; the simple coroots pair to the identity."""
+    for scale in (1, Q(3, 2)):
+        rs = rs_of(fam, rank, scale)
+        g = rs.gram_fw
+        expected = []
+        for a in rs.positive_roots_fw:
+            ga = [sum(gij * aj for gij, aj in zip(row, a)) for row in g]
+            aa = sum(ai * x for ai, x in zip(a, ga))
+            expected.append(tuple(2 * x / aa for x in ga))
+        assert rs.coroot_pairings == tuple(expected)
+        assert all(type(x) is int for row in rs.coroot_pairings for x in row)
+        table = dict(zip(rs.positive_roots_fw, rs.coroot_pairings))
+        for i, alpha in enumerate(rs.cartan_matrix):
+            assert table[alpha] == tuple(int(i == j) for j in range(rank))
+        assert rs.weyl_denominator == math.prod(map(sum, expected))
+        assert rs.two_rho_vee == tuple(sum(col) for col in zip(*expected))
+
+
+def _textbook_minus_w0(fam, rank):
+    """-w0 on Bourbaki's nodes: the diagram flip of A_n, D_n (n odd) and E_6."""
+    perm = list(range(rank))
+    if fam == "A":
+        perm.reverse()
+    elif fam == "D" and rank % 2:
+        perm[-2:] = [rank - 1, rank - 2]
+    elif fam == "E" and rank == 6:
+        perm = [5, 1, 4, 3, 2, 0]
+    return tuple(perm)
+
+
+@pytest.mark.parametrize("fam,rank", UP_TO_RANK_8, ids=[f"{f}{n}" for f, n in UP_TO_RANK_8])
+def test_minus_w0_is_the_textbook_diagram_flip(fam, rank):
+    rs = rs_of(fam, rank)
+    assert rs.minus_w0 == _textbook_minus_w0(fam, rank)
+    basis = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    for i, w in enumerate(basis):
+        assert dominant_fw_coords(rs, tuple(-x for x in w))[0] == basis[rs.minus_w0[i]]
+
+
+def test_root_system_invariants_refuse_a_broken_identity(monkeypatch):
+    """A non-integral coroot pairing, and a -w0 that is not an involutive
+    permutation of the fundamental weights, are internal inconsistencies."""
+
+    def fresh(rs):
+        return rootsys.RootSystem(rs.typ, rs.cartan_matrix, rs.metric_scale)
+
+    b2 = fresh(rs_of("B", 2))
+    b2.__dict__["positive_roots_fw"] = ((1, 1),)  # not a root of B2
+    with pytest.raises(InternalConsistencyError, match="non-integral coroot pairing"):
+        b2.coroot_pairings
+    a2 = rs_of("A", 2)
+    for walk_to, message in (((1, 1), "is not a fundamental weight"), ((0, 1), "is not an involutive permutation")):
+        monkeypatch.setattr(rootsys, "dominant_fw_coords", lambda rs, m: (walk_to, ()))
+        with pytest.raises(InternalConsistencyError, match=message):
+            fresh(a2).minus_w0
