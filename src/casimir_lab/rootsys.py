@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from operator import mul
 
 from . import ratlinalg as rl
@@ -190,10 +190,7 @@ class RootSystem:
     @cached_property
     def weyl_denominator(self) -> int:
         """prod_{alpha > 0} <delta, alpha^vee>, the denominator of the Weyl dimension formula."""
-        den = 1
-        for row in self.coroot_pairings:
-            den *= sum(row)
-        return den
+        return prod(map(sum, self.coroot_pairings))
 
     @cached_property
     def two_rho_vee(self) -> tuple[int, ...]:
