@@ -47,9 +47,7 @@ from .oplab import (
 )
 from .reps import (
     KMode,
-    RepLabel,
     RepType,
-    adjoint_rep,
     bold_g_label,
     classify_type,
     dual_label,
@@ -75,7 +73,6 @@ from .weights import (
     LatticeChoice,
     casimir_eigenvalue,
     classes_up_to,
-    dual_weight,
     enumerate_dominant,
     make_weight,
     sphere_set,

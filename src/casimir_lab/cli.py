@@ -15,7 +15,9 @@ Exit codes: 0 success, also when the reader closes stdout before the
 report is read; 2 usage error or invalid input; 3 a configured cap
 refused the computation (machine-readable reason on stderr); 4 an
 internal exact identity failed.  A reader that closes stderr keeps the
-code of a refusal or failure.
+code of a refusal or failure.  A --kappa or --ustar file past
+JSON_INPUT_CAP characters is refused, and so is a payload int past the
+interpreter's int-to-str digit limit (its reason gives the digit count).
 """
 
 from __future__ import annotations
@@ -59,9 +61,14 @@ from .spectra import (
     normal_spectrum_report,
     real_spectrum_report,
 )
-from .weights import LatticeChoice, classes_up_to, dual_weight, make_weight, sphere_set
+from .weights import LatticeChoice, classes_up_to, make_weight, sphere_set
 
 SCHEMA = "casimir-lab/1"
+
+# Characters read from a --kappa or --ustar JSON file; a longer file is
+# refused.  The largest kappa that spectrum admits (24 x 24, each of its
+# 300 entries p/q under the metric bits cap) is about 2.2 million.
+JSON_INPUT_CAP = 4_000_000
 
 
 # Dataclass fields are their JSON keys, except these.
@@ -96,7 +103,10 @@ def _write(obj, out, nl: str, memo: dict) -> None:
     elif obj is False:
         out("false")
     elif isinstance(obj, int):
-        out(int.__repr__(obj))
+        try:
+            out(int.__repr__(obj))
+        except ValueError:
+            raise _too_long(obj) from None
     elif isinstance(obj, float):
         out(_float_text(obj))
     elif isinstance(obj, (list, tuple)):
@@ -127,7 +137,10 @@ def _write(obj, out, nl: str, memo: dict) -> None:
             _write(obj[key], out, inner, memo)
         out(nl + "}")
     elif isinstance(obj, Q):
-        out(_escape(str(obj)))
+        try:
+            out(_escape(str(obj)))
+        except ValueError:
+            raise _too_long(max(abs(obj.numerator), obj.denominator)) from None
     elif isinstance(obj, Enum):
         _write(obj.value, out, nl, memo)
     elif hasattr(obj, "__dataclass_fields__"):
@@ -164,6 +177,19 @@ def _write_rows(rows: _Rows, out, nl: str, memo: dict) -> None:
     out(nl + "]")
 
 
+def _too_long(n: int) -> CapExceeded:
+    """The refusal of an int past the interpreter's int-to-str digit limit,
+    with its digit count: 2^(b-1) <= |n| < 2^b estimates it, and powers of
+    ten correct the estimate."""
+    n = abs(n)
+    digits = int((n.bit_length() - 1) * 0.3010299956639812) + 1
+    while n >= 10**digits:
+        digits += 1
+    while digits > 1 and n < 10 ** (digits - 1):
+        digits -= 1
+    return CapExceeded("output integer digits", digits, sys.get_int_max_str_digits())
+
+
 def _float_text(x: float) -> str:
     """A float as json writes it by default, non-finite values included."""
     if x != x:
@@ -197,11 +223,13 @@ def _render_table(payload, indent: int = 0) -> list:
     return lines
 
 
-def _emit(payload: dict, output: str) -> None:
+def _render(payload: dict, output: str) -> str:
+    """The text that main prints for payload: its canonical JSON, or that
+    JSON as an indented table."""
     chunks: list[str] = []
     _write(payload, chunks.append, "\n", {})
     text = "".join(chunks)
-    print("\n".join(_render_table(json.loads(text))) if output == "table" else text)
+    return "\n".join(_render_table(json.loads(text))) if output == "table" else text
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +273,15 @@ def _parse_coords(text: str) -> tuple:
 
 
 def _json_input(text: str, opener: str):
-    """Inline JSON that starts with opener, or the JSON in the file named text."""
+    """Inline JSON that starts with opener, or the JSON in the file named
+    text.  A file past JSON_INPUT_CAP characters is refused (CapExceeded)
+    after reading one character more than the cap, before any parsing."""
     raw = text.strip()
     if not raw.startswith(opener):
         with open(text, "r", encoding="utf-8") as fh:
-            raw = fh.read()
+            raw = fh.read(JSON_INPUT_CAP + 1)
+        if len(raw) > JSON_INPUT_CAP:
+            raise CapExceeded("JSON input characters", len(raw), JSON_INPUT_CAP)
     try:
         return json.loads(raw)
     except RecursionError:
@@ -384,11 +416,7 @@ def cmd_classes(args, keep=lambda rs, cls: True) -> dict:
 
 def _has_nondual_pair(rs, cls) -> bool:
     ms = cls.dominant_members
-    for i in range(len(ms)):
-        for j in range(i + 1, len(ms)):
-            if dual_weight(rs, ms[i]) != ms[j]:
-                return True
-    return False
+    return any(dual_label(rs, a) != b for i, a in enumerate(ms) for b in ms[i + 1 :])
 
 
 def cmd_coincidences(args) -> dict:
@@ -418,15 +446,15 @@ def cmd_hidden(args) -> dict:
 
 def cmd_reptype(args) -> dict:
     rs = _build_rs(args)
-    v = rep(rs, _parse_coords(args.weight))
-    t = classify_type(v)
+    mu = rep(rs, _parse_coords(args.weight))
+    t = classify_type(rs, mu)
     return {
         "schema": SCHEMA,
         "context": _rs_context(args),
-        "weight": list(v.highest),
+        "weight": list(mu),
         "type": t,
-        "dim": weyl_dim(v),
-        "dual": list(dual_label(v).highest),
+        "dim": weyl_dim(rs, mu),
+        "dual": list(dual_label(rs, mu)),
         "bold_g": bold_g_label([t]),
     }
 
@@ -631,7 +659,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        payload = args.func(args)
+        text = _render(args.func(args), args.output)
     except CapExceeded as exc:
         reason = {"error": "cap-exceeded", "what": exc.what, "actual": exc.actual, "limit": exc.limit}
         return _refuse(json.dumps(reason, sort_keys=True), 3)
@@ -640,7 +668,7 @@ def main(argv=None) -> int:
     except (CasimirLabError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         return _refuse(f"error: {exc}", 2)
     try:
-        _emit(payload, args.output)
+        print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         _drop_closed(sys.stdout)

@@ -1,6 +1,10 @@
 """Representation-theoretic quantities: dimensions, weight multiplicities,
 tensor and exterior decompositions, real/complex/quaternionic type.
 
+An irreducible is its dominant highest weight mu over an interned
+RootSystem rs: every function takes rs first, then plain tuples.  rep
+checks a highest weight read from input: make_weight, then dominance.
+
 Everything is exact.  Weight multiplicities come from the Freudenthal
 recursion over dominant weights (expanded along Weyl orbits).  Tensor
 products and exterior powers both use the signed-reflection
@@ -18,12 +22,13 @@ constants of the root system are read from it, not recomputed per call:
 weyl_dim is one integer dot product per positive root with the coroot
 pairings RootSystem.coroot_pairings over RootSystem.weyl_denominator;
 dual_label permutes a highest weight by RootSystem.minus_w0; classify_type
-takes the parity of mu . 2 rho^vee (RootSystem.two_rho_vee).
+tests mu for a fixed point of -w0 and takes the parity of mu . 2 rho^vee
+(RootSystem.two_rho_vee).  The adjoint is the highest root,
+RootSystem.positive_roots_fw[-1].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -53,40 +58,23 @@ class KMode(Enum):
     TORUS = "torus"
 
 
-@dataclass(frozen=True, eq=False)
-class RepLabel:
-    """An irreducible representation: a root system and a dominant highest weight."""
-
-    rs: RootSystem
-    highest: Coords
-
-    def __post_init__(self):
-        if min(self.highest) < 0:
-            raise NonDominantWeight(f"highest weight {self.highest} must be dominant")
-
-    def __eq__(self, other):
-        return isinstance(other, RepLabel) and self.rs is other.rs and self.highest == other.highest
-
-    def __hash__(self):
-        return hash((id(self.rs), self.highest))
+def rep(rs: RootSystem, fw_coords) -> Coords:
+    """fw_coords as the highest weight of an irreducible of rs: a checked
+    weight (weights.make_weight) that is dominant."""
+    mu = wts.make_weight(rs, fw_coords)
+    if min(mu) < 0:
+        raise NonDominantWeight(f"highest weight {mu} must be dominant")
+    return mu
 
 
-def rep(rs: RootSystem, fw_coords) -> RepLabel:
-    return RepLabel(rs, wts.make_weight(rs, fw_coords))
-
-
-def adjoint_rep(rs: RootSystem) -> RepLabel:
-    return rep(rs, rs.positive_roots_fw[-1])
-
-
-def weyl_dim(r: RepLabel) -> int:
+def weyl_dim(rs: RootSystem, mu: Coords) -> int:
     """dim V^mu by the Weyl product formula prod <mu + delta, alpha^vee> over
     RootSystem.weyl_denominator; exact, asserts integrality."""
-    mu_d = tuple(m + 1 for m in r.highest)
+    mu_d = tuple(m + 1 for m in mu)
     num = 1
-    for row in r.rs.coroot_pairings:
+    for row in rs.coroot_pairings:
         num *= sum(map(mul, row, mu_d))
-    den = r.rs.weyl_denominator
+    den = rs.weyl_denominator
     d, rem = divmod(num, den)
     if rem or d <= 0:
         raise InternalConsistencyError(f"Weyl dimension {Q(num, den)} is not a positive integer")
@@ -108,11 +96,10 @@ def _dominant_weight_multiplicities(rs: RootSystem, coords: Coords) -> dict[Coor
     # Dominant candidates: the dominant nu with |nu + delta|^2 <= |mu + delta|^2
     # and mu - nu = C^T c for an integral c >= 0, alpha_i being row i of the
     # Cartan matrix C; q c = (q C^-T)(mu - nu), and the height of nu is sum(c).
-    q, adj = rs.cartan_inverse_int
+    q = rs.cartan_inverse_int[0]
     candidates: list[tuple[int, Coords]] = []
     for nu, _ in wts.lattice_points(rs, mu_d_sq, dominant=True):
-        diff = tuple(a - b for a, b in zip(mu, nu))
-        qc = [sum(map(mul, col, diff)) for col in zip(*adj)]
+        qc = rs.simple_root_coords_int(tuple(a - b for a, b in zip(mu, nu)))
         if min(qc) >= 0 and all(v % q == 0 for v in qc):
             candidates.append((sum(qc) // q, nu))
     candidates.sort()
@@ -142,9 +129,9 @@ def _dominant_weight_multiplicities(rs: RootSystem, coords: Coords) -> dict[Coor
     return mults
 
 
-def weight_multiplicities(r: RepLabel) -> dict[Coords, int]:
+def weight_multiplicities(rs: RootSystem, mu: Coords) -> dict[Coords, int]:
     """The full weight multiset of V^mu as {fw-coords: multiplicity}."""
-    return dict(_full_weight_multiplicities(r.rs, r.highest))
+    return dict(_full_weight_multiplicities(rs, mu))
 
 
 @lru_cache(maxsize=WEIGHT_TABLE_CACHE_SIZE)
@@ -180,42 +167,30 @@ def _signed_reflections(rs: RootSystem, shift: Coords, pairs) -> dict[Coords, in
     return {c: m for c, m in acc.items() if m}
 
 
-def tensor_decompose(a: RepLabel, b: RepLabel) -> dict[Coords, int]:
-    """Decompose V^a (x) V^b by the signed-reflection rule on the weights of b."""
-    if a.rs is not b.rs:
-        raise ValueError("tensor factors must share one root system")
-    if weyl_dim(b) > weyl_dim(a):
+def tensor_decompose(rs: RootSystem, a: Coords, b: Coords) -> dict[Coords, int]:
+    """Decompose V^a (x) V^b by the signed-reflection rule on the weights of
+    the smaller factor."""
+    if weyl_dim(rs, b) > weyl_dim(rs, a):
         a, b = b, a
-    weights_b = _full_weight_multiplicities(a.rs, b.highest)
-    return _signed_reflections(a.rs, a.highest, weights_b)
+    return _signed_reflections(rs, a, _full_weight_multiplicities(rs, b))
 
 
-def exterior_powers(r: RepLabel, pmax: int) -> list[dict[Coords, int]]:
-    """Exterior powers Lambda^p V for p = 0..pmax: Newton's identities on
+def exterior_powers(rs: RootSystem, mu: Coords, pmax: int) -> list[dict[Coords, int]]:
+    """Exterior powers Lambda^p V^mu for p = 0..pmax: Newton's identities on
     characters, each decomposed by the signed-reflection rule."""
-    rs = r.rs
-    base = dict(_full_weight_multiplicities(rs, r.highest))
+    base = _full_weight_multiplicities(rs, mu)
     zero = (0,) * rs.rank
-
-    def adams(k: int) -> dict[Coords, int]:
-        return {tuple(k * x for x in w): m for w, m in base.items()}
-
-    def convolve(c1, c2):
-        out: dict[Coords, int] = {}
-        for w1, m1 in c1.items():
-            for w2, m2 in c2.items():
-                w = tuple(x + y for x, y in zip(w1, w2))
-                out[w] = out.get(w, 0) + m1 * m2
-        return {w: m for w, m in out.items() if m != 0}
-
     chars: list[dict[Coords, int]] = [{zero: 1}]
     for p in range(1, pmax + 1):
+        # p Lambda^p = sum_k (-1)^(k-1) psi^k(V) Lambda^(p-k), the Adams
+        # operation psi^k(V) taking each weight w of V to k w
         acc: dict[Coords, int] = {}
         for k in range(1, p + 1):
-            term = convolve(adams(k), chars[p - k])
             sign = 1 if k % 2 == 1 else -1
-            for w, m in term.items():
-                acc[w] = acc.get(w, 0) + sign * m
+            for w1, m1 in base:
+                for w2, m2 in chars[p - k].items():
+                    w = tuple(k * x + y for x, y in zip(w1, w2))
+                    acc[w] = acc.get(w, 0) + sign * m1 * m2
         ep = {}
         for w, m in acc.items():
             v, rem = divmod(m, p)
@@ -228,21 +203,22 @@ def exterior_powers(r: RepLabel, pmax: int) -> list[dict[Coords, int]]:
     return [_signed_reflections(rs, zero, ch.items()) for ch in chars]
 
 
-def dual_label(r: RepLabel) -> RepLabel:
-    """The dual V^(-w0 mu): mu's coordinates permuted by RootSystem.minus_w0."""
-    return RepLabel(r.rs, tuple(r.highest[j] for j in r.rs.minus_w0))
+def dual_label(rs: RootSystem, mu: Coords) -> Coords:
+    """The highest weight -w0 mu of the dual of V^mu: mu's coordinates
+    permuted by RootSystem.minus_w0."""
+    return tuple(mu[j] for j in rs.minus_w0)
 
 
-def classify_type(r: RepLabel) -> RepType:
+def classify_type(rs: RootSystem, mu: Coords) -> RepType:
     """Real/complex/quaternionic type of V^mu.
 
-    Complex iff mu is not self-dual; otherwise the parity of
-    <mu, 2 rho^vee> = sum_{alpha>0} <mu, alpha^vee> separates real (even)
-    from quaternionic (odd).
+    Complex iff mu is not self-dual, that is not fixed by -w0; otherwise
+    the parity of <mu, 2 rho^vee> = sum_{alpha>0} <mu, alpha^vee>
+    separates real (even) from quaternionic (odd).
     """
-    if dual_label(r).highest != r.highest:
+    if any(mu[j] != m for j, m in zip(rs.minus_w0, mu)):
         return RepType.COMPLEX
-    s = sum(map(mul, r.highest, r.rs.two_rho_vee))
+    s = sum(map(mul, mu, rs.two_rho_vee))
     return RepType.QUATERNIONIC if s % 2 else RepType.REAL
 
 
@@ -251,27 +227,27 @@ def bold_g_label(types) -> str:
     return "G" if all(t is RepType.REAL for t in types) else "Q8xG"
 
 
-def invariant_dim(V, U, kmode: KMode) -> int:
+def invariant_dim(rs: RootSystem, V, U, kmode: KMode) -> int:
     """Dimension of the K-invariant subspace of V (x) U for the supported K modes.
 
     U is a {coords: multiplicity} dict in every mode: highest weights of
-    irreducibles in the first two, torus weights in the third.
+    irreducibles in the first two, checked by rep, torus weights in the
+    third.
 
-    - TRIVIAL: V a RepLabel, U a sum of irreducibles over the same group;
-      everything is invariant, so dim V * dim U.
-    - DIAGONAL: V a pair (V1, V2) of RepLabels over the factor group G',
-      U a sum of irreducibles over G'; counts the trivial constituents of
-      V1 (x) V2 (x) U.
-    - TORUS: V a RepLabel, U a multiset of torus weights; counts
-      zero-weight vectors of V (x) U.
+    - TRIVIAL: V the highest weight of an irreducible of rs, U a sum of
+      irreducibles of rs; everything is invariant, so dim V * dim U.
+    - DIAGONAL: V a pair (V1, V2) of highest weights of the factor group
+      G' with root system rs, U a sum of irreducibles of G'; counts the
+      trivial constituents of V1 (x) V2 (x) U.
+    - TORUS: V the highest weight of an irreducible of rs, U a multiset of
+      torus weights; counts zero-weight vectors of V (x) U.
     """
     if kmode is KMode.TRIVIAL:
-        return weyl_dim(V) * sum(m * weyl_dim(rep(V.rs, c)) for c, m in U.items())
+        return weyl_dim(rs, V) * sum(m * weyl_dim(rs, rep(rs, c)) for c, m in U.items())
     if kmode is KMode.DIAGONAL:
-        v1, v2 = V
-        t = tensor_decompose(v1, v2)
-        return sum(m * t.get(dual_label(rep(v1.rs, tau)).highest, 0) for tau, m in U.items())
+        t = tensor_decompose(rs, *V)
+        return sum(m * t.get(dual_label(rs, rep(rs, tau)), 0) for tau, m in U.items())
     if kmode is KMode.TORUS:
-        wm = weight_multiplicities(V)
+        wm = weight_multiplicities(rs, V)
         return sum(m * wm.get(tuple(-x for x in u), 0) for u, m in U.items())
     raise ValueError(f"unsupported K mode {kmode}")

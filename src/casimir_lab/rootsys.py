@@ -6,7 +6,8 @@ Plates I-IX), and a global metric scale.  Weights and roots live in
 integer fundamental-weight coordinates: the simple root alpha_i is row i
 of C, the simple reflection s_i is m -> m - m_i C[i] (reflect_fw_coords),
 the roots are the Weyl orbit of the simple roots (weyl_orbit), and a root
-m is positive when its simple-root coordinates m C^-1 are nonnegative.
+m is positive when its simple-root coordinates m C^-1 are nonnegative
+(RootSystem.simple_root_coords_int).
 
 The invariant form takes long roots to squared norm 2 at metric_scale = 1.
 The half root norms d_i = (alpha_i, alpha_i)/2 solve
@@ -133,6 +134,16 @@ class RootSystem:
         return q, tuple(tuple(int(x * q) for x in row) for row in cinv)
 
     @cached_property
+    def _cartan_inverse_cols(self) -> IntMat:
+        return tuple(zip(*self.cartan_inverse_int[1]))
+
+    def simple_root_coords_int(self, m) -> list[int]:
+        """q c for the weight m = sum c_i alpha_i in fundamental-weight
+        coordinates: q m C^-1, q = cartan_inverse_int[0].  m is in the root
+        lattice when every entry is divisible by q."""
+        return [sum(map(mul, m, col)) for col in self._cartan_inverse_cols]
+
+    @cached_property
     def gram_fw(self) -> Mat:
         """The invariant form on the fundamental weights:
         metric_scale * (C^-1)_ij * d_j with d the half root norms."""
@@ -159,10 +170,9 @@ class RootSystem:
         height (the highest root last).  Checks that they are half of all
         roots and that their half sum is delta = (1, ..., 1)."""
         roots = weyl_orbit(self, *self.cartan_matrix)
-        q, adj = self.cartan_inverse_int
         positive = []
         for m in roots:
-            qc = [sum(map(mul, m, col)) for col in zip(*adj)]  # q m C^-1
+            qc = self.simple_root_coords_int(m)
             if min(qc) >= 0:
                 positive.append((sum(qc), m))
         if 2 * len(positive) != len(roots):

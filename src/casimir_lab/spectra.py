@@ -6,7 +6,9 @@ isotypic dimension dim (V^μ ⊗ U*)^K under the selected K-mode, tensored
 against V^{μ*}.  Reports record that assembly exactly, alongside the
 hidden-symmetry data (stabilizer orbits of the shifted sphere
 configuration) of each class, and never replace a computed orbit count by
-the expected one.
+the expected one.  A member is its dominant coordinate tuple μ over the
+class's root system; its dual μ* (reps.dual_label) is computed once and
+read by its isotypic dimension, its type and its row.
 
 K-modes:
   trivial   K = {e}; U* any sum of G-irreducibles.
@@ -27,14 +29,12 @@ from .errors import CapExceeded, InternalConsistencyError, NonDominantWeight
 from .hidden import DEFAULT_POINT_CAP, DEFAULT_RANK_CAP, orbits, shifted_config, stabilizer_group
 from .reps import (
     KMode,
-    RepLabel,
     RepType,
     bold_g_label,
     classify_type,
     dual_label,
     exterior_powers,
     invariant_dim,
-    adjoint_rep,
     weyl_dim,
 )
 from .rootsys import RootSystem, RootSystemType, build_root_system
@@ -105,10 +105,6 @@ class RealMember:
     hidden_orbit_id: object
 
 
-def _isotypic(v, ustar, kmode: KMode) -> int:
-    return invariant_dim((v, dual_label(v)) if kmode is KMode.DIAGONAL else v, ustar, kmode)
-
-
 def _context(rs: RootSystem, lat: LatticeChoice, kmode: KMode, ustar) -> dict:
     ctx = {
         "family": rs.typ.family,
@@ -164,8 +160,8 @@ def _labels(member_types) -> dict:
     }
 
 
-def _member_type(v, kmode: KMode) -> RepType:
-    """Type of the eigenspace block labeled by v.
+def _member_type(rs: RootSystem, mu: Coords, dual: Coords, kmode: KMode) -> RepType:
+    """Type of the eigenspace block labeled by mu, whose dual is dual.
 
     In diagonal mode the block is V^mu (x) V^mu* over G' x G', whose
     type is the square of the G'-side indicator: real whenever mu is
@@ -173,10 +169,8 @@ def _member_type(v, kmode: KMode) -> RepType:
     modes carry V^mu itself.
     """
     if kmode is KMode.DIAGONAL:
-        if dual_label(v).highest == v.highest:
-            return RepType.REAL
-        return RepType.COMPLEX
-    return classify_type(v)
+        return RepType.REAL if dual == mu else RepType.COMPLEX
+    return classify_type(rs, mu)
 
 
 def _complex_members(rs, cls, ustar, kmode, point_cap, rank_cap):
@@ -184,23 +178,23 @@ def _complex_members(rs, cls, ustar, kmode, point_cap, rank_cap):
     data is computed only when some member is kept."""
     kept = []
     for mu in cls.dominant_members:
-        v = RepLabel(rs, mu)
-        iso = _isotypic(v, ustar, kmode)
+        dual = dual_label(rs, mu)
+        iso = invariant_dim(rs, (mu, dual) if kmode is KMode.DIAGONAL else mu, ustar, kmode)
         if iso > 0:
-            kept.append((v, iso))
+            kept.append((mu, dual, iso))
     if not kept:
         return [], None
     orbit_by_mu, orbit_count = _hidden_data(rs, cls, point_cap, rank_cap)
     members = [
         SpectralMember(
-            mu=v.highest,
-            dual_mu=dual_label(v).highest,
-            dim=weyl_dim(v),
-            rep_type=_member_type(v, kmode),
+            mu=mu,
+            dual_mu=dual,
+            dim=weyl_dim(rs, mu),
+            rep_type=_member_type(rs, mu, dual, kmode),
             isotypic_dim=iso,
-            hidden_orbit_id=UNCOMPUTED if orbit_by_mu is None else orbit_by_mu[v.highest],
+            hidden_orbit_id=UNCOMPUTED if orbit_by_mu is None else orbit_by_mu[mu],
         )
-        for v, iso in kept
+        for mu, dual, iso in kept
     ]
     return members, orbit_count
 
@@ -363,12 +357,12 @@ def generic_estimate(
     terms = []
     total = 0
     for mu in cls.dominant_members:
-        v = RepLabel(rs, mu)
-        mult = _isotypic(v, ustar, kmode)
+        dual = dual_label(rs, mu)
+        mult = invariant_dim(rs, (mu, dual) if kmode is KMode.DIAGONAL else mu, ustar, kmode)
         if mult <= 0:
             continue
-        d = weyl_dim(v)
-        terms.append(EstimateTerm(mu, dual_label(v).highest, mult, d))
+        d = weyl_dim(rs, mu)
+        terms.append(EstimateTerm(mu, dual, mult, d))
         total += mult * d
     return EstimateBound(
         context=_context(rs, lat, kmode, ustar),
@@ -418,13 +412,12 @@ def hodge_rank1_check(cap) -> HodgeTable:
     """
     cap = Q(cap)
     rs = build_root_system(RootSystemType("A", 1))
-    ext = exterior_powers(adjoint_rep(rs), 3)
+    ext = exterior_powers(rs, rs.positive_roots_fw[-1], 3)
     rows = []
     discrepancies = []
     for mu in enumerate_dominant(rs, LatticeChoice.WEIGHT, cap):
         lam = casimir_eigenvalue(rs, mu)
-        v = RepLabel(rs, mu)
-        dims = tuple(invariant_dim((v, v), ext[p], KMode.DIAGONAL) for p in range(4))
+        dims = tuple(invariant_dim(rs, (mu, mu), ext[p], KMode.DIAGONAL) for p in range(4))
         rows.append(HodgeRow(mu, shifted_norm_sq(rs, mu), lam, dims, all(d > 0 for d in dims)))
         for p in range(4):
             if dims[p] == 0:

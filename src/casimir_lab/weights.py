@@ -13,9 +13,9 @@ Enumeration is integer Fincke-Pohst (Fincke & Pohst 1985) on fraction-free
 (Bareiss 1968) levels, kept on the root system (RootSystem.gram_fw_ldl):
 lattice_points lists a ball with exact norms (classes_up_to,
 enumerate_dominant) or one sphere, solving its last coordinate
-(sphere_set), and refuses past DEFAULT_NODE_CAP nodes.  dual_weight walks
--mu into the dominant chamber, because mu need not be dominant;
-reps.dual_label, whose highest weights are dominant, reads -w0 instead.
+(sphere_set), and refuses past DEFAULT_NODE_CAP nodes.  Root-lattice
+membership reads the simple-root coordinates of RootSystem
+(simple_root_coords_int).  Duals of dominant weights are reps.dual_label.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from math import isqrt
 from operator import mul
 
 from . import ratlinalg as rl
-from . import rootsys as rsys
 from .errors import CapExceeded, NonDominantWeight, NotInLattice
 from .rootsys import RootSystem
 
@@ -55,8 +54,8 @@ class CasimirClass:
 
 def in_root_lattice(rs: RootSystem, fw_coords) -> bool:
     """mu = sum c_i alpha_i with integer c?  q c = q C^-T m must vanish mod q."""
-    q, adj = rs.cartan_inverse_int
-    return all(sum(map(mul, col, fw_coords)) % q == 0 for col in zip(*adj))
+    q = rs.cartan_inverse_int[0]
+    return all(v % q == 0 for v in rs.simple_root_coords_int(fw_coords))
 
 
 def make_weight(rs: RootSystem, fw_coords, lat: LatticeChoice = LatticeChoice.WEIGHT) -> Coords:
@@ -191,8 +190,3 @@ def classes_up_to(rs: RootSystem, lat: LatticeChoice, a_sq_cap) -> list[CasimirC
         for norm in sorted(buckets)
         if any(min(m) >= 0 for m in buckets[norm])
     ]
-
-
-def dual_weight(rs: RootSystem, mu: Coords) -> Coords:
-    """Highest weight of the dual representation: the dominant form of -mu."""
-    return rsys.dominant_fw_coords(rs, (-c for c in mu))[0]

@@ -1,5 +1,6 @@
-"""One sha256 over every output of the benchmark workloads, for checking that
-a change keeps every output byte-identical.
+"""One sha256 over every output of the benchmark workloads, and one over a
+fixed sweep of every subcommand, for checking that a change keeps every
+output byte-identical.
 
     python3 tests/output_digest.py 1 2 3
 
@@ -9,7 +10,14 @@ benchmark serves it: in json (with the float multiplicity cross-check of an
 `operator-spectrum` request, whose verdicts are part of the digest) and again
 with `--output table`.  Each request adds (argv, exit code, stdout, stderr,
 verdicts) to the digest.  One line per workload and seed gives that part's
-request count and sha256; the last line is the sha256 over everything.
+request count and sha256, and the "total" line the sha256 over the four
+workloads.
+
+The sweep (sweep_requests) does not depend on the seeds.  It runs reptype,
+classes, coincidences, hidden, estimate, report and hodge-rank1 on small
+inputs, valid and invalid, each in json and with `--output table`, and adds
+(argv, exit code, stdout, stderr) per request.  One line per subcommand
+gives its part, and the "sweep total" line the sha256 over the sweep.
 
 Run it from a checkout's root, or copy it into another checkout's tests/
 and run it there: the package comes from ./src and the workloads from
@@ -20,6 +28,8 @@ casbench.  It is not a test module (pytest does not collect this file name).
 from __future__ import annotations
 
 import hashlib
+import itertools
+import json
 import sys
 from pathlib import Path
 
@@ -55,11 +65,90 @@ def digest(seeds) -> list:
     return lines
 
 
+# Types of the sweep, with the largest coordinate of their reptype weights.
+SWEEP_TYPES = {
+    "A1": 2, "A2": 2, "A3": 2, "A4": 1, "B2": 2, "B3": 2, "B4": 1, "C2": 2, "C3": 2, "C4": 1,
+    "D4": 1, "F4": 1, "G2": 2, "E6": 1,
+}
+# Squared-radius caps of classes and coincidences per rank.
+CLASS_CAPS = {1: ("30", "201/2"), 2: ("30", "182/3"), 3: ("14",), 4: ("8",), 6: ("6",)}
+
+
+def _type_args(name, *extra):
+    return ["--type", name[0], "--rank", name[1:], *extra]
+
+
+def _ustars(rank):
+    """U* texts: trivial, valid, a zero multiplicity, non-dominant, of the
+    wrong length and a weight listed twice."""
+    one = [1] + [0] * (rank - 1)
+    low = [0] * (rank - 1) + [-1] if rank > 1 else [-1]
+    return [
+        "trivial",
+        json.dumps([[one, 1], [[0] * rank, 2]]),
+        json.dumps([[one, 0]]),
+        json.dumps([[low, 1]]),
+        json.dumps([[one + [0], 1]]),
+        json.dumps([[one, 1], [one, 2]]),
+    ]
+
+
+def sweep_requests() -> dict:
+    """{subcommand: [argv, ...]}, a fixed list of small requests."""
+    reqs = {name: [] for name in ("reptype", "classes", "coincidences", "hidden", "estimate", "report", "hodge-rank1")}
+    for name, top in SWEEP_TYPES.items():
+        rank = int(name[1:])
+        weights = [",".join(map(str, w)) for w in itertools.product(range(top + 1), repeat=rank)]
+        weights += [",".join(["1"] * (rank - 1) + ["-1"]), ",".join(["1"] * (rank + 1))]
+        reqs["reptype"] += [["reptype", *_type_args(name, "--weight", w)] for w in weights]
+        for cap in CLASS_CAPS[rank]:
+            for lattice in ("weight", "root"):
+                for cmd in ("classes", "coincidences"):
+                    reqs[cmd].append([cmd, *_type_args(name, "--lattice", lattice, "--cap", cap)])
+    for name, a_sq in (("A2", "98/3"), ("B2", "25/2"), ("G2", "98/3"), ("B3", "21/2"), ("A3", "8")):
+        for cap in ("0", "12", "1152", "10080"):
+            reqs["hidden"].append(["hidden", *_type_args(name, "--a2", a_sq, "--weyl-cap", cap)])
+    for name in ("A1", "A2", "B2", "G2", "A3"):
+        rank = int(name[1:])
+        ustars = _ustars(rank)
+        for kmode in ("trivial", "diagonal", "torus"):
+            for w in itertools.product(range(2), repeat=rank):
+                for ustar in ustars:
+                    argv = _type_args(name, "--weight", ",".join(map(str, w)), "--kmode", kmode, "--ustar", ustar)
+                    reqs["estimate"].append(["estimate", *argv])
+            for real in ((), ("--real",)):
+                for ustar in ustars[:4]:
+                    argv = _type_args(name, "--cap", "30" if rank < 3 else "12", "--kmode", kmode, "--ustar", ustar)
+                    reqs["report"].append(["report", *argv, *real])
+    reqs["hodge-rank1"] = [["hodge-rank1", "--cap", cap] for cap in ("-1", "0", "2", "7/2", "20", "100")]
+    return reqs
+
+
+def sweep_digest() -> list:
+    """[(label, requests, sha256)] per subcommand of the sweep, then
+    ("sweep total", n, sha256)."""
+    workloads = _load_workloads()
+    program = workloads.Program()
+    total, count, lines = hashlib.sha256(), 0, []
+    for name, argvs in sweep_requests().items():
+        part, n = hashlib.sha256(), 0
+        for argv in argvs:
+            for full in (argv, [*argv, "--output", "table"]):
+                blob = repr((full, *program.run_cli(full))).encode()
+                part.update(blob)
+                total.update(blob)
+                n += 1
+        lines.append((f"sweep {name}", n, part.hexdigest()))
+        count += n
+    lines.append(("sweep total", count, total.hexdigest()))
+    return lines
+
+
 def main(argv) -> int:
     if not argv:
         print("usage: python3 tests/output_digest.py SEED [SEED ...]", file=sys.stderr)
         return 2
-    for label, n, sha in digest([int(s) for s in argv]):
+    for label, n, sha in digest([int(s) for s in argv]) + sweep_digest():
         print(f"{label}: {n} requests {sha}")
     return 0
 

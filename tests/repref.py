@@ -9,7 +9,7 @@ signed-reflection rule that `reps` uses for both.
 from fractions import Fraction as Q
 
 from casimir_lab.errors import InternalConsistencyError
-from casimir_lab.reps import rep, weight_multiplicities
+from casimir_lab.reps import weight_multiplicities
 from casimir_lab.weights import shifted_norm_int
 
 
@@ -29,7 +29,7 @@ def character_of_decomposition(rs, decomposition):
     """{fw-coords: multiplicity} of sum_mu m_mu V^mu, zero entries dropped."""
     out = {}
     for coords, mult in decomposition.items():
-        for w, m in weight_multiplicities(rep(rs, coords)).items():
+        for w, m in weight_multiplicities(rs, coords).items():
             out[w] = out.get(w, 0) + mult * m
     return {w: m for w, m in out.items() if m != 0}
 
@@ -48,7 +48,7 @@ def decompose_character(rs, char):
         if mult < 0:
             raise InternalConsistencyError("negative leading multiplicity in character")
         found[nu] = found.get(nu, 0) + mult
-        for w, m in weight_multiplicities(rep(rs, nu)).items():
+        for w, m in weight_multiplicities(rs, nu).items():
             nm = work.get(w, 0) - mult * m
             if nm:
                 work[w] = nm

@@ -33,7 +33,7 @@ from casimir_lab.oplab import (
 )
 from casimir_lab.polyq import root_multiplicity_profile
 from polyref import degree, leading, operator_matrix, rational_char_poly, rational_resultant, rpoly
-from casimir_lab.reps import KMode, rep, tensor_decompose, weyl_dim
+from casimir_lab.reps import KMode, dual_label, tensor_decompose, weyl_dim
 from casimir_lab.rootsys import RootSystemType, build_root_system
 from casimir_lab.spectra import generic_estimate, hodge_rank1_check
 from repref import character_of_decomposition, decompose_character
@@ -41,7 +41,6 @@ from casimir_lab.weights import (
     LatticeChoice,
     casimir_eigenvalue,
     classes_up_to,
-    dual_weight,
     in_root_lattice,
     make_weight,
 )
@@ -111,7 +110,7 @@ def test_criterion_03_rank2_coincidence(announce):
         ms = c.dominant_members
         for i in range(len(ms)):
             for j in range(i + 1, len(ms)):
-                if dual_weight(A2, ms[i]) != ms[j]:
+                if dual_label(A2, ms[i]) != ms[j]:
                     found.append((c.a_sq, ms[i], ms[j]))
     elapsed = time.monotonic() - t0
     witness = [f for f in found if f[0] == Q(182, 3)]
@@ -288,8 +287,8 @@ def _box_scan_classes(rs, lat, cap, span):
 
 
 def _convolve(rs, v, w):
-    ca = character_of_decomposition(rs, {v.highest: 1})
-    cb = character_of_decomposition(rs, {w.highest: 1})
+    ca = character_of_decomposition(rs, {v: 1})
+    cb = character_of_decomposition(rs, {w: 1})
     prod = {}
     for w1, m1 in ca.items():
         for w2, m2 in cb.items():
@@ -350,20 +349,15 @@ def test_criterion_10_oracle_equivalences(announce):
         for n in range(m, 200):
             if (m + 1) * (n + 1) > 200:
                 break
-            pairs.append((rep(A1, (m,)), rep(A1, (n,))))
-    a2_labels = [
-        rep(A2, (a, b))
-        for a in range(14)
-        for b in range(14)
-        if weyl_dim(rep(A2, (a, b))) <= 200
-    ]
+            pairs.append((A1, (m,), (n,)))
+    a2_labels = [(a, b) for a in range(14) for b in range(14) if weyl_dim(A2, (a, b)) <= 200]
     for i, v in enumerate(a2_labels):
         for w in a2_labels[i:]:
-            if weyl_dim(v) * weyl_dim(w) <= 200:
-                pairs.append((v, w))
-    for v, w in pairs:
-        if tensor_decompose(v, w) != _convolve(v.rs, v, w):
-            bad.append(("tensor", v.highest, w.highest))
+            if weyl_dim(A2, v) * weyl_dim(A2, w) <= 200:
+                pairs.append((A2, v, w))
+    for rs, v, w in pairs:
+        if tensor_decompose(rs, v, w) != _convolve(rs, v, w):
+            bad.append(("tensor", v, w))
 
     # (c) resultants against the Sylvester determinant, 20 random pairs
     rng = random.Random(1789)

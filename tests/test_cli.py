@@ -191,6 +191,7 @@ def _exit_code_within_contract(argv) -> int:
 @given(capped_requests())
 @example(["reptype", "--type", "E", "--rank", "8", "--weight", "0,0,0,0,0,0,0,1"])
 @example(["hidden", "--type", "E", "--rank", "8", "--a2", "640"])
+@example(["reptype", "--type", "A", "--rank", "2", "--weight", ",".join(["9" * 1500] * 2)])
 def test_capped_commands_keep_the_exit_code_contract(argv):
     assert _exit_code_within_contract(argv) in (0, 2, 3)
 
@@ -226,6 +227,7 @@ def operator_requests(draw):
 @example(["spectrum", "--su2", "1", "--rep-cap", "4", "--kappa", "diag:1,-2,3", "--numeric"])
 @example(["spectrum", "--su2", "1", "--rep-cap", "12", "--kappa", f"diag:{10**999 + 7},1,1"])
 @example(["spectrum", "--su2", "1", "--rep-cap", "2", "--kappa", f"diag:{10**999 + 7},1,1", "--numeric"])
+@example(["spectrum", "--su2", "1", "--rep-cap", "8", "--kappa", "diag:1,2,3", "--ustar-dim", "9" * 4299, "--numeric"])
 def test_operator_commands_keep_the_exit_code_contract(argv):
     _exit_code_within_contract(argv)
 
@@ -263,8 +265,34 @@ def spectral_requests(draw):
 @example(["estimate", "--type", "B", "--rank", "4", "--weight", "2,2,2,2", "--kmode", "torus"])
 @example(["report", "--type", "A", "--rank", "2", "--cap", "20", "--kmode", "torus", "--ustar", "[[[-1, 0], 1]]", "--real"])
 @example(["hodge-rank1", "--cap", "-1"])
+@example(["estimate", "--type", "A", "--rank", "1", "--weight", "9" * 4000, "--kmode", "trivial"])
 def test_spectral_commands_keep_the_exit_code_contract(argv):
     _exit_code_within_contract(argv)
+
+
+# Requests whose payload holds an int past the interpreter's 4,300-digit
+# int-to-str limit, with that int's digit count: a dimension (N + 1)^3, a
+# squared radius 10^8000 / 2 and an assembled dimension.
+LONG_OUTPUT_REQUESTS = [
+    (["reptype", "--type", "A", "--rank", "2", "--weight", ",".join(["9" * 1500] * 2)], 4501),
+    (["estimate", "--type", "A", "--rank", "1", "--weight", "9" * 4000, "--kmode", "trivial"], 8000),
+    (["spectrum", "--su2", "1", "--rep-cap", "8", "--kappa", "diag:1,2,3", "--ustar-dim", "9" * 4299, "--numeric"], 4301),
+]
+
+
+@pytest.mark.parametrize("argv,digits", LONG_OUTPUT_REQUESTS, ids=["reptype", "estimate", "spectrum"])
+def test_an_int_too_long_to_write_is_refused(capsys, argv, digits):
+    limit = sys.get_int_max_str_digits()
+    for output in ("json", "table"):
+        code, out, err = run(capsys, *argv, "--output", output)
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {"error": "cap-exceeded", "what": "output integer digits", "actual": digits, "limit": limit}
+
+
+def test_refused_ints_report_their_exact_digit_count():
+    for k in (4300, 4301, 5000, 12_345):
+        assert cli._too_long(10**k).actual == k + 1
+        assert cli._too_long(-(10**k - 1)).actual == k
 
 
 def test_weight_table_cap_refuses_a_large_estimate(capsys):
@@ -479,7 +507,7 @@ def _written(obj, output="json") -> str:
     """What the command line prints for obj as its payload."""
     out = io.StringIO()
     with redirect_stdout(out):
-        cli._emit(obj, output)
+        print(cli._render(obj, output))
     return out.getvalue()
 
 
@@ -1099,6 +1127,25 @@ def test_kappa_file_input(tmp_path, capsys):
     # a missing file is a usage error, not a crash
     code, out, err = run(capsys, "spectrum", "--su2", "1", "--kappa", str(tmp_path / "nope.json"))
     assert code == 2 and out == ""
+
+
+def test_json_input_files_are_capped(tmp_path, capsys):
+    # a file of JSON_INPUT_CAP characters is read and parsed; one more is
+    # refused before parsing, for --kappa and --ustar alike
+    head = json.dumps({"n": 3, "entries": [[0, 0, "1"], [1, 1, "2"], [2, 2, "3"]]})
+    at_cap, past_cap = tmp_path / "at_cap.json", tmp_path / "past_cap.json"
+    at_cap.write_text(head + " " * (cli.JSON_INPUT_CAP - len(head)))
+    past_cap.write_text(head + " " * (cli.JSON_INPUT_CAP + 1 - len(head)))
+    data = run_json(capsys, "spectrum", "--su2", "1", "--rep-cap", "1", "--kappa", str(at_cap))
+    assert data["kappa"]["entries"] == [[0, 0, "1"], [1, 1, "2"], [2, 2, "3"]]
+    reason = {"error": "cap-exceeded", "what": "JSON input characters", "actual": cli.JSON_INPUT_CAP + 1, "limit": cli.JSON_INPUT_CAP}
+    for argv in (
+        ["spectrum", "--su2", "1", "--rep-cap", "1", "--kappa", str(past_cap)],
+        ["estimate", "--type", "A", "--rank", "2", "--weight", "1,0", "--ustar", str(past_cap)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert json.loads(err) == reason
 
 
 def test_ustar_parsing():

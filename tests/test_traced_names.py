@@ -1,6 +1,6 @@
 """The functions the benchmark's traced run wraps must exist in the package,
-and no package module keeps a public function, method or property that only
-the tests call."""
+and no package module keeps a public function, method, property or class
+that only the tests use."""
 
 import ast
 import functools
@@ -69,15 +69,22 @@ def _public_definitions(module):
                     yield f"{name}.{member}", member
 
 
-def test_low_layers_have_no_test_only_functions():
-    # Reference code that only the tests need lives in tests/ (see ambient.py).
-    named = _spans().NAMED
+def _modules_and_uses():
+    """The package modules but __init__, and (name, module, owner) for every
+    name read in them."""
     modules = sorted(path.stem for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
     used = {
         (name, mod, owner)
         for mod in modules
         for name, owner in _references(PACKAGE / f"{mod}.py")
     }
+    return modules, used
+
+
+def test_low_layers_have_no_test_only_functions():
+    # Reference code that only the tests need lives in tests/ (see ambient.py).
+    named = _spans().NAMED
+    modules, used = _modules_and_uses()
     unused = []
     for mod in modules:
         module = importlib.import_module(f"casimir_lab.{mod}")
@@ -86,3 +93,19 @@ def test_low_layers_have_no_test_only_functions():
             if not called and qualname not in named.get(mod, ()):
                 unused.append(f"{mod}.{qualname}")
     assert unused == [], f"public functions, methods and properties with no caller in src: {unused}"
+
+
+def test_low_layers_have_no_test_only_classes():
+    # A public class that no src code outside its own body names, such as a
+    # wrapper type that only the tests build, does not belong in the package.
+    modules, used = _modules_and_uses()
+    unused = []
+    for mod in modules:
+        module = importlib.import_module(f"casimir_lab.{mod}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not inspect.isclass(obj) or obj.__module__ != module.__name__:
+                continue
+            own = {name, *(f"{name}.{member}" for member in vars(obj))}
+            if not any(n == name and not (stem == mod and owner in own) for n, stem, owner in used):
+                unused.append(f"{mod}.{name}")
+    assert unused == [], f"public classes with no use in src outside their own body: {unused}"

@@ -10,13 +10,13 @@ from ambient import reference
 from casimir_lab import ratlinalg as rl
 from casimir_lab import weights
 from casimir_lab.errors import CapExceeded, NonDominantWeight, NotInLattice
+from casimir_lab.reps import dual_label
 from casimir_lab.rootsys import RootSystemType, build_root_system
 from casimir_lab.weights import (
     LatticeChoice,
     casimir_eigenvalue,
     classes_up_to,
     delta_norm_sq,
-    dual_weight,
     enumerate_dominant,
     in_root_lattice,
     lattice_points,
@@ -123,7 +123,7 @@ def test_class_invariants():
             assert shifted_norm_sq(rs, w) == c.a_sq
         assert set(c.dominant_members) <= set(c.sphere_members)
         # dominant members are closed under duality
-        duals = {dual_weight(rs, w) for w in c.dominant_members}
+        duals = {dual_label(rs, w) for w in c.dominant_members}
         assert duals == set(c.dominant_members)
 
 
@@ -138,11 +138,11 @@ def test_sphere_set_roundtrip():
 
 def test_dual_weight_involution_and_types():
     a2 = rs_of("A", 2)
-    assert dual_weight(a2, make_weight(a2, (3, 1))) == (1, 3)
-    assert dual_weight(a2, dual_weight(a2, make_weight(a2, (3, 1)))) == (3, 1)
+    assert dual_label(a2, make_weight(a2, (3, 1))) == (1, 3)
+    assert dual_label(a2, dual_label(a2, make_weight(a2, (3, 1)))) == (3, 1)
     for fam in ("B", "G"):
         rs = rs_of(fam, 2)
-        assert dual_weight(rs, make_weight(rs, (2, 1))) == (2, 1)  # self-dual types
+        assert dual_label(rs, make_weight(rs, (2, 1))) == (2, 1)  # self-dual types
 
 
 def test_enumerate_dominant_sorted_and_complete():
