@@ -40,6 +40,7 @@ from .oplab import (
     char_poly,
     cluster_spectrum,
     diag_metric,
+    dual_operator,
     enumerate_reps,
     multiplicity_at_float,
     numeric_spectrum,

@@ -50,6 +50,8 @@ from .oplab import (
     char_poly,
     cluster_spectrum,
     diag_metric,
+    dual_operator,
+    dual_positions,
     enumerate_reps,
 )
 from .polyq import root_multiplicity_profile
@@ -480,12 +482,18 @@ def cmd_spectrum(args) -> dict:
     k = parse_kappa(args.kappa, g)
     reps = enumerate_reps(g, args.rep_cap)
     admit_metric(k, reps)
-    ops = [build_operator(g, v, k) for v in reps]
-    entries = []
-    for v, op in zip(reps, ops):
+    ops, entries = [], []
+    for i, (v, j) in enumerate(zip(reps, dual_positions(reps))):
+        if j < i:
+            # V* comes after V: its operator is V's mirrored, and it has V's
+            # polynomial, profile and written coefficients
+            ops.append(dual_operator(ops[j]))
+            entries.append({**entries[j], "rep": v})
+            continue
+        ops.append(build_operator(g, v, k))
         # P(s) = det(sI - den D); scaling by den keeps root multiplicities,
         # and D's polynomial has coefficient P[i] / den^(d - i) at t^i.
-        p, den = char_poly(op)
+        p, den = char_poly(ops[-1])
         d = len(p) - 1
         profile = root_multiplicity_profile(p)
         entries.append(

@@ -11,6 +11,34 @@ polynomial comes from Berkowitz's division-free algorithm (Berkowitz 1984;
 Abdeljaoued 1997), on integers for a real operator and on Gaussian
 integers otherwise.
 
+Dual pairs share one characteristic polynomial.  On the monomial basis of
+V, let i-bar reverse every SU(2) digit k -> m - k of the index i (so
+i-bar = dim V - 1 - i) and let s_i = (-1)^(digit sum of i).  Then for
+every metric, on the integer rows A = den * D,
+
+    A_{V*}[i][j] = s_i s_j conj(A_V[i-bar][j-bar]).
+
+Proof: write T for the signed reversal T[i][i-bar] = s_i, so T^(-1) is
+the reversal with the signs on the other side, (T^(-1))[j-bar][j] = s_j.
+Each doubled generator satisfies G^{V*} = T conj(G^V) T^(-1), read off
+_doubled_generators at a row of digit k.  For 2 Y_1 = i X_1, the entry
+one stride up is -i(k+1); its mirror i-bar has digit m - k and the entry
+one stride down, -(m - (m-k) + 1) = -(k + 1) in X_1, so conj gives
+i(k+1), and s_i s_j = -1 for digits k, k+1 restores -i(k+1); the stride
+down is the same computation read backwards.  For the real 2 Y_2 the
+mirrored entry is m - (m-k) + 1 = k + 1 and the sign -1 gives -(k+1)
+back; for 2 Y_3 = i X_3 the mirrored diagonal is i(m - 2k), conjugated to
+i(2k - m).  A torus character z acts as 2zi on V and as -2zi = conj(2zi)
+on V*.  Products and real combinations keep the relation, since conj is
+multiplicative and kappa is real, so D_{V*} = T conj(D_V) T^(-1), which is
+the identity above.  Hence P_{V*} = conj(P_V), and P_V is real (char_poly
+checks that every coefficient is), so V and V* have one polynomial P and
+one den.  For the table values this gives b(V*) = b(V) and
+a(V*, W*) = res(P_V, P_W) = a(V, W), times (-1)^(deg P_V deg P_W) when
+V* comes after W* in the rep list.  certify and cli spectrum compute P
+once per dual pair, and dual_operator applies the identity where the float
+solve still needs D_{V*}.
+
 Normalization: each su(2) copy uses the basis Y_1, Y_2, Y_3 given by the
 symmetric-power images of -(i/2)*sigma_k, which is orthonormal for the
 bi-invariant form <X, Y> = -2 trace(XY) on the defining representation.  With
@@ -283,6 +311,29 @@ def build_operator(
     return ExactOperator(re, im, 4 * lcm, rep, k, real=parts[1] is None)
 
 
+def dual_operator(op: ExactOperator) -> ExactOperator:
+    """The operator of op.rep.dual() at op's metric, from op's rows by the
+    identity A_{V*}[i][j] = s_i s_j conj(A_V[d-1-i][d-1-j]) of the module
+    docstring (s_i the parity of i's SU(2) digit sum), with op's den.
+    s_(d-1-i) = (-1)^(sum m) s_i, so s_i s_j is also the sign of the
+    mirrored entry: each part is signed entrywise, then reversed both ways."""
+    signs = [1]
+    for m in op.rep.spins:
+        signs = [s * (-1) ** k for s in signs for k in range(m + 1)]
+
+    def mirrored(rows, sign):
+        return tuple(tuple(sign * s * t * x for t, x in zip(signs, row))[::-1] for s, row in zip(signs, rows))[::-1]
+
+    return ExactOperator(mirrored(op.re, 1), mirrored(op.im, -1), op.den, op.rep.dual(), op.kappa_ref, real=op.real)
+
+
+def dual_positions(reps) -> list[int]:
+    """The position in reps of each rep's dual; enumerate_reps lists every
+    character with its negative, so every dual of its list is listed."""
+    position = {v: i for i, v in enumerate(reps)}
+    return [position[v.dual()] for v in reps]
+
+
 def _monomial_weights(rep: IrrepSpec):
     """Diagonal of the invariant inner product on the monomial basis (1/binomial)."""
     weights = [Q(1)]
@@ -300,11 +351,11 @@ def char_poly(op: ExactOperator) -> tuple[list[int], int]:
     where an imaginary part left in a coefficient signals a bug in the
     construction.  P is degree-indexed, with c_k at s^(d-k).  The
     independent exact identity det(I + A) = (-1)^d P(-1) is checked with a
-    Bareiss determinant; for a complex A, on the real 2d x 2d form of I + A,
-    whose determinant is |det(I + A)|^2 = P(-1)^2.  A mismatch signals a
-    bug.  The characteristic polynomial of D is p(t) = den^(-d) P(den t),
-    with coefficient c_k / den^k at t^(d-k); scaling t by den keeps every
-    root multiplicity.
+    Bareiss determinant, over Z for a real A and over Z[i] otherwise, where
+    the determinant must come out as the real integer (-1)^d P(-1).  A
+    mismatch signals a bug.  The characteristic polynomial of D is
+    p(t) = den^(-d) P(den t), with coefficient c_k / den^k at t^(d-k);
+    scaling t by den keeps every root multiplicity.
     """
     shifted = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(op.re)]
     if op.real:
@@ -315,15 +366,54 @@ def char_poly(op: ExactOperator) -> tuple[list[int], int]:
             if cim:
                 raise InternalConsistencyError(
                     f"characteristic coefficient has imaginary part {Q(cim, op.den ** k)}")
-        shifted = [x + [-y for y in ys] for x, ys in zip(shifted, op.im)] + [
-            [*ys, *x] for x, ys in zip(shifted, op.im)]
     value = sum(coeffs[::2]) - sum(coeffs[1::2])  # (-1)^d P(-1)
-    det = integer_det(shifted)
-    if det != (value if op.real else value ** 2):
+    if op.real:
+        det, want = integer_det(shifted), value
+    else:
+        det, want = _gaussian_det(shifted, [list(row) for row in op.im]), (value, 0)
+    if det != want:
         raise InternalConsistencyError(
             f"Bareiss determinant {det} of I + A disagrees with the characteristic polynomial")
     coeffs.reverse()
     return coeffs, op.den
+
+
+def _gaussian_det(are, aim):
+    """(re, im) of det(are + i aim) for square integer rows are, aim, by
+    Bareiss's one-step fraction-free elimination over Z[i], in place.
+
+    Every step divides x p - f t by the previous pivot q, which Bareiss's
+    identity makes exact in any integral domain: multiplied by conj(q),
+    both parts must be multiples of |q|^2, and a remainder is an internal
+    error.
+    """
+    n = len(are)
+    sign = 1
+    qr, qi, qn = 1, 0, 1
+    for k in range(n - 1):
+        if not (are[k][k] or aim[k][k]):
+            piv = next((i for i in range(k + 1, n) if are[i][k] or aim[i][k]), None)
+            if piv is None:
+                return 0, 0
+            are[k], are[piv], aim[k], aim[piv] = are[piv], are[k], aim[piv], aim[k]
+            sign = -sign
+        pr, pi, top_r, top_i = are[k][k], aim[k][k], are[k][k + 1:], aim[k][k + 1:]
+        for rr, ri in zip(are[k + 1:], aim[k + 1:]):
+            fr, fi = rr[k], ri[k]
+            new_r, new_i = [], []
+            for xr, xi, tr, ti in zip(rr[k + 1:], ri[k + 1:], top_r, top_i):
+                yr = xr * pr - xi * pi - fr * tr + fi * ti
+                yi = xr * pi + xi * pr - fr * ti - fi * tr
+                zr, er = divmod(yr * qr + yi * qi, qn)
+                zi, ei = divmod(yi * qr - yr * qi, qn)
+                if er or ei:
+                    raise InternalConsistencyError(
+                        f"Bareiss determinant of I + A: {yr} + {yi}i is not a multiple of {qr} + {qi}i")
+                new_r.append(zr)
+                new_i.append(zi)
+            rr[k + 1:], ri[k + 1:] = new_r, new_i
+        qr, qi, qn = pr, pi, pr * pr + pi * pi
+    return (sign * are[-1][-1], sign * aim[-1][-1]) if n else (1, 0)
 
 
 def _berkowitz(a):
@@ -503,10 +593,9 @@ def certify(g: GroupSpec, rep_cap: int, budget: int = 12, seed: int = 2026) -> C
     if budget > BUDGET_CAP:
         raise CapExceeded("budget", budget, BUDGET_CAP)
     reps = enumerate_reps(g, rep_cap)
-    pieces = [_QuadPieces(g, v) for v in reps]
-    # enumerate_reps lists every character with its negative, so every dual is listed
-    position = {v: i for i, v in enumerate(reps)}
-    duals = [position[v.dual()] for v in reps]
+    duals = dual_positions(reps)
+    # the later member of a dual pair never builds an operator
+    pieces = [_QuadPieces(g, v) if duals[i] >= i else None for i, v in enumerate(reps)]
     last_violations = ()
     tried = 0
     for cand in witness_sequence(g.algebra_dim, budget, seed):
@@ -520,6 +609,8 @@ def certify(g: GroupSpec, rep_cap: int, budget: int = 12, seed: int = 2026) -> C
         polys = [None] * len(reps)
 
         def poly(i):
+            # V and V* share (P, den): the first listed member computes it
+            i = min(i, duals[i])
             if polys[i] is None:
                 p = char_poly(build_operator(g, reps[i], cand, pieces=pieces[i]))
                 if p[1] != den:
@@ -552,19 +643,42 @@ def _required_values(reps, duals, poly):
     D is p(t) = den^(-d) P(den t), so over the roots of P, for degrees
     d, d2: a = res(P, P2) / den^(d d2), b = res(P, P') / den^(d (d - 1))
     and c = res(P, P'') / den^(d (d - 2)); each value is one Fraction.
+
+    A value whose row is the dual of an earlier row is that row's value
+    (module docstring): b(V*) = b(V), and a(V*, W*) = a(V, W) times
+    (-1)^(d d2) when the pair's order flips.  Rows are consumed in order,
+    so the earlier row's value is always there.
     """
+    single = []
     for i, v in enumerate(reps):
-        p, den = poly(i)
-        d = len(p) - 1
-        if v.rep_type() == "quaternionic":
-            yield ("c", v, None, Q(resultant(p, derivative(derivative(p))), den ** (d * (d - 2))))
+        kind = "c" if v.rep_type() == "quaternionic" else "b"
+        if duals[i] < i:
+            value = single[duals[i]]
         else:
-            yield ("b", v, None, Q(resultant(p, derivative(p)), den ** (d * (d - 1))))
+            p, den = poly(i)
+            d = len(p) - 1
+            if kind == "c":
+                value = Q(resultant(p, derivative(derivative(p))), den ** (d * (d - 2)))
+            else:
+                value = Q(resultant(p, derivative(p)), den ** (d * (d - 1)))
+        single.append(value)
+        yield (kind, v, None, value)
+    pair = {}
     for i, v in enumerate(reps):
         for j in range(i + 1, len(reps)):
-            if j != duals[i]:
+            if j == duals[i]:
+                continue
+            di, dj = duals[i], duals[j]
+            mirror = (di, dj) if di < dj else (dj, di)
+            if mirror < (i, j):
+                value = pair[mirror]
+                if di > dj and v.dim * reps[j].dim % 2:
+                    value = -value
+            else:
                 (p, den), (q, _) = poly(i), poly(j)
-                yield ("a", v, reps[j], Q(resultant(p, q), den ** ((len(p) - 1) * (len(q) - 1))))
+                value = Q(resultant(p, q), den ** ((len(p) - 1) * (len(q) - 1)))
+            pair[i, j] = value
+            yield ("a", v, reps[j], value)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,13 @@ inputs, valid and invalid, each in json and with `--output table`, and adds
 (argv, exit code, stdout, stderr) per request.  One line per subcommand
 gives its part, and the "sweep total" line the sha256 over the sweep.
 
+The operator sweep (operator_sweep_requests) runs spectrum and certify on
+every group SU(2)^c x T^n with 1 <= c + n <= 3 at rep caps 0-2: spectrum at
+one diagonal and one full metric, plain, with `--numeric` and with
+`--numeric --ustar-dim 3`, and certify at budgets 1, 2, 7 and 12 and two
+seeds, each in json and with `--output table`.  Its lines follow the
+sweep's, with the "operator sweep total" line last.
+
 Run it from a checkout's root, or copy it into another checkout's tests/
 and run it there: the package comes from ./src and the workloads from
 ./casbench of the checkout that holds the script.  The script only reads
@@ -124,13 +131,40 @@ def sweep_requests() -> dict:
     return reqs
 
 
-def sweep_digest() -> list:
-    """[(label, requests, sha256)] per subcommand of the sweep, then
-    ("sweep total", n, sha256)."""
+# Groups (SU(2) copies, torus rank) of the operator sweep.
+OPERATOR_SHAPES = [(c, n) for c in range(4) for n in range(4) if 1 <= c + n <= 3]
+
+
+def _full_kappa(n: int) -> str:
+    """Inline JSON of a definite metric with every entry nonzero: diagonal
+    (i + 3)/2, off-diagonal +-1/(n + i + j + 5), so each row is dominated
+    by its diagonal."""
+    entries = [[i, i, f"{i + 3}/2"] for i in range(n)]
+    entries += [[i, j, f"{(-1) ** (i + j)}/{n + i + j + 5}"] for i in range(n) for j in range(i + 1, n)]
+    return json.dumps({"n": n, "entries": entries})
+
+
+def operator_sweep_requests() -> dict:
+    """{subcommand: [argv, ...]} of the operator sweep."""
+    reqs = {"spectrum": [], "certify": []}
+    for (su2, torus), cap in itertools.product(OPERATOR_SHAPES, range(3)):
+        group = ["--su2", str(su2), "--torus", str(torus), "--rep-cap", str(cap)]
+        n = 3 * su2 + torus
+        for kappa in ("diag:" + ",".join(f"{i + 2}/{i + 1}" for i in range(n)), _full_kappa(n)):
+            for numeric in ((), ("--numeric",), ("--numeric", "--ustar-dim", "3")):
+                reqs["spectrum"].append(["spectrum", *group, "--kappa", kappa, *numeric])
+        for budget, seed in itertools.product(("1", "2", "7", "12"), ("2026", "7")):
+            reqs["certify"].append(["certify", *group, "--budget", budget, "--seed", seed])
+    return reqs
+
+
+def sweep_digest(requests, prefix: str) -> list:
+    """[(label, requests, sha256)] per subcommand of requests, then
+    (prefix + " total", n, sha256)."""
     workloads = _load_workloads()
     program = workloads.Program()
     total, count, lines = hashlib.sha256(), 0, []
-    for name, argvs in sweep_requests().items():
+    for name, argvs in requests.items():
         part, n = hashlib.sha256(), 0
         for argv in argvs:
             for full in (argv, [*argv, "--output", "table"]):
@@ -138,9 +172,9 @@ def sweep_digest() -> list:
                 part.update(blob)
                 total.update(blob)
                 n += 1
-        lines.append((f"sweep {name}", n, part.hexdigest()))
+        lines.append((f"{prefix} {name}", n, part.hexdigest()))
         count += n
-    lines.append(("sweep total", count, total.hexdigest()))
+    lines.append((f"{prefix} total", count, total.hexdigest()))
     return lines
 
 
@@ -148,7 +182,9 @@ def main(argv) -> int:
     if not argv:
         print("usage: python3 tests/output_digest.py SEED [SEED ...]", file=sys.stderr)
         return 2
-    for label, n, sha in digest([int(s) for s in argv]) + sweep_digest():
+    lines = digest([int(s) for s in argv])
+    lines += sweep_digest(sweep_requests(), "sweep") + sweep_digest(operator_sweep_requests(), "operator sweep")
+    for label, n, sha in lines:
         print(f"{label}: {n} requests {sha}")
     return 0
 

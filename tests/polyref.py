@@ -10,8 +10,11 @@ operators as such matrices, the self-adjointness and Casimir checks on the
 integer rows, the Gaussian-rational Faddeev-LeVerrier reference for
 `oplab`'s Berkowitz characteristic polynomials,
 `abc_values`, the separation, simplicity and pairing resultants of two
-irreducibles at one metric, and `reference_cluster_spectrum`, the float
-clusters from one eigensolver call per operator.
+irreducibles at one metric, `satisfies_dual_identity`, the conjugate
+symmetry between the operators of an irreducible and its dual,
+`reference_certify`, a certificate search that computes every row of
+every candidate from its own operator, and `reference_cluster_spectrum`,
+the float clusters from one eigensolver call per operator.
 """
 
 import math
@@ -22,10 +25,20 @@ from typing import Optional
 
 import numpy as np
 
+from casimir_lab import polyq
 from casimir_lab import ratlinalg as rl
 from casimir_lab.errors import InternalConsistencyError
 from casimir_lab.gaussian import GZERO, QQi, gmatmul
-from casimir_lab.oplab import GroupSpec, IrrepSpec, SpectrumCluster, build_operator, diag_metric
+from casimir_lab.oplab import (
+    GroupSpec,
+    IrrepSpec,
+    SpectrumCluster,
+    build_operator,
+    char_poly,
+    diag_metric,
+    enumerate_reps,
+    witness_sequence,
+)
 from casimir_lab.polyq import RationalPoly, integer_parts, resultant, squarefree_decomposition
 
 # -- arithmetic on RationalPoly ---------------------------------------------
@@ -402,6 +415,69 @@ def abc_values(g, reps, k) -> ABCValues:
             out["b" + tag] = sylvester_resultant(p, derivative(p))
             out["c" + tag] = None
     return ABCValues(**out)
+
+
+# -- dual pairs --------------------------------------------------------------
+
+
+def mirror(rep, i: int) -> tuple:
+    """(i-bar, s_i) for the monomial index i of rep: i-bar reverses every
+    SU(2) digit k -> m - k, and s_i = (-1)^(digit sum of i)."""
+    stride, out, digits = rep.dim, 0, 0
+    for m in rep.spins:
+        stride //= m + 1
+        k = i // stride % (m + 1)
+        out += (m - k) * stride
+        digits += k
+    return out, (-1) ** digits
+
+
+def satisfies_dual_identity(op, star) -> bool:
+    """Whether star is the operator of op's dual at op's metric by the
+    conjugate symmetry star[i][j] = s_i s_j conj(op[i-bar][j-bar]) on the
+    integer rows, with op's den."""
+    if (star.rep, star.den, star.kappa_ref, star.dim) != (op.rep.dual(), op.den, op.kappa_ref, op.dim):
+        return False
+    marks = [mirror(op.rep, i) for i in range(op.dim)]
+    return all(
+        star.re[i][j] == s * t * op.re[a][b] and star.im[i][j] == -s * t * op.im[a][b]
+        for i, (a, s) in enumerate(marks)
+        for j, (b, t) in enumerate(marks)
+    )
+
+
+def _certificate_rows(reps, polys):
+    """Every row (kind, V, W, value) of one candidate, each from its own
+    polynomials: b or c per rep, then a per pair that is not a dual pair."""
+    rows = []
+    for v, (p, den) in zip(reps, polys):
+        d = len(p) - 1
+        if v.rep_type() == "quaternionic":
+            rows.append(("c", v, None, Q(resultant(p, polyq.derivative(polyq.derivative(p))), den ** (d * (d - 2)))))
+        else:
+            rows.append(("b", v, None, Q(resultant(p, polyq.derivative(p)), den ** (d * (d - 1)))))
+    for i, (v, (p, den)) in enumerate(zip(reps, polys)):
+        for w, (q, _) in zip(reps[i + 1:], polys[i + 1:]):
+            if w != v.dual():
+                rows.append(("a", v, w, Q(resultant(p, q), den ** ((len(p) - 1) * (len(q) - 1)))))
+    return rows
+
+
+def reference_certify(g, cap: int, budget: int, seed: int) -> tuple:
+    """(status, witness, table, violations, candidates tried) of
+    oplab.certify, with no value shared: every candidate builds the operator
+    of every rep and computes every row of its table.  The first candidate
+    with no zero row certifies with its full table; otherwise the last
+    candidate's zero rows are the violations."""
+    reps = enumerate_reps(g, cap)
+    violations, tried = (), 0
+    for k in witness_sequence(g.algebra_dim, budget, seed):
+        tried += 1
+        rows = _certificate_rows(reps, [char_poly(build_operator(g, v, k)) for v in reps])
+        violations = tuple(row for row in rows if row[3] == 0)
+        if not violations:
+            return "certified", k, tuple(rows), (), tried
+    return "inconclusive", None, (), violations, tried
 
 
 # -- float spectra -----------------------------------------------------------

@@ -33,6 +33,7 @@ from casimir_lab.oplab import (
     char_poly,
     cluster_spectrum,
     diag_metric,
+    dual_operator,
     enumerate_reps,
     multiplicity_at_float,
     numeric_spectrum,
@@ -63,8 +64,10 @@ from polyref import (
     reference_char_poly,
     reference_cluster_spectrum,
     reference_gaussian_char_poly,
+    reference_certify,
     reference_operator,
     rpoly,
+    satisfies_dual_identity,
     scale,
     su2_generators,
 )
@@ -419,6 +422,22 @@ def test_gaussian_recursion_matches_the_reference_on_any_matrix(parts):
             char_poly(oplab.ExactOperator(re, im, 1, IrrepSpec((len(re) - 1,)), K123))
 
 
+SPARSE_PAIRS = st.integers(1, 8).flatmap(lambda d: st.tuples(*[
+    st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3)), min_size=d * d, max_size=d * d).map(
+        lambda xs, d=d: [xs[i * d:(i + 1) * d] for i in range(d)])
+] * 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(SPARSE_PAIRS)
+def test_gaussian_det_matches_the_reference_on_any_matrix(parts):
+    # mostly zero entries, so zero pivots, row swaps and singular matrices
+    # occur; det(A) = (-1)^d c_d of the reference polynomial
+    re, im = parts
+    c_d = reference_gaussian_char_poly(gaussian_view(re, im, 1))[-1] * (-1) ** len(re)
+    assert oplab._gaussian_det([r[:] for r in re], [r[:] for r in im]) == (c_d.re, c_d.im)
+
+
 CASBENCH = Path(__file__).resolve().parents[1] / "casbench"
 
 
@@ -520,10 +539,15 @@ def test_char_poly_catches_a_wrong_product(monkeypatch, kappa):
         if n + 1 == products:
             break
     assert refused > products // 2
-    # a wrong pivot inside the determinant of the identity is refused too
-    det = oplab.integer_det
+    # a wrong pivot inside the determinant of the identity is refused too:
+    # the integer Bareiss for a real operator, the Gaussian one otherwise
     monkeypatch.setattr(oplab, "mul", mul)
-    monkeypatch.setattr(oplab, "integer_det", lambda m: det([[m[0][0] + 1, *m[0][1:]], *m[1:]]))
+    if op.real:
+        det = oplab.integer_det
+        monkeypatch.setattr(oplab, "integer_det", lambda m: det([[m[0][0] + 1, *m[0][1:]], *m[1:]]))
+    else:
+        det = oplab._gaussian_det
+        monkeypatch.setattr(oplab, "_gaussian_det", lambda re, im: det([[re[0][0] + 1, *re[0][1:]], *re[1:]], im))
     with pytest.raises(InternalConsistencyError, match="Bareiss determinant"):
         char_poly(op)
 
@@ -814,11 +838,105 @@ def test_certify_values_match_the_fraction_reference(case):
             assert cert.table == expected
         else:
             assert cert.violations == tuple(row for row in expected if row[3] == 0) != ()
-        # the same operator over another denominator is refused, not mixed in
-        last = enumerate_reps(g, cap)[-1]
+        # the same operator over another denominator is refused, not mixed
+        # in; the last rep whose dual is not listed before it is one whose
+        # polynomial certify computes
+        reps = enumerate_reps(g, cap)
+        last = [v for i, v in enumerate(reps) if v.dual() not in reps[:i]][-1]
         patched = doubled_den(oplab.char_poly, last)
         op = build_operator(g, last, k)
         assert rational_char_poly(patched(op)) == rational_char_poly(char_poly(op))
         m.setattr(oplab, "char_poly", patched)
         with pytest.raises(InternalConsistencyError, match="denominator"):
             certify(g, cap, budget=1)
+
+
+# -- dual pairs share one polynomial -----------------------------------------
+
+
+def _admitted(su2, torus, cap):
+    try:
+        enumerate_reps(GroupSpec(su2, torus), cap)
+    except CapExceeded:
+        return False
+    return True
+
+
+# every group SU(2)^c x T^n with 1 <= c + n <= 3 at every admitted rep cap up to 2
+DUAL_SHAPES = [(c, n, cap) for c in range(4) for n in range(4) if 1 <= c + n <= 3
+               for cap in range(3) if _admitted(c, n, cap)]
+
+
+def _full_metric(n, seed):
+    """A seeded symmetric metric with every entry a nonzero rational."""
+    rng = np.random.default_rng(seed)
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = Q(int(rng.choice([-1, 1]) * rng.integers(1, 10)), int(rng.integers(1, 12)))
+    return MetricParam(tuple(map(tuple, rows)))
+
+
+def test_dual_shapes_cover_the_admitted_caps():
+    assert len(DUAL_SHAPES) == 23
+    assert (3, 0, 2) not in DUAL_SHAPES and (0, 3, 1) in DUAL_SHAPES
+
+
+@pytest.mark.parametrize("su2,torus,cap", DUAL_SHAPES)
+def test_dual_operator_is_the_operator_of_the_dual(su2, torus, cap):
+    g = GroupSpec(su2, torus)
+    complex_ops = 0
+    for seed in (1, 2):
+        k = _full_metric(g.algebra_dim, seed)
+        for v in enumerate_reps(g, cap):
+            op, star = build_operator(g, v, k), build_operator(g, v.dual(), k)
+            assert satisfies_dual_identity(op, star)
+            assert dual_operator(op) == star
+            assert char_poly(star) == char_poly(op)
+            complex_ops += not op.real
+    # spin 1 gives imaginary pieces at a full metric; a torus alone never does
+    assert complex_ops or not (su2 and cap == 2)
+
+
+def _with_entry(op, part, i, j, value):
+    rows = [list(r) for r in getattr(op, part)]
+    rows[i][j] = value
+    return dataclasses.replace(op, **{part: tuple(map(tuple, rows))})
+
+
+def _one_wrong_entry(op, i, j):
+    """op with its entry (i, j) off by one in the real and in the imaginary
+    part, and with its first nonzero imaginary entry negated, if any."""
+    out = [_with_entry(op, "re", i, j, op.re[i][j] + 1), _with_entry(op, "im", i, j, op.im[i][j] - 1)]
+    flip = next(((a, b, -x) for a, row in enumerate(op.im) for b, x in enumerate(row) if x), None)
+    return out + ([_with_entry(op, "im", *flip)] if flip else [])
+
+
+@pytest.mark.parametrize("su2,torus,cap", DUAL_SHAPES)
+def test_dual_identity_sees_one_wrong_entry(su2, torus, cap):
+    # one wrong entry breaks the identity whichever side carries it
+    g = GroupSpec(su2, torus)
+    rng = np.random.default_rng(cap + 10 * g.algebra_dim)
+    k = _full_metric(g.algebra_dim, 3)
+    flips = 0
+    for v in enumerate_reps(g, cap):
+        op, star = build_operator(g, v, k), build_operator(g, v.dual(), k)
+        i, j = (int(x) for x in rng.integers(0, v.dim, size=2))
+        for bad in _one_wrong_entry(op, i, j):
+            assert not satisfies_dual_identity(bad, star)
+            assert dual_operator(bad) != star
+        wrong = _one_wrong_entry(star, i, j)
+        assert not any(satisfies_dual_identity(op, bad) for bad in wrong)
+        flips += len(wrong) == 3
+    assert flips or not (su2 and cap == 2)
+
+
+@pytest.mark.parametrize("su2,torus,cap", DUAL_SHAPES)
+def test_certify_matches_the_reference_without_sharing(su2, torus, cap):
+    # budget 1 tries one diagonal candidate, the others end on off-diagonal
+    # ones; an exhausted budget lists every zero row of its last candidate
+    g = GroupSpec(su2, torus)
+    for budget, seed in itertools.product((1, 2, 7, 12), (2026, 7)):
+        cert = certify(g, cap, budget=budget, seed=seed)
+        got = (cert.status, cert.witness_kappa, cert.table, cert.violations, cert.candidates_tried)
+        assert got == reference_certify(g, cap, budget, seed), (budget, seed)
