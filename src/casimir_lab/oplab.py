@@ -142,14 +142,17 @@ class MetricParam:
     kappa: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(frac(x) for x in row) for row in self.kappa)
+        # Entries that are Fractions already are kept as they are; the
+        # symmetry test is one tuple comparison, in which an entry identical
+        # to its mirror (a shared zero, say) passes without Fraction.__eq__.
+        rows = tuple(map(tuple, self.kappa))
+        if not all(isinstance(x, Q) for row in rows for x in row):
+            rows = tuple(tuple(map(frac, row)) for row in rows)
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise DimensionMismatch("kappa must be square")
-        for i in range(n):
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("kappa must be exactly symmetric")
+        if rows != tuple(zip(*rows)):
+            raise ValueError("kappa must be exactly symmetric")
         object.__setattr__(self, "kappa", rows)
 
     @property
@@ -550,18 +553,23 @@ def witness_sequence(n: int, budget: int, seed: int):
                 found += 1
             cand += 1
 
+    zero = Q(0)
+
+    def diagonal(p):
+        return [[Q(p + i, p) if i == j else zero for j in range(n)] for i in range(n)]
+
     budget = max(budget, 0)
     half = (budget + 1) // 2
     for p in itertools.islice(primes(), half):
-        yield diag_metric([Q(p + i, p) for i in range(n)])
+        yield MetricParam(diagonal(p))
     rng = random.Random(seed)
     for p in itertools.islice(primes(), budget - half):
-        base = [[Q(p + i, p) if i == j else Q(0) for j in range(n)] for i in range(n)]
+        base = diagonal(p)
         for i in range(n):
             for j in range(i + 1, n):
                 eps = Q(rng.randint(1, 9), p * rng.choice([11, 13, 17, 19]))
                 base[i][j] = base[j][i] = eps
-        yield MetricParam(tuple(tuple(row) for row in base))
+        yield MetricParam(base)
 
 
 @dataclass(frozen=True)
@@ -589,6 +597,16 @@ def certify(g: GroupSpec, rep_cap: int, budget: int = 12, seed: int = 2026) -> C
     polynomials vanishes identically; exhausting the budget is reported as
     inconclusive, never as a failure certificate.  A budget past BUDGET_CAP
     is refused (CapExceeded) before any candidate is built.
+
+    A candidate is rejected when some row of its table is exactly zero.
+    Only the last candidate's zero rows are ever reported, so the last one
+    computes its whole table and lists every zero row, and every earlier
+    one stops at its first zero row.  An earlier candidate first computes,
+    exactly, the row that rejected the candidate before it (consecutive
+    candidates tend to fail on the same row, as every diagonal one does on
+    a group with more than one factor): a zero there rejects it with only
+    that row's operators built, and a nonzero value is reused when the
+    table is then computed in order.  Nothing is kept past one call.
     """
     if budget > BUDGET_CAP:
         raise CapExceeded("budget", budget, BUDGET_CAP)
@@ -596,12 +614,12 @@ def certify(g: GroupSpec, rep_cap: int, budget: int = 12, seed: int = 2026) -> C
     duals = dual_positions(reps)
     # the later member of a dual pair never builds an operator
     pieces = [_QuadPieces(g, v) if duals[i] >= i else None for i, v in enumerate(reps)]
-    last_violations = ()
+    violations = []
+    # (key, row) of the previous rejected candidate's first zero row
+    screen = None
     tried = 0
     for cand in witness_sequence(g.algebra_dim, budget, seed):
         tried += 1
-        # Only the last candidate's violations are ever reported, so every
-        # earlier one stops at its first zero value.
         exhaustive = tried == budget
         # build_operator's denominator for every rep at this metric; the
         # table values rely on it being shared.
@@ -619,66 +637,83 @@ def certify(g: GroupSpec, rep_cap: int, budget: int = 12, seed: int = 2026) -> C
                 polys[i] = p
             return polys[i]
 
+        values = {}
+        if screen is not None and not exhaustive:
+            key, row = screen
+            values[key] = _row_value(key, poly)
+            if values[key] == 0:
+                violations = [row]
+                continue
         table = []
         violations = []
-        for row in _required_values(reps, duals, poly):
+        for key, row in _required_values(reps, duals, poly, values):
             table.append(row)
             if row[3] == 0:
+                if not violations:
+                    screen = key, row
                 violations.append(row)
                 if not exhaustive:
                     break
         if not violations:
             return Certificate("certified", g, rep_cap, cand, tuple(table), (), tried)
-        last_violations = tuple(violations)
-    return Certificate("inconclusive", g, rep_cap, None, (), last_violations, tried)
+    return Certificate("inconclusive", g, rep_cap, None, (), tuple(violations), tried)
 
 
-def _required_values(reps, duals, poly):
-    """Table rows (kind, V, W, value) in certificate order, computed one at a time:
-    b or c per rep, then a for every pair that is not a dual pair.
+def _row_value(key, poly):
+    """The value of the table row key = (kind, i, j) (j None for b and c):
+    over poly(i) = (P, den), with the degree-d polynomial P of reps[i]
+    (and Q of degree d2 from poly(j)), a = res(P, Q) / den^(d d2),
+    b = res(P, P') / den^(d (d - 1)) and c = res(P, P'') / den^(d (d - 2)),
+    as one Fraction (see _required_values)."""
+    kind, i, j = key
+    p, den = poly(i)
+    d = len(p) - 1
+    if kind == "a":
+        q, _ = poly(j)
+        return Q(resultant(p, q), den ** (d * (len(q) - 1)))
+    if kind == "c":
+        return Q(resultant(p, derivative(derivative(p))), den ** (d * (d - 2)))
+    return Q(resultant(p, derivative(p)), den ** (d * (d - 1)))
+
+
+def _required_values(reps, duals, poly, values):
+    """(key, row) per table row (kind, V, W, value) in certificate order,
+    computed one at a time: b or c per rep, then a for every pair that is
+    not a dual pair.
 
     reps are addressed by position: duals[i] is the position of the dual of
     reps[i], and poly(i) is char_poly's (P, den) for the operator D of
     reps[i], with one den for every rep.  The characteristic polynomial of
-    D is p(t) = den^(-d) P(den t), so over the roots of P, for degrees
-    d, d2: a = res(P, P2) / den^(d d2), b = res(P, P') / den^(d (d - 1))
-    and c = res(P, P'') / den^(d (d - 2)); each value is one Fraction.
+    D is p(t) = den^(-d) P(den t), so over the roots of P each value is a
+    resultant of P over a power of den (_row_value).
 
-    A value whose row is the dual of an earlier row is that row's value
-    (module docstring): b(V*) = b(V), and a(V*, W*) = a(V, W) times
-    (-1)^(d d2) when the pair's order flips.  Rows are consumed in order,
-    so the earlier row's value is always there.
+    key = (kind, i, j) names the row whose value is computed (j None for b
+    and c), and values maps keys to values: a key already there is read,
+    not recomputed, and each value computed here is added.  A row that is
+    the dual of an earlier row has that row's key and value (module
+    docstring): b(V*) = b(V), and a(V*, W*) = a(V, W) times (-1)^(d d2)
+    when the pair's order flips.  Rows are consumed in order, so the
+    earlier row's value is always there.
     """
-    single = []
+
+    def value(key):
+        if key not in values:
+            values[key] = _row_value(key, poly)
+        return values[key]
+
     for i, v in enumerate(reps):
-        kind = "c" if v.rep_type() == "quaternionic" else "b"
-        if duals[i] < i:
-            value = single[duals[i]]
-        else:
-            p, den = poly(i)
-            d = len(p) - 1
-            if kind == "c":
-                value = Q(resultant(p, derivative(derivative(p))), den ** (d * (d - 2)))
-            else:
-                value = Q(resultant(p, derivative(p)), den ** (d * (d - 1)))
-        single.append(value)
-        yield (kind, v, None, value)
-    pair = {}
+        key = ("c" if v.rep_type() == "quaternionic" else "b", min(i, duals[i]), None)
+        yield key, (key[0], v, None, value(key))
     for i, v in enumerate(reps):
         for j in range(i + 1, len(reps)):
             if j == duals[i]:
                 continue
             di, dj = duals[i], duals[j]
-            mirror = (di, dj) if di < dj else (dj, di)
-            if mirror < (i, j):
-                value = pair[mirror]
-                if di > dj and v.dim * reps[j].dim % 2:
-                    value = -value
-            else:
-                (p, den), (q, _) = poly(i), poly(j)
-                value = Q(resultant(p, q), den ** ((len(p) - 1) * (len(q) - 1)))
-            pair[i, j] = value
-            yield ("a", v, reps[j], value)
+            key = ("a", *min((i, j), (di, dj) if di < dj else (dj, di)))
+            x = value(key)
+            if di > dj and key[1:] != (i, j) and v.dim * reps[j].dim % 2:
+                x = -x
+            yield key, ("a", v, reps[j], x)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from .reps import (
     dual_label,
     exterior_powers,
     invariant_dim,
+    rep,
     weyl_dim,
 )
 from .rootsys import RootSystem, RootSystemType, build_root_system
@@ -247,6 +248,10 @@ def _fold_members(members) -> tuple:
     quaternionic      -> real_mult = iso/2, real_dim = 2 dim (iso must be
                          even; an odd value means the complex data cannot
                          be a complexified real module)
+
+    U* is checked to be a real K-module first (_check_real_ustar), so a
+    missing or unequal partner and an odd quaternionic iso are internal
+    errors.
     """
     by_mu = {m.mu: m for m in members}
     folded = []
@@ -271,7 +276,7 @@ def _fold_members(members) -> tuple:
             partner = by_mu.get(m.dual_mu)
             if partner is None or partner.isotypic_dim != m.isotypic_dim:
                 raise InternalConsistencyError(
-                    f"member {m.mu} lacks a matching dual partner; U* is not a real K-module"
+                    f"member {m.mu} lacks a matching dual partner in the report of a real K-module"
                 )
             lead = m if m.mu <= m.dual_mu else partner
             folded.append(
@@ -290,6 +295,34 @@ def _fold_members(members) -> tuple:
     return tuple(folded)
 
 
+def _check_real_ustar(rs: RootSystem, kmode: KMode, ustar) -> None:
+    """Refuse (ValueError) a U* that is not a real K-module, as input the
+    real report is not defined for.
+
+    torus     every torus weight nu has the multiplicity of -nu;
+    diagonal  every irreducible mu of G' has the multiplicity of its dual
+              mu*, and a quaternionic one an even multiplicity;
+    trivial   every U* is real (K = {e}).
+
+    An irreducible is read with rep, so a non-dominant one is refused as
+    such, as invariant_dim refuses it.
+    """
+    if kmode is KMode.TRIVIAL:
+        return
+    for nu, m in ustar.items():
+        if kmode is KMode.TORUS:
+            partner = tuple(-x for x in nu)
+        else:
+            partner = dual_label(rs, rep(rs, nu))
+            if partner == nu and m % 2 and classify_type(rs, nu) is RepType.QUATERNIONIC:
+                raise ValueError(
+                    f"U* is not a real K-module: quaternionic {list(nu)} has odd multiplicity {m}")
+        if ustar.get(partner, 0) != m:
+            raise ValueError(
+                f"U* is not a real K-module: {list(nu)} has multiplicity {m}, "
+                f"its dual {list(partner)} {ustar.get(partner, 0)}")
+
+
 def real_spectrum_report(
     rs: RootSystem,
     lat: LatticeChoice,
@@ -302,11 +335,14 @@ def real_spectrum_report(
     """The real-form report: the complex report with members folded into
     duality classes [mu] (see _fold_members).
 
+    U* must be a real K-module (_check_real_ustar, ValueError otherwise),
+    so a failed fold identity below is an internal error, not bad input.
     Total real dimension per class equals the complex report's total for
     the same inputs (the real module complexifies to the complex one);
     that identity is enforced, not assumed.
     """
     report = normal_spectrum_report(rs, lat, kmode, ustar, a_sq_cap, point_cap, rank_cap)
+    _check_real_ustar(rs, kmode, ustar)
     entries = []
     for c in report.classes:
         folded = _fold_members(c.members)

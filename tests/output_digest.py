@@ -23,8 +23,11 @@ The operator sweep (operator_sweep_requests) runs spectrum and certify on
 every group SU(2)^c x T^n with 1 <= c + n <= 3 at rep caps 0-2: spectrum at
 one diagonal and one full metric, plain, with `--numeric` and with
 `--numeric --ustar-dim 3`, and certify at budgets 1, 2, 7 and 12 and two
-seeds, each in json and with `--output table`.  Its lines follow the
-sweep's, with the "operator sweep total" line last.
+seeds; then certify on T^2 at rep cap 3 and SU(2) x T at rep cap 2 at
+budget 40 and the same two seeds, where twenty diagonal candidates are
+rejected before an off-diagonal one certifies.  Each request runs in json
+and with `--output table`.  Its lines follow the sweep's, with the
+"operator sweep total" line last.
 
 Run it from a checkout's root, or copy it into another checkout's tests/
 and run it there: the package comes from ./src and the workloads from
@@ -155,6 +158,9 @@ def operator_sweep_requests() -> dict:
                 reqs["spectrum"].append(["spectrum", *group, "--kappa", kappa, *numeric])
         for budget, seed in itertools.product(("1", "2", "7", "12"), ("2026", "7")):
             reqs["certify"].append(["certify", *group, "--budget", budget, "--seed", seed])
+    for (su2, torus, cap), seed in itertools.product(((0, 2, 3), (1, 1, 2)), ("2026", "7")):
+        group = ["--su2", str(su2), "--torus", str(torus), "--rep-cap", str(cap)]
+        reqs["certify"].append(["certify", *group, "--budget", "40", "--seed", seed])
     return reqs
 
 

@@ -969,6 +969,23 @@ def test_report_and_real_report(capsys):
     assert [m["mu"] for m in re["classes"][-1]["members"]] == [[0, 8], [4, 5]]
 
 
+@pytest.mark.parametrize("rank,ustar,code", [
+    ("1", "[[[1], 1], [[0], 2]]", 2),
+    ("2", "[[[1, 0], 1], [[0, 0], 2]]", 2),
+    ("2", "[[[1, 0], 1], [[-1, 0], 1], [[0, 0], 2]]", 0),
+])
+def test_real_report_of_a_torus_ustar_that_is_not_real_is_bad_input(capsys, rank, ustar, code):
+    # U* = (1) + 2 (0) is not closed under nu -> -nu, so it has no real form
+    argv = ["report", "--type", "A", "--rank", rank, "--cap", "30", "--kmode", "torus", "--ustar", ustar]
+    assert run(capsys, *argv)[0] == 0
+    got, out, err = run(capsys, *argv, "--real")
+    assert got == code, err
+    if code:
+        assert out == "" and err.startswith("error: U* is not a real K-module")
+    else:
+        assert err == "" and json.loads(out)["real"] is True
+
+
 def test_hodge_cli(capsys):
     data = run_json(capsys, "hodge-rank1", "--cap", "50")
     assert len(data["rows"]) == 10

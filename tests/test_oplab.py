@@ -40,6 +40,7 @@ from casimir_lab.oplab import (
     witness_sequence,
 )
 from casimir_lab.polyq import RationalPoly, integer_parts, root_multiplicity_profile, squarefree_decomposition
+import polyref
 from polyref import (
     abc_values,
     casimir_cross_check,
@@ -218,6 +219,8 @@ def test_witness_sequence_properties():
     # second half must carry mixed terms (needed to separate torus characters)
     for k in seq[4:]:
         assert any(k.kappa[i][j] != 0 for i in range(3) for j in range(i + 1, 3))
+    # one zero object serves every candidate
+    assert len({id(x) for k in seq for row in k.kappa for x in row if x == 0}) == 1
 
 
 def test_witness_sequence_is_lazy():
@@ -931,12 +934,86 @@ def test_dual_identity_sees_one_wrong_entry(su2, torus, cap):
     assert flips or not (su2 and cap == 2)
 
 
-@pytest.mark.parametrize("su2,torus,cap", DUAL_SHAPES)
+# Shapes whose diagonal candidates are all rejected, at many different
+# rows of the table: T^2 cap 3 separates (z1, z2) from (z1, -z2) only with a
+# mixed term, SU(2) x T cap 2 has a repeated eigenvalue on (1, z), z != 0.
+SCREENED_SHAPES = [(0, 2, 3), (1, 1, 2)]
+
+
+@pytest.mark.parametrize("su2,torus,cap", DUAL_SHAPES + SCREENED_SHAPES[:1])
 def test_certify_matches_the_reference_without_sharing(su2, torus, cap):
     # budget 1 tries one diagonal candidate, the others end on off-diagonal
-    # ones; an exhausted budget lists every zero row of its last candidate
+    # ones; an exhausted budget lists every zero row of its last candidate.
+    # On the screened shapes, budget 40 rejects twenty diagonal candidates,
+    # each first at the row that rejected the one before, and at budget 3
+    # the exhaustive candidate follows a screened one.
     g = GroupSpec(su2, torus)
-    for budget, seed in itertools.product((1, 2, 7, 12), (2026, 7)):
+    budgets = (1, 2, 7, 12) + ((3, 40) if (su2, torus, cap) in SCREENED_SHAPES else ())
+    for budget, seed in itertools.product(budgets, (2026, 7)):
         cert = certify(g, cap, budget=budget, seed=seed)
         got = (cert.status, cert.witness_kappa, cert.table, cert.violations, cert.candidates_tried)
         assert got == reference_certify(g, cap, budget, seed), (budget, seed)
+
+
+@pytest.mark.parametrize("su2,torus,cap", SCREENED_SHAPES)
+def test_exhaustive_candidate_after_screened_ones_lists_every_zero_row(monkeypatch, su2, torus, cap):
+    # only diagonal candidates, so every one is rejected: the last lists all
+    # of its zero rows although the four before it were screened
+    g = GroupSpec(su2, torus)
+    diagonals = list(witness_sequence(g.algebra_dim, 10, 2026))[:5]
+    for mod in (oplab, polyref):
+        monkeypatch.setattr(mod, "witness_sequence", lambda n, budget, seed: iter(diagonals[:budget]))
+    cert = certify(g, cap, budget=5)
+    got = (cert.status, cert.witness_kappa, cert.table, cert.violations, cert.candidates_tried)
+    assert got == reference_certify(g, cap, 5, 2026)
+    assert cert.status == "inconclusive" and len(cert.violations) > 1
+
+
+def test_screened_candidates_build_only_the_operators_of_the_zero_row(monkeypatch):
+    # SU(2)^2 cap 1: every diagonal metric acts on (1, 1) as a scalar, so
+    # its b row is the first zero of candidate 1; candidates 2-6 compute
+    # that row alone, and candidate 7 computes it first, then the others
+    built = []
+    build = oplab.build_operator
+
+    def counting(g, v, k, **kwargs):
+        built.append((k, v))
+        return build(g, v, k, **kwargs)
+
+    monkeypatch.setattr(oplab, "build_operator", counting)
+    g = GroupSpec(2, 0)
+    cert = certify(g, 1)
+    assert cert.certified and cert.candidates_tried == 7
+    reps = enumerate_reps(g, 1)
+    corner = IrrepSpec((1, 1))
+    metrics = list({id(k): k for k, _ in built}.values())
+    per_candidate = [[v for m, v in built if m is k] for k in metrics]
+    assert len(per_candidate) == 7 and sum(map(len, per_candidate)) == len(built)
+    assert per_candidate[0] == reps and reps[-1] == corner
+    assert per_candidate[1:6] == [[corner]] * 5
+    assert per_candidate[6] == [corner, *reps[:-1]]
+
+
+def test_metric_param_coerces_and_checks_symmetry_exactly(capsys):
+    # an equal pair of distinct Fraction objects is symmetric
+    half, other = Q(1, 2), Q(2, 4)
+    assert half is not other
+    k = MetricParam(((Q(1), half), (other, Q(3))))
+    assert k.kappa == ((1, Q(1, 2)), (Q(1, 2), 3)) and k.kappa[1][0] is other
+    # ints and "p/q" strings are coerced, also next to Fractions
+    mixed = MetricParam([[1, "1/2"], ["2/4", Q(3)]])
+    assert mixed == k and all(type(x) is Q for row in mixed.kappa for x in row)
+    assert MetricParam(((2, "-3/6"), (Q(-1, 2), "4/2"))).kappa == ((2, Q(-1, 2)), (Q(-1, 2), 2))
+    # one mirrored entry off by one is refused, in either triangle
+    for i, j in ((0, 1), (1, 0)):
+        rows = [[Q(1), Q(1, 2), Q(0)], [Q(1, 2), Q(2), Q(1, 3)], [Q(0), Q(1, 3), Q(3)]]
+        rows[i][j] += 1
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            MetricParam(tuple(map(tuple, rows)))
+    with pytest.raises(TypeError):
+        MetricParam(((1.0, 0), (0, 1)))
+    # through the command line the mirror conflict is bad input, exit 2
+    kappa = {"n": 3, "entries": [[0, 0, "1"], [1, 1, "2"], [2, 2, "3"], [0, 1, "1/2"], [1, 0, "3/2"]]}
+    assert cli.main(["spectrum", "--su2", "1", "--rep-cap", "1", "--kappa", json.dumps(kappa)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "disagree" in err

@@ -129,7 +129,8 @@ def test_real_fold_self_dual_real():
 
 
 def test_real_fold_totals_match_complex():
-    u = {(1, 1): 1, (2, 0): 2}
+    # a real K-module: (2, 0) listed with its dual (0, 2)
+    u = {(1, 1): 1, (2, 0): 2, (0, 2): 2}
     for kmode in (KMode.TRIVIAL, KMode.DIAGONAL):
         cx = normal_spectrum_report(A2, WEIGHT, kmode, u, Q(20))
         re = real_spectrum_report(A2, WEIGHT, kmode, u, Q(20))
@@ -160,10 +161,45 @@ def test_torus_mode_real_fold_quaternionic():
 
 
 def test_torus_mode_non_real_ustar_rejected():
-    # U* = (1) alone is not self-dual: spin 1/2 gets isotypic dim 1, which no
-    # real structure can carry; the fold must refuse
-    with pytest.raises(InternalConsistencyError):
+    # U* = (1) alone is not self-dual: spin 1/2 would get isotypic dim 1,
+    # which no real structure can carry; U* is refused as bad input
+    with pytest.raises(ValueError, match="not a real K-module"):
         real_spectrum_report(A1, WEIGHT, KMode.TORUS, {(1,): 1}, Q(2))
+
+
+def test_fold_identities_stay_internal_errors():
+    # past check_real_ustar these can fail only by a bug, so they exit 4
+    lone = spectra.SpectralMember((1, 0), (0, 1), 3, RepType.COMPLEX, 1, 0)
+    odd = spectra.SpectralMember((1,), (1,), 2, RepType.QUATERNIONIC, 1, 0)
+    for members, why in (([lone], "lacks a matching dual partner"), ([odd], "odd isotypic dimension")):
+        with pytest.raises(InternalConsistencyError, match=why):
+            spectra._fold_members(members)
+
+
+@pytest.mark.parametrize("rs,kmode,ustar,why", [
+    (A1, KMode.TORUS, {(1,): 1, (0,): 2}, r"\[1\] has multiplicity 1, its dual \[-1\] 0"),
+    (A2, KMode.TORUS, {(1, 0): 1, (0, 0): 2}, r"\[1, 0\] has multiplicity 1, its dual \[-1, 0\] 0"),
+    (A2, KMode.TORUS, {(1, 0): 1, (-1, 0): 2}, r"\[1, 0\] has multiplicity 1, its dual \[-1, 0\] 2"),
+    (A2, KMode.DIAGONAL, {(1, 1): 1, (2, 0): 2}, r"\[2, 0\] has multiplicity 2, its dual \[0, 2\] 0"),
+    (A1, KMode.DIAGONAL, {(0,): 1, (1,): 3}, r"quaternionic \[1\] has odd multiplicity 3"),
+], ids=["A1-torus", "A2-torus", "A2-torus-unequal", "A2-diagonal", "A1-quaternionic"])
+def test_real_report_refuses_a_ustar_that_is_not_a_real_k_module(rs, kmode, ustar, why):
+    with pytest.raises(ValueError, match=why):
+        real_spectrum_report(rs, WEIGHT, kmode, ustar, Q(20))
+    normal_spectrum_report(rs, WEIGHT, kmode, ustar, Q(20))  # the complex report takes it
+
+
+@pytest.mark.parametrize("rs,kmode,ustar", [
+    (A1, KMode.TORUS, {(1,): 1, (-1,): 1, (0,): 2}),
+    (A2, KMode.TORUS, {(1, 0): 1, (-1, 0): 1, (0, 2): 0}),
+    (A2, KMode.DIAGONAL, {(1, 1): 1, (2, 0): 2, (0, 2): 2}),
+    (A1, KMode.DIAGONAL, {(0,): 1, (1,): 2}),
+    (A1, KMode.TRIVIAL, {(1,): 1}),
+], ids=["A1-torus", "A2-torus", "A2-diagonal", "A1-diagonal", "A1-trivial"])
+def test_real_report_takes_a_real_k_module(rs, kmode, ustar):
+    cx = normal_spectrum_report(rs, WEIGHT, kmode, ustar, Q(20))
+    re = real_spectrum_report(rs, WEIGHT, kmode, ustar, Q(20))
+    assert re.total_dim == cx.total_dim > 0
 
 
 def test_hidden_orbit_uncomputed_under_tiny_cap():
