@@ -38,9 +38,7 @@ from .oplab import (
     build_operator,
     certify,
     char_poly,
-    cluster_spectrum,
     diag_metric,
-    dual_operator,
     enumerate_reps,
     multiplicity_at_float,
     numeric_spectrum,

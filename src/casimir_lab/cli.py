@@ -26,13 +26,14 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from enum import Enum
 from fractions import Fraction as Q
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _escape
 
-from .errors import CapExceeded, CasimirLabError, InternalConsistencyError
+from .errors import CapExceeded, CasimirLabError, InternalConsistencyError, decimal_digits
 from .hidden import (
     DEFAULT_POINT_CAP,
     DEFAULT_RANK_CAP,
@@ -48,11 +49,10 @@ from .oplab import (
     build_operator,
     certify,
     char_poly,
-    cluster_spectrum,
     diag_metric,
-    dual_operator,
     dual_positions,
     enumerate_reps,
+    numeric_spectrum,
 )
 from .polyq import root_multiplicity_profile
 from .reps import KMode, bold_g_label, classify_type, dual_label, rep, weyl_dim
@@ -181,15 +181,8 @@ def _write_rows(rows: _Rows, out, nl: str, memo: dict) -> None:
 
 def _too_long(n: int) -> CapExceeded:
     """The refusal of an int past the interpreter's int-to-str digit limit,
-    with its digit count: 2^(b-1) <= |n| < 2^b estimates it, and powers of
-    ten correct the estimate."""
-    n = abs(n)
-    digits = int((n.bit_length() - 1) * 0.3010299956639812) + 1
-    while n >= 10**digits:
-        digits += 1
-    while digits > 1 and n < 10 ** (digits - 1):
-        digits -= 1
-    return CapExceeded("output integer digits", digits, sys.get_int_max_str_digits())
+    with its digit count."""
+    return CapExceeded("output integer digits", decimal_digits(n), sys.get_int_max_str_digits())
 
 
 def _float_text(x: float) -> str:
@@ -238,12 +231,31 @@ def _render(payload: dict, output: str) -> str:
 # input parsing
 
 
+# The exponent of a decimal, as Fraction reads it.
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
 def rational(text: str) -> Q:
-    """An exact rational from "p/q", an integer or a decimal; ValueError otherwise."""
-    try:
-        return Q(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+    """An exact rational from "p/q", an integer or a decimal; ValueError
+    otherwise, and also when its numerator or denominator has more digits
+    than the int-to-str limit.  A nonzero decimal whose exponent passes
+    twice the limit (its mantissa has at most limit digits) is refused
+    before Fraction multiplies the exponent out."""
+    limit = sys.get_int_max_str_digits()
+    exponent = _EXPONENT.search(text)
+    if limit and exponent and abs(int(exponent[1])) > 2 * limit:
+        value = Q(text[: exponent.start()] + "e0")
+        big = 10**limit if value else 0
+    else:
+        try:
+            value = Q(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
+        big = max(abs(value.numerator), value.denominator)
+    # 2^(3 limit) < 10^limit
+    if limit and big.bit_length() > 3 * limit and big >= 10**limit:
+        raise ValueError(f"a rational input has a numerator or denominator of more than {limit} digits")
+    return value
 
 
 def count(text: str) -> int:
@@ -485,9 +497,9 @@ def cmd_spectrum(args) -> dict:
     ops, entries = [], []
     for i, (v, j) in enumerate(zip(reps, dual_positions(reps))):
         if j < i:
-            # V* comes after V: its operator is V's mirrored, and it has V's
-            # polynomial, profile and written coefficients
-            ops.append(dual_operator(ops[j]))
+            # V* comes after V: it has V's eigenvalues, so it passes V's
+            # operator, and V's polynomial, profile and written coefficients
+            ops.append(ops[j])
             entries.append({**entries[j], "rep": v})
             continue
         ops.append(build_operator(g, v, k))
@@ -513,7 +525,7 @@ def cmd_spectrum(args) -> dict:
         "reps": entries,
     }
     if args.numeric:
-        clusters = cluster_spectrum(ops, k, tol=args.tol)
+        clusters = numeric_spectrum(reps, ops, k, tol=args.tol)
         payload["tol"] = args.tol
         payload["ustar_dim"] = args.ustar_dim
         payload["clusters"] = [

@@ -36,8 +36,9 @@ checks that every coefficient is), so V and V* have one polynomial P and
 one den.  For the table values this gives b(V*) = b(V) and
 a(V*, W*) = res(P_V, P_W) = a(V, W), times (-1)^(deg P_V deg P_W) when
 V* comes after W* in the rep list.  certify and cli spectrum compute P
-once per dual pair, and dual_operator applies the identity where the float
-solve still needs D_{V*}.
+once per dual pair.  D_{V*} is similar to conj(D_V), whose eigenvalues are
+those of D_V, all real since D is self-adjoint, so numeric_spectrum solves
+D_V once for both members of a pair.
 
 Normalization: each su(2) copy uses the basis Y_1, Y_2, Y_3 given by the
 symmetric-power images of -(i/2)*sigma_k, which is orthonormal for the
@@ -53,6 +54,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -312,22 +314,6 @@ def build_operator(
         for flat in parts
     )
     return ExactOperator(re, im, 4 * lcm, rep, k, real=parts[1] is None)
-
-
-def dual_operator(op: ExactOperator) -> ExactOperator:
-    """The operator of op.rep.dual() at op's metric, from op's rows by the
-    identity A_{V*}[i][j] = s_i s_j conj(A_V[d-1-i][d-1-j]) of the module
-    docstring (s_i the parity of i's SU(2) digit sum), with op's den.
-    s_(d-1-i) = (-1)^(sum m) s_i, so s_i s_j is also the sign of the
-    mirrored entry: each part is signed entrywise, then reversed both ways."""
-    signs = [1]
-    for m in op.rep.spins:
-        signs = [s * (-1) ** k for s in signs for k in range(m + 1)]
-
-    def mirrored(rows, sign):
-        return tuple(tuple(sign * s * t * x for t, x in zip(signs, row))[::-1] for s, row in zip(signs, rows))[::-1]
-
-    return ExactOperator(mirrored(op.re, 1), mirrored(op.im, -1), op.den, op.rep.dual(), op.kappa_ref, real=op.real)
 
 
 def dual_positions(reps) -> list[int]:
@@ -741,41 +727,34 @@ def _float_hermitian(op: ExactOperator):
         raise ValueError(f"an operator entry of {op.rep} is past the float range of the numeric spectrum") from None
 
 
-def numeric_spectrum(g: GroupSpec, rep_list, k: MetricParam, tol: float = 1e-9):
-    """Float eigenvalues per rep, clustered with relative tolerance tol.
+def numeric_spectrum(reps, ops, k: MetricParam, tol: float = 1e-9):
+    """Float eigenvalues per rep at the metric k, clustered with relative
+    tolerance tol: clusters sorted by center, each with its per-rep
+    multiplicities (SpectrumCluster.assembled_dims scales them by dim U*).
 
-    Requires kappa positive definite (checked exactly); returns clusters
-    sorted by center, each carrying its per-rep multiplicities
-    (SpectrumCluster.assembled_dims scales them by a given dim U*).
-    """
-    return cluster_spectrum((build_operator(g, v, k) for v in rep_list), k, tol)
-
-
-def cluster_spectrum(ops, k: MetricParam, tol: float = 1e-9):
-    """numeric_spectrum for operators already built at the metric k.
-
-    kappa is checked positive definite, exactly, before the first operator
-    is taken from ops, so ops may be a lazy iterable; then every operator is
-    checked to be built at k before any is solved.  The operators of one
-    dimension are solved by one stacked eigvalsh call, which runs the same
-    LAPACK routine on each matrix as a call per operator would.  Eigenvalues
-    are taken in operator order and stably sorted, so ties keep that order.
+    ops[i] is an operator built at k for reps[i] or for its dual, which has
+    the same eigenvalues (module docstring), so a later member of a dual
+    pair may pass its partner's operator.  kappa is checked positive
+    definite, exactly, and every operator is checked, before any is solved.
+    Each distinct operator is solved once, those of one dimension in one
+    stacked eigvalsh call (the same LAPACK routine on each matrix as a call
+    per operator); eigenvalues are taken in rep order and stably sorted.
     """
     if not k.is_positive_definite():
         raise NotPositiveDefinite("kappa is not positive definite")
-    ops = list(ops)
-    if any(op.kappa_ref != k for op in ops):
-        raise ValueError("operator was built at another metric")
+    for v, op in zip(reps, ops, strict=True):
+        if op.kappa_ref != k:
+            raise ValueError("operator was built at another metric")
+        if op.rep not in (v, v.dual()):
+            raise ValueError(f"operator of {op.rep} belongs to neither {v} nor its dual")
     by_dim = {}
-    for i, op in enumerate(ops):
-        by_dim.setdefault(op.dim, []).append(i)
-    eigs = [None] * len(ops)
-    for idx in by_dim.values():
-        stack = np.linalg.eigvalsh(np.array([_float_hermitian(ops[i]) for i in idx], dtype=complex))
-        for i, lams in zip(idx, stack.tolist()):
-            eigs[i] = lams
-    pairs = [(lam, op.rep) for op, lams in zip(ops, eigs) for lam in lams]
-    pairs.sort(key=lambda t: t[0])
+    for op in {id(op): op for op in ops}.values():
+        by_dim.setdefault(op.dim, []).append(op)
+    eigs = {}
+    for same_dim in by_dim.values():
+        stack = np.linalg.eigvalsh(np.array([_float_hermitian(op) for op in same_dim], dtype=complex))
+        eigs.update(zip(map(id, same_dim), stack.tolist()))
+    pairs = sorted(((lam, v) for v, op in zip(reps, ops) for lam in eigs[id(op)]), key=lambda t: t[0])
     clusters = []
     for lam, v in pairs:
         if clusters and lam - clusters[-1][-1][0] <= tol * max(1.0, abs(lam)):
@@ -784,12 +763,9 @@ def cluster_spectrum(ops, k: MetricParam, tol: float = 1e-9):
             clusters.append([(lam, v)])
     out = []
     for group in clusters:
-        center = sum(x for x, _ in group) / len(group)
-        counts = {}
-        for _, v in group:
-            counts[v] = counts.get(v, 0) + 1
+        counts = Counter(v for _, v in group)
         per_rep = tuple(sorted(counts.items(), key=lambda t: (t[0].spins, t[0].torus_char)))
-        out.append(SpectrumCluster(center, per_rep))
+        out.append(SpectrumCluster(sum(x for x, _ in group) / len(group), per_rep))
     return out
 
 

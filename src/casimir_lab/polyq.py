@@ -163,7 +163,8 @@ def resultant(a: list[int], b: list[int]) -> int:
     """res(a, b), the Sylvester determinant, of nonzero integer polynomials.
 
     It comes from the subresultant PRS over the integers (Brown & Traub
-    1971), every division checked exact.  Degenerate shapes follow the
+    1971; Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 3.3.7), every division checked exact.  Degenerate shapes follow the
     determinant of the (possibly empty) Sylvester matrix:
     res(const, const) = 1 and res(a, const c) = c**deg(a).
 
@@ -175,12 +176,6 @@ def resultant(a: list[int], b: list[int]) -> int:
     """
     if not a or not b:
         raise ValueError("resultant of the zero polynomial")
-    return _subresultant(a, b)
-
-
-def _subresultant(a: list[int], b: list[int]) -> int:
-    """res(a, b) of nonzero integer polynomials by the subresultant
-    PRS (Cohen, A Course in Computational Algebraic Number Theory, Alg. 3.3.7)."""
     s = 1
     if len(a) < len(b):
         a, b = b, a

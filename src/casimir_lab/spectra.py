@@ -174,15 +174,20 @@ def _member_type(rs: RootSystem, mu: Coords, dual: Coords, kmode: KMode) -> RepT
     return classify_type(rs, mu)
 
 
-def _complex_members(rs, cls, ustar, kmode, point_cap, rank_cap):
-    """(members with a nonzero isotypic dimension, orbit count); the hidden
-    data is computed only when some member is kept."""
-    kept = []
+def _kept_members(rs: RootSystem, cls, ustar, kmode: KMode):
+    """(mu, dual, isotypic dimension) of each dominant member of cls whose
+    isotypic dimension is nonzero, in member order."""
     for mu in cls.dominant_members:
         dual = dual_label(rs, mu)
         iso = invariant_dim(rs, (mu, dual) if kmode is KMode.DIAGONAL else mu, ustar, kmode)
         if iso > 0:
-            kept.append((mu, dual, iso))
+            yield mu, dual, iso
+
+
+def _complex_members(rs, cls, ustar, kmode, point_cap, rank_cap):
+    """(members with a nonzero isotypic dimension, orbit count); the hidden
+    data is computed only when some member is kept."""
+    kept = list(_kept_members(rs, cls, ustar, kmode))
     if not kept:
         return [], None
     orbit_by_mu, orbit_count = _hidden_data(rs, cls, point_cap, rank_cap)
@@ -390,23 +395,15 @@ def generic_estimate(
         raise NonDominantWeight(f"{mu_lambda} is not dominant")
     a_sq = shifted_norm_sq(rs, mu_lambda)
     cls = sphere_set(rs, lat, a_sq)
-    terms = []
-    total = 0
-    for mu in cls.dominant_members:
-        dual = dual_label(rs, mu)
-        mult = invariant_dim(rs, (mu, dual) if kmode is KMode.DIAGONAL else mu, ustar, kmode)
-        if mult <= 0:
-            continue
-        d = weyl_dim(rs, mu)
-        terms.append(EstimateTerm(mu, dual, mult, d))
-        total += mult * d
+    kept = _kept_members(rs, cls, ustar, kmode)
+    terms = tuple(EstimateTerm(mu, dual, mult, weyl_dim(rs, mu)) for mu, dual, mult in kept)
     return EstimateBound(
         context=_context(rs, lat, kmode, ustar),
         mu_lambda=mu_lambda,
         a_sq=a_sq,
         lam=casimir_eigenvalue(rs, mu_lambda),
-        terms=tuple(terms),
-        total_dim=total,
+        terms=terms,
+        total_dim=sum(t.mult * t.dim for t in terms),
     )
 
 

@@ -14,7 +14,9 @@ irreducibles at one metric, `satisfies_dual_identity`, the conjugate
 symmetry between the operators of an irreducible and its dual,
 `reference_certify`, a certificate search that computes every row of
 every candidate from its own operator, and `reference_cluster_spectrum`,
-the float clusters from one eigensolver call per operator.
+the float clusters from one eigensolver call per operator, labelled by each
+operator's own rep, which `oplab.numeric_spectrum` must give when every rep
+passes its own operator.
 """
 
 import math

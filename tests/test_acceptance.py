@@ -200,7 +200,7 @@ def test_criterion_07_assembly_identity(announce):
     k = diag_metric([1, 2, 3])
     reps = [IrrepSpec((m,)) for m in range(5)]
     polys = {v: rational_char_poly(char_poly(build_operator(g, v, k))) for v in reps}
-    clusters = numeric_spectrum(g, reps, k, tol=1e-9)
+    clusters = numeric_spectrum(reps, [build_operator(g, v, k) for v in reps], k, tol=1e-9)
     bad = []
     total = 0
     for cl in clusters:
@@ -232,7 +232,7 @@ def test_criterion_08_generic_estimate(announce):
     }
     bad = []
     for k in witness_sequence(3, 50, seed=2026):
-        for cl in numeric_spectrum(g, reps, k):
+        for cl in numeric_spectrum(reps, [build_operator(g, v, k) for v in reps], k):
             for v, mult in cl.per_rep:
                 m = v.spins[0]
                 terms = {t.mu: t.mult for t in estimates[m].terms}

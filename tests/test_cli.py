@@ -13,13 +13,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casimir_lab import cli
 from casimir_lab.cli import main, parse_kappa, parse_ustar
-from casimir_lab.errors import InternalConsistencyError
+from casimir_lab.errors import CapExceeded, InternalConsistencyError
 from casimir_lab import hidden, oplab, polyq
 from casimir_lab.oplab import GroupSpec, IrrepSpec, multiplicity_at_float
 from casimir_lab.polyq import RationalPoly
@@ -293,6 +294,55 @@ def test_refused_ints_report_their_exact_digit_count():
     for k in (4300, 4301, 5000, 12_345):
         assert cli._too_long(10**k).actual == k + 1
         assert cli._too_long(-(10**k - 1)).actual == k
+
+
+def test_a_cap_refusal_with_a_count_too_long_to_write_exits_3(capsys):
+    # 1/N scale and cap N for N of 4,300 nines: the enumeration would try a
+    # count of 4,301 digits, which the refusal writes as its digit count
+    n = "9" * 4300
+    code, out, err = run(capsys, "classes", "--type", "A", "--rank", "1", "--scale", f"1/{n}", "--cap", n)
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "cap-exceeded", "what": "enumeration nodes",
+                               "actual": "4301 digits", "limit": DEFAULT_NODE_CAP}
+    assert str(CapExceeded("x", -(10**5000), 7)) == "x = 5001 digits exceeds cap 7"
+    assert CapExceeded("x", 10**4299, 7).actual == 10**4299
+
+
+# A short decimal whose exponent would expand past the interpreter's
+# 4,300-digit limit, in each kind of place that reads a rational.
+LONG_EXPONENT_INPUTS = [
+    ("classes", "--type", "A", "--rank", "1", "--cap", "1e1000000"),
+    ("hidden", "--type", "A", "--rank", "2", "--a2", "1e-1000000"),
+    ("classes", "--type", "A", "--rank", "1", "--cap", "2", "--scale", "1e1000000"),
+    ("spectrum", "--su2", "1", "--kappa", '{"n": 3, "entries": [[0, 0, "1e1000000"], [1, 1, "1"], [2, 2, "1"]]}'),
+]
+
+
+@pytest.mark.parametrize("argv", LONG_EXPONENT_INPUTS, ids=["cap", "a2", "scale", "kappa"])
+def test_a_long_exponent_is_refused_before_it_is_expanded(capsys, argv):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err and "Traceback" not in err
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_rational_inputs_are_refused_past_the_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    assert cli.rational(f"1e{limit - 1}") == 10 ** (limit - 1)
+    assert cli.rational(f"-5e-{limit - 1}") == Q(-1, 2 * 10 ** (limit - 2))
+    assert cli.rational(f"0e{10**7}") == cli.rational(" -0.0E+9_999_999 ") == 0
+    assert cli.rational("1.5E+3") == 1500
+    for text in (f"1e{limit}", f"1e-{limit}", f"0.{'0' * (limit - 1)}1", f"7e{3 * limit}", f"7e-{3 * limit}"):
+        with pytest.raises(ValueError, match=f"more than {limit} digits"):
+            cli.rational(text)
+    # not a literal, however long the exponent
+    for text in (f"1/2e{10**7}", f"1/0e{10**7}", f"e{10**7}"):
+        with pytest.raises(ValueError, match="Invalid literal"):
+            cli.rational(text)
+    # a value under the limit still reaches the caps
+    code, out, err = run(capsys, "classes", "--type", "A", "--rank", "1", "--cap", "1e4000")
+    assert (code, out, json.loads(err)["what"]) == (3, "", "enumeration nodes")
 
 
 def test_weight_table_cap_refuses_a_large_estimate(capsys):
@@ -766,8 +816,11 @@ def _membership_verdicts(payload):
 
 # sha256 of the exit code, stdout, stderr and membership verdicts of every
 # request above, recorded while squarefree layers and resultants still ran
-# in Fraction arithmetic.
-OPERATOR_SPECTRUM_PIN = "1beb579a6c1abdca1ebb38a7090d0083683a2c0cd10dd4771d94778f65f57c89"
+# in Fraction arithmetic.  The spectrum pin was recorded again when the
+# later member of each dual pair began to take its partner's float
+# eigenvalues, which moved some cluster centres of the SU(2) x T requests
+# in their last bits and nothing else.
+OPERATOR_SPECTRUM_PIN = "2727a96d67ac88d025ec1f26c72bc52a4f1d792753517776ef70dc93f825ad9e"
 OPERATOR_CERTIFY_PIN = "86c755b061ef9c066bf17d2e1227c7d14dcc4a0b44358ac9df4790cf5a74f7b3"
 
 
@@ -803,12 +856,34 @@ def test_spectrum_numeric_builds_each_operator_once(capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_operator", counting)
     data = run_json(capsys, "spectrum", "--su2", "1", "--torus", "1", "--rep-cap", "1",
                     "--kappa", "diag:1,2,3,4", "--numeric")
-    # no operator twice, and none for the later member of a dual pair: its
-    # operator is the earlier member's mirrored
+    # no operator twice, and none for the later member of a dual pair: it
+    # passes the earlier member's operator
     reps = oplab.enumerate_reps(oplab.GroupSpec(1, 1), 1)
     firsts = [v for i, v in enumerate(reps) if v.dual() not in reps[:i]]
     assert len(data["reps"]) == 6
     assert calls == firsts and len(set(calls)) == len(calls) == 4
+
+
+def test_spectrum_numeric_solves_each_dual_pair_once(capsys, monkeypatch):
+    # SU(2) x T at rep cap 2 and a full metric, where the operators are
+    # complex: 15 reps in 9 dual classes (m, z) ~ (m, -z), each solved once,
+    # so even at tol 0 every cluster holds V and V* with equal multiplicity
+    solves, solve = [], np.linalg.eigvalsh
+
+    def counting(a):
+        solves.append(a.shape)
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    data = run_json(capsys, *_spectrum_argv(1, 1, 2, "upper:3,1/5,0,1/7;2,-1/3,0;4,1/11;5"), "--tol", "0")
+    assert solves == [(3, 1, 1), (3, 2, 2), (3, 3, 3)]
+    memberships = 0
+    for cluster in data["clusters"]:
+        mult = {(tuple(m["rep"]["spins"]), tuple(m["rep"]["torus"])): m["multiplicity"] for m in cluster["members"]}
+        for (spins, torus), count in mult.items():
+            assert mult.get((spins, tuple(-z for z in torus))) == count
+        memberships += len(mult)
+    assert len(data["reps"]) == 15 and memberships >= 15
 
 
 @pytest.mark.parametrize("argv,what", [

@@ -31,9 +31,7 @@ from casimir_lab.oplab import (
     build_operator,
     certify,
     char_poly,
-    cluster_spectrum,
     diag_metric,
-    dual_operator,
     enumerate_reps,
     multiplicity_at_float,
     numeric_spectrum,
@@ -324,8 +322,8 @@ def test_casimir_cross_check():
 
 
 def test_numeric_spectrum_identity_metric():
-    reps = [IrrepSpec((m,)) for m in range(4)]
-    clusters = numeric_spectrum(G1, reps, diag_metric([1, 1, 1]))
+    reps, k = [IrrepSpec((m,)) for m in range(4)], diag_metric([1, 1, 1])
+    clusters = numeric_spectrum(reps, [build_operator(G1, v, k) for v in reps], k)
     # eigenvalues m(m+2)/4 with full multiplicity m+1, one rep per cluster
     assert len(clusters) == 4
     for cl, m in zip(clusters, range(4)):
@@ -335,8 +333,9 @@ def test_numeric_spectrum_identity_metric():
 
 
 def test_numeric_spectrum_requires_positive_definite():
+    v, k = IrrepSpec((1,)), diag_metric([1, -1, 1])
     with pytest.raises(NotPositiveDefinite):
-        numeric_spectrum(G1, [IrrepSpec((1,))], diag_metric([1, -1, 1]))
+        numeric_spectrum([v], [build_operator(G1, v, k)], k)
 
 
 def test_certify_small_su2():
@@ -619,7 +618,7 @@ def test_multiplicity_at_float_large_spin():
     # and its exact multiplicity is the cluster's count
     g, v = G1, IrrepSpec((12,))
     p = rational_char_poly(char_poly(build_operator(g, v, K123)))
-    clusters = numeric_spectrum(g, [v], K123)
+    clusters = numeric_spectrum([v], [build_operator(g, v, K123)], K123)
     assert sum(dict(cl.per_rep)[v] for cl in clusters) == 13
     for cl in clusters:
         assert multiplicity_at_float(p, cl.center) == dict(cl.per_rep)[v]
@@ -686,16 +685,6 @@ def test_multiplicity_at_float_matches_the_fraction_residual(roots, x, tol, expe
     assert _verdict(p, x, tol) == _fraction_multiplicity_at_float(p, x, tol) == expected
 
 
-def test_cluster_spectrum_matches_numeric_spectrum():
-    reps = enumerate_reps(G1, 3)
-    ops = [build_operator(G1, v, K_OFF) for v in reps]
-    assert cluster_spectrum(ops, K_OFF) == numeric_spectrum(G1, reps, K_OFF)
-    with pytest.raises(ValueError):
-        cluster_spectrum(ops, K123)
-    with pytest.raises(NotPositiveDefinite):
-        cluster_spectrum(iter(()), diag_metric([1, -1, 1]))
-
-
 def _counting(monkeypatch, module, name):
     """Replace module.name by a wrapper that records each call's first argument."""
     calls, inner = [], getattr(module, name)
@@ -741,28 +730,39 @@ K_SU2_T = MetricParam((
 ))
 
 
-def test_cluster_spectrum_matches_one_eigensolver_call_per_operator(monkeypatch):
-    # SU(2) x T at rep cap 2: dimensions 1, 2 and 3, real and complex operators
+def test_numeric_spectrum_matches_one_eigensolver_call_per_operator(monkeypatch):
+    # SU(2) x T at rep cap 2: dimensions 1, 2 and 3, real and complex
+    # operators, each rep passing its own
     g = GroupSpec(1, 1)
-    ops = [build_operator(g, v, K_SU2_T) for v in enumerate_reps(g, 2)]
+    reps = enumerate_reps(g, 2)
+    ops = [build_operator(g, v, K_SU2_T) for v in reps]
     assert {op.dim for op in ops} == {1, 2, 3} and {op.real for op in ops} == {True, False}
     solves = _counting(monkeypatch, np.linalg, "eigvalsh")
     for tol in (1e-9, 1e-2, 0.5):
-        assert cluster_spectrum(ops, K_SU2_T, tol) == reference_cluster_spectrum(ops, tol)
+        assert numeric_spectrum(reps, ops, K_SU2_T, tol) == reference_cluster_spectrum(ops, tol)
     # one stacked call per dimension
     assert [a.shape for a in solves[:3]] == [(5, 1, 1), (5, 2, 2), (5, 3, 3)]
-    assert cluster_spectrum(ops[::-1], K_SU2_T) == reference_cluster_spectrum(ops[::-1])
+    assert numeric_spectrum(reps[::-1], ops[::-1], K_SU2_T) == reference_cluster_spectrum(ops[::-1])
 
 
-def test_cluster_spectrum_refuses_before_any_solve(monkeypatch):
+def test_numeric_spectrum_refuses_before_any_solve(monkeypatch):
     g = GroupSpec(1, 1)
-    ops = [build_operator(g, v, K_SU2_T) for v in enumerate_reps(g, 1)]
-    foreign = build_operator(g, IrrepSpec((1,), (1,)), diag_metric([3, 2, 4, 5]))
+    reps = enumerate_reps(g, 1)
+    ops = [build_operator(g, v, K_SU2_T) for v in reps]
+    v = IrrepSpec((1,), (1,))
+    foreign = build_operator(g, v, diag_metric([3, 2, 4, 5]))
     solves = _counting(monkeypatch, np.linalg, "eigvalsh")
     with pytest.raises(ValueError, match="another metric"):
-        cluster_spectrum(ops + [foreign], K_SU2_T)
+        numeric_spectrum(reps + [v], ops + [foreign], K_SU2_T)
     with pytest.raises(NotPositiveDefinite):
-        cluster_spectrum(ops, diag_metric([3, 2, -4, 5]))
+        numeric_spectrum(reps, ops, diag_metric([3, 2, -4, 5]))
+    # (0, 0) passes the operator of (1, 0), which is neither it nor its dual
+    assert (reps[1], reps[4]) == (IrrepSpec((0,), (0,)), IrrepSpec((1,), (0,)))
+    wrong = ops[:1] + [ops[4]] + ops[2:]
+    with pytest.raises(ValueError, match="neither"):
+        numeric_spectrum(reps, wrong, K_SU2_T)
+    with pytest.raises(ValueError):
+        numeric_spectrum(reps, ops[:-1], K_SU2_T)
     assert solves == []
 
 
@@ -894,7 +894,6 @@ def test_dual_operator_is_the_operator_of_the_dual(su2, torus, cap):
         for v in enumerate_reps(g, cap):
             op, star = build_operator(g, v, k), build_operator(g, v.dual(), k)
             assert satisfies_dual_identity(op, star)
-            assert dual_operator(op) == star
             assert char_poly(star) == char_poly(op)
             complex_ops += not op.real
     # spin 1 gives imaginary pieces at a full metric; a torus alone never does
@@ -927,7 +926,6 @@ def test_dual_identity_sees_one_wrong_entry(su2, torus, cap):
         i, j = (int(x) for x in rng.integers(0, v.dim, size=2))
         for bad in _one_wrong_entry(op, i, j):
             assert not satisfies_dual_identity(bad, star)
-            assert dual_operator(bad) != star
         wrong = _one_wrong_entry(star, i, j)
         assert not any(satisfies_dual_identity(op, bad) for bad in wrong)
         flips += len(wrong) == 3
