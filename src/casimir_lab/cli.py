@@ -33,7 +33,13 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _escape
 
-from .errors import CapExceeded, CasimirLabError, InternalConsistencyError, decimal_digits
+from .errors import (
+    CapExceeded,
+    CasimirLabError,
+    InternalConsistencyError,
+    NotPositiveDefinite,
+    decimal_digits,
+)
 from .hidden import (
     DEFAULT_POINT_CAP,
     DEFAULT_RANK_CAP,
@@ -494,6 +500,9 @@ def cmd_spectrum(args) -> dict:
     k = parse_kappa(args.kappa, g)
     reps = enumerate_reps(g, args.rep_cap)
     admit_metric(k, reps)
+    if args.numeric and not k.is_positive_definite():
+        # numeric_spectrum refuses it as well, but only after every operator is built
+        raise NotPositiveDefinite("kappa is not positive definite")
     ops, entries = [], []
     for i, (v, j) in enumerate(zip(reps, dual_positions(reps))):
         if j < i:

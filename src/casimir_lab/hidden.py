@@ -32,9 +32,12 @@ permutation groups, 1970), whose order is the product of its basic orbit
 lengths and which a deterministic Schreier-Sims sift checks (Seress,
 Permutation Group Algorithms, 2003, ch. 4).  For the same reason W
 preserves X exactly when its simple reflections do, so the Weyl check
-reflects integer coordinates by the simple reflections only and returns a
-verdict, listing no Weyl element.  Caps keep the search at desk scale and
-are refused loudly, never truncated.
+reflects the integer coordinate array by each simple reflection in one
+array expression and returns a verdict, listing no Weyl element.  The
+search reads the Gram matrix by rows, one row per fixed image, and the sift
+keeps each transversal element as its base images, inverting one only for
+a Schreier generator that is not the identity.  Caps keep the search at
+desk scale and are refused loudly, never truncated.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from fractions import Fraction as Q
 from functools import cached_property
 from itertools import chain
 from math import prod
-from operator import itemgetter
 
 import numpy as np
 
@@ -130,8 +132,9 @@ def _select_basis(cfg: ShiftedConfig) -> list[int]:
     """Greedy spanning subset, preferring points whose inner-product profile
     against the already-chosen basis is shared by as few other points as
     possible (cheapest search fan-out), the first such point on ties.  Each
-    pass extends the profiles by the newest point's column and reduces the
-    points outside the span so far against the newest echelon row only.
+    pass reads the profiles off the chosen points' Gram rows in one zip and
+    reduces the points outside the span so far against the newest echelon
+    row only.
     """
     g = cfg.gram_rows
     chosen: list[int] = []
@@ -151,8 +154,8 @@ def _select_basis(cfg: ShiftedConfig) -> list[int]:
                     live[i] = v
                 else:
                     del live[i]
-        # The Gram matrix is symmetric: the newest column is its row.
-        profiles = [p + (x,) for p, x in zip(profiles, g[best])]
+        # The Gram matrix is symmetric: the chosen columns are their rows.
+        profiles = list(zip(*map(g.__getitem__, chosen)))
     return chosen
 
 
@@ -200,16 +203,26 @@ def _check_gram(cfg: ShiftedConfig, perm: Perm) -> None:
 
 
 def _search(cfg: ShiftedConfig, basis: list[int]) -> PermGroup:
-    """Certified strong generators relative to the base basis (see stabilizer_group)."""
+    """Certified strong generators relative to the base basis (see stabilizer_group).
+
+    The Gram matrix is symmetric, so the inner products of every point with
+    a point y are y's Gram row: the candidates for an image are filtered by
+    one row per image fixed so far, and the inner-product profiles of all
+    points against the basis, or against its images at a leaf, are the
+    columns of those rows, taken in one zip.
+    """
     g = cfg.gram_rows
     n, r = cfg.size, len(basis)
     images = list(basis)
-    basis_profiles = list(map(itemgetter(*basis), g))
+    basis_profiles = list(zip(*map(g.__getitem__, basis)))
 
     def candidates(depth: int) -> list[int]:
         # The points with basis[depth]'s inner products against images[0..depth-1].
-        want = [g[basis[depth]][b] for b in basis[:depth]]
-        return [c for c in range(n) if [g[c][y] for y in images[:depth]] == want]
+        cands = range(n)
+        for want, y in zip(basis_profiles[basis[depth]], images[:depth]):
+            row = g[y]
+            cands = [c for c in cands if row[c] == want]
+        return list(cands)
 
     def extend(depth: int) -> Perm | None:
         # The first permutation of X sending basis[j] to images[j] for j < depth.
@@ -221,8 +234,7 @@ def _search(cfg: ShiftedConfig, basis: list[int]) -> PermGroup:
                     return perm
             return None
         # Profile of x against the basis must be reproduced against the images.
-        image_profile = itemgetter(*images)
-        lookup = {image_profile(row): y for y, row in enumerate(g)}
+        lookup = dict(zip(zip(*map(g.__getitem__, images)), range(n)))
         perm = tuple(map(lookup.get, basis_profiles))
         return None if None in perm or len(set(perm)) != n else perm
 
@@ -258,41 +270,63 @@ def _inverse(perm: Perm) -> Perm:
 def _check_strong_generators(group: PermGroup, n: int) -> None:
     """Deterministic Schreier-Sims test of a base and strong generating set.
 
-    Level k's transversal {u_x : base[k] -> x} is grown from the generators
-    that fix base[0..k-1]; each u_x is kept as its images of the base points
-    and its inverse permutation, so every step below costs O(r).  The
-    transversal sizes must be the search's orbit lengths, and every
-    Schreier generator u_x s u_(x^s)^-1, which fixes base[0..k], must sift
-    through the transversals of levels k+1.. to the identity.
+    Level k's transversal {u_x : base[k] -> x} is grown breadth-first from
+    the generators that fix base[0..k-1]; each u_x is kept as its images of
+    the base points and the edge (parent, s) that reached it, u_x =
+    u_parent s.  The transversal sizes must be the search's orbit lengths,
+    and every Schreier generator u_x s u_(x^s)^-1, which fixes base[0..k],
+    must sift through the transversals of levels k+1.. to the identity.  A
+    Schreier generator whose u_x s has the base images of u_(x^s) is the
+    identity and needs no inverse, so an inverse u_x^-1 = s^-1 u_parent^-1
+    is built only for a Schreier generator that has to be sifted: along the
+    edge path, in a loop rather than by recursion (the path can be as long
+    as the orbit), and kept for the rest of this one check, as are the
+    inverses of the generators.
     """
     base, r = group.base, len(group.base)
-    inverses = {s: _inverse(s) for s in group.gens}
+    identity = tuple(range(n))
+    gen_inverses: dict[int, Perm] = {}
     levels = []
     for k, b in enumerate(base):
-        gens = [s for s in group.gens if all(s[c] == c for c in base[:k])]
-        transversal = {b: (base, tuple(range(n)))}
+        gens = [(i, s) for i, s in enumerate(group.gens) if all(s[c] == c for c in base[:k])]
+        transversal = {b: (base, None, None)}
         queue = [b]
         for x in queue:
-            img, inv = transversal[x]
-            for s in gens:
+            img = transversal[x][0]
+            for i, s in gens:
                 if s[x] not in transversal:
-                    transversal[s[x]] = (tuple(map(s.__getitem__, img)), tuple(map(inv.__getitem__, inverses[s])))
+                    transversal[s[x]] = (tuple(map(s.__getitem__, img)), x, i)
                     queue.append(s[x])
-        levels.append((gens, transversal))
-    if tuple(len(t) for _, t in levels) != group.orbit_lengths:
+        levels.append((gens, transversal, {b: identity}))
+    if tuple(len(t) for _, t, _ in levels) != group.orbit_lengths:
         raise InternalConsistencyError("stabilizer transversals do not match the orbits searched")
-    for k, (gens, transversal) in enumerate(levels):
-        for img, _ in transversal.values():
-            for s in gens:
+
+    def inverse(m: int, x: int) -> Perm:
+        # u_x^-1 at level m, from the nearest inverse already built on x's edge path.
+        transversal, built = levels[m][1], levels[m][2]
+        path = []
+        while x not in built:
+            path.append(x)
+            x = transversal[x][1]
+        inv = built[x]
+        for x in reversed(path):
+            i = transversal[x][2]
+            if i not in gen_inverses:
+                gen_inverses[i] = _inverse(group.gens[i])
+            inv = built[x] = tuple(map(inv.__getitem__, gen_inverses[i]))
+        return inv
+
+    for k, (gens, transversal, _) in enumerate(levels):
+        for img, _, _ in transversal.values():
+            for _, s in gens:
                 image = tuple(map(s.__getitem__, img))
-                y_img, y_inv = transversal[image[k]]
-                if image == y_img:
+                if image == transversal[image[k]][0]:
                     continue  # u_x s = u_(x^s)
-                h = tuple(map(y_inv.__getitem__, image))
+                h = tuple(map(inverse(k, image[k]).__getitem__, image))
                 for m in range(k + 1, r):
                     if h[m] not in levels[m][1]:
                         break
-                    h = tuple(map(levels[m][1][h[m]][1].__getitem__, h))
+                    h = tuple(map(inverse(m, h[m]).__getitem__, h))
                 if h != base:
                     raise InternalConsistencyError("a Schreier generator does not sift to the identity")
 
@@ -355,18 +389,25 @@ def check_weyl_inclusion(rs: RootSystem, cfg: ShiftedConfig, weyl_cap: int = rsy
     On shifted points the dislocated action mu -> w(mu+delta)-delta is the
     plain linear action, so this checks w(X) = X for all w, which holds
     exactly when every simple reflection maps X into X (a reflection is
-    injective and X finite).  Refuses (CapExceeded) when |W| exceeds
-    weyl_cap.  The Weyl orbit of delta is free, so its size must be |W|;
-    InternalConsistencyError is raised otherwise.  After the verdict, that
-    identity is read from RootSystem.delta_orbit_size, which enumerates the
-    orbit once per root system.
+    injective and X finite).  The simple reflection s_i sends the coordinates
+    y to y - y_i C[i], C the Cartan matrix (rootsys.reflect_fw_coords), so it
+    reflects all n points at once as the array Y - Y[:, i] C[i], in cfg.y's
+    dtype: every entry is at most |y_j| + 3 |y_i| <= 4 max|y| in absolute
+    value, far inside int64 wherever cfg.y is int64 (there r^2 max|y|^2 <
+    2^63), and object arrays hold Python ints.  Refuses (CapExceeded) when
+    |W| exceeds weyl_cap.  The Weyl orbit of delta is free, so its size must
+    be |W|; InternalConsistencyError is raised otherwise.  After the verdict,
+    that identity is read from RootSystem.delta_orbit_size, which enumerates
+    the orbit once per root system.
     """
     order = rs.typ.weyl_order()
     if order > weyl_cap:
         raise CapExceeded(f"Weyl group order of {rs.typ.label}", order, weyl_cap)
     points = set(cfg.coords)
+    y = cfg.y
+    cartan = np.array(rs.cartan_matrix, dtype=y.dtype)
     for i in range(rs.rank):
-        if any(rsys.reflect_fw_coords(rs, y, i) not in points for y in cfg.coords):
+        if not points.issuperset(map(tuple, (y - y[:, i : i + 1] * cartan[i]).tolist())):
             return False
     rs.delta_orbit_size  # the identity |W delta| = |W|, checked once per root system
     return True

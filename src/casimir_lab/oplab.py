@@ -162,6 +162,12 @@ class MetricParam:
         return len(self.kappa)
 
     def is_positive_definite(self) -> bool:
+        return self._positive_definite
+
+    @cached_property
+    def _positive_definite(self) -> bool:
+        """The exact test, computed once per instance and kept outside the
+        dataclass fields, as _weights is."""
         return is_positive_definite([list(r) for r in self.kappa])
 
     @cached_property

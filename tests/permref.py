@@ -7,11 +7,15 @@ Gram-preserving backtracking over every image of a spanning subset,
 checked by closing its generators back to every permutation found, and
 `select_basis` is the basis selection that rebuilds every profile and
 re-reduces every point on each pass.  `elements` enumerates a `PermGroup`
-from the transversals of its strong generators.
+from the transversals of its strong generators, and `reference_sift` is the
+Schreier-Sims test that builds every transversal element's inverse as it
+grows the transversal.
 """
 
 from collections import Counter
 from operator import itemgetter
+
+from casimir_lab.errors import InternalConsistencyError
 
 
 def _reduce(echelon, v):
@@ -134,3 +138,54 @@ def elements(group, n):
         elems = [tuple(map(u.__getitem__, e)) for u in transversal.values() for e in elems]
     assert len(set(elems)) == len(elems) == group.order
     return elems
+
+
+def _inverse(perm):
+    inv = [0] * len(perm)
+    for i, x in enumerate(perm):
+        inv[x] = i
+    return tuple(inv)
+
+
+def reference_sift(group, n):
+    """Deterministic Schreier-Sims test of a PermGroup on n points, raising
+    InternalConsistencyError with the messages of
+    `hidden._check_strong_generators`.
+
+    Level k's transversal {u_x : base[k] -> x} is grown from the generators
+    that fix base[0..k-1]; each u_x is kept as its images of the base points
+    and its inverse permutation, both built when x is reached.  The
+    transversal sizes must be the orbit lengths, and every Schreier
+    generator u_x s u_(x^s)^-1 must sift through the transversals of levels
+    k+1.. to the identity.
+    """
+    base, r = group.base, len(group.base)
+    inverses = {s: _inverse(s) for s in group.gens}
+    levels = []
+    for k, b in enumerate(base):
+        gens = [s for s in group.gens if all(s[c] == c for c in base[:k])]
+        transversal = {b: (base, tuple(range(n)))}
+        queue = [b]
+        for x in queue:
+            img, inv = transversal[x]
+            for s in gens:
+                if s[x] not in transversal:
+                    transversal[s[x]] = (tuple(map(s.__getitem__, img)), tuple(map(inv.__getitem__, inverses[s])))
+                    queue.append(s[x])
+        levels.append((gens, transversal))
+    if tuple(len(t) for _, t in levels) != group.orbit_lengths:
+        raise InternalConsistencyError("stabilizer transversals do not match the orbits searched")
+    for k, (gens, transversal) in enumerate(levels):
+        for img, _ in transversal.values():
+            for s in gens:
+                image = tuple(map(s.__getitem__, img))
+                y_img, y_inv = transversal[image[k]]
+                if image == y_img:
+                    continue
+                h = tuple(map(y_inv.__getitem__, image))
+                for m in range(k + 1, r):
+                    if h[m] not in levels[m][1]:
+                        break
+                    h = tuple(map(levels[m][1][h[m]][1].__getitem__, h))
+                if h != base:
+                    raise InternalConsistencyError("a Schreier generator does not sift to the identity")

@@ -1023,6 +1023,28 @@ def test_spectrum_numeric_rejects_indefinite(capsys):
     assert "positive definite" in err
 
 
+def test_spectrum_numeric_refuses_an_indefinite_kappa_before_any_operator(capsys, monkeypatch):
+    calls = []
+    for name in ("build_operator", "char_poly"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, real=real, name=name, **kw: calls.append(name) or real(*a, **kw))
+    argv = ["spectrum", "--su2", "1", "--rep-cap", "12", "--kappa", "diag:1,-2,3"]
+    assert run(capsys, *argv, "--numeric") == (2, "", "error: kappa is not positive definite\n")
+    assert calls == []
+    # the exact spectrum asks for no definite metric: the same kappa passes without --numeric
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert calls == ["build_operator", "char_poly"] * 13
+
+
+def test_spectrum_numeric_tests_kappa_definite_once(capsys, monkeypatch):
+    calls = []
+    real = oplab.is_positive_definite
+    monkeypatch.setattr(oplab, "is_positive_definite", lambda g: calls.append(g) or real(g))
+    run_json(capsys, "spectrum", "--su2", "1", "--rep-cap", "3", "--kappa", "diag:1,2,3", "--numeric")
+    assert len(calls) == 1
+
+
 def test_estimate_total(capsys):
     data = run_json(
         capsys, "estimate", "--type", "A", "--rank", "2", "--weight", "8,0", "--kmode", "diagonal"

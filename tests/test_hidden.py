@@ -3,15 +3,16 @@
 import dataclasses
 import itertools
 import sys
+from collections import Counter
 from fractions import Fraction as Q
 from operator import mul
 
 import pytest
 
 from ambient import mat_scale, mat_sub, matmul, matvec, reference, transpose, vadd
-from permref import elements, full_stabilizer, select_basis
+from permref import elements, full_stabilizer, reference_sift, select_basis
 from casimir_lab import ratlinalg as rl
-from casimir_lab import rootsys
+from casimir_lab import hidden, rootsys
 from casimir_lab.errors import CapExceeded, InternalConsistencyError
 from casimir_lab.hidden import (
     PermGroup,
@@ -467,6 +468,25 @@ def test_int64_bound_is_exact_at_its_edge():
     assert _elements(big, stabilizer_group(big)) == _elements(cfg, stabilizer_group(cfg))
 
 
+def test_weyl_check_on_the_object_path_and_at_the_int64_edge():
+    """The reflected coordinate arrays keep cfg.y's dtype: the int64 and
+    object classes on either side of the A1 edge, and the scaled copies of
+    the certificate tests, each kept, with its first or last point removed,
+    and emptied, give the textbook verdicts."""
+    edge = [_config(A1, Q(y * y, 2)) for y in (3037000499, 3037000500)]
+    cases = [(B2, Q(25, 2)), (G2, Q(26, 3)), (B3, Q(35, 4)), (A3, Q(17))]
+    scaled = [_scaled(_config(rs, a_sq), scale) for rs, a_sq in cases for scale, _ in SCALES]
+    assert [cfg.y.dtype for cfg in edge + scaled] == ["int64", "object"] + [dtype for _ in cases for _, dtype in SCALES]
+    for cfg in edge + scaled:
+        assert check_weyl_inclusion(cfg.rs, cfg) is _textbook_weyl_verdict(cfg) is True
+        for k in (0, cfg.size - 1):
+            broken = dataclasses.replace(cfg, coords=cfg.coords[:k] + cfg.coords[k + 1 :])
+            assert check_weyl_inclusion(cfg.rs, broken) is _textbook_weyl_verdict(broken) is False
+        empty = dataclasses.replace(cfg, coords=())
+        assert empty.y.shape == (0, cfg.rs.rank)
+        assert check_weyl_inclusion(cfg.rs, empty) is _textbook_weyl_verdict(empty) is True
+
+
 RANK4 = [("D", 14, 192), ("B", 30, 576), ("C", 15, 576)]
 
 
@@ -532,3 +552,104 @@ def test_every_generator_with_two_images_swapped_is_rejected():
             swapped[i], swapped[j] = p[j], p[i]
             with pytest.raises(InternalConsistencyError, match="stabilizer permutation mismatch"):
                 _check_gram(cfg, tuple(swapped))
+
+
+def _sift_verdict(check, group, n):
+    """'accepted', or the message of the InternalConsistencyError raised."""
+    try:
+        check(group, n)
+    except InternalConsistencyError as exc:
+        return str(exc)
+    return "accepted"
+
+
+def _same_sift_verdict(group, n):
+    """The verdict of the sift, which must be the reference sift's."""
+    verdict = _sift_verdict(_check_strong_generators, group, n)
+    assert verdict == _sift_verdict(reference_sift, group, n), (group.base, group.orbit_lengths)
+    return verdict
+
+
+def _sift_mutations(grp, n):
+    """The dropped-generator, doubled-length and foreign-generator mutations
+    of the sift tests above."""
+    for i in range(len(grp.gens)):
+        yield "dropped", PermGroup(grp.base, grp.gens[:i] + grp.gens[i + 1 :], grp.orbit_lengths)
+    yield "doubled", PermGroup(grp.base, grp.gens, grp.orbit_lengths[:-1] + (2 * grp.orbit_lengths[-1],))
+    moved, other = [i for i in range(n) if i not in grp.base][:2]
+    swap = list(range(n))
+    swap[moved], swap[other] = other, moved
+    yield "foreign", PermGroup(grp.base, grp.gens + (tuple(swap),), grp.orbit_lengths)
+
+
+def test_sift_matches_the_reference_sift(monkeypatch):
+    inverted = []
+    real = hidden._inverse
+    monkeypatch.setattr(hidden, "_inverse", lambda perm: inverted.append(perm) or real(perm))
+    verdicts = Counter()
+    for cfg in _reference_classes():
+        grp = stabilizer_group(cfg, point_cap=cfg.size)
+        verdicts["valid", _same_sift_verdict(grp, cfg.size)] += 1
+        for kind, mutant in _sift_mutations(grp, cfg.size):
+            verdicts[kind, _same_sift_verdict(mutant, cfg.size)] += 1
+    sifted = "a Schreier generator does not sift to the identity"
+    lengths = "stabilizer transversals do not match the orbits searched"
+    assert verdicts == {
+        ("valid", "accepted"): 105,
+        ("dropped", lengths): 236,
+        ("doubled", lengths): 105,
+        # A foreign generator fixes the base, so a sift of base images can
+        # miss it, the reference's as well; the package's generators are
+        # isometries, fixed by their base images (_check_gram).
+        ("foreign", sifted): 83,
+        ("foreign", lengths): 17,
+        ("foreign", "accepted"): 5,
+    }
+    # A3 a^2 = 17 has a nontrivial level 1: its sift inverts transversal elements on demand.
+    cfg = _config(A3, Q(17))
+    grp = stabilizer_group(cfg)
+    assert grp.orbit_lengths == (24, 1, 2)
+    inverted.clear()
+    assert _same_sift_verdict(grp, cfg.size) == "accepted"
+    assert inverted
+
+
+def _reflection_dihedral(n):
+    """The dihedral group of the regular n-gon, generated by the reflections
+    i -> -i and i -> 1 - i, with base (0, 1).  Its breadth-first transversal
+    of level 0 is the path 0, 1, n-1, 2, n-2, ..., n/2 of depth n - 1."""
+    return PermGroup((0, 1), (tuple(-i % n for i in range(n)), tuple((1 - i) % n for i in range(n))), (n, 2))
+
+
+def _inverse_depths(group):
+    """The transversal depths of the points y whose u_y^-1 a Schreier
+    generator u_x s u_y^-1 of level 0 needs (u_x s not u_y), in sift order."""
+    b = group.base[0]
+    transversal = {b: (group.base, 0)}
+    queue = [b]
+    for x in queue:
+        img, depth = transversal[x]
+        for s in group.gens:
+            if s[x] not in transversal:
+                transversal[s[x]] = (tuple(map(s.__getitem__, img)), depth + 1)
+                queue.append(s[x])
+    images = (tuple(map(s.__getitem__, img)) for img, _ in transversal.values() for s in group.gens)
+    return [transversal[image[0]][1] for image in images if image != transversal[image[0]][0]]
+
+
+def test_sift_inverts_deeper_than_the_recursion_limit():
+    n = 1100
+    deep = sys.getrecursionlimit()
+    assert n - 1 > deep
+    valid = _reflection_dihedral(n)
+    assert _inverse_depths(valid) == [0, n - 1]
+    assert _same_sift_verdict(valid, n) == "accepted"
+    # The first reflection with the images of n/2 - 3 and n/2 + 5 swapped
+    # keeps both orbit lengths, and the first Schreier generator that does
+    # not sift needs an inverse past the recursion limit.
+    bad = list(valid.gens[0])
+    a, b = n // 2 - 3, n // 2 + 5
+    bad[a], bad[b] = bad[b], bad[a]
+    mutant = PermGroup(valid.base, (tuple(bad), valid.gens[1]), valid.orbit_lengths)
+    assert _inverse_depths(mutant)[:2] == [0, n - 8]
+    assert _same_sift_verdict(mutant, n) == "a Schreier generator does not sift to the identity"
