@@ -26,7 +26,6 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 from enum import Enum
 from fractions import Fraction as Q
@@ -61,6 +60,7 @@ from .oplab import (
     numeric_spectrum,
 )
 from .polyq import root_multiplicity_profile
+from .ratlinalg import rational
 from .reps import KMode, bold_g_label, classify_type, dual_label, rep, weyl_dim
 from .rootsys import DEFAULT_WEYL_CAP, RootSystemType, build_root_system
 from .spectra import (
@@ -235,33 +235,6 @@ def _render(payload: dict, output: str) -> str:
 
 # ---------------------------------------------------------------------------
 # input parsing
-
-
-# The exponent of a decimal, as Fraction reads it.
-_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
-
-
-def rational(text: str) -> Q:
-    """An exact rational from "p/q", an integer or a decimal; ValueError
-    otherwise, and also when its numerator or denominator has more digits
-    than the int-to-str limit.  A nonzero decimal whose exponent passes
-    twice the limit (its mantissa has at most limit digits) is refused
-    before Fraction multiplies the exponent out."""
-    limit = sys.get_int_max_str_digits()
-    exponent = _EXPONENT.search(text)
-    if limit and exponent and abs(int(exponent[1])) > 2 * limit:
-        value = Q(text[: exponent.start()] + "e0")
-        big = 10**limit if value else 0
-    else:
-        try:
-            value = Q(text)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {text!r}") from None
-        big = max(abs(value.numerator), value.denominator)
-    # 2^(3 limit) < 10^limit
-    if limit and big.bit_length() > 3 * limit and big >= 10**limit:
-        raise ValueError(f"a rational input has a numerator or denominator of more than {limit} digits")
-    return value
 
 
 def count(text: str) -> int:

@@ -42,7 +42,6 @@ desk scale and are refused loudly, never truncated.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
@@ -129,33 +128,25 @@ def shifted_config(rs: RootSystem, cls: CasimirClass) -> ShiftedConfig:
 
 
 def _select_basis(cfg: ShiftedConfig) -> list[int]:
-    """Greedy spanning subset, preferring points whose inner-product profile
-    against the already-chosen basis is shared by as few other points as
-    possible (cheapest search fan-out), the first such point on ties.  Each
-    pass reads the profiles off the chosen points' Gram rows in one zip and
-    reduces the points outside the span so far against the newest echelon
-    row only.
+    """The first spanning subset of X in point order: each point is reduced
+    fraction-free against the echelon rows kept so far and kept when a
+    nonzero row remains.  Any spanning subset is a base (see
+    stabilizer_group); the scan stops at rank-many points.
     """
-    g = cfg.gram_rows
     chosen: list[int] = []
-    profiles: list[tuple[int, ...]] = [()] * cfg.size
-    live = {i: list(y) for i, y in enumerate(cfg.coords) if any(y)}
-    while live:
-        shared = Counter(profiles)
-        best = min(live, key=lambda i: shared[profiles[i]])
-        chosen.append(best)
-        row = live.pop(best)
-        c = next(c for c, x in enumerate(row) if x)
-        for i, v in list(live.items()):
+    echelon: list[tuple[int, list[int]]] = []
+    for i, y in enumerate(cfg.coords):
+        v = list(y)
+        for c, row in echelon:
             if v[c]:
                 a, b = row[c], v[c]
                 v = [a * x - b * z for x, z in zip(v, row)]
-                if any(v):
-                    live[i] = v
-                else:
-                    del live[i]
-        # The Gram matrix is symmetric: the chosen columns are their rows.
-        profiles = list(zip(*map(g.__getitem__, chosen)))
+        c = next((c for c, x in enumerate(v) if x), None)
+        if c is not None:
+            chosen.append(i)
+            echelon.append((c, v))
+            if len(chosen) == cfg.rs.rank:
+                break
     return chosen
 
 
@@ -339,16 +330,18 @@ def stabilizer_group(
     """The permutations of X induced by orthogonal maps of span X, as a base
     and strong generating set.
 
-    The base is the spanning subset b_0..b_{r-1} of _select_basis: an
-    isometry of span X is fixed by the images of a spanning set, so only the
-    identity fixes every b_k.  For k = r-1 down to 0 the search grows the
-    orbit of b_k under the generators found so far, which all fix
-    b_0..b_{k-1}.  For each point c outside it with b_k's inner products
-    against b_0..b_{k-1}, it backtracks over Gram-compatible images of
-    b_{k+1}..b_{r-1} for one permutation of X that fixes b_0..b_{k-1} and
-    sends b_k to c (the inner-product profiles against the images must give
-    a bijection of X); each one found is certified on the integer Gram
-    matrix and becomes a generator.  One per coset is complete: if the
+    Any spanning subset b_0..b_{r-1} of X is a base: an isometry of span X
+    is fixed by the images of a spanning set, so only the identity fixes
+    every b_k.  Only the cost of the search depends on the choice, and the
+    first spanning subset in point order is used (_select_basis).  For
+    k = r-1 down to 0 the search grows the orbit of b_k under the
+    generators found so far, which all fix b_0..b_{k-1}.  For each point c
+    outside it with b_k's inner products against b_0..b_{k-1}, it
+    backtracks over Gram-compatible images of b_{k+1}..b_{r-1} for one
+    permutation of X that fixes b_0..b_{k-1} and sends b_k to c (the
+    inner-product profiles against the images must give a bijection of X);
+    each one found is certified on the integer Gram matrix and becomes a
+    generator.  One per coset is complete: if the
     generators of the levels above generate the stabilizer G_(k+1) of
     b_0..b_k, then G_k is the union of the cosets G_(k+1) u_c over the
     points c of the G_k-orbit of b_k, so a point with no such permutation,

@@ -7,6 +7,8 @@ at the very end.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction as Q
 from math import isqrt, lcm
 from typing import Iterable, Iterator
@@ -20,14 +22,41 @@ ZERO = Q(0)
 ONE = Q(1)
 
 
+# The exponent of a decimal, as Fraction reads it.
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def rational(text: str) -> Q:
+    """An exact rational from "p/q", an integer or a decimal; ValueError
+    otherwise, and also when its numerator or denominator has more digits
+    than the int-to-str limit.  A nonzero decimal whose exponent passes
+    twice the limit (its mantissa has at most limit digits) is refused
+    before Fraction multiplies the exponent out."""
+    limit = sys.get_int_max_str_digits()
+    exponent = _EXPONENT.search(text)
+    if limit and exponent and abs(int(exponent[1])) > 2 * limit:
+        value = Q(text[: exponent.start()] + "e0")
+        big = 10**limit if value else 0
+    else:
+        try:
+            value = Q(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
+        big = max(abs(value.numerator), value.denominator)
+    # 2^(3 limit) < 10^limit
+    if limit and big.bit_length() > 3 * limit and big >= 10**limit:
+        raise ValueError(f"a rational input has a numerator or denominator of more than {limit} digits")
+    return value
+
+
 def frac(x) -> Q:
-    """Coerce ints, Fractions and 'p/q' strings to Fraction."""
+    """Coerce ints, Fractions and strings (read by rational) to Fraction."""
     if isinstance(x, Q):
         return x
     if isinstance(x, int):
         return Q(x)
     if isinstance(x, str):
-        return Q(x)
+        return rational(x)
     raise TypeError(f"cannot coerce {x!r} to a rational")
 
 

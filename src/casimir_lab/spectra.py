@@ -27,6 +27,7 @@ from fractions import Fraction as Q
 
 from .errors import CapExceeded, InternalConsistencyError, NonDominantWeight
 from .hidden import DEFAULT_POINT_CAP, DEFAULT_RANK_CAP, orbits, shifted_config, stabilizer_group
+from .ratlinalg import frac
 from .reps import (
     KMode,
     RepType,
@@ -340,14 +341,15 @@ def real_spectrum_report(
     """The real-form report: the complex report with members folded into
     duality classes [mu] (see _fold_members).
 
-    U* must be a real K-module (_check_real_ustar, ValueError otherwise),
-    so a failed fold identity below is an internal error, not bad input.
+    U* must be a real K-module (_check_real_ustar, ValueError otherwise,
+    before any class is computed), so a failed fold identity below is an
+    internal error, not bad input.
     Total real dimension per class equals the complex report's total for
     the same inputs (the real module complexifies to the complex one);
     that identity is enforced, not assumed.
     """
-    report = normal_spectrum_report(rs, lat, kmode, ustar, a_sq_cap, point_cap, rank_cap)
     _check_real_ustar(rs, kmode, ustar)
+    report = normal_spectrum_report(rs, lat, kmode, ustar, a_sq_cap, point_cap, rank_cap)
     entries = []
     for c in report.classes:
         folded = _fold_members(c.members)
@@ -443,7 +445,7 @@ def hodge_rank1_check(cap) -> HodgeTable:
     listed as discrepancies; the lambda = 0 class gets the harmonic
     annotation instead of being silently merged.
     """
-    cap = Q(cap)
+    cap = frac(cap)
     rs = build_root_system(RootSystemType("A", 1))
     ext = exterior_powers(rs, rs.positive_roots_fw[-1], 3)
     rows = []

@@ -4,18 +4,21 @@
 a base and strong generating set.  The references here list the group
 element by element instead: `full_stabilizer` is the exhaustive
 Gram-preserving backtracking over every image of a spanning subset,
-checked by closing its generators back to every permutation found, and
-`select_basis` is the basis selection that rebuilds every profile and
-re-reduces every point on each pass.  `elements` enumerates a `PermGroup`
-from the transversals of its strong generators, and `reference_sift` is the
-Schreier-Sims test that builds every transversal element's inverse as it
-grows the transversal.
+checked by closing its generators back to every permutation found.  Its
+spanning subset is `select_basis`, a greedy choice of points with rarely
+shared inner-product profiles, so it backtracks over a different base from
+the package's first spanning points in point order, which
+`first_spanning_points` finds from ranks alone.  `elements` enumerates a
+`PermGroup` from the transversals of its strong generators, and
+`reference_sift` is the Schreier-Sims test that builds every transversal
+element's inverse as it grows the transversal.
 """
 
 from collections import Counter
 from operator import itemgetter
 
 from casimir_lab.errors import InternalConsistencyError
+from casimir_lab.ratlinalg import mat, rank
 
 
 def _reduce(echelon, v):
@@ -48,6 +51,12 @@ def select_basis(cfg):
             return chosen
         chosen.append(best)
         echelon.append((next(c for c, x in enumerate(best_rest) if x), best_rest))
+
+
+def first_spanning_points(cfg):
+    """The indices i where the rank of coords[:i+1] over the rationals grows."""
+    ranks = [0] + [rank(mat(cfg.coords[: i + 1])) for i in range(cfg.size)]
+    return [i for i in range(cfg.size) if ranks[i + 1] > ranks[i]]
 
 
 def close(group, gens):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from casimir_lab import cli
 from casimir_lab.cli import main, parse_kappa, parse_ustar
 from casimir_lab.errors import CapExceeded, InternalConsistencyError
-from casimir_lab import hidden, oplab, polyq
+from casimir_lab import hidden, oplab, polyq, spectra
 from casimir_lab.oplab import GroupSpec, IrrepSpec, multiplicity_at_float
 from casimir_lab.polyq import RationalPoly
 from casimir_lab.reps import KMode, RepType
@@ -1081,6 +1081,23 @@ def test_real_report_of_a_torus_ustar_that_is_not_real_is_bad_input(capsys, rank
         assert out == "" and err.startswith("error: U* is not a real K-module")
     else:
         assert err == "" and json.loads(out)["real"] is True
+
+
+def test_real_report_refuses_a_non_real_ustar_before_any_class(capsys, monkeypatch):
+    # At cap 400 the complex report takes seconds; the refusal computes no class.
+    calls = []
+    real = spectra.stabilizer_group
+    monkeypatch.setattr(spectra, "stabilizer_group", lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    argv = ("report", "--type", "A", "--rank", "2", "--cap", "400", "--kmode", "torus", "--real", "--ustar")
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv, "[[[1,0],1]]")
+    assert time.perf_counter() - t0 < 0.1
+    assert (code, out, calls) == (2, "", [])
+    assert err == "error: U* is not a real K-module: [1, 0] has multiplicity 1, its dual [-1, 0] 0\n"
+    # a real U* at the same cap still gets its whole report, unchanged
+    code, out, err = run(capsys, *argv, "[[[1,0],1],[[-1,0],1]]")
+    assert (code, err, len(out)) == (0, "", 51522) and calls
+    assert hashlib.sha256(out.encode()).hexdigest() == "47957d02facb7f1ce61963750f4c76bd8c6bd36766bf372d13bef5e4f87082a2"
 
 
 def test_hodge_cli(capsys):

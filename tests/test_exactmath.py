@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -14,6 +15,7 @@ from casimir_lab import polyq
 from casimir_lab import ratlinalg as rl
 from casimir_lab.errors import DimensionMismatch, InternalConsistencyError
 from casimir_lab.gaussian import GZERO, QQi, gmatmul
+from casimir_lab.oplab import diag_metric
 from casimir_lab.polyq import (
     RationalPoly,
     _gcd,
@@ -23,6 +25,9 @@ from casimir_lab.polyq import (
     root_multiplicity_profile,
     squarefree_decomposition,
 )
+from casimir_lab.rootsys import RootSystemType, build_root_system
+from casimir_lab.spectra import hodge_rank1_check
+from casimir_lab.weights import LatticeChoice, sphere_set
 from polyref import (
     GONE,
     I_UNIT,
@@ -135,6 +140,29 @@ def test_shape_mismatches_are_rejected():
     for f in (rl.inverse, rl.det):
         with pytest.raises(DimensionMismatch):
             f(rl.mat([[1, 2, 3], [4, 5, 6]]))
+
+
+@pytest.mark.parametrize("coerce", [
+    lambda: rl.frac("1e1000000"),
+    lambda: sphere_set(build_root_system(RootSystemType("A", 2)), LatticeChoice.WEIGHT, "1e1000000"),
+    lambda: hodge_rank1_check("1e1000000"),
+    lambda: build_root_system(RootSystemType("A", 2), "1e-1000000"),
+    lambda: diag_metric(["1e1000000", 1, 1]),
+], ids=["frac", "sphere_set", "hodge_rank1_check", "build_root_system", "diag_metric"])
+def test_a_library_string_past_the_digit_limit_is_refused_at_once(coerce):
+    # every string the library reads goes through ratlinalg.rational, as the
+    # command line's do, before Fraction expands the exponent
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="more than .* digits"):
+        coerce()
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_frac_reads_strings_as_rational():
+    assert rl.frac(" -3/6 ") == rl.rational("-1/2") == Q(-1, 2)
+    assert rl.frac("1.5E+3") == 1500
+    with pytest.raises(ValueError, match="zero denominator"):
+        rl.frac("1/0")
 
 
 # --- gaussian rationals ---
