@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 
 from .errors import DimensionMismatch
+from .ratlinalg import frac
 
 
 class QQi:
@@ -19,8 +20,8 @@ class QQi:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", re if isinstance(re, Q) else Q(re))
-        object.__setattr__(self, "im", im if isinstance(im, Q) else Q(im))
+        object.__setattr__(self, "re", frac(re))
+        object.__setattr__(self, "im", frac(im))
 
     def __setattr__(self, *a):
         raise AttributeError("QQi is immutable")

@@ -12,31 +12,24 @@ mu + delta is kept as its fundamental-weight coordinates y = mu + 1, all
 of them as one n x r integer array Y, and inner products as
 y^T (den G) y, with G the fundamental-weight Gram matrix and den its
 least common denominator: the images FY = Y (den G) give the sphere
-check as one row sum of FY * Y and the integer Gram matrix as FY Y^T.
-The array is int64 when r^2 max|y|^2 max|den G| < 2^63 bounds every
-partial sum of those products, and holds Python ints (dtype object)
-otherwise, so no entry can overflow.  The integer Gram matrix certifies
-each generator, by one comparison of all n^2 permuted entries, because a
-permutation p of X preserving every inner product is induced by exactly
-one such isometry.  Proof: a relation
-sum c_i x_i = 0 gives |sum c_i x_p(i)|^2 = sum c_i c_j <x_i, x_j> = 0, so
-x_i -> x_p(i) extends to a well-defined linear map of span X that
-preserves the Gram matrix, hence is orthogonal; it is the only linear map
-of span X inducing p, and the identity on the orthogonal complement
-completes it (Plesken & Souvignier, Computing isometries of lattices,
-J. Symbolic Comput. 24, 1997).  A product of Gram-preserving permutations
-preserves the Gram matrix, so certifying the generators certifies the
-group, and the group itself is never listed: it is kept as a base and
-strong generating set (Sims, Computational methods in the study of
-permutation groups, 1970), whose order is the product of its basic orbit
-lengths and which a deterministic Schreier-Sims sift checks (Seress,
-Permutation Group Algorithms, 2003, ch. 4).  For the same reason W
-preserves X exactly when its simple reflections do, so the Weyl check
-reflects the integer coordinate array by each simple reflection in one
-array expression and returns a verdict, listing no Weyl element.  The
-search reads the Gram matrix by rows, one row per fixed image, and the sift
-keeps each transversal element as its base images, inverting one only for
-a Schreier generator that is not the identity.  Caps keep the search at
+check as one row sum of FY * Y, and the Gram row of a point x as
+FY[x] Y^T.  The array is int64 when r^2 max|y|^2 max|den G| < 2^63 bounds
+every partial sum of those products, and holds Python ints (dtype object)
+otherwise, so no entry can overflow.  No n x n structure is built: a
+search reads only the Gram rows of the base points and of the images it
+tries, each on first read, and certifies each generator on the rows of
+the base and of its images, which proves it induced by exactly one
+isometry of span X (_check_gram; Plesken & Souvignier, Computing
+isometries of lattices, J. Symbolic Comput. 24, 1997).  Isometries
+compose, so certifying the generators certifies the group, and the group
+itself is never listed: it is kept as a base and strong generating set
+(Sims, Computational methods in the study of permutation groups, 1970),
+whose order is the product of its basic orbit lengths and which a
+deterministic Schreier-Sims sift checks (Seress, Permutation Group
+Algorithms, 2003, ch. 4).  For the same reason W preserves X exactly when
+its simple reflections do, so the Weyl check reflects the integer
+coordinate array by each simple reflection in one array expression and
+returns a verdict, listing no Weyl element.  Caps keep the search at
 desk scale and are refused loudly, never truncated.
 """
 
@@ -66,14 +59,10 @@ class ShiftedConfig:
     """The shifted point set of a Casimir class as one exact integer array.
 
     coords[i] are the fundamental-weight coordinates mu + 1 of the shifted
-    point mu + delta, in sorted order.  y is coords as an n x r array and
-    fy = y (den G) their images, so the inner products are y^T (den G) y:
-    gram_int = fy y^T is den times the Gram matrix, den =
-    rs.gram_fw_int[0].  The dtype is int64 when r^2 max|y|^2 max|den G| <
-    2^63 bounds every partial sum, and object (Python ints) otherwise.  The
-    Gram matrix has size^2 entries, so it is built on first use, after the
-    point cap has been checked; gram_rows is its one list view, which the
-    backtracking reads.
+    point mu + delta, in sorted order.  y is coords as an n x r array, fy =
+    y (den G) their images, and fy[x] y^T is den = rs.gram_fw_int[0] times
+    the Gram row of point x.  The dtype is int64 when r^2 max|y|^2 max|den G|
+    < 2^63 bounds every partial sum, and object (Python ints) otherwise.
     """
 
     rs: RootSystem
@@ -99,14 +88,6 @@ class ShiftedConfig:
     @cached_property
     def fy(self) -> np.ndarray:
         return self.y @ self._form
-
-    @cached_property
-    def gram_int(self) -> np.ndarray:
-        return self.fy @ self.y.T
-
-    @cached_property
-    def gram_rows(self) -> list[list[int]]:
-        return self.gram_int.tolist()
 
     @cached_property
     def mu_coords(self) -> tuple[tuple[int, ...], ...]:
@@ -184,35 +165,54 @@ def _orbit(point: int, gens) -> list[int]:
     return orbit
 
 
-def _check_gram(cfg: ShiftedConfig, perm: Perm) -> None:
-    """Certify that perm preserves every inner product: all n^2 entries of
-    the permuted Gram matrix compared with the Gram matrix at once."""
-    g = cfg.gram_int
-    # g[p][:, p]; take reads perm as one list of indices, g[perm] as one index per axis.
-    if not (g.take(perm, 0).take(perm, 1) == g).all():
-        raise InternalConsistencyError("stabilizer permutation mismatch")
+def _row_reader(cfg: ShiftedConfig):
+    """row(x)[i] = y_x^T (den G) y_i in Python ints, built as fy[x] y^T on
+    the first read of x and kept by this reader, which serves one search."""
+    fy, yt, rows = cfg.fy, cfg.y.T, {}
+
+    def row(x: int) -> list[int]:
+        if x not in rows:
+            rows[x] = (fy[x] @ yt).tolist()
+        return rows[x]
+
+    return row
+
+
+def _check_gram(row, base: list[int], perm: Perm) -> None:
+    """Certify that perm preserves every inner product: for each point b of
+    the base, a basis of span X, the row of perm[b] read at perm must be b's.
+
+    This equals the n^2 comparison.  Equal rows give Gram(images) =
+    Gram(base), so b_j -> perm(b_j) extends to an isometry L of span X.
+    Then <L x_i - x_perm(i), perm(b_j)> = <x_i, b_j> - <x_perm(i),
+    perm(b_j)> = 0 for every j, and the images span X, so L x_i = x_perm(i).
+    """
+    for b in base:
+        image = row(perm[b])
+        if list(map(image.__getitem__, perm)) != row(b):
+            raise InternalConsistencyError("stabilizer permutation mismatch")
 
 
 def _search(cfg: ShiftedConfig, basis: list[int]) -> PermGroup:
     """Certified strong generators relative to the base basis (see stabilizer_group).
 
     The Gram matrix is symmetric, so the inner products of every point with
-    a point y are y's Gram row: the candidates for an image are filtered by
-    one row per image fixed so far, and the inner-product profiles of all
-    points against the basis, or against its images at a leaf, are the
-    columns of those rows, taken in one zip.
+    a point y are y's Gram row (_row_reader): the candidates for an image are
+    filtered by one row per image fixed so far, and the inner-product
+    profiles of all points against the basis, or against its images at a
+    leaf, are the columns of those rows, taken in one zip.
     """
-    g = cfg.gram_rows
+    row = _row_reader(cfg)
     n, r = cfg.size, len(basis)
     images = list(basis)
-    basis_profiles = list(zip(*map(g.__getitem__, basis)))
+    basis_profiles = list(zip(*map(row, basis)))
 
     def candidates(depth: int) -> list[int]:
         # The points with basis[depth]'s inner products against images[0..depth-1].
         cands = range(n)
         for want, y in zip(basis_profiles[basis[depth]], images[:depth]):
-            row = g[y]
-            cands = [c for c in cands if row[c] == want]
+            g = row(y)
+            cands = [c for c in cands if g[c] == want]
         return list(cands)
 
     def extend(depth: int) -> Perm | None:
@@ -225,7 +225,7 @@ def _search(cfg: ShiftedConfig, basis: list[int]) -> PermGroup:
                     return perm
             return None
         # Profile of x against the basis must be reproduced against the images.
-        lookup = dict(zip(zip(*map(g.__getitem__, images)), range(n)))
+        lookup = dict(zip(zip(*map(row, images)), range(n)))
         perm = tuple(map(lookup.get, basis_profiles))
         return None if None in perm or len(set(perm)) != n else perm
 
@@ -243,7 +243,7 @@ def _search(cfg: ShiftedConfig, basis: list[int]) -> PermGroup:
             if perm is None:
                 refused.update(_orbit(c, gens))
                 continue
-            _check_gram(cfg, perm)
+            _check_gram(row, basis, perm)
             gens.append(perm)
             orbit = set(_orbit(basis[k], gens))
         lengths[k] = len(orbit)
@@ -340,12 +340,12 @@ def stabilizer_group(
     backtracks over Gram-compatible images of b_{k+1}..b_{r-1} for one
     permutation of X that fixes b_0..b_{k-1} and sends b_k to c (the
     inner-product profiles against the images must give a bijection of X);
-    each one found is certified on the integer Gram matrix and becomes a
-    generator.  One per coset is complete: if the
-    generators of the levels above generate the stabilizer G_(k+1) of
-    b_0..b_k, then G_k is the union of the cosets G_(k+1) u_c over the
-    points c of the G_k-orbit of b_k, so a point with no such permutation,
-    and its orbit under the generators so far, lies outside that orbit.
+    each one found is certified on the base rows (_check_gram) and becomes
+    a generator.  One per coset is complete: if the generators of the
+    levels above generate the stabilizer G_(k+1) of b_0..b_k, then G_k is
+    the union of the cosets G_(k+1) u_c over the points c of the G_k-orbit
+    of b_k, so a point with no such permutation, and its orbit under the
+    generators so far, lies outside that orbit.
     The grown orbit is therefore the whole basic orbit, the generators
     generate every G_k, and |G| is the product of the orbit lengths (Sims
     1970).  Independently of the search, a deterministic Schreier-Sims sift

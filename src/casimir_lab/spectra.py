@@ -131,14 +131,10 @@ def _hidden_data(rs: RootSystem, cls, point_cap: int, rank_cap: int):
     except CapExceeded:
         return None, None
     orbs = orbits(cfg, group)
-    index_of = {m: i for i, m in enumerate(cfg.mu_coords)}
-    by_mu = {}
-    for oid, orb in enumerate(orbs):
-        for i in orb:
-            by_mu[cfg.mu_coords[i]] = oid
-    for m in index_of:
-        if m not in by_mu:
-            raise InternalConsistencyError("orbit partition missed a configuration point")
+    by_mu = {cfg.mu_coords[i]: oid for oid, orb in enumerate(orbs) for i in orb}
+    # The points are distinct, so the orbits cover every one exactly when by_mu has size keys.
+    if len(by_mu) != cfg.size:
+        raise InternalConsistencyError("orbit partition missed a configuration point")
     return by_mu, len(orbs)
 
 

@@ -26,8 +26,15 @@ one diagonal and one full metric, plain, with `--numeric` and with
 seeds; then certify on T^2 at rep cap 3 and SU(2) x T at rep cap 2 at
 budget 40 and the same two seeds, where twenty diagonal candidates are
 rejected before an off-diagonal one certifies.  Each request runs in json
-and with `--output table`.  Its lines follow the sweep's, with the
-"operator sweep total" line last.
+and with `--output table`.  Its lines follow the sweep's, and end with
+the "operator sweep total" line.
+
+The large-hidden part (large_hidden_requests) runs hidden on every
+weight-lattice class with a dominant member of A4 up to a^2 = 40, of B4,
+C4 and D4 up to 50 and of F4 up to 80, all at `--point-cap 1152`, and on
+the 2,800-point D5 class a^2 = 40 at `--point-cap 2800 --rank-cap 5`, each
+in json and with `--output table`.  Its lines follow the operator sweep's:
+one per type, then the "large hidden total" line, the sha256 over the part.
 
 Run it from a checkout's root, or copy it into another checkout's tests/
 and run it there: the package comes from ./src and the workloads from
@@ -164,6 +171,27 @@ def operator_sweep_requests() -> dict:
     return reqs
 
 
+# Squared-radius caps of the rank-4 types of the large-hidden part.
+LARGE_HIDDEN_CAPS = {"A4": 40, "B4": 50, "C4": 50, "D4": 50, "F4": 80}
+
+
+def large_hidden_requests() -> dict:
+    """{type: [argv, ...]} of the large-hidden part."""
+    _load_workloads()
+    from casimir_lab.rootsys import RootSystemType, build_root_system
+    from casimir_lab.weights import LatticeChoice, classes_up_to
+
+    reqs = {}
+    for name, cap in LARGE_HIDDEN_CAPS.items():
+        rs = build_root_system(RootSystemType(name[0], int(name[1:])))
+        reqs[name] = [
+            ["hidden", *_type_args(name, "--a2", str(cls.a_sq), "--point-cap", "1152")]
+            for cls in classes_up_to(rs, LatticeChoice.WEIGHT, cap)
+        ]
+    reqs["D5"] = [["hidden", *_type_args("D5", "--a2", "40", "--point-cap", "2800", "--rank-cap", "5")]]
+    return reqs
+
+
 def sweep_digest(requests, prefix: str) -> list:
     """[(label, requests, sha256)] per subcommand of requests, then
     (prefix + " total", n, sha256)."""
@@ -190,6 +218,7 @@ def main(argv) -> int:
         return 2
     lines = digest([int(s) for s in argv])
     lines += sweep_digest(sweep_requests(), "sweep") + sweep_digest(operator_sweep_requests(), "operator sweep")
+    lines += sweep_digest(large_hidden_requests(), "large hidden")
     for label, n, sha in lines:
         print(f"{label}: {n} requests {sha}")
     return 0

@@ -8,14 +8,16 @@ checked by closing its generators back to every permutation found.  Its
 spanning subset is `select_basis`, a greedy choice of points with rarely
 shared inner-product profiles, so it backtracks over a different base from
 the package's first spanning points in point order, which
-`first_spanning_points` finds from ranks alone.  `elements` enumerates a
-`PermGroup` from the transversals of its strong generators, and
-`reference_sift` is the Schreier-Sims test that builds every transversal
-element's inverse as it grows the transversal.
+`first_spanning_points` finds from ranks alone.  Both read the n x n Gram
+matrix `gram`, built one entry at a time in Python ints, and
+`gram_preserved` is the n^2 certificate of a permutation on it.  `elements`
+enumerates a `PermGroup` from the transversals of its strong generators,
+and `reference_sift` is the Schreier-Sims test that builds every
+transversal element's inverse as it grows the transversal.
 """
 
 from collections import Counter
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from casimir_lab.errors import InternalConsistencyError
 from casimir_lab.ratlinalg import mat, rank
@@ -31,14 +33,29 @@ def _reduce(echelon, v):
     return v
 
 
-def select_basis(cfg):
+def gram(cfg):
+    """den times the Gram matrix of X, y_i . ((den G) y_j), in Python ints,
+    one entry at a time."""
+    g = cfg.rs.gram_fw_int[1]
+    images = [tuple(sum(map(mul, row, y)) for row in g) for y in cfg.coords]
+    return [[sum(map(mul, y, gz)) for gz in images] for y in cfg.coords]
+
+
+def gram_preserved(cfg, perm):
+    """Does perm preserve every inner product of X?  All n^2 entries of the
+    permuted Gram matrix compared with the Gram matrix."""
+    g = gram(cfg)
+    return all(g[perm[i]][perm[j]] == v for i, row in enumerate(g) for j, v in enumerate(row))
+
+
+def select_basis(cfg, g):
     """Greedy spanning subset, preferring points whose inner-product profile
-    against the already-chosen basis is shared by as few other points as
-    possible; the first such point on ties."""
+    (rows of the Gram matrix g) against the already-chosen basis is shared
+    by as few other points as possible; the first such point on ties."""
     chosen = []
     echelon = []
     while True:
-        profiles = [tuple(row[j] for j in chosen) for row in cfg.gram_int.tolist()]
+        profiles = [tuple(row[j] for j in chosen) for row in g]
         shared = Counter(profiles)
         best = best_rest = None
         for i, y in enumerate(cfg.coords):
@@ -83,11 +100,11 @@ def full_stabilizer(cfg):
     X; the permutations outside the closure of those taken so far are the
     generators, and their closure must be exactly the set found.
     """
-    basis = select_basis(cfg)
+    g = gram(cfg)
+    basis = select_basis(cfg, g)
     n, r = cfg.size, len(basis)
     if r == 0:
         return [tuple(range(n))]
-    g = cfg.gram_int.tolist()
     perms = set()
     images = [0] * r
     basis_profiles = list(map(itemgetter(*basis), g))

@@ -130,7 +130,8 @@ def test_hidden_exits_4_when_the_sift_identity_fails(capsys, monkeypatch):
 
 
 def test_point_cap_refuses_before_the_gram_matrix(capsys):
-    # 4800 points: the point cap must refuse before the 4800 x 4800 Gram matrix is built.
+    # 4800 points: the point cap must refuse before the search and the sift,
+    # whose work and memory grow with the number of points.
     t0 = time.perf_counter()
     code, out, err = run(capsys, "hidden", "--type", "D", "--rank", "5", "--a2", "60")
     assert time.perf_counter() - t0 < 1.0

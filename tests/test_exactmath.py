@@ -148,7 +148,8 @@ def test_shape_mismatches_are_rejected():
     lambda: hodge_rank1_check("1e1000000"),
     lambda: build_root_system(RootSystemType("A", 2), "1e-1000000"),
     lambda: diag_metric(["1e1000000", 1, 1]),
-], ids=["frac", "sphere_set", "hodge_rank1_check", "build_root_system", "diag_metric"])
+    lambda: QQi("1e1000000", 0),
+], ids=["frac", "sphere_set", "hodge_rank1_check", "build_root_system", "diag_metric", "QQi"])
 def test_a_library_string_past_the_digit_limit_is_refused_at_once(coerce):
     # every string the library reads goes through ratlinalg.rational, as the
     # command line's do, before Fraction expands the exponent
@@ -185,6 +186,12 @@ def test_qqi_units_and_norms():
     z = QQi(Q(3, 2), Q(-1, 3))
     assert (z * conj(z)).im == 0
     assert complex(z) == 1.5 - 1j / 3
+
+
+def test_qqi_reads_its_parts_as_frac_does():
+    assert QQi("-3/6", "1.5E+1") == QQi(Q(-1, 2), 15)
+    with pytest.raises(TypeError):
+        QQi(0.5)
 
 
 def test_gmat_conj_transpose_and_kron():

@@ -3,14 +3,14 @@
 import dataclasses
 import itertools
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as Q
-from operator import mul
 
 import pytest
 
 from ambient import mat_scale, mat_sub, matmul, matvec, reference, transpose, vadd
-from permref import elements, first_spanning_points, full_stabilizer, reference_sift
+from permref import elements, first_spanning_points, full_stabilizer, gram, gram_preserved, reference_sift
 from casimir_lab import ratlinalg as rl
 from casimir_lab import hidden, rootsys
 from casimir_lab.errors import CapExceeded, InternalConsistencyError
@@ -18,6 +18,7 @@ from casimir_lab.hidden import (
     PermGroup,
     _check_gram,
     _check_strong_generators,
+    _row_reader,
     _select_basis,
     check_weyl_inclusion,
     orbits,
@@ -93,11 +94,25 @@ def _scaled(cfg, k):
     return dataclasses.replace(cfg, a_sq=cfg.a_sq * k * k, coords=tuple(tuple(k * c for c in y) for y in cfg.coords))
 
 
-def _gram_by_entries(cfg):
-    """y_i . (G y_j) in Python ints, one entry at a time."""
-    g = cfg.rs.gram_fw_int[1]
-    images = [tuple(sum(map(mul, row, y)) for row in g) for y in cfg.coords]
-    return [[sum(map(mul, y, gz)) for gz in images] for y in cfg.coords]
+def _rows(cfg):
+    """Every Gram row, as one reader of the search reads them."""
+    row = _row_reader(cfg)
+    return [row(x) for x in range(cfg.size)]
+
+
+def _certify(cfg, base, perm):
+    """The base-row certificate of perm, on a fresh row reader."""
+    _check_gram(_row_reader(cfg), base, perm)
+
+
+def _certified(cfg, base, perm):
+    """The verdict of the base-row certificate: True, or False when it raises."""
+    try:
+        _certify(cfg, base, perm)
+    except InternalConsistencyError as exc:
+        assert str(exc) == "stabilizer permutation mismatch"
+        return False
+    return True
 
 
 def _points(cfg):
@@ -360,14 +375,16 @@ def test_non_generator_matrix_is_exact():
 def test_generator_check_rejects_a_wrong_permutation():
     for scale, dtype in SCALES:
         cfg = _scaled(_config(B2, Q(25, 2)), scale)
-        assert cfg.gram_int.dtype == dtype
-        p = stabilizer_group(cfg).gens[0]
-        _check_gram(cfg, p)
+        assert cfg.fy.dtype == dtype
+        grp = stabilizer_group(cfg)
+        p = grp.gens[0]
+        _certify(cfg, grp.base, p)
         phi = _reference_matrix(cfg, p)
         assert _is_isometry(cfg, phi, p)
         swapped = (p[1], p[0]) + p[2:]
         with pytest.raises(InternalConsistencyError, match="stabilizer permutation mismatch"):
-            _check_gram(cfg, swapped)
+            _certify(cfg, grp.base, swapped)
+        assert not gram_preserved(cfg, swapped)
         assert not _is_isometry(cfg, phi, swapped)
         assert not _is_isometry(cfg, _reference_matrix(cfg, swapped), swapped)
         assert not _is_isometry(cfg, mat_scale(2, phi), p)
@@ -378,9 +395,9 @@ def test_gram_certificate_rejects_every_swapped_element():
     grp = stabilizer_group(cfg)
     assert len(grp) == 8
     for p in _elements(cfg, grp):
-        _check_gram(cfg, p)
+        _certify(cfg, grp.base, p)
         with pytest.raises(InternalConsistencyError, match="stabilizer permutation mismatch"):
-            _check_gram(cfg, (p[1], p[0]) + p[2:])
+            _certify(cfg, grp.base, (p[1], p[0]) + p[2:])
 
 
 def test_hidden_runs_without_rational_linear_algebra(monkeypatch):
@@ -427,16 +444,66 @@ def test_matches_full_reference_on_every_class():
     assert checked == 105
 
 
+def _row_blind_pairs(cfg, base):
+    """For each base point b, the first two points off the base whose inner
+    products agree with every other base point but not with b: swapping
+    their images changes b's row only."""
+    g = gram(cfg)
+    pairs = []
+    for b in base:
+        first = {}
+        for i in range(cfg.size):
+            if i not in base:
+                i0 = first.setdefault(tuple(g[i][c] for c in base if c != b), i)
+                if g[i0][b] != g[i][b]:
+                    pairs.append((i0, i))
+                    break
+    return pairs
+
+
+def _swap_images(p, i, j):
+    q = list(p)
+    q[i], q[j] = p[j], p[i]
+    return tuple(q)
+
+
+def test_base_row_certificate_matches_the_n2_reference():
+    """On every element of every reference group, on each with the images
+    of points 0 and 1 swapped, and on each with the images of a row-blind
+    pair swapped (one that every base row but one misses), the base-row
+    certificate gives the verdict of the n^2 comparison of the permuted
+    Gram matrix."""
+    verdicts = Counter()
+    for cfg in _reference_classes():
+        grp = stabilizer_group(cfg, point_cap=cfg.size)
+        pairs = _row_blind_pairs(cfg, grp.base)
+        for p in _elements(cfg, grp):
+            mutants = [("element", p)] + [("swapped", _swap_images(p, 0, 1))] * (cfg.size > 1)
+            mutants += [("row-blind", _swap_images(p, i, j)) for i, j in pairs]
+            for kind, perm in mutants:
+                verdict = _certified(cfg, grp.base, perm)
+                assert verdict is gram_preserved(cfg, perm), (cfg.rs.typ, cfg.a_sq, perm)
+                verdicts[kind, verdict] += 1
+    assert verdicts == {("element", True): 2052, ("swapped", False): 2052, ("row-blind", False): 3816}
+
+
 def test_gram_matches_the_entrywise_dot_products():
-    """gram_int, an array product, equals y_i . (G y_j) taken one entry at
-    a time in Python ints, on every A2/B2/G2 class with a^2 <= 60 and every
-    48-point B3 class with a^2 <= 21."""
+    """The Gram rows the search reads, array products, equal y_i . (G y_j)
+    taken one entry at a time, in Python ints, on every A2/B2/G2 class with
+    a^2 <= 60, every 48-point B3 class with a^2 <= 21 and their object-path
+    copies; a reader builds each row once."""
     configs = [shifted_config(rs, cls) for rs in (A2, B2, G2) for cls in classes_up_to(rs, WEIGHT, Q(60))]
     b3 = [cfg for cfg in (shifted_config(B3, cls) for cls in classes_up_to(B3, WEIGHT, Q(21))) if cfg.size == 48]
     assert [cfg.a_sq for cfg in b3] == [Q(35, 4), 14, 21]
     for cfg in configs + b3:
-        assert cfg.gram_int.shape == (cfg.size, cfg.size)
-        assert cfg.gram_int.tolist() == cfg.gram_rows == _gram_by_entries(cfg)
+        for scale, dtype in SCALES:
+            scaled = _scaled(cfg, scale)
+            assert scaled.fy.dtype == dtype
+            rows = _rows(scaled)
+            assert rows == gram(scaled)
+            assert all(type(v) is int for row in rows for v in row)
+    row = _row_reader(b3[0])
+    assert row(5) is row(5)
 
 
 def test_desk_scale_classes_take_the_int64_path():
@@ -444,27 +511,27 @@ def test_desk_scale_classes_take_the_int64_path():
     configs = list(_reference_classes()) + rank4
     assert len(configs) == 105 + 3
     for cfg in configs:
-        assert cfg.y.dtype == cfg.fy.dtype == cfg.gram_int.dtype == "int64", (cfg.rs.typ, cfg.a_sq)
+        assert cfg.y.dtype == cfg.fy.dtype == "int64", (cfg.rs.typ, cfg.a_sq)
 
 
 def test_int64_bound_is_exact_at_its_edge():
     """On A1, den G = (1) and the bound is y^2 < 2^63: y = 3037000499 is the
     last int64 class, and y = 3037000500, whose Gram entries y^2 do not fit
-    in int64, takes the object path.  Both Gram matrices are the Python
-    products, and both classes keep their order-2 group."""
+    in int64, takes the object path.  Both classes' Gram rows are the
+    Python products, and both keep their order-2 group."""
     for y, a_sq, dtype in ((3037000499, Q(3037000499**2, 2), "int64"), (3037000500, Q(3037000500**2, 2), "object")):
         cfg = _config(A1, a_sq)
         assert cfg.coords == ((-y,), (y,))
-        assert cfg.gram_int.dtype == dtype
-        assert cfg.gram_rows == _gram_by_entries(cfg) == [[y * y, -y * y], [-y * y, y * y]]
-        assert all(type(v) is int for row in cfg.gram_rows for v in row)
+        assert cfg.fy.dtype == dtype
+        assert _rows(cfg) == gram(cfg) == [[y * y, -y * y], [-y * y, y * y]]
+        assert all(type(v) is int for row in _rows(cfg) for v in row)
         assert len(stabilizer_group(cfg)) == 2
-    # Past the bound in rank 3 too: the stabilizer and Gram matrix are unchanged by scaling.
+    # Past the bound in rank 3 too: the stabilizer and Gram rows are unchanged by scaling.
     cfg = _config(B3, Q(35, 4))
     big = _scaled(cfg, OBJECT_SCALE)
-    assert big.gram_int.dtype == object
-    assert big.gram_rows == _gram_by_entries(big)
-    assert big.gram_rows == [[OBJECT_SCALE**2 * v for v in row] for row in cfg.gram_rows]
+    assert big.fy.dtype == object
+    assert _rows(big) == gram(big)
+    assert _rows(big) == [[OBJECT_SCALE**2 * v for v in row] for row in _rows(cfg)]
     assert _elements(big, stabilizer_group(big)) == _elements(cfg, stabilizer_group(cfg))
 
 
@@ -485,6 +552,24 @@ def test_weyl_check_on_the_object_path_and_at_the_int64_edge():
         empty = dataclasses.replace(cfg, coords=())
         assert empty.y.shape == (0, cfg.rs.rank)
         assert check_weyl_inclusion(cfg.rs, empty) is _textbook_weyl_verdict(empty) is True
+
+
+def test_d5_class_is_searched_without_an_n_by_n_structure():
+    """The 2,800-point D5 class a^2 = 40: its n x n Gram matrix alone would
+    take 63 MB as int64, and the configuration, search, sift and orbits
+    stay below that."""
+    rs = build_root_system(RootSystemType("D", 5))
+    cls = sphere_set(rs, WEIGHT, Q(40))
+    tracemalloc.start()
+    try:
+        cfg = shifted_config(rs, cls)
+        grp = stabilizer_group(cfg, point_cap=5000, rank_cap=8)
+        n_orbits = len(orbits(cfg, grp))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (cfg.size, len(grp), n_orbits) == (2800, 3840, 5)
+    assert peak < 64 * 2**20
 
 
 RANK4 = [("D", 14, 192), ("B", 30, 576), ("C", 15, 576)]
@@ -543,15 +628,17 @@ def test_sift_rejects_wrong_orbit_lengths_and_a_foreign_generator():
 def test_every_generator_with_two_images_swapped_is_rejected():
     for (rs, a_sq), (scale, dtype) in itertools.product(((B2, Q(25, 2)), (B3, Q(35, 4)), (A3, Q(17)), (G2, Q(98, 3))), SCALES):
         cfg = _scaled(_config(rs, a_sq), scale)
-        assert cfg.gram_int.dtype == dtype
-        for p in stabilizer_group(cfg).gens:
-            _check_gram(cfg, p)
+        assert cfg.fy.dtype == dtype
+        grp = stabilizer_group(cfg)
+        for p in grp.gens:
+            _certify(cfg, grp.base, p)
             i = next(i for i in range(cfg.size) if p[i] != i)
             j = next(j for j in range(cfg.size) if j != i and p[j] != p[i])
             swapped = list(p)
             swapped[i], swapped[j] = p[j], p[i]
             with pytest.raises(InternalConsistencyError, match="stabilizer permutation mismatch"):
-                _check_gram(cfg, tuple(swapped))
+                _certify(cfg, grp.base, tuple(swapped))
+            assert not gram_preserved(cfg, tuple(swapped))
 
 
 def _sift_verdict(check, group, n):

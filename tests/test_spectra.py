@@ -216,6 +216,20 @@ def test_hidden_orbit_uncomputed_under_tiny_cap():
     assert first.members[0].hidden_orbit_id == 0
 
 
+def test_orbits_missing_a_point_exit_4(monkeypatch):
+    cls = classes_up_to(A2, WEIGHT, Q(182, 3))[0]
+    real = spectra.orbits
+    by_mu, count = spectra._hidden_data(A2, cls, 60, 4)
+    assert (len(by_mu), count) == (6, 1)
+
+    def without_last_point(cfg, group):
+        return [tuple(i for i in o if i != cfg.size - 1) for o in real(cfg, group)]
+
+    monkeypatch.setattr(spectra, "orbits", without_last_point)
+    with pytest.raises(InternalConsistencyError, match="orbit partition missed a configuration point"):
+        spectra._hidden_data(A2, cls, 60, 4)
+
+
 def test_rank1_singleton_law():
     # every rank-1 class has exactly one dominant member up to a^2 = 200
     for u in ({(0,): 1}, {(2,): 1, (0,): 3}):
