@@ -29,8 +29,12 @@ deterministic Schreier-Sims sift checks (Seress, Permutation Group
 Algorithms, 2003, ch. 4).  For the same reason W preserves X exactly when
 its simple reflections do, so the Weyl check reflects the integer
 coordinate array by each simple reflection in one array expression and
-returns a verdict, listing no Weyl element.  Caps keep the search at
-desk scale and are refused loudly, never truncated.
+returns a verdict, listing no Weyl element.  The same reflections, with
+-1, certify the stabilizer orbits without the search (stabilizer_orbits):
+each is an isometry, so the permutations of X they induce lie in the
+stabilizer, and when they are transitive on X it is one orbit; only where
+they are not is the stabilizer searched.  Caps keep the search at desk
+scale and are refused loudly, never truncated.
 """
 
 from __future__ import annotations
@@ -129,6 +133,17 @@ def _select_basis(cfg: ShiftedConfig) -> list[int]:
             if len(chosen) == cfg.rs.rank:
                 break
     return chosen
+
+
+def _capped_basis(cfg: ShiftedConfig, point_cap: int, rank_cap: int) -> list[int]:
+    """_select_basis(cfg), after refusing (CapExceeded) more than point_cap
+    points; a basis longer than rank_cap is refused too."""
+    if cfg.size > point_cap:
+        raise CapExceeded("configuration size", cfg.size, point_cap)
+    basis = _select_basis(cfg)
+    if len(basis) > rank_cap:
+        raise CapExceeded("configuration span rank", len(basis), rank_cap)
+    return basis
 
 
 @dataclass(frozen=True)
@@ -353,13 +368,8 @@ def stabilizer_group(
     orbit lengths and sift every Schreier generator to the identity, or
     InternalConsistencyError is raised.
     """
-    if cfg.size > point_cap:
-        raise CapExceeded("configuration size", cfg.size, point_cap)
-    basis = _select_basis(cfg)
-    r = len(basis)
-    if r > rank_cap:
-        raise CapExceeded("configuration span rank", r, rank_cap)
-    group = _search(cfg, basis) if r else PermGroup((), (), ())
+    basis = _capped_basis(cfg, point_cap, rank_cap)
+    group = _search(cfg, basis) if basis else PermGroup((), (), ())
     _check_strong_generators(group, cfg.size)
     return group
 
@@ -376,31 +386,70 @@ def orbits(cfg: ShiftedConfig, group: PermGroup) -> list[tuple[int, ...]]:
     return out
 
 
+def _reflected_rows(rs: RootSystem, y: np.ndarray):
+    """For each simple reflection s_i in turn, the rows of s_i(Y) as tuples.
+
+    s_i sends the coordinates y to y - y_i C[i], C the Cartan matrix
+    (rootsys.reflect_fw_coords), so it reflects all n points at once as the
+    array Y - Y[:, i] C[i], in Y's dtype: every entry is at most
+    |y_j| + 3 |y_i| <= 4 max|y| in absolute value, far inside int64 wherever
+    ShiftedConfig.y is int64 (there r^2 max|y|^2 < 2^63), and object arrays
+    hold Python ints.  The reflections are made one at a time, as they are
+    read.
+    """
+    cartan = np.array(rs.cartan_matrix, dtype=y.dtype)
+    for i in range(rs.rank):
+        yield map(tuple, (y - y[:, i : i + 1] * cartan[i]).tolist())
+
+
+def stabilizer_orbits(
+    cfg: ShiftedConfig,
+    point_cap: int = DEFAULT_POINT_CAP,
+    rank_cap: int = DEFAULT_RANK_CAP,
+) -> list[tuple[int, ...]]:
+    """The orbits of X under its stabilizer, orbits(cfg, stabilizer_group(cfg, ...)),
+    certified without the search when the Weyl group and -1 are transitive.
+
+    Refuses exactly as stabilizer_group does (_capped_basis): CapExceeded
+    on more than point_cap points, then on a span rank past rank_cap.
+    Each simple reflection (_reflected_rows) and the negation y -> -y is
+    mapped to an index permutation of X by exact lookup.  A permutation of
+    X induced by a linear isometry lies in the stabilizer by definition; -1
+    is one, and so is every simple reflection, by the identity
+    S_i (den G) S_i^T = den G (RootSystem.reflections_preserve_form, checked
+    once per root system, InternalConsistencyError otherwise).  So when
+    every one of them maps X into X and the orbit of point 0 under them is
+    all of X, X is one stabilizer orbit.  Otherwise the stabilizer is
+    searched and its orbits are returned.
+    """
+    _capped_basis(cfg, point_cap, rank_cap)
+    index = {p: i for i, p in enumerate(cfg.coords)}
+    negated = [tuple(-c for c in p) for p in cfg.coords]
+    perms = [list(map(index.get, rows)) for rows in chain([negated], _reflected_rows(cfg.rs, cfg.y))]
+    if cfg.size and not any(None in p for p in perms) and len(_orbit(0, perms)) == cfg.size:
+        cfg.rs.reflections_preserve_form  # the isometry identity, checked once per root system
+        return [tuple(range(cfg.size))]
+    return orbits(cfg, stabilizer_group(cfg, point_cap, rank_cap))
+
+
 def check_weyl_inclusion(rs: RootSystem, cfg: ShiftedConfig, weyl_cap: int = rsys.DEFAULT_WEYL_CAP) -> bool:
     """Does every Weyl element permute the shifted configuration?
 
     On shifted points the dislocated action mu -> w(mu+delta)-delta is the
     plain linear action, so this checks w(X) = X for all w, which holds
     exactly when every simple reflection maps X into X (a reflection is
-    injective and X finite).  The simple reflection s_i sends the coordinates
-    y to y - y_i C[i], C the Cartan matrix (rootsys.reflect_fw_coords), so it
-    reflects all n points at once as the array Y - Y[:, i] C[i], in cfg.y's
-    dtype: every entry is at most |y_j| + 3 |y_i| <= 4 max|y| in absolute
-    value, far inside int64 wherever cfg.y is int64 (there r^2 max|y|^2 <
-    2^63), and object arrays hold Python ints.  Refuses (CapExceeded) when
-    |W| exceeds weyl_cap.  The Weyl orbit of delta is free, so its size must
-    be |W|; InternalConsistencyError is raised otherwise.  After the verdict,
-    that identity is read from RootSystem.delta_orbit_size, which enumerates
-    the orbit once per root system.
+    injective and X finite); each reflects the whole array cfg.y at once
+    (_reflected_rows).  Refuses (CapExceeded) when |W| exceeds weyl_cap.
+    The Weyl orbit of delta is free, so its size must be |W|;
+    InternalConsistencyError is raised otherwise.  After the verdict, that
+    identity is read from RootSystem.delta_orbit_size, which enumerates the
+    orbit once per root system.
     """
     order = rs.typ.weyl_order()
     if order > weyl_cap:
         raise CapExceeded(f"Weyl group order of {rs.typ.label}", order, weyl_cap)
     points = set(cfg.coords)
-    y = cfg.y
-    cartan = np.array(rs.cartan_matrix, dtype=y.dtype)
-    for i in range(rs.rank):
-        if not points.issuperset(map(tuple, (y - y[:, i : i + 1] * cartan[i]).tolist())):
-            return False
+    if not all(map(points.issuperset, _reflected_rows(rs, cfg.y))):
+        return False
     rs.delta_orbit_size  # the identity |W delta| = |W|, checked once per root system
     return True

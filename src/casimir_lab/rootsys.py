@@ -24,7 +24,9 @@ denominator prod <delta, alpha^vee> and 2 rho^vee (a non-integral pairing
 raises InternalConsistencyError); the permutation -w0 of the fundamental
 weights, from the chamber walk of each -omega_i (it must be an involution);
 |W delta|, whose identity |W delta| = |W| is checked once per root system;
-and the fraction-free LDL levels of the integer form.
+the identity S_i (den G) S_i^T = den G that makes each simple reflection
+an isometry of the integer form; and the fraction-free LDL levels of that
+form.
 """
 
 from __future__ import annotations
@@ -232,6 +234,24 @@ class RootSystem:
         if found != order:
             raise InternalConsistencyError(f"enumerated {found} Weyl elements, expected {order}")
         return found
+
+    @cached_property
+    def reflections_preserve_form(self) -> bool:
+        """S_i (den G) S_i^T = den G for every simple reflection, checked once.
+
+        On row vectors of fundamental-weight coordinates s_i is y -> y S_i,
+        S_i the identity with row i replaced by e_i - C[i]
+        (reflect_fw_coords), and den G = gram_fw_int[1], so the identity says
+        that s_i is an isometry of the invariant form.  It is always True:
+        InternalConsistencyError is raised otherwise.
+        """
+        n, g = self.rank, self.gram_fw_int[1]
+        for i, alpha in enumerate(self.cartan_matrix):
+            s = [[int(a == b) - (a == i) * alpha[b] for b in range(n)] for a in range(n)]
+            sg = [[sum(map(mul, row, col)) for col in zip(*g)] for row in s]
+            if tuple(tuple(sum(map(mul, row, t)) for t in s) for row in sg) != g:
+                raise InternalConsistencyError(f"simple reflection s_{i} does not preserve the form")
+        return True
 
     @cached_property
     def gram_fw_ldl(self) -> IntMat:

@@ -5,8 +5,11 @@ eigenspace built from its surviving dominant members: member μ enters with
 isotypic dimension dim (V^μ ⊗ U*)^K under the selected K-mode, tensored
 against V^{μ*}.  Reports record that assembly exactly, alongside the
 hidden-symmetry data (stabilizer orbits of the shifted sphere
-configuration) of each class, and never replace a computed orbit count by
-the expected one.  A member is its dominant coordinate tuple μ over the
+configuration, hidden.stabilizer_orbits) of each class, and never replace a
+computed orbit count by the expected one: a class is one orbit only when
+the Weyl reflections and -1, each an isometry, are computed to be
+transitive on it, and otherwise its orbits are those of the searched
+stabilizer.  A member is its dominant coordinate tuple μ over the
 class's root system; its dual μ* (reps.dual_label) is computed once and
 read by its isotypic dimension, its type and its row.
 
@@ -26,7 +29,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction as Q
 
 from .errors import CapExceeded, InternalConsistencyError, NonDominantWeight
-from .hidden import DEFAULT_POINT_CAP, DEFAULT_RANK_CAP, orbits, shifted_config, stabilizer_group
+from .hidden import DEFAULT_POINT_CAP, DEFAULT_RANK_CAP, shifted_config, stabilizer_orbits
 from .ratlinalg import frac
 from .reps import (
     KMode,
@@ -127,10 +130,9 @@ def _hidden_data(rs: RootSystem, cls, point_cap: int, rank_cap: int):
     """(orbit id per member coords, orbit count), or (None, None) past caps."""
     try:
         cfg = shifted_config(rs, cls)
-        group = stabilizer_group(cfg, point_cap=point_cap, rank_cap=rank_cap)
+        orbs = stabilizer_orbits(cfg, point_cap=point_cap, rank_cap=rank_cap)
     except CapExceeded:
         return None, None
-    orbs = orbits(cfg, group)
     by_mu = {cfg.mu_coords[i]: oid for oid, orb in enumerate(orbs) for i in orb}
     # The points are distinct, so the orbits cover every one exactly when by_mu has size keys.
     if len(by_mu) != cfg.size:
@@ -215,8 +217,10 @@ def normal_spectrum_report(
 
     Classes whose members all have zero isotypic dimension do not occur in
     the U*-spectrum and are dropped before their hidden data is computed.
-    Hidden-orbit ids come from the exact stabilizer computation when the
-    configuration fits the caps and are marked uncomputed otherwise.
+    Hidden-orbit ids come from the exact stabilizer orbits
+    (hidden.stabilizer_orbits: one orbit when the Weyl reflections and -1
+    are transitive, the searched stabilizer's orbits otherwise) when the
+    configuration fits the caps, and are marked uncomputed otherwise.
     """
     entries = []
     member_types = []

@@ -36,6 +36,13 @@ the 2,800-point D5 class a^2 = 40 at `--point-cap 2800 --rank-cap 5`, each
 in json and with `--output table`.  Its lines follow the operator sweep's:
 one per type, then the "large hidden total" line, the sha256 over the part.
 
+The report part (report_requests) runs report on A2, B2 and G2 at cap
+120, on A3, B3 and C3 at cap 30 and on D4, B4 and C4 at cap 20 with
+`--point-cap 1152`, each type in one K-mode (trivial, diagonal and torus in
+turn, with the trivial U*), each in json and with `--output table`.  Its
+lines follow the large-hidden part's: one per type, then the "report total"
+line.
+
 Run it from a checkout's root, or copy it into another checkout's tests/
 and run it there: the package comes from ./src and the workloads from
 ./casbench of the checkout that holds the script.  The script only reads
@@ -192,6 +199,23 @@ def large_hidden_requests() -> dict:
     return reqs
 
 
+# (squared-radius cap, extra arguments) of the report part per type, and the
+# K-mode of each type in turn.
+REPORT_CAPS = {
+    "A2": ("120",), "B2": ("120",), "G2": ("120",), "A3": ("30",), "B3": ("30",), "C3": ("30",),
+    "D4": ("20", "--point-cap", "1152"), "B4": ("20", "--point-cap", "1152"), "C4": ("20", "--point-cap", "1152"),
+}
+REPORT_KMODES = ("trivial", "diagonal", "torus")
+
+
+def report_requests() -> dict:
+    """{type: [argv]} of the report part."""
+    return {
+        name: [["report", *_type_args(name, "--cap", cap, *extra, "--kmode", kmode)]]
+        for (name, (cap, *extra)), kmode in zip(REPORT_CAPS.items(), itertools.cycle(REPORT_KMODES))
+    }
+
+
 def sweep_digest(requests, prefix: str) -> list:
     """[(label, requests, sha256)] per subcommand of requests, then
     (prefix + " total", n, sha256)."""
@@ -218,7 +242,7 @@ def main(argv) -> int:
         return 2
     lines = digest([int(s) for s in argv])
     lines += sweep_digest(sweep_requests(), "sweep") + sweep_digest(operator_sweep_requests(), "operator sweep")
-    lines += sweep_digest(large_hidden_requests(), "large hidden")
+    lines += sweep_digest(large_hidden_requests(), "large hidden") + sweep_digest(report_requests(), "report")
     for label, n, sha in lines:
         print(f"{label}: {n} requests {sha}")
     return 0

@@ -71,9 +71,16 @@ def select_basis(cfg, g):
 
 
 def first_spanning_points(cfg):
-    """The indices i where the rank of coords[:i+1] over the rationals grows."""
-    ranks = [0] + [rank(mat(cfg.coords[: i + 1])) for i in range(cfg.size)]
-    return [i for i in range(cfg.size) if ranks[i + 1] > ranks[i]]
+    """The indices i where the rank of coords[:i+1] over the rationals grows,
+    up to the first prefix whose rank is the rank of all of coords: past it
+    the rank cannot grow."""
+    full, chosen = rank(mat(cfg.coords)), []
+    for i in range(cfg.size):
+        if len(chosen) == full:
+            break
+        if rank(mat(cfg.coords[: i + 1])) > len(chosen):
+            chosen.append(i)
+    return chosen
 
 
 def close(group, gens):

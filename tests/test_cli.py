@@ -1087,8 +1087,8 @@ def test_real_report_of_a_torus_ustar_that_is_not_real_is_bad_input(capsys, rank
 def test_real_report_refuses_a_non_real_ustar_before_any_class(capsys, monkeypatch):
     # At cap 400 the complex report takes seconds; the refusal computes no class.
     calls = []
-    real = spectra.stabilizer_group
-    monkeypatch.setattr(spectra, "stabilizer_group", lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    real = spectra.stabilizer_orbits
+    monkeypatch.setattr(spectra, "stabilizer_orbits", lambda *args, **kw: calls.append(1) or real(*args, **kw))
     argv = ("report", "--type", "A", "--rank", "2", "--cap", "400", "--kmode", "torus", "--real", "--ustar")
     t0 = time.perf_counter()
     code, out, err = run(capsys, *argv, "[[[1,0],1]]")
@@ -1099,6 +1099,40 @@ def test_real_report_refuses_a_non_real_ustar_before_any_class(capsys, monkeypat
     code, out, err = run(capsys, *argv, "[[[1,0],1],[[-1,0],1]]")
     assert (code, err, len(out)) == (0, "", 51522) and calls
     assert hashlib.sha256(out.encode()).hexdigest() == "47957d02facb7f1ce61963750f4c76bd8c6bd36766bf372d13bef5e4f87082a2"
+
+
+# The classes of `report --type F --rank 2 --cap 60 --kmode trivial` whose
+# stabilizer is still searched: on every other class the Weyl reflections
+# and -1 are transitive.  Each searched class has two stabilizer orbits.
+SEARCHED_REPORT_CLASSES = {"A": ["98/3"], "B": ["25/2", "25", "65/2", "85/2", "50"], "G": ["98/3"]}
+
+
+def test_report_searches_the_stabilizer_only_where_weyl_and_minus_one_are_not_transitive(capsys, monkeypatch):
+    searched = []
+    real = hidden.stabilizer_group
+    monkeypatch.setattr(hidden, "stabilizer_group", lambda cfg, *a, **kw: searched.append(str(cfg.a_sq)) or real(cfg, *a, **kw))
+    for family, classes in SEARCHED_REPORT_CLASSES.items():
+        searched.clear()
+        data = run_json(capsys, "report", "--type", family, "--rank", "2", "--cap", "60", "--kmode", "trivial")
+        assert searched == classes
+        assert [c["a_sq"] for c in data["classes"] if c["orbit_count"] != 1] == classes
+        assert all(c["orbit_count"] == 2 for c in data["classes"] if c["a_sq"] in classes)
+
+
+def test_report_with_a_corrupted_form_exits_4(capsys, monkeypatch):
+    """A root system whose integer form is not invariant under its
+    reflections: report exits 4.  No such form keeps every coroot pairing
+    integral, so the pairings, which the member dimensions read before the
+    hidden data, are the check that refuses it; the reflection identity's
+    own refusal is tested on a configuration built before the corruption."""
+    a2 = build_root_system(RootSystemType("A", 2))
+    bad = type(a2)(a2.typ, a2.cartan_matrix, a2.metric_scale)
+    den, g = a2.gram_fw_int
+    bad.__dict__["gram_fw_int"] = (den, ((g[0][0] + 1, g[0][1]), g[1]))
+    monkeypatch.setattr(cli, "build_root_system", lambda typ, metric_scale: bad)
+    code, out, err = run(capsys, "report", "--type", "A", "--rank", "2", "--cap", "20")
+    assert (code, out) == (4, "")
+    assert err == "internal consistency failure: non-integral coroot pairing\n"
 
 
 def test_hodge_cli(capsys):

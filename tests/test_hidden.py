@@ -10,6 +10,7 @@ from fractions import Fraction as Q
 import pytest
 
 from ambient import mat_scale, mat_sub, matmul, matvec, reference, transpose, vadd
+from output_digest import LARGE_HIDDEN_CAPS
 from permref import elements, first_spanning_points, full_stabilizer, gram, gram_preserved, reference_sift
 from casimir_lab import ratlinalg as rl
 from casimir_lab import hidden, rootsys
@@ -24,6 +25,7 @@ from casimir_lab.hidden import (
     orbits,
     shifted_config,
     stabilizer_group,
+    stabilizer_orbits,
 )
 from casimir_lab.ratlinalg import identity
 from casimir_lab.rootsys import RootSystemType, build_root_system, weyl_group
@@ -442,6 +444,106 @@ def test_matches_full_reference_on_every_class():
         assert _elements(cfg, grp) == full
         checked += 1
     assert checked == 105
+
+
+def _searched_orbits(cfg, **caps):
+    """The orbits of the searched stabilizer: the certificate's reference."""
+    return orbits(cfg, stabilizer_group(cfg, **caps))
+
+
+def _count_searches(monkeypatch):
+    """Record the class label and a^2 of every stabilizer search from here on."""
+    searched = []
+    real = hidden.stabilizer_group
+    monkeypatch.setattr(hidden, "stabilizer_group", lambda cfg, *a, **kw: searched.append((cfg.rs.typ.label, cfg.a_sq)) or real(cfg, *a, **kw))
+    return searched
+
+
+def test_certified_orbits_are_the_searched_orbits(monkeypatch):
+    """stabilizer_orbits gives the searched stabilizer's orbits on every
+    reference class and on its object-path copy, and searches exactly the
+    18 classes that are more than one orbit: on every other one the Weyl
+    reflections and -1 are transitive."""
+    searched = _count_searches(monkeypatch)
+    several = []
+    for cfg in _reference_classes():
+        for scale, dtype in SCALES:
+            scaled = _scaled(cfg, scale)
+            assert scaled.y.dtype == dtype
+            want = _searched_orbits(scaled, point_cap=cfg.size)
+            assert stabilizer_orbits(scaled, point_cap=cfg.size) == want, (cfg.rs.typ, cfg.a_sq)
+            if len(want) > 1:
+                several.append((cfg.rs.typ.label, scaled.a_sq))
+    assert searched == several
+    assert len(several) == 2 * 18
+
+
+def _orbits_or_refusal(compute):
+    try:
+        return compute()
+    except CapExceeded as exc:
+        return str(exc)
+
+
+def test_certified_orbits_on_the_large_hidden_rank4_classes(monkeypatch):
+    """On every class of the rank-4 types of output_digest's large-hidden
+    part, at its point cap, stabilizer_orbits gives the searched orbits or
+    the same refusal (every F4 class is past the cap), and searches only
+    where the Weyl reflections and -1 are not transitive: on 19 of the 20
+    A4 classes and on some of B4, C4 and D4."""
+    real = hidden.stabilizer_group
+    searched = _count_searches(monkeypatch)
+    refused = Counter()
+    for name, cap in LARGE_HIDDEN_CAPS.items():
+        rs = build_root_system(RootSystemType(name[0], int(name[1:])))
+        for cls in classes_up_to(rs, WEIGHT, Q(cap)):
+            cfg = shifted_config(rs, cls)
+            got = _orbits_or_refusal(lambda: stabilizer_orbits(cfg, point_cap=1152))
+            assert got == _orbits_or_refusal(lambda: orbits(cfg, real(cfg, point_cap=1152))), (name, cls.a_sq)
+            if isinstance(got, str):
+                refused[name] += 1
+    assert refused == {"B4": 3, "C4": 4, "D4": 3, "F4": 9}
+    assert Counter(label for label, _ in searched) == {"A4": 19, "B4": 7, "C4": 25, "D4": 10}
+
+
+def test_a_configuration_missing_a_point_is_searched(monkeypatch):
+    """With its first or last point removed, a class that the reflections
+    and -1 certify no longer maps into itself, so it is searched, on the
+    int64 and the object path."""
+    searched = _count_searches(monkeypatch)
+    for (rs, a_sq), (scale, _) in itertools.product(((A2, 2), (B2, Q(5, 2)), (G2, Q(26, 3)), (B3, Q(35, 4)), (A3, 5)), SCALES):
+        cfg = _scaled(_config(rs, a_sq), scale)
+        assert stabilizer_orbits(cfg) == [tuple(range(cfg.size))]
+        assert searched == []
+        for k in (0, cfg.size - 1):
+            broken = dataclasses.replace(cfg, coords=cfg.coords[:k] + cfg.coords[k + 1 :])
+            assert stabilizer_orbits(broken) == _searched_orbits(broken)
+            assert searched == [(rs.typ.label, broken.a_sq)]
+            searched.clear()
+
+
+def test_certified_orbits_refuse_as_the_search_does():
+    """The point cap is refused first, then the span rank, with the
+    search's messages."""
+    cfg = _config(B3, Q(35, 4))
+    for caps in ({"point_cap": 47}, {"rank_cap": 2}, {"point_cap": 47, "rank_cap": 2}):
+        with pytest.raises(CapExceeded) as got:
+            stabilizer_orbits(cfg, **caps)
+        with pytest.raises(CapExceeded) as want:
+            stabilizer_group(cfg, **caps)
+        assert str(got.value) == str(want.value)
+
+
+def test_certified_orbits_refuse_a_form_the_reflections_do_not_preserve():
+    """A configuration built on the true form, whose root system then
+    carries a corrupted one: the reflections still map X onto itself, and
+    the isometry identity refuses to certify the orbit."""
+    rs = rootsys.RootSystem(B2.typ, B2.cartan_matrix, B2.metric_scale)
+    cfg = shifted_config(rs, sphere_set(rs, WEIGHT, Q(5, 2)))
+    den, g = rs.gram_fw_int
+    rs.__dict__["gram_fw_int"] = (den, ((g[0][0] + 1, g[0][1]), g[1]))
+    with pytest.raises(InternalConsistencyError, match="simple reflection s_1 does not preserve the form"):
+        stabilizer_orbits(cfg)
 
 
 def _row_blind_pairs(cfg, base):

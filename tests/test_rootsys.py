@@ -282,3 +282,33 @@ def test_root_system_invariants_refuse_a_broken_identity(monkeypatch):
         monkeypatch.setattr(rootsys, "dominant_fw_coords", lambda rs, m: (walk_to, ()))
         with pytest.raises(InternalConsistencyError, match=message):
             fresh(a2).minus_w0
+
+
+def _corrupted_form(rs):
+    """A fresh copy of rs whose integer form has 1 added to its first
+    diagonal entry: still symmetric, no longer invariant under the
+    reflection of a node next to node 0."""
+    bad = rootsys.RootSystem(rs.typ, rs.cartan_matrix, rs.metric_scale)
+    den, g = rs.gram_fw_int
+    bad.__dict__["gram_fw_int"] = (den, ((g[0][0] + 1, *g[0][1:]), *g[1:]))
+    return bad
+
+
+@pytest.mark.parametrize("fam,rank", UP_TO_RANK_8, ids=[f"{f}{n}" for f, n in UP_TO_RANK_8])
+def test_simple_reflections_preserve_the_form(fam, rank):
+    """The identity S_i (den G) S_i^T = den G holds on every type, at two
+    metric scales, and agrees with the form of the reflected coordinate
+    vectors pair by pair; with a corrupted form it is refused, except on
+    A1, whose one reflection is -1."""
+    basis = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    for scale in (1, Q(3, 2)):
+        rs = rs_of(fam, rank, scale)
+        assert rs.reflections_preserve_form is True
+        for i, x, y in itertools.product(range(rank), basis, basis):
+            assert rs.form_fw_int(reflect_fw_coords(rs, x, i), reflect_fw_coords(rs, y, i)) == rs.form_fw_int(x, y)
+        bad = _corrupted_form(rs)
+        if rank == 1:
+            assert bad.reflections_preserve_form is True
+        else:
+            with pytest.raises(InternalConsistencyError, match=r"simple reflection s_\d+ does not preserve the form"):
+                bad.reflections_preserve_form

@@ -6,7 +6,7 @@ import pytest
 
 from casimir_lab import spectra
 from casimir_lab.errors import InternalConsistencyError, NonDominantWeight
-from casimir_lab.hidden import stabilizer_group
+from casimir_lab.hidden import stabilizer_orbits
 from casimir_lab.reps import KMode, RepType
 from casimir_lab.rootsys import RootSystemType, build_root_system
 from casimir_lab.spectra import (
@@ -57,9 +57,9 @@ def test_dropped_classes_get_no_stabilizer(monkeypatch):
 
     def counted(cfg, **caps):
         calls.append(cfg.a_sq)
-        return stabilizer_group(cfg, **caps)
+        return stabilizer_orbits(cfg, **caps)
 
-    monkeypatch.setattr(spectra, "stabilizer_group", counted)
+    monkeypatch.setattr(spectra, "stabilizer_orbits", counted)
     rep_out = normal_spectrum_report(A2, WEIGHT, KMode.TORUS, {(0, 0): 1}, Q(20))
     every = [cls.a_sq for cls in classes_up_to(A2, WEIGHT, Q(20))]
     kept = [c.a_sq for c in rep_out.classes]
@@ -218,14 +218,14 @@ def test_hidden_orbit_uncomputed_under_tiny_cap():
 
 def test_orbits_missing_a_point_exit_4(monkeypatch):
     cls = classes_up_to(A2, WEIGHT, Q(182, 3))[0]
-    real = spectra.orbits
+    real = spectra.stabilizer_orbits
     by_mu, count = spectra._hidden_data(A2, cls, 60, 4)
     assert (len(by_mu), count) == (6, 1)
 
-    def without_last_point(cfg, group):
-        return [tuple(i for i in o if i != cfg.size - 1) for o in real(cfg, group)]
+    def without_last_point(cfg, **caps):
+        return [tuple(i for i in o if i != cfg.size - 1) for o in real(cfg, **caps)]
 
-    monkeypatch.setattr(spectra, "orbits", without_last_point)
+    monkeypatch.setattr(spectra, "stabilizer_orbits", without_last_point)
     with pytest.raises(InternalConsistencyError, match="orbit partition missed a configuration point"):
         spectra._hidden_data(A2, cls, 60, 4)
 
