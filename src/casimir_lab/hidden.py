@@ -29,12 +29,9 @@ deterministic Schreier-Sims sift checks (Seress, Permutation Group
 Algorithms, 2003, ch. 4).  For the same reason W preserves X exactly when
 its simple reflections do, so the Weyl check reflects the integer
 coordinate array by each simple reflection in one array expression and
-returns a verdict, listing no Weyl element.  The same reflections, with
--1, certify the stabilizer orbits without the search (stabilizer_orbits):
-each is an isometry, so the permutations of X they induce lie in the
-stabilizer, and when they are transitive on X it is one orbit; only where
-they are not is the stabilizer searched.  Caps keep the search at desk
-scale and are refused loudly, never truncated.
+returns a verdict, listing no Weyl element.  chamber_orbit_count counts
+the orbits of W and -1 on X from its closed-chamber points alone.  Caps
+keep the search at desk scale and are refused loudly, never truncated.
 """
 
 from __future__ import annotations
@@ -133,17 +130,6 @@ def _select_basis(cfg: ShiftedConfig) -> list[int]:
             if len(chosen) == cfg.rs.rank:
                 break
     return chosen
-
-
-def _capped_basis(cfg: ShiftedConfig, point_cap: int, rank_cap: int) -> list[int]:
-    """_select_basis(cfg), after refusing (CapExceeded) more than point_cap
-    points; a basis longer than rank_cap is refused too."""
-    if cfg.size > point_cap:
-        raise CapExceeded("configuration size", cfg.size, point_cap)
-    basis = _select_basis(cfg)
-    if len(basis) > rank_cap:
-        raise CapExceeded("configuration span rank", len(basis), rank_cap)
-    return basis
 
 
 @dataclass(frozen=True)
@@ -366,9 +352,14 @@ def stabilizer_group(
     1970).  Independently of the search, a deterministic Schreier-Sims sift
     (Seress, Permutation Group Algorithms, 2003, ch. 4) must find the same
     orbit lengths and sift every Schreier generator to the identity, or
-    InternalConsistencyError is raised.
+    InternalConsistencyError is raised.  Refuses (CapExceeded) more than
+    point_cap points, then a span rank past rank_cap.
     """
-    basis = _capped_basis(cfg, point_cap, rank_cap)
+    if cfg.size > point_cap:
+        raise CapExceeded("configuration size", cfg.size, point_cap)
+    basis = _select_basis(cfg)
+    if len(basis) > rank_cap:
+        raise CapExceeded("configuration span rank", len(basis), rank_cap)
     group = _search(cfg, basis) if basis else PermGroup((), (), ())
     _check_strong_generators(group, cfg.size)
     return group
@@ -402,34 +393,24 @@ def _reflected_rows(rs: RootSystem, y: np.ndarray):
         yield map(tuple, (y - y[:, i : i + 1] * cartan[i]).tolist())
 
 
-def stabilizer_orbits(
-    cfg: ShiftedConfig,
-    point_cap: int = DEFAULT_POINT_CAP,
-    rank_cap: int = DEFAULT_RANK_CAP,
-) -> list[tuple[int, ...]]:
-    """The orbits of X under its stabilizer, orbits(cfg, stabilizer_group(cfg, ...)),
-    certified without the search when the Weyl group and -1 are transitive.
-
-    Refuses exactly as stabilizer_group does (_capped_basis): CapExceeded
-    on more than point_cap points, then on a span rank past rank_cap.
-    Each simple reflection (_reflected_rows) and the negation y -> -y is
-    mapped to an index permutation of X by exact lookup.  A permutation of
-    X induced by a linear isometry lies in the stabilizer by definition; -1
-    is one, and so is every simple reflection, by the identity
-    S_i (den G) S_i^T = den G (RootSystem.reflections_preserve_form, checked
-    once per root system, InternalConsistencyError otherwise).  So when
-    every one of them maps X into X and the orbit of point 0 under them is
-    all of X, X is one stabilizer orbit.  Otherwise the stabilizer is
-    searched and its orbits are returned.
+def chamber_orbit_count(rs: RootSystem, members) -> int:
+    """The number of <W, -1>-orbits on the shifted points of a class's
+    members m (cls.sphere_members), with no configuration: the closed
+    chamber meets each W-orbit once, at the members with min(m) >= -1, whose
+    stabilizers are the W_J, J the coordinates m_j = -1 (Humphreys,
+    Reflection Groups and Coxeter Groups, 1990, 1.12), and -1 pairs the
+    orbits of m + 1 and -w0 (m + 1) (RootSystem.minus_w0).  So c chamber
+    points, f of them fixed by -w0, are (c + f) / 2 orbits; the orbit sum
+    |X| = sum |W| / |W_J| (RootSystem.parabolic_order) and the parity of
+    c + f are checked (InternalConsistencyError).
     """
-    _capped_basis(cfg, point_cap, rank_cap)
-    index = {p: i for i, p in enumerate(cfg.coords)}
-    negated = [tuple(-c for c in p) for p in cfg.coords]
-    perms = [list(map(index.get, rows)) for rows in chain([negated], _reflected_rows(cfg.rs, cfg.y))]
-    if cfg.size and not any(None in p for p in perms) and len(_orbit(0, perms)) == cfg.size:
-        cfg.rs.reflections_preserve_form  # the isometry identity, checked once per root system
-        return [tuple(range(cfg.size))]
-    return orbits(cfg, stabilizer_group(cfg, point_cap, rank_cap))
+    order, flip = rs.typ.weyl_order(), rs.minus_w0
+    chamber = [m for m in members if min(m) >= -1]
+    size = sum(order // rs.parabolic_order(tuple(i for i, c in enumerate(m) if c == -1)) for m in chamber)
+    fixed = sum(all(m[j] == c for j, c in zip(flip, m)) for m in chamber)
+    if size != len(members) or (len(chamber) + fixed) % 2:
+        raise InternalConsistencyError("the closed-chamber points fail the orbit sum or the -w0 pairing")
+    return (len(chamber) + fixed) // 2
 
 
 def check_weyl_inclusion(rs: RootSystem, cfg: ShiftedConfig, weyl_cap: int = rsys.DEFAULT_WEYL_CAP) -> bool:

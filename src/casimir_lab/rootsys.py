@@ -25,13 +25,13 @@ raises InternalConsistencyError); the permutation -w0 of the fundamental
 weights, from the chamber walk of each -omega_i (it must be an involution);
 |W delta|, whose identity |W delta| = |W| is checked once per root system;
 the identity S_i (den G) S_i^T = den G that makes each simple reflection
-an isometry of the integer form; and the fraction-free LDL levels of that
-form.
+an isometry of the integer form; the parabolic orders |W_J|, one per set J
+of nodes; and the fraction-free LDL levels of that form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from math import factorial, lcm, prod
@@ -123,6 +123,7 @@ class RootSystem:
     typ: RootSystemType
     cartan_matrix: IntMat
     metric_scale: Q
+    _parabolic_orders: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def rank(self) -> int:
@@ -252,6 +253,21 @@ class RootSystem:
             if tuple(tuple(sum(map(mul, row, t)) for t in s) for row in sg) != g:
                 raise InternalConsistencyError(f"simple reflection s_{i} does not preserve the form")
         return True
+
+    def parabolic_order(self, nodes: tuple[int, ...]) -> int:
+        """|W_J| for J = nodes (ascending), kept per J: Macdonald's formula
+        (The Poincare series of a Coxeter group, Math. Ann. 199, 1972) at
+        t = 1, the product of (ht + 1) / ht over the positive roots supported
+        on J, which must be an integer (InternalConsistencyError otherwise)."""
+        if nodes not in self._parabolic_orders:
+            qcs = map(self.simple_root_coords_int, self.positive_roots_fw)
+            heights = [sum(qc) for qc in qcs if all(c == 0 or i in nodes for i, c in enumerate(qc))]
+            q = self.cartan_inverse_int[0]
+            order, rem = divmod(prod(h + q for h in heights), prod(heights))
+            if rem:
+                raise InternalConsistencyError(f"|W_J| is not an integer for J = {nodes}")
+            self._parabolic_orders[nodes] = order
+        return self._parabolic_orders[nodes]
 
     @cached_property
     def gram_fw_ldl(self) -> IntMat:

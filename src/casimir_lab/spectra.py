@@ -4,12 +4,12 @@ A Casimir class (one squared radius a², one eigenvalue λ) contributes an
 eigenspace built from its surviving dominant members: member μ enters with
 isotypic dimension dim (V^μ ⊗ U*)^K under the selected K-mode, tensored
 against V^{μ*}.  Reports record that assembly exactly, alongside the
-hidden-symmetry data (stabilizer orbits of the shifted sphere
-configuration, hidden.stabilizer_orbits) of each class, and never replace a
-computed orbit count by the expected one: a class is one orbit only when
-the Weyl reflections and -1, each an isometry, are computed to be
-transitive on it, and otherwise its orbits are those of the searched
-stabilizer.  A member is its dominant coordinate tuple μ over the
+hidden-symmetry data (stabilizer orbits of the shifted sphere set X) of
+each class, and never replace a computed orbit count by the expected one:
+a class is one orbit only when its closed-chamber points count one orbit
+of the Weyl group and -1, both isometries (hidden.chamber_orbit_count),
+and otherwise its orbits are those of the searched stabilizer of its
+configuration.  A member is its dominant coordinate tuple μ over the
 class's root system; its dual μ* (reps.dual_label) is computed once and
 read by its isotypic dimension, its type and its row.
 
@@ -28,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction as Q
 
-from .errors import CapExceeded, InternalConsistencyError, NonDominantWeight
-from .hidden import DEFAULT_POINT_CAP, DEFAULT_RANK_CAP, shifted_config, stabilizer_orbits
+from . import hidden
+from .errors import InternalConsistencyError, NonDominantWeight
 from .ratlinalg import frac
 from .reps import (
     KMode,
@@ -127,12 +127,19 @@ def _context(rs: RootSystem, lat: LatticeChoice, kmode: KMode, ustar) -> dict:
 
 
 def _hidden_data(rs: RootSystem, cls, point_cap: int, rank_cap: int):
-    """(orbit id per member coords, orbit count), or (None, None) past caps."""
-    try:
-        cfg = shifted_config(rs, cls)
-        orbs = stabilizer_orbits(cfg, point_cap=point_cap, rank_cap=rank_cap)
-    except CapExceeded:
+    """(orbit id per member coords, orbit count), or (None, None) past the
+    point cap or the rank cap, rs.rank being the span rank (W acts
+    irreducibly, so a dominant member's Weyl orbit spans).  One <W, -1>-orbit
+    (hidden.chamber_orbit_count) is one stabilizer orbit, W and -1 being
+    isometries (RootSystem.reflections_preserve_form); others are searched.
+    """
+    if len(cls.sphere_members) > point_cap or rs.rank > rank_cap:
         return None, None
+    if hidden.chamber_orbit_count(rs, cls.sphere_members) == 1:
+        rs.reflections_preserve_form  # the isometry identity, checked once per root system
+        return dict.fromkeys(cls.dominant_members, 0), 1
+    cfg = hidden.shifted_config(rs, cls)
+    orbs = hidden.orbits(cfg, hidden.stabilizer_group(cfg, point_cap, rank_cap))
     by_mu = {cfg.mu_coords[i]: oid for oid, orb in enumerate(orbs) for i in orb}
     # The points are distinct, so the orbits cover every one exactly when by_mu has size keys.
     if len(by_mu) != cfg.size:
@@ -210,17 +217,17 @@ def normal_spectrum_report(
     kmode: KMode,
     ustar,
     a_sq_cap,
-    point_cap: int = DEFAULT_POINT_CAP,
-    rank_cap: int = DEFAULT_RANK_CAP,
+    point_cap: int = hidden.DEFAULT_POINT_CAP,
+    rank_cap: int = hidden.DEFAULT_RANK_CAP,
 ) -> SpectralReport:
     """Every Casimir class up to the cap, filtered to members with invariants.
 
     Classes whose members all have zero isotypic dimension do not occur in
     the U*-spectrum and are dropped before their hidden data is computed.
-    Hidden-orbit ids come from the exact stabilizer orbits
-    (hidden.stabilizer_orbits: one orbit when the Weyl reflections and -1
-    are transitive, the searched stabilizer's orbits otherwise) when the
-    configuration fits the caps, and are marked uncomputed otherwise.
+    Hidden-orbit ids come from the exact stabilizer orbits when the class
+    fits the caps, and are marked uncomputed otherwise: one orbit when its
+    closed-chamber points count one orbit of W and -1, with no
+    configuration built, the searched stabilizer's orbits otherwise.
     """
     entries = []
     member_types = []
@@ -335,8 +342,8 @@ def real_spectrum_report(
     kmode: KMode,
     ustar,
     a_sq_cap,
-    point_cap: int = DEFAULT_POINT_CAP,
-    rank_cap: int = DEFAULT_RANK_CAP,
+    point_cap: int = hidden.DEFAULT_POINT_CAP,
+    rank_cap: int = hidden.DEFAULT_RANK_CAP,
 ) -> SpectralReport:
     """The real-form report: the complex report with members folded into
     duality classes [mu] (see _fold_members).

@@ -43,6 +43,12 @@ turn, with the trivial U*), each in json and with `--output table`.  Its
 lines follow the large-hidden part's: one per type, then the "report total"
 line.
 
+The report-paths part (report_path_requests) runs report on the paths the
+report part does not reach: the root lattice, metric scale 3/2, point and
+rank caps that refuse some or every class, `--real`, and rank-4 and rank-5
+types at raised caps, each in json and with `--output table`.  Its lines
+follow the report part's: one per path, then the "report paths total" line.
+
 Run it from a checkout's root, or copy it into another checkout's tests/
 and run it there: the package comes from ./src and the workloads from
 ./casbench of the checkout that holds the script.  The script only reads
@@ -216,6 +222,51 @@ def report_requests() -> dict:
     }
 
 
+# {path: [(type, squared-radius cap, extra arguments), ...]} of the
+# report-paths part.
+REPORT_PATHS = {
+    "root lattice": [
+        (name, cap, "--lattice", "root", "--kmode", kmode)
+        for name, cap in (("A2", "120"), ("B2", "120"), ("G2", "120"), ("A3", "30"), ("C3", "30"))
+        for kmode in REPORT_KMODES
+    ],
+    "scale 3/2": [
+        (name, cap, "--scale", "3/2", "--kmode", kmode)
+        for name, cap in (("A2", "180"), ("B2", "180"), ("G2", "180"), ("B3", "45"))
+        for kmode in REPORT_KMODES
+    ],
+    "point cap": [
+        (name, cap, "--point-cap", pc)
+        for name, cap in (("A2", "120"), ("G2", "120"), ("B3", "30"))
+        for pc in ("0", "6", "24", "48")
+    ],
+    "rank cap": [
+        (name, cap, "--rank-cap", rc) for name, cap in (("A2", "60"), ("A3", "30")) for rc in ("0", "1", "2", "3")
+    ],
+    "real": [
+        (name, cap, "--kmode", kmode, "--real")
+        for name, cap in (("A2", "120"), ("B2", "120"), ("G2", "120"), ("A3", "30"))
+        for kmode in REPORT_KMODES
+    ],
+    "raised caps": [
+        ("A4", "20", "--lattice", "root", "--point-cap", "1000"),
+        ("B4", "30", "--point-cap", "1152", "--kmode", "diagonal"),
+        ("C4", "30", "--point-cap", "1152", "--kmode", "torus"),
+        ("F4", "52", "--point-cap", "2000"),
+        ("A5", "20", "--lattice", "root", "--rank-cap", "5", "--point-cap", "4000", "--kmode", "diagonal"),
+        ("D5", "34", "--rank-cap", "5", "--point-cap", "4000"),
+    ],
+}
+
+
+def report_path_requests() -> dict:
+    """{path: [argv, ...]} of the report-paths part."""
+    return {
+        path: [["report", *_type_args(name, "--cap", cap, *extra)] for name, cap, *extra in runs]
+        for path, runs in REPORT_PATHS.items()
+    }
+
+
 def sweep_digest(requests, prefix: str) -> list:
     """[(label, requests, sha256)] per subcommand of requests, then
     (prefix + " total", n, sha256)."""
@@ -243,6 +294,7 @@ def main(argv) -> int:
     lines = digest([int(s) for s in argv])
     lines += sweep_digest(sweep_requests(), "sweep") + sweep_digest(operator_sweep_requests(), "operator sweep")
     lines += sweep_digest(large_hidden_requests(), "large hidden") + sweep_digest(report_requests(), "report")
+    lines += sweep_digest(report_path_requests(), "report paths")
     for label, n, sha in lines:
         print(f"{label}: {n} requests {sha}")
     return 0

@@ -14,6 +14,9 @@ matrix `gram`, built one entry at a time in Python ints, and
 enumerates a `PermGroup` from the transversals of its strong generators,
 and `reference_sift` is the Schreier-Sims test that builds every
 transversal element's inverse as it grows the transversal.
+`weyl_sign_orbit_count` counts the orbits of X under the simple reflections
+and -1 as index permutations of X, the count that
+`hidden.chamber_orbit_count` reads off the closed-chamber points instead.
 """
 
 from collections import Counter
@@ -21,6 +24,7 @@ from operator import itemgetter, mul
 
 from casimir_lab.errors import InternalConsistencyError
 from casimir_lab.ratlinalg import mat, rank
+from casimir_lab.rootsys import reflect_fw_coords
 
 
 def _reduce(echelon, v):
@@ -81,6 +85,30 @@ def first_spanning_points(cfg):
         if rank(mat(cfg.coords[: i + 1])) > len(chosen):
             chosen.append(i)
     return chosen
+
+
+def weyl_sign_orbit_count(cfg):
+    """The number of orbits of the points of X under the group generated by
+    -1 and the simple reflections, or None when one of them does not map X
+    into X.  Each maps every point by exact lookup (reflect_fw_coords) to an
+    index permutation of X, and the orbits are grown breadth-first."""
+    index = {p: i for i, p in enumerate(cfg.coords)}
+    perms = [[index.get(tuple(-c for c in p)) for p in cfg.coords]]
+    perms += [[index.get(reflect_fw_coords(cfg.rs, p, i)) for p in cfg.coords] for i in range(cfg.rs.rank)]
+    if any(None in p for p in perms):
+        return None
+    seen, count = set(), 0
+    for start in range(cfg.size):
+        if start not in seen:
+            count += 1
+            seen.add(start)
+            orbit = [start]
+            for x in orbit:
+                for s in perms:
+                    if s[x] not in seen:
+                        seen.add(s[x])
+                        orbit.append(s[x])
+    return count
 
 
 def close(group, gens):

@@ -9,7 +9,7 @@ import sys
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction as Q
 
@@ -1087,8 +1087,8 @@ def test_real_report_of_a_torus_ustar_that_is_not_real_is_bad_input(capsys, rank
 def test_real_report_refuses_a_non_real_ustar_before_any_class(capsys, monkeypatch):
     # At cap 400 the complex report takes seconds; the refusal computes no class.
     calls = []
-    real = spectra.stabilizer_orbits
-    monkeypatch.setattr(spectra, "stabilizer_orbits", lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    real = spectra._hidden_data
+    monkeypatch.setattr(spectra, "_hidden_data", lambda *args: calls.append(1) or real(*args))
     argv = ("report", "--type", "A", "--rank", "2", "--cap", "400", "--kmode", "torus", "--real", "--ustar")
     t0 = time.perf_counter()
     code, out, err = run(capsys, *argv, "[[[1,0],1]]")
@@ -1117,6 +1117,16 @@ def test_report_searches_the_stabilizer_only_where_weyl_and_minus_one_are_not_tr
         assert searched == classes
         assert [c["a_sq"] for c in data["classes"] if c["orbit_count"] != 1] == classes
         assert all(c["orbit_count"] == 2 for c in data["classes"] if c["a_sq"] in classes)
+
+
+def test_report_of_a_class_missing_a_point_exits_4(capsys, monkeypatch):
+    """Classes that each lack their first point fail the orbit sum of
+    their closed-chamber points: report exits 4 and prints nothing."""
+    real = spectra.classes_up_to
+    monkeypatch.setattr(spectra, "classes_up_to", lambda *args: [replace(c, sphere_members=c.sphere_members[1:]) for c in real(*args)])
+    code, out, err = run(capsys, "report", "--type", "A", "--rank", "2", "--cap", "20")
+    assert (code, out) == (4, "")
+    assert err == "internal consistency failure: the closed-chamber points fail the orbit sum or the -w0 pairing\n"
 
 
 def test_report_with_a_corrupted_form_exits_4(capsys, monkeypatch):

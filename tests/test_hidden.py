@@ -11,9 +11,17 @@ import pytest
 
 from ambient import mat_scale, mat_sub, matmul, matvec, reference, transpose, vadd
 from output_digest import LARGE_HIDDEN_CAPS
-from permref import elements, first_spanning_points, full_stabilizer, gram, gram_preserved, reference_sift
+from permref import (
+    elements,
+    first_spanning_points,
+    full_stabilizer,
+    gram,
+    gram_preserved,
+    reference_sift,
+    weyl_sign_orbit_count,
+)
 from casimir_lab import ratlinalg as rl
-from casimir_lab import hidden, rootsys
+from casimir_lab import hidden, rootsys, spectra
 from casimir_lab.errors import CapExceeded, InternalConsistencyError
 from casimir_lab.hidden import (
     PermGroup,
@@ -21,11 +29,11 @@ from casimir_lab.hidden import (
     _check_strong_generators,
     _row_reader,
     _select_basis,
+    chamber_orbit_count,
     check_weyl_inclusion,
     orbits,
     shifted_config,
     stabilizer_group,
-    stabilizer_orbits,
 )
 from casimir_lab.ratlinalg import identity
 from casimir_lab.rootsys import RootSystemType, build_root_system, weyl_group
@@ -459,22 +467,21 @@ def _count_searches(monkeypatch):
     return searched
 
 
-def test_certified_orbits_are_the_searched_orbits(monkeypatch):
-    """stabilizer_orbits gives the searched stabilizer's orbits on every
-    reference class and on its object-path copy, and searches exactly the
-    18 classes that are more than one orbit: on every other one the Weyl
-    reflections and -1 are transitive."""
-    searched = _count_searches(monkeypatch)
+def test_certified_orbits_are_the_searched_orbits():
+    """On every reference class and on its object-path copy, the chamber
+    count equals the reference count of the orbits of the Weyl reflections
+    and -1 as index permutations of X, and it is 1 exactly where the
+    searched stabilizer is transitive: on all but 18 classes."""
     several = []
     for cfg in _reference_classes():
         for scale, dtype in SCALES:
             scaled = _scaled(cfg, scale)
             assert scaled.y.dtype == dtype
-            want = _searched_orbits(scaled, point_cap=cfg.size)
-            assert stabilizer_orbits(scaled, point_cap=cfg.size) == want, (cfg.rs.typ, cfg.a_sq)
-            if len(want) > 1:
+            count = chamber_orbit_count(scaled.rs, scaled.mu_coords)
+            assert count == weyl_sign_orbit_count(scaled), (cfg.rs.typ, cfg.a_sq)
+            assert (count == 1) == (len(_searched_orbits(scaled, point_cap=cfg.size)) == 1), (cfg.rs.typ, cfg.a_sq)
+            if count > 1:
                 several.append((cfg.rs.typ.label, scaled.a_sq))
-    assert searched == several
     assert len(several) == 2 * 18
 
 
@@ -487,10 +494,11 @@ def _orbits_or_refusal(compute):
 
 def test_certified_orbits_on_the_large_hidden_rank4_classes(monkeypatch):
     """On every class of the rank-4 types of output_digest's large-hidden
-    part, at its point cap, stabilizer_orbits gives the searched orbits or
-    the same refusal (every F4 class is past the cap), and searches only
-    where the Weyl reflections and -1 are not transitive: on 19 of the 20
-    A4 classes and on some of B4, C4 and D4."""
+    part, the chamber count equals the reference count, and at that part's
+    point cap the report's hidden data has the searched orbit count, or is
+    refused where the search is (every F4 class is past the cap).  It
+    searches only where the chamber count is not 1: on 19 of the 20 A4
+    classes and on some of B4, C4 and D4."""
     real = hidden.stabilizer_group
     searched = _count_searches(monkeypatch)
     refused = Counter()
@@ -498,52 +506,102 @@ def test_certified_orbits_on_the_large_hidden_rank4_classes(monkeypatch):
         rs = build_root_system(RootSystemType(name[0], int(name[1:])))
         for cls in classes_up_to(rs, WEIGHT, Q(cap)):
             cfg = shifted_config(rs, cls)
-            got = _orbits_or_refusal(lambda: stabilizer_orbits(cfg, point_cap=1152))
-            assert got == _orbits_or_refusal(lambda: orbits(cfg, real(cfg, point_cap=1152))), (name, cls.a_sq)
-            if isinstance(got, str):
+            assert chamber_orbit_count(rs, cls.sphere_members) == weyl_sign_orbit_count(cfg), (name, cls.a_sq)
+            want = _orbits_or_refusal(lambda: orbits(cfg, real(cfg, point_cap=1152)))
+            _, count = spectra._hidden_data(rs, cls, 1152, 4)
+            if isinstance(want, str):
                 refused[name] += 1
+                assert count is None, (name, cls.a_sq)
+            else:
+                assert count == len(want), (name, cls.a_sq)
     assert refused == {"B4": 3, "C4": 4, "D4": 3, "F4": 9}
     assert Counter(label for label, _ in searched) == {"A4": 19, "B4": 7, "C4": 25, "D4": 10}
 
 
-def test_a_configuration_missing_a_point_is_searched(monkeypatch):
-    """With its first or last point removed, a class that the reflections
-    and -1 certify no longer maps into itself, so it is searched, on the
-    int64 and the object path."""
-    searched = _count_searches(monkeypatch)
-    for (rs, a_sq), (scale, _) in itertools.product(((A2, 2), (B2, Q(5, 2)), (G2, Q(26, 3)), (B3, Q(35, 4)), (A3, 5)), SCALES):
+ONE_ORBIT_CLASSES = ((A2, 2), (B2, Q(5, 2)), (G2, Q(26, 3)), (B3, Q(35, 4)), (A3, 5))
+
+
+def test_a_class_missing_a_point_fails_the_orbit_sum():
+    """With its first or last point removed, a one-orbit class no longer
+    has |X| = sum |W| / |W_J| over its closed-chamber points: the chamber
+    count refuses it, on the int64 and the object path, and so does the
+    report's hidden data, before any configuration is built."""
+    for (rs, a_sq), (scale, _) in itertools.product(ONE_ORBIT_CLASSES, SCALES):
         cfg = _scaled(_config(rs, a_sq), scale)
-        assert stabilizer_orbits(cfg) == [tuple(range(cfg.size))]
-        assert searched == []
+        members = cfg.mu_coords
+        assert chamber_orbit_count(rs, members) == weyl_sign_orbit_count(cfg) == 1
         for k in (0, cfg.size - 1):
-            broken = dataclasses.replace(cfg, coords=cfg.coords[:k] + cfg.coords[k + 1 :])
-            assert stabilizer_orbits(broken) == _searched_orbits(broken)
-            assert searched == [(rs.typ.label, broken.a_sq)]
-            searched.clear()
+            with pytest.raises(InternalConsistencyError, match="closed-chamber points fail the orbit sum"):
+                chamber_orbit_count(rs, members[:k] + members[k + 1 :])
+    for rs, a_sq in ONE_ORBIT_CLASSES:
+        cls = sphere_set(rs, WEIGHT, a_sq)
+        for k in (0, len(cls.sphere_members) - 1):
+            broken = dataclasses.replace(cls, sphere_members=cls.sphere_members[:k] + cls.sphere_members[k + 1 :])
+            with pytest.raises(InternalConsistencyError, match="closed-chamber points fail the orbit sum"):
+                spectra._hidden_data(rs, broken, 60, 4)
+
+
+def test_the_chamber_count_reads_every_closed_chamber_point_and_minus_w0():
+    """The chamber points are the members m with min(m) >= -1, wall points
+    included, and -1 pairs those that -w0 does not fix: on A2, a^2 = 2 is
+    the orbit of (0, 0), which -w0 fixes; a^2 = 14/3 the orbits of (0, 1)
+    and (1, 0), which -1 swaps; a^2 = 98/3 two orbits, of (2, 4) with
+    (4, 2) and of the wall members (-1, 6) with (6, -1).  On B2, where
+    -w0 = 1, a^2 = 25/2 is the orbits of (2, 0) and of the wall member
+    (-1, 4)."""
+    for rs, a_sq, chamber, count in (
+        (A2, 2, [(0, 0)], 1),
+        (A2, Q(14, 3), [(0, 1), (1, 0)], 1),
+        (A2, Q(98, 3), [(-1, 6), (2, 4), (4, 2), (6, -1)], 2),
+        (B2, Q(25, 2), [(-1, 4), (2, 0)], 2),
+    ):
+        cls = sphere_set(rs, WEIGHT, a_sq)
+        assert [m for m in cls.sphere_members if min(m) >= -1] == chamber
+        assert chamber_orbit_count(rs, cls.sphere_members) == count
+
+
+def test_a_weyl_orbit_that_minus_one_does_not_preserve_is_refused():
+    """On A2, -1 swaps the Weyl orbits of (1, 2) and (2, 1), the shifted
+    points of the class a^2 = 14/3.  Either orbit alone passes the orbit
+    sum, but its one chamber point is not fixed by -w0, so (c + f) / 2 is
+    not an integer and the count is refused."""
+    for y in ((1, 2), (2, 1)):
+        members = sorted(tuple(c - 1 for c in p) for p in rootsys.weyl_orbit(A2, y))
+        assert len(members) == 6
+        with pytest.raises(InternalConsistencyError, match="closed-chamber points fail the orbit sum or the -w0 pairing"):
+            chamber_orbit_count(A2, members)
 
 
 def test_certified_orbits_refuse_as_the_search_does():
-    """The point cap is refused first, then the span rank, with the
-    search's messages."""
-    cfg = _config(B3, Q(35, 4))
-    for caps in ({"point_cap": 47}, {"rank_cap": 2}, {"point_cap": 47, "rank_cap": 2}):
+    """The report's hidden data refuses a class exactly where the search
+    refuses its configuration, which names the point cap first, then the
+    span rank; at the class's own size and rank it is computed."""
+    cls = sphere_set(B3, WEIGHT, Q(35, 4))
+    cfg = shifted_config(B3, cls)
+    for caps, message in (
+        ({"point_cap": 47}, "configuration size = 48 exceeds cap 47"),
+        ({"rank_cap": 2}, "configuration span rank = 3 exceeds cap 2"),
+        ({"point_cap": 47, "rank_cap": 2}, "configuration size = 48 exceeds cap 47"),
+    ):
         with pytest.raises(CapExceeded) as got:
-            stabilizer_orbits(cfg, **caps)
-        with pytest.raises(CapExceeded) as want:
             stabilizer_group(cfg, **caps)
-        assert str(got.value) == str(want.value)
+        assert str(got.value) == message
+        caps = {"point_cap": 48, "rank_cap": 3, **caps}
+        assert spectra._hidden_data(B3, cls, caps["point_cap"], caps["rank_cap"]) == (None, None)
+    assert spectra._hidden_data(B3, cls, 48, 3) == (dict.fromkeys(cls.dominant_members, 0), 1)
 
 
 def test_certified_orbits_refuse_a_form_the_reflections_do_not_preserve():
-    """A configuration built on the true form, whose root system then
-    carries a corrupted one: the reflections still map X onto itself, and
-    the isometry identity refuses to certify the orbit."""
+    """A class found on the true form, whose root system then carries a
+    corrupted one: the chamber count still finds one orbit, and the
+    isometry identity refuses to certify it."""
     rs = rootsys.RootSystem(B2.typ, B2.cartan_matrix, B2.metric_scale)
-    cfg = shifted_config(rs, sphere_set(rs, WEIGHT, Q(5, 2)))
+    cls = sphere_set(rs, WEIGHT, Q(5, 2))
     den, g = rs.gram_fw_int
     rs.__dict__["gram_fw_int"] = (den, ((g[0][0] + 1, g[0][1]), g[1]))
+    assert chamber_orbit_count(rs, cls.sphere_members) == 1
     with pytest.raises(InternalConsistencyError, match="simple reflection s_1 does not preserve the form"):
-        stabilizer_orbits(cfg)
+        spectra._hidden_data(rs, cls, 60, 4)
 
 
 def _row_blind_pairs(cfg, base):

@@ -312,3 +312,39 @@ def test_simple_reflections_preserve_the_form(fam, rank):
         else:
             with pytest.raises(InternalConsistencyError, match=r"simple reflection s_\d+ does not preserve the form"):
                 bad.reflections_preserve_form
+
+
+UP_TO_RANK_4 = [(fam, rank) for fam, rank in UP_TO_RANK_8 if rank <= 4]
+
+
+@pytest.mark.parametrize("fam,rank", UP_TO_RANK_4, ids=[f"{f}{n}" for f, n in UP_TO_RANK_4])
+def test_parabolic_orders_are_the_stabilizers_of_chamber_points(fam, rank):
+    """For every set J of nodes, |W_J| is the number of elements of the
+    textbook Weyl group that fix the chamber point with zero coordinates
+    on J and 1 elsewhere; the table keeps each J."""
+    rs, ref = rs_of(fam, rank), textbook(fam, rank)
+    group = [m for _, m in ref.weyl_group()]
+    for size in range(rank + 1):
+        for nodes in itertools.combinations(range(rank), size):
+            p = ref.point([int(i not in nodes) for i in range(rank)])
+            assert rs.parabolic_order(nodes) == sum(matvec(m, p) == p for m in group), nodes
+            assert rs._parabolic_orders[nodes] == rs.parabolic_order(nodes)
+
+
+@pytest.mark.parametrize("fam,rank", UP_TO_RANK_8, ids=[f"{f}{n}" for f, n in UP_TO_RANK_8])
+def test_parabolic_order_of_every_node_is_the_weyl_order(fam, rank):
+    rs = rs_of(fam, rank)
+    assert rs.parabolic_order(tuple(range(rank))) == rs.typ.weyl_order()
+    assert rs.parabolic_order(()) == 1
+
+
+def test_a_parabolic_order_that_is_not_an_integer_is_refused():
+    """Doubled simple-root coordinates double every height, and A1's one
+    root then gives |W| = 3/2, which is refused and not kept."""
+    a1 = rs_of("A", 1)
+    bad = rootsys.RootSystem(a1.typ, a1.cartan_matrix, a1.metric_scale)
+    q, adj = a1.cartan_inverse_int
+    bad.__dict__["cartan_inverse_int"] = (q, tuple(tuple(2 * x for x in row) for row in adj))
+    with pytest.raises(InternalConsistencyError, match=r"\|W_J\| is not an integer for J = \(0,\)"):
+        bad.parabolic_order((0,))
+    assert bad._parabolic_orders == {}

@@ -4,9 +4,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from casimir_lab import spectra
+from casimir_lab import hidden, spectra
 from casimir_lab.errors import InternalConsistencyError, NonDominantWeight
-from casimir_lab.hidden import stabilizer_orbits
 from casimir_lab.reps import KMode, RepType
 from casimir_lab.rootsys import RootSystemType, build_root_system
 from casimir_lab.spectra import (
@@ -54,12 +53,13 @@ def test_dropped_classes_get_no_stabilizer(monkeypatch):
     # U* the zero character of the torus: only the classes of the root
     # lattice have members with a zero weight, so two thirds are dropped.
     calls = []
+    real = spectra._hidden_data
 
-    def counted(cfg, **caps):
-        calls.append(cfg.a_sq)
-        return stabilizer_orbits(cfg, **caps)
+    def counted(rs, cls, *caps):
+        calls.append(cls.a_sq)
+        return real(rs, cls, *caps)
 
-    monkeypatch.setattr(spectra, "stabilizer_orbits", counted)
+    monkeypatch.setattr(spectra, "_hidden_data", counted)
     rep_out = normal_spectrum_report(A2, WEIGHT, KMode.TORUS, {(0, 0): 1}, Q(20))
     every = [cls.a_sq for cls in classes_up_to(A2, WEIGHT, Q(20))]
     kept = [c.a_sq for c in rep_out.classes]
@@ -217,15 +217,16 @@ def test_hidden_orbit_uncomputed_under_tiny_cap():
 
 
 def test_orbits_missing_a_point_exit_4(monkeypatch):
-    cls = classes_up_to(A2, WEIGHT, Q(182, 3))[0]
-    real = spectra.stabilizer_orbits
+    # A2 98/3 is two orbits, so its stabilizer is searched.
+    cls = classes_up_to(A2, WEIGHT, Q(98, 3))[-1]
+    real = hidden.orbits
     by_mu, count = spectra._hidden_data(A2, cls, 60, 4)
-    assert (len(by_mu), count) == (6, 1)
+    assert (cls.a_sq, len(by_mu), count) == (Q(98, 3), 18, 2)
 
-    def without_last_point(cfg, **caps):
-        return [tuple(i for i in o if i != cfg.size - 1) for o in real(cfg, **caps)]
+    def without_last_point(cfg, group):
+        return [tuple(i for i in o if i != cfg.size - 1) for o in real(cfg, group)]
 
-    monkeypatch.setattr(spectra, "stabilizer_orbits", without_last_point)
+    monkeypatch.setattr(hidden, "orbits", without_last_point)
     with pytest.raises(InternalConsistencyError, match="orbit partition missed a configuration point"):
         spectra._hidden_data(A2, cls, 60, 4)
 
