@@ -333,10 +333,9 @@ def parse_kappa(text: str, g: GroupSpec) -> MetricParam:
 
 
 def parse_ustar(text: str, kmode: KMode, rs) -> dict:
-    """"trivial", or JSON list [[coords, mult], ...] (inline or a file), as
-    a {coords: multiplicity} dict in coordinate order.  A torus multiset
-    keeps the zero multiplicities it lists; a sum of irreducibles (the
-    other K modes) drops them."""
+    """"trivial", or JSON list [[coords, mult], ...] (inline or a file) read
+    by KMode.read_ustar, as a {coords: multiplicity} dict in coordinate
+    order."""
     if text == "trivial":
         return {(0,) * rs.rank: 1}
     data = _json_input(text, "[")
@@ -353,13 +352,7 @@ def parse_ustar(text: str, kmode: KMode, rs) -> dict:
     mults = dict(sorted(pairs))
     if len(mults) != len(pairs):
         raise ValueError("ustar lists a weight more than once")
-    if kmode is KMode.TORUS:
-        return mults
-    return {c: m for c, m in mults.items() if m}
-
-
-def _kmode(args) -> KMode:
-    return KMode(args.kmode)
+    return kmode.read_ustar(rs, mults)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +466,7 @@ def cmd_spectrum(args) -> dict:
     k = parse_kappa(args.kappa, g)
     reps = enumerate_reps(g, args.rep_cap)
     admit_metric(k, reps)
-    if args.numeric and not k.is_positive_definite():
+    if args.numeric and not k.positive_definite:
         # numeric_spectrum refuses it as well, but only after every operator is built
         raise NotPositiveDefinite("kappa is not positive definite")
     ops, entries = [], []
@@ -525,7 +518,7 @@ def cmd_spectrum(args) -> dict:
 
 def cmd_estimate(args) -> dict:
     rs = _build_rs(args)
-    kmode = _kmode(args)
+    kmode = KMode(args.kmode)
     ustar = parse_ustar(args.ustar, kmode, rs)
     mu = make_weight(rs, _parse_coords(args.weight), _lattice(args))
     return {"schema": SCHEMA, **_fields(generic_estimate(rs, _lattice(args), kmode, ustar, mu))}
@@ -533,7 +526,7 @@ def cmd_estimate(args) -> dict:
 
 def cmd_report(args) -> dict:
     rs = _build_rs(args)
-    kmode = _kmode(args)
+    kmode = KMode(args.kmode)
     ustar = parse_ustar(args.ustar, kmode, rs)
     build = real_spectrum_report if args.real else normal_spectrum_report
     report = build(
@@ -614,13 +607,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", parents=[rsys, out], help="eigenspace bound from the full Casimir class")
     p.add_argument("--weight", required=True)
     p.add_argument("--ustar", default="trivial")
-    p.add_argument("--kmode", choices=("trivial", "diagonal", "torus"), default="diagonal")
+    p.add_argument("--kmode", choices=[k.value for k in KMode], default="diagonal")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("report", parents=[rsys, out, hidden_caps], help="normal-metric spectral report")
     p.add_argument("--cap", type=rational, required=True)
     p.add_argument("--ustar", default="trivial")
-    p.add_argument("--kmode", choices=("trivial", "diagonal", "torus"), default="trivial")
+    p.add_argument("--kmode", choices=[k.value for k in KMode], default="trivial")
     p.add_argument("--real", action="store_true", help="fold members into duality classes")
     p.set_defaults(func=cmd_report)
 

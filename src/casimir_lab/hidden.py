@@ -377,22 +377,6 @@ def orbits(cfg: ShiftedConfig, group: PermGroup) -> list[tuple[int, ...]]:
     return out
 
 
-def _reflected_rows(rs: RootSystem, y: np.ndarray):
-    """For each simple reflection s_i in turn, the rows of s_i(Y) as tuples.
-
-    s_i sends the coordinates y to y - y_i C[i], C the Cartan matrix
-    (rootsys.reflect_fw_coords), so it reflects all n points at once as the
-    array Y - Y[:, i] C[i], in Y's dtype: every entry is at most
-    |y_j| + 3 |y_i| <= 4 max|y| in absolute value, far inside int64 wherever
-    ShiftedConfig.y is int64 (there r^2 max|y|^2 < 2^63), and object arrays
-    hold Python ints.  The reflections are made one at a time, as they are
-    read.
-    """
-    cartan = np.array(rs.cartan_matrix, dtype=y.dtype)
-    for i in range(rs.rank):
-        yield map(tuple, (y - y[:, i : i + 1] * cartan[i]).tolist())
-
-
 def chamber_orbit_count(rs: RootSystem, members) -> int:
     """The number of <W, -1>-orbits on the shifted points of a class's
     members m (cls.sphere_members), with no configuration: the closed
@@ -419,8 +403,11 @@ def check_weyl_inclusion(rs: RootSystem, cfg: ShiftedConfig, weyl_cap: int = rsy
     On shifted points the dislocated action mu -> w(mu+delta)-delta is the
     plain linear action, so this checks w(X) = X for all w, which holds
     exactly when every simple reflection maps X into X (a reflection is
-    injective and X finite); each reflects the whole array cfg.y at once
-    (_reflected_rows).  Refuses (CapExceeded) when |W| exceeds weyl_cap.
+    injective and X finite).  s_i sends the coordinates y to y - y_i C[i],
+    C the Cartan matrix (rootsys.reflect_fw_coords), so it reflects all n
+    points at once as the array Y - Y[:, i] C[i], in Y's dtype; the
+    reflections are made one at a time, as they are read.  Refuses
+    (CapExceeded) when |W| exceeds weyl_cap.
     The Weyl orbit of delta is free, so its size must be |W|;
     InternalConsistencyError is raised otherwise.  After the verdict, that
     identity is read from RootSystem.delta_orbit_size, which enumerates the
@@ -430,7 +417,13 @@ def check_weyl_inclusion(rs: RootSystem, cfg: ShiftedConfig, weyl_cap: int = rsy
     if order > weyl_cap:
         raise CapExceeded(f"Weyl group order of {rs.typ.label}", order, weyl_cap)
     points = set(cfg.coords)
-    if not all(map(points.issuperset, _reflected_rows(rs, cfg.y))):
+    y = cfg.y
+    cartan = np.array(rs.cartan_matrix, dtype=y.dtype)
+    # Each entry is at most |y_j| + 3 |y_i| <= 4 max|y| in absolute value, far
+    # inside int64 wherever ShiftedConfig.y is int64 (there r^2 max|y|^2 < 2^63);
+    # object arrays hold Python ints.
+    reflected = (map(tuple, (y - y[:, i : i + 1] * cartan[i]).tolist()) for i in range(rs.rank))
+    if not all(map(points.issuperset, reflected)):
         return False
     rs.delta_orbit_size  # the identity |W delta| = |W|, checked once per root system
     return True

@@ -161,11 +161,8 @@ class MetricParam:
     def n(self) -> int:
         return len(self.kappa)
 
-    def is_positive_definite(self) -> bool:
-        return self._positive_definite
-
     @cached_property
-    def _positive_definite(self) -> bool:
+    def positive_definite(self) -> bool:
         """The exact test, computed once per instance and kept outside the
         dataclass fields, as _weights is."""
         return is_positive_definite([list(r) for r in self.kappa])
@@ -746,7 +743,7 @@ def numeric_spectrum(reps, ops, k: MetricParam, tol: float = 1e-9):
     stacked eigvalsh call (the same LAPACK routine on each matrix as a call
     per operator); eigenvalues are taken in rep order and stably sorted.
     """
-    if not k.is_positive_definite():
+    if not k.positive_definite:
         raise NotPositiveDefinite("kappa is not positive definite")
     for v, op in zip(reps, ops, strict=True):
         if op.kappa_ref != k:

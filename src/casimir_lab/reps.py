@@ -4,6 +4,8 @@ tensor and exterior decompositions, real/complex/quaternionic type.
 An irreducible is its dominant highest weight mu over an interned
 RootSystem rs: every function takes rs first, then plain tuples.  rep
 checks a highest weight read from input: make_weight, then dominance.
+KMode holds every rule that depends on the isotropy group K, and
+invariant_dim counts the K-invariants of V^mu (x) U*.
 
 Everything is exact.  Weight multiplicities come from the Freudenthal
 recursion over dominant weights (expanded along Weyl orbits).  Tensor
@@ -53,9 +55,74 @@ class RepType(Enum):
 
 
 class KMode(Enum):
+    """The isotropy group K of M = G/K, acting on the K-module U*, and
+    every rule that depends on it.  U* is a {coords: multiplicity} dict in
+    every mode.
+
+    trivial   K = {e}; U* any sum of G-irreducibles, always real;
+              everything is invariant.
+    diagonal  G = G' x G', K = diag G', inputs expressed on the single root
+              system of G'; U* a sum of G'-irreducibles.  A member mu
+              stands for the block V^mu (x) V^mu*, whose type is the square
+              of the G'-side indicator: real when mu is self-dual, complex
+              otherwise, never quaternionic.  Reported dims and duals are
+              G'-side, as the report context notes.  U* is real when every
+              irreducible has the multiplicity of its dual mu*, and a
+              quaternionic one an even multiplicity.
+    torus     K a torus; U* a multiset of torus weights, zero multiplicities
+              kept; invariants count zero weights.  U* is real when every
+              weight nu has the multiplicity of -nu.
+
+    Outside diagonal mode a member's block is V^mu itself, of its own type
+    (classify_type).
+    """
+
     TRIVIAL = "trivial"
     DIAGONAL = "diagonal"
     TORUS = "torus"
+
+    def read_ustar(self, rs: RootSystem, mults: dict) -> dict:
+        """U* from its {coords: multiplicity} pairs, listed in coordinate
+        order: a torus multiset keeps its zero multiplicities, a sum of
+        irreducibles drops them and reads each summand with rep
+        (NonDominantWeight).  A negative multiplicity is refused
+        (ValueError) in every mode."""
+        for c, m in mults.items():
+            if m < 0:
+                raise ValueError(f"U* multiplicity of {list(c)} must be non-negative, got {m}")
+        if self is KMode.TORUS:
+            return mults
+        return {rep(rs, c): m for c, m in mults.items() if m}
+
+    def member_type(self, rs: RootSystem, mu: Coords, dual: Coords) -> RepType:
+        """Type of the eigenspace block labeled by mu, whose dual is dual."""
+        if self is KMode.DIAGONAL:
+            return RepType.REAL if dual == mu else RepType.COMPLEX
+        return classify_type(rs, mu)
+
+    def check_real(self, rs: RootSystem, ustar: dict) -> None:
+        """Refuse (ValueError) a U* read by read_ustar that is not a real
+        K-module, as input the real report is not defined for."""
+        if self is KMode.TRIVIAL:
+            return
+        for nu, m in ustar.items():
+            if self is KMode.TORUS:
+                partner = tuple(-x for x in nu)
+            else:
+                partner = dual_label(rs, nu)
+                if partner == nu and m % 2 and classify_type(rs, nu) is RepType.QUATERNIONIC:
+                    raise ValueError(
+                        f"U* is not a real K-module: quaternionic {list(nu)} has odd multiplicity {m}")
+            if ustar.get(partner, 0) != m:
+                raise ValueError(
+                    f"U* is not a real K-module: {list(nu)} has multiplicity {m}, "
+                    f"its dual {list(partner)} {ustar.get(partner, 0)}")
+
+    def context_notes(self) -> dict:
+        """The report context entries that state the mode's convention."""
+        if self is KMode.DIAGONAL:
+            return {"diagonal_convention": "members label V^mu (x) V^mu* blocks of G' x G'; dims/duals are G'-side"}
+        return {}
 
 
 def rep(rs: RootSystem, fw_coords) -> Coords:
@@ -227,27 +294,20 @@ def bold_g_label(types) -> str:
     return "G" if all(t is RepType.REAL for t in types) else "Q8xG"
 
 
-def invariant_dim(rs: RootSystem, V, U, kmode: KMode) -> int:
-    """Dimension of the K-invariant subspace of V (x) U for the supported K modes.
+def invariant_dim(rs: RootSystem, mu: Coords, U, kmode: KMode) -> int:
+    """dim (V^mu (x) U)^K for the highest weight mu of rs (see KMode); each
+    U entry of a sum of irreducibles is read with rep.
 
-    U is a {coords: multiplicity} dict in every mode: highest weights of
-    irreducibles in the first two, checked by rep, torus weights in the
-    third.
-
-    - TRIVIAL: V the highest weight of an irreducible of rs, U a sum of
-      irreducibles of rs; everything is invariant, so dim V * dim U.
-    - DIAGONAL: V a pair (V1, V2) of highest weights of the factor group
-      G' with root system rs, U a sum of irreducibles of G'; counts the
-      trivial constituents of V1 (x) V2 (x) U.
-    - TORUS: V the highest weight of an irreducible of rs, U a multiset of
-      torus weights; counts zero-weight vectors of V (x) U.
+    - TRIVIAL: dim V^mu * dim U.
+    - DIAGONAL: the trivial constituents of V^mu (x) V^mu* (x) U over G'.
+    - TORUS: the zero-weight vectors of V^mu (x) U.
     """
     if kmode is KMode.TRIVIAL:
-        return weyl_dim(rs, V) * sum(m * weyl_dim(rs, rep(rs, c)) for c, m in U.items())
+        return weyl_dim(rs, mu) * sum(m * weyl_dim(rs, rep(rs, c)) for c, m in U.items())
     if kmode is KMode.DIAGONAL:
-        t = tensor_decompose(rs, *V)
+        t = tensor_decompose(rs, mu, dual_label(rs, mu))
         return sum(m * t.get(dual_label(rs, rep(rs, tau)), 0) for tau, m in U.items())
     if kmode is KMode.TORUS:
-        wm = weight_multiplicities(rs, V)
+        wm = weight_multiplicities(rs, mu)
         return sum(m * wm.get(tuple(-x for x in u), 0) for u, m in U.items())
     raise ValueError(f"unsupported K mode {kmode}")

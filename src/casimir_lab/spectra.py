@@ -11,16 +11,11 @@ of the Weyl group and -1, both isometries (hidden.chamber_orbit_count),
 and otherwise its orbits are those of the searched stabilizer of its
 configuration.  A member is its dominant coordinate tuple μ over the
 class's root system; its dual μ* (reps.dual_label) is computed once and
-read by its isotypic dimension, its type and its row.
+read by its type and its row.
 
-K-modes:
-  trivial   K = {e}; U* any sum of G-irreducibles.
-  diagonal  G = G' x G', K = diag G', inputs expressed on the single root
-            system of G'.  A member μ stands for the block V^μ (x) V^{μ*};
-            reported dims and duals are G'-side.  The convention is stored
-            in the report context.
-  torus     K a torus; U* a multiset of torus weights; invariants count
-            zero weights.
+Every rule that depends on K (isotypic dimension, member type, the real
+check and the context note) is read from reps.KMode and invariant_dim,
+where the K-modes are described.
 """
 
 from __future__ import annotations
@@ -35,11 +30,9 @@ from .reps import (
     KMode,
     RepType,
     bold_g_label,
-    classify_type,
     dual_label,
     exterior_powers,
     invariant_dim,
-    rep,
     weyl_dim,
 )
 from .rootsys import RootSystem, RootSystemType, build_root_system
@@ -111,19 +104,15 @@ class RealMember:
 
 
 def _context(rs: RootSystem, lat: LatticeChoice, kmode: KMode, ustar) -> dict:
-    ctx = {
+    return {
         "family": rs.typ.family,
         "rank": rs.typ.rank,
         "lattice": lat.value,
         "k_mode": kmode.value,
         "metric_scale": rs.metric_scale,
         "ustar": tuple(sorted(ustar.items())),
+        **kmode.context_notes(),
     }
-    if kmode is KMode.DIAGONAL:
-        ctx["diagonal_convention"] = (
-            "members label V^mu (x) V^mu* blocks of G' x G'; dims/duals are G'-side"
-        )
-    return ctx
 
 
 def _hidden_data(rs: RootSystem, cls, point_cap: int, rank_cap: int):
@@ -167,27 +156,13 @@ def _labels(member_types) -> dict:
     }
 
 
-def _member_type(rs: RootSystem, mu: Coords, dual: Coords, kmode: KMode) -> RepType:
-    """Type of the eigenspace block labeled by mu, whose dual is dual.
-
-    In diagonal mode the block is V^mu (x) V^mu* over G' x G', whose
-    type is the square of the G'-side indicator: real whenever mu is
-    self-dual (quaternionic never occurs), complex otherwise.  The other
-    modes carry V^mu itself.
-    """
-    if kmode is KMode.DIAGONAL:
-        return RepType.REAL if dual == mu else RepType.COMPLEX
-    return classify_type(rs, mu)
-
-
 def _kept_members(rs: RootSystem, cls, ustar, kmode: KMode):
     """(mu, dual, isotypic dimension) of each dominant member of cls whose
     isotypic dimension is nonzero, in member order."""
     for mu in cls.dominant_members:
-        dual = dual_label(rs, mu)
-        iso = invariant_dim(rs, (mu, dual) if kmode is KMode.DIAGONAL else mu, ustar, kmode)
+        iso = invariant_dim(rs, mu, ustar, kmode)
         if iso > 0:
-            yield mu, dual, iso
+            yield mu, dual_label(rs, mu), iso
 
 
 def _complex_members(rs, cls, ustar, kmode, point_cap, rank_cap):
@@ -202,7 +177,7 @@ def _complex_members(rs, cls, ustar, kmode, point_cap, rank_cap):
             mu=mu,
             dual_mu=dual,
             dim=weyl_dim(rs, mu),
-            rep_type=_member_type(rs, mu, dual, kmode),
+            rep_type=kmode.member_type(rs, mu, dual),
             isotypic_dim=iso,
             hidden_orbit_id=UNCOMPUTED if orbit_by_mu is None else orbit_by_mu[mu],
         )
@@ -262,7 +237,7 @@ def _fold_members(members) -> tuple:
                          even; an odd value means the complex data cannot
                          be a complexified real module)
 
-    U* is checked to be a real K-module first (_check_real_ustar), so a
+    U* is checked to be a real K-module first (KMode.check_real), so a
     missing or unequal partner and an odd quaternionic iso are internal
     errors.
     """
@@ -308,34 +283,6 @@ def _fold_members(members) -> tuple:
     return tuple(folded)
 
 
-def _check_real_ustar(rs: RootSystem, kmode: KMode, ustar) -> None:
-    """Refuse (ValueError) a U* that is not a real K-module, as input the
-    real report is not defined for.
-
-    torus     every torus weight nu has the multiplicity of -nu;
-    diagonal  every irreducible mu of G' has the multiplicity of its dual
-              mu*, and a quaternionic one an even multiplicity;
-    trivial   every U* is real (K = {e}).
-
-    An irreducible is read with rep, so a non-dominant one is refused as
-    such, as invariant_dim refuses it.
-    """
-    if kmode is KMode.TRIVIAL:
-        return
-    for nu, m in ustar.items():
-        if kmode is KMode.TORUS:
-            partner = tuple(-x for x in nu)
-        else:
-            partner = dual_label(rs, rep(rs, nu))
-            if partner == nu and m % 2 and classify_type(rs, nu) is RepType.QUATERNIONIC:
-                raise ValueError(
-                    f"U* is not a real K-module: quaternionic {list(nu)} has odd multiplicity {m}")
-        if ustar.get(partner, 0) != m:
-            raise ValueError(
-                f"U* is not a real K-module: {list(nu)} has multiplicity {m}, "
-                f"its dual {list(partner)} {ustar.get(partner, 0)}")
-
-
 def real_spectrum_report(
     rs: RootSystem,
     lat: LatticeChoice,
@@ -348,14 +295,14 @@ def real_spectrum_report(
     """The real-form report: the complex report with members folded into
     duality classes [mu] (see _fold_members).
 
-    U* must be a real K-module (_check_real_ustar, ValueError otherwise,
+    U* must be a real K-module (KMode.check_real, ValueError otherwise,
     before any class is computed), so a failed fold identity below is an
     internal error, not bad input.
     Total real dimension per class equals the complex report's total for
     the same inputs (the real module complexifies to the complex one);
     that identity is enforced, not assumed.
     """
-    _check_real_ustar(rs, kmode, ustar)
+    kmode.check_real(rs, ustar)
     report = normal_spectrum_report(rs, lat, kmode, ustar, a_sq_cap, point_cap, rank_cap)
     entries = []
     for c in report.classes:
@@ -459,7 +406,7 @@ def hodge_rank1_check(cap) -> HodgeTable:
     discrepancies = []
     for mu in enumerate_dominant(rs, LatticeChoice.WEIGHT, cap):
         lam = casimir_eigenvalue(rs, mu)
-        dims = tuple(invariant_dim(rs, (mu, mu), ext[p], KMode.DIAGONAL) for p in range(4))
+        dims = tuple(invariant_dim(rs, mu, ext[p], KMode.DIAGONAL) for p in range(4))
         rows.append(HodgeRow(mu, shifted_norm_sq(rs, mu), lam, dims, all(d > 0 for d in dims)))
         for p in range(4):
             if dims[p] == 0:

@@ -1348,6 +1348,35 @@ def test_ustar_zero_multiplicity_kept_only_for_a_torus_multiset(capsys, kmode, k
     assert data["context"]["ustar"] == ([[[0, 0], 1], [[1, 1], 2], [[2, 0], 0]] if kept else listed)
 
 
+# U* refused when it is read, in the modes listed, with its message.
+BAD_USTARS = [
+    ("[[[0, 0], 2], [[1, 1], -1]]", ("trivial", "diagonal", "torus"), "U* multiplicity of [1, 1] must be non-negative, got -1"),
+    ("[[[0, 0], -1]]", ("trivial", "diagonal", "torus"), "U* multiplicity of [0, 0] must be non-negative, got -1"),
+    ("[[[1, -1], 1]]", ("trivial", "diagonal"), "highest weight (1, -1) must be dominant"),
+]
+
+
+@pytest.mark.parametrize("kmode", [k.value for k in KMode])
+def test_a_bad_ustar_exits_2_whatever_the_cap(capsys, kmode):
+    # Cap 0 computes no class, and cap 1e4000 is refused by the enumeration
+    # cap (exit 3 with a valid U*): U* is checked before either.
+    requests = [
+        ["report", "--cap", "0"],
+        ["report", "--cap", "20"],
+        ["report", "--cap", "1e4000"],
+        ["report", "--cap", "0", "--real"],
+        ["report", "--cap", "20", "--real"],
+        ["estimate", "--weight", "1,1"],
+    ]
+    for ustar, modes, why in BAD_USTARS:
+        if kmode not in modes:
+            continue
+        for command, *rest in requests:
+            argv = [command, *_sys_argv("A2"), *rest, "--kmode", kmode, "--ustar", ustar]
+            assert run(capsys, *argv) == (2, "", f"error: {why}\n"), argv
+    assert run(capsys, "report", *_sys_argv("A2"), "--cap", "1e4000", "--kmode", kmode)[0] == 3
+
+
 @pytest.mark.parametrize(
     "argv",
     [

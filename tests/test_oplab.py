@@ -209,7 +209,7 @@ def test_witness_sequence_properties():
     for k in seq:
         assert k.n == 3
         assert k.kappa == tuple(tuple(row) for row in zip(*k.kappa))  # symmetric
-        assert k.is_positive_definite()
+        assert k.positive_definite
     # first half graded diagonals over primes 7, 11, 13, 17
     assert seq[0].kappa == ((1, 0, 0), (0, Q(8, 7), 0), (0, 0, Q(9, 7)))
     for k in seq[:4]:
@@ -341,7 +341,7 @@ def test_numeric_spectrum_requires_positive_definite():
 def test_certify_small_su2():
     cert = certify(GroupSpec(1), rep_cap=2, budget=6, seed=2026)
     assert cert.certified
-    assert cert.witness_kappa is not None and cert.witness_kappa.is_positive_definite()
+    assert cert.witness_kappa is not None and cert.witness_kappa.positive_definite
     assert cert.candidates_tried >= 1
     assert all(val != 0 for _, _, _, val in cert.table)
 

@@ -1,7 +1,9 @@
 """Representation arithmetic: dimensions, characters, tensor products, types."""
 
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import pytest
 
@@ -255,20 +257,49 @@ def test_invariant_dim_trivial_mode():
 
 def test_invariant_dim_checks_each_ustar_highest_weight():
     for mode in (KMode.TRIVIAL, KMode.DIAGONAL):
-        v = (1, 0) if mode is KMode.TRIVIAL else ((1, 0), (0, 1))
         with pytest.raises(NonDominantWeight, match=r"^highest weight \(1, -1\) must be dominant$"):
-            invariant_dim(A2, v, {(1, -1): 1}, mode)
+            invariant_dim(A2, (1, 0), {(1, -1): 1}, mode)
 
 
 def test_invariant_dim_diagonal_mode():
-    v = (1, 0)
-    # (V (x) V*)^diag = Hom_G(V, V) = C
-    assert invariant_dim(A2, (v, dual_label(A2, v)), {(0, 0): 1}, KMode.DIAGONAL) == 1
-    # (V (x) V)^diag = 0 because V (x) V has no trivial constituent
-    assert invariant_dim(A2, (v, v), {(0, 0): 1}, KMode.DIAGONAL) == 0
-    # against the adjoint: multiplicity of adj* in V (x) V*
+    # mu is paired with its dual mu* = (0, 1): (V (x) V*)^diag = Hom_G(V, V) = C,
+    # where the pair (V, V) would give 0, V (x) V having no trivial constituent
+    assert invariant_dim(A2, (1, 0), {(0, 0): 1}, KMode.DIAGONAL) == 1
+    assert tensor_decompose(A2, (1, 0), (1, 0)).get((0, 0), 0) == 0
+    # Schur: every block V^mu (x) V^mu* holds one invariant against U* trivial
+    for rs, mu in ((A2, (2, 1)), (A2, (0, 3)), (A2, (1, 1)), (B2, (1, 1)), (G2, (0, 1))):
+        assert invariant_dim(rs, mu, {(0, 0): 1}, KMode.DIAGONAL) == 1, (rs.typ, mu)
+    # against the adjoint: multiplicity of adj* in V (x) V*, twice on A2's adjoint itself
     adj_u = {(1, 1): 1}
-    assert invariant_dim(A2, (v, dual_label(A2, v)), adj_u, KMode.DIAGONAL) == 1
+    assert invariant_dim(A2, (1, 0), adj_u, KMode.DIAGONAL) == 1
+    assert invariant_dim(A2, (1, 1), adj_u, KMode.DIAGONAL) == 2
+
+
+def _k_mode_comparisons(path):
+    """Line numbers of the comparisons in a module that involve a KMode
+    member (KMode.X) or a value named kmode (kmode, args.kmode)."""
+    members = {k.name for k in KMode}
+
+    def names_a_mode(node):
+        return any(
+            (isinstance(n, ast.Attribute) and n.attr in members and getattr(n.value, "id", None) == "KMode")
+            or getattr(n, "id", getattr(n, "attr", None)) == "kmode"
+            for n in ast.walk(node)
+        )
+
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare) and any(map(names_a_mode, [node.left, *node.comparators]))
+    ]
+
+
+def test_spectra_and_cli_hold_no_k_mode_branch():
+    # Every rule that depends on K lives behind reps.KMode and invariant_dim.
+    package = Path(reps.__file__).parent
+    assert {name: _k_mode_comparisons(package / f"{name}.py") for name in ("spectra", "cli")} == {"spectra": [], "cli": []}
+    assert _k_mode_comparisons(package / "reps.py")  # the scan sees the comparisons reps holds
 
 
 def test_invariant_dim_torus_mode():
