@@ -46,6 +46,7 @@ from .oplab import (
 )
 from .reps import (
     KMode,
+    KModule,
     RepType,
     bold_g_label,
     classify_type,

@@ -61,7 +61,7 @@ from .oplab import (
 )
 from .polyq import root_multiplicity_profile
 from .ratlinalg import rational
-from .reps import KMode, bold_g_label, classify_type, dual_label, rep, weyl_dim
+from .reps import KMode, KModule, bold_g_label, classify_type, dual_label, rep, weyl_dim
 from .rootsys import DEFAULT_WEYL_CAP, RootSystemType, build_root_system
 from .spectra import (
     generic_estimate,
@@ -332,12 +332,11 @@ def parse_kappa(text: str, g: GroupSpec) -> MetricParam:
     return MetricParam(tuple(tuple(cells.get((i, j), Q(0)) for j in range(n)) for i in range(n)))
 
 
-def parse_ustar(text: str, kmode: KMode, rs) -> dict:
-    """"trivial", or JSON list [[coords, mult], ...] (inline or a file) read
-    by KMode.read_ustar, as a {coords: multiplicity} dict in coordinate
-    order."""
+def parse_ustar(text: str, kmode: KMode, rs) -> KModule:
+    """"trivial", or JSON list [[coords, mult], ...] (inline or a file),
+    read by KMode.read_ustar."""
     if text == "trivial":
-        return {(0,) * rs.rank: 1}
+        return kmode.read_ustar(rs, {(0,) * rs.rank: 1})
     data = _json_input(text, "[")
     if not isinstance(data, list):
         raise ValueError("ustar JSON must be a list")
@@ -349,7 +348,7 @@ def parse_ustar(text: str, kmode: KMode, rs) -> dict:
         if len(coords) != rs.rank:
             raise ValueError(f"ustar weight {list(coords)} has {len(coords)} coordinates, expected {rs.rank}")
         pairs.append((coords, _json_int(item[1], "ustar multiplicity")))
-    mults = dict(sorted(pairs))
+    mults = dict(pairs)
     if len(mults) != len(pairs):
         raise ValueError("ustar lists a weight more than once")
     return kmode.read_ustar(rs, mults)
@@ -518,21 +517,18 @@ def cmd_spectrum(args) -> dict:
 
 def cmd_estimate(args) -> dict:
     rs = _build_rs(args)
-    kmode = KMode(args.kmode)
-    ustar = parse_ustar(args.ustar, kmode, rs)
+    ustar = parse_ustar(args.ustar, KMode(args.kmode), rs)
     mu = make_weight(rs, _parse_coords(args.weight), _lattice(args))
-    return {"schema": SCHEMA, **_fields(generic_estimate(rs, _lattice(args), kmode, ustar, mu))}
+    return {"schema": SCHEMA, **_fields(generic_estimate(rs, _lattice(args), ustar, mu))}
 
 
 def cmd_report(args) -> dict:
     rs = _build_rs(args)
-    kmode = KMode(args.kmode)
-    ustar = parse_ustar(args.ustar, kmode, rs)
+    ustar = parse_ustar(args.ustar, KMode(args.kmode), rs)
     build = real_spectrum_report if args.real else normal_spectrum_report
     report = build(
         rs,
         _lattice(args),
-        kmode,
         ustar,
         args.cap,
         point_cap=args.point_cap,

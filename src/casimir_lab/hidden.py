@@ -388,7 +388,7 @@ def chamber_orbit_count(rs: RootSystem, members) -> int:
     |X| = sum |W| / |W_J| (RootSystem.parabolic_order) and the parity of
     c + f are checked (InternalConsistencyError).
     """
-    order, flip = rs.typ.weyl_order(), rs.minus_w0
+    order, flip = rs.weyl_order, rs.minus_w0
     chamber = [m for m in members if min(m) >= -1]
     size = sum(order // rs.parabolic_order(tuple(i for i, c in enumerate(m) if c == -1)) for m in chamber)
     fixed = sum(all(m[j] == c for j, c in zip(flip, m)) for m in chamber)
@@ -413,7 +413,7 @@ def check_weyl_inclusion(rs: RootSystem, cfg: ShiftedConfig, weyl_cap: int = rsy
     identity is read from RootSystem.delta_orbit_size, which enumerates the
     orbit once per root system.
     """
-    order = rs.typ.weyl_order()
+    order = rs.weyl_order
     if order > weyl_cap:
         raise CapExceeded(f"Weyl group order of {rs.typ.label}", order, weyl_cap)
     points = set(cfg.coords)

@@ -4,8 +4,10 @@ tensor and exterior decompositions, real/complex/quaternionic type.
 An irreducible is its dominant highest weight mu over an interned
 RootSystem rs: every function takes rs first, then plain tuples.  rep
 checks a highest weight read from input: make_weight, then dominance.
-KMode holds every rule that depends on the isotropy group K, and
-invariant_dim counts the K-invariants of V^mu (x) U*.
+KMode holds every rule that depends on the isotropy group K; its
+read_ustar reads and checks U* once into a KModule (the mode, the
+summands in coordinate order and dim U*), and invariant_dim counts the
+K-invariants of V^mu (x) U* from that one value.
 
 Everything is exact.  Weight multiplicities come from the Freudenthal
 recursion over dominant weights (expanded along Weyl orbits).  Tensor
@@ -31,6 +33,7 @@ RootSystem.positive_roots_fw[-1].
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -56,8 +59,8 @@ class RepType(Enum):
 
 class KMode(Enum):
     """The isotropy group K of M = G/K, acting on the K-module U*, and
-    every rule that depends on it.  U* is a {coords: multiplicity} dict in
-    every mode.
+    every rule that depends on it.  U* is read once, by read_ustar, into a
+    KModule that carries its mode.
 
     trivial   K = {e}; U* any sum of G-irreducibles, always real;
               everything is invariant.
@@ -81,18 +84,20 @@ class KMode(Enum):
     DIAGONAL = "diagonal"
     TORUS = "torus"
 
-    def read_ustar(self, rs: RootSystem, mults: dict) -> dict:
-        """U* from its {coords: multiplicity} pairs, listed in coordinate
-        order: a torus multiset keeps its zero multiplicities, a sum of
-        irreducibles drops them and reads each summand with rep
-        (NonDominantWeight).  A negative multiplicity is refused
-        (ValueError) in every mode."""
-        for c, m in mults.items():
+    def read_ustar(self, rs: RootSystem, mults: dict) -> KModule:
+        """U* from its {coords: multiplicity} pairs, as a KModule listing
+        them in coordinate order: a torus multiset keeps its zero
+        multiplicities, a sum of irreducibles drops them and reads each
+        summand with rep (NonDominantWeight).  A negative multiplicity is
+        refused (ValueError) in every mode."""
+        pairs = tuple(sorted(mults.items()))
+        for c, m in pairs:
             if m < 0:
                 raise ValueError(f"U* multiplicity of {list(c)} must be non-negative, got {m}")
         if self is KMode.TORUS:
-            return mults
-        return {rep(rs, c): m for c, m in mults.items() if m}
+            return KModule(self, pairs, sum(m for _, m in pairs))
+        summands = tuple((rep(rs, c), m) for c, m in pairs if m)
+        return KModule(self, summands, sum(m * weyl_dim(rs, c) for c, m in summands))
 
     def member_type(self, rs: RootSystem, mu: Coords, dual: Coords) -> RepType:
         """Type of the eigenspace block labeled by mu, whose dual is dual."""
@@ -100,29 +105,41 @@ class KMode(Enum):
             return RepType.REAL if dual == mu else RepType.COMPLEX
         return classify_type(rs, mu)
 
-    def check_real(self, rs: RootSystem, ustar: dict) -> None:
-        """Refuse (ValueError) a U* read by read_ustar that is not a real
-        K-module, as input the real report is not defined for."""
-        if self is KMode.TRIVIAL:
+    def context_notes(self) -> dict:
+        """The report context entries that state the mode's convention."""
+        if self is KMode.DIAGONAL:
+            return {"diagonal_convention": "members label V^mu (x) V^mu* blocks of G' x G'; dims/duals are G'-side"}
+        return {}
+
+
+@dataclass(frozen=True)
+class KModule:
+    """U* as read by KMode.read_ustar: its K mode, its (coords,
+    multiplicity) summands in coordinate order, and its dimension (the
+    dims of the irreducibles, or one per torus weight, with multiplicity)."""
+
+    kmode: KMode
+    summands: tuple
+    dim: int
+
+    def check_real(self, rs: RootSystem) -> None:
+        """Refuse (ValueError) a U* that is not a real K-module, as input
+        the real report is not defined for."""
+        if self.kmode is KMode.TRIVIAL:
             return
-        for nu, m in ustar.items():
-            if self is KMode.TORUS:
+        mults = dict(self.summands)
+        for nu, m in self.summands:
+            if self.kmode is KMode.TORUS:
                 partner = tuple(-x for x in nu)
             else:
                 partner = dual_label(rs, nu)
                 if partner == nu and m % 2 and classify_type(rs, nu) is RepType.QUATERNIONIC:
                     raise ValueError(
                         f"U* is not a real K-module: quaternionic {list(nu)} has odd multiplicity {m}")
-            if ustar.get(partner, 0) != m:
+            if mults.get(partner, 0) != m:
                 raise ValueError(
                     f"U* is not a real K-module: {list(nu)} has multiplicity {m}, "
-                    f"its dual {list(partner)} {ustar.get(partner, 0)}")
-
-    def context_notes(self) -> dict:
-        """The report context entries that state the mode's convention."""
-        if self is KMode.DIAGONAL:
-            return {"diagonal_convention": "members label V^mu (x) V^mu* blocks of G' x G'; dims/duals are G'-side"}
-        return {}
+                    f"its dual {list(partner)} {mults.get(partner, 0)}")
 
 
 def rep(rs: RootSystem, fw_coords) -> Coords:
@@ -294,20 +311,19 @@ def bold_g_label(types) -> str:
     return "G" if all(t is RepType.REAL for t in types) else "Q8xG"
 
 
-def invariant_dim(rs: RootSystem, mu: Coords, U, kmode: KMode) -> int:
-    """dim (V^mu (x) U)^K for the highest weight mu of rs (see KMode); each
-    U entry of a sum of irreducibles is read with rep.
+def invariant_dim(rs: RootSystem, mu: Coords, U: KModule) -> int:
+    """dim (V^mu (x) U)^K for the highest weight mu of rs (see KMode).
 
     - TRIVIAL: dim V^mu * dim U.
-    - DIAGONAL: the trivial constituents of V^mu (x) V^mu* (x) U over G'.
+    - DIAGONAL: sum over the summands tau of U of m_tau times the
+      multiplicity of V^mu in V^mu (x) V^tau, which is the number of trivial
+      constituents of V^mu (x) V^mu* (x) V^tau over G' by
+      (V^mu (x) V^mu* (x) V^tau)^G' = Hom_G'(V^mu, V^mu (x) V^tau).
     - TORUS: the zero-weight vectors of V^mu (x) U.
     """
-    if kmode is KMode.TRIVIAL:
-        return weyl_dim(rs, mu) * sum(m * weyl_dim(rs, rep(rs, c)) for c, m in U.items())
-    if kmode is KMode.DIAGONAL:
-        t = tensor_decompose(rs, mu, dual_label(rs, mu))
-        return sum(m * t.get(dual_label(rs, rep(rs, tau)), 0) for tau, m in U.items())
-    if kmode is KMode.TORUS:
-        wm = weight_multiplicities(rs, mu)
-        return sum(m * wm.get(tuple(-x for x in u), 0) for u, m in U.items())
-    raise ValueError(f"unsupported K mode {kmode}")
+    if U.kmode is KMode.TRIVIAL:
+        return weyl_dim(rs, mu) * U.dim
+    if U.kmode is KMode.DIAGONAL:
+        return sum(m * tensor_decompose(rs, mu, tau).get(mu, 0) for tau, m in U.summands)
+    wm = weight_multiplicities(rs, mu)
+    return sum(m * wm.get(tuple(-x for x in u), 0) for u, m in U.summands)

@@ -26,7 +26,8 @@ weights, from the chamber walk of each -omega_i (it must be an involution);
 |W delta|, whose identity |W delta| = |W| is checked once per root system;
 the identity S_i (den G) S_i^T = den G that makes each simple reflection
 an isometry of the integer form; the parabolic orders |W_J|, one per set J
-of nodes; and the fraction-free LDL levels of that form.
+of nodes, and |W| = |W_J| of all nodes; and the fraction-free LDL levels
+of that form.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
-from math import factorial, lcm, prod
+from math import lcm, prod
 from operator import mul
 
 from . import ratlinalg as rl
@@ -48,14 +49,6 @@ RANK_CAP = 32
 ROOT_SYSTEM_CACHE_SIZE = 16
 
 IntMat = tuple[tuple[int, ...], ...]
-
-_EXCEPTIONAL_WEYL_ORDERS = {
-    ("E", 6): 51840,
-    ("E", 7): 2903040,
-    ("E", 8): 696729600,
-    ("F", 4): 1152,
-    ("G", 2): 12,
-}
 
 
 @dataclass(frozen=True)
@@ -88,16 +81,6 @@ class RootSystemType:
     @property
     def label(self) -> str:
         return f"{self.family}{self.rank}"
-
-    def weyl_order(self) -> int:
-        fam, n = self.family, self.rank
-        if fam == "A":
-            return factorial(n + 1)
-        if fam in ("B", "C"):
-            return 2**n * factorial(n)
-        if fam == "D":
-            return 2 ** (n - 1) * factorial(n)
-        return _EXCEPTIONAL_WEYL_ORDERS[(fam, n)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,7 +214,7 @@ class RootSystem:
         """|W delta|, enumerated once.  The orbit of delta is free, so it has
         |W| points: InternalConsistencyError is raised otherwise."""
         found = len(weyl_orbit(self, (1,) * self.rank))
-        order = self.typ.weyl_order()
+        order = self.weyl_order
         if found != order:
             raise InternalConsistencyError(f"enumerated {found} Weyl elements, expected {order}")
         return found
@@ -268,6 +251,11 @@ class RootSystem:
                 raise InternalConsistencyError(f"|W_J| is not an integer for J = {nodes}")
             self._parabolic_orders[nodes] = order
         return self._parabolic_orders[nodes]
+
+    @cached_property
+    def weyl_order(self) -> int:
+        """|W|, the parabolic order of all nodes."""
+        return self.parabolic_order(tuple(range(self.rank)))
 
     @cached_property
     def gram_fw_ldl(self) -> IntMat:
@@ -376,10 +364,10 @@ def weyl_group(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> list[WeylElement]
     """The full Weyl group as integer matrices on fundamental-weight
     coordinates, breadth-first over reduced words.
 
-    Refuses (CapExceeded) when the group order from the classical order
-    formula exceeds cap.
+    Refuses (CapExceeded) when the group order (RootSystem.weyl_order)
+    exceeds cap.
     """
-    order = rs.typ.weyl_order()
+    order = rs.weyl_order
     if order > cap:
         raise CapExceeded(f"Weyl group order of {rs.typ.label}", order, cap)
     n = rs.rank

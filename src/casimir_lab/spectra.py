@@ -13,9 +13,10 @@ configuration.  A member is its dominant coordinate tuple μ over the
 class's root system; its dual μ* (reps.dual_label) is computed once and
 read by its type and its row.
 
-Every rule that depends on K (isotypic dimension, member type, the real
-check and the context note) is read from reps.KMode and invariant_dim,
-where the K-modes are described.
+U* arrives as one reps.KModule, read once by KMode.read_ustar, which
+carries its K mode.  Every rule that depends on K (isotypic dimension,
+member type, the real check and the context note) is read from that
+value, its KMode and invariant_dim, where the K-modes are described.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import InternalConsistencyError, NonDominantWeight
 from .ratlinalg import frac
 from .reps import (
     KMode,
+    KModule,
     RepType,
     bold_g_label,
     dual_label,
@@ -103,15 +105,15 @@ class RealMember:
     hidden_orbit_id: object
 
 
-def _context(rs: RootSystem, lat: LatticeChoice, kmode: KMode, ustar) -> dict:
+def _context(rs: RootSystem, lat: LatticeChoice, ustar: KModule) -> dict:
     return {
         "family": rs.typ.family,
         "rank": rs.typ.rank,
         "lattice": lat.value,
-        "k_mode": kmode.value,
+        "k_mode": ustar.kmode.value,
         "metric_scale": rs.metric_scale,
-        "ustar": tuple(sorted(ustar.items())),
-        **kmode.context_notes(),
+        "ustar": ustar.summands,
+        **ustar.kmode.context_notes(),
     }
 
 
@@ -156,19 +158,19 @@ def _labels(member_types) -> dict:
     }
 
 
-def _kept_members(rs: RootSystem, cls, ustar, kmode: KMode):
+def _kept_members(rs: RootSystem, cls, ustar: KModule):
     """(mu, dual, isotypic dimension) of each dominant member of cls whose
     isotypic dimension is nonzero, in member order."""
     for mu in cls.dominant_members:
-        iso = invariant_dim(rs, mu, ustar, kmode)
+        iso = invariant_dim(rs, mu, ustar)
         if iso > 0:
             yield mu, dual_label(rs, mu), iso
 
 
-def _complex_members(rs, cls, ustar, kmode, point_cap, rank_cap):
+def _complex_members(rs, cls, ustar: KModule, point_cap, rank_cap):
     """(members with a nonzero isotypic dimension, orbit count); the hidden
     data is computed only when some member is kept."""
-    kept = list(_kept_members(rs, cls, ustar, kmode))
+    kept = list(_kept_members(rs, cls, ustar))
     if not kept:
         return [], None
     orbit_by_mu, orbit_count = _hidden_data(rs, cls, point_cap, rank_cap)
@@ -177,7 +179,7 @@ def _complex_members(rs, cls, ustar, kmode, point_cap, rank_cap):
             mu=mu,
             dual_mu=dual,
             dim=weyl_dim(rs, mu),
-            rep_type=kmode.member_type(rs, mu, dual),
+            rep_type=ustar.kmode.member_type(rs, mu, dual),
             isotypic_dim=iso,
             hidden_orbit_id=UNCOMPUTED if orbit_by_mu is None else orbit_by_mu[mu],
         )
@@ -189,8 +191,7 @@ def _complex_members(rs, cls, ustar, kmode, point_cap, rank_cap):
 def normal_spectrum_report(
     rs: RootSystem,
     lat: LatticeChoice,
-    kmode: KMode,
-    ustar,
+    ustar: KModule,
     a_sq_cap,
     point_cap: int = hidden.DEFAULT_POINT_CAP,
     rank_cap: int = hidden.DEFAULT_RANK_CAP,
@@ -207,7 +208,7 @@ def normal_spectrum_report(
     entries = []
     member_types = []
     for cls in classes_up_to(rs, lat, a_sq_cap):
-        members, orbit_count = _complex_members(rs, cls, ustar, kmode, point_cap, rank_cap)
+        members, orbit_count = _complex_members(rs, cls, ustar, point_cap, rank_cap)
         if not members:
             continue
         member_types.extend(m.rep_type for m in members)
@@ -222,7 +223,7 @@ def normal_spectrum_report(
             )
         )
     return SpectralReport(
-        context=_context(rs, lat, kmode, ustar),
+        context=_context(rs, lat, ustar),
         classes=tuple(entries),
         labels=_labels(member_types),
     )
@@ -237,16 +238,14 @@ def _fold_members(members) -> tuple:
                          even; an odd value means the complex data cannot
                          be a complexified real module)
 
-    U* is checked to be a real K-module first (KMode.check_real), so a
+    U* is checked to be a real K-module first (KModule.check_real), so a
     missing or unequal partner and an odd quaternionic iso are internal
-    errors.
+    errors.  Members arrive in ascending mu, so a pair is folded at its
+    first member, the one below its dual.
     """
     by_mu = {m.mu: m for m in members}
     folded = []
-    seen = set()
     for m in members:
-        if m.mu in seen:
-            continue
         if m.dual_mu == m.mu:
             if m.rep_type is RepType.QUATERNIONIC:
                 if m.isotypic_dim % 2:
@@ -259,35 +258,22 @@ def _fold_members(members) -> tuple:
             folded.append(
                 RealMember(m.mu, m.mu, m.rep_type, m.isotypic_dim, real_mult, real_dim, m.hidden_orbit_id)
             )
-            seen.add(m.mu)
-        else:
-            partner = by_mu.get(m.dual_mu)
-            if partner is None or partner.isotypic_dim != m.isotypic_dim:
-                raise InternalConsistencyError(
-                    f"member {m.mu} lacks a matching dual partner in the report of a real K-module"
-                )
-            lead = m if m.mu <= m.dual_mu else partner
-            folded.append(
-                RealMember(
-                    lead.mu,
-                    lead.dual_mu,
-                    RepType.COMPLEX,
-                    lead.isotypic_dim,
-                    lead.isotypic_dim,
-                    2 * lead.dim,
-                    lead.hidden_orbit_id,
-                )
+            continue
+        partner = by_mu.get(m.dual_mu)
+        if partner is None or partner.isotypic_dim != m.isotypic_dim:
+            raise InternalConsistencyError(
+                f"member {m.mu} lacks a matching dual partner in the report of a real K-module"
             )
-            seen.add(m.mu)
-            seen.add(m.dual_mu)
+        if m.mu < m.dual_mu:
+            iso = m.isotypic_dim
+            folded.append(RealMember(m.mu, m.dual_mu, RepType.COMPLEX, iso, iso, 2 * m.dim, m.hidden_orbit_id))
     return tuple(folded)
 
 
 def real_spectrum_report(
     rs: RootSystem,
     lat: LatticeChoice,
-    kmode: KMode,
-    ustar,
+    ustar: KModule,
     a_sq_cap,
     point_cap: int = hidden.DEFAULT_POINT_CAP,
     rank_cap: int = hidden.DEFAULT_RANK_CAP,
@@ -295,15 +281,15 @@ def real_spectrum_report(
     """The real-form report: the complex report with members folded into
     duality classes [mu] (see _fold_members).
 
-    U* must be a real K-module (KMode.check_real, ValueError otherwise,
+    U* must be a real K-module (KModule.check_real, ValueError otherwise,
     before any class is computed), so a failed fold identity below is an
     internal error, not bad input.
     Total real dimension per class equals the complex report's total for
     the same inputs (the real module complexifies to the complex one);
     that identity is enforced, not assumed.
     """
-    kmode.check_real(rs, ustar)
-    report = normal_spectrum_report(rs, lat, kmode, ustar, a_sq_cap, point_cap, rank_cap)
+    ustar.check_real(rs)
+    report = normal_spectrum_report(rs, lat, ustar, a_sq_cap, point_cap, rank_cap)
     entries = []
     for c in report.classes:
         folded = _fold_members(c.members)
@@ -338,7 +324,7 @@ class EstimateBound:
 
 
 def generic_estimate(
-    rs: RootSystem, lat: LatticeChoice, kmode: KMode, ustar, mu_lambda: Coords
+    rs: RootSystem, lat: LatticeChoice, ustar: KModule, mu_lambda: Coords
 ) -> EstimateBound:
     """Bound the eigenspace of lambda(mu_lambda) by its full Casimir class.
 
@@ -351,10 +337,10 @@ def generic_estimate(
         raise NonDominantWeight(f"{mu_lambda} is not dominant")
     a_sq = shifted_norm_sq(rs, mu_lambda)
     cls = sphere_set(rs, lat, a_sq)
-    kept = _kept_members(rs, cls, ustar, kmode)
+    kept = _kept_members(rs, cls, ustar)
     terms = tuple(EstimateTerm(mu, dual, mult, weyl_dim(rs, mu)) for mu, dual, mult in kept)
     return EstimateBound(
-        context=_context(rs, lat, kmode, ustar),
+        context=_context(rs, lat, ustar),
         mu_lambda=mu_lambda,
         a_sq=a_sq,
         lam=casimir_eigenvalue(rs, mu_lambda),
@@ -401,12 +387,12 @@ def hodge_rank1_check(cap) -> HodgeTable:
     """
     cap = frac(cap)
     rs = build_root_system(RootSystemType("A", 1))
-    ext = exterior_powers(rs, rs.positive_roots_fw[-1], 3)
+    ext = [KMode.DIAGONAL.read_ustar(rs, e) for e in exterior_powers(rs, rs.positive_roots_fw[-1], 3)]
     rows = []
     discrepancies = []
     for mu in enumerate_dominant(rs, LatticeChoice.WEIGHT, cap):
         lam = casimir_eigenvalue(rs, mu)
-        dims = tuple(invariant_dim(rs, mu, ext[p], KMode.DIAGONAL) for p in range(4))
+        dims = tuple(invariant_dim(rs, mu, u) for u in ext)
         rows.append(HodgeRow(mu, shifted_norm_sq(rs, mu), lam, dims, all(d > 0 for d in dims)))
         for p in range(4):
             if dims[p] == 0:

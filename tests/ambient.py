@@ -14,6 +14,7 @@ vector and matrix helpers below serve only the tests.
 
 from fractions import Fraction as Q
 from functools import lru_cache
+from math import factorial
 
 from casimir_lab import ratlinalg as rl
 
@@ -178,3 +179,19 @@ def textbook(family, rank):
 def reference(rs):
     """The textbook realization of a rootsys.RootSystem's type."""
     return textbook(rs.typ.family, rs.rank)
+
+
+# |W| of the exceptional types, from Bourbaki's plates.
+EXCEPTIONAL_WEYL_ORDERS = {("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600, ("F", 4): 1152, ("G", 2): 12}
+
+
+def weyl_order(family, rank):
+    """|W| by its closed forms: (n + 1)! on A_n, 2^n n! on B_n and C_n,
+    2^(n - 1) n! on D_n, and the plates' values on E, F and G."""
+    if family == "A":
+        return factorial(rank + 1)
+    if family in "BC":
+        return 2**rank * factorial(rank)
+    if family == "D":
+        return 2 ** (rank - 1) * factorial(rank)
+    return EXCEPTIONAL_WEYL_ORDERS[(family, rank)]

@@ -1,15 +1,16 @@
 """References for the tests' oracles of `reps`: the Weyl dimension on the
-invariant form, the full character of a sum of irreducibles, and the peel
+invariant form, the full character of a sum of irreducibles, the peel
 that decomposes a genuine character by removing highest constituents one
-at a time.  Tensor products are products of characters, and exterior
-powers are Newton's identities on them; the peel is independent of the
+at a time, and the diagonal-mode invariant count read off V^mu (x) V^mu*.
+Tensor products are products of characters, and exterior powers are
+Newton's identities on them; the peel is independent of the
 signed-reflection rule that `reps` uses for both.
 """
 
 from fractions import Fraction as Q
 
 from casimir_lab.errors import InternalConsistencyError
-from casimir_lab.reps import weight_multiplicities
+from casimir_lab.reps import dual_label, tensor_decompose, weight_multiplicities
 from casimir_lab.weights import shifted_norm_int
 
 
@@ -55,3 +56,11 @@ def decompose_character(rs, char):
             else:
                 work.pop(w, None)
     return {c: m for c, m in found.items() if m}
+
+
+def diagonal_invariant_dim(rs, mu, summands):
+    """dim (V^mu (x) V^mu* (x) U)^G' for U the sum of m V^tau over the
+    (tau, m) summands: the multiplicity of V^tau* in V^mu (x) V^mu*, read
+    off tensor_decompose(mu, mu*) at tau* (dual_label)."""
+    t = tensor_decompose(rs, mu, dual_label(rs, mu))
+    return sum(m * t.get(dual_label(rs, tau), 0) for tau, m in summands)

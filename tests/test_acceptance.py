@@ -227,7 +227,7 @@ def test_criterion_08_generic_estimate(announce):
     reps = [IrrepSpec((m,)) for m in range(5)]
     u = {(0,): 1}
     estimates = {
-        m: generic_estimate(A1, WEIGHT, KMode.TRIVIAL, u, make_weight(A1, (m,)))
+        m: generic_estimate(A1, WEIGHT, KMode.TRIVIAL.read_ustar(A1, u), make_weight(A1, (m,)))
         for m in range(5)
     }
     bad = []

@@ -401,6 +401,27 @@ def test_hidden_output_pinned(capsys):
     assert digest.hexdigest() == HIDDEN_PIN
 
 
+# (request function, request count, sha256) of three totals of
+# tests/output_digest.py, recorded before U* became one KModule value: the
+# sweep of every subcommand but spectrum and certify, the report part and
+# the report-paths part, each request in json and with --output table.
+DIGEST_PINS = {
+    "sweep": ("sweep_requests", 1820, "40d2f88304e6e39fc742de81697c26fe1d26cd5b1456b652e71b77d3b8bb68d4"),
+    "report": ("report_requests", 18, "1ee85a34088b13b96395d21260025c8cbad69d4986fcb04fcf959149aa7cd5ef"),
+    "report paths": ("report_path_requests", 130, "dfe45c2d680ea8aca33553a6ddc8f17d3387b56289003be58c30e68bb4d92ed1"),
+}
+
+
+@pytest.mark.parametrize("prefix", DIGEST_PINS)
+def test_output_digest_total_pinned(monkeypatch, prefix):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # output_digest prepends src and casbench
+    import output_digest
+
+    requests, count, sha = DIGEST_PINS[prefix]
+    lines = output_digest.sweep_digest(getattr(output_digest, requests)(), prefix)
+    assert lines[-1] == (f"{prefix} total", count, sha)
+
+
 def _pinned_rank3_hidden_requests():
     """Every 48-point class of A3, B3 and C3 with a^2 <= 21."""
     argvs = []
@@ -1331,13 +1352,16 @@ def test_json_input_files_are_capped(tmp_path, capsys):
 
 def test_ustar_parsing():
     for kmode in KMode:
-        assert parse_ustar("trivial", kmode, A2) == {(0, 0): 1}
+        assert parse_ustar("trivial", kmode, A2) == kmode.read_ustar(A2, {(0, 0): 1})
+        assert parse_ustar("trivial", kmode, A2).summands == (((0, 0), 1),)
         u = parse_ustar("[[[1, 1], 2], [[0, 0], 1]]", kmode, A2)
-        assert u == {(0, 0): 1, (1, 1): 2} and list(u) == [(0, 0), (1, 1)]  # coordinate order
+        assert u.kmode is kmode and u.summands == (((0, 0), 1), ((1, 1), 2))  # coordinate order
+        # dim U*: the adjoint is 8-dimensional, a torus weight 1-dimensional
+        assert u.dim == (3 if kmode is KMode.TORUS else 17)
     # a torus multiset keeps a listed zero multiplicity; a sum of irreducibles drops it
     zero = "[[[1, -1], 0], [[1, 1], 2]]"
-    assert parse_ustar(zero, KMode.TORUS, A2) == {(1, -1): 0, (1, 1): 2}
-    assert parse_ustar(zero, KMode.DIAGONAL, A2) == parse_ustar(zero, KMode.TRIVIAL, A2) == {(1, 1): 2}
+    assert parse_ustar(zero, KMode.TORUS, A2).summands == (((1, -1), 0), ((1, 1), 2))
+    assert parse_ustar(zero, KMode.DIAGONAL, A2).summands == parse_ustar(zero, KMode.TRIVIAL, A2).summands == (((1, 1), 2),)
 
 
 @pytest.mark.parametrize("kmode,kept", [("torus", True), ("diagonal", False), ("trivial", False)])

@@ -337,6 +337,7 @@ def test_weyl_inclusion_fails_without_one_point(monkeypatch):
     assert check_weyl_inclusion(B2, broken) is _textbook_weyl_verdict(broken) is False
     # the verdict comes before the orbit identity
     rs = _fresh(B2)
+    rs.positive_roots_fw  # read by |W|, before the counter
     calls = _count_weyl_orbit_calls(monkeypatch, result=set())
     assert check_weyl_inclusion(rs, broken) is False
     assert calls == []
@@ -347,12 +348,14 @@ def test_weyl_inclusion_fails_without_one_point(monkeypatch):
 def test_weyl_orbit_identity_is_enumerated_once_per_root_system(monkeypatch):
     cfg = _config(B2, Q(13, 2))
     rs = _fresh(B2)
+    rs.positive_roots_fw  # read by |W|, before the counter
     calls = _count_weyl_orbit_calls(monkeypatch)
     assert [check_weyl_inclusion(rs, cfg) for _ in range(3)] == [True] * 3
     assert calls == [((1, 1),)]
     assert rs.delta_orbit_size == 8
     # a failing identity is not kept: it raises on every call, and enumerates every time
     rs = _fresh(B2)
+    rs.positive_roots_fw  # read by |W|, before the counter
     calls = _count_weyl_orbit_calls(monkeypatch, result={(1, 1)})
     for k in range(1, 4):
         with pytest.raises(InternalConsistencyError, match="enumerated 1 Weyl elements, expected 8"):

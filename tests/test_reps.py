@@ -23,13 +23,15 @@ from casimir_lab.reps import (
     weyl_dim,
 )
 from casimir_lab.rootsys import RootSystemType, build_root_system, dominant_fw_coords, weyl_orbit
-from repref import character_of_decomposition, decompose_character, weyl_dim_by_form
+from casimir_lab.weights import LatticeChoice, enumerate_dominant
+from repref import character_of_decomposition, decompose_character, diagonal_invariant_dim, weyl_dim_by_form
 
 A1 = build_root_system(RootSystemType("A", 1))
 A2 = build_root_system(RootSystemType("A", 2))
 B2 = build_root_system(RootSystemType("B", 2))
 G2 = build_root_system(RootSystemType("G", 2))
 B3 = build_root_system(RootSystemType("B", 3))
+A3 = build_root_system(RootSystemType("A", 3))
 
 
 def _total_dim(rs, decomposition):
@@ -249,30 +251,53 @@ def test_exterior_powers_match_the_peeled_characters():
 
 
 def test_invariant_dim_trivial_mode():
-    u = {(0, 0): 1}
-    assert invariant_dim(A2, (1, 1), u, KMode.TRIVIAL) == 8
-    two = {(0, 0): 1, (1, 1): 1}
-    assert invariant_dim(A2, (1, 0), two, KMode.TRIVIAL) == 3 * 9
+    u = KMode.TRIVIAL.read_ustar(A2, {(0, 0): 1})
+    assert invariant_dim(A2, (1, 1), u) == 8
+    two = KMode.TRIVIAL.read_ustar(A2, {(0, 0): 1, (1, 1): 1})
+    assert invariant_dim(A2, (1, 0), two) == 3 * 9
 
 
 def test_invariant_dim_checks_each_ustar_highest_weight():
     for mode in (KMode.TRIVIAL, KMode.DIAGONAL):
         with pytest.raises(NonDominantWeight, match=r"^highest weight \(1, -1\) must be dominant$"):
-            invariant_dim(A2, (1, 0), {(1, -1): 1}, mode)
+            mode.read_ustar(A2, {(1, -1): 1})
 
 
 def test_invariant_dim_diagonal_mode():
     # mu is paired with its dual mu* = (0, 1): (V (x) V*)^diag = Hom_G(V, V) = C,
     # where the pair (V, V) would give 0, V (x) V having no trivial constituent
-    assert invariant_dim(A2, (1, 0), {(0, 0): 1}, KMode.DIAGONAL) == 1
+    assert invariant_dim(A2, (1, 0), KMode.DIAGONAL.read_ustar(A2, {(0, 0): 1})) == 1
     assert tensor_decompose(A2, (1, 0), (1, 0)).get((0, 0), 0) == 0
     # Schur: every block V^mu (x) V^mu* holds one invariant against U* trivial
     for rs, mu in ((A2, (2, 1)), (A2, (0, 3)), (A2, (1, 1)), (B2, (1, 1)), (G2, (0, 1))):
-        assert invariant_dim(rs, mu, {(0, 0): 1}, KMode.DIAGONAL) == 1, (rs.typ, mu)
+        assert invariant_dim(rs, mu, KMode.DIAGONAL.read_ustar(rs, {(0, 0): 1})) == 1, (rs.typ, mu)
     # against the adjoint: multiplicity of adj* in V (x) V*, twice on A2's adjoint itself
-    adj_u = {(1, 1): 1}
-    assert invariant_dim(A2, (1, 0), adj_u, KMode.DIAGONAL) == 1
-    assert invariant_dim(A2, (1, 1), adj_u, KMode.DIAGONAL) == 2
+    adj_u = KMode.DIAGONAL.read_ustar(A2, {(1, 1): 1})
+    assert invariant_dim(A2, (1, 0), adj_u) == 1
+    assert invariant_dim(A2, (1, 1), adj_u) == 2
+
+
+# (root system, cap on |mu + delta|^2) of the diagonal-mode reference.
+DIAGONAL_REFERENCE_CAPS = [(A1, 30), (A2, 30), (B2, 30), (G2, 30), (A3, 14), (B3, 14)]
+
+
+@pytest.mark.parametrize("rs,cap", DIAGONAL_REFERENCE_CAPS, ids=[rs.typ.label for rs, _ in DIAGONAL_REFERENCE_CAPS])
+def test_invariant_dim_diagonal_mode_matches_the_dual_pair_reference(rs, cap):
+    # Hom_G'(V^mu, V^mu (x) V^tau) against the V^tau* constituents of V^mu (x) V^mu*
+    zero, one = (0,) * rs.rank, (1,) + (0,) * (rs.rank - 1)
+    ustars = [{zero: 1}, {rs.positive_roots_fw[-1]: 1}, {one: 1, zero: 2}]
+    low = itertools.product(range(2), repeat=rs.rank)
+    quaternionic = [c for c in low if classify_type(rs, c) is RepType.QUATERNIONIC]
+    assert quaternionic[:1] == {"A1": [(1,)], "B2": [(0, 1)]}.get(rs.typ.label, [])
+    ustars += [{c: 1} for c in quaternionic[:1]]
+    mus = enumerate_dominant(rs, LatticeChoice.WEIGHT, cap)
+    assert (0,) * rs.rank in mus and len(mus) > 1
+    for mults in ustars:
+        u = KMode.DIAGONAL.read_ustar(rs, mults)
+        got = [invariant_dim(rs, mu, u) for mu in mus]
+        assert got == [diagonal_invariant_dim(rs, mu, u.summands) for mu in mus], mults
+        # a quaternionic tau is outside the root lattice, so V^mu (x) V^tau never holds V^mu
+        assert any(got) is (mults.keys() != set(quaternionic[:1])), mults
 
 
 def _k_mode_comparisons(path):
@@ -305,10 +330,10 @@ def test_spectra_and_cli_hold_no_k_mode_branch():
 def test_invariant_dim_torus_mode():
     v = (2,)
     assert weight_multiplicities(A1, v) == {(2,): 1, (0,): 1, (-2,): 1}
-    assert invariant_dim(A1, v, {(0,): 1}, KMode.TORUS) == 1
-    assert invariant_dim(A1, v, {(2,): 1}, KMode.TORUS) == 1  # pairs with weight -2
-    assert invariant_dim(A1, (1,), {(0,): 1}, KMode.TORUS) == 0
-    assert invariant_dim(A1, (1,), {(1,): 2}, KMode.TORUS) == 2
+    assert invariant_dim(A1, v, KMode.TORUS.read_ustar(A1, {(0,): 1})) == 1
+    assert invariant_dim(A1, v, KMode.TORUS.read_ustar(A1, {(2,): 1})) == 1  # pairs with weight -2
+    assert invariant_dim(A1, (1,), KMode.TORUS.read_ustar(A1, {(0,): 1})) == 0
+    assert invariant_dim(A1, (1,), KMode.TORUS.read_ustar(A1, {(1,): 2})) == 2
 
 
 def test_nondominant_rejected():
@@ -326,7 +351,7 @@ def test_decompositions_hold_no_zero_entries():
         for d in [tensor_decompose(rs, mu, mu), *exterior_powers(rs, mu, 3)]:
             assert d and all(m > 0 for m in d.values()), (mu, d)
             assert all(min(c) >= 0 for c in d)
-    assert invariant_dim(A2, (1, 0), {}, KMode.TRIVIAL) == 0
+    assert invariant_dim(A2, (1, 0), KMode.TRIVIAL.read_ustar(A2, {})) == 0
 
 
 def test_weight_tables_are_capped(monkeypatch):

@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from ambient import matmul, matvec, reference, textbook, transpose, vadd
+from ambient import matmul, matvec, reference, textbook, transpose, vadd, weyl_order
 from casimir_lab import ratlinalg as rl
 from casimir_lab import rootsys
 from casimir_lab.errors import CapExceeded, InternalConsistencyError, InvalidDynkinType
@@ -112,7 +112,7 @@ def test_weyl_group_orders():
     for fam, rank, order in (("A", 1, 2), ("A", 2, 6), ("B", 2, 8), ("G", 2, 12), ("A", 3, 24), ("B", 3, 48)):
         rs = rs_of(fam, rank)
         elems = weyl_group(rs)
-        assert len(elems) == order == rs.typ.weyl_order()
+        assert len(elems) == order == rs.weyl_order
         mats = {e.matrix for e in elems}
         ident = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
         assert ident in mats
@@ -186,7 +186,7 @@ def test_cartan_build_matches_the_textbook_reference(fam, rank, scale):
     # gram_fw_int entrywise.  Past the default cap (E6-E8) the simple
     # reflections, which generate W, are checked.
     g = rs.gram_fw_int[1]
-    if rs.typ.weyl_order() <= DEFAULT_WEYL_CAP:
+    if rs.weyl_order <= DEFAULT_WEYL_CAP:
         mats = [e.matrix for e in weyl_group(rs)]
     else:
         with pytest.raises(CapExceeded):
@@ -331,10 +331,14 @@ def test_parabolic_orders_are_the_stabilizers_of_chamber_points(fam, rank):
             assert rs._parabolic_orders[nodes] == rs.parabolic_order(nodes)
 
 
-@pytest.mark.parametrize("fam,rank", UP_TO_RANK_8, ids=[f"{f}{n}" for f, n in UP_TO_RANK_8])
+WEYL_ORDER_TYPES = UP_TO_RANK_8 + [(fam, 32) for fam in "ABCD"]
+
+
+@pytest.mark.parametrize("fam,rank", WEYL_ORDER_TYPES, ids=[f"{f}{n}" for f, n in WEYL_ORDER_TYPES])
 def test_parabolic_order_of_every_node_is_the_weyl_order(fam, rank):
+    # |W| = |W_J| of all nodes (Macdonald's formula) against the closed forms
     rs = rs_of(fam, rank)
-    assert rs.parabolic_order(tuple(range(rank))) == rs.typ.weyl_order()
+    assert rs.parabolic_order(tuple(range(rank))) == rs.weyl_order == weyl_order(fam, rank)
     assert rs.parabolic_order(()) == 1
 
 
