@@ -391,7 +391,7 @@ def cmd_classes(args, keep=lambda rs, cls: True) -> dict:
                 "a_sq": c.a_sq,
                 "lambda": c.lam,
                 "dominant_members": [list(m) for m in c.dominant_members],
-                "sphere_size": len(c.sphere_members),
+                "sphere_size": c.sphere_size,
             }
             for c in classes
             if keep(rs, c)

@@ -182,7 +182,7 @@ def _dominant_weight_multiplicities(rs: RootSystem, coords: Coords) -> dict[Coor
     # Cartan matrix C; q c = (q C^-T)(mu - nu), and the height of nu is sum(c).
     q = rs.cartan_inverse_int[0]
     candidates: list[tuple[int, Coords]] = []
-    for nu, _ in wts.lattice_points(rs, mu_d_sq, dominant=True):
+    for nu, _ in wts.lattice_points(rs, mu_d_sq, 0):
         qc = rs.simple_root_coords_int(tuple(a - b for a, b in zip(mu, nu)))
         if min(qc) >= 0 and all(v % q == 0 for v in qc):
             candidates.append((sum(qc) // q, nu))

@@ -26,8 +26,9 @@ weights, from the chamber walk of each -omega_i (it must be an involution);
 |W delta|, whose identity |W delta| = |W| is checked once per root system;
 the identity S_i (den G) S_i^T = den G that makes each simple reflection
 an isometry of the integer form; the parabolic orders |W_J|, one per set J
-of nodes, and |W| = |W_J| of all nodes; and the fraction-free LDL levels
-of that form.
+of nodes, from the supports and heights of the positive roots, kept once,
+with |W| = |W_J| of all nodes and Solomon's identity on their indices; and
+the fraction-free LDL levels of that form.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
+from itertools import combinations
 from math import lcm, prod
 from operator import mul
 
@@ -237,20 +239,37 @@ class RootSystem:
                 raise InternalConsistencyError(f"simple reflection s_{i} does not preserve the form")
         return True
 
+    @cached_property
+    def _root_supports(self) -> tuple[tuple[int, int], ...]:
+        # (bit mask of the simple roots in it, q height) per positive root.
+        qcs = map(self.simple_root_coords_int, self.positive_roots_fw)
+        return tuple((sum(1 << i for i, c in enumerate(qc) if c), sum(qc)) for qc in qcs)
+
     def parabolic_order(self, nodes: tuple[int, ...]) -> int:
         """|W_J| for J = nodes (ascending), kept per J: Macdonald's formula
         (The Poincare series of a Coxeter group, Math. Ann. 199, 1972) at
         t = 1, the product of (ht + 1) / ht over the positive roots supported
         on J, which must be an integer (InternalConsistencyError otherwise)."""
         if nodes not in self._parabolic_orders:
-            qcs = map(self.simple_root_coords_int, self.positive_roots_fw)
-            heights = [sum(qc) for qc in qcs if all(c == 0 or i in nodes for i, c in enumerate(qc))]
+            outside = ~sum(1 << i for i in nodes)
+            heights = [h for support, h in self._root_supports if not support & outside]
             q = self.cartan_inverse_int[0]
             order, rem = divmod(prod(h + q for h in heights), prod(heights))
             if rem:
                 raise InternalConsistencyError(f"|W_J| is not an integer for J = {nodes}")
             self._parabolic_orders[nodes] = order
         return self._parabolic_orders[nodes]
+
+    @cached_property
+    def solomon_identity(self) -> bool:
+        """sum_J (-1)^|J| |W| / |W_J| = 1 over the 2^rank <= |W| sets J of
+        nodes (Solomon, J. Algebra 3, 1966: the degree of the sign
+        character), checked once on parabolic_order.  It is always True:
+        InternalConsistencyError is raised otherwise."""
+        sets = (j for k in range(self.rank + 1) for j in combinations(range(self.rank), k))
+        if sum((-1) ** len(j) * (self.weyl_order // self.parabolic_order(j)) for j in sets) != 1:
+            raise InternalConsistencyError(f"the parabolic indices of {self.typ.label} fail Solomon's identity")
+        return True
 
     @cached_property
     def weyl_order(self) -> int:

@@ -9,9 +9,9 @@ each class, and never replace a computed orbit count by the expected one:
 a class is one orbit only when its closed-chamber points count one orbit
 of the Weyl group and -1, both isometries (hidden.chamber_orbit_count),
 and otherwise its orbits are those of the searched stabilizer of its
-configuration.  A member is its dominant coordinate tuple μ over the
-class's root system; its dual μ* (reps.dual_label) is computed once and
-read by its type and its row.
+configuration, the one place where X is walked.  A member is its
+dominant coordinate tuple μ over the class's root system; its dual μ*
+(reps.dual_label) is computed once and read by its type and its row.
 
 U* arrives as one reps.KModule, read once by KMode.read_ustar, which
 carries its K mode.  Every rule that depends on K (isotypic dimension,
@@ -117,19 +117,23 @@ def _context(rs: RootSystem, lat: LatticeChoice, ustar: KModule) -> dict:
     }
 
 
-def _hidden_data(rs: RootSystem, cls, point_cap: int, rank_cap: int):
+def _hidden_data(rs: RootSystem, lat: LatticeChoice, cls, point_cap: int, rank_cap: int):
     """(orbit id per member coords, orbit count), or (None, None) past the
     point cap or the rank cap, rs.rank being the span rank (W acts
     irreducibly, so a dominant member's Weyl orbit spans).  One <W, -1>-orbit
     (hidden.chamber_orbit_count) is one stabilizer orbit, W and -1 being
-    isometries (RootSystem.reflections_preserve_form); others are searched.
+    isometries (RootSystem.reflections_preserve_form); others are searched,
+    on X walked by sphere_set, whose size must be the class's orbit sum.
     """
-    if len(cls.sphere_members) > point_cap or rs.rank > rank_cap:
+    if cls.sphere_size > point_cap or rs.rank > rank_cap:
         return None, None
-    if hidden.chamber_orbit_count(rs, cls.sphere_members) == 1:
+    if hidden.chamber_orbit_count(rs, cls.chamber_members) == 1:
         rs.reflections_preserve_form  # the isometry identity, checked once per root system
         return dict.fromkeys(cls.dominant_members, 0), 1
-    cfg = hidden.shifted_config(rs, cls)
+    walked = sphere_set(rs, lat, cls.a_sq)
+    if walked.sphere_size != cls.sphere_size:
+        raise InternalConsistencyError("the walked sphere fails the orbit sum of the closed-chamber points")
+    cfg = hidden.shifted_config(rs, walked)
     orbs = hidden.orbits(cfg, hidden.stabilizer_group(cfg, point_cap, rank_cap))
     by_mu = {cfg.mu_coords[i]: oid for oid, orb in enumerate(orbs) for i in orb}
     # The points are distinct, so the orbits cover every one exactly when by_mu has size keys.
@@ -158,22 +162,22 @@ def _labels(member_types) -> dict:
     }
 
 
-def _kept_members(rs: RootSystem, cls, ustar: KModule):
-    """(mu, dual, isotypic dimension) of each dominant member of cls whose
+def _kept_members(rs: RootSystem, dominant, ustar: KModule):
+    """(mu, dual, isotypic dimension) of each dominant member mu whose
     isotypic dimension is nonzero, in member order."""
-    for mu in cls.dominant_members:
+    for mu in dominant:
         iso = invariant_dim(rs, mu, ustar)
         if iso > 0:
             yield mu, dual_label(rs, mu), iso
 
 
-def _complex_members(rs, cls, ustar: KModule, point_cap, rank_cap):
+def _complex_members(rs, lat, cls, ustar: KModule, point_cap, rank_cap):
     """(members with a nonzero isotypic dimension, orbit count); the hidden
     data is computed only when some member is kept."""
-    kept = list(_kept_members(rs, cls, ustar))
+    kept = list(_kept_members(rs, cls.dominant_members, ustar))
     if not kept:
         return [], None
-    orbit_by_mu, orbit_count = _hidden_data(rs, cls, point_cap, rank_cap)
+    orbit_by_mu, orbit_count = _hidden_data(rs, lat, cls, point_cap, rank_cap)
     members = [
         SpectralMember(
             mu=mu,
@@ -202,13 +206,14 @@ def normal_spectrum_report(
     the U*-spectrum and are dropped before their hidden data is computed.
     Hidden-orbit ids come from the exact stabilizer orbits when the class
     fits the caps, and are marked uncomputed otherwise: one orbit when its
-    closed-chamber points count one orbit of W and -1, with no
-    configuration built, the searched stabilizer's orbits otherwise.
+    closed-chamber points count one orbit of W and -1, with no sphere
+    walked and no configuration built, the searched stabilizer's orbits
+    otherwise.
     """
     entries = []
     member_types = []
     for cls in classes_up_to(rs, lat, a_sq_cap):
-        members, orbit_count = _complex_members(rs, cls, ustar, point_cap, rank_cap)
+        members, orbit_count = _complex_members(rs, lat, cls, ustar, point_cap, rank_cap)
         if not members:
             continue
         member_types.extend(m.rep_type for m in members)
@@ -328,16 +333,15 @@ def generic_estimate(
 ) -> EstimateBound:
     """Bound the eigenspace of lambda(mu_lambda) by its full Casimir class.
 
-    Every dominant member mu of the class of |mu_lambda + delta|^2
-    contributes the block V^{mu*} with multiplicity dim (V^mu (x) U*)^K;
-    zero-multiplicity members are absent from the U*-spectrum and are
-    omitted from the bound.
+    Every dominant member mu of the class of |mu_lambda + delta|^2, read
+    off one walk of the dominant weights on that sphere, contributes the
+    block V^{mu*} with multiplicity dim (V^mu (x) U*)^K; zero-multiplicity
+    members are absent from the U*-spectrum and are omitted from the bound.
     """
     if min(mu_lambda) < 0:
         raise NonDominantWeight(f"{mu_lambda} is not dominant")
     a_sq = shifted_norm_sq(rs, mu_lambda)
-    cls = sphere_set(rs, lat, a_sq)
-    kept = _kept_members(rs, cls, ustar)
+    kept = _kept_members(rs, enumerate_dominant(rs, lat, a_sq, shell=True), ustar)
     terms = tuple(EstimateTerm(mu, dual, mult, weyl_dim(rs, mu)) for mu, dual, mult in kept)
     return EstimateBound(
         context=_context(rs, lat, ustar),

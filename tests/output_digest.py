@@ -49,6 +49,13 @@ rank caps that refuse some or every class, `--real`, and rank-4 and rank-5
 types at raised caps, each in json and with `--output table`.  Its lines
 follow the report part's: one per path, then the "report paths total" line.
 
+The classes part (classes_requests) runs classes and coincidences on every
+type up to rank 4, on the weight and the root lattice, at caps that the
+whole-ball walk of earlier versions served within its node cap (see
+CLASSES_PART_CAPS), each in json and with `--output table`.  Its lines
+follow the report-paths part's: one per subcommand, then the "classes
+total" line.
+
 Run it from a checkout's root, or copy it into another checkout's tests/
 and run it there: the package comes from ./src and the workloads from
 ./casbench of the checkout that holds the script.  The script only reads
@@ -267,6 +274,25 @@ def report_path_requests() -> dict:
     }
 
 
+# Squared-radius cap of the classes part per type.
+CLASSES_PART_CAPS = {
+    "A1": "400", "A2": "200", "B2": "200", "C2": "200", "G2": "200", "A3": "60", "B3": "60", "C3": "60",
+    "D3": "60", "A4": "40", "B4": "40", "C4": "40", "D4": "40", "F4": "80",
+}
+
+
+def classes_requests() -> dict:
+    """{subcommand: [argv, ...]} of the classes part."""
+    return {
+        cmd: [
+            [cmd, *_type_args(name, "--lattice", lattice, "--cap", cap)]
+            for name, cap in CLASSES_PART_CAPS.items()
+            for lattice in ("weight", "root")
+        ]
+        for cmd in ("classes", "coincidences")
+    }
+
+
 def sweep_digest(requests, prefix: str) -> list:
     """[(label, requests, sha256)] per subcommand of requests, then
     (prefix + " total", n, sha256)."""
@@ -294,7 +320,7 @@ def main(argv) -> int:
     lines = digest([int(s) for s in argv])
     lines += sweep_digest(sweep_requests(), "sweep") + sweep_digest(operator_sweep_requests(), "operator sweep")
     lines += sweep_digest(large_hidden_requests(), "large hidden") + sweep_digest(report_requests(), "report")
-    lines += sweep_digest(report_path_requests(), "report paths")
+    lines += sweep_digest(report_path_requests(), "report paths") + sweep_digest(classes_requests(), "classes")
     for label, n, sha in lines:
         print(f"{label}: {n} requests {sha}")
     return 0

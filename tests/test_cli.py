@@ -25,7 +25,7 @@ from casimir_lab import hidden, oplab, polyq, spectra
 from casimir_lab.oplab import GroupSpec, IrrepSpec, multiplicity_at_float
 from casimir_lab.polyq import RationalPoly
 from casimir_lab.reps import KMode, RepType
-from casimir_lab.rootsys import RootSystemType, build_root_system
+from casimir_lab.rootsys import RootSystemType, build_root_system, weyl_orbit
 from casimir_lab.weights import DEFAULT_NODE_CAP, LatticeChoice, classes_up_to
 from jsonref import jsonable
 from polyref import doubled_den, rpoly
@@ -95,7 +95,7 @@ def test_hidden_cap_refusal_machine_readable(capsys):
     [
         ("hidden", "--type", "E", "--rank", "6", "--a2", "80"),
         ("classes", "--type", "A", "--rank", "3", "--cap", "100000"),
-        ("report", "--type", "A", "--rank", "3", "--cap", "2000"),
+        ("report", "--type", "A", "--rank", "3", "--cap", "10000"),
     ],
 )
 def test_enumeration_refused_while_it_runs(capsys, argv):
@@ -401,14 +401,17 @@ def test_hidden_output_pinned(capsys):
     assert digest.hexdigest() == HIDDEN_PIN
 
 
-# (request function, request count, sha256) of three totals of
-# tests/output_digest.py, recorded before U* became one KModule value: the
+# (request function, request count, sha256) of four totals of
+# tests/output_digest.py, each request in json and with --output table: the
 # sweep of every subcommand but spectrum and certify, the report part and
-# the report-paths part, each request in json and with --output table.
+# the report-paths part, recorded before U* became one KModule value, and
+# the classes part, recorded on the whole-ball walk before classes_up_to
+# walked only the closed chamber.
 DIGEST_PINS = {
     "sweep": ("sweep_requests", 1820, "40d2f88304e6e39fc742de81697c26fe1d26cd5b1456b652e71b77d3b8bb68d4"),
     "report": ("report_requests", 18, "1ee85a34088b13b96395d21260025c8cbad69d4986fcb04fcf959149aa7cd5ef"),
     "report paths": ("report_path_requests", 130, "dfe45c2d680ea8aca33553a6ddc8f17d3387b56289003be58c30e68bb4d92ed1"),
+    "classes": ("classes_requests", 112, "01220d01fb4a07b97b785da0b91fa2a192fb41ac41a30ce3e686376704d25782"),
 }
 
 
@@ -428,7 +431,7 @@ def _pinned_rank3_hidden_requests():
     for name in ("A3", "B3", "C3"):
         rs = build_root_system(RootSystemType(name[0], int(name[1:])))
         classes = classes_up_to(rs, LatticeChoice.WEIGHT, 21)
-        argvs += [_hidden_argv(name, c.a_sq) for c in classes if len(c.sphere_members) == 48]
+        argvs += [_hidden_argv(name, c.a_sq) for c in classes if c.sphere_size == 48]
     return argvs
 
 
@@ -1140,14 +1143,43 @@ def test_report_searches_the_stabilizer_only_where_weyl_and_minus_one_are_not_tr
         assert all(c["orbit_count"] == 2 for c in data["classes"] if c["a_sq"] in classes)
 
 
+def _without_first_chamber_point(rs, cls):
+    """cls without its first closed-chamber point, |X| recounted without
+    that point's Weyl orbit."""
+    lost = len(weyl_orbit(rs, tuple(c + 1 for c in cls.chamber_members[0])))
+    return replace(cls, chamber_members=cls.chamber_members[1:], sphere_size=cls.sphere_size - lost)
+
+
 def test_report_of_a_class_missing_a_point_exits_4(capsys, monkeypatch):
-    """Classes that each lack their first point fail the orbit sum of
-    their closed-chamber points: report exits 4 and prints nothing."""
+    """A class that lacks its first closed-chamber point, and counts |X|
+    without it, fails an identity: report exits 4 and prints nothing.  On
+    A2, a^2 = 2 keeps no chamber point, so it counts no orbit and X is
+    walked, whose 6 points are not the 0 left; a^2 = 14/3 keeps (1, 0)
+    without (0, 1), which -w0 swaps with it."""
     real = spectra.classes_up_to
-    monkeypatch.setattr(spectra, "classes_up_to", lambda *args: [replace(c, sphere_members=c.sphere_members[1:]) for c in real(*args)])
+    for a_sq, why in (
+        (2, "the walked sphere fails the orbit sum of the closed-chamber points"),
+        (Q(14, 3), "the closed-chamber points fail the -w0 pairing"),
+    ):
+        monkeypatch.setattr(
+            spectra,
+            "classes_up_to",
+            lambda *args: [_without_first_chamber_point(args[0], c) if c.a_sq == a_sq else c for c in real(*args)],
+        )
+        code, out, err = run(capsys, "report", "--type", "A", "--rank", "2", "--cap", "20")
+        assert (code, out, err) == (4, "", f"internal consistency failure: {why}\n")
+
+
+def test_report_with_a_wrong_parabolic_order_exits_4(capsys, monkeypatch):
+    """A root system whose |W_J| for J = {0} is 1, not 2: the class sizes
+    read it, and Solomon's identity refuses it, so report exits 4."""
+    a2 = build_root_system(RootSystemType("A", 2))
+    bad = type(a2)(a2.typ, a2.cartan_matrix, a2.metric_scale)
+    bad._parabolic_orders[(0,)] = 1
+    monkeypatch.setattr(cli, "build_root_system", lambda typ, metric_scale: bad)
     code, out, err = run(capsys, "report", "--type", "A", "--rank", "2", "--cap", "20")
     assert (code, out) == (4, "")
-    assert err == "internal consistency failure: the closed-chamber points fail the orbit sum or the -w0 pairing\n"
+    assert err == "internal consistency failure: the parabolic indices of A2 fail Solomon's identity\n"
 
 
 def test_report_with_a_corrupted_form_exits_4(capsys, monkeypatch):

@@ -91,6 +91,17 @@ def _config(rs, a_sq):
     return shifted_config(rs, sphere_set(rs, WEIGHT, Q(a_sq)))
 
 
+def _configs_up_to(rs, cap):
+    """The configuration of every weight-lattice class with a^2 <= cap, its
+    sphere walked."""
+    return [_config(rs, cls.a_sq) for cls in classes_up_to(rs, WEIGHT, Q(cap))]
+
+
+def _chamber(members):
+    """The closed-chamber members, min(m) >= -1."""
+    return [m for m in members if min(m) >= -1]
+
+
 # 10^10 times a point of a small class has coordinates past the int64 bound
 # of ShiftedConfig, so its array holds Python ints.
 OBJECT_SCALE = 10**10
@@ -241,8 +252,7 @@ def test_known_nontransitive_classes():
 
 
 def test_transitive_everywhere_small_a1():
-    for cls in classes_up_to(A1, WEIGHT, Q(40)):
-        cfg = shifted_config(A1, cls)
+    for cfg in _configs_up_to(A1, 40):
         grp = stabilizer_group(cfg)
         assert len(orbits(cfg, grp)) == 1
         assert len(grp) == 2  # {1, -1} on a rank-1 span
@@ -269,8 +279,7 @@ def test_radius_zero_single_point():
 
 def test_weyl_inclusion_across_systems():
     for rs, cap in ((A2, Q(20)), (B2, Q(15)), (G2, Q(15))):
-        for cls in classes_up_to(rs, WEIGHT, cap):
-            cfg = shifted_config(rs, cls)
+        for cfg in _configs_up_to(rs, cap):
             assert check_weyl_inclusion(rs, cfg) is True
             perms = _textbook_weyl_perms(cfg)
             assert None not in set().union(*perms) and len(perms) == len(weyl_group(rs))
@@ -441,8 +450,7 @@ def _reference_classes():
     """Every weight-lattice class of A2/B2/G2 with a^2 <= 60 and of A3/B3/C3
     with a^2 <= 21, past the point cap too (at most 96 points)."""
     for rs, cap in ((A2, 60), (B2, 60), (G2, 60), (A3, 21), (B3, 21), (C3, 21)):
-        for cls in classes_up_to(rs, WEIGHT, Q(cap)):
-            yield shifted_config(rs, cls)
+        yield from _configs_up_to(rs, cap)
 
 
 def test_matches_full_reference_on_every_class():
@@ -480,7 +488,7 @@ def test_certified_orbits_are_the_searched_orbits():
         for scale, dtype in SCALES:
             scaled = _scaled(cfg, scale)
             assert scaled.y.dtype == dtype
-            count = chamber_orbit_count(scaled.rs, scaled.mu_coords)
+            count = chamber_orbit_count(scaled.rs, _chamber(scaled.mu_coords))
             assert count == weyl_sign_orbit_count(scaled), (cfg.rs.typ, cfg.a_sq)
             assert (count == 1) == (len(_searched_orbits(scaled, point_cap=cfg.size)) == 1), (cfg.rs.typ, cfg.a_sq)
             if count > 1:
@@ -508,10 +516,10 @@ def test_certified_orbits_on_the_large_hidden_rank4_classes(monkeypatch):
     for name, cap in LARGE_HIDDEN_CAPS.items():
         rs = build_root_system(RootSystemType(name[0], int(name[1:])))
         for cls in classes_up_to(rs, WEIGHT, Q(cap)):
-            cfg = shifted_config(rs, cls)
-            assert chamber_orbit_count(rs, cls.sphere_members) == weyl_sign_orbit_count(cfg), (name, cls.a_sq)
+            cfg = _config(rs, cls.a_sq)
+            assert chamber_orbit_count(rs, cls.chamber_members) == weyl_sign_orbit_count(cfg), (name, cls.a_sq)
             want = _orbits_or_refusal(lambda: orbits(cfg, real(cfg, point_cap=1152)))
-            _, count = spectra._hidden_data(rs, cls, 1152, 4)
+            _, count = spectra._hidden_data(rs, WEIGHT, cls, 1152, 4)
             if isinstance(want, str):
                 refused[name] += 1
                 assert count is None, (name, cls.a_sq)
@@ -524,24 +532,20 @@ def test_certified_orbits_on_the_large_hidden_rank4_classes(monkeypatch):
 ONE_ORBIT_CLASSES = ((A2, 2), (B2, Q(5, 2)), (G2, Q(26, 3)), (B3, Q(35, 4)), (A3, 5))
 
 
-def test_a_class_missing_a_point_fails_the_orbit_sum():
-    """With its first or last point removed, a one-orbit class no longer
-    has |X| = sum |W| / |W_J| over its closed-chamber points: the chamber
-    count refuses it, on the int64 and the object path, and so does the
-    report's hidden data, before any configuration is built."""
-    for (rs, a_sq), (scale, _) in itertools.product(ONE_ORBIT_CLASSES, SCALES):
-        cfg = _scaled(_config(rs, a_sq), scale)
-        members = cfg.mu_coords
-        assert chamber_orbit_count(rs, members) == weyl_sign_orbit_count(cfg) == 1
-        for k in (0, cfg.size - 1):
-            with pytest.raises(InternalConsistencyError, match="closed-chamber points fail the orbit sum"):
-                chamber_orbit_count(rs, members[:k] + members[k + 1 :])
+def test_a_class_missing_a_point_fails_the_orbit_sum(monkeypatch):
+    """A one-orbit class with its one closed-chamber point removed, and |X|
+    recounted without that point's Weyl orbit, counts no orbit, so the
+    report's hidden data walks X: the walk finds the lost orbit, and its
+    size refuses the class before any configuration is built."""
+    monkeypatch.setattr(hidden, "shifted_config", lambda *args: pytest.fail("a configuration was built"))
     for rs, a_sq in ONE_ORBIT_CLASSES:
-        cls = sphere_set(rs, WEIGHT, a_sq)
-        for k in (0, len(cls.sphere_members) - 1):
-            broken = dataclasses.replace(cls, sphere_members=cls.sphere_members[:k] + cls.sphere_members[k + 1 :])
-            with pytest.raises(InternalConsistencyError, match="closed-chamber points fail the orbit sum"):
-                spectra._hidden_data(rs, broken, 60, 4)
+        cls = classes_up_to(rs, WEIGHT, Q(a_sq))[-1]
+        (point,) = cls.chamber_members
+        lost = len(rootsys.weyl_orbit(rs, tuple(c + 1 for c in point)))
+        broken = dataclasses.replace(cls, chamber_members=(), sphere_size=cls.sphere_size - lost)
+        assert chamber_orbit_count(rs, broken.chamber_members) == 0
+        with pytest.raises(InternalConsistencyError, match="walked sphere fails the orbit sum"):
+            spectra._hidden_data(rs, WEIGHT, broken, 60, 4)
 
 
 def test_the_chamber_count_reads_every_closed_chamber_point_and_minus_w0():
@@ -558,21 +562,21 @@ def test_the_chamber_count_reads_every_closed_chamber_point_and_minus_w0():
         (A2, Q(98, 3), [(-1, 6), (2, 4), (4, 2), (6, -1)], 2),
         (B2, Q(25, 2), [(-1, 4), (2, 0)], 2),
     ):
-        cls = sphere_set(rs, WEIGHT, a_sq)
-        assert [m for m in cls.sphere_members if min(m) >= -1] == chamber
-        assert chamber_orbit_count(rs, cls.sphere_members) == count
+        cls = classes_up_to(rs, WEIGHT, Q(a_sq))[-1]
+        assert list(cls.chamber_members) == _chamber(sphere_set(rs, WEIGHT, a_sq).sphere_members) == chamber
+        assert chamber_orbit_count(rs, cls.chamber_members) == count
 
 
 def test_a_weyl_orbit_that_minus_one_does_not_preserve_is_refused():
     """On A2, -1 swaps the Weyl orbits of (1, 2) and (2, 1), the shifted
-    points of the class a^2 = 14/3.  Either orbit alone passes the orbit
-    sum, but its one chamber point is not fixed by -w0, so (c + f) / 2 is
-    not an integer and the count is refused."""
+    points of the class a^2 = 14/3.  Either orbit alone is closed under W,
+    but its one chamber point is not fixed by -w0, so (c + f) / 2
+    is not an integer and the count is refused."""
     for y in ((1, 2), (2, 1)):
         members = sorted(tuple(c - 1 for c in p) for p in rootsys.weyl_orbit(A2, y))
         assert len(members) == 6
-        with pytest.raises(InternalConsistencyError, match="closed-chamber points fail the orbit sum or the -w0 pairing"):
-            chamber_orbit_count(A2, members)
+        with pytest.raises(InternalConsistencyError, match="closed-chamber points fail the -w0 pairing"):
+            chamber_orbit_count(A2, _chamber(members))
 
 
 def test_certified_orbits_refuse_as_the_search_does():
@@ -590,8 +594,8 @@ def test_certified_orbits_refuse_as_the_search_does():
             stabilizer_group(cfg, **caps)
         assert str(got.value) == message
         caps = {"point_cap": 48, "rank_cap": 3, **caps}
-        assert spectra._hidden_data(B3, cls, caps["point_cap"], caps["rank_cap"]) == (None, None)
-    assert spectra._hidden_data(B3, cls, 48, 3) == (dict.fromkeys(cls.dominant_members, 0), 1)
+        assert spectra._hidden_data(B3, WEIGHT, cls, caps["point_cap"], caps["rank_cap"]) == (None, None)
+    assert spectra._hidden_data(B3, WEIGHT, cls, 48, 3) == (dict.fromkeys(cls.dominant_members, 0), 1)
 
 
 def test_certified_orbits_refuse_a_form_the_reflections_do_not_preserve():
@@ -602,9 +606,9 @@ def test_certified_orbits_refuse_a_form_the_reflections_do_not_preserve():
     cls = sphere_set(rs, WEIGHT, Q(5, 2))
     den, g = rs.gram_fw_int
     rs.__dict__["gram_fw_int"] = (den, ((g[0][0] + 1, g[0][1]), g[1]))
-    assert chamber_orbit_count(rs, cls.sphere_members) == 1
+    assert chamber_orbit_count(rs, cls.chamber_members) == 1
     with pytest.raises(InternalConsistencyError, match="simple reflection s_1 does not preserve the form"):
-        spectra._hidden_data(rs, cls, 60, 4)
+        spectra._hidden_data(rs, WEIGHT, cls, 60, 4)
 
 
 def _row_blind_pairs(cfg, base):
@@ -655,8 +659,8 @@ def test_gram_matches_the_entrywise_dot_products():
     taken one entry at a time, in Python ints, on every A2/B2/G2 class with
     a^2 <= 60, every 48-point B3 class with a^2 <= 21 and their object-path
     copies; a reader builds each row once."""
-    configs = [shifted_config(rs, cls) for rs in (A2, B2, G2) for cls in classes_up_to(rs, WEIGHT, Q(60))]
-    b3 = [cfg for cfg in (shifted_config(B3, cls) for cls in classes_up_to(B3, WEIGHT, Q(21))) if cfg.size == 48]
+    configs = [cfg for rs in (A2, B2, G2) for cfg in _configs_up_to(rs, 60)]
+    b3 = [cfg for cfg in _configs_up_to(B3, 21) if cfg.size == 48]
     assert [cfg.a_sq for cfg in b3] == [Q(35, 4), 14, 21]
     for cfg in configs + b3:
         for scale, dtype in SCALES:
@@ -751,7 +755,7 @@ def test_rank4_orders_match_full_reference(family, a_sq, points):
 def test_select_basis_matches_reference():
     systems = [(A2, 60), (B2, 60), (G2, 60), (A3, 40), (B3, 40), (C3, 40)]
     systems += [(build_root_system(RootSystemType(f, 4)), cap) for f, cap in (("D", 14), ("B", 21), ("C", 20))]
-    configs = [shifted_config(rs, cls) for rs, cap in systems for cls in classes_up_to(rs, WEIGHT, Q(cap))]
+    configs = [cfg for rs, cap in systems for cfg in _configs_up_to(rs, cap)]
     assert len(configs) == 155
     for cfg in configs:
         assert _select_basis(cfg) == first_spanning_points(cfg), (cfg.rs.typ, cfg.a_sq)

@@ -331,6 +331,35 @@ def test_parabolic_orders_are_the_stabilizers_of_chamber_points(fam, rank):
             assert rs._parabolic_orders[nodes] == rs.parabolic_order(nodes)
 
 
+@pytest.mark.parametrize("fam,rank", UP_TO_RANK_4, ids=[f"{f}{n}" for f, n in UP_TO_RANK_4])
+def test_parabolic_indices_are_the_chamber_orbit_sizes(fam, rank):
+    """For every set J of nodes, the Weyl orbit of the chamber point y_J,
+    zero on J and 1 elsewhere, has |W| / |W_J| points: the orbit size that
+    a class's |X| sums over its closed-chamber points."""
+    rs = rs_of(fam, rank)
+    for size in range(rank + 1):
+        for nodes in itertools.combinations(range(rank), size):
+            y = tuple(int(i not in nodes) for i in range(rank))
+            assert len(weyl_orbit(rs, y)) == rs.weyl_order // rs.parabolic_order(nodes), nodes
+
+
+@pytest.mark.parametrize("fam,rank", UP_TO_RANK_8, ids=[f"{f}{n}" for f, n in UP_TO_RANK_8])
+def test_solomon_identity_holds_and_refuses_a_wrong_parabolic_order(fam, rank):
+    """sum_J (-1)^|J| |W| / |W_J| = 1 on every type up to rank 8, checked
+    once and kept; a root system whose |W_J| for J = {0} is 1 more is
+    refused (on A1, whose W_{0} is W, |W| is kept first, so that only the
+    index of J = {0} is wrong)."""
+    rs = rs_of(fam, rank)
+    assert rs.solomon_identity is True
+    assert rs.__dict__["solomon_identity"] is True
+    bad = rootsys.RootSystem(rs.typ, rs.cartan_matrix, rs.metric_scale)
+    bad.weyl_order
+    bad._parabolic_orders[(0,)] = rs.parabolic_order((0,)) + 1
+    with pytest.raises(InternalConsistencyError, match=f"the parabolic indices of {fam}{rank} fail Solomon's identity"):
+        bad.solomon_identity
+    assert "solomon_identity" not in bad.__dict__
+
+
 WEYL_ORDER_TYPES = UP_TO_RANK_8 + [(fam, 32) for fam in "ABCD"]
 
 

@@ -55,9 +55,9 @@ def test_dropped_classes_get_no_stabilizer(monkeypatch):
     calls = []
     real = spectra._hidden_data
 
-    def counted(rs, cls, *caps):
+    def counted(rs, lat, cls, *caps):
         calls.append(cls.a_sq)
-        return real(rs, cls, *caps)
+        return real(rs, lat, cls, *caps)
 
     monkeypatch.setattr(spectra, "_hidden_data", counted)
     rep_out = normal_spectrum_report(A2, WEIGHT, KMode.TORUS.read_ustar(A2, {(0, 0): 1}), Q(20))
@@ -221,7 +221,7 @@ def test_orbits_missing_a_point_exit_4(monkeypatch):
     # A2 98/3 is two orbits, so its stabilizer is searched.
     cls = classes_up_to(A2, WEIGHT, Q(98, 3))[-1]
     real = hidden.orbits
-    by_mu, count = spectra._hidden_data(A2, cls, 60, 4)
+    by_mu, count = spectra._hidden_data(A2, WEIGHT, cls, 60, 4)
     assert (cls.a_sq, len(by_mu), count) == (Q(98, 3), 18, 2)
 
     def without_last_point(cfg, group):
@@ -229,7 +229,7 @@ def test_orbits_missing_a_point_exit_4(monkeypatch):
 
     monkeypatch.setattr(hidden, "orbits", without_last_point)
     with pytest.raises(InternalConsistencyError, match="orbit partition missed a configuration point"):
-        spectra._hidden_data(A2, cls, 60, 4)
+        spectra._hidden_data(A2, WEIGHT, cls, 60, 4)
 
 
 def test_rank1_singleton_law():

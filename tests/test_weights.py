@@ -1,5 +1,7 @@
 """Casimir eigenvalues and sphere classes on the weight and root lattices."""
 
+import itertools
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambient import reference
+from ballref import ball_classes
 from casimir_lab import ratlinalg as rl
 from casimir_lab import weights
 from casimir_lab.errors import CapExceeded, NonDominantWeight, NotInLattice
@@ -109,7 +112,9 @@ def test_classes_match_box_scan(fam, rank):
         got = classes_up_to(rs, lat, cap)
         assert [c.a_sq for c in got] == sorted(oracle)
         for c in got:
-            assert set(c.sphere_members) == oracle[c.a_sq]
+            assert set(sphere_set(rs, lat, c.a_sq).sphere_members) == oracle[c.a_sq]
+            assert c.sphere_size == len(oracle[c.a_sq])
+            assert set(c.chamber_members) == {m for m in oracle[c.a_sq] if min(m) >= -1}
             assert set(c.dominant_members) == {
                 m for m in oracle[c.a_sq] if all(x >= 0 for x in m)
             }
@@ -119,9 +124,10 @@ def test_class_invariants():
     rs = rs_of("B", 2)
     for c in classes_up_to(rs, W, 30):
         assert c.lam == c.a_sq - delta_norm_sq(rs)
-        for w in c.sphere_members:
+        sphere = sphere_set(rs, W, c.a_sq).sphere_members
+        for w in sphere:
             assert shifted_norm_sq(rs, w) == c.a_sq
-        assert set(c.dominant_members) <= set(c.sphere_members)
+        assert set(c.dominant_members) <= set(c.chamber_members) <= set(sphere)
         # dominant members are closed under duality
         duals = {dual_label(rs, w) for w in c.dominant_members}
         assert duals == set(c.dominant_members)
@@ -190,16 +196,23 @@ def bounds(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(bounds(), st.booleans())
-def test_lattice_points_match_fraction_fincke_pohst(case, dominant):
-    """Ball mode is the Fraction scan of |m + 1|^2 <= bound / den; shell mode
-    is the ball filtered to norm == bound; dominant keeps m >= 0."""
+@given(bounds(), st.sampled_from([None, -1, 0]), st.sampled_from([W, R]))
+def test_lattice_points_match_fraction_fincke_pohst(case, floor, lat):
+    """Ball mode, with floor -1 (the closed chamber) or 0 (dominant), is the
+    Fraction scan of |m + 1|^2 <= bound / den with every m_i >= floor; shell
+    mode, with any floor or none, is that scan filtered to norm == bound;
+    the root lattice keeps its weights."""
     rs, bound = case
     den = rs.gram_fw_int[0]
     ref = rl.ellipsoid_points(rs.gram_fw, (Q(-1),) * rs.rank, Q(bound, den))
-    norm = {m: int(den * shifted_norm_sq(rs, make_weight(rs, m))) for m in ref if not dominant or min(m) >= 0}
-    assert sorted(lattice_points(rs, bound, dominant=dominant)) == sorted(norm.items())
-    shell = lattice_points(rs, bound, shell=True, dominant=dominant)
+    norm = {
+        m: int(den * shifted_norm_sq(rs, make_weight(rs, m)))
+        for m in ref
+        if (floor is None or min(m) >= floor) and (lat is W or in_root_lattice(rs, m))
+    }
+    if floor is not None:
+        assert sorted(lattice_points(rs, bound, floor, lat=lat)) == sorted(norm.items())
+    shell = lattice_points(rs, bound, floor, shell=True, lat=lat)
     assert sorted(shell) == sorted((m, n) for m, n in norm.items() if n == bound)
 
 
@@ -227,18 +240,81 @@ def test_sphere_sets_and_classes_match_fraction_scan(case, lat):
     anchored = sorted(n for n, ms in ref.items() if any(min(m) >= 0 for m in ms))
     got = classes_up_to(rs, lat, a_sq)
     assert [c.a_sq for c in got] == anchored
-    assert all(list(c.sphere_members) == sorted(ref[c.a_sq]) for c in got)
+    assert all(c.sphere_size == len(ref[c.a_sq]) for c in got)
+    assert all(list(c.chamber_members) == sorted(m for m in ref[c.a_sq] if min(m) >= -1) for c in got)
     doms = sorted(m for ms in ref.values() for m in ms if min(m) >= 0)
     assert enumerate_dominant(rs, lat, a_sq) == doms
+    assert enumerate_dominant(rs, lat, a_sq, shell=True) == sorted(m for m in ref.get(a_sq, []) if min(m) >= 0)
 
 
 def test_enumeration_refused_past_node_cap(monkeypatch):
     rs = rs_of("A", 2)
-    assert len(lattice_points(rs, 600)) > 100
+    assert len(lattice_points(rs, 600, -1)) > 100
     monkeypatch.setattr(weights, "DEFAULT_NODE_CAP", 100)
     with pytest.raises(CapExceeded) as exc:
-        lattice_points(rs, 600)
+        lattice_points(rs, 600, -1)
     assert (exc.value.what, exc.value.limit) == ("enumeration nodes", 100) and exc.value.actual > 100
     monkeypatch.setattr(weights, "DEFAULT_NODE_CAP", 10)
     with pytest.raises(CapExceeded):
-        lattice_points(rs, 600, shell=True)
+        lattice_points(rs, 600, None, shell=True)
+
+
+# Squared-radius cap of the ball-walk comparison per type, at metric scale 1.
+BALL_CAPS = {"A1": 200, "A2": 60, "B2": 60, "G2": 60, "A3": 24, "B3": 24, "C3": 24, "D4": 16, "F4": 30}
+
+
+@pytest.mark.parametrize("name", BALL_CAPS)
+def test_classes_match_the_whole_ball_walk(name, monkeypatch):
+    """On both lattices and at scales 1 and 3/2, the chamber walk gives the
+    classes of the whole-ball walk (ballref): a^2, lambda, the dominant and
+    the closed-chamber members, |X| = sum |W| / |W_J|, and X where
+    sphere_set walks it; and it tries no more coordinate values than the
+    ball walk, under a node cap set to the ball walk's count."""
+    for scale, lat in itertools.product((1, Q(3, 2)), (W, R)):
+        rs = rs_of(name[0], int(name[1:]), scale)
+        cap = BALL_CAPS[name] * scale
+        ref, ball_nodes = ball_classes(rs, lat, cap)
+        with monkeypatch.context() as m:
+            m.setattr(weights, "DEFAULT_NODE_CAP", ball_nodes)
+            got = classes_up_to(rs, lat, cap)
+        assert [c.a_sq for c in got] == sorted(ref), (scale, lat)
+        for c in got:
+            members = ref[c.a_sq]
+            assert c.lam == c.a_sq - delta_norm_sq(rs)
+            assert list(c.dominant_members) == [m for m in members if min(m) >= 0]
+            assert list(c.chamber_members) == [m for m in members if min(m) >= -1]
+            assert (c.sphere_size, c.sphere_members) == (len(members), None)
+            walked = sphere_set(rs, lat, c.a_sq)
+            assert walked == replace(c, sphere_members=tuple(members)), (scale, lat, c.a_sq)
+
+
+def _nodes(monkeypatch, walk) -> int:
+    """The coordinate values walk() tries: the least node cap it passes."""
+    lo, hi = 0, weights.DEFAULT_NODE_CAP
+    with monkeypatch.context() as m:
+        while lo < hi:
+            mid = (lo + hi) // 2
+            m.setattr(weights, "DEFAULT_NODE_CAP", mid)
+            try:
+                walk()
+                hi = mid
+            except CapExceeded:
+                lo = mid + 1
+    return lo
+
+
+@pytest.mark.parametrize("name,cap", [("A1", 60), ("A3", 20), ("B3", 20), ("C3", 20), ("D4", 12), ("G2", 40)])
+def test_root_lattice_walk_counts_only_root_lattice_values(name, cap, monkeypatch):
+    """At its innermost level the root-lattice chamber walk steps through
+    the one coset of admissible m_0 (or none), so it tries one value per
+    point there: its node count is the weight-lattice walk's, less the
+    weight-lattice points, plus its own, on types whose omega_0 has order
+    2 or 4 mod the root lattice (A1, A3, C3, D4), order 1 with a
+    nontrivial quotient (B3) and a trivial quotient (G2)."""
+    rs = rs_of(name[0], int(name[1:]))
+    bound = cap * rs.gram_fw_int[0]
+    points = {lat: lattice_points(rs, bound, -1, lat=lat) for lat in (W, R)}
+    nodes = {lat: _nodes(monkeypatch, lambda: lattice_points(rs, bound, -1, lat=lat)) for lat in (W, R)}
+    assert points[R] == [p for p in points[W] if in_root_lattice(rs, p[0])]
+    assert nodes[R] == nodes[W] - len(points[W]) + len(points[R])
+    assert len(points[R]) < len(points[W]) or name == "G2"
