@@ -6,10 +6,20 @@ JSON output is canonical — keys sorted, exact rationals as "p/q" strings
 bytes as json.dumps(..., indent=2, sort_keys=True) of the payload in
 plain JSON values, strings escaped to ASCII by json's own escaper, with a
 Fraction written as "p/q", an Enum as its value and a dataclass as its
-fields.  The text of each dataclass is built once per object and depth
-within one payload and reused where the same object recurs.  Reports are
-built and written completely before printing, so an error never leaves
-partial JSON on stdout; refusals and failures go to stderr.
+fields.  The walk looks each value up by its exact type: a leaf (a str,
+int, Fraction, None, bool, float, or an Enum whose values are such) is
+written inside its container's loop, and a dataclass from its type's plan
+of escaped JSON keys and attribute names in key order, made once per
+type.  A type met for the first time is classified in the order in which
+json.dumps tests types, so a subclass is written as json.dumps writes it.
+The text of each dataclass is built once per object and depth within one
+payload and reused where the same object recurs.  Reports are built and
+written completely before printing, so an error never leaves partial JSON
+on stdout; refusals and failures go to stderr.
+
+An argv that starts with a subcommand is parsed by that subcommand's
+parser alone.  Any other argv, and one that leaves arguments unread, goes
+to the full parser, which writes every usage and error text.
 
 Exit codes: 0 success, also when the reader closes stdout before the
 report is read; 2 usage error or invalid input; 3 a configured cap
@@ -89,106 +99,24 @@ def _fields(obj) -> dict:
     return {_FIELD_KEYS.get(name, name): getattr(obj, name) for name in obj.__dataclass_fields__}
 
 
-def _write(obj, out, nl: str, memo: dict) -> None:
-    """Append obj's canonical JSON text to out, in the order json.dumps tests
-    types: a str, None, a bool, an int, a float, a list or tuple (a _Rows
-    table as its list of row objects), a dict; then a Fraction as "p/q", an
-    Enum as its value and a dataclass as its _fields.  nl is the newline and
-    indentation of obj's own line.
-
-    memo maps (id, nl) of each dataclass written so far to its text and the
-    object itself, so a label repeated in every row of a table is walked
-    once per depth; holding the object keeps its id from being reused while
-    memo lives.  The key is identity, not equality: equal dataclasses may
-    be written differently (a field holding True against one holding 1).
-    """
-    if isinstance(obj, str):
-        out(_escape(obj))
-    elif obj is None:
-        out("null")
-    elif obj is True:
-        out("true")
-    elif obj is False:
-        out("false")
-    elif isinstance(obj, int):
-        try:
-            out(int.__repr__(obj))
-        except ValueError:
-            raise _too_long(obj) from None
-    elif isinstance(obj, float):
-        out(_float_text(obj))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out("[]")
-            return
-        if type(obj) is _Rows:
-            _write_rows(obj, out, nl, memo)
-            return
-        inner = nl + "  "
-        sep = "[" + inner
-        for item in obj:
-            out(sep)
-            sep = "," + inner
-            _write(item, out, inner, memo)
-        out(nl + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out("{}")
-            return
-        inner = nl + "  "
-        sep = "{" + inner
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out(sep + _escape(key) + ": ")
-            sep = "," + inner
-            _write(obj[key], out, inner, memo)
-        out(nl + "}")
-    elif isinstance(obj, Q):
-        try:
-            out(_escape(str(obj)))
-        except ValueError:
-            raise _too_long(max(abs(obj.numerator), obj.denominator)) from None
-    elif isinstance(obj, Enum):
-        _write(obj.value, out, nl, memo)
-    elif hasattr(obj, "__dataclass_fields__"):
-        key = (id(obj), nl)
-        if key not in memo:
-            chunks: list[str] = []
-            _write(_fields(obj), chunks.append, nl, memo)
-            memo[key] = ("".join(chunks), obj)
-        out(memo[key][0])
-    else:
-        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
-class _Rows(tuple):
-    """Certificate table rows (kind, rep, rep2, value), each written as the
-    JSON object with those keys; the names are already in sorted order."""
-
-
-def _write_rows(rows: _Rows, out, nl: str, memo: dict) -> None:
-    """_write of a nonempty _Rows: the key text and separators are made once
-    for the table, and each row's values are written by _write."""
-    inner = nl + "  "
-    field = inner + "  "
-    heads = [("," if i else "{") + field + _escape(key) + ": " for i, key in enumerate(("kind", "rep", "rep2", "value"))]
-    close = inner + "}"
-    sep = "[" + inner
-    for row in rows:
-        out(sep)
-        sep = "," + inner
-        for head, value in zip(heads, row):
-            out(head)
-            _write(value, out, field, memo)
-        out(close)
-    out(nl + "]")
-
-
 def _too_long(n: int) -> CapExceeded:
     """The refusal of an int past the interpreter's int-to-str digit limit,
     with its digit count."""
     return CapExceeded("output integer digits", decimal_digits(n), sys.get_int_max_str_digits())
+
+
+def _int_text(n: int) -> str:
+    try:
+        return int.__repr__(n)
+    except ValueError:
+        raise _too_long(n) from None
+
+
+def _fraction_text(q: Q) -> str:
+    try:
+        return _escape(str(q))
+    except ValueError:
+        raise _too_long(max(abs(q.numerator), q.denominator)) from None
 
 
 def _float_text(x: float) -> str:
@@ -200,6 +128,183 @@ def _float_text(x: float) -> str:
     if x == -math.inf:
         return "-Infinity"
     return float.__repr__(x)
+
+
+def _enum_text(e: Enum) -> str:
+    value = e._value_
+    return _LEAVES[type(value)](value)
+
+
+# The text of a leaf by its exact type.  A container writes its leaves in
+# its own loop, with no call of _write.  _writer adds the types it finds.
+_LEAVES = {
+    str: _escape,
+    int: _int_text,
+    Q: _fraction_text,
+    type(None): lambda _: "null",
+    bool: lambda b: "true" if b else "false",
+    float: _float_text,
+}
+
+
+def _write(obj, out, nl: str, memo: dict) -> None:
+    """Append obj's canonical JSON text to out.  nl is the newline and
+    indentation of obj's own line.
+
+    memo maps (id, nl) of each dataclass written so far to its text and the
+    object itself, so a label repeated in every row of a table is walked
+    once per depth; holding the object keeps its id from being reused while
+    memo lives.  The key is identity, not equality: equal dataclasses may
+    be written differently (a field holding True against one holding 1).
+    """
+    leaf = _LEAVES.get(type(obj))
+    if leaf is not None:
+        out(leaf(obj))
+    else:
+        (_WRITERS.get(type(obj)) or _writer(type(obj)))(obj, out, nl, memo)
+
+
+def _text(obj, nl: str, memo: dict) -> str:
+    """_write of obj as one string, read from memo if it is there."""
+    leaf = _LEAVES.get(type(obj))
+    if leaf is not None:
+        return leaf(obj)
+    hit = memo.get((id(obj), nl))
+    if hit is not None:
+        return hit[0]
+    chunks: list[str] = []
+    (_WRITERS.get(type(obj)) or _writer(type(obj)))(obj, chunks.append, nl, memo)
+    return "".join(chunks)
+
+
+def _write_list(items, out, nl: str, memo: dict) -> None:
+    if not items:
+        out("[]")
+        return
+    inner = nl + "  "
+    sep = "[" + inner
+    for item in items:
+        leaf = _LEAVES.get(type(item))
+        if leaf is not None:
+            out(sep + leaf(item))
+        else:
+            out(sep)
+            (_WRITERS.get(type(item)) or _writer(type(item)))(item, out, inner, memo)
+        sep = "," + inner
+    out(nl + "]")
+
+
+def _write_object(heads, values, out, nl: str, memo: dict) -> None:
+    """A JSON object: heads are its escaped keys with their ": ", in key
+    order, and values the values in the same order."""
+    if not heads:
+        out("{}")
+        return
+    inner = nl + "  "
+    sep = "{" + inner
+    for head, value in zip(heads, values):
+        leaf = _LEAVES.get(type(value))
+        if leaf is not None:
+            out(sep + head + leaf(value))
+        else:
+            out(sep + head)
+            (_WRITERS.get(type(value)) or _writer(type(value)))(value, out, inner, memo)
+        sep = "," + inner
+    out(nl + "}")
+
+
+def _write_dict(obj: dict, out, nl: str, memo: dict) -> None:
+    keys = sorted(obj)
+    for key in keys:
+        if not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+    _write_object([_escape(key) + ": " for key in keys], [obj[key] for key in keys], out, nl, memo)
+
+
+def _dataclass_writer(cls):
+    """The writer of dataclass type cls: the plan of its fields, their
+    escaped JSON keys and attribute names in key order, is made once; the
+    text of each object is kept in memo."""
+    keys = {_FIELD_KEYS.get(name, name): name for name in cls.__dataclass_fields__}
+    order = sorted(keys)
+    heads = [_escape(key) + ": " for key in order]
+    names = [keys[key] for key in order]
+
+    def write(obj, out, nl: str, memo: dict) -> None:
+        key = (id(obj), nl)
+        hit = memo.get(key)
+        if hit is None:
+            chunks: list[str] = []
+            _write_object(heads, [getattr(obj, name) for name in names], chunks.append, nl, memo)
+            hit = memo[key] = ("".join(chunks), obj)
+        out(hit[0])
+
+    return write
+
+
+def _write_enum(obj: Enum, out, nl: str, memo: dict) -> None:
+    _write(obj._value_, out, nl, memo)
+
+
+class _Rows(tuple):
+    """Certificate table rows (kind, rep, rep2, value), each written as the
+    JSON object with those keys; the names are already in sorted order."""
+
+
+def _write_rows(rows: _Rows, out, nl: str, memo: dict) -> None:
+    """A _Rows table: the key text and separators are made once for the
+    table, and each row is written as one string."""
+    if not rows:
+        out("[]")
+        return
+    inner = nl + "  "
+    field = inner + "  "
+    h_kind, h_rep, h_rep2, h_value = (
+        lead + field + _escape(key) + ": " for lead, key in zip("{,,,", ("kind", "rep", "rep2", "value"))
+    )
+    close = inner + "}"
+    sep = "[" + inner
+    for kind, rep, rep2, value in rows:
+        out(
+            f"{sep}{h_kind}{_text(kind, field, memo)}{h_rep}{_text(rep, field, memo)}"
+            f"{h_rep2}{_text(rep2, field, memo)}{h_value}{_text(value, field, memo)}{close}"
+        )
+        sep = "," + inner
+    out(nl + "]")
+
+
+# The writer of every other type met so far, by its exact type.
+_WRITERS = {list: _write_list, tuple: _write_list, dict: _write_dict, _Rows: _write_rows}
+
+
+def _writer(cls):
+    """The writer of type cls, kept for the next object of that type.
+    Types are tested in the order json.dumps tests them: a str, an int, a
+    float, a list or tuple, a dict; then a Fraction is written as "p/q", an
+    Enum as its value and a dataclass as its fields.  A leaf type goes into
+    _LEAVES, and so does an Enum whose values all have a leaf type."""
+    if issubclass(cls, str):
+        _LEAVES[cls] = _escape
+    elif issubclass(cls, int):
+        _LEAVES[cls] = _int_text
+    elif issubclass(cls, float):
+        _LEAVES[cls] = _float_text
+    elif issubclass(cls, (list, tuple)):
+        _WRITERS[cls] = _write_list
+    elif issubclass(cls, dict):
+        _WRITERS[cls] = _write_dict
+    elif issubclass(cls, Q):
+        _LEAVES[cls] = _fraction_text
+    elif issubclass(cls, Enum):
+        if {type(e._value_) for e in cls} <= _LEAVES.keys():
+            _LEAVES[cls] = _enum_text
+        else:
+            _WRITERS[cls] = _write_enum
+    elif hasattr(cls, "__dataclass_fields__"):
+        _WRITERS[cls] = _dataclass_writer(cls)
+    else:
+        raise TypeError(f"{cls.__name__} is not JSON serializable")
+    return _WRITERS.get(cls, _write)
 
 
 def _render_table(payload, indent: int = 0) -> list:
@@ -557,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
     rsys.add_argument("--type", required=True, help="Dynkin family letter A..G")
     rsys.add_argument("--rank", required=True, type=int)
     rsys.add_argument("--lattice", choices=("weight", "root"), default="weight")
-    rsys.add_argument("--scale", type=rational, default="1", help="global metric scale p/q")
+    rsys.add_argument("--scale", type=rational, default=Q(1), help="global metric scale p/q")
 
     hidden_caps = argparse.ArgumentParser(add_help=False)
     hidden_caps.add_argument("--point-cap", type=count, default=DEFAULT_POINT_CAP)
@@ -621,9 +726,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @lru_cache(maxsize=1)
-def _shared_parser() -> argparse.ArgumentParser:
-    # Built on first use and reused: parse_args does not mutate the parser.
-    return build_parser()
+def _shared_parser() -> tuple:
+    """The full parser and its subcommands' parsers by name, built on first
+    use and reused: parsing does not mutate a parser."""
+    parser = build_parser()
+    (subparsers,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return parser, subparsers
+
+
+def _parse_argv(argv: list) -> argparse.Namespace:
+    """What build_parser().parse_args(argv) returns, or the SystemExit it
+    raises.  When argv[0] names a subcommand, that subcommand's parser
+    reads the rest alone, as the full parser would hand it over.  An empty
+    argv, any other first argument and leftover arguments go to the full
+    parser, which writes every usage and error text of its own."""
+    parser, subparsers = _shared_parser()
+    sub = subparsers.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def _drop_closed(stream) -> None:
@@ -646,7 +770,7 @@ def _refuse(text: str, code: int) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = _shared_parser().parse_args(argv)
+        args = _parse_argv(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -142,6 +142,8 @@ def squarefree_decomposition(a: list[int]) -> tuple[int, list[list[int]]]:
     a = [x // c for x in a]
     da = derivative(a)
     g = _gcd(a, da)
+    if len(g) == 1:
+        return c, [a]  # a is squarefree: the loop below would find exactly [a]
     b = _exact_quotient(a, g)
     d = _sub(_exact_quotient(da, g), derivative(b))
     layers = []

@@ -213,12 +213,12 @@ def classes_up_to(rs: RootSystem, lat: LatticeChoice, a_sq_cap) -> list[CasimirC
     for m, norm in _lattice_weights(rs, lat, rl.frac(a_sq_cap), -1):
         buckets.setdefault(norm, []).append(m)
     classes = []
-    for norm in sorted(buckets):
+    # Only a bucket with a dominant member (every m_i >= 0) is a class, and only those are sorted.
+    for norm in sorted(norm for norm, ms in buckets.items() if max(map(min, ms)) >= 0):
         chamber = tuple(sorted(buckets[norm]))
         dominant = tuple(m for m in chamber if min(m) >= 0)
-        if dominant:
-            # |X| = sum |W| / |W_J(y)|: W_J is trivial off the walls, and a wall point's J are its -1s.
-            walls = (tuple(i for i, c in enumerate(m) if c == -1) for m in chamber if min(m) < 0)
-            size = order * len(dominant) + sum(order // rs.parabolic_order(j) for j in walls)
-            classes.append(CasimirClass(Q(norm, den), Q(norm - delta, den), chamber, dominant, size))
+        # |X| = sum |W| / |W_J(y)|: W_J is trivial off the walls, and a wall point's J are its -1s.
+        walls = (tuple(i for i, c in enumerate(m) if c == -1) for m in chamber if min(m) < 0)
+        size = order * len(dominant) + sum(order // rs.parabolic_order(j) for j in walls)
+        classes.append(CasimirClass(Q(norm, den), Q(norm - delta, den), chamber, dominant, size))
     return classes

@@ -10,7 +10,7 @@ import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass, replace
-from enum import Enum
+from enum import Enum, IntEnum
 from fractions import Fraction as Q
 
 import numpy as np
@@ -425,6 +425,25 @@ def test_output_digest_total_pinned(monkeypatch, prefix):
     assert lines[-1] == (f"{prefix} total", count, sha)
 
 
+# The seed-1 lines of tests/output_digest.py: every request of each
+# benchmark workload's seed-1 round, served as the benchmark serves it, in
+# json (with the float cross-check verdicts of operator-spectrum) and with
+# --output table.
+WORKLOAD_SEED1_PINS = [
+    ("hidden-sweep seed 1", 96, "667381c3f559bd834abc2f514e250bb94e7f3bdc6452b20a98748d8a0a723aa8"),
+    ("spectral-report seed 1", 70, "6b876abb6c689eb7200a943f946cfbe5742f94fe0d43d84ce7da2dd92224f667"),
+    ("operator-certify seed 1", 50, "e9c41bd8cba16472fe4d7d20764519108a8a0b54bfdc7fc9885c5728d56f8a48"),
+    ("operator-spectrum seed 1", 34, "61eaa424fbbcaa6311f0c6a2ddc7d2a8e4c48b1f676d4b9f1572b377ddd050da"),
+]
+
+
+def test_output_digest_workload_lines_pinned(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # output_digest prepends src and casbench
+    import output_digest
+
+    assert output_digest.digest([1])[:-1] == WORKLOAD_SEED1_PINS
+
+
 def _pinned_rank3_hidden_requests():
     """Every 48-point class of A3, B3 and C3 with a^2 <= 21."""
     argvs = []
@@ -615,6 +634,18 @@ def test_non_string_keys_are_refused(payload):
         _written(payload)
 
 
+class _Tag(str, Enum):
+    A = "a"
+    B = "é"
+
+
+class _Level(IntEnum):
+    LOW = 1
+    HIGH = 10**30
+
+
+_ENUMS = st.sampled_from([*RepType, *KMode, *LatticeChoice, *_Tag, *_Level])
+
 _JSON_LEAVES = st.one_of(
     st.none(),
     st.booleans(),
@@ -622,7 +653,7 @@ _JSON_LEAVES = st.one_of(
     st.floats(),
     st.text(),
     st.fractions(),
-    st.sampled_from([*RepType, *KMode, *LatticeChoice]),
+    _ENUMS,
     st.builds(
         IrrepSpec,
         st.lists(st.integers(0, 9), max_size=3).map(tuple),
@@ -639,9 +670,30 @@ _JSON_PAYLOADS = st.recursive(
         st.lists(inner, max_size=4).map(tuple),
         st.dictionaries(st.text(), inner, max_size=4),
         st.builds(_Node, st.lists(inner, max_size=3).map(tuple), st.text()),
+        st.lists(st.tuples(inner, inner, inner, inner), max_size=3).map(cli._Rows),
+        # enum leaves inside a list, a dict and a dataclass
+        st.lists(_ENUMS, min_size=1, max_size=3),
+        st.dictionaries(st.text(), _ENUMS, min_size=1, max_size=3),
+        st.builds(_Leaf, st.fractions(), _ENUMS),
     ),
     max_leaves=24,
 )
+
+_ROW_KEYS = ("kind", "rep", "rep2", "value")
+
+
+def _rows_as_dicts(obj):
+    """obj with every _Rows table in it replaced by the list of row objects
+    it stands for, so that the reference walk can read it."""
+    if type(obj) is cli._Rows:
+        return [dict(zip(_ROW_KEYS, map(_rows_as_dicts, row))) for row in obj]
+    if type(obj) in (list, tuple):
+        return [_rows_as_dicts(item) for item in obj]
+    if type(obj) is dict:
+        return {key: _rows_as_dicts(value) for key, value in obj.items()}
+    if type(obj) is _Node:
+        return _Node(_rows_as_dicts(obj.rows), obj.note)
+    return obj
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -653,7 +705,7 @@ _JSON_PAYLOADS = st.recursive(
 @example(((), ((),), ((), ((),))))
 @example({"\x00\x1f\t\n\"\\\x7f": "\u2028\x08\x0c\r", "\U0001f600𝔤": ["\U0010ffff", "\ud800"]})
 def test_json_hook_writes_what_the_reference_walk_writes(payload):
-    ref = jsonable(payload)
+    ref = jsonable(_rows_as_dicts(payload))
     assert _written(payload) == json.dumps(ref, indent=2, sort_keys=True) + "\n"
     assert _written(payload, "table") == "\n".join(cli._render_table(ref)) + "\n"
 
@@ -689,7 +741,7 @@ def test_writer_reuses_text_by_identity_and_depth(payload):
 def test_table_rows_write_as_objects_with_the_four_keys(rows):
     # the dict form _Rows stands for, checked by the reference walk
     payload = {"rows": cli._Rows(rows), "nested": [cli._Rows(rows)]}
-    plain = [dict(zip(("kind", "rep", "rep2", "value"), row)) for row in rows]
+    plain = [dict(zip(_ROW_KEYS, row)) for row in rows]
     ref = jsonable({"rows": plain, "nested": [plain]})
     assert _written(payload) == json.dumps(ref, indent=2, sort_keys=True) + "\n"
     assert _written(payload, "table") == "\n".join(cli._render_table(ref)) + "\n"
@@ -1222,6 +1274,66 @@ def test_table_output_renders(capsys):
     assert "a_sq: 1/2" in out
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
+
+
+_CLASSES_A2 = ["--type", "A", "--rank", "2", "--cap", "30"]
+# argv shapes for the parse dispatch: one valid argv per subcommand, and
+# abbreviated options, which parse; then errors, help and argvs that only
+# the full parser reads, which exit.
+PARSED_ARGVS = [
+    ["classes", *_CLASSES_A2, "--lattice", "root", "--scale", "3/2"],
+    ["coincidences", *_CLASSES_A2, "--output", "table"],
+    ["hidden", "--type", "B", "--rank", "2", "--a2", "25/2", "--point-cap", "9", "--weyl-cap", "0"],
+    ["reptype", "--type", "G", "--rank", "2", "--weight", "1,0"],
+    ["certify", "--su2", "1", "--torus", "1", "--rep-cap", "2", "--budget", "3", "--seed", "7"],
+    ["spectrum", "--su2", "1", "--kappa", "diag:1,2,3", "--numeric", "--tol", "1e-6", "--ustar-dim", "2"],
+    ["estimate", "--type", "A", "--rank", "2", "--weight", "1,1", "--kmode", "torus", "--ustar", "[[[1, 0], 1]]"],
+    ["report", *_CLASSES_A2, "--kmode", "diagonal", "--real", "--rank-cap", "1"],
+    ["hodge-rank1", "--cap", "7/2"],
+    ["classes", "--ty", "A", "--ra", "2", "--cap", "30"],
+]
+EXITING_ARGVS = [
+    ["classes", *_CLASSES_A2, "--bogus"],  # unknown option after the subcommand
+    ["classes", *_CLASSES_A2, "extra"],  # unknown positional
+    ["classes", *_CLASSES_A2, "--", "--bogus"],
+    ["classes", "--type", "A", "--rank", "2"],  # missing required option
+    ["classes", "--type", "A", "--rank", "two", "--bogus"],  # bad value and a leftover
+    ["classes", *_CLASSES_A2, "--output", "xml"],
+    ["report", "-h"],
+    ["certify", "--help", "--bogus"],
+    [],
+    ["no-such-command", "--cap", "1"],
+    ["--output", "table", "classes", *_CLASSES_A2],  # option before the subcommand
+    ["-h"],
+    ["--bogus"],
+]
+
+
+def _parsed(parse, argv):
+    """vars of parse(argv), or the SystemExit code it raises; with the text
+    it writes to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARSED_ARGVS + EXITING_ARGVS, ids=lambda argv: " ".join(argv) or "empty")
+def test_parse_dispatch_matches_the_full_parser(argv):
+    got = _parsed(cli._parse_argv, argv)
+    assert got == _parsed(cli.build_parser().parse_args, argv)
+    assert isinstance(got[0], dict) == (argv in PARSED_ARGVS)
+
+
+def test_scale_default_is_an_exact_one():
+    # a str default would be read by rational on every request
+    defaults = {name: sub.get_default("scale") for name, sub in cli._shared_parser()[1].items()}
+    scaled = {name for name, default in defaults.items() if default is not None}
+    assert scaled == {"classes", "coincidences", "hidden", "reptype", "estimate", "report"}
+    assert all(type(defaults[name]) is Q and defaults[name] == 1 for name in scaled)
 
 
 def test_usage_errors_exit_2(capsys):

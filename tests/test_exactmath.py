@@ -330,6 +330,8 @@ def test_squarefree_decomposition_layers():
     c, parts = squarefree_decomposition([5 * x for x in ints(p)])
     assert c == 5
     assert parts == [[-2, 3], [1, 0, 1], [1, 2]]
+    # a squarefree a is its one layer: -2 (2t - 3)(t^2 + 1)
+    assert squarefree_decomposition([6, -4, 6, -4]) == (-2, [[-3, 2, -3, 2]])
     assert squarefree_decomposition([-3]) == (-3, [])
     with pytest.raises(ValueError):
         squarefree_decomposition([])
