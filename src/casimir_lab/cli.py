@@ -17,9 +17,9 @@ payload and reused where the same object recurs.  Reports are built and
 written completely before printing, so an error never leaves partial JSON
 on stdout; refusals and failures go to stderr.
 
-An argv that starts with a subcommand is parsed by that subcommand's
-parser alone.  Any other argv, and one that leaves arguments unread, goes
-to the full parser, which writes every usage and error text.
+An argv of exact option strings after a subcommand, each with one value
+not starting with "-" (a flag takes none), is read with that subcommand's
+plan; any other goes to the full parser, which writes all usage and errors.
 
 Exit codes: 0 success, also when the reader closes stdout before the
 report is read; 2 usage error or invalid input; 3 a configured cap
@@ -734,20 +734,59 @@ def _shared_parser() -> tuple:
     return parser, subparsers
 
 
+@lru_cache(maxsize=None)
+def _argv_plan(sub: argparse.ArgumentParser):
+    """Subcommand parser sub's plan: each exact option string's action, the
+    defaults as sub.get_default gives them (func too) and required dests.
+    None if an action neither stores one value nor a constant, or argparse
+    would convert its default or leave it unset."""
+    options, dests, required = {}, list(sub._defaults), set()
+    for action in sub._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue  # -h and --help are left to the full parser
+        stores_one = type(action) is argparse._StoreAction and action.nargs is None
+        if not (stores_one or isinstance(action, argparse._StoreConstAction)) or (
+            action.default is argparse.SUPPRESS or action.type is not None and isinstance(action.default, str)
+        ):
+            return None
+        options.update(dict.fromkeys(action.option_strings, action))
+        dests.append(action.dest)
+        if action.required:
+            required.add(action.dest)
+    return options, {dest: sub.get_default(dest) for dest in dests}, required
+
+
+def _read_argv(argv: list):
+    """build_parser().parse_args(argv), read with argv[0]'s plan; None unless
+    each later argument is an exact option string and its one value, not
+    starting with "-", that converts and is a choice, and none required is missing."""
+    sub = _shared_parser()[1].get(argv[0]) if argv else None
+    plan = _argv_plan(sub) if sub is not None else None
+    if plan is None:
+        return None
+    options, defaults, required = plan
+    values, rest = {}, iter(argv[1:])
+    try:
+        for option in rest:
+            action = options[option]
+            if action.nargs == 0:
+                values[action.dest] = action.const
+                continue
+            text = next(rest)
+            value = text if action.type is None else action.type(text)
+            if text.startswith("-") or action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest] = value
+    except Exception:  # an unknown option, a missing value or a failed conversion
+        return None
+    args = argparse.Namespace(command=argv[0])
+    vars(args).update(defaults, **values)
+    return args if required <= values.keys() else None
+
+
 def _parse_argv(argv: list) -> argparse.Namespace:
-    """What build_parser().parse_args(argv) returns, or the SystemExit it
-    raises.  When argv[0] names a subcommand, that subcommand's parser
-    reads the rest alone, as the full parser would hand it over.  An empty
-    argv, any other first argument and leftover arguments go to the full
-    parser, which writes every usage and error text of its own."""
-    parser, subparsers = _shared_parser()
-    sub = subparsers.get(argv[0]) if argv else None
-    if sub is not None:
-        args, rest = sub.parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
-    return parser.parse_args(argv)
+    """build_parser().parse_args(argv): the plan's reading, else the full parser's."""
+    return _read_argv(argv) or _shared_parser()[0].parse_args(argv)
 
 
 def _drop_closed(stream) -> None:

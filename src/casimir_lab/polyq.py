@@ -166,7 +166,8 @@ def resultant(a: list[int], b: list[int]) -> int:
 
     It comes from the subresultant PRS over the integers (Brown & Traub
     1971; Cohen, A Course in Computational Algebraic Number Theory,
-    Alg. 3.3.7), every division checked exact.  Degenerate shapes follow the
+    Alg. 3.3.7), every division checked exact, and in closed form when the
+    shorter operand is linear.  Degenerate shapes follow the
     determinant of the (possibly empty) Sylvester matrix:
     res(const, const) = 1 and res(a, const c) = c**deg(a).
 
@@ -185,6 +186,14 @@ def resultant(a: list[int], b: list[int]) -> int:
             s = -1
     if len(b) == 1:
         return s * b[0] ** (len(a) - 1)
+    if len(b) == 2:
+        # res(a, b1 t + b0) = (-1)^n sum_k a_k (-b0)^k b1^(n-k), n = deg a, by homogeneous Horner
+        b0, b1 = b
+        acc, power = a[-1], 1
+        for c in a[-2::-1]:
+            power *= b1
+            acc = acc * -b0 + c * power
+        return s * acc if len(a) % 2 else -s * acc
     g = h = 1
     while True:
         delta = len(a) - len(b)

@@ -33,13 +33,15 @@ def rational(text: str) -> Q:
     twice the limit (its mantissa has at most limit digits) is refused
     before Fraction multiplies the exponent out."""
     limit = sys.get_int_max_str_digits()
-    exponent = _EXPONENT.search(text)
+    num, slash, den = text.partition("/")
+    plain = num.isdecimal() and (den.isdecimal() or not slash)
+    exponent = not plain and _EXPONENT.search(text)
     if limit and exponent and abs(int(exponent[1])) > 2 * limit:
         value = Q(text[: exponent.start()] + "e0")
         big = 10**limit if value else 0
     else:
         try:
-            value = Q(text)
+            value = Q(int(num), int(den or 1)) if plain else Q(text)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {text!r}") from None
         big = max(abs(value.numerator), value.denominator)

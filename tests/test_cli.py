@@ -1,7 +1,9 @@
 """Command-line surface: payload shapes, exit codes, canonical output."""
 
+import argparse
 import hashlib
 import io
+import importlib
 import itertools
 import json
 import subprocess
@@ -12,6 +14,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
 from fractions import Fraction as Q
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from casimir_lab.weights import DEFAULT_NODE_CAP, LatticeChoice, classes_up_to
 from jsonref import jsonable
 from polyref import doubled_den, rpoly
 
+ROOT = Path(__file__).resolve().parents[1]
 A2 = build_root_system(RootSystemType("A", 2))
 
 
@@ -1277,10 +1281,9 @@ def test_table_output_renders(capsys):
 
 
 _CLASSES_A2 = ["--type", "A", "--rank", "2", "--cap", "30"]
-# argv shapes for the parse dispatch: one valid argv per subcommand, and
-# abbreviated options, which parse; then errors, help and argvs that only
-# the full parser reads, which exit.
-PARSED_ARGVS = [
+# argv shapes for the parse dispatch.  The subcommand plans read these: one
+# valid argv per subcommand, a repeated option and an empty value.
+PLANNED_ARGVS = [
     ["classes", *_CLASSES_A2, "--lattice", "root", "--scale", "3/2"],
     ["coincidences", *_CLASSES_A2, "--output", "table"],
     ["hidden", "--type", "B", "--rank", "2", "--a2", "25/2", "--point-cap", "9", "--weyl-cap", "0"],
@@ -1290,10 +1293,24 @@ PARSED_ARGVS = [
     ["estimate", "--type", "A", "--rank", "2", "--weight", "1,1", "--kmode", "torus", "--ustar", "[[[1, 0], 1]]"],
     ["report", *_CLASSES_A2, "--kmode", "diagonal", "--real", "--rank-cap", "1"],
     ["hodge-rank1", "--cap", "7/2"],
-    ["classes", "--ty", "A", "--ra", "2", "--cap", "30"],
+    ["classes", *_CLASSES_A2, "--lattice", "root", "--cap", "12", "--lattice", "weight"],  # the last one wins
+    ["reptype", "--type", "G", "--rank", "2", "--weight", ""],
 ]
+# The full parser reads these, which parse: abbreviated options, an
+# attached value and a value that starts with "-".
+PARSED_ARGVS = PLANNED_ARGVS + [
+    ["classes", "--ty", "A", "--ra", "2", "--cap", "30"],
+    ["hidden", "--type", "B", "--rank", "2", "--a2=25/2"],
+    ["certify", "--su2", "1", "--seed", "-5"],
+]
+# Errors, help and argvs that only the full parser reads, which exit.
 EXITING_ARGVS = [
     ["classes", *_CLASSES_A2, "--bogus"],  # unknown option after the subcommand
+    ["report", *_CLASSES_A2, "--real", "stray"],
+    ["hidden", "--type", "B", "--rank", "2", "--a2"],  # no value at the end
+    ["reptype", "--type", "G", "--rank", "2", "--weight", "-1,0"],  # not a number, so not a value
+    ["reptype", "--type", "G", "--rank", "", "--weight", "1,0"],
+    ["classes", "--type", "A", "--rank", "2", "--rank", "two", "--cap", "30"],  # every repeat is converted
     ["classes", *_CLASSES_A2, "extra"],  # unknown positional
     ["classes", *_CLASSES_A2, "--", "--bogus"],
     ["classes", "--type", "A", "--rank", "2"],  # missing required option
@@ -1326,6 +1343,48 @@ def test_parse_dispatch_matches_the_full_parser(argv):
     got = _parsed(cli._parse_argv, argv)
     assert got == _parsed(cli.build_parser().parse_args, argv)
     assert isinstance(got[0], dict) == (argv in PARSED_ARGVS)
+    assert (cli._read_argv(argv) is not None) == (argv in PLANNED_ARGVS)  # the rest go to the full parser
+
+
+def test_every_workload_argv_is_read_by_the_plan(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "casbench"))
+    workloads = importlib.import_module("workloads")
+    argvs = [req.argv for name in workloads.WORKLOADS for seed in (1, 2, 3) for req in workloads.build_round(name, seed)]
+    full = cli.build_parser()
+
+    def fail(argv):
+        raise AssertionError(f"the full parser read {argv}")
+
+    monkeypatch.setattr(cli._shared_parser()[0], "parse_args", fail)
+    for argv in argvs:
+        assert vars(cli._parse_argv(argv)) == vars(full.parse_args(argv))
+
+
+def _toy_parser(*unmodeled):
+    """A parser with subcommand "ok", of actions the plans model, and one
+    subcommand per add_argument keywords in unmodeled."""
+    parser = argparse.ArgumentParser(prog="toy")
+    sub = parser.add_subparsers(dest="command", required=True)
+    ok = sub.add_parser("ok")
+    ok.add_argument("--n", type=int, required=True)
+    ok.add_argument("--flag", action="store_true")
+    ok.set_defaults(func=len)
+    for i, keywords in enumerate(unmodeled):
+        sub.add_parser(f"s{i}").add_argument("--x", **keywords)
+    return parser, sub.choices
+
+
+def test_a_subcommand_with_an_action_the_plan_does_not_model_takes_the_full_parser(monkeypatch):
+    unmodeled = [{"nargs": "+"}, {"action": "append"}, {"type": int, "default": "3"}, {"default": argparse.SUPPRESS}]
+    parser, subparsers = _toy_parser(*unmodeled)
+    monkeypatch.setattr(cli, "_shared_parser", lambda: (parser, subparsers))
+    assert cli._argv_plan(subparsers["ok"]) is not None
+    assert vars(cli._read_argv(["ok", "--n", "2", "--flag"])) == {"command": "ok", "n": 2, "flag": True, "func": len}
+    for i in range(len(unmodeled)):
+        assert cli._argv_plan(subparsers[f"s{i}"]) is None
+        argv = [f"s{i}", "--x", "4"]
+        assert cli._read_argv(argv) is None
+        assert vars(cli._parse_argv(argv)) == vars(parser.parse_args(argv))
 
 
 def test_scale_default_is_an_exact_one():

@@ -6,7 +6,7 @@ import time
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ambient import dot, matmul, matvec, transpose
@@ -164,6 +164,11 @@ def test_frac_reads_strings_as_rational():
     assert rl.frac("1.5E+3") == 1500
     with pytest.raises(ValueError, match="zero denominator"):
         rl.frac("1/0")
+    # digits and digits/digits skip Fraction's regular expression, and read the same
+    for text in ("25/2", "007/010", "0", "\u0663/\u0662", "9" * 4300 + "/7"):
+        assert rl.rational(text) == Q(text) and type(rl.rational(text)) is Q
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        rl.rational("9" * 4301 + "/7")
 
 
 # --- gaussian rationals ---
@@ -424,7 +429,9 @@ def test_resultant_degenerate_shapes():
     assert rational_resultant(p, c) == Q(-8, 27) and rational_resultant(c, p) == Q(-8, 27)
 
 
-RESULTANT_SHAPES = ("deg 0/0", "p/const", "const/p", "p/p'", "p/p''", "common root", "even", "random")
+RESULTANT_SHAPES = (
+    "deg 0/0", "p/const", "const/p", "p/linear", "linear/p", "p/p'", "p/p''", "common root", "even", "random"
+)
 
 
 def _of_t_squared(cs):
@@ -440,6 +447,10 @@ integers = st.integers(-30, 30)
 
 
 @settings(max_examples=400)
+@example("p/linear", [3, -1, 2, 5], [2, -7], Q(1))  # the linear operand second, deg a odd and even
+@example("p/linear", [3, -1, 2, 5, -4], [2, -7], Q(1))
+@example("linear/p", [3, -1, 2, 5], [2, -7], Q(1))  # and first, where the swap sign applies too
+@example("linear/p", [3, -1, 2, 5, -4], [2, -7], Q(1))
 @given(
     st.sampled_from(RESULTANT_SHAPES),
     st.lists(integers, min_size=1, max_size=7),
@@ -454,6 +465,10 @@ def test_resultant_matches_sylvester_and_prs(shape, pcs, qcs, root):
     elif shape in ("p/const", "const/p"):
         q = [qcs[0] or 1]
         if shape == "const/p":
+            p, q = q, p
+    elif shape in ("p/linear", "linear/p"):
+        q = [qcs[0], qcs[-1] or 1]
+        if shape == "linear/p":
             p, q = q, p
     elif shape == "p/p'":
         q = derivative(p)
