@@ -8,18 +8,22 @@ plain JSON values, strings escaped to ASCII by json's own escaper, with a
 Fraction written as "p/q", an Enum as its value and a dataclass as its
 fields.  The walk looks each value up by its exact type: a leaf (a str,
 int, Fraction, None, bool, float, or an Enum whose values are such) is
-written inside its container's loop, and a dataclass from its type's plan
-of escaped JSON keys and attribute names in key order, made once per
-type.  A type met for the first time is classified in the order in which
-json.dumps tests types, so a subclass is written as json.dumps writes it.
-The text of each dataclass is built once per object and depth within one
-payload and reused where the same object recurs.  Reports are built and
-written completely before printing, so an error never leaves partial JSON
-on stdout; refusals and failures go to stderr.
+written inside its container's loop; a list, tuple, dict or certificate
+table (_Rows) by its own writer; and a dataclass from its type's plan of
+escaped JSON keys and attribute names in key order, made once per type.
+Any other type is refused with TypeError, and so is a subclass of a leaf
+or container type that is not an Enum.  The text of each dataclass is
+built once per object and depth within one payload and reused where the
+same object recurs.  Reports are built and written completely before
+printing, so an error never leaves partial JSON on stdout; refusals and
+failures go to stderr.
 
-An argv of exact option strings after a subcommand, each with one value
-not starting with "-" (a flag takes none), is read with that subcommand's
-plan; any other goes to the full parser, which writes all usage and errors.
+Each subcommand is declared once, in _COMMANDS: its function, its help
+line and its options as add_argument keywords.  build_parser builds the
+argparse parser from that table.  A plan made once from each entry reads
+an argv of exact flags after the subcommand, each with one value not
+starting with "-" (a store-true flag takes none); any other argv goes to
+the full parser, which writes all help, usage and error text.
 
 Exit codes: 0 success, also when the reader closes stdout before the
 report is read; 2 usage error or invalid input; 3 a configured cap
@@ -130,11 +134,6 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
-def _enum_text(e: Enum) -> str:
-    value = e._value_
-    return _LEAVES[type(value)](value)
-
-
 # The text of a leaf by its exact type.  A container writes its leaves in
 # its own loop, with no call of _write.  _writer adds the types it finds.
 _LEAVES = {
@@ -242,10 +241,6 @@ def _dataclass_writer(cls):
     return write
 
 
-def _write_enum(obj: Enum, out, nl: str, memo: dict) -> None:
-    _write(obj._value_, out, nl, memo)
-
-
 class _Rows(tuple):
     """Certificate table rows (kind, rep, rep2, value), each written as the
     JSON object with those keys; the names are already in sorted order."""
@@ -278,28 +273,12 @@ _WRITERS = {list: _write_list, tuple: _write_list, dict: _write_dict, _Rows: _wr
 
 
 def _writer(cls):
-    """The writer of type cls, kept for the next object of that type.
-    Types are tested in the order json.dumps tests them: a str, an int, a
-    float, a list or tuple, a dict; then a Fraction is written as "p/q", an
-    Enum as its value and a dataclass as its fields.  A leaf type goes into
-    _LEAVES, and so does an Enum whose values all have a leaf type."""
-    if issubclass(cls, str):
-        _LEAVES[cls] = _escape
-    elif issubclass(cls, int):
-        _LEAVES[cls] = _int_text
-    elif issubclass(cls, float):
-        _LEAVES[cls] = _float_text
-    elif issubclass(cls, (list, tuple)):
-        _WRITERS[cls] = _write_list
-    elif issubclass(cls, dict):
-        _WRITERS[cls] = _write_dict
-    elif issubclass(cls, Q):
-        _LEAVES[cls] = _fraction_text
-    elif issubclass(cls, Enum):
-        if {type(e._value_) for e in cls} <= _LEAVES.keys():
-            _LEAVES[cls] = _enum_text
-        else:
-            _WRITERS[cls] = _write_enum
+    """The writer of type cls, kept for the next object of that type.  An
+    Enum whose values all have a leaf type goes into _LEAVES, written from
+    its value, and a dataclass is written from its plan; any other type is
+    refused."""
+    if issubclass(cls, Enum) and {type(e._value_) for e in cls} <= _LEAVES.keys():
+        _LEAVES[cls] = lambda e: _LEAVES[type(e._value_)](e._value_)
     elif hasattr(cls, "__dataclass_fields__"):
         _WRITERS[cls] = _dataclass_writer(cls)
     else:
@@ -649,144 +628,127 @@ def cmd_hodge(args) -> dict:
 # ---------------------------------------------------------------------------
 # parser
 
+# Each subcommand's options as (flag, add_argument keywords), in help order.
+# A flag's dest is its name after "--" with each "-" read as "_".
+_OUTPUT = ("--output", {"choices": ("json", "table"), "default": "json"})
+_RSYS = (  # the root system's options, then _OUTPUT
+    ("--type", {"required": True, "help": "Dynkin family letter A..G"}),
+    ("--rank", {"required": True, "type": int}),
+    ("--lattice", {"choices": ("weight", "root"), "default": "weight"}),
+    ("--scale", {"type": rational, "default": Q(1), "help": "global metric scale p/q"}),
+    _OUTPUT,
+)
+_HIDDEN_CAPS = (
+    ("--point-cap", {"type": count, "default": DEFAULT_POINT_CAP}),
+    ("--rank-cap", {"type": count, "default": DEFAULT_RANK_CAP}),
+)
+_GROUP = (  # _OUTPUT, then the operator group and its rep cap
+    _OUTPUT,
+    ("--su2", {"type": count, "default": 0}),
+    ("--torus", {"type": count, "default": 0}),
+    ("--rep-cap", {"type": count, "default": 4}),
+)
+_CAP = ("--cap", {"type": rational, "required": True})
+_USTAR = ("--ustar", {"default": "trivial"})
+_KMODES = [k.value for k in KMode]
+
+# Each subcommand: its function, its help line and its options.
+_COMMANDS = {
+    "classes": (cmd_classes, "Casimir classes up to a squared-radius cap", (
+        *_RSYS, ("--cap", {"type": rational, "required": True, "help": "a_sq cap p/q"}))),
+    "coincidences": (cmd_coincidences, "classes with non-dual member pairs", (*_RSYS, _CAP)),
+    "hidden": (cmd_hidden, "stabilizer of one sphere configuration", (
+        *_RSYS, *_HIDDEN_CAPS,
+        ("--a2", {"type": rational, "required": True, "help": "squared radius p/q of the class"}),
+        ("--weyl-cap", {"type": count, "default": DEFAULT_WEYL_CAP}))),
+    "reptype": (cmd_reptype, "real/complex/quaternionic type of one irreducible", (
+        *_RSYS, ("--weight", {"required": True, "help": "fundamental-weight coordinates c1,c2,..."}))),
+    "certify": (cmd_certify, "search a metric witness with all resultants nonzero", (
+        *_GROUP, ("--budget", {"type": count, "default": 12}), ("--seed", {"type": int, "default": 2026}))),
+    "spectrum": (cmd_spectrum, "exact or numeric operator spectrum at one metric", (
+        *_GROUP, ("--kappa", {"required": True, "help": "diag:... shorthand, inline JSON, or a JSON file path"}),
+        ("--numeric", {"action": "store_true"}), ("--tol", {"type": tolerance, "default": 1e-9}),
+        ("--ustar-dim", {"type": count, "default": 1}))),
+    "estimate": (cmd_estimate, "eigenspace bound from the full Casimir class", (
+        *_RSYS, ("--weight", {"required": True}), _USTAR, ("--kmode", {"choices": _KMODES, "default": "diagonal"}))),
+    "report": (cmd_report, "normal-metric spectral report", (
+        *_RSYS, *_HIDDEN_CAPS, _CAP, _USTAR, ("--kmode", {"choices": _KMODES, "default": "trivial"}),
+        ("--real", {"action": "store_true", "help": "fold members into duality classes"}))),
+    "hodge-rank1": (cmd_hodge, "form-degree membership table for the rank-1 group case", (_OUTPUT, _CAP)),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="casimir-lab",
         description="Exact Casimir spectra, hidden sphere symmetries, and metric certificates.",
     )
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--output", choices=("json", "table"), default="json")
-
-    rsys = argparse.ArgumentParser(add_help=False)
-    rsys.add_argument("--type", required=True, help="Dynkin family letter A..G")
-    rsys.add_argument("--rank", required=True, type=int)
-    rsys.add_argument("--lattice", choices=("weight", "root"), default="weight")
-    rsys.add_argument("--scale", type=rational, default=Q(1), help="global metric scale p/q")
-
-    hidden_caps = argparse.ArgumentParser(add_help=False)
-    hidden_caps.add_argument("--point-cap", type=count, default=DEFAULT_POINT_CAP)
-    hidden_caps.add_argument("--rank-cap", type=count, default=DEFAULT_RANK_CAP)
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classes", parents=[rsys, out], help="Casimir classes up to a squared-radius cap")
-    p.add_argument("--cap", type=rational, required=True, help="a_sq cap p/q")
-    p.set_defaults(func=cmd_classes)
-
-    p = sub.add_parser("coincidences", parents=[rsys, out], help="classes with non-dual member pairs")
-    p.add_argument("--cap", type=rational, required=True)
-    p.set_defaults(func=cmd_coincidences)
-
-    p = sub.add_parser("hidden", parents=[rsys, out, hidden_caps], help="stabilizer of one sphere configuration")
-    p.add_argument("--a2", type=rational, required=True, help="squared radius p/q of the class")
-    p.add_argument("--weyl-cap", type=count, default=DEFAULT_WEYL_CAP)
-    p.set_defaults(func=cmd_hidden)
-
-    p = sub.add_parser("reptype", parents=[rsys, out], help="real/complex/quaternionic type of one irreducible")
-    p.add_argument("--weight", required=True, help="fundamental-weight coordinates c1,c2,...")
-    p.set_defaults(func=cmd_reptype)
-
-    p = sub.add_parser("certify", parents=[out], help="search a metric witness with all resultants nonzero")
-    p.add_argument("--su2", type=count, default=0)
-    p.add_argument("--torus", type=count, default=0)
-    p.add_argument("--rep-cap", type=count, default=4)
-    p.add_argument("--budget", type=count, default=12)
-    p.add_argument("--seed", type=int, default=2026)
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("spectrum", parents=[out], help="exact or numeric operator spectrum at one metric")
-    p.add_argument("--su2", type=count, default=0)
-    p.add_argument("--torus", type=count, default=0)
-    p.add_argument("--rep-cap", type=count, default=4)
-    p.add_argument("--kappa", required=True, help="diag:... shorthand, inline JSON, or a JSON file path")
-    p.add_argument("--numeric", action="store_true")
-    p.add_argument("--tol", type=tolerance, default=1e-9)
-    p.add_argument("--ustar-dim", type=count, default=1)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("estimate", parents=[rsys, out], help="eigenspace bound from the full Casimir class")
-    p.add_argument("--weight", required=True)
-    p.add_argument("--ustar", default="trivial")
-    p.add_argument("--kmode", choices=[k.value for k in KMode], default="diagonal")
-    p.set_defaults(func=cmd_estimate)
-
-    p = sub.add_parser("report", parents=[rsys, out, hidden_caps], help="normal-metric spectral report")
-    p.add_argument("--cap", type=rational, required=True)
-    p.add_argument("--ustar", default="trivial")
-    p.add_argument("--kmode", choices=[k.value for k in KMode], default="trivial")
-    p.add_argument("--real", action="store_true", help="fold members into duality classes")
-    p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("hodge-rank1", parents=[out], help="form-degree membership table for the rank-1 group case")
-    p.add_argument("--cap", type=rational, required=True)
-    p.set_defaults(func=cmd_hodge)
-
+    for name, (func, help_line, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
 @lru_cache(maxsize=1)
-def _shared_parser() -> tuple:
-    """The full parser and its subcommands' parsers by name, built on first
-    use and reused: parsing does not mutate a parser."""
-    parser = build_parser()
-    (subparsers,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return parser, subparsers
+def _full_parser() -> argparse.ArgumentParser:
+    """build_parser(), built on first use and reused: parsing does not mutate it."""
+    return build_parser()
 
 
-@lru_cache(maxsize=None)
-def _argv_plan(sub: argparse.ArgumentParser):
-    """Subcommand parser sub's plan: each exact option string's action, the
-    defaults as sub.get_default gives them (func too) and required dests.
-    None if an action neither stores one value nor a constant, or argparse
-    would convert its default or leave it unset."""
-    options, dests, required = {}, list(sub._defaults), set()
-    for action in sub._actions:
-        if isinstance(action, argparse._HelpAction):
-            continue  # -h and --help are left to the full parser
-        stores_one = type(action) is argparse._StoreAction and action.nargs is None
-        if not (stores_one or isinstance(action, argparse._StoreConstAction)) or (
-            action.default is argparse.SUPPRESS or action.type is not None and isinstance(action.default, str)
-        ):
-            return None
-        options.update(dict.fromkeys(action.option_strings, action))
-        dests.append(action.dest)
-        if action.required:
-            required.add(action.dest)
-    return options, {dest: sub.get_default(dest) for dest in dests}, required
+def _plan(name: str, func, options) -> tuple:
+    """Subcommand name's reading of canonical argv: each flag's dest, type,
+    choices and whether it is a store-true flag; the namespace defaults,
+    command and func included; the required dests."""
+    flags, defaults, required = {}, {"command": name, "func": func}, set()
+    for flag, keywords in options:
+        dest = flag[2:].replace("-", "_")
+        store_true = keywords.get("action") == "store_true"
+        flags[flag] = (dest, keywords.get("type"), keywords.get("choices"), store_true)
+        defaults[dest] = keywords.get("default", False if store_true else None)
+        if keywords.get("required"):
+            required.add(dest)
+    return flags, defaults, required
+
+
+_PLANS = {name: _plan(name, func, options) for name, (func, _, options) in _COMMANDS.items()}
 
 
 def _read_argv(argv: list):
     """build_parser().parse_args(argv), read with argv[0]'s plan; None unless
-    each later argument is an exact option string and its one value, not
-    starting with "-", that converts and is a choice, and none required is missing."""
-    sub = _shared_parser()[1].get(argv[0]) if argv else None
-    plan = _argv_plan(sub) if sub is not None else None
+    each later argument is a flag and its one value, not starting with "-",
+    that converts and is a choice, and none required is missing."""
+    plan = _PLANS.get(argv[0]) if argv else None
     if plan is None:
         return None
-    options, defaults, required = plan
+    flags, defaults, required = plan
     values, rest = {}, iter(argv[1:])
     try:
-        for option in rest:
-            action = options[option]
-            if action.nargs == 0:
-                values[action.dest] = action.const
+        for flag in rest:
+            dest, convert, choices, store_true = flags[flag]
+            if store_true:
+                values[dest] = True
                 continue
             text = next(rest)
-            value = text if action.type is None else action.type(text)
-            if text.startswith("-") or action.choices is not None and value not in action.choices:
+            if text.startswith("-"):  # argparse reads it as an option, or as a negative number
                 return None
-            values[action.dest] = value
-    except Exception:  # an unknown option, a missing value or a failed conversion
+            value = text if convert is None else convert(text)
+            if choices is not None and value not in choices:
+                return None
+            values[dest] = value
+    except (KeyError, StopIteration, ValueError, TypeError, argparse.ArgumentTypeError):
+        # an unknown option, a missing value, or a conversion error that argparse would report
         return None
-    args = argparse.Namespace(command=argv[0])
+    args = argparse.Namespace()
     vars(args).update(defaults, **values)
     return args if required <= values.keys() else None
 
 
 def _parse_argv(argv: list) -> argparse.Namespace:
     """build_parser().parse_args(argv): the plan's reading, else the full parser's."""
-    return _read_argv(argv) or _shared_parser()[0].parse_args(argv)
+    return _read_argv(argv) or _full_parser().parse_args(argv)
 
 
 def _drop_closed(stream) -> None:

@@ -1,9 +1,10 @@
 """Gaussian rationals p + q*i with p, q exact Fractions, and their matrix product.
 
 No module of the package imports this one: `oplab` runs on Gaussian
-integers over one denominator.  It is kept for the traced `gmatmul` only,
-which the benchmark's tracer names; the other Gaussian-rational matrix
-helpers are the tests' reference (`tests/polyref.py`).
+integers over one denominator.  It is kept for the tests' Gaussian
+reference (`tests/polyref.py`), which builds its matrices on `QQi`,
+`GZERO` and `gmatmul` and holds the other Gaussian-rational matrix
+helpers, and for the traced `gmatmul`, which the benchmark's tracer names.
 """
 
 from __future__ import annotations

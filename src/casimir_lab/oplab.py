@@ -64,7 +64,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch, InternalConsistencyError, NotPositiveDefinite
-from .polyq import RationalPoly, derivative, resultant
+from .polyq import RationalPoly, derivative, homogeneous_horner, resultant
 from .ratlinalg import frac, integer_det, is_positive_definite
 
 Q = Fraction
@@ -800,22 +800,12 @@ def multiplicity_at_float(p: RationalPoly, x: float, tol: float = 1e-6) -> int:
     for i, (q, dq) in enumerate(p._layers):
         if len(q) <= 1:
             continue
-        dval = _homogeneous_horner(dq, n, den)
+        dval = homogeneous_horner(dq, n, den)
         if dval == 0:
             continue
-        if abs(_homogeneous_horner(q, n, den)) * bd <= bn * den * abs(dval):
+        if abs(homogeneous_horner(q, n, den)) * bd <= bn * den * abs(dval):
             hits.append(i + 1)
     if len(hits) != 1:
         raise InternalConsistencyError(
             f"cluster center {x!r} matches {len(hits)} squarefree layers at tol {tol}")
     return hits[0]
-
-
-def _homogeneous_horner(cs: list[int], n: int, den: int) -> int:
-    """den^deg * q(n / den) for the integer coefficients cs of q (degree-indexed)."""
-    acc = cs[-1]
-    power = 1
-    for c in reversed(cs[:-1]):
-        power *= den
-        acc = acc * n + c * power
-    return acc

@@ -161,6 +161,16 @@ def root_multiplicity_profile(a: list[int]) -> dict[int, int]:
     return {i + 1: len(part) - 1 for i, part in enumerate(parts) if len(part) > 1}
 
 
+def homogeneous_horner(cs: list[int], n: int, d: int) -> int:
+    """d^deg q(n / d) = sum_k cs[k] n^k d^(deg - k) for the integer
+    coefficients cs of q (degree-indexed, nonempty), in one Horner pass."""
+    acc, power = cs[-1], 1
+    for c in cs[-2::-1]:
+        power *= d
+        acc = acc * n + c * power
+    return acc
+
+
 def resultant(a: list[int], b: list[int]) -> int:
     """res(a, b), the Sylvester determinant, of nonzero integer polynomials.
 
@@ -187,13 +197,8 @@ def resultant(a: list[int], b: list[int]) -> int:
     if len(b) == 1:
         return s * b[0] ** (len(a) - 1)
     if len(b) == 2:
-        # res(a, b1 t + b0) = (-1)^n sum_k a_k (-b0)^k b1^(n-k), n = deg a, by homogeneous Horner
-        b0, b1 = b
-        acc, power = a[-1], 1
-        for c in a[-2::-1]:
-            power *= b1
-            acc = acc * -b0 + c * power
-        return s * acc if len(a) % 2 else -s * acc
+        # res(a, b1 t + b0) = (-1)^deg(a) b1^deg(a) a(-b0 / b1), one homogeneous Horner pass
+        return (s if len(a) % 2 else -s) * homogeneous_horner(a, -b[0], b[1])
     g = h = 1
     while True:
         delta = len(a) - len(b)

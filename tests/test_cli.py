@@ -1,6 +1,7 @@
 """Command-line surface: payload shapes, exit codes, canonical output."""
 
 import argparse
+import ast
 import hashlib
 import io
 import importlib
@@ -15,6 +16,7 @@ from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
 from fractions import Fraction as Q
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -638,6 +640,28 @@ def test_non_string_keys_are_refused(payload):
         _written(payload)
 
 
+class _Boxed(Enum):
+    LEAF = _Leaf(Q(1, 3), RepType.REAL)
+
+
+class _Pair(NamedTuple):
+    a: int
+    b: int
+
+
+class _Items(list):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value", [_Boxed.LEAF, _Pair(1, 2), _Items([1])], ids=["enum-of-dataclass", "namedtuple", "list-subclass"]
+)
+def test_types_no_payload_holds_are_refused(value):
+    # an Enum is written from a leaf value, and a subclass that is not an Enum is refused
+    with pytest.raises(TypeError):
+        _written({"x": [value]})
+
+
 class _Tag(str, Enum):
     A = "a"
     B = "é"
@@ -714,10 +738,6 @@ def test_json_hook_writes_what_the_reference_walk_writes(payload):
     assert _written(payload, "table") == "\n".join(cli._render_table(ref)) + "\n"
 
 
-class _Boxed(Enum):
-    LEAF = _Leaf(Q(1, 3), RepType.REAL)
-
-
 _SHARED = _Leaf(Q(-2, 5), RepType.COMPLEX)
 
 
@@ -726,9 +746,7 @@ _SHARED = _Leaf(Q(-2, 5), RepType.COMPLEX)
     {"a": _SHARED, "b": [_SHARED, _SHARED], "c": _Node((_SHARED, (_SHARED,)), "x")},
     # equal and equally hashed, written differently: True == 1
     [_Node((True,), "x"), _Node((1,), "x"), {"d": [_Node((1,), "x"), _Node((True,), "x")]}],
-    # a dataclass as an Enum's value, and the same object bare
-    {"e": _Boxed.LEAF, "f": [_Boxed.LEAF, _Boxed.LEAF.value]},
-], ids=["depths", "equal-not-identical", "enum-value"])
+], ids=["depths", "equal-not-identical"])
 def test_writer_reuses_text_by_identity_and_depth(payload):
     assert _Node((True,), "x") == _Node((1,), "x") and hash(_Node((True,), "x")) == hash(_Node((1,), "x"))
     ref = jsonable(payload)
@@ -1346,6 +1364,46 @@ def test_parse_dispatch_matches_the_full_parser(argv):
     assert (cli._read_argv(argv) is not None) == (argv in PLANNED_ARGVS)  # the rest go to the full parser
 
 
+# sha256 of the text that -h writes to stdout, at the top level and after
+# each subcommand, at 80 columns under Python 3.11's argparse (its layout
+# moves between Python versions).
+HELP_SHA256 = {
+    "": "5db01413c4c90b4309bf1293789b63b1caadc7a1aaddd5f9b46a841bd6a33393",
+    "classes": "c893312f95b172a0ee6649c88179d7de652875f204fd099d2acc77453565d909",
+    "coincidences": "12234817661db8277cc4c9c36167a8f8eb31c087435fbda67883746304e9e83e",
+    "hidden": "14cb86e44598e91c00bf7f8ded87ac55599b1753a60c7bc093ef0fc519dc2958",
+    "reptype": "fdd8f196997f6296076f9dc4caa823cc015ca102bf3b9c983a400e796ffda515",
+    "certify": "0eef2740428accc41dcf22066a4507357d9fc47b1e0a70e2f440d55e7c7bd908",
+    "spectrum": "cb54221bb9c4d0aaaafd30ec3cf405f2061337b8a2b54a30126c30c73d6c735c",
+    "estimate": "910775027f742af832685f1556aa39ff90f4f07bd9f92934f67d33d0b15dff8d",
+    "report": "a7b87fbb80d569f7f82c447463b79758b7cad578ffac70f00e66ee71dbee675e",
+    "hodge-rank1": "3a1aefcb1634cb842dce25a4268a82cfe6f7ff170f1d9e7686f6442c69a030ba",
+}
+
+
+@pytest.mark.parametrize("command", HELP_SHA256, ids=lambda command: command or "top")
+def test_help_text_pinned(monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    result, out, err = _parsed(cli._parse_argv, [command, "-h"] if command else ["-h"])
+    assert (result, err) == (("exit", 0), "")
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[command]
+
+
+def test_parsed_and_exiting_argvs_pinned(monkeypatch):
+    # The namespace, or the exit code with stdout and stderr, that the full
+    # parser gives each argv of PARSED_ARGVS and EXITING_ARGVS, in one
+    # sha256; a namespace is written as its sorted items, func by name.
+    # Re-record it when either list changes.
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256()
+    for argv in PARSED_ARGVS + EXITING_ARGVS:
+        result, out, err = _parsed(cli.build_parser().parse_args, argv)
+        if isinstance(result, dict):
+            result = sorted((key, getattr(value, "__name__", value)) for key, value in result.items())
+        digest.update(repr((argv, result, out, err)).encode())
+    assert digest.hexdigest() == "019468eff382483898a8af41244d63360667b6f32d282df93e70b9aa9536a64e"
+
+
 def test_every_workload_argv_is_read_by_the_plan(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "casbench"))
     workloads = importlib.import_module("workloads")
@@ -1355,44 +1413,89 @@ def test_every_workload_argv_is_read_by_the_plan(monkeypatch):
     def fail(argv):
         raise AssertionError(f"the full parser read {argv}")
 
-    monkeypatch.setattr(cli._shared_parser()[0], "parse_args", fail)
+    monkeypatch.setattr(cli._full_parser(), "parse_args", fail)
     for argv in argvs:
         assert vars(cli._parse_argv(argv)) == vars(full.parse_args(argv))
 
 
-def _toy_parser(*unmodeled):
-    """A parser with subcommand "ok", of actions the plans model, and one
-    subcommand per add_argument keywords in unmodeled."""
-    parser = argparse.ArgumentParser(prog="toy")
-    sub = parser.add_subparsers(dest="command", required=True)
-    ok = sub.add_parser("ok")
-    ok.add_argument("--n", type=int, required=True)
-    ok.add_argument("--flag", action="store_true")
-    ok.set_defaults(func=len)
-    for i, keywords in enumerate(unmodeled):
-        sub.add_parser(f"s{i}").add_argument("--x", **keywords)
-    return parser, sub.choices
-
-
-def test_a_subcommand_with_an_action_the_plan_does_not_model_takes_the_full_parser(monkeypatch):
-    unmodeled = [{"nargs": "+"}, {"action": "append"}, {"type": int, "default": "3"}, {"default": argparse.SUPPRESS}]
-    parser, subparsers = _toy_parser(*unmodeled)
-    monkeypatch.setattr(cli, "_shared_parser", lambda: (parser, subparsers))
-    assert cli._argv_plan(subparsers["ok"]) is not None
-    assert vars(cli._read_argv(["ok", "--n", "2", "--flag"])) == {"command": "ok", "n": 2, "flag": True, "func": len}
-    for i in range(len(unmodeled)):
-        assert cli._argv_plan(subparsers[f"s{i}"]) is None
-        argv = [f"s{i}", "--x", "4"]
-        assert cli._read_argv(argv) is None
-        assert vars(cli._parse_argv(argv)) == vars(parser.parse_args(argv))
-
-
 def test_scale_default_is_an_exact_one():
     # a str default would be read by rational on every request
-    defaults = {name: sub.get_default("scale") for name, sub in cli._shared_parser()[1].items()}
+    defaults = {name: plan[1].get("scale") for name, plan in cli._PLANS.items()}
     scaled = {name for name, default in defaults.items() if default is not None}
     assert scaled == {"classes", "coincidences", "hidden", "reptype", "estimate", "report"}
     assert all(type(defaults[name]) is Q and defaults[name] == 1 for name in scaled)
+
+
+# Option values by the option's type (its choices if it has them), and
+# invalid ones: values starting with "-", an empty one, a non-number, a
+# zero denominator and a bad choice.
+_VALID = {int: ["2", "-5"], cli.count: ["3"], cli.rational: ["5/2", "7"], cli.tolerance: ["1e-6"], None: ["A", "1,0"]}
+_INVALID = ["-5", "-1,0", "", "x", "3/0", "bogus"]
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand and any subset of its options in any order, with
+    repeats, required ones often all in.  Each option is written exact with
+    a valid value, or exact with any value, or with a valid value in any
+    spelling: exact, --opt=value, abbreviated, or without its value."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    options = cli._COMMANDS[name][2]
+    chosen = draw(st.lists(st.sampled_from(options), max_size=8))
+    if draw(st.booleans()):
+        chosen += [option for option in options if option[1].get("required")]
+    mode = draw(st.sampled_from(["canonical", "values", "spellings"]))
+    argv = [name]
+    for flag, keywords in draw(st.permutations(chosen)):
+        valid = keywords.get("choices") or _VALID[keywords.get("type")]
+        value = draw(st.sampled_from([*valid, *_INVALID] if mode == "values" else valid))
+        spellings = ["exact", "attached", "abbreviated", "bare"] if mode == "spellings" else ["exact"]
+        spelling = draw(st.sampled_from(spellings))
+        if spelling == "attached":
+            argv.append(f"{flag}={value}")
+        elif keywords.get("action") == "store_true" or spelling == "bare":
+            argv.append(flag if spelling != "abbreviated" else flag[:4])
+        else:
+            argv += [flag if spelling == "exact" else flag[:4], value]
+    return argv
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_argvs())
+@example(["hidden", "--type", "B", "--rank", "2", "--a2", "25/2", "--point-cap", "9", "--weyl-cap", "0"])
+@example(["report", "--type", "A", "--rank", "2", "--cap", "30", "--kmode", "bogus", "--real"])
+def test_both_parse_paths_agree(argv):
+    assert _parsed(cli._parse_argv, argv) == _parsed(cli.build_parser().parse_args, argv)
+
+
+def _private_argparse_reads(tree) -> list:
+    """The private argparse names a module's AST reads: an attribute of
+    argparse or a name imported from it that starts with "_", and a private
+    attribute of an ArgumentParser, its class or its instance (._actions)."""
+    parser = argparse.ArgumentParser()
+    private = {
+        name
+        for name in [*dir(argparse.ArgumentParser), *vars(parser)]
+        if name.startswith("_") and not name.endswith("__")
+    }
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (
+            node.attr in private or node.attr.startswith("_") and getattr(node.value, "id", None) == "argparse"
+        ):
+            reads.append(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "argparse":
+            reads += [alias.name for alias in node.names if alias.name.startswith("_")]
+    return reads
+
+
+def test_cli_reads_no_private_name_of_argparse():
+    assert _private_argparse_reads(ast.parse(Path(cli.__file__).read_text())) == []
+    # the scan sees each kind of read
+    seen = "p._actions; p._defaults; s._option_string_actions; argparse._HelpAction\nfrom argparse import _StoreAction"
+    assert sorted(_private_argparse_reads(ast.parse(seen))) == [
+        "_HelpAction", "_StoreAction", "_actions", "_defaults", "_option_string_actions"
+    ]
 
 
 def test_usage_errors_exit_2(capsys):

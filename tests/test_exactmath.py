@@ -389,6 +389,13 @@ def test_resultant_matches_prs_oracle():
         assert rational_resultant(p, q) == _prs_resultant(p, q)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=8), st.integers(-20, 20), st.integers(-20, 20))
+def test_homogeneous_horner_is_the_homogenized_polynomial(cs, n, d):
+    deg = len(cs) - 1
+    assert polyq.homogeneous_horner(cs, n, d) == sum(c * n**k * d ** (deg - k) for k, c in enumerate(cs))
+
+
 def test_resultant_detects_common_roots():
     p = ints(from_roots([Q(1), Q(2)]))
     q = ints(from_roots([Q(2), Q(9)]))
