@@ -553,7 +553,7 @@ def cmd_spectrum(args) -> dict:
         # numeric_spectrum refuses it as well, but only after every operator is built
         raise NotPositiveDefinite("kappa is not positive definite")
     ops, entries = [], []
-    for i, (v, j) in enumerate(zip(reps, dual_positions(reps))):
+    for i, (v, j) in enumerate(zip(reps, dual_positions(g, args.rep_cap))):
         if j < i:
             # V* comes after V: it has V's eigenvalues, so it passes V's
             # operator, and V's polynomial, profile and written coefficients

@@ -47,6 +47,20 @@ this choice every matrix entry is a Gaussian rational, and the operator at
 kappa = identity acts on the spin-(m/2) factor by m(m+2)/4 — exactly half of
 the weight-lattice Casimir value m(m+2)/2 computed by the weights module at
 the |alpha|^2 = 2 normalization.  The factor 2 is fixed and documented here.
+
+Kept per process, in two lru_caches of metric-independent data, as rootsys
+and reps keep theirs: _rep_list per (GroupSpec, rep cap), the label tuple
+of enumerate_reps and each label's dual position, at most
+REP_LIST_CACHE_SIZE lists of at most REP_COUNT_CAP labels (19 KB each);
+and _quad_pieces per (GroupSpec, IrrepSpec), the doubled generators, the
+pieces (each multiplied out when a metric first asks for it) and the float
+scale, at most IRREP_CACHE_SIZE entries.  That holds all 488 irreducibles
+of all admitted lists, about 6 MB with every piece built, 0.18 MB for
+the largest (SU(2)^4's (1, 1, 1, 1): 78 pieces of 16 x 16); a rep past the
+caps, which only a direct build_operator call reaches, keeps d^2 integers
+per piece.  enumerate_reps and dual_positions check the rep caps on every
+call before the lookup, so a kept list never skips a refusal, and a kept
+entry is never changed, only extended by pieces.
 """
 
 from __future__ import annotations
@@ -57,7 +71,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import add, mul
 from typing import Optional
 
@@ -73,6 +87,9 @@ Q = Fraction
 # every operator sums up to n(n+1)/2 quadratic pieces.  Any rep cap >= 1
 # refuses every group past dimension 12 by its rep count anyway.
 ALGEBRA_DIM_CAP = 24
+# Entries of the per-process tables, at most 0.6 and 6 MB (module docstring).
+REP_LIST_CACHE_SIZE = 32
+IRREP_CACHE_SIZE = 512
 
 
 @dataclass(frozen=True)
@@ -226,7 +243,7 @@ def _doubled_generators(g: GroupSpec, rep: IrrepSpec):
 
 
 class _QuadPieces:
-    """Metric-independent quadratic pieces of one irreducible, in integers.
+    """Metric-independent data of one irreducible, in integers.
 
     The generators M_i have entries in (1/2) Z[i], and each G_i = 2 M_i is
     an integer matrix A_i or i A_i.  The piece for i <= j is G_i G_j + G_j G_i
@@ -234,21 +251,28 @@ class _QuadPieces:
     has one part: the integer matrix A_i A_j + A_j A_i (A_i^2), imaginary when
     exactly one of G_i, G_j is, and negated when both are.  A piece is
     multiplied out the first time a metric with kappa_ij != 0 asks for it
-    and kept for the life of the object, so operators of one rep at many
-    metrics share their products.
+    and kept for the life of the object; _quad_pieces keeps one object per
+    (group, irreducible), so operators of one rep at every metric share
+    their products.  scale conjugates D to a Hermitian matrix.
     """
 
     def __init__(self, g: GroupSpec, rep: IrrepSpec):
-        self.group = g
-        self.rep = rep
         self._dim = rep.dim
         self._gens = _doubled_generators(g, rep)
         self._pieces = {}
+        # sqrt(w) for the diagonal w = 1/b of the invariant inner product on
+        # the monomial basis, b the product of the binomials of each digit
+        b = [1]
+        for m in rep.spins:
+            b = [x * math.comb(m, k) for x in b for k in range(m + 1)]
+        self.scale = np.sqrt([1 / x for x in b])
+        self.scale.flags.writeable = False
 
     def piece(self, i: int, j: int):
         """(imaginary, flat) for i <= j: the piece 4 (M_i M_j + M_j M_i)
         (4 M_i^2 when i == j) is the row-major integer list flat, times i
-        when imaginary; flat is None when the piece is zero."""
+        when imaginary; flat is None when the piece is zero.  It is shared,
+        so callers only read it."""
         key = (i, j)
         if key not in self._pieces:
             d = self._dim
@@ -264,6 +288,12 @@ class _QuadPieces:
                             flat[base + c] += x * y
             self._pieces[key] = (ia != ib, flat if any(flat) else None)
         return self._pieces[key]
+
+
+@lru_cache(maxsize=IRREP_CACHE_SIZE)
+def _quad_pieces(g: GroupSpec, rep: IrrepSpec) -> _QuadPieces:
+    """The one _QuadPieces of (g, rep) in this process (module docstring)."""
+    return _QuadPieces(g, rep)
 
 
 @dataclass(frozen=True)
@@ -283,9 +313,7 @@ class ExactOperator:
         return len(self.re)
 
 
-def build_operator(
-    g: GroupSpec, rep: IrrepSpec, k: MetricParam, *, pieces: Optional[_QuadPieces] = None
-) -> ExactOperator:
+def build_operator(g: GroupSpec, rep: IrrepSpec, k: MetricParam) -> ExactOperator:
     """D = -sum_ij kappa_ij M_i M_j, exactly, as an integer matrix over a common denominator.
 
     Grouping the symmetric terms, 4 D = -sum_(i<=j) kappa_ij P_ij over the
@@ -293,17 +321,14 @@ def build_operator(
     kappa_ij), A = L D is the integer combination -sum (L/4) kappa_ij P_ij.
     The integer weights -(L/4) kappa_ij and the lcm are the metric's own,
     computed once per MetricParam instance, so every rep built at one
-    metric reads the same list.  Passing the rep's pieces shares their
-    products across metrics (certify does); without them the pieces are
-    built for this call.  Each piece is real or imaginary and is added,
-    weighted, into that one part of A; a part no piece has stays zero, so
-    an operator of real pieces alone (as at every diagonal metric) is real.
+    metric reads the same list.  The pieces are the rep's interned ones
+    (_quad_pieces), shared by every metric.  Each piece is real or
+    imaginary and is added, weighted, into that one part of A; a part no
+    piece has stays zero, so an operator of real pieces alone (as at every
+    diagonal metric) is real.
     """
     g.check_kappa_size(k.n)
-    if pieces is None:
-        pieces = _QuadPieces(g, rep)
-    elif pieces.group != g or pieces.rep != rep:
-        raise ValueError("quadratic pieces belong to another group or rep")
+    pieces = _quad_pieces(g, rep)
     terms, lcm = k._weights
     d = rep.dim
     parts = [None, None]
@@ -317,21 +342,6 @@ def build_operator(
         for flat in parts
     )
     return ExactOperator(re, im, 4 * lcm, rep, k, real=parts[1] is None)
-
-
-def dual_positions(reps) -> list[int]:
-    """The position in reps of each rep's dual; enumerate_reps lists every
-    character with its negative, so every dual of its list is listed."""
-    position = {v: i for i, v in enumerate(reps)}
-    return [position[v.dual()] for v in reps]
-
-
-def _monomial_weights(rep: IrrepSpec):
-    """Diagonal of the invariant inner product on the monomial basis (1/binomial)."""
-    weights = [Q(1)]
-    for m in rep.spins:
-        weights = [w / math.comb(m, k) for w in weights for k in range(m + 1)]
-    return weights
 
 
 def char_poly(op: ExactOperator) -> tuple[list[int], int]:
@@ -490,7 +500,8 @@ def _admit(what: str, factors, cap: int) -> None:
 
 
 def enumerate_reps(g: GroupSpec, rep_cap: int):
-    """All irreducible labels with every m_i <= rep_cap and |z_t| <= rep_cap.
+    """All irreducible labels with every m_i <= rep_cap and |z_t| <= rep_cap,
+    as a new list, sorted by (spins, torus_char).
 
     The count and the total dimension are products over the factors: each
     SU(2) copy offers rep_cap + 1 spins of total dimension
@@ -498,14 +509,34 @@ def enumerate_reps(g: GroupSpec, rep_cap: int):
     characters of dimension 1.  A list past REP_COUNT_CAP or TOTAL_DIM_CAP
     is refused (CapExceeded) from these products, before any label is made.
     """
+    return list(_admitted_reps(g, rep_cap)[0])
+
+
+def dual_positions(g: GroupSpec, rep_cap: int) -> tuple[int, ...]:
+    """The position in enumerate_reps(g, rep_cap) of each label's dual,
+    refused as enumerate_reps refuses."""
+    return _admitted_reps(g, rep_cap)[1]
+
+
+def _admitted_reps(g: GroupSpec, rep_cap: int):
+    """_rep_list(g, rep_cap), after enumerate_reps's admission."""
     spins, chars = max(0, rep_cap + 1), max(0, 2 * rep_cap + 1)
     _admit("rep count", [(spins, g.su2_copies), (chars, g.torus_rank)], REP_COUNT_CAP)
     _admit("total rep dimension", [(spins * (rep_cap + 2) // 2, g.su2_copies), (chars, g.torus_rank)], TOTAL_DIM_CAP)
+    return _rep_list(g, rep_cap)
+
+
+@lru_cache(maxsize=REP_LIST_CACHE_SIZE)
+def _rep_list(g: GroupSpec, rep_cap: int):
+    """(reps, duals): enumerate_reps's labels and each one's dual's position
+    (every character is listed with its negative)."""
     c = g.su2_copies
     ranges = [range(rep_cap + 1)] * c + [range(-rep_cap, rep_cap + 1)] * g.torus_rank
     # product walks its ranges lexicographically, so the list is sorted by
     # (spins, torus_char)
-    return [IrrepSpec(t[:c], t[c:]) for t in itertools.product(*ranges)]
+    reps = tuple(IrrepSpec(t[:c], t[c:]) for t in itertools.product(*ranges))
+    position = {v: i for i, v in enumerate(reps)}
+    return reps, tuple(position[v.dual()] for v in reps)
 
 
 def admit_metric(k: MetricParam, reps) -> None:
@@ -595,14 +626,13 @@ def certify(g: GroupSpec, rep_cap: int, budget: int = 12, seed: int = 2026) -> C
     candidates tend to fail on the same row, as every diagonal one does on
     a group with more than one factor): a zero there rejects it with only
     that row's operators built, and a nonzero value is reused when the
-    table is then computed in order.  Nothing is kept past one call.
+    table is then computed in order.  The rejecting row and the
+    polynomials live one call; the rep list and the operators' pieces are
+    the process's interned ones (module docstring).
     """
     if budget > BUDGET_CAP:
         raise CapExceeded("budget", budget, BUDGET_CAP)
-    reps = enumerate_reps(g, rep_cap)
-    duals = dual_positions(reps)
-    # the later member of a dual pair never builds an operator
-    pieces = [_QuadPieces(g, v) if duals[i] >= i else None for i, v in enumerate(reps)]
+    reps, duals = enumerate_reps(g, rep_cap), dual_positions(g, rep_cap)
     violations = []
     # (key, row) of the previous rejected candidate's first zero row
     screen = None
@@ -616,10 +646,11 @@ def certify(g: GroupSpec, rep_cap: int, budget: int = 12, seed: int = 2026) -> C
         polys = [None] * len(reps)
 
         def poly(i):
-            # V and V* share (P, den): the first listed member computes it
+            # V and V* share (P, den): the first listed member computes it,
+            # so the later member never builds an operator
             i = min(i, duals[i])
             if polys[i] is None:
-                p = char_poly(build_operator(g, reps[i], cand, pieces=pieces[i]))
+                p = char_poly(build_operator(g, reps[i], cand))
                 if p[1] != den:
                     raise InternalConsistencyError(
                         f"operator of {reps[i]} has denominator {p[1]}, its metric {den}")
@@ -715,19 +746,31 @@ class SpectrumCluster:
         return {v: ustar_dim * mult * v.dim for v, mult in self.per_rep}
 
 
-def _float_hermitian(op: ExactOperator):
-    """Conjugate by W^(1/2) to land in an honestly Hermitian float matrix.
+def _float_hermitians(ops) -> np.ndarray:
+    """The Hermitian W^(1/2) D W^(-1/2) of operators of one dimension, stacked.
 
     Integer true division rounds correctly, so each entry is the float of
     the exact rational entry; an entry past the float range is refused
-    (ValueError), as input the float eigensolver cannot take."""
-    w = _monomial_weights(op.rep)
-    d = op.dim
-    s = [math.sqrt(float(x)) for x in w]
-    try:
-        return [[complex(op.re[i][j] / op.den, op.im[i][j] / op.den) * s[i] / s[j] for j in range(d)] for i in range(d)]
-    except OverflowError:
-        raise ValueError(f"an operator entry of {op.rep} is past the float range of the numeric spectrum") from None
+    (ValueError), as input the float eigensolver cannot take.  The scaling
+    by the rep's scale s repeats, one float operation at a time, CPython's
+    complex(x / den, y / den) * s_i / s_j, which promotes each float to a
+    complex, so every entry is that one, signed zeros included."""
+    d = ops[0].dim
+    re, im = np.zeros((2, len(ops), d, d))
+    for n, op in enumerate(ops):
+        for part, rows in zip((re, im), (op.re,) if op.real else (op.re, op.im)):
+            try:
+                part[n] = [[x / op.den for x in row] for row in rows]
+            except OverflowError:
+                raise ValueError(f"an operator entry of {op.rep} is past the float range of the numeric spectrum") from None
+    s = np.array([_quad_pieces(GroupSpec(len(op.rep.spins), len(op.rep.torus_char)), op.rep).scale for op in ops])
+    si, sj = s[:, :, None], s[:, None, :]
+    # (re + i im) (s_i + 0i), then / (s_j + 0i) as CPython divides by a
+    # complex of zero imaginary part: its ratio 0 / s_j is 0, its denominator s_j
+    tr, ti = re * si - im * 0.0, re * 0.0 + im * si
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = (tr + ti * 0.0) / sj, (ti - tr * 0.0) / sj
+    return out
 
 
 def numeric_spectrum(reps, ops, k: MetricParam, tol: float = 1e-9):
@@ -748,14 +791,15 @@ def numeric_spectrum(reps, ops, k: MetricParam, tol: float = 1e-9):
     for v, op in zip(reps, ops, strict=True):
         if op.kappa_ref != k:
             raise ValueError("operator was built at another metric")
-        if op.rep not in (v, v.dual()):
+        spins, char = op.rep.spins, op.rep.torus_char  # v's or its dual's: char is v's or negated
+        if spins != v.spins or (char != v.torus_char and char != tuple(-z for z in v.torus_char)):
             raise ValueError(f"operator of {op.rep} belongs to neither {v} nor its dual")
     by_dim = {}
     for op in {id(op): op for op in ops}.values():
         by_dim.setdefault(op.dim, []).append(op)
     eigs = {}
     for same_dim in by_dim.values():
-        stack = np.linalg.eigvalsh(np.array([_float_hermitian(op) for op in same_dim], dtype=complex))
+        stack = np.linalg.eigvalsh(_float_hermitians(same_dim))
         eigs.update(zip(map(id, same_dim), stack.tolist()))
     pairs = sorted(((lam, v) for v, op in zip(reps, ops) for lam in eigs[id(op)]), key=lambda t: t[0])
     clusters = []

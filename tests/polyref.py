@@ -13,10 +13,11 @@ integer rows, the Gaussian-rational Faddeev-LeVerrier reference for
 irreducibles at one metric, `satisfies_dual_identity`, the conjugate
 symmetry between the operators of an irreducible and its dual,
 `reference_certify`, a certificate search that computes every row of
-every candidate from its own operator, and `reference_cluster_spectrum`,
-the float clusters from one eigensolver call per operator, labelled by each
-operator's own rep, which `oplab.numeric_spectrum` must give when every rep
-passes its own operator.
+every candidate from its own operator, `reference_float_hermitian`, the
+float matrix of one operator built entry by entry, and
+`reference_cluster_spectrum`, the float clusters from one eigensolver call
+per operator, labelled by each operator's own rep, which
+`oplab.numeric_spectrum` must give when every rep passes its own operator.
 """
 
 import math
@@ -485,22 +486,29 @@ def reference_certify(g, cap: int, budget: int, seed: int) -> tuple:
 # -- float spectra -----------------------------------------------------------
 
 
+def reference_float_hermitian(op) -> np.ndarray:
+    """The Hermitian W^(1/2) D W^(-1/2) of op as a complex array, with
+    W_ii = 1 / b_i as in is_w_hermitian, built entry by entry as the Python
+    complex(re_ij / den, im_ij / den) * s_i / s_j for s_i = sqrt(W_ii); an
+    entry past the float range raises OverflowError."""
+    b = [1]
+    for m in op.rep.spins:
+        b = [x * math.comb(m, k) for x in b for k in range(m + 1)]
+    s = [math.sqrt(float(Q(1, x))) for x in b]
+    d = op.dim
+    h = [[complex(op.re[i][j] / op.den, op.im[i][j] / op.den) * s[i] / s[j] for j in range(d)] for i in range(d)]
+    return np.array(h, dtype=complex)
+
+
 def reference_cluster_spectrum(ops, tol: float = 1e-9) -> list:
     """The SpectrumCluster list of ops, all built at one definite metric, from
-    one eigvalsh call per operator on the Hermitian W^(1/2) D W^(-1/2), with
-    W_ii = 1 / b_i as in is_w_hermitian.  The eigenvalues of all operators,
-    in operator order, are sorted stably; each one within
-    tol * max(1, |lam|) of the one before joins its cluster, and a cluster's
-    centre is the mean of its eigenvalues."""
+    one eigvalsh call per operator on reference_float_hermitian.  The
+    eigenvalues of all operators, in operator order, are sorted stably; each
+    one within tol * max(1, |lam|) of the one before joins its cluster, and
+    a cluster's centre is the mean of its eigenvalues."""
     pairs = []
     for op in ops:
-        b = [1]
-        for m in op.rep.spins:
-            b = [x * math.comb(m, k) for x in b for k in range(m + 1)]
-        s = [math.sqrt(float(Q(1, x))) for x in b]
-        d = op.dim
-        h = [[complex(op.re[i][j] / op.den, op.im[i][j] / op.den) * s[i] / s[j] for j in range(d)] for i in range(d)]
-        pairs += [(float(lam), op.rep) for lam in np.linalg.eigvalsh(np.array(h, dtype=complex))]
+        pairs += [(float(lam), op.rep) for lam in np.linalg.eigvalsh(reference_float_hermitian(op))]
     pairs.sort(key=lambda t: t[0])
     groups = []
     for lam, v in pairs:

@@ -407,14 +407,18 @@ def test_hidden_output_pinned(capsys):
     assert digest.hexdigest() == HIDDEN_PIN
 
 
-# (request function, request count, sha256) of four totals of
+# (request function, request count, sha256) of the six totals of
 # tests/output_digest.py, each request in json and with --output table: the
 # sweep of every subcommand but spectrum and certify, the report part and
-# the report-paths part, recorded before U* became one KModule value, and
-# the classes part, recorded on the whole-ball walk before classes_up_to
-# walked only the closed chamber.
+# the report-paths part, recorded before U* became one KModule value, the
+# classes part, recorded on the whole-ball walk before classes_up_to
+# walked only the closed chamber, and the operator sweep and the
+# large-hidden part, recorded before oplab kept operator data per process.
 DIGEST_PINS = {
     "sweep": ("sweep_requests", 1820, "40d2f88304e6e39fc742de81697c26fe1d26cd5b1456b652e71b77d3b8bb68d4"),
+    "operator sweep": (
+        "operator_sweep_requests", 764, "d64bd0d027a7ac12b0179052520d03811d9087c79c1ea06f26b8b6eb74bfc7a9"),
+    "large hidden": ("large_hidden_requests", 166, "4607766d15ee457d7eab4b9a2b41e469a98d0e063134caa73070be458631a8d5"),
     "report": ("report_requests", 18, "1ee85a34088b13b96395d21260025c8cbad69d4986fcb04fcf959149aa7cd5ef"),
     "report paths": ("report_path_requests", 130, "dfe45c2d680ea8aca33553a6ddc8f17d3387b56289003be58c30e68bb4d92ed1"),
     "classes": ("classes_requests", 112, "01220d01fb4a07b97b785da0b91fa2a192fb41ac41a30ce3e686376704d25782"),
@@ -429,6 +433,19 @@ def test_output_digest_total_pinned(monkeypatch, prefix):
     requests, count, sha = DIGEST_PINS[prefix]
     lines = output_digest.sweep_digest(getattr(output_digest, requests)(), prefix)
     assert lines[-1] == (f"{prefix} total", count, sha)
+
+
+def test_operator_sweep_digest_is_the_same_cold_and_warm(monkeypatch):
+    # with oplab's per-process tables emptied, then filled by the first pass
+    monkeypatch.setattr(sys, "path", list(sys.path))  # output_digest prepends src and casbench
+    import output_digest
+
+    oplab._rep_list.cache_clear()
+    oplab._quad_pieces.cache_clear()
+    cold = output_digest.sweep_digest(output_digest.operator_sweep_requests(), "operator sweep")
+    assert oplab._quad_pieces.cache_info().currsize > 0
+    warm = output_digest.sweep_digest(output_digest.operator_sweep_requests(), "operator sweep")
+    assert cold == warm and cold[-1] == ("operator sweep total", *DIGEST_PINS["operator sweep"][1:])
 
 
 # The seed-1 lines of tests/output_digest.py: every request of each

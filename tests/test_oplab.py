@@ -5,6 +5,8 @@ import importlib
 import io
 import itertools
 import json
+import random
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as Q
@@ -62,6 +64,7 @@ from polyref import (
     rational_char_poly,
     reference_char_poly,
     reference_cluster_spectrum,
+    reference_float_hermitian,
     reference_gaussian_char_poly,
     reference_certify,
     reference_operator,
@@ -561,12 +564,93 @@ def test_char_poly_rejects_an_imaginary_coefficient():
         char_poly(op)
 
 
-def test_operator_shares_pieces_only_within_one_rep():
-    pieces = oplab._QuadPieces(G1, IrrepSpec((2,)))
-    shared = build_operator(G1, IrrepSpec((2,)), K_OFF, pieces=pieces)
-    assert shared == build_operator(G1, IrrepSpec((2,)), K_OFF)
-    with pytest.raises(ValueError):
-        build_operator(G1, IrrepSpec((3,)), K_OFF, pieces=pieces)
+def test_operators_of_one_rep_share_its_interned_pieces():
+    # every build of (2,) reads one _QuadPieces, whose products a later
+    # metric reuses; another rep has its own, and a rep of another shape is
+    # refused and not kept
+    oplab._quad_pieces.cache_clear()
+    v = IrrepSpec((2,))
+    build_operator(G1, v, K_OFF)
+    pieces = oplab._quad_pieces(G1, v)
+    products = dict(pieces._pieces)
+    assert set(products) == {(0, 0), (1, 1), (1, 2), (2, 2)}
+    assert build_operator(G1, v, K123) == build_operator(G1, v, MetricParam(K123.kappa))
+    assert all(pieces._pieces[key] is products[key] for key in products) and len(pieces._pieces) == 4
+    assert oplab._quad_pieces(G1, v) is pieces and oplab._quad_pieces(G1, IrrepSpec((3,))) is not pieces
+    with pytest.raises(DimensionMismatch):
+        build_operator(G1, IrrepSpec((1, 1)), K_OFF)
+    assert oplab._quad_pieces.cache_info().currsize == 2
+
+
+def test_interned_pieces_are_never_changed_by_a_build():
+    # one rep at metrics A, B, A (and more): each build equals a fresh dense
+    # Fraction build, real and complex operators alike
+    g = GroupSpec(1, 1)
+    a, b = MetricParam(K_SU2_T.kappa), MetricParam(K_MIXED.kappa)
+    metrics = [a, b, a, diag_metric([1, 2, 3, 4]), b, a]
+    for v in (IrrepSpec((2,), (1,)), IrrepSpec((3,), (-2,)), IrrepSpec((1,), (0,))):
+        for k in metrics:
+            assert operator_matrix(build_operator(g, v, k)) == reference_operator(g, v, k), (v, k)
+
+
+def test_interned_tables_stay_within_their_bounds(capsys):
+    # more distinct keys than each table holds: the oldest entries are
+    # dropped, and a rebuilt one gives the same output as the first build
+    argv = ["spectrum", "--su2", "1", "--torus", "1", "--rep-cap", "1", "--kappa", "diag:1,2,3,4", "--numeric"]
+    assert cli.main(argv) == 0
+    first = capsys.readouterr()
+    g, v = GroupSpec(1, 1), IrrepSpec((1,), (1,))
+    reps, op = enumerate_reps(g, 1), build_operator(g, v, K_SU2_T)
+    torus = GroupSpec(0, 1)
+    for cap in range(32):
+        enumerate_reps(torus, cap)
+    for cap in range(oplab.REP_LIST_CACHE_SIZE - 31):
+        enumerate_reps(G1, cap)
+    for z in range(oplab.IRREP_CACHE_SIZE):
+        build_operator(torus, IrrepSpec((), (z,)), diag_metric([5]))
+    lists, pieces = oplab._rep_list.cache_info(), oplab._quad_pieces.cache_info()
+    assert lists.currsize == lists.maxsize == oplab.REP_LIST_CACHE_SIZE
+    assert pieces.currsize == pieces.maxsize == oplab.IRREP_CACHE_SIZE
+    assert enumerate_reps(g, 1) == reps and build_operator(g, v, K_SU2_T) == op
+    assert oplab._rep_list.cache_info().misses == lists.misses + 1
+    assert oplab._quad_pieces.cache_info().misses == pieces.misses + 1
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == first
+
+
+def test_float_matrices_match_the_per_entry_reference_on_the_operator_sweep(monkeypatch):
+    # every stacked matrix numeric_spectrum solves over the operator sweep of
+    # tests/output_digest.py is, byte for byte, the per-entry complex build
+    # of its operator
+    monkeypatch.setattr(sys, "path", list(sys.path))  # output_digest prepends src and casbench
+    sweep = importlib.import_module("output_digest").operator_sweep_requests()["spectrum"]
+    stacks, ops = [], []
+    solve, spectrum = np.linalg.eigvalsh, cli.numeric_spectrum
+
+    def recording(reps, passed, k, tol):
+        ops.extend({id(op): op for op in passed}.values())
+        return spectrum(reps, passed, k, tol=tol)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: stacks.append(a) or solve(a))
+    monkeypatch.setattr(cli, "numeric_spectrum", recording)
+    for argv in sweep:  # some are refused by the rep caps
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            cli.main(argv)
+    got = sorted(m.tobytes() for stack in stacks for m in stack)
+    assert len(got) == len(ops) == 412 and {op.real for op in ops} == {True, False}
+    assert got == sorted(reference_float_hermitian(op).tobytes() for op in ops)
+
+
+def test_float_matrices_keep_the_reference_signed_zeros():
+    # entries of +-1 over 2^1100 underflow to signed zeros, next to entries
+    # of +-1 over 1, in every sign pattern the sample reaches
+    rng = random.Random(5)
+    v, k = IrrepSpec((2,)), diag_metric([1, 1, 1])
+    for den in (1, 2**1100, 2**1100 + 1):
+        for _ in range(200):
+            re, im = ([[rng.choice((-1, 0, 1)) * rng.choice((1, den)) for _ in range(3)] for _ in range(3)] for _ in "ri")
+            op = oplab.ExactOperator(tuple(map(tuple, re)), tuple(map(tuple, im)), den, v, k)
+            assert oplab._float_hermitians([op])[0].tobytes() == reference_float_hermitian(op).tobytes()
 
 
 # mixed signs and denominators, with zeros on and off the diagonal
@@ -586,7 +670,7 @@ def test_metric_weights_are_the_metrics_own():
     assert k._weights == (((0, 0, -189), (0, 1, 42), (0, 3, -36), (1, 1, 105), (2, 3, 56), (3, 3, -252)), 126)
     filled = vars(k)["_weights"]
     for v in enumerate_reps(g, 2):
-        op = build_operator(g, v, k, pieces=oplab._QuadPieces(g, v))
+        op = build_operator(g, v, k)
         fresh = MetricParam(k.kappa)
         assert op == build_operator(g, v, fresh)
         assert fresh == k and fresh._weights == k._weights
@@ -761,6 +845,14 @@ def test_numeric_spectrum_refuses_before_any_solve(monkeypatch):
     wrong = ops[:1] + [ops[4]] + ops[2:]
     with pytest.raises(ValueError, match="neither"):
         numeric_spectrum(reps, wrong, K_SU2_T)
+    # (0, 1) passes the operator of (0, 0): the same spins, but neither its
+    # character nor the negative; the operator of its dual (0, -1) is taken
+    assert (reps[0], reps[2]) == (IrrepSpec((0,), (-1,)), IrrepSpec((0,), (1,)))
+    with pytest.raises(ValueError, match="neither"):
+        numeric_spectrum(reps, ops[:2] + [ops[1]] + ops[3:], K_SU2_T)
+    assert solves == []
+    numeric_spectrum(reps, ops[:2] + [ops[0]] + ops[3:], K_SU2_T)
+    solves.clear()
     with pytest.raises(ValueError):
         numeric_spectrum(reps, ops[:-1], K_SU2_T)
     assert solves == []
