@@ -42,6 +42,7 @@ from .oplab import (
     enumerate_reps,
     multiplicity_at_float,
     numeric_spectrum,
+    spectrum,
     witness_sequence,
 )
 from .reps import (

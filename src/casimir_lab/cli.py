@@ -2,7 +2,7 @@
 
 JSON output is canonical — keys sorted, exact rationals as "p/q" strings
 (q > 0, lowest terms), floats only in reports explicitly marked
-"numeric".  One walk over the payload (_write) writes that text: the same
+"numeric".  One walk over the payload (_text) writes that text: the same
 bytes as json.dumps(..., indent=2, sort_keys=True) of the payload in
 plain JSON values, strings escaped to ASCII by json's own escaper, with a
 Fraction written as "p/q", an Enum as its value and a dataclass as its
@@ -50,7 +50,6 @@ from .errors import (
     CapExceeded,
     CasimirLabError,
     InternalConsistencyError,
-    NotPositiveDefinite,
     decimal_digits,
 )
 from .hidden import (
@@ -62,18 +61,15 @@ from .hidden import (
     stabilizer_group,
 )
 from .oplab import (
+    DEFAULT_BUDGET,
+    DEFAULT_SEED,
+    DEFAULT_TOL,
     GroupSpec,
     MetricParam,
-    admit_metric,
-    build_operator,
     certify,
-    char_poly,
     diag_metric,
-    dual_positions,
-    enumerate_reps,
-    numeric_spectrum,
+    spectrum,
 )
-from .polyq import root_multiplicity_profile
 from .ratlinalg import rational
 from .reps import KMode, KModule, bold_g_label, classify_type, dual_label, rep, weyl_dim
 from .rootsys import DEFAULT_WEYL_CAP, RootSystemType, build_root_system
@@ -135,7 +131,7 @@ def _float_text(x: float) -> str:
 
 
 # The text of a leaf by its exact type.  A container writes its leaves in
-# its own loop, with no call of _write.  _writer adds the types it finds.
+# its own loop.  _writer adds the Enum types it finds.
 _LEAVES = {
     str: _escape,
     int: _int_text,
@@ -146,9 +142,9 @@ _LEAVES = {
 }
 
 
-def _write(obj, out, nl: str, memo: dict) -> None:
-    """Append obj's canonical JSON text to out.  nl is the newline and
-    indentation of obj's own line.
+def _text(obj, nl: str, memo: dict) -> str:
+    """obj's canonical JSON text.  nl is the newline and indentation of
+    obj's own line.
 
     memo maps (id, nl) of each dataclass written so far to its text and the
     object itself, so a label repeated in every row of a table is walked
@@ -156,15 +152,6 @@ def _write(obj, out, nl: str, memo: dict) -> None:
     memo lives.  The key is identity, not equality: equal dataclasses may
     be written differently (a field holding True against one holding 1).
     """
-    leaf = _LEAVES.get(type(obj))
-    if leaf is not None:
-        out(leaf(obj))
-    else:
-        (_WRITERS.get(type(obj)) or _writer(type(obj)))(obj, out, nl, memo)
-
-
-def _text(obj, nl: str, memo: dict) -> str:
-    """_write of obj as one string, read from memo if it is there."""
     leaf = _LEAVES.get(type(obj))
     if leaf is not None:
         return leaf(obj)
@@ -278,12 +265,12 @@ def _writer(cls):
     its value, and a dataclass is written from its plan; any other type is
     refused."""
     if issubclass(cls, Enum) and {type(e._value_) for e in cls} <= _LEAVES.keys():
-        _LEAVES[cls] = lambda e: _LEAVES[type(e._value_)](e._value_)
-    elif hasattr(cls, "__dataclass_fields__"):
+        leaf = _LEAVES[cls] = lambda e: _LEAVES[type(e._value_)](e._value_)
+        return lambda obj, out, nl, memo: out(leaf(obj))
+    if hasattr(cls, "__dataclass_fields__"):
         _WRITERS[cls] = _dataclass_writer(cls)
-    else:
-        raise TypeError(f"{cls.__name__} is not JSON serializable")
-    return _WRITERS.get(cls, _write)
+        return _WRITERS[cls]
+    raise TypeError(f"{cls.__name__} is not JSON serializable")
 
 
 def _render_table(payload, indent: int = 0) -> list:
@@ -311,9 +298,7 @@ def _render_table(payload, indent: int = 0) -> list:
 def _render(payload: dict, output: str) -> str:
     """The text that main prints for payload: its canonical JSON, or that
     JSON as an indented table."""
-    chunks: list[str] = []
-    _write(payload, chunks.append, "\n", {})
-    text = "".join(chunks)
+    text = _text(payload, "\n", {})
     return "\n".join(_render_table(json.loads(text))) if output == "table" else text
 
 
@@ -547,33 +532,7 @@ def cmd_certify(args) -> dict:
 def cmd_spectrum(args) -> dict:
     g = GroupSpec(args.su2, args.torus)
     k = parse_kappa(args.kappa, g)
-    reps = enumerate_reps(g, args.rep_cap)
-    admit_metric(k, reps)
-    if args.numeric and not k.positive_definite:
-        # numeric_spectrum refuses it as well, but only after every operator is built
-        raise NotPositiveDefinite("kappa is not positive definite")
-    ops, entries = [], []
-    for i, (v, j) in enumerate(zip(reps, dual_positions(g, args.rep_cap))):
-        if j < i:
-            # V* comes after V: it has V's eigenvalues, so it passes V's
-            # operator, and V's polynomial, profile and written coefficients
-            ops.append(ops[j])
-            entries.append({**entries[j], "rep": v})
-            continue
-        ops.append(build_operator(g, v, k))
-        # P(s) = det(sI - den D); scaling by den keeps root multiplicities,
-        # and D's polynomial has coefficient P[i] / den^(d - i) at t^i.
-        p, den = char_poly(ops[-1])
-        d = len(p) - 1
-        profile = root_multiplicity_profile(p)
-        entries.append(
-            {
-                "rep": v,
-                "dim": v.dim,
-                "char_poly": [Q(c, den ** (d - i)) for i, c in enumerate(p)],
-                "multiplicity_profile": {str(m): c for m, c in sorted(profile.items())},
-            }
-        )
+    entries, clusters = spectrum(g, args.rep_cap, k, args.tol if args.numeric else None)
     payload = {
         "schema": SCHEMA,
         "group": g,
@@ -583,7 +542,6 @@ def cmd_spectrum(args) -> dict:
         "reps": entries,
     }
     if args.numeric:
-        clusters = numeric_spectrum(reps, ops, k, tol=args.tol)
         payload["tol"] = args.tol
         payload["ustar_dim"] = args.ustar_dim
         payload["clusters"] = [
@@ -664,10 +622,11 @@ _COMMANDS = {
     "reptype": (cmd_reptype, "real/complex/quaternionic type of one irreducible", (
         *_RSYS, ("--weight", {"required": True, "help": "fundamental-weight coordinates c1,c2,..."}))),
     "certify": (cmd_certify, "search a metric witness with all resultants nonzero", (
-        *_GROUP, ("--budget", {"type": count, "default": 12}), ("--seed", {"type": int, "default": 2026}))),
+        *_GROUP, ("--budget", {"type": count, "default": DEFAULT_BUDGET}),
+        ("--seed", {"type": int, "default": DEFAULT_SEED}))),
     "spectrum": (cmd_spectrum, "exact or numeric operator spectrum at one metric", (
         *_GROUP, ("--kappa", {"required": True, "help": "diag:... shorthand, inline JSON, or a JSON file path"}),
-        ("--numeric", {"action": "store_true"}), ("--tol", {"type": tolerance, "default": 1e-9}),
+        ("--numeric", {"action": "store_true"}), ("--tol", {"type": tolerance, "default": DEFAULT_TOL}),
         ("--ustar-dim", {"type": count, "default": 1}))),
     "estimate": (cmd_estimate, "eigenspace bound from the full Casimir class", (
         *_RSYS, ("--weight", {"required": True}), _USTAR, ("--kmode", {"choices": _KMODES, "default": "diagonal"}))),
@@ -781,7 +740,7 @@ def main(argv=None) -> int:
         return _refuse(json.dumps(reason, sort_keys=True), 3)
     except InternalConsistencyError as exc:
         return _refuse(f"internal consistency failure: {exc}", 4)
-    except (CasimirLabError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (CasimirLabError, ValueError, KeyError, OSError) as exc:
         return _refuse(f"error: {exc}", 2)
     try:
         print(text)

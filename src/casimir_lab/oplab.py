@@ -35,10 +35,11 @@ the identity above.  Hence P_{V*} = conj(P_V), and P_V is real (char_poly
 checks that every coefficient is), so V and V* have one polynomial P and
 one den.  For the table values this gives b(V*) = b(V) and
 a(V*, W*) = res(P_V, P_W) = a(V, W), times (-1)^(deg P_V deg P_W) when
-V* comes after W* in the rep list.  certify and cli spectrum compute P
-once per dual pair.  D_{V*} is similar to conj(D_V), whose eigenvalues are
-those of D_V, all real since D is self-adjoint, so numeric_spectrum solves
-D_V once for both members of a pair.
+V* comes after W* in the rep list.  certify and spectrum compute P once
+per dual pair, for the member listed first.  D_{V*} is similar to
+conj(D_V), whose eigenvalues are those of D_V, all real since D is
+self-adjoint, so numeric_spectrum takes the first member's operator alone
+and solves D_V once for both members of a pair.
 
 Normalization: each su(2) copy uses the basis Y_1, Y_2, Y_3 given by the
 symmetric-power images of -(i/2)*sigma_k, which is orthonormal for the
@@ -52,15 +53,15 @@ Kept per process, in two lru_caches of metric-independent data, as rootsys
 and reps keep theirs: _rep_list per (GroupSpec, rep cap), the label tuple
 of enumerate_reps and each label's dual position, at most
 REP_LIST_CACHE_SIZE lists of at most REP_COUNT_CAP labels (19 KB each);
-and _quad_pieces per (GroupSpec, IrrepSpec), the doubled generators, the
-pieces (each multiplied out when a metric first asks for it) and the float
-scale, at most IRREP_CACHE_SIZE entries.  That holds all 488 irreducibles
-of all admitted lists, about 6 MB with every piece built, 0.18 MB for
-the largest (SU(2)^4's (1, 1, 1, 1): 78 pieces of 16 x 16); a rep past the
+and _quad_pieces per IrrepSpec, whose shape fixes its group, the doubled
+generators, the pieces (each multiplied out when a metric first asks for
+it) and the float scale, at most IRREP_CACHE_SIZE entries.  That holds all
+488 irreducibles of all admitted lists, about 6 MB with every piece
+built, 0.18 MB for the largest (SU(2)^4's (1, 1, 1, 1): 78 pieces of 16 x 16); a rep past the
 caps, which only a direct build_operator call reaches, keeps d^2 integers
-per piece.  enumerate_reps and dual_positions check the rep caps on every
-call before the lookup, so a kept list never skips a refusal, and a kept
-entry is never changed, only extended by pieces.
+per piece.  enumerate_reps checks the rep caps on every call before the
+lookup, so a kept list never skips a refusal, and a kept entry is never
+changed, only extended by pieces.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch, InternalConsistencyError, NotPositiveDefinite
-from .polyq import RationalPoly, derivative, homogeneous_horner, resultant
+from .polyq import RationalPoly, derivative, homogeneous_horner, resultant, root_multiplicity_profile
 from .ratlinalg import frac, integer_det, is_positive_definite
 
 Q = Fraction
@@ -204,7 +205,7 @@ def diag_metric(entries) -> MetricParam:
     return MetricParam(tuple(tuple(vals[i] if i == j else Q(0) for j in range(n)) for i in range(n)))
 
 
-def _doubled_generators(g: GroupSpec, rep: IrrepSpec):
+def _doubled_generators(rep: IrrepSpec):
     """2 M_i for the orthonormal algebra basis on V, each as (imaginary, rows):
     an integer matrix, times i when imaginary, whose row r lists its nonzero
     (column, value) entries in rows[r].
@@ -218,11 +219,6 @@ def _doubled_generators(g: GroupSpec, rep: IrrepSpec):
     down (k > 0), and 2k - m on the diagonal of X_3.  A torus character z
     acts as 2z i.
     """
-    if len(rep.spins) != g.su2_copies or len(rep.torus_char) != g.torus_rank:
-        raise DimensionMismatch(
-            f"rep shape ({len(rep.spins)} spins, {len(rep.torus_char)} torus) does not "
-            f"match group ({g.su2_copies}, {g.torus_rank})"
-        )
     d = rep.dim
     stride = d
     out = []
@@ -252,13 +248,13 @@ class _QuadPieces:
     exactly one of G_i, G_j is, and negated when both are.  A piece is
     multiplied out the first time a metric with kappa_ij != 0 asks for it
     and kept for the life of the object; _quad_pieces keeps one object per
-    (group, irreducible), so operators of one rep at every metric share
-    their products.  scale conjugates D to a Hermitian matrix.
+    irreducible, so operators of one rep at every metric share their
+    products.  scale conjugates D to a Hermitian matrix.
     """
 
-    def __init__(self, g: GroupSpec, rep: IrrepSpec):
+    def __init__(self, rep: IrrepSpec):
         self._dim = rep.dim
-        self._gens = _doubled_generators(g, rep)
+        self._gens = _doubled_generators(rep)
         self._pieces = {}
         # sqrt(w) for the diagonal w = 1/b of the invariant inner product on
         # the monomial basis, b the product of the binomials of each digit
@@ -291,26 +287,29 @@ class _QuadPieces:
 
 
 @lru_cache(maxsize=IRREP_CACHE_SIZE)
-def _quad_pieces(g: GroupSpec, rep: IrrepSpec) -> _QuadPieces:
-    """The one _QuadPieces of (g, rep) in this process (module docstring)."""
-    return _QuadPieces(g, rep)
+def _quad_pieces(rep: IrrepSpec) -> _QuadPieces:
+    """The one _QuadPieces of rep in this process (module docstring)."""
+    return _QuadPieces(rep)
 
 
 @dataclass(frozen=True)
 class ExactOperator:
     """D = (re + i im) / den with integer row tuples re, im and den > 0;
-    real promises that im is all zero."""
+    im is None for a real operator."""
 
     re: tuple
-    im: tuple
+    im: Optional[tuple]
     den: int
     rep: IrrepSpec
     kappa_ref: MetricParam
-    real: bool = False
 
     @property
     def dim(self) -> int:
         return len(self.re)
+
+    @property
+    def real(self) -> bool:
+        return self.im is None
 
 
 def build_operator(g: GroupSpec, rep: IrrepSpec, k: MetricParam) -> ExactOperator:
@@ -325,10 +324,15 @@ def build_operator(g: GroupSpec, rep: IrrepSpec, k: MetricParam) -> ExactOperato
     (_quad_pieces), shared by every metric.  Each piece is real or
     imaginary and is added, weighted, into that one part of A; a part no
     piece has stays zero, so an operator of real pieces alone (as at every
-    diagonal metric) is real.
+    diagonal metric) is real, with im None.
     """
     g.check_kappa_size(k.n)
-    pieces = _quad_pieces(g, rep)
+    if len(rep.spins) != g.su2_copies or len(rep.torus_char) != g.torus_rank:
+        raise DimensionMismatch(
+            f"rep shape ({len(rep.spins)} spins, {len(rep.torus_char)} torus) does not "
+            f"match group ({g.su2_copies}, {g.torus_rank})"
+        )
+    pieces = _quad_pieces(rep)
     terms, lcm = k._weights
     d = rep.dim
     parts = [None, None]
@@ -337,11 +341,8 @@ def build_operator(g: GroupSpec, rep: IrrepSpec, k: MetricParam) -> ExactOperato
         if piece is not None:
             scaled = map(w.__mul__, piece)
             parts[imaginary] = list(scaled) if parts[imaginary] is None else list(map(add, parts[imaginary], scaled))
-    re, im = (
-        ((0,) * d,) * d if flat is None else tuple(tuple(flat[r * d:(r + 1) * d]) for r in range(d))
-        for flat in parts
-    )
-    return ExactOperator(re, im, 4 * lcm, rep, k, real=parts[1] is None)
+    re, im = (None if flat is None else tuple(tuple(flat[r * d:(r + 1) * d]) for r in range(d)) for flat in parts)
+    return ExactOperator(re or ((0,) * d,) * d, im, 4 * lcm, rep, k)
 
 
 def char_poly(op: ExactOperator) -> tuple[list[int], int]:
@@ -462,14 +463,19 @@ def _gaussian_berkowitz(are, aim):
     return pr, pi
 
 
-# Admission caps of enumerate_reps, and so of certify and cli spectrum: the
+# Admission caps of enumerate_reps, and so of certify and spectrum: the
 # number of irreducibles and the sum of their dimensions.  Operators,
 # characteristic polynomials and resultants grow with both.
 REP_COUNT_CAP = 64
 TOTAL_DIM_CAP = 160
 # Admission cap of certify on the number of candidate metrics it may try.
 BUDGET_CAP = 100_000
-# Admission cap of cli spectrum on b d, for b the bit length of the largest
+# certify's candidate budget and seed, and numeric_spectrum's relative
+# tolerance, when the caller gives none.
+DEFAULT_BUDGET = 12
+DEFAULT_SEED = 2026
+DEFAULT_TOL = 1e-9
+# Admission cap of spectrum on b d, for b the bit length of the largest
 # number in the metric's integer form (MetricParam._weights: the weights and
 # their common denominator) and d the largest rep dimension.  The written
 # coefficient at t^(d-k) is c_k / den^k with den = 4 lcm and |c_k| at most
@@ -500,26 +506,17 @@ def _admit(what: str, factors, cap: int) -> None:
 
 
 def enumerate_reps(g: GroupSpec, rep_cap: int):
-    """All irreducible labels with every m_i <= rep_cap and |z_t| <= rep_cap,
-    as a new list, sorted by (spins, torus_char).
+    """(reps, duals): all irreducible labels with every m_i <= rep_cap and
+    |z_t| <= rep_cap, sorted by (spins, torus_char), and the position in
+    reps of each label's dual, both tuples kept per process (_rep_list).
 
     The count and the total dimension are products over the factors: each
     SU(2) copy offers rep_cap + 1 spins of total dimension
     (rep_cap + 1)(rep_cap + 2)/2, each torus factor 2 rep_cap + 1
     characters of dimension 1.  A list past REP_COUNT_CAP or TOTAL_DIM_CAP
-    is refused (CapExceeded) from these products, before any label is made.
+    is refused (CapExceeded) from these products on every call, before any
+    label is made or a kept list is read.
     """
-    return list(_admitted_reps(g, rep_cap)[0])
-
-
-def dual_positions(g: GroupSpec, rep_cap: int) -> tuple[int, ...]:
-    """The position in enumerate_reps(g, rep_cap) of each label's dual,
-    refused as enumerate_reps refuses."""
-    return _admitted_reps(g, rep_cap)[1]
-
-
-def _admitted_reps(g: GroupSpec, rep_cap: int):
-    """_rep_list(g, rep_cap), after enumerate_reps's admission."""
     spins, chars = max(0, rep_cap + 1), max(0, 2 * rep_cap + 1)
     _admit("rep count", [(spins, g.su2_copies), (chars, g.torus_rank)], REP_COUNT_CAP)
     _admit("total rep dimension", [(spins * (rep_cap + 2) // 2, g.su2_copies), (chars, g.torus_rank)], TOTAL_DIM_CAP)
@@ -528,8 +525,8 @@ def _admitted_reps(g: GroupSpec, rep_cap: int):
 
 @lru_cache(maxsize=REP_LIST_CACHE_SIZE)
 def _rep_list(g: GroupSpec, rep_cap: int):
-    """(reps, duals): enumerate_reps's labels and each one's dual's position
-    (every character is listed with its negative)."""
+    """enumerate_reps's (reps, duals), unchecked (every character is listed
+    with its negative)."""
     c = g.su2_copies
     ranges = [range(rep_cap + 1)] * c + [range(-rep_cap, rep_cap + 1)] * g.torus_rank
     # product walks its ranges lexicographically, so the list is sorted by
@@ -537,16 +534,6 @@ def _rep_list(g: GroupSpec, rep_cap: int):
     reps = tuple(IrrepSpec(t[:c], t[c:]) for t in itertools.product(*ranges))
     position = {v: i for i, v in enumerate(reps)}
     return reps, tuple(position[v.dual()] for v in reps)
-
-
-def admit_metric(k: MetricParam, reps) -> None:
-    """Refuse (CapExceeded) the metric k on the labels reps when the bit
-    length of its integer form times the largest rep dimension passes
-    METRIC_BITS_CAP, before any operator is built."""
-    terms, lcm = k._weights
-    size = max(x.bit_length() for x in [lcm, *(abs(w) for _, _, w in terms)]) * max(v.dim for v in reps)
-    if size > METRIC_BITS_CAP:
-        raise CapExceeded("metric bits x rep dimension", size, METRIC_BITS_CAP)
 
 
 def witness_sequence(n: int, budget: int, seed: int):
@@ -607,7 +594,7 @@ class Certificate:
         return self.status == "certified"
 
 
-def certify(g: GroupSpec, rep_cap: int, budget: int = 12, seed: int = 2026) -> Certificate:
+def certify(g: GroupSpec, rep_cap: int, budget: int = DEFAULT_BUDGET, seed: int = DEFAULT_SEED) -> Certificate:
     """Search the deterministic metric sequence for a single witness at which
     every required separation/simplicity/pairing resultant is exactly nonzero.
 
@@ -632,7 +619,7 @@ def certify(g: GroupSpec, rep_cap: int, budget: int = 12, seed: int = 2026) -> C
     """
     if budget > BUDGET_CAP:
         raise CapExceeded("budget", budget, BUDGET_CAP)
-    reps, duals = enumerate_reps(g, rep_cap), dual_positions(g, rep_cap)
+    reps, duals = enumerate_reps(g, rep_cap)
     violations = []
     # (key, row) of the previous rejected candidate's first zero row
     screen = None
@@ -763,7 +750,7 @@ def _float_hermitians(ops) -> np.ndarray:
                 part[n] = [[x / op.den for x in row] for row in rows]
             except OverflowError:
                 raise ValueError(f"an operator entry of {op.rep} is past the float range of the numeric spectrum") from None
-    s = np.array([_quad_pieces(GroupSpec(len(op.rep.spins), len(op.rep.torus_char)), op.rep).scale for op in ops])
+    s = np.array([_quad_pieces(op.rep).scale for op in ops])
     si, sj = s[:, :, None], s[:, None, :]
     # (re + i im) (s_i + 0i), then / (s_j + 0i) as CPython divides by a
     # complex of zero imaginary part: its ratio 0 / s_j is 0, its denominator s_j
@@ -773,35 +760,37 @@ def _float_hermitians(ops) -> np.ndarray:
     return out
 
 
-def numeric_spectrum(reps, ops, k: MetricParam, tol: float = 1e-9):
+def numeric_spectrum(reps, duals, ops, k: MetricParam, tol: float = DEFAULT_TOL):
     """Float eigenvalues per rep at the metric k, clustered with relative
     tolerance tol: clusters sorted by center, each with its per-rep
     multiplicities (SpectrumCluster.assembled_dims scales them by dim U*).
 
-    ops[i] is an operator built at k for reps[i] or for its dual, which has
-    the same eigenvalues (module docstring), so a later member of a dual
-    pair may pass its partner's operator.  kappa is checked positive
-    definite, exactly, and every operator is checked, before any is solved.
-    Each distinct operator is solved once, those of one dimension in one
-    stacked eigvalsh call (the same LAPACK routine on each matrix as a call
-    per operator); eigenvalues are taken in rep order and stably sorted.
+    duals[i] is the position of the dual of reps[i], as enumerate_reps
+    gives it, and ops holds one operator per dual pair, in rep order: the
+    one built at k for the pair's first member, whose dual has the same
+    eigenvalues (module docstring).  kappa is checked positive definite,
+    exactly, and every operator is checked, before any is solved.  The
+    operators of one dimension are solved in one stacked eigvalsh call (the
+    same LAPACK routine on each matrix as a call per operator); each rep
+    takes its pair's eigenvalues, in rep order, and they are stably sorted.
     """
     if not k.positive_definite:
         raise NotPositiveDefinite("kappa is not positive definite")
-    for v, op in zip(reps, ops, strict=True):
+    by_dim = {}
+    for i, op in zip([i for i, j in enumerate(duals) if i <= j], ops, strict=True):
         if op.kappa_ref != k:
             raise ValueError("operator was built at another metric")
-        spins, char = op.rep.spins, op.rep.torus_char  # v's or its dual's: char is v's or negated
-        if spins != v.spins or (char != v.torus_char and char != tuple(-z for z in v.torus_char)):
-            raise ValueError(f"operator of {op.rep} belongs to neither {v} nor its dual")
-    by_dim = {}
-    for op in {id(op): op for op in ops}.values():
-        by_dim.setdefault(op.dim, []).append(op)
+        if op.rep != reps[i]:
+            raise ValueError(f"operator of {op.rep} is not that of {reps[i]}, its dual pair's first member")
+        by_dim.setdefault(op.dim, []).append((i, op))
     eigs = {}
     for same_dim in by_dim.values():
-        stack = np.linalg.eigvalsh(_float_hermitians(same_dim))
-        eigs.update(zip(map(id, same_dim), stack.tolist()))
-    pairs = sorted(((lam, v) for v, op in zip(reps, ops) for lam in eigs[id(op)]), key=lambda t: t[0])
+        stack = np.linalg.eigvalsh(_float_hermitians([op for _, op in same_dim]))
+        eigs.update(zip([i for i, _ in same_dim], stack.tolist()))
+    pairs = sorted(
+        ((lam, v) for i, (v, j) in enumerate(zip(reps, duals, strict=True)) for lam in eigs[min(i, j)]),
+        key=lambda t: t[0],
+    )
     clusters = []
     for lam, v in pairs:
         if clusters and lam - clusters[-1][-1][0] <= tol * max(1.0, abs(lam)):
@@ -814,6 +803,39 @@ def numeric_spectrum(reps, ops, k: MetricParam, tol: float = 1e-9):
         per_rep = tuple(sorted(counts.items(), key=lambda t: (t[0].spins, t[0].torus_char)))
         out.append(SpectrumCluster(sum(x for x, _ in group) / len(group), per_rep))
     return out
+
+
+def spectrum(g: GroupSpec, rep_cap: int, k: MetricParam, tol: Optional[float] = None):
+    """(entries, clusters) at the metric k for enumerate_reps(g, rep_cap):
+    per rep, a dict of its label, dim, D's characteristic polynomial (at
+    t^i, P[i] / den^(d - i) for char_poly's (P, den)) and the count of its
+    roots of each multiplicity, which scaling by den keeps; and the float
+    clusters at tolerance tol (numeric_spectrum), None when tol is None.
+
+    Refused before any operator is built, in this order: the rep caps;
+    METRIC_BITS_CAP; a kappa that is not positive definite, when tol is
+    given.  Each dual pair's operator, polynomial and profile are computed
+    once, for the member listed first, and the later member's entry is the
+    first's under its own label (module docstring).
+    """
+    reps, duals = enumerate_reps(g, rep_cap)
+    terms, lcm = k._weights
+    size = max(x.bit_length() for x in [lcm, *(abs(w) for _, _, w in terms)]) * max(v.dim for v in reps)
+    if size > METRIC_BITS_CAP:
+        raise CapExceeded("metric bits x rep dimension", size, METRIC_BITS_CAP)
+    if tol is not None and not k.positive_definite:
+        raise NotPositiveDefinite("kappa is not positive definite")
+    ops, entries = [], []
+    for i, (v, j) in enumerate(zip(reps, duals)):
+        if j < i:
+            entries.append({**entries[j], "rep": v})
+            continue
+        ops.append(build_operator(g, v, k))
+        p, den = char_poly(ops[-1])
+        d, profile = len(p) - 1, sorted(root_multiplicity_profile(p).items())
+        entries.append({"rep": v, "dim": v.dim, "char_poly": [Q(c, den ** (d - i)) for i, c in enumerate(p)],
+                        "multiplicity_profile": {str(m): c for m, c in profile}})
+    return entries, None if tol is None else numeric_spectrum(reps, duals, ops, k, tol)
 
 
 def multiplicity_at_float(p: RationalPoly, x: float, tol: float = 1e-6) -> int:

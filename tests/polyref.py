@@ -16,8 +16,8 @@ symmetry between the operators of an irreducible and its dual,
 every candidate from its own operator, `reference_float_hermitian`, the
 float matrix of one operator built entry by entry, and
 `reference_cluster_spectrum`, the float clusters from one eigensolver call
-per operator, labelled by each operator's own rep, which
-`oplab.numeric_spectrum` must give when every rep passes its own operator.
+per rep on the operator it is given, which `oplab.numeric_spectrum` must
+give when each rep is given its dual pair's first member's operator.
 """
 
 import math
@@ -224,9 +224,15 @@ def gaussian_view(re, im, den: int):
     )
 
 
+def imaginary_rows(op):
+    """The integer rows of op's imaginary part: zero rows when op is real
+    (its im is None)."""
+    return ((0,) * op.dim,) * op.dim if op.im is None else op.im
+
+
 def operator_matrix(op):
     """An ExactOperator as a Gaussian-rational matrix."""
-    return gaussian_view(op.re, op.im, op.den)
+    return gaussian_view(op.re, imaginary_rows(op), op.den)
 
 
 def derivation(m: int, a: int, b: int, c: int, d: int):
@@ -306,9 +312,9 @@ def is_w_hermitian(op) -> bool:
     b = [1]
     for m in op.rep.spins:
         b = [x * math.comb(m, k) for x in b for k in range(m + 1)]
-    d = op.dim
+    d, im = op.dim, imaginary_rows(op)
     return all(
-        b[j] * op.re[i][j] == b[i] * op.re[j][i] and b[j] * op.im[i][j] == -b[i] * op.im[j][i]
+        b[j] * op.re[i][j] == b[i] * op.re[j][i] and b[j] * im[i][j] == -b[i] * im[j][i]
         for i in range(d)
         for j in range(d)
     )
@@ -325,7 +331,7 @@ def casimir_cross_check(m: int) -> tuple:
     scalar = Q(op.re[0][0], op.den)
     for i in range(op.dim):
         for j in range(op.dim):
-            if op.re[i][j] != (op.re[0][0] if i == j else 0) or op.im[i][j]:
+            if op.re[i][j] != (op.re[0][0] if i == j else 0) or imaginary_rows(op)[i][j]:
                 raise InternalConsistencyError("identity-metric operator is not a scalar")
     if scalar != Q(m * (m + 2), 4):
         raise InternalConsistencyError("identity-metric operator is not the Casimir scalar")
@@ -442,8 +448,9 @@ def satisfies_dual_identity(op, star) -> bool:
     if (star.rep, star.den, star.kappa_ref, star.dim) != (op.rep.dual(), op.den, op.kappa_ref, op.dim):
         return False
     marks = [mirror(op.rep, i) for i in range(op.dim)]
+    im, star_im = imaginary_rows(op), imaginary_rows(star)
     return all(
-        star.re[i][j] == s * t * op.re[a][b] and star.im[i][j] == -s * t * op.im[a][b]
+        star.re[i][j] == s * t * op.re[a][b] and star_im[i][j] == -s * t * im[a][b]
         for i, (a, s) in enumerate(marks)
         for j, (b, t) in enumerate(marks)
     )
@@ -472,7 +479,7 @@ def reference_certify(g, cap: int, budget: int, seed: int) -> tuple:
     of every rep and computes every row of its table.  The first candidate
     with no zero row certifies with its full table; otherwise the last
     candidate's zero rows are the violations."""
-    reps = enumerate_reps(g, cap)
+    reps, _ = enumerate_reps(g, cap)
     violations, tried = (), 0
     for k in witness_sequence(g.algebra_dim, budget, seed):
         tried += 1
@@ -495,20 +502,21 @@ def reference_float_hermitian(op) -> np.ndarray:
     for m in op.rep.spins:
         b = [x * math.comb(m, k) for x in b for k in range(m + 1)]
     s = [math.sqrt(float(Q(1, x))) for x in b]
-    d = op.dim
-    h = [[complex(op.re[i][j] / op.den, op.im[i][j] / op.den) * s[i] / s[j] for j in range(d)] for i in range(d)]
+    d, im = op.dim, imaginary_rows(op)
+    h = [[complex(op.re[i][j] / op.den, im[i][j] / op.den) * s[i] / s[j] for j in range(d)] for i in range(d)]
     return np.array(h, dtype=complex)
 
 
-def reference_cluster_spectrum(ops, tol: float = 1e-9) -> list:
-    """The SpectrumCluster list of ops, all built at one definite metric, from
-    one eigvalsh call per operator on reference_float_hermitian.  The
-    eigenvalues of all operators, in operator order, are sorted stably; each
-    one within tol * max(1, |lam|) of the one before joins its cluster, and
-    a cluster's centre is the mean of its eigenvalues."""
+def reference_cluster_spectrum(reps, ops, tol: float = 1e-9) -> list:
+    """The SpectrumCluster list of reps, ops[i] an operator with the
+    eigenvalues of reps[i], all built at one definite metric, from one
+    eigvalsh call per rep on reference_float_hermitian of its operator.  The
+    eigenvalues of all reps, in rep order, are sorted stably; each one
+    within tol * max(1, |lam|) of the one before joins its cluster, and a
+    cluster's centre is the mean of its eigenvalues."""
     pairs = []
-    for op in ops:
-        pairs += [(float(lam), op.rep) for lam in np.linalg.eigvalsh(reference_float_hermitian(op))]
+    for v, op in zip(reps, ops, strict=True):
+        pairs += [(float(lam), v) for lam in np.linalg.eigvalsh(reference_float_hermitian(op))]
     pairs.sort(key=lambda t: t[0])
     groups = []
     for lam, v in pairs:

@@ -27,6 +27,7 @@ from casimir_lab.oplab import (
     certify,
     char_poly,
     diag_metric,
+    enumerate_reps,
     multiplicity_at_float,
     numeric_spectrum,
     witness_sequence,
@@ -199,9 +200,9 @@ def test_criterion_07_assembly_identity(announce):
     t0 = time.monotonic()
     g = GroupSpec(1)
     k = diag_metric([1, 2, 3])
-    reps = [IrrepSpec((m,)) for m in range(5)]
+    reps, duals = enumerate_reps(g, 4)
     polys = {v: rational_char_poly(char_poly(build_operator(g, v, k))) for v in reps}
-    clusters = numeric_spectrum(reps, [build_operator(g, v, k) for v in reps], k, tol=1e-9)
+    clusters = numeric_spectrum(reps, duals, [build_operator(g, v, k) for v in reps], k, tol=1e-9)
     bad = []
     total = 0
     for cl in clusters:
@@ -225,7 +226,7 @@ def test_criterion_08_generic_estimate(announce):
     budget = 60.0
     t0 = time.monotonic()
     g = GroupSpec(1)
-    reps = [IrrepSpec((m,)) for m in range(5)]
+    reps, duals = enumerate_reps(g, 4)
     u = {(0,): 1}
     estimates = {
         m: generic_estimate(A1, WEIGHT, KMode.TRIVIAL.read_ustar(A1, u), make_weight(A1, (m,)))
@@ -233,7 +234,7 @@ def test_criterion_08_generic_estimate(announce):
     }
     bad = []
     for k in witness_sequence(3, 50, seed=2026):
-        for cl in numeric_spectrum(reps, [build_operator(g, v, k) for v in reps], k):
+        for cl in numeric_spectrum(reps, duals, [build_operator(g, v, k) for v in reps], k):
             for v, mult in cl.per_rep:
                 m = v.spins[0]
                 terms = {t.mu: t.mult for t in estimates[m].terms}

@@ -7,6 +7,7 @@ import io
 import importlib
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
@@ -37,6 +38,14 @@ from polyref import doubled_den, rpoly
 
 ROOT = Path(__file__).resolve().parents[1]
 A2 = build_root_system(RootSystemType("A", 2))
+
+
+def _child_env() -> dict:
+    """The environment of a child interpreter: this one's, with the
+    package's src first on PYTHONPATH, which pytest's pythonpath setting
+    does not reach."""
+    path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
 
 
 def run(capsys, *argv):
@@ -963,21 +972,44 @@ def test_operator_certify_output_pinned(capsys):
 
 def test_spectrum_numeric_builds_each_operator_once(capsys, monkeypatch):
     calls = []
-    build = cli.build_operator
+    build = oplab.build_operator
 
     def counting(*args, **kwargs):
         calls.append(args[1])
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "build_operator", counting)
+    monkeypatch.setattr(oplab, "build_operator", counting)
     data = run_json(capsys, "spectrum", "--su2", "1", "--torus", "1", "--rep-cap", "1",
                     "--kappa", "diag:1,2,3,4", "--numeric")
     # no operator twice, and none for the later member of a dual pair: it
     # passes the earlier member's operator
-    reps = oplab.enumerate_reps(oplab.GroupSpec(1, 1), 1)
+    reps, _ = oplab.enumerate_reps(oplab.GroupSpec(1, 1), 1)
     firsts = [v for i, v in enumerate(reps) if v.dual() not in reps[:i]]
     assert len(data["reps"]) == 6
     assert calls == firsts and len(set(calls)) == len(calls) == 4
+
+
+def _identifiers(path):
+    """Every identifier a module reads, defines, imports or binds."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        for field in ("id", "attr", "name", "arg"):
+            if isinstance(getattr(node, field, None), str):
+                yield getattr(node, field)
+
+
+# The operator-side rule of dual pairs and of the den scaling: oplab.spectrum
+# builds each pair's operator, polynomial and float solve, for the member
+# listed first, and writes D's coefficients over powers of den.
+OPERATOR_PAIR_NAMES = {
+    "build_operator", "char_poly", "numeric_spectrum", "admit_metric", "root_multiplicity_profile",
+    "enumerate_reps", "dual_positions", "duals", "dual", "den",
+}
+
+
+def test_cli_holds_no_dual_pair_rule():
+    assert OPERATOR_PAIR_NAMES & set(_identifiers(Path(cli.__file__))) == set()
+    # the scan sees the names where they live
+    assert OPERATOR_PAIR_NAMES - {"admit_metric", "dual_positions"} <= set(_identifiers(Path(oplab.__file__)))
 
 
 def test_spectrum_numeric_solves_each_dual_pair_once(capsys, monkeypatch):
@@ -1011,8 +1043,7 @@ def test_spectrum_numeric_solves_each_dual_pair_once(capsys, monkeypatch):
 ])
 def test_rep_caps_refuse_before_any_operator(capsys, monkeypatch, argv, what):
     built = []
-    for mod in (cli, oplab):
-        monkeypatch.setattr(mod, "build_operator", lambda *args, **kwargs: built.append(args))
+    monkeypatch.setattr(oplab, "build_operator", lambda *args, **kwargs: built.append(args))
     t0 = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - t0 < 1.0
@@ -1030,8 +1061,7 @@ def test_algebra_dimension_refused_before_any_label(capsys, monkeypatch, argv):
     # refused before parse_kappa builds a 6000 x 6000 metric or enumerate_reps walks 2000 copies
     touched = []
     monkeypatch.setattr(cli, "parse_kappa", lambda *args: touched.append("parse_kappa"))
-    for mod in (cli, oplab):
-        monkeypatch.setattr(mod, "enumerate_reps", lambda *args: touched.append("enumerate_reps"))
+    monkeypatch.setattr(oplab, "enumerate_reps", lambda *args: touched.append("enumerate_reps"))
     tracemalloc.start()
     t0 = time.perf_counter()
     try:
@@ -1057,7 +1087,7 @@ def test_large_budget_certifies_at_its_first_candidate(capsys):
 def test_cli_does_not_load_gaussian():
     # a fresh interpreter: this one has loaded gaussian for the tests
     code = "import sys, casimir_lab.cli; assert 'casimir_lab.gaussian' not in sys.modules, sorted(sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
 
 
@@ -1142,8 +1172,8 @@ def test_spectrum_numeric_rejects_indefinite(capsys):
 def test_spectrum_numeric_refuses_an_indefinite_kappa_before_any_operator(capsys, monkeypatch):
     calls = []
     for name in ("build_operator", "char_poly"):
-        real = getattr(cli, name)
-        monkeypatch.setattr(cli, name, lambda *a, real=real, name=name, **kw: calls.append(name) or real(*a, **kw))
+        real = getattr(oplab, name)
+        monkeypatch.setattr(oplab, name, lambda *a, real=real, name=name, **kw: calls.append(name) or real(*a, **kw))
     argv = ["spectrum", "--su2", "1", "--rep-cap", "12", "--kappa", "diag:1,-2,3"]
     assert run(capsys, *argv, "--numeric") == (2, "", "error: kappa is not positive definite\n")
     assert calls == []
@@ -1613,7 +1643,7 @@ def test_long_kappa_entry_is_refused_before_any_operator(capsys, monkeypatch):
     # A 1,000-digit entry at rep cap 12 (dimension 13) would give coefficients
     # past Python's 4,300-digit limit for writing an int.
     built = []
-    monkeypatch.setattr(cli, "build_operator", lambda *args, **kwargs: built.append(args))
+    monkeypatch.setattr(oplab, "build_operator", lambda *args, **kwargs: built.append(args))
     for cap, dim in ((12, 13), (3, 4)):
         code, out, err = run(capsys, "spectrum", "--su2", "1", "--rep-cap", str(cap), "--kappa", f"diag:{LONG},1,1")
         assert (code, out, built) == (3, "", [])
@@ -1736,7 +1766,8 @@ def test_a_bad_ustar_exits_2_whatever_the_cap(capsys, kmode):
 )
 def test_closed_pipe_exits_without_a_traceback(argv):
     proc = subprocess.Popen(
-        [sys.executable, "-m", "casimir_lab.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        [sys.executable, "-m", "casimir_lab.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=_child_env(),
     )
     proc.stdout.close()  # the reader quits before the report is written
     err = proc.stderr.read().decode()
@@ -1765,7 +1796,9 @@ _BROKEN_DET = (
     ids=["bad-input", "cap", "identity"],
 )
 def test_closed_stderr_keeps_the_exit_code(prefix, argv, code):
-    proc = subprocess.Popen([sys.executable, *prefix, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc = subprocess.Popen(
+        [sys.executable, *prefix, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env()
+    )
     proc.stderr.close()  # the reader never reads the reason
     out = proc.stdout.read()
     proc.stdout.close()
@@ -1778,6 +1811,7 @@ def test_console_script_installed():
         [sys.executable, "-m", "casimir_lab.cli", "hidden", "--type", "A", "--rank", "2", "--a2", "8"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["order"] == 12

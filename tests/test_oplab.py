@@ -57,6 +57,7 @@ from polyref import (
     gkron,
     gscale,
     gtrace,
+    imaginary_rows,
     irrep_matrices,
     is_perfect_square,
     is_w_hermitian,
@@ -244,12 +245,14 @@ def test_certify_refuses_a_budget_past_the_cap(monkeypatch):
 
 
 def test_enumerate_reps_counts_and_order():
-    r1 = enumerate_reps(GroupSpec(1), 4)
-    assert [v.spins for v in r1] == [(0,), (1,), (2,), (3,), (4,)]
-    assert len(enumerate_reps(GroupSpec(0, 2), 3)) == 49
-    r11 = enumerate_reps(GroupSpec(1, 1), 2)
+    r1, d1 = enumerate_reps(GroupSpec(1), 4)
+    assert [v.spins for v in r1] == [(0,), (1,), (2,), (3,), (4,)] and d1 == (0, 1, 2, 3, 4)
+    assert len(enumerate_reps(GroupSpec(0, 2), 3)[0]) == 49
+    r11, d11 = enumerate_reps(GroupSpec(1, 1), 2)
     assert len(r11) == 15
-    assert r11 == sorted(r11, key=lambda v: (v.spins, v.torus_char))
+    assert list(r11) == sorted(r11, key=lambda v: (v.spins, v.torus_char))
+    # (m, z) and (m, -z) sit at mirrored positions within each spin's block of 5
+    assert d11 == tuple(5 * (i // 5) + 4 - i % 5 for i in range(15))
 
 
 @pytest.mark.parametrize("su2,torus", [(c, t) for c in range(4) for t in range(3) if c + t])
@@ -257,9 +260,10 @@ def test_enumerate_reps_lists_every_label_once_in_order(monkeypatch, su2, torus)
     monkeypatch.setattr(oplab, "REP_COUNT_CAP", 10**6)
     monkeypatch.setattr(oplab, "TOTAL_DIM_CAP", 10**6)
     for cap in range(3):
-        reps = enumerate_reps(GroupSpec(su2, torus), cap)
-        assert reps == sorted(set(reps), key=lambda v: (v.spins, v.torus_char))
+        reps, duals = enumerate_reps(GroupSpec(su2, torus), cap)
+        assert list(reps) == sorted(set(reps), key=lambda v: (v.spins, v.torus_char))
         assert len(reps) == (cap + 1) ** su2 * (2 * cap + 1) ** torus
+        assert [reps[j] for j in duals] == [v.dual() for v in reps]
 
 
 def test_algebra_dimension_cap(monkeypatch):
@@ -271,7 +275,7 @@ def test_algebra_dimension_cap(monkeypatch):
         assert (exc.value.what, exc.value.actual, exc.value.limit) == ("algebra dimension", 3 * su2 + torus, cap)
     # past the cap the walk over the copies is flat, not one call deep per copy
     monkeypatch.setattr(oplab, "ALGEBRA_DIM_CAP", 10**6)
-    assert enumerate_reps(GroupSpec(2000), 0) == [IrrepSpec((0,) * 2000)]
+    assert enumerate_reps(GroupSpec(2000), 0) == ((IrrepSpec((0,) * 2000),), (0,))
 
 
 # For each (SU(2) copies, torus rank) that the benchmark's operator workloads
@@ -286,12 +290,12 @@ def test_rep_caps_count_the_enumerated_reps(monkeypatch, su2, torus, cap):
         enumerate_reps(g, cap)  # the default caps admit it
     monkeypatch.setattr(oplab, "REP_COUNT_CAP", 10**6)
     monkeypatch.setattr(oplab, "TOTAL_DIM_CAP", 10**6)
-    reps = enumerate_reps(g, cap)
-    count, total = len(reps), sum(v.dim for v in reps)
+    listed = enumerate_reps(g, cap)
+    count, total = len(listed[0]), sum(v.dim for v in listed[0])
     # admitted exactly at both caps, refused one below either
     monkeypatch.setattr(oplab, "REP_COUNT_CAP", count)
     monkeypatch.setattr(oplab, "TOTAL_DIM_CAP", total)
-    assert enumerate_reps(g, cap) == reps
+    assert enumerate_reps(g, cap) == listed
     for name, what, actual in (("REP_COUNT_CAP", "rep count", count), ("TOTAL_DIM_CAP", "total rep dimension", total)):
         with monkeypatch.context() as m:
             m.setattr(oplab, name, actual - 1)
@@ -325,8 +329,8 @@ def test_casimir_cross_check():
 
 
 def test_numeric_spectrum_identity_metric():
-    reps, k = [IrrepSpec((m,)) for m in range(4)], diag_metric([1, 1, 1])
-    clusters = numeric_spectrum(reps, [build_operator(G1, v, k) for v in reps], k)
+    (reps, duals), k = enumerate_reps(G1, 3), diag_metric([1, 1, 1])
+    clusters = numeric_spectrum(reps, duals, [build_operator(G1, v, k) for v in reps], k)
     # eigenvalues m(m+2)/4 with full multiplicity m+1, one rep per cluster
     assert len(clusters) == 4
     for cl, m in zip(clusters, range(4)):
@@ -338,7 +342,7 @@ def test_numeric_spectrum_identity_metric():
 def test_numeric_spectrum_requires_positive_definite():
     v, k = IrrepSpec((1,)), diag_metric([1, -1, 1])
     with pytest.raises(NotPositiveDefinite):
-        numeric_spectrum([v], [build_operator(G1, v, k)], k)
+        numeric_spectrum([v], [0], [build_operator(G1, v, k)], k)
 
 
 def test_certify_small_su2():
@@ -374,7 +378,7 @@ def test_char_poly_matches_gaussian_reference(su2, torus, cap):
     g = GroupSpec(su2, torus)
     metrics = list(witness_sequence(g.algebra_dim, 12, seed=2026)) + [_non_dyadic(g.algebra_dim)]
     for k in metrics:
-        for v in enumerate_reps(g, cap):
+        for v in enumerate_reps(g, cap)[0]:
             op = build_operator(g, v, k)
             ref = reference_operator(g, v, k)
             assert operator_matrix(op) == ref
@@ -395,12 +399,12 @@ SQUARE_PAIRS = st.integers(1, 13).flatmap(lambda d: st.tuples(integer_rows(d), i
 @st.composite
 def char_poly_operators(draw):
     """An operator of dimension 1 to 13 with den in 1..10^6: a real integer
-    matrix, marked real or not, or a Hermitian Gaussian-integer matrix."""
+    matrix, with im None or zero rows, or a Hermitian Gaussian-integer matrix."""
     re, im = draw(SQUARE_PAIRS)
     d = len(re)
     if draw(st.booleans()):
-        return oplab.ExactOperator(re, ((0,) * d,) * d, draw(st.integers(1, 10**6)), IrrepSpec((d - 1,)), K123,
-                                   real=draw(st.booleans()))
+        zeros = None if draw(st.booleans()) else ((0,) * d,) * d
+        return oplab.ExactOperator(re, zeros, draw(st.integers(1, 10**6)), IrrepSpec((d - 1,)), K123)
     re = tuple(tuple(re[min(i, j)][max(i, j)] for j in range(d)) for i in range(d))
     im = tuple(tuple((i < j) * im[i][j] - (i > j) * im[j][i] for j in range(d)) for i in range(d))
     return oplab.ExactOperator(re, im, draw(st.integers(1, 10**6)), IrrepSpec((d - 1,)), K123)
@@ -410,7 +414,7 @@ def char_poly_operators(draw):
 @given(char_poly_operators())
 def test_char_poly_matches_the_reference_on_random_matrices(op):
     # P is the polynomial of A = re + i im whatever den is
-    reference = reference_char_poly(gaussian_view(op.re, op.im, 1))
+    reference = reference_char_poly(gaussian_view(op.re, imaginary_rows(op), 1))
     assert char_poly(op) == (list(reference.coefficients), op.den)
 
 
@@ -461,7 +465,6 @@ def test_char_poly_matches_the_reference_on_every_benchmark_operator(monkeypatch
         return p
 
     monkeypatch.setattr(oplab, "char_poly", checked)
-    monkeypatch.setattr(cli, "char_poly", checked)
     for req in requests:
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             assert cli.main(req.argv) == 0, req.argv
@@ -510,8 +513,8 @@ def test_sparse_generators_and_pieces_match_the_dense_reference(g):
     for t in itertools.product(*ranges):
         v = IrrepSpec(t[:g.su2_copies], t[g.su2_copies:])
         ref = doubled_generators(g, v)
-        assert [_densified(v.dim, *gen) for gen in oplab._doubled_generators(g, v)] == ref
-        pieces = oplab._QuadPieces(g, v)
+        assert [_densified(v.dim, *gen) for gen in oplab._doubled_generators(v)] == ref
+        pieces = oplab._QuadPieces(v)
         for i, j in itertools.combinations_with_replacement(range(g.algebra_dim), 2):
             re, im = _gaussian_product(ref[i], ref[j])
             if i != j:
@@ -571,12 +574,12 @@ def test_operators_of_one_rep_share_its_interned_pieces():
     oplab._quad_pieces.cache_clear()
     v = IrrepSpec((2,))
     build_operator(G1, v, K_OFF)
-    pieces = oplab._quad_pieces(G1, v)
+    pieces = oplab._quad_pieces(v)
     products = dict(pieces._pieces)
     assert set(products) == {(0, 0), (1, 1), (1, 2), (2, 2)}
     assert build_operator(G1, v, K123) == build_operator(G1, v, MetricParam(K123.kappa))
     assert all(pieces._pieces[key] is products[key] for key in products) and len(pieces._pieces) == 4
-    assert oplab._quad_pieces(G1, v) is pieces and oplab._quad_pieces(G1, IrrepSpec((3,))) is not pieces
+    assert oplab._quad_pieces(v) is pieces and oplab._quad_pieces(IrrepSpec((3,))) is not pieces
     with pytest.raises(DimensionMismatch):
         build_operator(G1, IrrepSpec((1, 1)), K_OFF)
     assert oplab._quad_pieces.cache_info().currsize == 2
@@ -600,7 +603,7 @@ def test_interned_tables_stay_within_their_bounds(capsys):
     assert cli.main(argv) == 0
     first = capsys.readouterr()
     g, v = GroupSpec(1, 1), IrrepSpec((1,), (1,))
-    reps, op = enumerate_reps(g, 1), build_operator(g, v, K_SU2_T)
+    listed, op = enumerate_reps(g, 1), build_operator(g, v, K_SU2_T)
     torus = GroupSpec(0, 1)
     for cap in range(32):
         enumerate_reps(torus, cap)
@@ -611,7 +614,7 @@ def test_interned_tables_stay_within_their_bounds(capsys):
     lists, pieces = oplab._rep_list.cache_info(), oplab._quad_pieces.cache_info()
     assert lists.currsize == lists.maxsize == oplab.REP_LIST_CACHE_SIZE
     assert pieces.currsize == pieces.maxsize == oplab.IRREP_CACHE_SIZE
-    assert enumerate_reps(g, 1) == reps and build_operator(g, v, K_SU2_T) == op
+    assert enumerate_reps(g, 1) == listed and build_operator(g, v, K_SU2_T) == op
     assert oplab._rep_list.cache_info().misses == lists.misses + 1
     assert oplab._quad_pieces.cache_info().misses == pieces.misses + 1
     assert cli.main(argv) == 0
@@ -625,14 +628,14 @@ def test_float_matrices_match_the_per_entry_reference_on_the_operator_sweep(monk
     monkeypatch.setattr(sys, "path", list(sys.path))  # output_digest prepends src and casbench
     sweep = importlib.import_module("output_digest").operator_sweep_requests()["spectrum"]
     stacks, ops = [], []
-    solve, spectrum = np.linalg.eigvalsh, cli.numeric_spectrum
+    solve, spectrum = np.linalg.eigvalsh, oplab.numeric_spectrum
 
-    def recording(reps, passed, k, tol):
-        ops.extend({id(op): op for op in passed}.values())
-        return spectrum(reps, passed, k, tol=tol)
+    def recording(reps, duals, passed, k, tol):
+        ops.extend(passed)
+        return spectrum(reps, duals, passed, k, tol=tol)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: stacks.append(a) or solve(a))
-    monkeypatch.setattr(cli, "numeric_spectrum", recording)
+    monkeypatch.setattr(oplab, "numeric_spectrum", recording)
     for argv in sweep:  # some are refused by the rep caps
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             cli.main(argv)
@@ -669,7 +672,7 @@ def test_metric_weights_are_the_metrics_own():
     # lcm(2, 3, 7, 6, 9) = 126; each weight is -num * (126 / den), upper entries only
     assert k._weights == (((0, 0, -189), (0, 1, 42), (0, 3, -36), (1, 1, 105), (2, 3, 56), (3, 3, -252)), 126)
     filled = vars(k)["_weights"]
-    for v in enumerate_reps(g, 2):
+    for v in enumerate_reps(g, 2)[0]:
         op = build_operator(g, v, k)
         fresh = MetricParam(k.kappa)
         assert op == build_operator(g, v, fresh)
@@ -685,10 +688,10 @@ def test_metric_weights_are_the_metrics_own():
 def test_zero_metric_gives_the_zero_operator(capsys):
     k = diag_metric([0, 0, 0])
     assert k._weights == ((), 1)
-    for v in enumerate_reps(G1, 3):
+    for v in enumerate_reps(G1, 3)[0]:
         op = build_operator(G1, v, k)
         assert (op.den, op.real) == (4, True)
-        assert op.re == op.im == ((0,) * v.dim,) * v.dim
+        assert op.re == ((0,) * v.dim,) * v.dim and op.im is None
     assert cli.main(["spectrum", "--su2", "1", "--kappa", "diag:0,0,0"]) == 0
     out = json.loads(capsys.readouterr().out)
     for entry in out["reps"]:
@@ -702,7 +705,7 @@ def test_multiplicity_at_float_large_spin():
     # and its exact multiplicity is the cluster's count
     g, v = G1, IrrepSpec((12,))
     p = rational_char_poly(char_poly(build_operator(g, v, K123)))
-    clusters = numeric_spectrum([v], [build_operator(g, v, K123)], K123)
+    clusters = numeric_spectrum([v], [0], [build_operator(g, v, K123)], K123)
     assert sum(dict(cl.per_rep)[v] for cl in clusters) == 13
     for cl in clusters:
         assert multiplicity_at_float(p, cl.center) == dict(cl.per_rep)[v]
@@ -814,48 +817,59 @@ K_SU2_T = MetricParam((
 ))
 
 
+def _pair_operators(g, reps, duals, k):
+    """Per rep, the operator built at k for its dual pair's first member."""
+    firsts = {i: build_operator(g, v, k) for i, (v, j) in enumerate(zip(reps, duals)) if i <= j}
+    return [firsts[min(i, j)] for i, j in enumerate(duals)]
+
+
 def test_numeric_spectrum_matches_one_eigensolver_call_per_operator(monkeypatch):
     # SU(2) x T at rep cap 2: dimensions 1, 2 and 3, real and complex
-    # operators, each rep passing its own
+    # operators, one per dual pair
     g = GroupSpec(1, 1)
-    reps = enumerate_reps(g, 2)
-    ops = [build_operator(g, v, K_SU2_T) for v in reps]
+    reps, duals = enumerate_reps(g, 2)
+    per_rep = _pair_operators(g, reps, duals, K_SU2_T)
+    ops = [op for i, op in enumerate(per_rep) if i <= duals[i]]
     assert {op.dim for op in ops} == {1, 2, 3} and {op.real for op in ops} == {True, False}
     solves = _counting(monkeypatch, np.linalg, "eigvalsh")
     for tol in (1e-9, 1e-2, 0.5):
-        assert numeric_spectrum(reps, ops, K_SU2_T, tol) == reference_cluster_spectrum(ops, tol)
-    # one stacked call per dimension
-    assert [a.shape for a in solves[:3]] == [(5, 1, 1), (5, 2, 2), (5, 3, 3)]
-    assert numeric_spectrum(reps[::-1], ops[::-1], K_SU2_T) == reference_cluster_spectrum(ops[::-1])
+        assert numeric_spectrum(reps, duals, ops, K_SU2_T, tol) == reference_cluster_spectrum(reps, per_rep, tol)
+    # one stacked call per dimension, of the 3 pairs of each
+    assert [a.shape for a in solves[:3]] == [(3, 1, 1), (3, 2, 2), (3, 3, 3)]
+    # in reverse order the later member of each pair comes first
+    n = len(reps)
+    back, back_duals = reps[::-1], [n - 1 - j for j in duals[::-1]]
+    per_rep = _pair_operators(g, back, back_duals, K_SU2_T)
+    ops = [op for i, op in enumerate(per_rep) if i <= back_duals[i]]
+    assert numeric_spectrum(back, back_duals, ops, K_SU2_T) == reference_cluster_spectrum(back, per_rep)
 
 
 def test_numeric_spectrum_refuses_before_any_solve(monkeypatch):
+    # SU(2) x T at rep cap 1: (0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1),
+    # whose dual pairs' first members are (0, -1), (0, 0), (1, -1) and (1, 0)
     g = GroupSpec(1, 1)
-    reps = enumerate_reps(g, 1)
-    ops = [build_operator(g, v, K_SU2_T) for v in reps]
-    v = IrrepSpec((1,), (1,))
-    foreign = build_operator(g, v, diag_metric([3, 2, 4, 5]))
+    reps, duals = enumerate_reps(g, 1)
+    assert duals == (2, 1, 0, 5, 4, 3)
+    ops = [build_operator(g, reps[i], K_SU2_T) for i in (0, 1, 3, 4)]
     solves = _counting(monkeypatch, np.linalg, "eigvalsh")
+    foreign = build_operator(g, reps[4], diag_metric([3, 2, 4, 5]))
     with pytest.raises(ValueError, match="another metric"):
-        numeric_spectrum(reps + [v], ops + [foreign], K_SU2_T)
+        numeric_spectrum(reps, duals, ops[:3] + [foreign], K_SU2_T)
     with pytest.raises(NotPositiveDefinite):
-        numeric_spectrum(reps, ops, diag_metric([3, 2, -4, 5]))
-    # (0, 0) passes the operator of (1, 0), which is neither it nor its dual
-    assert (reps[1], reps[4]) == (IrrepSpec((0,), (0,)), IrrepSpec((1,), (0,)))
-    wrong = ops[:1] + [ops[4]] + ops[2:]
-    with pytest.raises(ValueError, match="neither"):
-        numeric_spectrum(reps, wrong, K_SU2_T)
-    # (0, 1) passes the operator of (0, 0): the same spins, but neither its
-    # character nor the negative; the operator of its dual (0, -1) is taken
-    assert (reps[0], reps[2]) == (IrrepSpec((0,), (-1,)), IrrepSpec((0,), (1,)))
-    with pytest.raises(ValueError, match="neither"):
-        numeric_spectrum(reps, ops[:2] + [ops[1]] + ops[3:], K_SU2_T)
+        numeric_spectrum(reps, duals, ops, diag_metric([3, 2, -4, 5]))
+    # the pair of (0, 0) passes the operator of (1, 0), another rep, and
+    # the pair of (0, -1) the operator of its later member (0, 1)
+    with pytest.raises(ValueError, match="first member"):
+        numeric_spectrum(reps, duals, [ops[0], ops[3], *ops[2:]], K_SU2_T)
+    with pytest.raises(ValueError, match="first member"):
+        numeric_spectrum(reps, duals, [build_operator(g, reps[2], K_SU2_T), *ops[1:]], K_SU2_T)
+    # one operator too few or too many
+    for wrong in (ops[:-1], ops + [ops[-1]]):
+        with pytest.raises(ValueError):
+            numeric_spectrum(reps, duals, wrong, K_SU2_T)
     assert solves == []
-    numeric_spectrum(reps, ops[:2] + [ops[0]] + ops[3:], K_SU2_T)
-    solves.clear()
-    with pytest.raises(ValueError):
-        numeric_spectrum(reps, ops[:-1], K_SU2_T)
-    assert solves == []
+    numeric_spectrum(reps, duals, ops, K_SU2_T)
+    assert len(solves) == 2
 
 
 # -- certify's integer table values against the Fraction reference ----------
@@ -886,7 +900,7 @@ def shapes_and_metrics(draw):
 
 def _reference_table(g, cap, k):
     """Every required row (kind, V, W, value) in certificate order, from abc_values."""
-    reps = enumerate_reps(g, cap)
+    reps, _ = enumerate_reps(g, cap)
     rows = []
     for v in reps:
         abc = abc_values(g, (v, v), k)
@@ -903,7 +917,7 @@ def test_certify_skips_exactly_the_dual_pairs(monkeypatch, su2, torus, dual_pair
     # T^2 cap 1: 9 characters, 4 pairs z, -z; SU(2) x T cap 1: 6 reps, 2 pairs
     g = GroupSpec(su2, torus)
     k = _non_dyadic(g.algebra_dim)
-    reps = enumerate_reps(g, 1)
+    reps, _ = enumerate_reps(g, 1)
     r = len(reps)
     assert sum(w == v.dual() for v, w in itertools.combinations(reps, 2)) == dual_pairs
     monkeypatch.setattr(oplab, "witness_sequence", lambda n, budget, seed: [k])
@@ -936,7 +950,7 @@ def test_certify_values_match_the_fraction_reference(case):
         # the same operator over another denominator is refused, not mixed
         # in; the last rep whose dual is not listed before it is one whose
         # polynomial certify computes
-        reps = enumerate_reps(g, cap)
+        reps, _ = enumerate_reps(g, cap)
         last = [v for i, v in enumerate(reps) if v.dual() not in reps[:i]][-1]
         patched = doubled_den(oplab.char_poly, last)
         op = build_operator(g, last, k)
@@ -983,7 +997,7 @@ def test_dual_operator_is_the_operator_of_the_dual(su2, torus, cap):
     complex_ops = 0
     for seed in (1, 2):
         k = _full_metric(g.algebra_dim, seed)
-        for v in enumerate_reps(g, cap):
+        for v in enumerate_reps(g, cap)[0]:
             op, star = build_operator(g, v, k), build_operator(g, v.dual(), k)
             assert satisfies_dual_identity(op, star)
             assert char_poly(star) == char_poly(op)
@@ -993,7 +1007,7 @@ def test_dual_operator_is_the_operator_of_the_dual(su2, torus, cap):
 
 
 def _with_entry(op, part, i, j, value):
-    rows = [list(r) for r in getattr(op, part)]
+    rows = [list(r) for r in (op.re if part == "re" else imaginary_rows(op))]
     rows[i][j] = value
     return dataclasses.replace(op, **{part: tuple(map(tuple, rows))})
 
@@ -1001,8 +1015,9 @@ def _with_entry(op, part, i, j, value):
 def _one_wrong_entry(op, i, j):
     """op with its entry (i, j) off by one in the real and in the imaginary
     part, and with its first nonzero imaginary entry negated, if any."""
-    out = [_with_entry(op, "re", i, j, op.re[i][j] + 1), _with_entry(op, "im", i, j, op.im[i][j] - 1)]
-    flip = next(((a, b, -x) for a, row in enumerate(op.im) for b, x in enumerate(row) if x), None)
+    im = imaginary_rows(op)
+    out = [_with_entry(op, "re", i, j, op.re[i][j] + 1), _with_entry(op, "im", i, j, im[i][j] - 1)]
+    flip = next(((a, b, -x) for a, row in enumerate(im) for b, x in enumerate(row) if x), None)
     return out + ([_with_entry(op, "im", *flip)] if flip else [])
 
 
@@ -1013,7 +1028,7 @@ def test_dual_identity_sees_one_wrong_entry(su2, torus, cap):
     rng = np.random.default_rng(cap + 10 * g.algebra_dim)
     k = _full_metric(g.algebra_dim, 3)
     flips = 0
-    for v in enumerate_reps(g, cap):
+    for v in enumerate_reps(g, cap)[0]:
         op, star = build_operator(g, v, k), build_operator(g, v.dual(), k)
         i, j = (int(x) for x in rng.integers(0, v.dim, size=2))
         for bad in _one_wrong_entry(op, i, j):
@@ -1074,7 +1089,7 @@ def test_screened_candidates_build_only_the_operators_of_the_zero_row(monkeypatc
     g = GroupSpec(2, 0)
     cert = certify(g, 1)
     assert cert.certified and cert.candidates_tried == 7
-    reps = enumerate_reps(g, 1)
+    reps = list(enumerate_reps(g, 1)[0])
     corner = IrrepSpec((1, 1))
     metrics = list({id(k): k for k, _ in built}.values())
     per_candidate = [[v for m, v in built if m is k] for k in metrics]
